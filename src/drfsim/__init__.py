@@ -32,6 +32,7 @@ from .coherent_analysis import (
     CoherentGrid,
     DecompositionResult,
     build_grid,
+    convexity_series,
     convexity_test,
     nnls_solve,
 )
@@ -74,7 +75,7 @@ __all__ = [
     "ring_average", "angular_variance", "default_l_max",
     # coherent analysis
     "CoherentGrid", "DecompositionResult", "build_grid", "nnls_solve",
-    "convexity_test",
+    "convexity_test", "convexity_series",
     # errors
     "DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
     "InternalConsistencyError",

@@ -3,7 +3,7 @@
 Commands
 --------
 quantum-evolve   iterated channel fidelity vs the closed form
-classical-walk   Legendre-pipeline fidelity vs its closed form
+classical-walk   random-walk fidelity vs its closed form
 compare          quantum and classical routes side by side
 trajectories     record-conditioned Monte-Carlo samples
 coherent-test    non-negative fit residual per step
@@ -12,8 +12,9 @@ scaling          half-life of the fidelity decay per frame size
 All commands accept ``--selftest`` to run the structural invariant suites
 instead.  Sweeps over several 2j values run concurrently (capped by the
 DRFSIM_THREADS environment variable) and write one CSV per 2j so every file
-keeps its fixed column schema; floats are written in scientific notation
-with 17 significant digits so they round-trip exactly.
+keeps its fixed column schema.  Each command builds its table as columns of
+arrays; floats are written in scientific notation with 17 significant
+digits so they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from .angular_momentum import SpinLabel, as_spin
 from .classical_walk import classical_fidelity_series, fitted_step
-from .coherent_analysis import convexity_test
+from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, InternalConsistencyError
 from .quantum_drf import evolve, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
@@ -139,80 +140,72 @@ def _resolve_n_max(config: RunConfig, j: SpinLabel) -> int:
     return default_n_max(j)
 
 
-def _rows_quantum(config: RunConfig, j: SpinLabel):
-    series = evolve(j, _resolve_n_max(config, j))
-    return [
-        [int(n), f, c, abs(f - c)]
-        for n, f, c in zip(series.steps, series.fidelity, series.closed_form)
-    ]
+def _series_columns(series):
+    diff = np.abs(series.fidelity - series.closed_form)
+    return [series.steps, series.fidelity, series.closed_form, diff]
 
 
-def _rows_classical(config: RunConfig, j: SpinLabel):
+def _columns_quantum(config: RunConfig, j: SpinLabel):
+    return _series_columns(evolve(j, _resolve_n_max(config, j)))
+
+
+def _columns_classical(config: RunConfig, j: SpinLabel):
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    series = classical_fidelity_series(j, alpha, _resolve_n_max(config, j), config.l_max)
-    return [
-        [int(n), f, c, abs(f - c)]
-        for n, f, c in zip(series.steps, series.fidelity, series.closed_form)
-    ]
+    return _series_columns(
+        classical_fidelity_series(j, alpha, _resolve_n_max(config, j), config.l_max)
+    )
 
 
-def _rows_compare(config: RunConfig, j: SpinLabel):
+def _columns_compare(config: RunConfig, j: SpinLabel):
     n_max = _resolve_n_max(config, j)
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
     quantum = evolve(j, n_max)
     classical = classical_fidelity_series(j, alpha, n_max, config.l_max)
-    rows = []
-    for n in range(n_max + 1):
-        f_map = quantum.fidelity[n]
-        f_closed = quantum.closed_form[n]
-        f_c = classical.fidelity[n]
-        rows.append(
-            [n, f_map, f_closed, f_c, abs(f_c - f_map), abs(f_map - f_closed)]
-        )
-    return rows
+    f_map, f_closed, f_c = quantum.fidelity, quantum.closed_form, classical.fidelity
+    return [quantum.steps, f_map, f_closed, f_c,
+            np.abs(f_c - f_map), np.abs(f_map - f_closed)]
 
 
-def _rows_trajectories(config: RunConfig, j: SpinLabel):
+def _columns_trajectories(config: RunConfig, j: SpinLabel):
     n_max = _resolve_n_max(config, j)
     fidelities, plus_counts = sample_fidelity_batch(
         j, n_max, config.samples, [config.seed, j.twice_j]
     )
-    return [
-        [sample, int(n_plus), f]
-        for sample, (n_plus, f) in enumerate(zip(plus_counts, fidelities))
-    ]
+    return [np.arange(config.samples), plus_counts, fidelities]
 
 
-def _rows_coherent(config: RunConfig, j: SpinLabel):
+def _columns_coherent(config: RunConfig, j: SpinLabel):
     n_max = _resolve_n_max(config, j)
     n_nodes = config.n_nodes if config.n_nodes is not None else 8 * j.dim
-    rows = []
-    for n in range(n_max + 1):
-        result = convexity_test(j, n, n_nodes)
-        rows.append([n, result.residual, result.weight_sum_gap])
-    return rows
+    results = convexity_series(j, n_max, n_nodes)
+    return [np.arange(n_max + 1),
+            np.array([r.residual for r in results]),
+            np.array([r.weight_sum_gap for r in results])]
 
 
-ROW_BUILDERS = {
-    "quantum-evolve": _rows_quantum,
-    "classical-walk": _rows_classical,
-    "compare": _rows_compare,
-    "trajectories": _rows_trajectories,
-    "coherent-test": _rows_coherent,
+COLUMN_BUILDERS = {
+    "quantum-evolve": _columns_quantum,
+    "classical-walk": _columns_classical,
+    "compare": _columns_compare,
+    "trajectories": _columns_trajectories,
+    "coherent-test": _columns_coherent,
 }
 
 
-def _scaling_rows(config: RunConfig):
+def _scaling_columns(config: RunConfig):
     js = sorted(config.twice_j)
     lives = dict(zip(js, _sweep(js, lambda tj: half_life(SpinLabel(tj)))))
-    rows = []
-    for tj in js:
-        ratio = lives[tj] / lives[tj // 2] if tj // 2 in lives and tj % 2 == 0 else None
-        rows.append([tj, lives[tj], ratio])
-    return rows
+    ratios = [
+        lives[tj] / lives[tj // 2] if tj // 2 in lives and tj % 2 == 0 else None
+        for tj in js
+    ]
+    return [js, [lives[tj] for tj in js], ratios]
 
 
 # -- formatting and output ----------------------------------------------------
+
+
+_CSV_CHUNK_ROWS = 4096  # rows formatted at a time, bounding the Python objects alive
 
 
 def _format_cell(value) -> str:
@@ -223,12 +216,23 @@ def _format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _write_csv(path: Path, header, rows):
+def _format_column(values) -> list[str]:
+    """Cells of one column: integers plainly, floats in scientific notation
+    with 17 significant digits, None as an empty cell."""
+    if isinstance(values, np.ndarray):
+        fmt = "{:d}" if values.dtype.kind in "iu" else "{:.16e}"
+        return list(map(fmt.format, values.tolist()))
+    return [_format_cell(v) for v in values]
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length ``columns`` under ``header``, one line per row."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            cells = [_format_column(c[start:start + _CSV_CHUNK_ROWS]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _check_schema(path: Path, header):
@@ -261,23 +265,23 @@ def run(config: RunConfig) -> int:
         header = HEADERS[config.command]
         paths = _output_paths(config)
         if config.command == "scaling":
-            rows_by_j = {config.twice_j[0]: _scaling_rows(config)}
+            columns_by_j = {config.twice_j[0]: _scaling_columns(config)}
         else:
-            builder = ROW_BUILDERS[config.command]
+            builder = COLUMN_BUILDERS[config.command]
             js = sorted(set(config.twice_j))
             results = _sweep(
                 js, lambda tj: builder(config, SpinLabel(tj))
             )
-            rows_by_j = dict(zip(js, results))
+            columns_by_j = dict(zip(js, results))
         written = []
-        for tj in sorted(rows_by_j):
+        for tj in sorted(columns_by_j):
             path = paths[tj]
-            _write_csv(path, header, rows_by_j[tj])
+            _write_csv(path, header, columns_by_j[tj])
             _check_schema(path, header)
             written.append(path)
         _write_manifest(config, written, time.perf_counter() - started)
     except DrfsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {config.command}: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -367,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         return cmd
 
     add("quantum-evolve", "iterate the measurement channel")
-    add("classical-walk", "run the Legendre walk pipeline", alpha=True, l_max=True)
+    add("classical-walk", "run the random walk on the sphere", alpha=True, l_max=True)
     add("compare", "quantum vs classical fidelity table", alpha=True, l_max=True)
     add("trajectories", "sample record-conditioned trajectories", samples=True)
     add("coherent-test", "non-negative fit residual per step", nodes=True)

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .angular_momentum import SpinLabel, as_spin, coherent_populations
 from .errors import ConvergenceError, DomainError
-from .quantum_drf import FrameState, apply_map, build_kraus
+from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import KKT_TOL, STRUCTURE_TOL
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "build_grid",
     "nnls_solve",
     "convexity_test",
+    "convexity_series",
 ]
 
 _B_SUM_TOL = 1e-10
@@ -177,9 +179,28 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     j = as_spin(j)
     if n < 0:
         raise DomainError("step count must be non-negative")
-    state = FrameState.stretched(j)
-    kraus = build_kraus(j)
-    for _ in range(n):
-        state = apply_map(state, kraus)
+    state = next(islice(_evolved_populations(j), n, None))
+    return nnls_solve(build_grid(j, n_nodes).columns, state)
+
+
+def convexity_series(j, n_max: int, n_nodes: int) -> list:
+    """:func:`convexity_test` for every n = 0 ... n_max, sharing the work.
+
+    The grid is built once and the state advances one map step per n, so
+    entry n equals ``convexity_test(j, n, n_nodes)``.
+    """
+    j = as_spin(j)
+    if n_max < 0:
+        raise DomainError("step count must be non-negative")
     grid = build_grid(j, n_nodes)
-    return nnls_solve(grid.columns, state.populations)
+    return [nnls_solve(grid.columns, state)
+            for state in islice(_evolved_populations(j), n_max + 1)]
+
+
+def _evolved_populations(j: SpinLabel):
+    """Validated populations of the aligned state after 0, 1, 2, ... map steps."""
+    rates = transfer_rates(j)
+    populations = FrameState.stretched(j).populations
+    while True:
+        yield FrameState.from_populations(j, populations).data
+        populations = flux_step(populations, rates)

@@ -10,7 +10,7 @@ class DomainError(DrfsimError, ValueError):
 
 
 class AccuracyError(DrfsimError, RuntimeError):
-    """A quadrature or grid is too coarse for the requested accuracy."""
+    """A grid is too coarse for the requested accuracy."""
 
 
 class ConvergenceError(DrfsimError, RuntimeError):

@@ -23,6 +23,8 @@ from drfsim import (
     walk_evolve,
 )
 
+from brute_force import legendre_coefficients_by_quadrature
+
 
 def fidelity_by_quadrature(spec):
     """Independent route: integrate p(theta) cos^2(theta/2) over the sphere."""
@@ -65,6 +67,23 @@ class TestInitialSpectrum:
     def test_l_max_too_small_rejected(self):
         with pytest.raises(DomainError):
             initial_spectrum(SpinLabel(2), l_max=0)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="the quadrature oracle needs extended-precision long double",
+    )
+    def test_product_matches_quadrature(self):
+        for twice_j in range(1, 101):
+            spec = initial_spectrum(SpinLabel(twice_j))
+            oracle = legendre_coefficients_by_quadrature(twice_j, spec.l_max)
+            worst = np.max(np.abs(spec.coeffs - oracle))
+            assert worst <= 1e-12, f"2j={twice_j}: {worst:.3e}"
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 100])
+    def test_coefficients_vanish_beyond_4j(self, twice_j):
+        spec = initial_spectrum(SpinLabel(twice_j), l_max=2 * twice_j + 20)
+        assert spec.coeffs[2 * twice_j] > 0.0
+        assert np.all(spec.coeffs[2 * twice_j + 1:] == 0.0)
 
     def test_spectrum_type_rejects_bad_c0(self):
         with pytest.raises(DomainError):
@@ -186,6 +205,23 @@ class TestRingAverage:
         band = np.abs(thetas - alpha) < 0.02
         assert out[~band].max() <= 1e-12
 
+    @pytest.mark.parametrize("n_psi", [1, 2, 7, 64, 65])
+    def test_half_ring_equals_full_ring(self, n_psi):
+        # the ring integrand depends on psi only via cos(psi); the full
+        # n_psi-node trapezoid average is the reference
+        thetas = np.linspace(0.0, math.pi, 2048)
+        values = np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
+        alpha = 0.7
+        psi = np.arange(n_psi) * (2.0 * math.pi / n_psi)
+        cos_ring = np.clip(
+            np.cos(thetas)[:, None] * math.cos(alpha)
+            + np.sin(thetas)[:, None] * math.sin(alpha) * np.cos(psi)[None, :],
+            -1.0, 1.0,
+        )
+        full = np.interp(np.arccos(cos_ring), thetas, values).mean(axis=1)
+        out = ring_average(thetas, values, alpha, n_psi=n_psi)
+        assert np.max(np.abs(out - full)) <= 1e-14
+
     def test_coarse_grid_rejected(self):
         thetas = np.linspace(0.0, math.pi, 512)
         with pytest.raises(AccuracyError):
@@ -208,6 +244,23 @@ class TestFidelitySeries:
     def test_right_angle_kick_erases_information(self):
         series = classical_fidelity_series(SpinLabel(6), math.pi / 2.0, 5)
         assert np.max(np.abs(series.fidelity[1:] - 0.5)) < 1e-12
+
+    @pytest.mark.parametrize("twice_j,alpha", [(9, 0.4), (40, 2.0), (3, math.pi)])
+    def test_series_equals_per_step_walk(self, twice_j, alpha):
+        j = SpinLabel(twice_j)
+        series = classical_fidelity_series(j, alpha, 60)
+        spec = initial_spectrum(j)
+        for n in series.steps:
+            walked = walk_evolve(spec, WalkParameters(alpha, int(n)))
+            assert series.fidelity[n] == pytest.approx(
+                classical_fidelity(walked), abs=1e-15
+            )
+
+    def test_large_frame_series_meets_closed_form(self):
+        # 2j = 1000 once failed: quadrature error in c_1 exceeded 1e-10
+        j = SpinLabel(1000)
+        series = classical_fidelity_series(j, fitted_step(j), 1000)
+        assert series.max_abs_diff <= 1e-12
 
     def test_zero_angle_keeps_fidelity_constant(self):
         j = SpinLabel(6)

@@ -203,6 +203,21 @@ class TestCliSurface:
                      "--out", str(out)])
         assert code == 1
 
+    def test_failure_names_command_size_and_step(self, tmp_path, monkeypatch, capsys):
+        from drfsim import quantum_drf
+
+        exact_rates = quantum_drf.transfer_rates
+        monkeypatch.setattr(quantum_drf, "transfer_rates",
+                            lambda j: exact_rates(j) * 1.01)
+        out = tmp_path / "q.csv"
+        code = main(["quantum-evolve", "--twice-j", "6", "--n-max", "40",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantum-evolve: ")
+        assert "2j=6, step 1:" in err
+        assert "ORACLE_TOL" in err
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"
         proc = subprocess.run(

@@ -13,6 +13,7 @@ from drfsim import (
     SpinLabel,
     build_grid,
     coherent_populations,
+    convexity_series,
     convexity_test,
     nnls_solve,
 )
@@ -185,3 +186,17 @@ class TestConvexityTest:
     def test_negative_step_rejected(self):
         with pytest.raises(DomainError):
             convexity_test(SpinLabel(2), -1, 24)
+
+    @pytest.mark.parametrize("twice_j,n_nodes", [(2, 24), (5, 48)])
+    def test_series_equals_separate_tests(self, twice_j, n_nodes):
+        j = SpinLabel(twice_j)
+        series = convexity_series(j, 4, n_nodes)
+        assert len(series) == 5
+        for n, result in enumerate(series):
+            single = convexity_test(j, n, n_nodes)
+            assert result.residual == single.residual
+            assert np.array_equal(result.weights, single.weights)
+
+    def test_series_negative_length_rejected(self):
+        with pytest.raises(DomainError):
+            convexity_series(SpinLabel(2), -1, 24)

@@ -1,5 +1,6 @@
 """Channel construction, exact decay, trajectories, and record averaging."""
 
+import decimal
 import itertools
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drfsim import quantum_drf
 from drfsim import (
     DomainError,
     FrameState,
+    InternalConsistencyError,
     MeasurementRecord,
     SpinLabel,
     apply_map,
@@ -21,6 +24,8 @@ from drfsim import (
     sample_fidelity_batch,
     sample_trajectory,
 )
+from drfsim.cli import default_n_max
+from drfsim.quantum_drf import flux_step, transfer_rates
 
 from brute_force import coupled_projectors, kraus_block
 
@@ -70,6 +75,35 @@ class TestBuildKraus:
     def test_spin_zero_rejected(self):
         with pytest.raises(DomainError):
             build_kraus(SpinLabel(0))
+
+
+class TestTransferRates:
+    @pytest.mark.parametrize("twice_j", range(1, 41))
+    def test_rates_equal_kraus_weights(self, twice_j):
+        # p'[k] = stay[k] p[k] + from_above[k] p[k+1] + from_below[k] p[k-1],
+        # summed over both outcomes from the exact-CG Kraus bands
+        kraus = build_kraus(SpinLabel(twice_j))
+        bands = kraus.bands
+        stay = sum(0.5 * bands[(a, a, c)].values ** 2 for a in (0, 1) for c in (1, -1))
+        from_above = sum(0.5 * bands[(0, 1, c)].values ** 2 for c in (1, -1))
+        from_below = sum(0.5 * bands[(1, 0, c)].values ** 2 for c in (1, -1))
+        rates = transfer_rates(SpinLabel(twice_j))
+        assert np.max(np.abs(rates - from_above)) <= 1e-15
+        assert np.max(np.abs(rates - from_below)) <= 1e-15
+        leave = np.zeros(twice_j + 1)
+        leave[:-1] += rates
+        leave[1:] += rates
+        assert np.max(np.abs(1.0 - leave - stay)) <= 1e-15
+
+    def test_flux_step_writes_in_place(self):
+        rng = np.random.default_rng(3)
+        j = SpinLabel(7)
+        p = random_diagonal_state(rng, j).populations
+        rates = transfer_rates(j)
+        expected = flux_step(p, rates)
+        buf = p.copy()
+        assert flux_step(buf, rates, out=buf) is buf
+        assert np.array_equal(buf, expected)
 
 
 class TestFrameState:
@@ -179,6 +213,16 @@ class TestClosedFormFidelity:
     def test_long_time_limit_is_half(self):
         assert closed_form_fidelity(SpinLabel(3), 10**6) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("twice_j,n", [(200, 70008), (1000, 1736334), (5000, 10**7)])
+    def test_long_runs_match_decimal_power(self, twice_j, n):
+        # rounding 1 - 2/q^2 before the power once cost 3.2e-12 at 2j = 1000
+        q = twice_j + 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            base = decimal.Decimal(q * q - 2) / (q * q)
+            exact = decimal.Decimal(1) / 2 + decimal.Decimal(twice_j) / (2 * q) * base**n
+        assert abs(closed_form_fidelity(SpinLabel(twice_j), n) - float(exact)) <= 1e-15
+
     def test_vectorised_over_steps(self):
         steps = np.arange(5)
         values = closed_form_fidelity(SpinLabel(4), steps)
@@ -206,6 +250,62 @@ class TestEvolve:
     def test_monotone_decay(self):
         series = evolve(SpinLabel(3), 400)
         assert np.all(np.diff(series.fidelity) <= 1e-15)
+
+    def test_default_length_at_2j_200(self):
+        # once failed at step 54127: float trace drift crossed 1e-12
+        j = SpinLabel(200)
+        series = evolve(j, default_n_max(j))
+        assert len(series.steps) == 70009
+        assert series.trace_drift <= 1e-14
+        assert series.max_abs_diff <= 1e-12
+
+    def test_fidelity_matches_kraus_observable(self):
+        j = SpinLabel(6)
+        kraus = build_kraus(j)
+        series = evolve(j, 30)
+        state = FrameState.stretched(j)
+        for n in range(31):
+            assert series.fidelity[n] == pytest.approx(
+                quantum_fidelity(state, kraus), abs=1e-15
+            )
+            state = apply_map(state, kraus)
+
+    @pytest.mark.parametrize("fault,tolerance", [
+        (lambda out: out.__setitem__(0, -1e-9), "EIGENVALUE_FLOOR"),
+        (lambda out: out.__setitem__(0, out[0] + 1e-11), "STRUCTURE_TOL"),
+        (lambda out: out.__setitem__(slice(None), out[::-1]), "ORACLE_TOL"),
+    ])
+    def test_failing_step_is_named(self, monkeypatch, fault, tolerance):
+        # corrupt only step 1100 (inside the second block of checks)
+        calls = []
+
+        def faulty_step(populations, rates, out=None):
+            out = flux_step(populations, rates, out)
+            calls.append(None)
+            if len(calls) == 1100:
+                fault(out)
+            return out
+
+        monkeypatch.setattr(quantum_drf, "flux_step", faulty_step)
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            evolve(SpinLabel(10), 2000)
+        message = str(excinfo.value)
+        assert "2j=10" in message
+        assert "step 1100" in message
+        assert tolerance in message
+
+    def test_spin_zero_rejected(self):
+        with pytest.raises(DomainError):
+            evolve(SpinLabel(0), 5)
+
+    def test_series_validation_names_the_step(self):
+        j = SpinLabel(4)
+        steps = np.arange(4)
+        fidelity = np.array([0.9, 0.8, 0.85, 0.7])
+        series = quantum_drf.FidelitySeries(j, steps, fidelity, fidelity)
+        pattern = r"2j=4, step 2: .*STRUCTURE_TOL"
+        with pytest.raises(InternalConsistencyError, match=pattern):
+            series.require_valid()
 
 
 class TestTrajectories:
