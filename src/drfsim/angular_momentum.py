@@ -17,13 +17,14 @@ Conventions
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import xlog1py, xlogy
 
 from .errors import DomainError
 
@@ -201,8 +202,8 @@ def coherent_populations(j, theta: float) -> np.ndarray:
 
         p_k = C(2j, k) [cos^2(theta/2)]^k [sin^2(theta/2)]^(2j - k),
 
-    with k = j + m.  The binomial pmf is evaluated in log space, so large
-    2j does not overflow.
+    with k = j + m.  The pmf is evaluated in log space from exact integer
+    binomials, so large 2j does not overflow.
 
     Parameters
     ----------
@@ -221,4 +222,14 @@ def coherent_populations(j, theta: float) -> np.ndarray:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     # Half-angle identity keeps the poles exact: cos^2(theta/2) = (1+cos)/2.
     prob_up = (1.0 + math.cos(theta)) / 2.0
-    return binom.pmf(np.arange(j.dim), j.twice_j, prob_up)
+    k = np.arange(j.dim)
+    log_terms = xlogy(k, prob_up) + xlog1py(j.twice_j - k, -prob_up)
+    return np.exp(_log_binomials(j.twice_j) + log_terms)
+
+
+@functools.lru_cache(maxsize=16)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0 ... n, each from the exact integer C(n, k)."""
+    logs = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+    logs.setflags(write=False)
+    return logs

@@ -10,11 +10,14 @@ coherent-test    non-negative fit residual per step
 scaling          half-life of the fidelity decay per frame size
 
 All commands accept ``--selftest`` to run the structural invariant suites
-instead.  Sweeps over several 2j values run concurrently (capped by the
-DRFSIM_THREADS environment variable) and write one CSV per 2j so every file
-keeps its fixed column schema.  Each command builds its table as columns of
-arrays; floats are written in scientific notation with 17 significant
-digits so they round-trip exactly.
+instead.  Sweeps over several 2j values run one size after another and
+write one CSV per 2j so every file keeps its fixed column schema.  Each
+command builds its table as columns of arrays; floats are written in
+scientific notation with 17 significant digits so they round-trip exactly.
+
+``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
+uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
+``F_conditional`` is the closed form F_K at the count K = ``n_plus``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -107,28 +108,6 @@ class RunConfig:
                 raise DomainError("samples must be >= 1")
 
 
-def _threads_cap(n_jobs: int) -> int:
-    raw = os.environ.get("DRFSIM_THREADS")
-    if raw is None:
-        return min(n_jobs, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"DRFSIM_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"DRFSIM_THREADS must be >= 1, got {cap}")
-    return min(n_jobs, cap)
-
-
-def _sweep(jobs, worker):
-    """Run ``worker`` over ``jobs``; results keep job order regardless of schedule."""
-    workers = _threads_cap(len(jobs))
-    if workers <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 # -- per-command row builders (pure functions of the config) -----------------
 
 
@@ -194,7 +173,7 @@ COLUMN_BUILDERS = {
 
 def _scaling_columns(config: RunConfig):
     js = sorted(config.twice_j)
-    lives = dict(zip(js, _sweep(js, lambda tj: half_life(SpinLabel(tj)))))
+    lives = {tj: half_life(SpinLabel(tj)) for tj in js}
     ratios = [
         lives[tj] / lives[tj // 2] if tj // 2 in lives and tj % 2 == 0 else None
         for tj in js
@@ -268,11 +247,8 @@ def run(config: RunConfig) -> int:
             columns_by_j = {config.twice_j[0]: _scaling_columns(config)}
         else:
             builder = COLUMN_BUILDERS[config.command]
-            js = sorted(set(config.twice_j))
-            results = _sweep(
-                js, lambda tj: builder(config, SpinLabel(tj))
-            )
-            columns_by_j = dict(zip(js, results))
+            columns_by_j = {tj: builder(config, SpinLabel(tj))
+                            for tj in sorted(set(config.twice_j))}
         written = []
         for tj in sorted(columns_by_j):
             path = paths[tj]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import xlog1py
 
 from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
 from .errors import DomainError, InternalConsistencyError
@@ -41,11 +42,11 @@ __all__ = [
     "evolve",
     "conditional_update",
     "sample_trajectory",
+    "conditional_fidelity_table",
     "sample_fidelity_batch",
 ]
 
 OUTCOMES = (+1, -1)  # total-J branch drawn in a measurement: J = j +- 1/2
-_PROB_SLACK = 1e-12
 
 
 class Band:
@@ -157,7 +158,8 @@ def build_kraus(j) -> KrausSet:
     defect = kraus.completeness_defect()
     if defect > STRUCTURE_TOL:
         raise InternalConsistencyError(
-            f"quantum_drf.build_kraus: trace preservation defect {defect:.3e}"
+            f"quantum_drf.build_kraus: 2j={j.twice_j}: trace preservation defect "
+            f"{defect:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}"
         )
     return kraus
 
@@ -491,7 +493,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
         unnorm[:-1] += up * p[1:]
         unnorm[1:] += down * p[:-1]
         prob = float(unnorm.sum())
-        _check_probability(prob)
+        _check_probability(state.j, outcome, prob)
         return prob, FrameState.from_populations(state.j, unnorm / prob)
     acc = np.zeros_like(state.data)
     for (a, b, c), band in kraus.bands.items():
@@ -499,14 +501,16 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
             acc += band.sandwich(state.data)
     acc /= 2.0
     prob = float(acc.trace().real)
-    _check_probability(prob)
+    _check_probability(state.j, outcome, prob)
     return prob, FrameState.from_matrix(state.j, acc / prob)
 
 
-def _check_probability(prob: float):
-    if not -_PROB_SLACK <= prob <= 1.0 + _PROB_SLACK:
+def _check_probability(j: SpinLabel, outcome: int, prob: float):
+    if not -STRUCTURE_TOL <= prob <= 1.0 + STRUCTURE_TOL:
         raise InternalConsistencyError(
-            f"outcome probability {prob!r} outside [0, 1]"
+            f"quantum_drf.conditional_update: 2j={j.twice_j}: probability {prob!r} "
+            f"of outcome {outcome:+d} is outside [0, 1] by more than "
+            f"STRUCTURE_TOL = {STRUCTURE_TOL:g}"
         )
 
 
@@ -539,12 +543,40 @@ def sample_trajectory(j, n_max: int, seed):
     return MeasurementRecord(outcomes, probs), state
 
 
-def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
-    """Vectorised trajectory sampling for Monte-Carlo fidelity averages.
+def conditional_fidelity_table(j, n: int) -> np.ndarray:
+    """F_K, the fidelity after n uses given K outcomes +1, for K = 0 ... n.
 
-    Evolves ``n_samples`` record-conditioned population vectors in lockstep
-    (one uniform draw per trajectory per step, so a batch of one reproduces
-    :func:`sample_trajectory` exactly for the same seed).
+    Each use gives +1 with probability p+ = (j+1)/(2j+1) in every state and
+    the per-outcome maps commute, so with q = 2j+1
+
+        F_K = 1/2 + (j/q) mu+^K mu-^(n-K),  mu+ = 1 - 1/(q(j+1)),  mu- = 1 - 1/(qj).
+
+    Powers go through log1p as in :func:`closed_form_fidelity`; at 2j = 1,
+    mu- = 0 and xlog1py's 0 log 0 = 0 gives mu-^0 = 1 for K = n.
+    """
+    j = as_spin(j)
+    if j.twice_j < 1:
+        raise DomainError("record statistics require 2j >= 1")
+    if n < 0:
+        raise DomainError("step count must be non-negative")
+    tj = j.twice_j
+    counts = np.arange(n + 1)
+    decay = np.exp(xlog1py(counts, -2.0 / ((tj + 1) * (tj + 2)))
+                   + xlog1py(n - counts, -2.0 / ((tj + 1) * tj)))
+    return 0.5 + tj / (2.0 * (tj + 1)) * decay
+
+
+_CHUNK_DRAWS = 1 << 16  # uniforms held at once by sample_fidelity_batch
+
+
+def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
+    """Monte-Carlo sample of record-conditioned fidelities after ``n_max`` uses.
+
+    ``numpy.random.default_rng(seed)`` gives one row of ``n_samples`` uniforms
+    per step, in step order; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
+    Sample i's fidelity is F_K of :func:`conditional_fidelity_table` at its
+    count K of +1 outcomes.  :func:`sample_trajectory` consumes the same
+    stream, so a batch of one reproduces it for the same seed.
 
     Returns
     -------
@@ -553,37 +585,16 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
         of +1 outcomes in each record.
     """
     j = as_spin(j)
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    table = conditional_fidelity_table(j, n_max)
+    p_plus = (j.twice_j + 2) / (2.0 * (j.twice_j + 1))
     rng = np.random.default_rng(seed)
-    kraus = build_kraus(j)
-    w_plus = kraus._conditional_weights(+1)
-    w_minus = kraus._conditional_weights(-1)
-
-    def branch(pop, weights):
-        stay, up, down = weights
-        out = stay * pop
-        out[:, :-1] += up * pop[:, 1:]
-        out[:, 1:] += down * pop[:, :-1]
-        return out
-
-    pop = np.zeros((n_samples, j.dim))
-    pop[:, -1] = 1.0
+    rows = max(1, _CHUNK_DRAWS // n_samples)
+    draws = np.empty((min(rows, n_max), n_samples))
     plus_counts = np.zeros(n_samples, dtype=int)
-    for _ in range(n_max):
-        cand_plus = branch(pop, w_plus)
-        cand_minus = branch(pop, w_minus)
-        p_plus = cand_plus.sum(axis=1)
-        if p_plus.min() < -_PROB_SLACK or p_plus.max() > 1.0 + _PROB_SLACK:
-            raise InternalConsistencyError("outcome probability outside [0, 1]")
-        take_plus = rng.random(n_samples) < p_plus
-        plus_counts += take_plus
-        pop = np.where(
-            take_plus[:, None],
-            cand_plus / p_plus[:, None],
-            cand_minus / (1.0 - p_plus)[:, None],
-        )
-    fidelities = pop @ kraus.fidelity_diagonal
-    return fidelities, plus_counts
+    for start in range(0, n_max, rows):
+        chunk = draws[: n_max - start]
+        rng.random(out=chunk)
+        plus_counts += np.count_nonzero(chunk < p_plus, axis=0)
+    return table[plus_counts], plus_counts

@@ -6,6 +6,8 @@ sector-by-sector diagonalisation, so agreement with the production code is a
 genuine cross-check.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 # qubit basis ordered (|0> = up, |1> = down)
@@ -93,6 +95,41 @@ def sector_cg(twice_j, twice_m, s_up, plus):
     if reference < 0:
         components = {a: -c for a, c in components.items()}
     return components.get(0 if s_up else 1, 0.0)
+
+
+def coupling_square(twice_j, twice_m, s_up, plus):
+    """<J, m + s | j, m; 1/2, s>^2 as an exact Fraction, J = j +- 1/2.
+
+    The textbook j (x) 1/2 table with q = 2j + 1: (j+m+1)/q and (j-m+1)/q on
+    the upper branch for s = up and down, (j-m)/q and (j+m)/q on the lower.
+    """
+    if plus:
+        num = twice_j + twice_m + 2 if s_up else twice_j - twice_m + 2
+    else:
+        num = twice_j - twice_m if s_up else twice_j + twice_m
+    return Fraction(num, 2 * (twice_j + 1))
+
+
+def exact_outcome_step(twice_j, populations, plus):
+    """Unnormalised frame populations after one use that recorded J = j +- 1/2.
+
+    The qubit is maximally mixed and the frame state diagonal, so
+    p'(m') = 1/2 sum_ab <m' a|Pi|m b>^2 p(m) with m + s_b = m' + s_a, and the
+    element is the product of two coupling coefficients.  Its total is the
+    outcome's probability.  Populations are Fractions indexed by k = j + m.
+    """
+    out = [Fraction(0)] * (twice_j + 1)
+    for k_out in range(twice_j + 1):
+        tm_out = 2 * k_out - twice_j
+        for a, ts_a in ((0, 1), (1, -1)):
+            left = coupling_square(twice_j, tm_out, a == 0, plus)
+            for b, ts_b in ((0, 1), (1, -1)):
+                tm_in = tm_out + ts_a - ts_b
+                if abs(tm_in) > twice_j:
+                    continue
+                right = coupling_square(twice_j, tm_in, b == 0, plus)
+                out[k_out] += left * right * populations[(tm_in + twice_j) // 2] / 2
+    return out
 
 
 def two_node_scan(columns, target, step=1e-3, w_max=1.5):

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import eval_legendre
+from scipy.stats import binom
 
 import acceptance_report
 
@@ -32,6 +33,7 @@ from drfsim import (
     angular_variance,
 )
 from drfsim.cli import half_life
+from drfsim.quantum_drf import conditional_fidelity_table
 from drfsim.selftest import run_selftest
 
 
@@ -129,6 +131,19 @@ def test_criterion_5_record_averaging():
         assert abs(mean - target) <= 3.0 * stderr, (
             f"MC mean {mean:.6f} vs {target:.6f} ({abs(mean - target) / stderr:.2f} se)"
         )
+
+
+def test_record_count_distribution_reproduces_the_decay():
+    # Beside criterion 5: the count K of +1 outcomes is Binomial(n, p+), and
+    # averaging F_K over it gives the closed form exactly, because
+    # p+ mu+ + p- mu- = 1 - 2/q^2.
+    for twice_j in (1, 4, 13, 40):
+        p_plus = (twice_j + 2) / (2.0 * (twice_j + 1))
+        for n in (1, 20, 500):
+            weights = binom.pmf(np.arange(n + 1), n, p_plus)
+            average = float(weights @ conditional_fidelity_table(SpinLabel(twice_j), n))
+            target = closed_form_fidelity(SpinLabel(twice_j), n)
+            assert abs(average - target) <= 1e-14, f"2j={twice_j}, n={n}"
 
 
 def test_criterion_6_quadratic_longevity():

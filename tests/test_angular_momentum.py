@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from drfsim import (
     CouplingBranch,
@@ -16,6 +17,8 @@ from drfsim import (
     coherent_populations,
     projector_element,
 )
+
+from drfsim.tolerances import STRUCTURE_TOL
 
 from brute_force import coupled_projectors, sector_cg
 
@@ -180,6 +183,17 @@ class TestCoherentPopulations:
         p = coherent_populations(SpinLabel(200), 1.0)
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("twice_j", [1, 7, 80, 1000, 2000])
+    def test_matches_scipy_binomial_pmf(self, twice_j):
+        # log-space pmf from exact integer binomials against scipy's binomial;
+        # nodes uniform in cos(theta) with both poles, as build_grid places them
+        j = SpinLabel(twice_j)
+        for theta in np.arccos(np.linspace(1.0, -1.0, 201)):
+            p = coherent_populations(j, theta)
+            expected = binom.pmf(np.arange(j.dim), twice_j, (1.0 + math.cos(theta)) / 2.0)
+            assert np.max(np.abs(p - expected)) <= 2e-14
+            assert abs(p.sum() - 1.0) <= STRUCTURE_TOL
 
     def test_theta_out_of_range_rejected(self):
         with pytest.raises(DomainError):

@@ -183,26 +183,6 @@ class TestCliSurface:
         assert main(["compare", "--selftest"]) == 0
         assert "selftest:" in capsys.readouterr().out
 
-    def test_threads_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        blobs = {}
-        for cap in ("1", "4"):
-            monkeypatch.setenv("DRFSIM_THREADS", cap)
-            out = tmp_path / f"threads{cap}.csv"
-            main(["compare", "--twice-j", "2,4,6", "--n-max", "20",
-                  "--out", str(out)])
-            blobs[cap] = b"".join(
-                (tmp_path / f"threads{cap}-2j{tj}.csv").read_bytes()
-                for tj in (2, 4, 6)
-            )
-        assert blobs["1"] == blobs["4"]
-
-    def test_bad_threads_env_is_reported(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRFSIM_THREADS", "many")
-        out = tmp_path / "x.csv"
-        code = main(["compare", "--twice-j", "2,4", "--n-max", "3",
-                     "--out", str(out)])
-        assert code == 1
-
     def test_failure_names_command_size_and_step(self, tmp_path, monkeypatch, capsys):
         from drfsim import quantum_drf
 
@@ -217,6 +197,17 @@ class TestCliSurface:
         assert err.startswith("error: quantum-evolve: ")
         assert "2j=6, step 1:" in err
         assert "ORACLE_TOL" in err
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second to import; the package needs none of it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, drfsim.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"

@@ -2,6 +2,7 @@
 
 import decimal
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from drfsim import (
     sample_trajectory,
 )
 from drfsim.cli import default_n_max
-from drfsim.quantum_drf import flux_step, transfer_rates
+from drfsim.quantum_drf import conditional_fidelity_table, flux_step, transfer_rates
 
-from brute_force import coupled_projectors, kraus_block
+from brute_force import coupled_projectors, exact_outcome_step, kraus_block
 
 
 def random_dense_state(rng, j):
@@ -75,6 +76,14 @@ class TestBuildKraus:
     def test_spin_zero_rejected(self):
         with pytest.raises(DomainError):
             build_kraus(SpinLabel(0))
+
+    def test_completeness_failure_names_size_and_tolerance(self, monkeypatch):
+        exact_element = quantum_drf.projector_element
+        monkeypatch.setattr(quantum_drf, "projector_element",
+                            lambda *args: 1.001 * exact_element(*args))
+        with pytest.raises(InternalConsistencyError,
+                           match=r"build_kraus: 2j=5: .*STRUCTURE_TOL"):
+            build_kraus(SpinLabel(5))
 
 
 class TestTransferRates:
@@ -328,6 +337,21 @@ class TestTrajectories:
         joint = np.kron(rho, np.eye(2) / 2.0)
         assert p_plus == pytest.approx(float(np.trace(pi_plus @ joint)), abs=1e-12)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_bad_probability_names_size_and_tolerance(self, dense):
+        j = SpinLabel(3)
+        kraus = build_kraus(j)
+        scaled = quantum_drf.KrausSet(j, {
+            key: quantum_drf.Band(band.offset, 1.5 * band.values)
+            for key, band in kraus.bands.items()
+        })
+        state = FrameState.stretched(j)
+        if dense:
+            state = state.to_dense()
+        pattern = r"conditional_update: 2j=3: .*outcome \+1 .*STRUCTURE_TOL"
+        with pytest.raises(InternalConsistencyError, match=pattern):
+            conditional_update(state, scaled, +1)
+
     def test_outcome_probabilities_sum_to_one(self):
         j = SpinLabel(3)
         kraus = build_kraus(j)
@@ -353,8 +377,9 @@ class TestTrajectories:
         with pytest.raises(DomainError):
             MeasurementRecord(np.array([1]), np.array([1.5]))
 
-    def test_batch_of_one_reproduces_single_trajectory(self):
-        j = SpinLabel(4)
+    @pytest.mark.parametrize("twice_j", [1, 2, 4, 13, 40])
+    def test_batch_of_one_reproduces_single_trajectory(self, twice_j):
+        j = SpinLabel(twice_j)
         fid, n_plus = sample_fidelity_batch(j, 20, 1, seed=123)
         record, state = sample_trajectory(j, 20, seed=123)
         kraus = build_kraus(j)
@@ -366,6 +391,61 @@ class TestTrajectories:
         closed = closed_form_fidelity(SpinLabel(4), 10)
         stderr = fid.std(ddof=1) / np.sqrt(len(fid))
         assert abs(fid.mean() - closed) < 4.0 * stderr
+
+
+def exact_count_fidelity(twice_j, n, count):
+    """F_K = 1/2 + (j/q) mu+^K mu-^(n-K) in exact rationals."""
+    q = twice_j + 1
+    mu_plus = 1 - Fraction(2, q * (twice_j + 2))
+    mu_minus = 1 - Fraction(2, q * twice_j)
+    return Fraction(1, 2) + Fraction(twice_j, 2 * q) * mu_plus**count * mu_minus**(n - count)
+
+
+class TestRecordStatistics:
+    @pytest.mark.parametrize("twice_j", range(1, 7))
+    def test_every_ordering_gives_the_count_formula(self, twice_j):
+        # every outcome string of length <= 8 through the exact per-outcome map:
+        # each outcome has probability p+ or p- whatever came before, and the
+        # conditional fidelity depends on the count of +1 outcomes only
+        q = twice_j + 1
+        p_plus = Fraction(twice_j + 2, 2 * q)
+        m_values = [Fraction(2 * k - twice_j, 2) for k in range(q)]
+        start = [Fraction(0)] * q
+        start[-1] = Fraction(1)
+        frontier = [(start, 0)]
+        for n in range(9):
+            table = conditional_fidelity_table(SpinLabel(twice_j), n)
+            for pops, count in frontier:
+                fidelity = Fraction(1, 2) + sum(p * m for p, m in zip(pops, m_values)) / q
+                exact = exact_count_fidelity(twice_j, n, count)
+                assert fidelity == exact
+                assert abs(table[count] - exact) <= 2.2e-16
+            if n == 8:
+                break
+            grown = []
+            for pops, count in frontier:
+                for plus, prob in ((True, p_plus), (False, 1 - p_plus)):
+                    unnorm = exact_outcome_step(twice_j, pops, plus)
+                    assert sum(unnorm) == prob
+                    grown.append(([p / prob for p in unnorm], count + plus))
+            frontier = grown
+
+    def test_table_rejects_bad_arguments(self):
+        with pytest.raises(DomainError):
+            conditional_fidelity_table(SpinLabel(0), 3)
+        with pytest.raises(DomainError):
+            conditional_fidelity_table(SpinLabel(2), -1)
+
+    def test_batch_draws_are_chunked_without_changing_the_stream(self):
+        # more steps than one chunk of draws holds, so the count spans chunks
+        j = SpinLabel(6)
+        n_max, n_samples = 40, 3000
+        fid, n_plus = sample_fidelity_batch(j, n_max, n_samples, seed=8)
+        rng = np.random.default_rng(8)
+        p_plus = 8 / 14
+        expected = sum(rng.random(n_samples) < p_plus for _ in range(n_max))
+        assert np.array_equal(n_plus, expected)
+        assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[expected])
 
 
 class TestRecordAveraging:

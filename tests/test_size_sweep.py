@@ -28,12 +28,7 @@ def expected_rows(command, twice_j):
 def sweep_cases():
     for command in COMMANDS:
         for twice_j in SIZES:
-            marks = [pytest.mark.slow]
-            if command == "trajectories" and twice_j == 1000:
-                # O(n_max * samples * 2j): 1.7e6 steps on a 1000 x 1001 batch
-                # take hours until record statistics have a closed-form route
-                marks.append(pytest.mark.skip(reason="hours at default n_max"))
-            yield pytest.param(command, twice_j, marks=marks,
+            yield pytest.param(command, twice_j, marks=pytest.mark.slow,
                                id=f"{command}-2j{twice_j}")
 
 
