@@ -28,7 +28,7 @@ from scipy.special import eval_legendre
 from .angular_momentum import as_spin
 from .errors import AccuracyError, DomainError, InternalConsistencyError
 from .quantum_drf import FidelitySeries
-from .tolerances import ORACLE_TOL, POSITIVITY_ALLOWANCE
+from .tolerances import ORACLE_TOL, POSITIVITY_ALLOWANCE, STRUCTURE_TOL
 
 __all__ = [
     "LegendreSpectrum",
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _MIN_RING_GRID = 2048
+_RING_CHUNK_POINTS = 1 << 16  # ring points per pass of ring_average's buffers
 
 
 def default_l_max(j) -> int:
@@ -221,6 +222,15 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     and 2 pi - psi coincide: only psi in [0, pi] is evaluated, interior
     nodes counted twice.  Deliberately independent of the Legendre route.
 
+    The grid must be theta_i = i h with h = pi / (N - 1), each node within
+    ``STRUCTURE_TOL``, so the interpolation bracket is found by arithmetic
+    rather than search: with u = theta' / h it is i = floor(u), clamped to
+    N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
+    values[i]), the difference taken as 0 at the last node.  Grid rows are
+    processed about 2^16 ring points at a time in three buffers (angles,
+    bracket indices, gathered values) reused for every chunk, so the
+    working set stays in cache whatever the grid size.
+
     Parameters
     ----------
     thetas : array
@@ -236,15 +246,22 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     values = np.asarray(values, dtype=float)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise DomainError("thetas and values must be 1-d arrays of equal length")
-    if len(thetas) < _MIN_RING_GRID:
+    n_grid = len(thetas)
+    if n_grid < _MIN_RING_GRID:
         raise AccuracyError(
-            f"classical_walk.ring_average: grid of {len(thetas)} points is too "
+            f"classical_walk.ring_average: grid of {n_grid} points is too "
             f"coarse (need >= {_MIN_RING_GRID})"
         )
     if not (0.0 < alpha < math.pi):
         raise DomainError(f"alpha must lie strictly inside (0, pi), got {alpha}")
-    if abs(thetas[0]) > 1e-12 or abs(thetas[-1] - math.pi) > 1e-12:
-        raise DomainError("theta grid must span [0, pi]")
+    step = math.pi / (n_grid - 1)
+    offset = float(np.max(np.abs(thetas - np.arange(n_grid) * step)))
+    if not offset <= STRUCTURE_TOL:
+        raise DomainError(
+            f"classical_walk.ring_average: theta grid strays {offset:.3e} from "
+            f"the uniform grid i*pi/{n_grid - 1}, beyond STRUCTURE_TOL = "
+            f"{STRUCTURE_TOL:g}"
+        )
 
     half = n_psi // 2
     cos_psi = np.cos(np.arange(half + 1) * (2.0 * math.pi / n_psi))
@@ -252,19 +269,31 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     weights[0] = 1.0 / n_psi
     if n_psi % 2 == 0:
         weights[-1] = 1.0 / n_psi  # psi = pi has no mirror image
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    out = np.empty_like(values)
-    chunk = max(1, (1 << 22) // len(cos_psi))  # bound the temporary to ~32 MB
-    for start in range(0, len(thetas), chunk):
-        stop = min(start + chunk, len(thetas))
-        cos_ring = np.clip(
-            cos_t[start:stop, None] * cos_a
-            + sin_t[start:stop, None] * sin_a * cos_psi[None, :],
-            -1.0,
-            1.0,
-        )
-        out[start:stop] = np.interp(np.arccos(cos_ring), thetas, values) @ weights
+    radial = np.cos(thetas) * cos_a
+    tangential = np.sin(thetas) * sin_a
+    rise = np.append(np.diff(values), 0.0)
+    out = np.empty(n_grid)
+    rows = max(1, _RING_CHUNK_POINTS // (half + 1))
+    angle = np.empty((min(rows, n_grid), half + 1))
+    index = np.empty(angle.shape, dtype=np.intp)
+    gather = np.empty(angle.shape)
+    for start in range(0, n_grid, rows):
+        stop = min(start + rows, n_grid)
+        u, i, g = angle[: stop - start], index[: stop - start], gather[: stop - start]
+        np.multiply(tangential[start:stop, None], cos_psi, out=u)
+        u += radial[start:stop, None]
+        np.clip(u, -1.0, 1.0, out=u)
+        np.arccos(u, out=u)
+        u /= step
+        np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
+        u -= i
+        # mode="clip" is the clamp to N - 1, where rise is 0
+        np.take(rise, i, out=g, mode="clip")
+        u *= g
+        np.take(values, i, out=g, mode="clip")
+        u += g
+        np.dot(u, weights, out=out[start:stop])
     return out
 
 

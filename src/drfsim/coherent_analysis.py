@@ -147,9 +147,11 @@ def nnls_solve(A, b, kkt_tol: float = KKT_TOL,
             return _result(A, b, x)
         admitted += 1
         if admitted > max_iter:
+            tol_name = "KKT_TOL" if kkt_tol == KKT_TOL else "kkt_tol"
             raise ConvergenceError(
                 f"coherent_analysis.nnls_solve: iteration cap {max_iter} "
-                "exceeded",
+                f"exceeded with largest bound dual {candidates[entering]:.3e} "
+                f"still above {tol_name} = {kkt_tol:g}",
                 result=_result(A, b, x),
             )
         free[entering] = True
@@ -180,7 +182,7 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     if n < 0:
         raise DomainError("step count must be non-negative")
     state = next(islice(_evolved_populations(j), n, None))
-    return nnls_solve(build_grid(j, n_nodes).columns, state)
+    return _fit("convexity_test", j, n, build_grid(j, n_nodes), state)
 
 
 def convexity_series(j, n_max: int, n_nodes: int) -> list:
@@ -193,8 +195,21 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     if n_max < 0:
         raise DomainError("step count must be non-negative")
     grid = build_grid(j, n_nodes)
-    return [nnls_solve(grid.columns, state)
-            for state in islice(_evolved_populations(j), n_max + 1)]
+    return [_fit("convexity_series", j, n, grid, state)
+            for n, state in enumerate(islice(_evolved_populations(j), n_max + 1))]
+
+
+def _fit(caller: str, j: SpinLabel, n: int, grid: CoherentGrid,
+         state: np.ndarray) -> DecompositionResult:
+    """:func:`nnls_solve` whose cap error also names 2j, n and the grid size."""
+    try:
+        return nnls_solve(grid.columns, state)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"coherent_analysis.{caller}: 2j={j.twice_j}, n={n}, "
+            f"n_nodes={grid.n_nodes}: {err}",
+            result=err.result,
+        ) from err
 
 
 def _evolved_populations(j: SpinLabel):

@@ -555,12 +555,20 @@ def conditional_fidelity_table(j, n: int) -> np.ndarray:
     mu- = 0 and xlog1py's 0 log 0 = 0 gives mu-^0 = 1 for K = n.
     """
     j = as_spin(j)
+    _require_record_args(j, n)
+    return _count_fidelity(j, n, np.arange(n + 1))
+
+
+def _require_record_args(j: SpinLabel, n: int):
     if j.twice_j < 1:
         raise DomainError("record statistics require 2j >= 1")
     if n < 0:
         raise DomainError("step count must be non-negative")
+
+
+def _count_fidelity(j: SpinLabel, n: int, counts: np.ndarray) -> np.ndarray:
+    """F_K of :func:`conditional_fidelity_table`, evaluated at ``counts`` only."""
     tj = j.twice_j
-    counts = np.arange(n + 1)
     decay = np.exp(xlog1py(counts, -2.0 / ((tj + 1) * (tj + 2)))
                    + xlog1py(n - counts, -2.0 / ((tj + 1) * tj)))
     return 0.5 + tj / (2.0 * (tj + 1)) * decay
@@ -587,7 +595,7 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     j = as_spin(j)
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    table = conditional_fidelity_table(j, n_max)
+    _require_record_args(j, n_max)
     p_plus = (j.twice_j + 2) / (2.0 * (j.twice_j + 1))
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_DRAWS // n_samples)
@@ -597,4 +605,4 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
         chunk = draws[: n_max - start]
         rng.random(out=chunk)
         plus_counts += np.count_nonzero(chunk < p_plus, axis=0)
-    return table[plus_counts], plus_counts
+    return _count_fidelity(j, n_max, plus_counts), plus_counts

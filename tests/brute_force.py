@@ -6,6 +6,7 @@ sector-by-sector diagonalisation, so agreement with the production code is a
 genuine cross-check.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -189,3 +190,26 @@ def legendre_coefficients_by_quadrature(twice_j, l_max):
         coeffs[ell] = (2 * ell + 1) * (weighted * cur).sum() / 2
         prev, cur = cur, ((2 * ell + 1) * x * cur - ell * prev) / (ell + 1)
     return coeffs.astype(float)
+
+
+def full_ring_average(thetas, values, alpha, n_psi=1024):
+    """Ring average over all n_psi azimuth nodes by np.interp on ``thetas``.
+
+    Every node psi_k = 2 pi k / n_psi is evaluated on its own (no mirror
+    symmetry), the bracket comes from np.interp's search of the actual grid
+    and each ring is a plain mean, so none of ring_average's shortcuts is
+    shared.  Rows go a block at a time to bound memory.
+    """
+    cos_psi = np.cos(np.arange(n_psi) * (2.0 * math.pi / n_psi))
+    out = np.empty(len(thetas))
+    rows = max(1, (1 << 18) // n_psi)
+    for start in range(0, len(thetas), rows):
+        block = thetas[start:start + rows, None]
+        cos_ring = np.clip(
+            np.cos(block) * math.cos(alpha)
+            + np.sin(block) * math.sin(alpha) * cos_psi[None, :],
+            -1.0, 1.0,
+        )
+        out[start:start + rows] = np.interp(
+            np.arccos(cos_ring), thetas, values).mean(axis=1)
+    return out

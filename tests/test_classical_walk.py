@@ -23,7 +23,7 @@ from drfsim import (
     walk_evolve,
 )
 
-from brute_force import legendre_coefficients_by_quadrature
+from brute_force import full_ring_average, legendre_coefficients_by_quadrature
 
 
 def fidelity_by_quadrature(spec):
@@ -221,6 +221,47 @@ class TestRingAverage:
         full = np.interp(np.arccos(cos_ring), thetas, values).mean(axis=1)
         out = ring_average(thetas, values, alpha, n_psi=n_psi)
         assert np.max(np.abs(out - full)) <= 1e-14
+
+    @pytest.mark.parametrize("ell", [1, 4, 8])
+    def test_matches_full_ring_interp_reference(self, ell):
+        thetas = np.linspace(0.0, math.pi, 32768)
+        values = eval_legendre(ell, np.cos(thetas))
+        out = ring_average(thetas, values, 0.5)
+        assert np.max(np.abs(out - full_ring_average(thetas, values, 0.5))) <= 1e-14
+
+    @pytest.mark.parametrize("n_grid,alpha", [
+        (2048, 3.0), (2049, 3.0), (32768, 3.0),
+        # theta = pi/2 is node 1024, so its ring reaches theta' = pi and u = N - 1
+        (2049, math.pi / 2.0),
+    ])
+    def test_point_mass_at_last_node(self, n_grid, alpha):
+        thetas = np.linspace(0.0, math.pi, n_grid)
+        spike = np.zeros(n_grid)
+        spike[-1] = 1.0
+        out = ring_average(thetas, spike, alpha)
+        assert out.max() > 0.0
+        assert np.max(np.abs(out - full_ring_average(thetas, spike, alpha))) <= 1e-14
+
+    def test_partial_last_chunk(self):
+        # n_psi = 1023 gives 512 ring points per row and 128 rows per chunk,
+        # so 2049 rows leave a last chunk of one row
+        thetas = np.linspace(0.0, math.pi, 2049)
+        values = eval_legendre(4, np.cos(thetas))
+        out = ring_average(thetas, values, 0.7, n_psi=1023)
+        want = full_ring_average(thetas, values, 0.7, n_psi=1023)
+        assert np.max(np.abs(out - want)) <= 1e-14
+
+    def test_moved_node_rejected(self):
+        thetas = np.linspace(0.0, math.pi, 4096)
+        thetas[1000] += 1e-9
+        with pytest.raises(DomainError, match=r"strays 1\.000e-09 .*STRUCTURE_TOL"):
+            ring_average(thetas, np.ones_like(thetas), 0.5)
+
+    def test_non_uniform_grid_rejected(self):
+        # uniform in cos(theta), with both endpoints exact
+        thetas = np.arccos(np.linspace(1.0, -1.0, 4096))
+        with pytest.raises(DomainError, match="STRUCTURE_TOL"):
+            ring_average(thetas, np.ones_like(thetas), 0.5)
 
     def test_coarse_grid_rejected(self):
         thetas = np.linspace(0.0, math.pi, 512)

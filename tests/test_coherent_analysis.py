@@ -1,5 +1,6 @@
 """Grid construction and the active-set solver against brute-force oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from drfsim import (
     convexity_test,
     nnls_solve,
 )
+from drfsim import coherent_analysis
 
 from brute_force import two_node_scan
 
@@ -152,6 +154,17 @@ class TestNnlsSolve:
         assert best.weights.shape == (12,)
         assert best.residual >= 0.0
 
+    def test_iteration_cap_message_names_cap_dual_and_tolerance(self):
+        grid = build_grid(SpinLabel(2), 12)
+        target = np.full(3, 1.0 / 3.0)
+        dual = float((grid.columns.T @ target).max())  # at w = 0
+        with pytest.raises(ConvergenceError) as excinfo:
+            nnls_solve(grid.columns, target, max_iter=0)
+        message = str(excinfo.value)
+        assert message.startswith("coherent_analysis.nnls_solve: iteration cap 0 ")
+        assert f"largest bound dual {dual:.3e}" in message
+        assert "KKT_TOL = 1e-10" in message
+
 
 class TestGridRefinement:
     def test_residual_non_increasing_under_nested_refinement(self):
@@ -200,3 +213,21 @@ class TestConvexityTest:
     def test_series_negative_length_rejected(self):
         with pytest.raises(DomainError):
             convexity_series(SpinLabel(2), -1, 24)
+
+    def test_cap_errors_name_frame_step_and_grid(self, monkeypatch):
+        capped = functools.partial(nnls_solve, max_iter=0)
+        monkeypatch.setattr(coherent_analysis, "nnls_solve", capped)
+        calls = [
+            ("convexity_test", lambda: convexity_test(SpinLabel(4), 3, 40), "n=3"),
+            ("convexity_series", lambda: convexity_series(SpinLabel(4), 2, 40), "n=0"),
+        ]
+        for name, call, step in calls:
+            with pytest.raises(ConvergenceError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert message.startswith(
+                f"coherent_analysis.{name}: 2j=4, {step}, n_nodes=40: "
+                "coherent_analysis.nnls_solve: iteration cap 0 "
+            )
+            assert "KKT_TOL" in message
+            assert excinfo.value.result.weights.shape == (40,)
