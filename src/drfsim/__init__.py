@@ -48,11 +48,13 @@ from .quantum_drf import (
     FrameState,
     KrausSet,
     MeasurementRecord,
+    MultipoleSpectrum,
     apply_map,
     build_kraus,
     closed_form_fidelity,
     conditional_update,
     evolve,
+    multipole_spectrum,
     quantum_fidelity,
     sample_fidelity_batch,
     sample_trajectory,
@@ -67,6 +69,7 @@ __all__ = [
     "cg_coefficient", "projector_element", "coherent_populations",
     # quantum frame
     "FrameState", "KrausSet", "MeasurementRecord", "FidelitySeries",
+    "MultipoleSpectrum", "multipole_spectrum",
     "build_kraus", "apply_map", "quantum_fidelity", "closed_form_fidelity",
     "evolve", "conditional_update", "sample_trajectory", "sample_fidelity_batch",
     # classical walk

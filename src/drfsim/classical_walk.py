@@ -27,7 +27,7 @@ from scipy.special import eval_legendre
 
 from .angular_momentum import as_spin
 from .errors import AccuracyError, DomainError, InternalConsistencyError
-from .quantum_drf import FidelitySeries
+from .quantum_drf import FidelitySeries, multipole_spectrum
 from .tolerances import ORACLE_TOL, POSITIVITY_ALLOWANCE, STRUCTURE_TOL
 
 __all__ = [
@@ -87,10 +87,18 @@ class LegendreSpectrum:
 
     def require_positive(self, allowance: float = POSITIVITY_ALLOWANCE,
                          grid_points: int = 4096):
+        """Raise unless the reconstruction stays above -``allowance``.
+
+        The error names l_max, the grid size, the dip and the allowance.
+        """
         worst = self.min_reconstructed(grid_points)
         if worst < -allowance:
+            name = ("POSITIVITY_ALLOWANCE" if allowance == POSITIVITY_ALLOWANCE
+                    else "allowance")
             raise InternalConsistencyError(
-                f"reconstructed distribution dips to {worst:.3e}"
+                f"LegendreSpectrum: l_max={self.l_max}: reconstructed distribution "
+                f"dips to {worst:.3e} on {grid_points} grid points, below "
+                f"-{name} = {-allowance:g}"
             )
 
 
@@ -167,36 +175,34 @@ def classical_fidelity(spec: LegendreSpectrum) -> float:
 def fitted_step(j) -> float:
     """Kick angle that makes the walk reproduce the quantum fidelity decay.
 
-    alpha = arccos(1 - 2 / (2j+1)^2); approximately 1/j for large j, i.e.
-    the ratio of the measured spin's angular momentum to the frame's.
+    cos(alpha) is the k = 1 eigenvalue 1 + x_1 = 1 - 2/(2j+1)^2 of the
+    quantum map (:func:`~drfsim.quantum_drf.multipole_spectrum`), which is
+    what the walk's P_1(cos alpha) must equal.  alpha is approximately 1/j
+    for large j, i.e. the ratio of the measured spin's angular momentum to
+    the frame's.  Requires 2j >= 1.
     """
-    j = as_spin(j)
-    if j.twice_j < 1:
-        raise DomainError("fitted_step requires 2j >= 1")
-    q = j.twice_j + 1.0
-    return math.acos(1.0 - 2.0 / q**2)
+    return math.acos(1.0 + multipole_spectrum(j).averaged[1])
 
 
-def classical_fidelity_series(j, alpha: float, n_max: int,
-                              l_max: int | None = None) -> FidelitySeries:
+def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     """Fidelity after each walk step, n = 0 ... n_max, in one vectorised pass.
 
     Only c_1 enters the fidelity and it scales by P_1(cos alpha) = cos(alpha)
     per kick, so F_C(n) = [c_0 + c_1 cos(alpha)^n / 3] / 2 is what
     :func:`walk_evolve` followed by :func:`classical_fidelity` gives at each
-    n.  The result is verified against the closed form
-    1/2 + [j/(2j+1)] cos(alpha)^n before being returned.
+    n.  The result is verified against the closed form 1/2 + A cos(alpha)^n,
+    A = j/(2j+1) the amplitude of :func:`~drfsim.quantum_drf.multipole_spectrum`,
+    before being returned.  Requires 2j >= 1.
     """
     j = as_spin(j)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     WalkParameters(alpha, n_max)  # validates alpha
-    c0, c1 = initial_spectrum(j, l_max).coeffs[:2]
+    c0, c1 = initial_spectrum(j, 1).coeffs
     steps = np.arange(n_max + 1)
     gains = math.cos(alpha) ** steps
     fid = 0.5 * (c0 + c1 * gains / 3.0)
-    q = j.twice_j + 1.0
-    closed = 0.5 + (j.twice_j / (2.0 * q)) * gains
+    closed = 0.5 + multipole_spectrum(j).amplitude * gains
     series = FidelitySeries(j, steps, fid, closed)
     if not series.max_abs_diff <= ORACLE_TOL:
         raise InternalConsistencyError(
@@ -229,7 +235,10 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     values[i]), the difference taken as 0 at the last node.  Grid rows are
     processed about 2^16 ring points at a time in three buffers (angles,
     bracket indices, gathered values) reused for every chunk, so the
-    working set stays in cache whatever the grid size.
+    working set stays in cache whatever the grid size.  Each ring's weighted
+    terms are summed pairwise (``np.add.reduce`` along the row), which
+    stays within an ulp or so of the exact mean even when the terms are
+    alike, as they are near theta = 0.
 
     Parameters
     ----------
@@ -293,7 +302,8 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
         u *= g
         np.take(values, i, out=g, mode="clip")
         u += g
-        np.dot(u, weights, out=out[start:stop])
+        u *= weights
+        np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
     return out
 
 

@@ -34,11 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .angular_momentum import SpinLabel, as_spin
+from .angular_momentum import SpinLabel
 from .classical_walk import classical_fidelity_series, fitted_step
 from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, InternalConsistencyError
-from .quantum_drf import evolve, sample_fidelity_batch
+from .quantum_drf import evolve, multipole_spectrum, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
 
 __all__ = ["RunConfig", "run", "main", "half_life", "default_n_max", "HEADERS"]
@@ -65,15 +65,13 @@ HEADERS = {
 def half_life(j) -> float:
     """Steps after which the decaying part of the fidelity has halved.
 
-        n_half = ln 2 / (-ln(1 - 2/(2j+1)^2))
+        n_half = ln 2 / (-ln(1 + x_1)),  x_1 = -2/(2j+1)^2
 
-    Grows like (ln 2 / 2) (2j+1)^2, i.e. quadratically in the frame size.
+    with x_1 from :func:`~drfsim.quantum_drf.multipole_spectrum`.  Grows like
+    (ln 2 / 2) (2j+1)^2, i.e. quadratically in the frame size.  Requires
+    2j >= 1.
     """
-    j = as_spin(j)
-    if j.twice_j < 1:
-        raise DomainError("half_life requires 2j >= 1")
-    q = j.twice_j + 1.0
-    return math.log(2.0) / (-math.log1p(-2.0 / q**2))
+    return math.log(2.0) / (-math.log1p(multipole_spectrum(j).averaged[1]))
 
 
 def default_n_max(j) -> int:
@@ -91,7 +89,6 @@ class RunConfig:
     alpha: float | None = None
     seed: int = DEFAULT_SEED
     samples: int = 1000
-    l_max: int | None = None
     n_nodes: int | None = None
     out: Path | None = None
     selftest: bool = False
@@ -131,7 +128,7 @@ def _columns_quantum(config: RunConfig, j: SpinLabel):
 def _columns_classical(config: RunConfig, j: SpinLabel):
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
     return _series_columns(
-        classical_fidelity_series(j, alpha, _resolve_n_max(config, j), config.l_max)
+        classical_fidelity_series(j, alpha, _resolve_n_max(config, j))
     )
 
 
@@ -139,7 +136,7 @@ def _columns_compare(config: RunConfig, j: SpinLabel):
     n_max = _resolve_n_max(config, j)
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
     quantum = evolve(j, n_max)
-    classical = classical_fidelity_series(j, alpha, n_max, config.l_max)
+    classical = classical_fidelity_series(j, alpha, n_max)
     f_map, f_closed, f_c = quantum.fidelity, quantum.closed_form, classical.fidelity
     return [quantum.steps, f_map, f_closed, f_c,
             np.abs(f_c - f_map), np.abs(f_map - f_closed)]
@@ -276,7 +273,6 @@ def _write_manifest(config: RunConfig, outputs, wall_time):
             "alpha": config.alpha,
             "seed": config.seed,
             "samples": config.samples,
-            "l_max": config.l_max,
             "n_nodes": config.n_nodes,
             "out": str(out),
         },
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add(name, help_text, *, n_max=True, alpha=False, samples=False,
-            l_max=False, nodes=False):
+            nodes=False):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         if n_max:
             cmd.add_argument("--n-max", type=int, metavar="N",
@@ -339,16 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="walk step angle (default: fitted)")
         if samples:
             cmd.add_argument("--samples", type=int, default=1000, metavar="N")
-        if l_max:
-            cmd.add_argument("--l-max", type=int, metavar="L")
         if nodes:
             cmd.add_argument("--nodes", type=int, metavar="N",
                              help="coherent grid size (default: 8(2j+1))")
         return cmd
 
     add("quantum-evolve", "iterate the measurement channel")
-    add("classical-walk", "run the random walk on the sphere", alpha=True, l_max=True)
-    add("compare", "quantum vs classical fidelity table", alpha=True, l_max=True)
+    add("classical-walk", "run the random walk on the sphere", alpha=True)
+    add("compare", "quantum vs classical fidelity table", alpha=True)
     add("trajectories", "sample record-conditioned trajectories", samples=True)
     add("coherent-test", "non-negative fit residual per step", nodes=True)
     add("scaling", "half-life per frame size", n_max=False)
@@ -380,7 +374,6 @@ def main(argv=None) -> int:
         alpha=getattr(args, "alpha", None),
         seed=args.seed,
         samples=getattr(args, "samples", 1000),
-        l_max=getattr(args, "l_max", None),
         n_nodes=getattr(args, "nodes", None),
         out=args.out,
         selftest=args.selftest,

@@ -21,7 +21,7 @@ import numpy as np
 from .angular_momentum import SpinLabel, as_spin, coherent_populations
 from .errors import ConvergenceError, DomainError
 from .quantum_drf import FrameState, flux_step, transfer_rates
-from .tolerances import KKT_TOL, STRUCTURE_TOL
+from .tolerances import GRID_ORIGIN_TOL, KKT_TOL, NNLS_TARGET_SUM_TOL, STRUCTURE_TOL
 
 __all__ = [
     "CoherentGrid",
@@ -31,9 +31,6 @@ __all__ = [
     "convexity_test",
     "convexity_series",
 ]
-
-_B_SUM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CoherentGrid:
@@ -48,7 +45,7 @@ class CoherentGrid:
         columns = np.asarray(self.columns, dtype=float)
         if np.any(np.diff(thetas) <= 0):
             raise DomainError("grid angles must be strictly increasing")
-        if abs(thetas[0]) > 1e-15 or abs(thetas[-1] - math.pi) > 1e-12:
+        if abs(thetas[0]) > GRID_ORIGIN_TOL or abs(thetas[-1] - math.pi) > STRUCTURE_TOL:
             raise DomainError("grid must include theta = 0 and theta = pi")
         if columns.shape != (self.j.dim, len(thetas)):
             raise DomainError("column block does not match grid size")
@@ -130,7 +127,7 @@ def nnls_solve(A, b, kkt_tol: float = KKT_TOL,
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
         )
-    if abs(b.sum() - 1.0) > _B_SUM_TOL:
+    if abs(b.sum() - 1.0) > NNLS_TARGET_SUM_TOL:
         raise DomainError(f"target must sum to 1 (got {b.sum()!r})")
     n = A.shape[1]
     if max_iter is None:

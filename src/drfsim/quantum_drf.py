@@ -13,6 +13,12 @@ k = j + m whose rates are integers over (2j+1)^2 (:func:`transfer_rates`);
 population cannot drift systematically over long runs.  The Kraus operators
 from :func:`build_kraus` remain the exact Clebsch-Gordan route: they serve
 dense states, record-conditioned updates and the tests.
+
+The averaged map and the two per-outcome maps are rotation invariant, so
+they share one multipole eigenbasis, k = 0 ... 2j.  :func:`multipole_spectrum`
+tabulates their eigenvalues; every closed form here (fidelity decay, the
+record-conditioned fidelity, the outcome probability) and the walk step and
+half-life elsewhere in the package read their rates from it.
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ __all__ = [
     "FrameState",
     "MeasurementRecord",
     "FidelitySeries",
+    "MultipoleSpectrum",
     "build_kraus",
     "transfer_rates",
     "flux_step",
+    "multipole_spectrum",
     "apply_map",
     "quantum_fidelity",
     "closed_form_fidelity",
@@ -199,6 +207,57 @@ def flux_step(populations: np.ndarray, rates: np.ndarray, out=None) -> np.ndarra
 
 
 @dataclass(frozen=True)
+class MultipoleSpectrum:
+    """Eigenvalues 1 + x_k of the frame's population maps, k = 0 ... 2j.
+
+    ``averaged`` holds x_k of the outcome-averaged map; ``plus`` and
+    ``minus`` hold those of the maps that record J = j + 1/2 and J = j - 1/2,
+    each divided by its outcome probability.  That probability is the same
+    in every state: ``p_plus`` for +1 and 1 - ``p_plus`` for -1.
+    ``amplitude`` is the weight of the k = 1 multipole in the fidelity of
+    the aligned state.
+    """
+
+    averaged: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    p_plus: float
+    amplitude: float
+
+
+def multipole_spectrum(j) -> MultipoleSpectrum:
+    """Eigenvalues of the averaged and the per-outcome maps, as offsets from 1.
+
+    With q = 2j + 1 and k = 0 ... 2j the eigenvalues are 1 + x_k, where
+
+        averaged map:  x_k  = -k(k+1) / q^2,
+        outcome +1:    x+_k = -k(k+1) / (q (2j+2)),  probability p+ = (2j+2) / (2q),
+        outcome -1:    x-_k = -k(k+1) / (q 2j),      probability p- = 2j / (2q),
+
+    so p+ (1 + x+_k) + p- (1 + x-_k) = 1 + x_k.  From the aligned state the
+    fidelity after n uses is 1/2 + A (1 + x_1)^n with amplitude A = 2j / (2q).
+    Each entry is one correctly rounded division of two exact integers, so a
+    power taken as exp(n log1p(x)) keeps full relative accuracy.
+    Requires 2j >= 1 (the J = j - 1/2 branch must exist).
+    """
+    tj = as_spin(j).twice_j
+    if tj < 1:
+        raise DomainError(
+            "multipole_spectrum requires 2j >= 1; j = 0 has no lower branch"
+        )
+    q = tj + 1
+    k = np.arange(q)
+    numerator = -k * (k + 1)
+    averaged = numerator / (q * q)
+    plus = numerator / (q * (tj + 2))
+    minus = numerator / (q * tj)
+    for table in (averaged, plus, minus):
+        table.setflags(write=False)
+    return MultipoleSpectrum(averaged, plus, minus,
+                             p_plus=(tj + 2) / (2 * q), amplitude=tj / (2 * q))
+
+
+@dataclass(frozen=True)
 class FrameState:
     """Density operator of the frame: trace-1, Hermitian, positive.
 
@@ -212,24 +271,27 @@ class FrameState:
 
     def __post_init__(self):
         d = self.j.dim
+        where = f"FrameState: 2j={self.j.twice_j}"
         if self.diagonal:
             arr = np.array(self.data, dtype=float)
             if arr.shape != (d,):
-                raise DomainError(f"populations must have shape ({d},)")
-            if arr.min() < EIGENVALUE_FLOOR:
-                raise DomainError(f"negative population {arr.min():.3e}")
-            if abs(arr.sum() - 1.0) > STRUCTURE_TOL:
-                raise DomainError(f"populations sum to {arr.sum()!r}, not 1")
+                raise DomainError(f"{where}: populations must have shape ({d},), "
+                                  f"got {arr.shape}")
+            _require_above_floor(where, "population", arr.min())
+            _require_unit(where, "populations sum to", arr.sum())
         else:
             arr = np.array(self.data, dtype=complex)
             if arr.shape != (d, d):
-                raise DomainError(f"matrix must have shape ({d}, {d})")
-            if np.max(np.abs(arr - arr.conj().T)) > STRUCTURE_TOL:
-                raise DomainError("matrix is not Hermitian")
-            if abs(arr.trace().real - 1.0) > STRUCTURE_TOL:
-                raise DomainError(f"trace is {arr.trace().real!r}, not 1")
-            if np.linalg.eigvalsh(arr).min() < EIGENVALUE_FLOOR:
-                raise DomainError("matrix has a significantly negative eigenvalue")
+                raise DomainError(f"{where}: matrix must have shape ({d}, {d}), "
+                                  f"got {arr.shape}")
+            asymmetry = np.max(np.abs(arr - arr.conj().T))
+            if asymmetry > STRUCTURE_TOL:
+                raise DomainError(
+                    f"{where}: matrix is not Hermitian: max |rho - rho^dag| = "
+                    f"{asymmetry:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}"
+                )
+            _require_unit(where, "trace is", arr.trace().real)
+            _require_above_floor(where, "eigenvalue", np.linalg.eigvalsh(arr).min())
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -276,6 +338,22 @@ class FrameState:
         return FrameState(self.j, self.matrix, diagonal=False)
 
 
+def _require_above_floor(where: str, what: str, lowest: float):
+    if lowest < EIGENVALUE_FLOOR:
+        raise DomainError(
+            f"{where}: {what} {float(lowest)!r} is below "
+            f"EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:g}"
+        )
+
+
+def _require_unit(where: str, what: str, total: float):
+    if abs(total - 1.0) > STRUCTURE_TOL:
+        raise DomainError(
+            f"{where}: {what} {float(total)!r}, off 1 by {abs(total - 1.0):.3e}, "
+            f"beyond STRUCTURE_TOL = {STRUCTURE_TOL:g}"
+        )
+
+
 def _require_same_spin(state: FrameState, kraus: KrausSet):
     if state.j != kraus.j:
         raise DomainError(
@@ -314,20 +392,19 @@ def quantum_fidelity(state: FrameState, kraus: KrausSet) -> float:
 def closed_form_fidelity(j, n):
     """Exact measurement fidelity after n measurements from the aligned state.
 
-        F(n) = 1/2 + [j / (2j+1)] * (1 - 2/(2j+1)^2)^n
+        F(n) = 1/2 + A (1 + x_1)^n,  A = j / (2j+1),  x_1 = -2 / (2j+1)^2,
 
-    ``n`` may be a scalar or an array of step counts.  The power is taken as
-    exp(n log1p(-2/q^2)): rounding 1 - 2/q^2 first would put a relative
-    error of up to n/2 ulp into the result (3e-12 at 2j = 1000, n = 1.7e6).
+    the k = 1 entries of :func:`multipole_spectrum`.  ``n`` may be a scalar
+    or an array of step counts.  The power is taken as exp(n log1p(x_1)):
+    rounding 1 + x_1 first would put a relative error of up to n/2 ulp into
+    the result (3e-12 at 2j = 1000, n = 1.7e6).
     """
-    j = as_spin(j)
+    spectrum = multipole_spectrum(j)
     n_arr = np.asarray(n)
     if np.any(n_arr < 0):
         raise DomainError("step count must be non-negative")
-    q = j.twice_j + 1.0
-    amp = j.twice_j / (2.0 * q)
-    decay = np.exp(n_arr * np.log1p(-2.0 / q**2))
-    out = 0.5 + amp * decay
+    decay = np.exp(n_arr * np.log1p(spectrum.averaged[1]))
+    out = 0.5 + spectrum.amplitude * decay
     return out if np.ndim(n) else float(out)
 
 
@@ -546,32 +623,28 @@ def sample_trajectory(j, n_max: int, seed):
 def conditional_fidelity_table(j, n: int) -> np.ndarray:
     """F_K, the fidelity after n uses given K outcomes +1, for K = 0 ... n.
 
-    Each use gives +1 with probability p+ = (j+1)/(2j+1) in every state and
-    the per-outcome maps commute, so with q = 2j+1
+    Each use gives +1 with probability p+ in every state and the per-outcome
+    maps commute, so with the k = 1 entries of :func:`multipole_spectrum`
 
-        F_K = 1/2 + (j/q) mu+^K mu-^(n-K),  mu+ = 1 - 1/(q(j+1)),  mu- = 1 - 1/(qj).
+        F_K = 1/2 + A (1 + x+_1)^K (1 + x-_1)^(n-K).
 
     Powers go through log1p as in :func:`closed_form_fidelity`; at 2j = 1,
-    mu- = 0 and xlog1py's 0 log 0 = 0 gives mu-^0 = 1 for K = n.
+    1 + x-_1 = 0 and xlog1py's 0 log 0 = 0 gives 0^0 = 1 for K = n.
     """
-    j = as_spin(j)
-    _require_record_args(j, n)
-    return _count_fidelity(j, n, np.arange(n + 1))
+    return _count_fidelity(_record_spectrum(j, n), n, np.arange(n + 1))
 
 
-def _require_record_args(j: SpinLabel, n: int):
-    if j.twice_j < 1:
-        raise DomainError("record statistics require 2j >= 1")
+def _record_spectrum(j, n: int) -> MultipoleSpectrum:
     if n < 0:
         raise DomainError("step count must be non-negative")
+    return multipole_spectrum(j)
 
 
-def _count_fidelity(j: SpinLabel, n: int, counts: np.ndarray) -> np.ndarray:
+def _count_fidelity(spectrum: MultipoleSpectrum, n: int, counts) -> np.ndarray:
     """F_K of :func:`conditional_fidelity_table`, evaluated at ``counts`` only."""
-    tj = j.twice_j
-    decay = np.exp(xlog1py(counts, -2.0 / ((tj + 1) * (tj + 2)))
-                   + xlog1py(n - counts, -2.0 / ((tj + 1) * tj)))
-    return 0.5 + tj / (2.0 * (tj + 1)) * decay
+    decay = np.exp(xlog1py(counts, spectrum.plus[1])
+                   + xlog1py(n - counts, spectrum.minus[1]))
+    return 0.5 + spectrum.amplitude * decay
 
 
 _CHUNK_DRAWS = 1 << 16  # uniforms held at once by sample_fidelity_batch
@@ -581,10 +654,11 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     """Monte-Carlo sample of record-conditioned fidelities after ``n_max`` uses.
 
     ``numpy.random.default_rng(seed)`` gives one row of ``n_samples`` uniforms
-    per step, in step order; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
-    Sample i's fidelity is F_K of :func:`conditional_fidelity_table` at its
-    count K of +1 outcomes.  :func:`sample_trajectory` consumes the same
-    stream, so a batch of one reproduces it for the same seed.
+    per step, in step order; a draw below p+ of :func:`multipole_spectrum` is
+    a +1 outcome.  Sample i's fidelity is F_K of
+    :func:`conditional_fidelity_table` at its count K of +1 outcomes.
+    :func:`sample_trajectory` consumes the same stream, so a batch of one
+    reproduces it for the same seed.
 
     Returns
     -------
@@ -592,11 +666,9 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
         Measurement fidelity of each final conditional state, and the number
         of +1 outcomes in each record.
     """
-    j = as_spin(j)
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    _require_record_args(j, n_max)
-    p_plus = (j.twice_j + 2) / (2.0 * (j.twice_j + 1))
+    spectrum = _record_spectrum(j, n_max)
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_DRAWS // n_samples)
     draws = np.empty((min(rows, n_max), n_samples))
@@ -604,5 +676,5 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     for start in range(0, n_max, rows):
         chunk = draws[: n_max - start]
         rng.random(out=chunk)
-        plus_counts += np.count_nonzero(chunk < p_plus, axis=0)
-    return _count_fidelity(j, n_max, plus_counts), plus_counts
+        plus_counts += np.count_nonzero(chunk < spectrum.p_plus, axis=0)
+    return _count_fidelity(spectrum, n_max, plus_counts), plus_counts

@@ -16,6 +16,8 @@ from . import coherent_analysis as ca
 from . import quantum_drf as qd
 from .tolerances import (
     EIGENVALUE_FLOOR,
+    NNLS_MIXTURE_TOL,
+    NNLS_RECOVERY_TOL,
     ORACLE_TOL,
     POSITIVITY_ALLOWANCE,
     STRUCTURE_TOL,
@@ -139,7 +141,10 @@ def _check_nnls_recovery(rng):
         w_true[support] = rng.random(3) + 0.1
         b = a @ w_true
         result = ca.nnls_solve(a, b / b.sum())
-        assert result.residual <= 1e-8, f"recovery residual {result.residual:.3e}"
+        assert result.residual <= NNLS_RECOVERY_TOL, (
+            f"recovery residual {result.residual:.3e} exceeds "
+            f"NNLS_RECOVERY_TOL = {NNLS_RECOVERY_TOL:g}"
+        )
     # collinear coherent columns: bounded by the KKT optimality gap
     for _ in range(5):
         tj = int(rng.integers(2, 11))
@@ -149,7 +154,10 @@ def _check_nnls_recovery(rng):
         w_true[support] = rng.random(3) + 0.1
         w_true /= w_true.sum()
         result = ca.nnls_solve(grid.columns, grid.columns @ w_true)
-        assert result.residual <= 2e-5, f"mixture residual {result.residual:.3e}"
+        assert result.residual <= NNLS_MIXTURE_TOL, (
+            f"mixture residual {result.residual:.3e} exceeds "
+            f"NNLS_MIXTURE_TOL = {NNLS_MIXTURE_TOL:g}"
+        )
 
 
 CHECKS = [

@@ -23,3 +23,18 @@ POSITIVITY_ALLOWANCE = 1e-6
 # Active-set solver exit test: bound-set reduced gradients must all be
 # >= -KKT_TOL.
 KKT_TOL = 1e-10
+
+# A coherent-state grid must start at theta = 0 (arccos(1) is exactly 0, so
+# only a rounding of zero is allowed); its last node, theta = pi, is held to
+# STRUCTURE_TOL.
+GRID_ORIGIN_TOL = 1e-15
+
+# How far from 1 the total of a target population vector handed to the
+# non-negative least-squares solver may be.
+NNLS_TARGET_SUM_TOL = 1e-10
+
+# Selftest bounds on the solver's residual: a well-conditioned random
+# mixture is recovered essentially exactly, while a mixture of nearly
+# collinear coherent columns is only recovered up to the KKT optimality gap.
+NNLS_RECOVERY_TOL = 1e-8
+NNLS_MIXTURE_TOL = 2e-5

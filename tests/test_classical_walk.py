@@ -10,6 +10,7 @@ from scipy.special import eval_legendre
 from drfsim import (
     AccuracyError,
     DomainError,
+    InternalConsistencyError,
     LegendreSpectrum,
     SpinLabel,
     WalkParameters,
@@ -67,6 +68,19 @@ class TestInitialSpectrum:
     def test_l_max_too_small_rejected(self):
         with pytest.raises(DomainError):
             initial_spectrum(SpinLabel(2), l_max=0)
+
+    def test_negative_dip_names_size_value_and_allowance(self):
+        # 1 + c_1 cos(theta) bottoms out at 1 - c_1 = -1.5e-6 at theta = pi
+        spec = LegendreSpectrum(1, [1.0, 1.0 + 1.5e-6])
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^LegendreSpectrum: l_max=1: reconstructed "
+                                 r"distribution dips to -1\.500e-06 on 4096 grid "
+                                 r"points, below -POSITIVITY_ALLOWANCE = -1e-06$"):
+            spec.require_positive()
+        with pytest.raises(InternalConsistencyError,
+                           match=r"dips to -1\.500e-06 .* below -allowance = -1e-07$"):
+            spec.require_positive(allowance=1e-7, grid_points=101)
+        LegendreSpectrum(1, [1.0, 1.0 + 9e-7]).require_positive()
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18,
@@ -241,6 +255,15 @@ class TestRingAverage:
         out = ring_average(thetas, spike, alpha)
         assert out.max() > 0.0
         assert np.max(np.abs(out - full_ring_average(thetas, spike, alpha))) <= 1e-14
+
+    def test_smooth_profile_matches_full_ring_reference(self):
+        # near theta = 0 every ring point sits near theta' = alpha, so a
+        # ring's terms are alike; a BLAS dot product summed them 13 ulp off
+        thetas = np.linspace(0.0, math.pi, 2049)
+        values = np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
+        out = ring_average(thetas, values, 0.5, n_psi=1023)
+        want = full_ring_average(thetas, values, 0.5, n_psi=1023)
+        assert np.max(np.abs(out - want)) <= 1e-14
 
     def test_partial_last_chunk(self):
         # n_psi = 1023 gives 512 ring points per row and 128 rows per chunk,

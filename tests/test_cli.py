@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from drfsim import SpinLabel, closed_form_fidelity
-from drfsim.cli import HEADERS, default_n_max, half_life, main
+from drfsim.cli import HEADERS, RunConfig, default_n_max, half_life, main
 
 
 def read_csv(path):
@@ -167,6 +167,20 @@ class TestCliSurface:
         with pytest.raises(SystemExit) as excinfo:
             main(["compare", "--twice-j", "0"])
         assert excinfo.value.code == 2
+
+    def test_l_max_option_is_gone(self, tmp_path):
+        # the walk's fidelity reads only c_0 and c_1, so a truncation order
+        # never changed an output
+        for command in ("classical-walk", "compare"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--twice-j", "4", "--l-max", "8"])
+            assert excinfo.value.code == 2
+        assert "l_max" not in RunConfig.__dataclass_fields__
+        out = tmp_path / "c.csv"
+        assert main(["classical-walk", "--twice-j", "4", "--n-max", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+        assert "l_max" not in manifest["config"]
 
     def test_missing_twice_j_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from drfsim import quantum_drf
 from drfsim import (
@@ -26,7 +27,13 @@ from drfsim import (
     sample_trajectory,
 )
 from drfsim.cli import default_n_max
-from drfsim.quantum_drf import conditional_fidelity_table, flux_step, transfer_rates
+from drfsim.quantum_drf import (
+    conditional_fidelity_table,
+    flux_step,
+    multipole_spectrum,
+    transfer_rates,
+)
+from drfsim.tolerances import STRUCTURE_TOL
 
 from brute_force import coupled_projectors, exact_outcome_step, kraus_block
 
@@ -143,6 +150,96 @@ class TestFrameState:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(DomainError):
             FrameState.from_matrix(SpinLabel(1), bad)
+
+    @pytest.mark.parametrize("build,pattern", [
+        (lambda j: FrameState.from_populations(j, [1.0 + 1.2e-9, 0.0, -1.2e-9]),
+         r"^FrameState: 2j=2: population -1\.2e-09 is below "
+         r"EIGENVALUE_FLOOR = -1e-10$"),
+        (lambda j: FrameState.from_populations(j, [0.5, 0.5, 1e-11]),
+         r"^FrameState: 2j=2: populations sum to 1\.00000000001, off 1 by "
+         r"1\.000e-11, beyond STRUCTURE_TOL = 1e-12$"),
+        (lambda j: FrameState.from_matrix(j, [[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]]),
+         r"^FrameState: 2j=2: matrix is not Hermitian: max \|rho - rho\^dag\| = "
+         r"3\.000e-01 exceeds STRUCTURE_TOL = 1e-12$"),
+        (lambda j: FrameState.from_matrix(j, np.diag([0.7, 0.5, 0.0])),
+         r"^FrameState: 2j=2: trace is 1\.2, off 1 by 2\.000e-01, "
+         r"beyond STRUCTURE_TOL = 1e-12$"),
+        (lambda j: FrameState.from_matrix(j, np.diag([1.5, -0.5, 0.0])),
+         r"^FrameState: 2j=2: eigenvalue -0\.5 is below EIGENVALUE_FLOOR = -1e-10$"),
+    ])
+    def test_rejection_names_size_value_and_tolerance(self, build, pattern):
+        with pytest.raises(DomainError, match=pattern):
+            build(SpinLabel(2))
+
+
+class TestMultipoleSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(twice_j=st.integers(min_value=1, max_value=1000))
+    def test_averaged_entries_are_eigenvalues_of_the_hop_matrix(self, twice_j):
+        # the averaged map on populations is symmetric tridiagonal: off the
+        # diagonal the bond rates w_k, on it 1 - w_{k-1} - w_k
+        rates = transfer_rates(SpinLabel(twice_j))
+        diagonal = 1.0 - np.append(rates, 0.0) - np.append(0.0, rates)
+        eigenvalues = eigh_tridiagonal(diagonal, rates, eigvals_only=True)
+        want = np.sort(1.0 + multipole_spectrum(SpinLabel(twice_j)).averaged)
+        assert np.max(np.abs(eigenvalues - want)) <= STRUCTURE_TOL
+
+    @pytest.mark.parametrize("twice_j", range(1, 13))
+    @pytest.mark.parametrize("plus", [True, False])
+    def test_outcome_entries_are_eigenvalues_of_the_exact_outcome_map(self, twice_j, plus):
+        # column i of the unnormalised per-outcome map is its image of the
+        # basis population e_i, in exact rationals
+        dim = twice_j + 1
+        columns = [
+            exact_outcome_step(twice_j, [Fraction(int(i == k)) for k in range(dim)], plus)
+            for i in range(dim)
+        ]
+        matrix = np.array(columns, dtype=float).T
+        eigenvalues = np.linalg.eigvals(matrix)
+        assert np.max(np.abs(eigenvalues.imag)) <= STRUCTURE_TOL
+        spectrum = multipole_spectrum(SpinLabel(twice_j))
+        if plus:
+            want = spectrum.p_plus * (1.0 + spectrum.plus)
+        else:
+            want = (1.0 - spectrum.p_plus) * (1.0 + spectrum.minus)
+        assert np.max(np.abs(np.sort(eigenvalues.real) - np.sort(want))) <= STRUCTURE_TOL
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 5, 12, 40, 200, 1000])
+    def test_outcome_eigenvalues_sum_to_the_averaged_ones(self, twice_j):
+        s = multipole_spectrum(SpinLabel(twice_j))
+        total = s.p_plus * (1.0 + s.plus) + (1.0 - s.p_plus) * (1.0 + s.minus)
+        assert np.max(np.abs(total - (1.0 + s.averaged))) <= STRUCTURE_TOL
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 1000])
+    def test_entries_are_correctly_rounded_fractions(self, twice_j):
+        s = multipole_spectrum(SpinLabel(twice_j))
+        q = twice_j + 1
+        k = range(q)
+        assert list(s.averaged) == [float(Fraction(-i * (i + 1), q * q)) for i in k]
+        assert list(s.plus) == [float(Fraction(-i * (i + 1), q * (q + 1))) for i in k]
+        assert list(s.minus) == [float(Fraction(-i * (i + 1), q * (q - 1))) for i in k]
+        assert s.p_plus == float(Fraction(q + 1, 2 * q))
+        assert s.amplitude == float(Fraction(q - 1, 2 * q))
+
+    def test_first_multipole_is_bit_identical_to_the_inline_constants(self):
+        # the k = 1 rates and weights as written out in double precision
+        for tj in range(1, 2001):
+            s = multipole_spectrum(SpinLabel(tj))
+            q = tj + 1.0
+            assert s.averaged[1] == -2.0 / q**2
+            assert 1.0 + s.averaged[1] == 1.0 - 2.0 / q**2
+            assert s.plus[1] == -2.0 / ((tj + 1) * (tj + 2))
+            assert s.minus[1] == -2.0 / ((tj + 1) * tj)
+            assert s.p_plus == (tj + 2) / (2.0 * (tj + 1))
+            assert s.amplitude == tj / (2.0 * q)
+
+    def test_tables_are_read_only_and_spin_zero_rejected(self):
+        s = multipole_spectrum(SpinLabel(4))
+        for table in (s.averaged, s.plus, s.minus):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        with pytest.raises(DomainError, match="2j >= 1"):
+            multipole_spectrum(SpinLabel(0))
 
 
 class TestApplyMap:
