@@ -23,6 +23,7 @@ uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -192,23 +193,29 @@ def _format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _format_column(values) -> list[str]:
-    """Cells of one column: integers plainly, floats in scientific notation
-    with 17 significant digits, None as an empty cell."""
-    if isinstance(values, np.ndarray):
-        fmt = "{:d}" if values.dtype.kind in "iu" else "{:.16e}"
-        return list(map(fmt.format, values.tolist()))
-    return [_format_cell(v) for v in values]
+def _column_cells(column):
+    """``%`` template and values of one column's cells: integers plainly,
+    floats in scientific notation with 17 significant digits; a list column
+    is formatted cell by cell by :func:`_format_cell` (None as an empty cell)."""
+    if isinstance(column, np.ndarray):
+        return ("%d" if column.dtype.kind in "iu" else "%.16e"), column.tolist()
+    return "%s", [_format_cell(v) for v in column]
 
 
 def _write_csv(path: Path, header, columns):
-    """Write equal-length ``columns`` under ``header``, one line per row."""
+    """Write equal-length ``columns`` under ``header``, one line per row.
+
+    Each chunk of rows is one ``%`` of the row template repeated, over the
+    chunk's cells in row order.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            cells = [_format_column(c[start:start + _CSV_CHUNK_ROWS]) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            templates, cells = zip(*(_column_cells(c[start:start + _CSV_CHUNK_ROWS])
+                                     for c in columns))
+            line = ",".join(templates) + "\n"
+            fh.write((line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _check_schema(path: Path, header):

@@ -10,7 +10,11 @@ The channel never creates coherences, so diagonal states keep only their
 2j+1 populations.  On those the averaged map is a nearest-neighbour hop in
 k = j + m whose rates are integers over (2j+1)^2 (:func:`transfer_rates`);
 :func:`flux_step` applies it in conservative flux form, so the total
-population cannot drift systematically over long runs.  The Kraus operators
+population cannot drift systematically over long runs.  :func:`evolve`
+takes up to 64 steps per kernel call, still in flux form: a banded bond
+operator built from :func:`flux_step` moves population across each bond,
+and precomputed adjoint rows give the fidelity of every step in between.
+The Kraus operators
 from :func:`build_kraus` remain the exact Clebsch-Gordan route: they serve
 dense states, record-conditioned updates and the tests.
 
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import xlog1py
 
 from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
@@ -192,17 +197,19 @@ def flux_step(populations: np.ndarray, rates: np.ndarray, out=None) -> np.ndarra
     The net flow across bond k is t_k = w_k (p_k - p_{k+1}) and
     p'_k = p_k - t_k + t_{k-1}: every flow leaves one entry and enters its
     neighbour, so the total is conserved up to rounding that does not
-    accumulate in one direction.  Writes into ``out`` when given (which may
-    be ``populations`` itself) and returns it.
+    accumulate in one direction.  Acts along the last axis, so a stack of
+    vectors steps at once with ``rates`` broadcast against its bonds.
+    Writes into ``out`` when given (which may be ``populations`` itself) and
+    returns it.
     """
-    flux = populations[:-1] - populations[1:]
+    flux = populations[..., :-1] - populations[..., 1:]
     flux *= rates
     if out is None:
         out = populations.copy()
     else:
         out[...] = populations
-    out[:-1] -= flux
-    out[1:] += flux
+    out[..., :-1] -= flux
+    out[..., 1:] += flux
     return out
 
 
@@ -453,20 +460,86 @@ class FidelitySeries:
             )
 
 
-# States held at once by evolve: the checks run on whole blocks of steps.
-_BLOCK_STEPS = 1024
+def _block_length(n_max: int) -> int:
+    """Map steps per kernel call in :func:`evolve`.
+
+    The largest power of two s <= 64 with (2s)^2 <= n_max, and at least 1:
+    building the kernel costs O(s^2) per bond and each call saves O(s) numpy
+    calls, so short runs take short blocks.
+    """
+    s = 1
+    while s < 64 and (4 * s) ** 2 <= n_max:
+        s *= 2
+    return s
+
+
+def _jump_kernel(rates: np.ndarray, s: int) -> np.ndarray:
+    """Bond operator G of s map steps, M^s - I = -Delta G, in window storage.
+
+    With M = I - Delta W grad, G = W grad sum_{r<s} M^r.  Row b holds
+    G[b, b-s+1 ... b+s], the only columns it can reach.  Sum_r M^r is
+    symmetric, so row b of grad sum_r M^r is sum_r M^r applied to the
+    column e_b - e_{b+1}; all 2j columns are stepped at once by
+    :func:`flux_step`, each in its own window, with zero rate on the bonds
+    that leave the frame.
+    """
+    bonds = len(rates)
+    padded = np.zeros(bonds + 2 * s - 2)
+    padded[s - 1 : s - 1 + bonds] = rates
+    window_rates = sliding_window_view(padded, 2 * s - 1)
+    column = np.zeros((bonds, 2 * s))
+    column[:, s - 1] = 1.0
+    column[:, s] = -1.0
+    total = column.copy()
+    for _ in range(s - 1):
+        flux_step(column, window_rates, out=column)
+        total += column
+    total *= rates[:, None]
+    return total
+
+
+def _jump(kernel: np.ndarray, windows: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """Advance ``populations`` by the s map steps of ``kernel``, in place.
+
+    ``windows`` views the zero-padded buffer that holds ``populations``, one
+    row per bond: t_b = sum_c G[b, c] p[b-s+1+c] is the net flow across bond
+    b over the s steps, and p <- p - Delta t, as in :func:`flux_step`.
+    """
+    flux = np.einsum("bc,bc->b", kernel, windows)
+    populations[:-1] -= flux
+    populations[1:] += flux
+    return populations
+
+
+def _adjoint_rows(m: np.ndarray, rates: np.ndarray, s: int) -> np.ndarray:
+    """Rows m^T M^r, r = 0 ... s-1; M is symmetric, so row r is M^r m."""
+    rows = np.empty((s, len(m)))
+    rows[0] = m
+    for r in range(1, s):
+        flux_step(rows[r - 1], rates, out=rows[r])
+    return rows
 
 
 def evolve(j, n_max: int) -> FidelitySeries:
     """Iterate the channel from the aligned state, recording fidelity per step.
 
-    Populations advance by :func:`flux_step`; the fidelity of each state is
-    F = 1/2 + <m>/q.  Every state is checked, a block of steps at a time:
-    its smallest population against ``EIGENVALUE_FLOOR``, its total against
-    ``STRUCTURE_TOL`` and its fidelity against the closed form within
-    ``ORACLE_TOL``.  The first step that fails raises
-    :class:`InternalConsistencyError` naming 2j, the step, the observed
-    value and the tolerance.
+    The averaged map is M = I - Delta W grad on populations (grad: bond
+    differences, W: :func:`transfer_rates`, Delta: flux divergence).  The
+    populations advance s steps per kernel call, p <- p - Delta (G p) with
+    G = W grad sum_{r<s} M^r (:func:`_jump_kernel`), so total population
+    moves only between neighbours, as in :func:`flux_step`.  The fidelity of
+    every step is F_{n+r} = 1/2 + (m^T M^r p_n) / q, from s adjoint rows.
+    The block length s grows with ``n_max`` (:func:`_block_length`), so a
+    short run does not pay for a long kernel.
+
+    Every step's fidelity is checked against the closed form within
+    ``ORACLE_TOL``.  Every state held in memory (steps 0, s, 2s, ...) has
+    its smallest population checked against ``EIGENVALUE_FLOOR`` and its
+    total against ``STRUCTURE_TOL``.  The states in between need no check:
+    M is entrywise non-negative and doubly stochastic, so
+    min(M^r p) >= min(p) and 1^T M^r p = 1^T p.  The first step that fails
+    raises :class:`InternalConsistencyError` naming 2j, the step, the
+    observed value and the tolerance.
     """
     j = as_spin(j)
     if j.twice_j < 1:
@@ -474,53 +547,60 @@ def evolve(j, n_max: int) -> FidelitySeries:
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     rates = transfer_rates(j)
-    m = j.twice_m_values / 2.0
     q = j.twice_j + 1.0
+    s = _block_length(n_max)
+    kernel = _jump_kernel(rates, s)
+    adjoint = _adjoint_rows(j.twice_m_values / 2.0, rates, s)
+    padded = np.zeros(j.dim + 2 * s - 2)
+    state = padded[s - 1 : s - 1 + j.dim]
+    state[-1] = 1.0
+    windows = sliding_window_view(padded, 2 * s)
+    moment = np.empty(n_max + 1)
+    held = range(0, n_max + 1, s)
+    lowest = np.empty(len(held))
+    totals = np.empty(len(held))
+    for i, start in enumerate(held):
+        stop = min(start + s, n_max + 1)
+        np.dot(adjoint[: stop - start], state, out=moment[start:stop])
+        lowest[i] = state.min()
+        totals[i] = state.sum()
+        if stop <= n_max:
+            _jump(kernel, windows, state)
     steps = np.arange(n_max + 1)
     closed = closed_form_fidelity(j, steps)
-    fmap = np.empty(n_max + 1)
-    block = np.empty((min(_BLOCK_STEPS, n_max + 1), j.dim))
-    state = np.zeros(j.dim)
-    state[-1] = 1.0
-    drift = 0.0
-    for start in range(0, n_max + 1, _BLOCK_STEPS):
-        rows = block[: min(_BLOCK_STEPS, n_max + 1 - start)]
-        for n, row in enumerate(rows, start):
-            if n:
-                flux_step(state, rates, out=row)
-            else:
-                row[...] = state
-            state = row
-        fmap[start : start + len(rows)] = 0.5 + (rows @ m) / q
-        drift = max(drift, _check_block(j, start, rows, fmap, closed))
-        state = rows[-1].copy()
+    fmap = 0.5 + moment / q
+    drift = _check_steps(j, s, lowest, totals, fmap, closed)
     series = FidelitySeries(j, steps, fmap, closed, trace_drift=drift)
     series.require_valid()
     return series
 
 
-def _check_block(j: SpinLabel, start: int, rows, fidelity, closed) -> float:
-    """Check the states of steps start, start+1, ...; return their largest drift."""
-    stop = start + len(rows)
-    lowest = rows.min(axis=1)
-    totals = rows.sum(axis=1)
+def _check_steps(j: SpinLabel, s: int, lowest, totals, fidelity, closed) -> float:
+    """Raise at the first step whose held state or fidelity fails its check.
+
+    ``lowest`` and ``totals`` belong to the held states, steps 0, s, 2s, ...;
+    ``fidelity`` and ``closed`` to every step.  Returns the largest drift of
+    the held totals from 1.
+    """
     drift = np.abs(totals - 1.0)
-    error = np.abs(fidelity[start:stop] - closed[start:stop])
-    ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL) & (error <= ORACLE_TOL)
+    error = np.abs(fidelity - closed)
+    ok = error <= ORACLE_TOL
+    ok[::s] &= (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
     if ok.all():
         return float(drift.max())
-    i = int(np.argmin(ok))
-    if not lowest[i] >= EIGENVALUE_FLOOR:
+    step = int(np.argmin(ok))
+    i, offset = divmod(step, s)
+    if offset == 0 and not lowest[i] >= EIGENVALUE_FLOOR:
         broken = (f"population {float(lowest[i])!r} is below "
                   f"EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:g}")
-    elif not drift[i] <= STRUCTURE_TOL:
+    elif offset == 0 and not drift[i] <= STRUCTURE_TOL:
         broken = (f"populations sum to {float(totals[i])!r}; "
                   f"|sum - 1| = {drift[i]:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}")
     else:
-        broken = (f"fidelity {float(fidelity[start + i])!r} strays {error[i]:.3e} "
+        broken = (f"fidelity {float(fidelity[step])!r} strays {error[step]:.3e} "
                   f"from the closed form, beyond ORACLE_TOL = {ORACLE_TOL:g}")
     raise InternalConsistencyError(
-        f"quantum_drf.evolve: 2j={j.twice_j}, step {start + i}: {broken}"
+        f"quantum_drf.evolve: 2j={j.twice_j}, step {step}: {broken}"
     )
 
 

@@ -133,6 +133,39 @@ def exact_outcome_step(twice_j, populations, plus):
     return out
 
 
+def exact_averaged_step(twice_j, populations):
+    """Frame populations after one use with the outcome discarded, exactly.
+
+    The p+/p- weighted sum of the two outcomes' normalised updates, i.e. the
+    sum of the unnormalised populations of :func:`exact_outcome_step`.
+    """
+    plus = exact_outcome_step(twice_j, populations, True)
+    minus = exact_outcome_step(twice_j, populations, False)
+    return [a + b for a, b in zip(plus, minus)]
+
+
+def flux_loop(twice_j, n_max):
+    """Fidelity of every step, one plain flux step at a time.
+
+    From the aligned state, with rates w_k = (k+1)(2j-k)/q^2 across the bond
+    k, k+1 (q = 2j+1): t_k = w_k (p_k - p_{k+1}), p_k <- p_k - t_k + t_{k-1},
+    and F = 1/2 + <m>/q.
+    """
+    q = twice_j + 1
+    k = np.arange(twice_j)
+    rates = ((k + 1) * (twice_j - k)) / float(q * q)
+    m = np.arange(q) - twice_j / 2.0
+    states = np.zeros((n_max + 1, q))
+    states[0, -1] = 1.0
+    for n in range(1, n_max + 1):
+        p = states[n - 1]
+        flux = (p[:-1] - p[1:]) * rates
+        states[n] = p
+        states[n, :-1] -= flux
+        states[n, 1:] += flux
+    return 0.5 + (states @ m) / q
+
+
 def two_node_scan(columns, target, step=1e-3, w_max=1.5):
     """Best ||w_i a_i + w_k a_k - target|| over a dense non-negative weight grid."""
     gram = columns.T @ columns

@@ -5,11 +5,16 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drfsim import SpinLabel, closed_form_fidelity
+from drfsim import cli
 from drfsim.cli import HEADERS, RunConfig, default_n_max, half_life, main
 
 
@@ -19,6 +24,56 @@ def read_csv(path):
         header = next(reader)
         rows = list(reader)
     return header, rows
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                  -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.nan,
+                  math.inf, -math.inf, 0.1, 1 / 3]
+
+
+def _reference_csv(header, columns):
+    """The same table, one cell at a time by str.format and str(int)."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return "{:.16e}".format(float(value))
+
+    lines = [",".join(header)]
+    lines += [",".join(map(cell, row)) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestCsvWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(floats=st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                           | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=300),
+           ints=st.lists(st.integers(-2**62, 2**62), min_size=300, max_size=300),
+           chunk=st.sampled_from([1, 7, 4096]))
+    @example(floats=SPECIAL_FLOATS, ints=list(range(-3, 297)), chunk=4)
+    def test_bytes_match_per_cell_formatting(self, floats, ints, chunk):
+        ints = ints[: len(floats)]
+        columns = [np.array(ints, dtype=np.int64), np.array(floats),
+                   np.array(floats[::-1])]
+        header = ["n", "x", "y"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            original = cli._CSV_CHUNK_ROWS
+            cli._CSV_CHUNK_ROWS = chunk
+            try:
+                cli._write_csv(path, header, columns)
+            finally:
+                cli._CSV_CHUNK_ROWS = original
+            assert path.read_bytes() == _reference_csv(header, columns)
+
+    def test_list_columns_keep_empty_cells(self, tmp_path):
+        path = tmp_path / "scaling.csv"
+        columns = [[20, 40], [1.5, 2.25], [None, 1.5]]
+        cli._write_csv(path, ["twice_j", "half_life", "ratio"], columns)
+        assert path.read_bytes() == _reference_csv(
+            ["twice_j", "half_life", "ratio"], columns)
+        assert path.read_text().splitlines()[1].endswith(",")
 
 
 class TestHalfLife:

@@ -1,6 +1,7 @@
 """Channel construction, exact decay, trajectories, and record averaging."""
 
 import decimal
+import functools
 import itertools
 from fractions import Fraction
 
@@ -35,7 +36,13 @@ from drfsim.quantum_drf import (
 )
 from drfsim.tolerances import STRUCTURE_TOL
 
-from brute_force import coupled_projectors, exact_outcome_step, kraus_block
+from brute_force import (
+    coupled_projectors,
+    exact_averaged_step,
+    exact_outcome_step,
+    flux_loop,
+    kraus_block,
+)
 
 
 def random_dense_state(rng, j):
@@ -382,23 +389,40 @@ class TestEvolve:
         (lambda out: out.__setitem__(slice(None), out[::-1]), "ORACLE_TOL"),
     ])
     def test_failing_step_is_named(self, monkeypatch, fault, tolerance):
-        # corrupt only step 1100 (inside the second block of checks)
+        # corrupt only the state the 69th jump lands on: step 69 * 16 = 1104
+        assert quantum_drf._block_length(2000) == 16
+        exact_jump = quantum_drf._jump
         calls = []
 
-        def faulty_step(populations, rates, out=None):
-            out = flux_step(populations, rates, out)
+        def faulty_jump(kernel, windows, populations):
+            out = exact_jump(kernel, windows, populations)
             calls.append(None)
-            if len(calls) == 1100:
+            if len(calls) == 69:
                 fault(out)
             return out
 
-        monkeypatch.setattr(quantum_drf, "flux_step", faulty_step)
+        monkeypatch.setattr(quantum_drf, "_jump", faulty_jump)
         with pytest.raises(InternalConsistencyError) as excinfo:
             evolve(SpinLabel(10), 2000)
         message = str(excinfo.value)
-        assert "2j=10" in message
-        assert "step 1100" in message
+        assert message.startswith("quantum_drf.evolve: 2j=10, step 1104: ")
         assert tolerance in message
+
+    def test_failing_adjoint_row_is_named(self, monkeypatch):
+        # a wrong row m^T M^5 breaks the fidelity of steps 5, 21, 37, ...
+        exact_rows = quantum_drf._adjoint_rows
+
+        def faulty_rows(m, rates, s):
+            rows = exact_rows(m, rates, s)
+            rows[5] *= 1.0 + 1e-8
+            return rows
+
+        monkeypatch.setattr(quantum_drf, "_adjoint_rows", faulty_rows)
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            evolve(SpinLabel(10), 2000)
+        message = str(excinfo.value)
+        assert message.startswith("quantum_drf.evolve: 2j=10, step 5: fidelity ")
+        assert "ORACLE_TOL" in message
 
     def test_spin_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -412,6 +436,95 @@ class TestEvolve:
         pattern = r"2j=4, step 2: .*STRUCTURE_TOL"
         with pytest.raises(InternalConsistencyError, match=pattern):
             series.require_valid()
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_reference(twice_j):
+    return flux_loop(twice_j, 1000)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_averaged_states(twice_j, n_max):
+    state = [Fraction(0)] * twice_j + [Fraction(1)]
+    states = [state]
+    for _ in range(n_max):
+        state = exact_averaged_step(twice_j, state)
+        states.append(state)
+    return np.array([[float(x) for x in row] for row in states])
+
+
+def _padded_kernel(kernel, s):
+    """G from its window storage, in a matrix whose column s - 1 + c stands
+    for frame column c; row b's window starts at frame column b - s + 1."""
+    dense = np.zeros((len(kernel), len(kernel) + 2 * s - 1))
+    for b, row in enumerate(kernel):
+        dense[b, b : b + 2 * s] = row
+    return dense
+
+
+class TestBlockedEvolve:
+    """``evolve`` takes s map steps per kernel call; every block boundary."""
+
+    @pytest.mark.parametrize("s", [1, 3, 8, 64, None])
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 10, 40, 200])
+    def test_fidelity_matches_flux_loop(self, monkeypatch, twice_j, s):
+        if s is None:  # the block length evolve picks: 1, 2, 4 and 8 here
+            runs = (0, 1, 15, 16, 17, 63, 64, 65, 255, 256, 1000)
+        else:
+            monkeypatch.setattr(quantum_drf, "_block_length", lambda n_max: s)
+            runs = sorted({0, 1, s - 1, s, s + 1, 2 * s + 3, 1000})
+        loop = _loop_reference(twice_j)
+        for n_max in runs:
+            series = evolve(SpinLabel(twice_j), n_max)
+            assert len(series.fidelity) == n_max + 1
+            assert np.max(np.abs(series.fidelity - loop[: n_max + 1])) <= 1e-15
+
+    def test_block_length_grows_with_the_run(self):
+        lengths = {n: quantum_drf._block_length(n)
+                   for n in (0, 15, 16, 63, 64, 1000, 1024, 16383, 16384, 70008, 10**7)}
+        assert lengths == {0: 1, 15: 1, 16: 2, 63: 2, 64: 4, 1000: 8, 1024: 16,
+                           16383: 32, 16384: 64, 70008: 64, 10**7: 64}
+
+    @pytest.mark.parametrize("s", [1, 4, 13, 64])
+    @pytest.mark.parametrize("twice_j", range(1, 7))
+    def test_held_states_match_exact_rationals(self, monkeypatch, twice_j, s):
+        monkeypatch.setattr(quantum_drf, "_block_length", lambda n_max: s)
+        exact_jump = quantum_drf._jump
+        held = []
+
+        def recording_jump(kernel, windows, populations):
+            held.append(exact_jump(kernel, windows, populations).copy())
+            return populations
+
+        monkeypatch.setattr(quantum_drf, "_jump", recording_jump)
+        n_max = 130
+        evolve(SpinLabel(twice_j), n_max)
+        exact = _exact_averaged_states(twice_j, n_max)
+        assert len(held) == n_max // s
+        for i, state in enumerate(held, 1):
+            assert np.max(np.abs(state - exact[i * s])) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(twice_j=st.integers(1, 8), s=st.integers(1, 16))
+    def test_kernel_is_the_exact_block_map(self, twice_j, s):
+        # M^s - I = -Delta G, so row b of G is minus the running sum of rows
+        # 0 ... b of M^s - I; exact rationals from the j (x) 1/2 table
+        dim = twice_j + 1
+        columns = []
+        for c in range(dim):
+            column = [Fraction(int(k == c)) for k in range(dim)]
+            for _ in range(s):
+                column = exact_averaged_step(twice_j, column)
+            columns.append(column)
+        exact = np.array([[float(-sum(columns[c][k] - (k == c) for k in range(b + 1)))
+                           for c in range(dim)] for b in range(twice_j)])
+        kernel = quantum_drf._jump_kernel(transfer_rates(SpinLabel(twice_j)), s)
+        assert kernel.shape == (twice_j, 2 * s)
+        padded = _padded_kernel(kernel, s)
+        dense = padded[:, s - 1 : s - 1 + dim]
+        assert np.max(np.abs(dense - exact)) <= 2 * s * np.finfo(float).eps
+        # window columns that fall outside the frame carry nothing
+        assert not padded[:, : s - 1].any() and not padded[:, s - 1 + dim :].any()
 
 
 class TestTrajectories:
