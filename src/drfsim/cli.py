@@ -13,7 +13,15 @@ All commands accept ``--selftest`` to run the structural invariant suites
 instead.  Sweeps over several 2j values run one size after another and
 write one CSV per 2j so every file keeps its fixed column schema.  Each
 command builds its table as columns of arrays; floats are written in
-scientific notation with 17 significant digits so they round-trip exactly.
+scientific notation with 17 significant digits so they round-trip exactly,
+byte for byte as ``'%.16e'`` writes them.  The writer formats each chunk of
+rows in numpy: non-negative integers below 10**8 and floats that are +0.0
+or in [1e-99, 1e15) go through digit tables, the significand rounded from a
+double-double product with 10**k; a row with any other cell, or one whose
+rounding falls within ``CSV_TIE_MARGIN`` of a decimal tie, is formatted by
+``%`` with the row template, as are the list columns of ``scaling``.  The
+JSON manifest reports, per 2j, the seconds spent building the columns and
+writing the CSV, and the CSV's rows and bytes.
 
 ``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
 uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
@@ -23,6 +31,7 @@ uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -31,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,6 +51,7 @@ from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, InternalConsistencyError
 from .quantum_drf import evolve, multipole_spectrum, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
+from .tolerances import CSV_FAST_MIN, CSV_TIE_MARGIN
 
 __all__ = ["RunConfig", "run", "main", "half_life", "default_n_max", "HEADERS"]
 
@@ -97,6 +108,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not self.selftest:
             if not self.twice_j or min(self.twice_j) < 1:
                 raise DomainError("twice_j values must be integers >= 1")
@@ -182,7 +195,134 @@ def _scaling_columns(config: RunConfig):
 # -- formatting and output ----------------------------------------------------
 
 
-_CSV_CHUNK_ROWS = 4096  # rows formatted at a time, bounding the Python objects alive
+_CSV_CHUNK_ROWS = 4096  # rows formatted at a time, bounding the memory alive
+
+# Fast domain of the vectorised formatter.  A float cell there is +0.0 or
+# CSV_FAST_MIN <= x < 10**15, whose '%.16e' is always 22 bytes,
+# d.(16 digits)e±dd; an integer cell is 0 <= v < 10**8, right-aligned in
+# 8 bytes after NUL pads that are stripped before the row is written.
+_FLOAT_MAX = 1e15
+_INT_END = 10**8
+_SCALES = 118  # 10**k for k = 0 ... 117 covers 16 - floor(log10 x) over the domain
+_SPLIT = float(2**27 + 1)  # Veltkamp split of a double into two 26-bit halves
+_CELL_FIELDS = {  # kind -> (bytes, fields as (suffix, dtype, offset))
+    "i": (8, (("a", "<u4", 0), ("b", "<u4", 4))),
+    "f": (22, (("lead", "<u2", 0), ("a", "<u4", 2), ("b", "<u4", 6),
+               ("c", "<u4", 10), ("d", "<u4", 14), ("exp", "<u4", 18))),
+}
+
+
+def _veltkamp(a):
+    t = _SPLIT * a
+    high = t - (t - a)
+    return high, a - high
+
+
+@functools.cache
+def _digit_tables():
+    """Tables of the vectorised formatter, built from exact integers.
+
+    ``quad[v]`` is the four ASCII digits of v < 10**4 as one '<u4';
+    ``tail[v]`` is the same with its leading zeros as NUL bytes (``tail[0]``
+    keeps one '0') and ``head`` is ``tail`` with ``head[0]`` all NUL.
+    ``lead[d]`` is 'd.' as '<u2'.  For k = 0 ... 117, ``expo[k]`` is 'e±dd'
+    of the decimal exponent 16 - k, and 10**k = ``hi[k]`` + ``lo[k]`` to about
+    2**-106 relative, with ``hi[k]`` split into halves for Dekker's product.
+    """
+    digit = np.arange(48, 58, dtype=np.uint8)
+    quad = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # quad[a, b, c, d] = "abcd"
+    for place in range(4):
+        quad[..., place] = digit.reshape([10 if i == place else 1 for i in range(4)])
+    quad = quad.reshape(10**4, 4)
+    tail = quad.copy()
+    for place, end in enumerate((1000, 100, 10)):
+        tail[:end, place] = 0
+    head = tail.copy()
+    head[0] = 0
+    lead = np.array([[48 + d, ord(".")] for d in range(10)], dtype=np.uint8)
+    expo = np.array([[ord("e"), ord("-" if e < 0 else "+"), 48 + abs(e) // 10 % 10,
+                      48 + abs(e) % 10] for e in range(16, 16 - _SCALES, -1)],
+                    dtype=np.uint8)
+    hi = np.array([float(10**k) for k in range(_SCALES)])
+    lo = np.array([float(10**k - int(h)) for k, h in enumerate(hi)])
+    hi_h, hi_l = _veltkamp(hi)
+
+    def table(codes, dtype):
+        return codes.view(dtype).ravel()
+
+    return SimpleNamespace(quad=table(quad, "<u4"), tail=table(tail, "<u4"),
+                           head=table(head, "<u4"), lead=table(lead, "<u2"),
+                           expo=table(expo, "<u4"), hi=hi, hi_h=hi_h, hi_l=hi_l,
+                           lo=lo)
+
+
+def _float_cells(buf, name, column):
+    """Write the 22 bytes of each float cell in the fast domain into ``buf``.
+
+    The 17-digit significand is D = round(x 10**k), k = 16 - floor(log10 x),
+    with x 10**k formed as a double-double: Dekker's exact product with
+    ``hi[k]`` plus x ``lo[k]``.  Returns the mask of cells written; a cell
+    whose D leaves [10**16, 10**17) or whose rounding fraction is within
+    ``CSV_TIE_MARGIN`` of 1/2 is left to the ``%`` route.
+    """
+    t = _digit_tables()
+    x = np.asarray(column, dtype=np.float64)
+    zero = (x == 0) & ~np.signbit(x)
+    inside = (x >= CSV_FAST_MIN) & (x < _FLOAT_MAX)
+    x = np.where(inside, x, 1.0)
+    k = 16 - np.floor(np.log10(x)).astype(np.intp)
+    hi_h, hi_l = t.hi_h[k], t.hi_l[k]
+    whole = x * t.hi[k]
+    x_h, x_l = _veltkamp(x)
+    low = ((x_h * hi_h - whole) + x_h * hi_l + x_l * hi_h) + x_l * hi_l
+    low += x * t.lo[k]
+    floor = np.floor(low)
+    frac = low - floor
+    digits = whole.astype(np.int64) + floor.astype(np.int64)
+    ok = inside & (digits >= 10**16) & (np.abs(frac - 0.5) > CSV_TIE_MARGIN)
+    digits += frac > 0.5
+    ok &= digits < 10**17
+    digits = np.where(ok, digits, 0)
+    ok |= zero
+    lead, body = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(body, 10**8)
+    buf[name + "lead"] = t.lead[lead]
+    for field, part in zip("abcd", (upper // 10**4, upper % 10**4,
+                                    lower // 10**4, lower % 10**4)):
+        buf[name + field] = t.quad[part]
+    buf[name + "exp"] = t.expo[k]
+    return ok
+
+
+def _int_cells(buf, name, column):
+    """Write each integer cell 0 <= v < 10**8 into ``buf``, right-aligned in
+    8 bytes after NUL pads; returns the mask of cells written."""
+    t = _digit_tables()
+    ok = (column >= 0) & (column < _INT_END)
+    v = np.where(ok, column, 0)
+    upper, lower = np.divmod(v, 10**4)
+    buf[name + "a"] = t.head[upper]
+    buf[name + "b"] = np.where(upper > 0, t.quad[lower], t.tail[lower])
+    return ok
+
+
+def _row_dtype(kinds):
+    """Row buffer: each cell, int (8 bytes) or float (22), then its separator."""
+    names, formats, offsets = [], [], []
+    offset = 0
+    for i, kind in enumerate(kinds):
+        size, fields = _CELL_FIELDS[kind]
+        for suffix, fmt, at in fields:
+            names.append(f"c{i}{suffix}")
+            formats.append(fmt)
+            offsets.append(offset + at)
+        offset += size
+        names.append(f"s{i}")
+        formats.append("u1")
+        offsets.append(offset)
+        offset += 1
+    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
+                     "itemsize": offset})
 
 
 def _format_cell(value) -> str:
@@ -202,20 +342,51 @@ def _column_cells(column):
     return "%s", [_format_cell(v) for v in column]
 
 
-def _write_csv(path: Path, header, columns):
-    """Write equal-length ``columns`` under ``header``, one line per row.
+def _template_rows(columns) -> bytes:
+    """The ``%`` route: one ``%`` of the row template repeated, over the
+    cells in row order."""
+    templates, cells = zip(*(_column_cells(c) for c in columns))
+    line = ",".join(templates) + "\n"
+    text = (line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
+    return text.encode()
 
-    Each chunk of rows is one ``%`` of the row template repeated, over the
-    chunk's cells in row order.
+
+def _chunk_pieces(columns):
+    """The bytes of one chunk of rows, in order.
+
+    Rows whose cells all lie in the fast domain are formatted in numpy into
+    one row buffer and written with its NUL pads stripped.  Every other row,
+    and any chunk with a list column, goes through :func:`_template_rows`.
     """
+    if not all(isinstance(c, np.ndarray) for c in columns):
+        yield _template_rows(columns)
+        return
+    kinds = ["i" if c.dtype.kind in "iu" else "f" for c in columns]
+    rows = len(columns[0])
+    buf = np.empty(rows, _row_dtype(kinds))
+    ok = np.ones(rows, dtype=bool)
+    for i, (kind, column) in enumerate(zip(kinds, columns)):
+        buf[f"s{i}"] = ord("\n") if i == len(columns) - 1 else ord(",")
+        cells = _int_cells if kind == "i" else _float_cells
+        ok &= cells(buf, f"c{i}", column)
+    cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
+    for start, stop in itertools.pairwise([0, *cuts.tolist(), rows]):
+        if ok[start]:
+            raw = buf[start:stop].view(np.uint8)
+            yield raw[raw != 0].tobytes()
+        else:
+            yield _template_rows([c[start:stop] for c in columns])
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length ``columns`` under ``header``, one line per row, in
+    chunks of ``_CSV_CHUNK_ROWS`` rows."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            templates, cells = zip(*(_column_cells(c[start:start + _CSV_CHUNK_ROWS])
-                                     for c in columns))
-            line = ",".join(templates) + "\n"
-            fh.write((line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells))))
+            fh.writelines(_chunk_pieces([c[start:start + _CSV_CHUNK_ROWS]
+                                         for c in columns]))
 
 
 def _check_schema(path: Path, header):
@@ -247,19 +418,27 @@ def run(config: RunConfig) -> int:
     try:
         header = HEADERS[config.command]
         paths = _output_paths(config)
-        if config.command == "scaling":
-            columns_by_j = {config.twice_j[0]: _scaling_columns(config)}
-        else:
-            builder = COLUMN_BUILDERS[config.command]
-            columns_by_j = {tj: builder(config, SpinLabel(tj))
-                            for tj in sorted(set(config.twice_j))}
-        written = []
-        for tj in sorted(columns_by_j):
+        columns_by_j, build_s = {}, {}
+        for tj in sorted(paths):
+            tic = time.perf_counter()
+            columns_by_j[tj] = (
+                _scaling_columns(config) if config.command == "scaling"
+                else COLUMN_BUILDERS[config.command](config, SpinLabel(tj)))
+            build_s[tj] = time.perf_counter() - tic
+        report = {}
+        for tj, columns in columns_by_j.items():
             path = paths[tj]
-            _write_csv(path, header, columns_by_j[tj])
+            tic = time.perf_counter()
+            _write_csv(path, header, columns)
+            csv_s = time.perf_counter() - tic
             _check_schema(path, header)
-            written.append(path)
-        _write_manifest(config, written, time.perf_counter() - started)
+            key = (",".join(map(str, sorted(config.twice_j)))
+                   if config.command == "scaling" else str(tj))
+            report[key] = {"build_s": build_s[tj], "csv_s": csv_s,
+                           "csv_rows": len(columns[0]),
+                           "csv_bytes": path.stat().st_size}
+        _write_manifest(config, [paths[tj] for tj in columns_by_j], report,
+                        time.perf_counter() - started)
     except DrfsimError as exc:
         print(f"error: {config.command}: {exc}", file=sys.stderr)
         return 1
@@ -270,7 +449,10 @@ def _manifest_path(out: Path) -> Path:
     return out.with_name(out.stem + ".manifest.json")
 
 
-def _write_manifest(config: RunConfig, outputs, wall_time):
+def _write_manifest(config: RunConfig, outputs, report, wall_time):
+    """JSON record of the run; ``report`` holds, per 2j (for ``scaling``,
+    per list of 2j), the seconds spent building the columns and writing the
+    CSV and the CSV's rows and bytes."""
     out = config.out or Path(f"{config.command}.csv")
     payload = {
         "command": config.command,
@@ -289,6 +471,7 @@ def _write_manifest(config: RunConfig, outputs, wall_time):
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
         "columns": HEADERS[config.command],
+        "report": report,
     }
     path = _manifest_path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -310,6 +493,26 @@ def _parse_twice_j(text: str) -> list[int]:
     return values
 
 
+def _bounded_int(low, high=None, high_text=None):
+    """argparse type: an integer with low <= value (< high, shown as
+    ``high_text``)."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high_text or high})"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_SEED = _bounded_int(0, 2**64, "2**64")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drfsim",
@@ -322,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="INT[,INT...]",
         help="frame size(s) as 2j; a comma list sweeps several sizes",
     )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="U64")
+    common.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, metavar="U64")
     common.add_argument("--out", type=Path, metavar="PATH", help="CSV output path")
     common.add_argument(
         "--selftest",
@@ -335,15 +538,16 @@ def build_parser() -> argparse.ArgumentParser:
             nodes=False):
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         if n_max:
-            cmd.add_argument("--n-max", type=int, metavar="N",
+            cmd.add_argument("--n-max", type=_bounded_int(0), metavar="N",
                              help="steps to simulate (default: 5 half-lives)")
         if alpha:
             cmd.add_argument("--alpha", type=float, metavar="RAD",
                              help="walk step angle (default: fitted)")
         if samples:
-            cmd.add_argument("--samples", type=int, default=1000, metavar="N")
+            cmd.add_argument("--samples", type=_bounded_int(1), default=1000,
+                             metavar="N")
         if nodes:
-            cmd.add_argument("--nodes", type=int, metavar="N",
+            cmd.add_argument("--nodes", type=_bounded_int(1), metavar="N",
                              help="coherent grid size (default: 8(2j+1))")
         return cmd
 
@@ -358,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the structural invariant suites and exit",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="U64")
+    parser.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, metavar="U64")
     return parser
 
 

@@ -38,3 +38,18 @@ NNLS_TARGET_SUM_TOL = 1e-10
 # collinear coherent columns is only recovered up to the KKT optimality gap.
 NNLS_RECOVERY_TOL = 1e-8
 NNLS_MIXTURE_TOL = 2e-5
+
+# The CSV writer forms x 10^k, the 17-digit significand D of x before
+# rounding (D < 10^17 < 2^57), as a double-double p + r: p = fl(x hi_k), and
+# r = e + fl(x lo_k) with e Dekker's exact error of p (|e| <= 8) and
+# 10^k = hi_k + lo_k.  |x lo_k| < D 2^-53 < 11.1 is rounded to within 2^-50
+# and is off by at most 11.1 2^-53 through the rounding of lo_k; the sum,
+# below 20, rounds to within 2^-49: under 4e-15 in all, far below this
+# margin.  A rounding fraction within the margin of 1/2 may be an exact tie
+# or lie on the wrong side of one; such cells are formatted by '%' instead.
+CSV_TIE_MARGIN = 1e-12
+
+# Smallest positive float the CSV writer formats in numpy: from 1e-99 up to
+# 1e15 '%.16e' writes a two-digit exponent, so every such cell is 22 bytes;
+# below it the exponent has three digits ('e-100') and '%' writes the row.
+CSV_FAST_MIN = 1e-99

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from drfsim import SpinLabel, closed_form_fidelity
 from drfsim import cli
 from drfsim.cli import HEADERS, RunConfig, default_n_max, half_life, main
+from drfsim.tolerances import CSV_FAST_MIN
 
 
 def read_csv(path):
@@ -45,6 +47,40 @@ def _reference_csv(header, columns):
     return "".join(line + "\n" for line in lines).encode()
 
 
+def _write_with_chunks(path, header, columns, chunk):
+    original = cli._CSV_CHUNK_ROWS
+    cli._CSV_CHUNK_ROWS = chunk
+    try:
+        cli._write_csv(path, header, columns)
+    finally:
+        cli._CSV_CHUNK_ROWS = original
+    return path.read_bytes()
+
+
+def _eighteen_digit_dyadics():
+    """Dyadic rationals whose exact decimal expansion has 18 significant
+    digits: the 17-digit rounding of each is an exact tie."""
+    found = []
+    for e in range(20, 64):
+        for m in range(1, 400, 2):
+            x = m * 2.0**-e
+            digits = Decimal(x).normalize().as_tuple().digits
+            if len(digits) == 18:
+                found.append(x)
+    return found
+
+
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-99, 16)]
+BOUNDARY_FLOATS = (
+    [2.0**-25, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+     CSV_FAST_MIN, cli._FLOAT_MAX]
+    + [math.nextafter(b, d) for b in (CSV_FAST_MIN, cli._FLOAT_MAX)
+       for d in (0.0, math.inf)]
+    + [math.nextafter(p, d) for p in POWERS_OF_TEN for d in (0.0, math.inf)]
+    + POWERS_OF_TEN
+)
+
+
 class TestCsvWriter:
     @settings(max_examples=60, deadline=None)
     @given(floats=st.lists(st.floats(allow_nan=True, allow_infinity=True)
@@ -58,14 +94,76 @@ class TestCsvWriter:
                    np.array(floats[::-1])]
         header = ["n", "x", "y"]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.csv"
-            original = cli._CSV_CHUNK_ROWS
-            cli._CSV_CHUNK_ROWS = chunk
-            try:
-                cli._write_csv(path, header, columns)
-            finally:
-                cli._CSV_CHUNK_ROWS = original
-            assert path.read_bytes() == _reference_csv(header, columns)
+            got = _write_with_chunks(Path(tmp) / "t.csv", header, columns, chunk)
+            assert got == _reference_csv(header, columns)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("name,values", [
+        ("ties", [2.0**-25] + _eighteen_digit_dyadics()),
+        ("boundaries", BOUNDARY_FLOATS),
+    ])
+    def test_ties_and_boundaries(self, tmp_path, name, values, chunk):
+        # 2**-25 = 2.98023223876953125e-08 rounds half to even at 17 digits;
+        # next to each power of ten and each bound of the fast domain the
+        # exponent or the carry may change
+        x = np.array(values)
+        columns = [np.arange(len(x)), x, x[::-1], np.zeros(len(x))]
+        header = ["n", "x", "y", "z"]
+        assert (_write_with_chunks(tmp_path / "t.csv", header, columns, chunk)
+                == _reference_csv(header, columns))
+
+    @pytest.mark.parametrize("shift", [-1e-13, 1e-13])
+    def test_range_checks_catch_an_exponent_one_off(self, tmp_path, monkeypatch, shift):
+        # a log10 a little off puts floor(log10 x) one off next to each power
+        # of ten: the significand then leaves [10**16, 10**17), at the top
+        # through a carry (1e-79 is 1.1e-18 below 10**-79 relative)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        x = np.array(BOUNDARY_FLOATS)
+        columns = [np.arange(len(x)), x]
+        assert (_write_with_chunks(tmp_path / "t.csv", ["n", "x"], columns, 4096)
+                == _reference_csv(["n", "x"], columns))
+
+    def test_carry_and_ties_read_exactly(self, tmp_path):
+        x = np.array([math.nextafter(1.0, 0.0), 2.0**-25, 0.0])
+        lines = _write_with_chunks(tmp_path / "t.csv", ["x"], [x], 4096).split()
+        assert lines[1:] == [b"9.9999999999999989e-01", b"2.9802322387695312e-08",
+                             b"0.0000000000000000e+00"]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 4096])
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_middle_integer_column_of_mixed_widths(self, tmp_path, order, chunk):
+        # sorted: a few runs of equal width per chunk; shuffled: the width
+        # changes from row to row; either way the pads must all be stripped
+        edges = [0, 9, 10, 99, 100, 9999, 10**4, 10**7 - 1, 10**7,
+                 10**8 - 1, 10**8, 10**9, 2**62, -1, -10**8]
+        rng = np.random.default_rng(5)
+        ints = np.concatenate([edges, rng.integers(0, 10**8, 300),
+                               10 ** rng.integers(0, 8, 300)])
+        if order == "sorted":
+            ints.sort()
+        else:
+            rng.shuffle(ints)
+        x = rng.random(len(ints))
+        columns = [np.arange(len(ints)), x, ints, 1.0 - x, ints[::-1]]
+        header = ["n", "x", "k", "y", "m"]
+        assert (_write_with_chunks(tmp_path / "t.csv", header, columns, chunk)
+                == _reference_csv(header, columns))
+
+    def test_fast_domain_takes_the_vectorised_route(self):
+        # above ~1e12 a double has few fractional bits and its 17-digit
+        # rounding is often an exact tie, which the % route takes
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.random(4096), 10.0 ** rng.uniform(-99, 12, 4096),
+                            [0.0, 1.0, CSV_FAST_MIN]])
+        buf = np.empty(len(x), cli._row_dtype("f"))
+        ok = cli._float_cells(buf, "c0", x)
+        assert ok.mean() > 0.999
+        assert ok[-3:].all()
+        outside = np.array([-0.0, -1.0, math.nan, math.inf, cli._FLOAT_MAX,
+                            math.nextafter(CSV_FAST_MIN, 0.0), 2.0**-25])
+        buf = np.empty(len(outside), cli._row_dtype("f"))
+        assert not cli._float_cells(buf, "c0", outside).any()
 
     def test_list_columns_keep_empty_cells(self, tmp_path):
         path = tmp_path / "scaling.csv"
@@ -74,6 +172,27 @@ class TestCsvWriter:
         assert path.read_bytes() == _reference_csv(
             ["twice_j", "half_life", "ratio"], columns)
         assert path.read_text().splitlines()[1].endswith(",")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COLUMN_BUILDERS))
+@pytest.mark.parametrize("twice_j", [1, 2, 7])
+def test_command_writes_reference_csv(tmp_path, command, twice_j):
+    out = tmp_path / "c.csv"
+    argv = [command, "--twice-j", str(twice_j), "--out", str(out)]
+    if command != "coherent-test":
+        argv += ["--n-max", "300"]
+    assert main(argv) == 0
+    config = RunConfig(command, [twice_j], n_max=None if command == "coherent-test"
+                       else 300)
+    columns = cli.COLUMN_BUILDERS[command](config, SpinLabel(twice_j))
+    assert out.read_bytes() == _reference_csv(HEADERS[command], columns)
+
+
+def test_scaling_writes_reference_csv(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["scaling", "--twice-j", "1,2,4,7,14", "--out", str(out)]) == 0
+    columns = cli._scaling_columns(RunConfig("scaling", [1, 2, 4, 7, 14]))
+    assert out.read_bytes() == _reference_csv(HEADERS["scaling"], columns)
 
 
 class TestHalfLife:
@@ -143,6 +262,28 @@ class TestCompareCommand:
         assert manifest["columns"] == HEADERS["compare"]
         assert manifest["outputs"] == [str(out)]
         assert "timestamp_utc" in manifest and "wall_time_s" in manifest
+
+    def test_manifest_report(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        main(["compare", "--twice-j", "4,2", "--n-max", "30", "--out", str(out)])
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        report = manifest["report"]
+        assert sorted(report) == ["2", "4"]
+        for tj, entry in report.items():
+            path = tmp_path / f"sweep-2j{tj}.csv"
+            assert sorted(entry) == ["build_s", "csv_bytes", "csv_rows", "csv_s"]
+            assert entry["csv_rows"] == 31
+            assert entry["csv_bytes"] == path.stat().st_size
+            assert 0 <= entry["build_s"] <= manifest["wall_time_s"]
+            assert 0 <= entry["csv_s"] <= manifest["wall_time_s"]
+
+    def test_scaling_report_covers_its_sizes(self, tmp_path):
+        out = tmp_path / "s.csv"
+        main(["scaling", "--twice-j", "20,10,40", "--out", str(out)])
+        report = json.loads((tmp_path / "s.manifest.json").read_text())["report"]
+        assert list(report) == ["10,20,40"]
+        assert report["10,20,40"]["csv_rows"] == 3
+        assert report["10,20,40"]["csv_bytes"] == out.stat().st_size
 
 
 class TestOtherCommands:
@@ -236,6 +377,41 @@ class TestCliSurface:
                      "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "c.manifest.json").read_text())
         assert "l_max" not in manifest["config"]
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--seed", "-5", "--selftest"], "--seed"),
+        (["compare", "--twice-j", "2", "--seed", "-1"], "--seed"),
+        (["trajectories", "--twice-j", "2", "--seed", str(2**64)], "--seed"),
+        (["trajectories", "--twice-j", "2", "--samples", "0"], "--samples"),
+        (["quantum-evolve", "--twice-j", "2", "--n-max", "-1"], "--n-max"),
+        (["coherent-test", "--twice-j", "2", "--nodes", "0"], "--nodes"),
+        (["coherent-test", "--twice-j", "2", "--nodes", "x"], "--nodes"),
+    ])
+    def test_out_of_range_option_is_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_rejects_seed_outside_u64(self, seed):
+        from drfsim.errors import DomainError
+
+        for selftest in (False, True):
+            with pytest.raises(DomainError, match="seed"):
+                RunConfig("trajectories", [2], seed=seed, selftest=selftest)
+
+    def test_option_bounds_are_inclusive(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["trajectories", "--twice-j", "2", "--n-max", "0", "--samples", "1",
+                     "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        assert main(["--seed", "0", "--selftest"]) == 0
+        # --nodes 1 passes the parser; the grid then names its own minimum
+        assert main(["coherent-test", "--twice-j", "2", "--nodes", "1",
+                     "--out", str(out)]) == 1
+        assert "n_nodes=1 is too small" in capsys.readouterr().err
 
     def test_missing_twice_j_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,12 +2,15 @@
 
 Marked ``slow`` and left out of the default run (see ``addopts`` in
 pyproject.toml); run with ``pytest -m slow``.  The largest sizes take tens
-of seconds each and write CSVs of ~10^6 rows.
+of seconds each and write CSVs of ~10^6 rows.  Each CSV is compared, a
+chunk at a time, with the ``%`` route's formatting of the same columns, so
+the vectorised writer is checked on every real output.
 """
 
 import pytest
 
 from drfsim import SpinLabel
+from drfsim import cli
 from drfsim.cli import HEADERS, default_n_max, main
 
 SIZES = (1, 2, 20, 200, 1000)
@@ -33,11 +36,25 @@ def sweep_cases():
 
 
 @pytest.mark.parametrize("command,twice_j", sweep_cases())
-def test_command_at_defaults(tmp_path, command, twice_j):
+def test_command_at_defaults(tmp_path, monkeypatch, command, twice_j):
+    written = []
+    write_csv = cli._write_csv
+
+    def recording_write_csv(path, header, columns):
+        written.append(columns)
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
     out = tmp_path / f"{command}.csv"
     assert main([command, "--twice-j", str(twice_j), "--out", str(out)]) == 0
-    with open(out, encoding="utf-8") as fh:
-        assert fh.readline().rstrip("\n") == ",".join(HEADERS[command])
-        rows = sum(1 for _ in fh)
+    (columns,) = written
+    rows = len(columns[0])
+    step = 4096
+    with open(out, "rb") as fh:
+        assert fh.readline() == (",".join(HEADERS[command]) + "\n").encode()
+        for start in range(0, rows, step):
+            expected = cli._template_rows([c[start:start + step] for c in columns])
+            assert fh.read(len(expected)) == expected, f"rows {start} ..."
+        assert fh.read() == b""
     out.unlink()
     assert rows == expected_rows(command, twice_j)
