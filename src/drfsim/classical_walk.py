@@ -19,6 +19,8 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,9 +235,16 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     rather than search: with u = theta' / h it is i = floor(u), clamped to
     N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
     values[i]), the difference taken as 0 at the last node.  Grid rows are
-    processed about 2^16 ring points at a time in three buffers (angles,
-    bracket indices, gathered values) reused for every chunk, so the
-    working set stays in cache whatever the grid size.  Each ring's weighted
+    processed in chunks by W workers, one per core the process may run on
+    (``os.sched_getaffinity``) and at most one per chunk: the calling
+    thread and W - 1 helper threads, since numpy releases the interpreter
+    lock inside each step.  An exception in any worker reaches the caller.  Worker w takes chunks w, w + W, ... and writes
+    only their rows of the result, in three buffers of its own (angles,
+    bracket indices, gathered values) reused for each of its chunks.  A
+    chunk holds about 2^16 / W ring points, so the W workers' buffers
+    together stay at about 2^16 points, in cache whatever the grid size.
+    Every row's arithmetic is the same whatever W is, so the result does
+    not depend on the number of cores.  Each ring's weighted
     terms are summed pairwise (``np.add.reduce`` along the row), which
     stays within an ulp or so of the exact mean even when the terms are
     alike, as they are near theta = 0.
@@ -249,7 +258,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     alpha : float
         Kick angle, strictly inside (0, pi).
     n_psi : int
-        Number of azimuth nodes for the ring quadrature.
+        Number of azimuth nodes for the ring quadrature, at least 1.
     """
     thetas = np.asarray(thetas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -263,6 +272,11 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
         )
     if not (0.0 < alpha < math.pi):
         raise DomainError(f"alpha must lie strictly inside (0, pi), got {alpha}")
+    if not isinstance(n_psi, (int, np.integer)) or n_psi < 1:
+        raise DomainError(
+            f"classical_walk.ring_average: n_psi must be an integer >= 1, "
+            f"got {n_psi!r}"
+        )
     step = math.pi / (n_grid - 1)
     offset = float(np.max(np.abs(thetas - np.arange(n_grid) * step)))
     if not offset <= STRUCTURE_TOL:
@@ -282,29 +296,70 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     radial = np.cos(thetas) * cos_a
     tangential = np.sin(thetas) * sin_a
     rise = np.append(np.diff(values), 0.0)
+    cpus = _cpu_count()
+    rows = min(max(1, _RING_CHUNK_POINTS // cpus // (half + 1)), n_grid)
+    starts = range(0, n_grid, rows)
+    workers = min(cpus, len(starts))
     out = np.empty(n_grid)
-    rows = max(1, _RING_CHUNK_POINTS // (half + 1))
-    angle = np.empty((min(rows, n_grid), half + 1))
-    index = np.empty(angle.shape, dtype=np.intp)
-    gather = np.empty(angle.shape)
-    for start in range(0, n_grid, rows):
-        stop = min(start + rows, n_grid)
-        u, i, g = angle[: stop - start], index[: stop - start], gather[: stop - start]
-        np.multiply(tangential[start:stop, None], cos_psi, out=u)
-        u += radial[start:stop, None]
-        np.clip(u, -1.0, 1.0, out=u)
-        np.arccos(u, out=u)
-        u /= step
-        np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
-        u -= i
-        # mode="clip" is the clamp to N - 1, where rise is 0
-        np.take(rise, i, out=g, mode="clip")
-        u *= g
-        np.take(values, i, out=g, mode="clip")
-        u += g
-        u *= weights
-        np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
+    shape = (rows, half + 1)
+    # allocated here, not in the workers: memory a helper thread allocates
+    # stays in that thread's malloc arena, which raised the peak RSS
+    buffers = [(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
+               for _ in range(workers)]
+
+    def average(first):
+        # worker `first` takes chunks first, first + workers, ... (disjoint
+        # rows of out) and works in buffers of its own
+        angle, index, gather = buffers[first]
+        for start in starts[first::workers]:
+            stop = min(start + rows, n_grid)
+            u, i, g = angle[: stop - start], index[: stop - start], gather[: stop - start]
+            np.multiply(tangential[start:stop, None], cos_psi, out=u)
+            u += radial[start:stop, None]
+            np.clip(u, -1.0, 1.0, out=u)
+            np.arccos(u, out=u)
+            u /= step
+            np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
+            u -= i
+            # mode="clip" is the clamp to N - 1, where rise is 0
+            np.take(rise, i, out=g, mode="clip")
+            u *= g
+            np.take(values, i, out=g, mode="clip")
+            u += g
+            u *= weights
+            np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
+
+    # the calling thread is worker 0 and a plain thread runs each other one
+    # (a thread pool would load concurrent.futures.thread and queue, which
+    # raised the oracle's peak RSS by 0.7 MB); a worker's exception is
+    # re-raised here once every worker has stopped
+    errors = []
+
+    def helper(first):
+        try:
+            average(first)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        average(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _cpu_count() -> int:
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def angular_variance(j, n_quad: int | None = None) -> float:

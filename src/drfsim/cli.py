@@ -10,8 +10,10 @@ coherent-test    non-negative fit residual per step
 scaling          half-life of the fidelity decay per frame size
 
 All commands accept ``--selftest`` to run the structural invariant suites
-instead.  Sweeps over several 2j values run one size after another and
-write one CSV per 2j so every file keeps its fixed column schema.  Each
+instead.  Sweeps over several 2j values build and write one size after
+another, one CSV per 2j so every file keeps its fixed column schema; a
+failure at a later size leaves the earlier CSVs written and writes no
+manifest.  Each
 command builds its table as columns of arrays; floats are written in
 scientific notation with 17 significant digits so they round-trip exactly,
 byte for byte as ``'%.16e'`` writes them.  The writer formats each chunk of
@@ -416,33 +418,36 @@ def run(config: RunConfig) -> int:
         return 0 if failed == 0 else 1
     started = time.perf_counter()
     try:
-        header = HEADERS[config.command]
         paths = _output_paths(config)
-        columns_by_j, build_s = {}, {}
-        for tj in sorted(paths):
-            tic = time.perf_counter()
-            columns_by_j[tj] = (
-                _scaling_columns(config) if config.command == "scaling"
-                else COLUMN_BUILDERS[config.command](config, SpinLabel(tj)))
-            build_s[tj] = time.perf_counter() - tic
         report = {}
-        for tj, columns in columns_by_j.items():
-            path = paths[tj]
-            tic = time.perf_counter()
-            _write_csv(path, header, columns)
-            csv_s = time.perf_counter() - tic
-            _check_schema(path, header)
+        for tj in sorted(paths):
             key = (",".join(map(str, sorted(config.twice_j)))
                    if config.command == "scaling" else str(tj))
-            report[key] = {"build_s": build_s[tj], "csv_s": csv_s,
-                           "csv_rows": len(columns[0]),
-                           "csv_bytes": path.stat().st_size}
-        _write_manifest(config, [paths[tj] for tj in columns_by_j], report,
+            report[key] = _run_size(config, tj, paths[tj])
+        _write_manifest(config, [paths[tj] for tj in sorted(paths)], report,
                         time.perf_counter() - started)
     except DrfsimError as exc:
         print(f"error: {config.command}: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _run_size(config: RunConfig, tj: int, path: Path) -> dict:
+    """Build one size's columns and write its CSV; returns its report entry.
+
+    The columns are dropped on return, so a sweep holds one size at a time.
+    """
+    header = HEADERS[config.command]
+    tic = time.perf_counter()
+    columns = (_scaling_columns(config) if config.command == "scaling"
+               else COLUMN_BUILDERS[config.command](config, SpinLabel(tj)))
+    build_s = time.perf_counter() - tic
+    tic = time.perf_counter()
+    _write_csv(path, header, columns)
+    csv_s = time.perf_counter() - tic
+    _check_schema(path, header)
+    return {"build_s": build_s, "csv_s": csv_s, "csv_rows": len(columns[0]),
+            "csv_bytes": path.stat().st_size}
 
 
 def _manifest_path(out: Path) -> Path:

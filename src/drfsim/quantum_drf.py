@@ -123,19 +123,26 @@ class KrausSet:
         """Diagonal of (E_00^+ + E_11^-)/2, the measurement-success observable."""
         return 0.5 * (self.bands[(0, 0, +1)].values + self.bands[(1, 1, -1)].values)
 
-    def _conditional_weights(self, outcome: int):
-        """(stay, from_above, from_below) population weights for one recorded outcome.
+    @cached_property
+    def _conditional_weights(self) -> dict:
+        """outcome -> (stay, from_above, from_below) population weights.
 
         p'[k] = stay[k] p[k] + from_above[k] p[k+1] + from_below[k] p[k-1],
         unnormalised: the weights include the channel's global factor 1/2.
+        The arrays are read-only.
         """
-        stay = 0.5 * (
-            self.bands[(0, 0, outcome)].values ** 2
-            + self.bands[(1, 1, outcome)].values ** 2
-        )
-        up = 0.5 * self.bands[(0, 1, outcome)].values ** 2
-        down = 0.5 * self.bands[(1, 0, outcome)].values ** 2
-        return stay, up, down
+        weights = {}
+        for outcome in OUTCOMES:
+            stay = 0.5 * (
+                self.bands[(0, 0, outcome)].values ** 2
+                + self.bands[(1, 1, outcome)].values ** 2
+            )
+            up = 0.5 * self.bands[(0, 1, outcome)].values ** 2
+            down = 0.5 * self.bands[(1, 0, outcome)].values ** 2
+            for arr in (stay, up, down):
+                arr.setflags(write=False)
+            weights[outcome] = (stay, up, down)
+        return weights
 
 
 def build_kraus(j) -> KrausSet:
@@ -644,7 +651,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     if outcome not in OUTCOMES:
         raise DomainError(f"outcome must be +1 or -1, got {outcome}")
     if state.diagonal:
-        stay, up, down = kraus._conditional_weights(outcome)
+        stay, up, down = kraus._conditional_weights[outcome]
         p = state.data
         unnorm = stay * p
         unnorm[:-1] += up * p[1:]

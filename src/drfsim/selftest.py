@@ -1,7 +1,8 @@
 """Randomised structural self-checks, exposed through the CLI --selftest flag.
 
 Every check uses a fixed seed so runs are reproducible; sizes cover
-2j = 1 ... 20.
+2j = 1 ... 20.  The checks of one run share its Kraus sets, each built
+once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ DEFAULT_SEED = 1234
 _TWICE_J_RANGE = range(1, 21)
 
 
+class _KrausSets(dict):
+    """2j -> :func:`~drfsim.quantum_drf.build_kraus` set, built on first use.
+
+    One is made per :func:`run_selftest` call, so each set is built once a
+    run and nothing outlives the run.
+    """
+
+    def __missing__(self, twice_j):
+        kraus = self[twice_j] = qd.build_kraus(am.SpinLabel(twice_j))
+        return kraus
+
+
 def _random_dense_state(rng, j):
     d = j.dim
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -39,56 +52,52 @@ def _random_diagonal_state(rng, j):
     return qd.FrameState.from_populations(j, p / p.sum())
 
 
-def _check_kraus_completeness(rng):
+def _check_kraus_completeness(rng, kraus):
     worst = max(
-        qd.build_kraus(am.SpinLabel(tj)).completeness_defect()
-        for tj in _TWICE_J_RANGE
+        kraus[tj].completeness_defect() for tj in _TWICE_J_RANGE
     )
     assert worst <= STRUCTURE_TOL, f"completeness defect {worst:.3e}"
 
 
-def _check_trace_preservation(rng):
+def _check_trace_preservation(rng, kraus):
     worst = 0.0
     for tj in _TWICE_J_RANGE:
         j = am.SpinLabel(tj)
-        kraus = qd.build_kraus(j)
         for state in (_random_dense_state(rng, j), _random_diagonal_state(rng, j)):
-            mapped = qd.apply_map(state, kraus)
+            mapped = qd.apply_map(state, kraus[tj])
             worst = max(worst, abs(np.sum(mapped.populations) - 1.0))
     assert worst <= STRUCTURE_TOL, f"trace drift {worst:.3e}"
 
 
-def _check_positivity(rng):
+def _check_positivity(rng, kraus):
     worst = 0.0
     for tj in _TWICE_J_RANGE:
         j = am.SpinLabel(tj)
-        kraus = qd.build_kraus(j)
-        mapped = qd.apply_map(_random_dense_state(rng, j), kraus)
+        mapped = qd.apply_map(_random_dense_state(rng, j), kraus[tj])
         worst = min(worst, float(np.linalg.eigvalsh(mapped.matrix).min()))
     assert worst >= EIGENVALUE_FLOOR, f"negative eigenvalue {worst:.3e}"
 
 
-def _check_diagonal_closure(rng):
+def _check_diagonal_closure(rng, kraus):
     for tj in (1, 5, 12, 20):
         j = am.SpinLabel(tj)
-        kraus = qd.build_kraus(j)
-        mapped = qd.apply_map(_random_diagonal_state(rng, j), kraus)
+        mapped = qd.apply_map(_random_diagonal_state(rng, j), kraus[tj])
         assert mapped.diagonal, "diagonal flag was lost"
         off = mapped.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0), "off-diagonal entries appeared"
 
 
-def _check_fixed_point(rng):
+def _check_fixed_point(rng, kraus):
     for tj in (1, 4, 9, 20):
         j = am.SpinLabel(tj)
         mixed = qd.FrameState.maximally_mixed(j)
-        mapped = qd.apply_map(mixed, qd.build_kraus(j))
+        mapped = qd.apply_map(mixed, kraus[tj])
         drift = np.max(np.abs(mapped.populations - mixed.populations))
         assert drift <= STRUCTURE_TOL, f"mixed state drifted by {drift:.3e}"
 
 
-def _check_legendre_normalization(rng):
+def _check_legendre_normalization(rng, kraus):
     for tj in _TWICE_J_RANGE:
         spec = cw.initial_spectrum(am.SpinLabel(tj))
         assert spec.coeffs[0] == 1.0, "c_0 is not exactly 1"
@@ -97,7 +106,7 @@ def _check_legendre_normalization(rng):
         assert walked.coeffs[0] == 1.0, "walk broke normalisation"
 
 
-def _check_reconstruction_positivity(rng):
+def _check_reconstruction_positivity(rng, kraus):
     for tj in (1, 4, 10, 20):
         j = am.SpinLabel(tj)
         spec = cw.initial_spectrum(j)
@@ -110,7 +119,7 @@ def _check_reconstruction_positivity(rng):
             )
 
 
-def _check_coherent_populations(rng):
+def _check_coherent_populations(rng, kraus):
     for _ in range(25):
         tj = int(rng.integers(1, 21))
         theta = float(rng.uniform(0.0, np.pi))
@@ -123,7 +132,7 @@ def _check_coherent_populations(rng):
         )
 
 
-def _check_decay_law(rng):
+def _check_decay_law(rng, kraus):
     for tj in (1, 7, 20):
         series = qd.evolve(am.SpinLabel(tj), 200)
         assert series.max_abs_diff <= ORACLE_TOL, (
@@ -131,7 +140,7 @@ def _check_decay_law(rng):
         )
 
 
-def _check_nnls_recovery(rng):
+def _check_nnls_recovery(rng, kraus):
     # well-conditioned random instances recover essentially exactly
     for _ in range(5):
         rows = int(rng.integers(6, 16))
@@ -178,10 +187,11 @@ def run_selftest(seed: int = DEFAULT_SEED, stream=None):
     """Run every structural check; returns (passed, failed) counts."""
     stream = stream if stream is not None else sys.stdout
     passed = failed = 0
+    kraus = _KrausSets()
     for name, check in CHECKS:
         rng = np.random.default_rng([seed, passed + failed])
         try:
-            check(rng)
+            check(rng, kraus)
         except AssertionError as exc:
             failed += 1
             print(f"FAIL {name}: {exc}", file=stream)

@@ -1,6 +1,8 @@
 """Legendre pipeline against quadrature and grid ring-average oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from drfsim import (
     ring_average,
     walk_evolve,
 )
+from drfsim import classical_walk
 
 from brute_force import full_ring_average, legendre_coefficients_by_quadrature
 
@@ -296,6 +299,81 @@ class TestRingAverage:
         for alpha in (0.0, math.pi):
             with pytest.raises(DomainError):
                 ring_average(thetas, np.ones_like(thetas), alpha)
+
+    @pytest.mark.parametrize("n_psi", [0, -3, 2.5])
+    def test_bad_n_psi_rejected(self, n_psi):
+        thetas = np.linspace(0.0, math.pi, 2048)
+        with pytest.raises(DomainError, match=r"n_psi must be an integer >= 1"):
+            ring_average(thetas, np.ones_like(thetas), 0.5, n_psi=n_psi)
+
+
+class TestRingWorkers:
+    """ring_average's worker threads: the result is the one-worker result."""
+
+    @staticmethod
+    def _profile(n_grid):
+        thetas = np.linspace(0.0, math.pi, n_grid)
+        return thetas, np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
+
+    @pytest.mark.parametrize("n_psi", [1, 2, 1023, 1024])
+    @pytest.mark.parametrize("n_grid", [2048, 2049, 32768])
+    def test_bit_identical_to_one_worker(self, monkeypatch, n_grid, n_psi):
+        # 2049 rows with n_psi = 1023 leave a last chunk of one row for
+        # one, two and four workers alike
+        thetas, values = self._profile(n_grid)
+        results = {}
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(classical_walk, "_cpu_count", lambda: cpus)
+            results[cpus] = ring_average(thetas, values, 0.5, n_psi=n_psi)
+        for cpus in (2, 3, 4):
+            assert np.array_equal(results[cpus], results[1]), cpus
+
+    def test_concurrent_calls_match_sequential(self, monkeypatch):
+        # each call's workers have buffers of their own: two calls at once,
+        # with more workers than cores and frequent thread switches, give
+        # the sequential results bit for bit
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 4)
+        thetas, values = self._profile(4096)
+        inputs = [(thetas, values, 0.5), (thetas, np.cos(thetas), 1.2)]
+        want = [ring_average(*args) for args in inputs]
+        got = [[] for _ in inputs]
+
+        def call(k):
+            for _ in range(5):
+                got[k].append(ring_average(*inputs[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(2):
+            assert len(got[k]) == 5
+            assert all(np.array_equal(out, want[k]) for out in got[k])
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # the calling thread is worker 0; the fault is raised in the other
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 2)
+        take = np.take
+        helper_calls = []
+
+        def failing_take(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                helper_calls.append(1)
+                raise RuntimeError("fault in a helper thread")
+            return take(*args, **kwargs)
+
+        thetas, values = self._profile(4096)
+        monkeypatch.setattr(np, "take", failing_take)
+        with pytest.raises(RuntimeError, match="fault in a helper thread"):
+            ring_average(thetas, values, 0.5)
+        assert helper_calls == [1]
 
 
 class TestFidelitySeries:

@@ -1,6 +1,7 @@
 """CSV contracts, reproducibility, exit codes, and the selftest flag."""
 
 import csv
+import io
 import json
 import math
 import subprocess
@@ -442,6 +443,34 @@ class TestCliSurface:
         assert err.startswith("error: quantum-evolve: ")
         assert "2j=6, step 1:" in err
         assert "ORACLE_TOL" in err
+
+    def test_failed_later_size_keeps_earlier_csv(self, tmp_path, monkeypatch, capsys):
+        # sizes are built and written one at a time; the manifest waits for all
+        from drfsim import quantum_drf
+
+        exact_rates = quantum_drf.transfer_rates
+        monkeypatch.setattr(quantum_drf, "transfer_rates", lambda j: (
+            exact_rates(j) * (1.01 if j.twice_j == 6 else 1.0)))
+        out = tmp_path / "q.csv"
+        code = main(["quantum-evolve", "--twice-j", "6,4", "--n-max", "40",
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: quantum-evolve: " in capsys.readouterr().err
+        header, rows = read_csv(tmp_path / "q-2j4.csv")
+        assert header == HEADERS["quantum-evolve"] and len(rows) == 41
+        assert not (tmp_path / "q-2j6.csv").exists()
+        assert not (tmp_path / "q.manifest.json").exists()
+
+    def test_selftest_builds_each_kraus_set_once_per_run(self, monkeypatch):
+        from drfsim import quantum_drf, selftest
+
+        built = []
+        exact_build = quantum_drf.build_kraus
+        monkeypatch.setattr(quantum_drf, "build_kraus",
+                            lambda j: built.append(j.twice_j) or exact_build(j))
+        for _ in range(2):
+            assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
+        assert sorted(built) == sorted(list(range(1, 21)) * 2)
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second to import; the package needs none of it

@@ -562,6 +562,19 @@ class TestTrajectories:
         with pytest.raises(InternalConsistencyError, match=pattern):
             conditional_update(state, scaled, +1)
 
+    @pytest.mark.parametrize("twice_j", [1, 2, 7])
+    def test_outcome_weights_are_cached_read_only(self, twice_j):
+        kraus = build_kraus(SpinLabel(twice_j))
+        weights = kraus._conditional_weights
+        assert kraus._conditional_weights is weights
+        for c in (+1, -1):
+            values = {key: band.values for key, band in kraus.bands.items()}
+            want = (0.5 * (values[(0, 0, c)] ** 2 + values[(1, 1, c)] ** 2),
+                    0.5 * values[(0, 1, c)] ** 2, 0.5 * values[(1, 0, c)] ** 2)
+            for got, exact in zip(weights[c], want):
+                assert np.array_equal(got, exact)
+                assert not got.flags.writeable
+
     def test_outcome_probabilities_sum_to_one(self):
         j = SpinLabel(3)
         kraus = build_kraus(j)
