@@ -22,7 +22,6 @@ from .classical_walk import (
     angular_variance,
     classical_fidelity,
     classical_fidelity_series,
-    default_l_max,
     fitted_step,
     initial_spectrum,
     ring_average,
@@ -75,7 +74,7 @@ __all__ = [
     # classical walk
     "LegendreSpectrum", "WalkParameters", "initial_spectrum", "walk_evolve",
     "classical_fidelity", "classical_fidelity_series", "fitted_step",
-    "ring_average", "angular_variance", "default_l_max",
+    "ring_average", "angular_variance",
     # coherent analysis
     "CoherentGrid", "DecompositionResult", "build_grid", "nnls_solve",
     "convexity_test", "convexity_series",

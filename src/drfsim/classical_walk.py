@@ -1,9 +1,9 @@
 """Semi-classical frame model: a random walk of a direction on the sphere.
 
 The frame's orientation is a probability distribution on S^2, restricted to
-azimuthal symmetry and carried as a truncated Legendre series
+azimuthal symmetry and carried as its exact degree-4j Legendre series
 
-    p(theta) = sum_l c_l P_l(cos theta),
+    p(theta) = sum_{l=0..4j} c_l P_l(cos theta),
 
 normalised so that the l = 0 coefficient is exactly one under the measure
 sin(theta) d(theta) / 2.  Each measurement kicks the direction by a fixed
@@ -42,65 +42,56 @@ __all__ = [
     "fitted_step",
     "ring_average",
     "angular_variance",
-    "default_l_max",
 ]
 
 _MIN_RING_GRID = 2048
 _RING_CHUNK_POINTS = 1 << 16  # ring points per pass of ring_average's buffers
-
-
-def default_l_max(j) -> int:
-    """Truncation order used when none is given: max(4j + 16, 64).
-
-    The initial spectrum vanishes exactly beyond l = 4j and the walk only
-    shrinks coefficients, so this truncation drops nothing.
-    """
-    return max(2 * as_spin(j).twice_j + 16, 64)
+_RECONSTRUCTION_GRID = 4096  # theta points on which positivity is checked
 
 
 @dataclass(frozen=True)
 class LegendreSpectrum:
-    """Truncated Legendre coefficients of an azimuthally symmetric distribution."""
+    """Legendre coefficients c_0 ... c_lmax of an azimuthally symmetric
+    distribution; c_0 is exactly 1 and l_max is at least 1."""
 
-    l_max: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise DomainError("l_max must be at least 1")
         arr = np.array(self.coeffs, dtype=float)
-        if arr.shape != (self.l_max + 1,):
+        if arr.ndim != 1 or len(arr) < 2:
             raise DomainError(
-                f"expected {self.l_max + 1} coefficients, got shape {arr.shape}"
+                f"expected a 1-d array of at least 2 coefficients, got shape {arr.shape}"
             )
         if arr[0] != 1.0:
             raise DomainError(f"c_0 must be exactly 1, got {arr[0]!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    @property
+    def l_max(self) -> int:
+        """Highest degree of the series."""
+        return len(self.coeffs) - 1
+
     def reconstruct(self, theta) -> np.ndarray:
         """Evaluate p(theta) = sum_l c_l P_l(cos theta)."""
         return legval(np.cos(theta), self.coeffs)
 
-    def min_reconstructed(self, grid_points: int = 4096) -> float:
-        """Minimum of the reconstruction on a uniform theta grid."""
-        theta = np.linspace(0.0, math.pi, grid_points)
+    def min_reconstructed(self) -> float:
+        """Minimum of the reconstruction on a uniform grid of 4096 theta points."""
+        theta = np.linspace(0.0, math.pi, _RECONSTRUCTION_GRID)
         return float(np.min(self.reconstruct(theta)))
 
-    def require_positive(self, allowance: float = POSITIVITY_ALLOWANCE,
-                         grid_points: int = 4096):
-        """Raise unless the reconstruction stays above -``allowance``.
+    def require_positive(self):
+        """Raise unless the reconstruction stays above -``POSITIVITY_ALLOWANCE``.
 
         The error names l_max, the grid size, the dip and the allowance.
         """
-        worst = self.min_reconstructed(grid_points)
-        if worst < -allowance:
-            name = ("POSITIVITY_ALLOWANCE" if allowance == POSITIVITY_ALLOWANCE
-                    else "allowance")
+        worst = self.min_reconstructed()
+        if not worst >= -POSITIVITY_ALLOWANCE:
             raise InternalConsistencyError(
                 f"LegendreSpectrum: l_max={self.l_max}: reconstructed distribution "
-                f"dips to {worst:.3e} on {grid_points} grid points, below "
-                f"-{name} = {-allowance:g}"
+                f"dips to {worst:.3e} on {_RECONSTRUCTION_GRID} grid points, below "
+                f"-POSITIVITY_ALLOWANCE = {-POSITIVITY_ALLOWANCE:g}"
             )
 
 
@@ -118,7 +109,7 @@ class WalkParameters:
             raise DomainError(f"step count must be non-negative, got {self.n}")
 
 
-def initial_spectrum(j, l_max: int | None = None) -> LegendreSpectrum:
+def initial_spectrum(j) -> LegendreSpectrum:
     """Expand the starting distribution matched to the aligned quantum frame.
 
     The distribution is p0(theta) = (4j + 1) [cos(theta/2)]^(8j): aligned
@@ -128,21 +119,16 @@ def initial_spectrum(j, l_max: int | None = None) -> LegendreSpectrum:
 
         c_l = (2l + 1) prod_{i=1..l} (N + 1 - i) / (N + 1 + i),
 
-    so c_0 = 1, c_1 = 6j / (2j + 1) and c_l = 0 for every l > N.
+    so c_0 = 1, c_1 = 6j / (2j + 1) and c_l = 0 for every l > N: the
+    returned series is exact and holds the N + 1 coefficients c_0 ... c_N.
+    Requires 2j >= 1.
     """
-    j = as_spin(j)
-    if l_max is None:
-        l_max = default_l_max(j)
-    if l_max < 1:
-        raise DomainError("l_max must be at least 1")
-    top = min(l_max, 2 * j.twice_j)  # c_l vanishes beyond N = 4j
-    i = np.arange(1, top + 1)
-    ratios = (2 * j.twice_j + 1 - i) / (2 * j.twice_j + 1.0 + i)
-    coeffs = np.zeros(l_max + 1)
-    coeffs[: top + 1] = (2 * np.arange(top + 1) + 1) * np.concatenate(
-        ([1.0], np.cumprod(ratios))
+    big_n = 2 * as_spin(j).twice_j
+    i = np.arange(1, big_n + 1)
+    ratios = (big_n + 1 - i) / (big_n + 1.0 + i)
+    return LegendreSpectrum(
+        (2 * np.arange(big_n + 1) + 1) * np.concatenate(([1.0], np.cumprod(ratios)))
     )
-    return LegendreSpectrum(l_max, coeffs)
 
 
 def walk_evolve(spec: LegendreSpectrum, params: WalkParameters) -> LegendreSpectrum:
@@ -159,7 +145,7 @@ def walk_evolve(spec: LegendreSpectrum, params: WalkParameters) -> LegendreSpect
     gains = eval_legendre(ell, math.cos(params.alpha)) ** params.n
     coeffs = spec.coeffs * gains
     coeffs[0] = 1.0
-    return LegendreSpectrum(spec.l_max, coeffs)
+    return LegendreSpectrum(coeffs)
 
 
 def classical_fidelity(spec: LegendreSpectrum) -> float:
@@ -200,7 +186,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
     WalkParameters(alpha, n_max)  # validates alpha
-    c0, c1 = initial_spectrum(j, 1).coeffs
+    c0, c1 = initial_spectrum(j).coeffs[:2]
     steps = np.arange(n_max + 1)
     gains = math.cos(alpha) ** steps
     fid = 0.5 * (c0 + c1 * gains / 3.0)
@@ -362,7 +348,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def angular_variance(j, n_quad: int | None = None) -> float:
+def angular_variance(j) -> float:
     """Variance of the misalignment angle of the starting distribution.
 
     The angular profile cos^(8j)(theta/2) is treated as a symmetric
@@ -371,16 +357,14 @@ def angular_variance(j, n_quad: int | None = None) -> float:
 
         Var = int theta^2 f(theta) dtheta / int f(theta) dtheta
 
-    over [0, pi], evaluated by Gauss-Legendre quadrature.  For large j this
-    converges to 1/(2j), the squared angular uncertainty of the aligned
-    spin-j coherent state.
+    over [0, pi], evaluated by Gauss-Legendre quadrature on max(256, 8j + 64)
+    nodes.  For large j this converges to 1/(2j), the squared angular
+    uncertainty of the aligned spin-j coherent state.
     """
     j = as_spin(j)
     if j.twice_j < 1:
         raise DomainError("angular_variance requires 2j >= 1")
-    if n_quad is None:
-        n_quad = max(256, 4 * j.twice_j + 64)
-    x, w = leggauss(n_quad)
+    x, w = leggauss(max(256, 4 * j.twice_j + 64))
     theta = (x + 1.0) * (math.pi / 2.0)
     weights = w * (math.pi / 2.0)
     profile = np.cos(theta / 2.0) ** (4 * j.twice_j)

@@ -9,7 +9,8 @@ trajectories     record-conditioned Monte-Carlo samples
 coherent-test    non-negative fit residual per step
 scaling          half-life of the fidelity decay per frame size
 
-All commands accept ``--selftest`` to run the structural invariant suites
+``--seed`` and ``--selftest`` may come before or after the command;
+``--selftest`` runs the structural invariant suites with that seed
 instead.  Sweeps over several 2j values build and write one size after
 another, one CSV per 2j so every file keeps its fixed column schema; a
 failure at a later size leaves the earlier CSVs written and writes no
@@ -39,7 +40,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -95,30 +96,31 @@ def default_n_max(j) -> int:
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one CLI invocation."""
+    """Resolved settings for one CLI invocation; the defaults of every option
+    not given on the command line.  ``out`` defaults to ``<command>.csv``."""
 
     command: str
-    twice_j: list[int] = field(default_factory=list)
+    twice_j: list[int]
     n_max: int | None = None
     alpha: float | None = None
     seed: int = DEFAULT_SEED
     samples: int = 1000
     n_nodes: int | None = None
     out: Path | None = None
-    selftest: bool = False
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not self.selftest:
-            if not self.twice_j or min(self.twice_j) < 1:
-                raise DomainError("twice_j values must be integers >= 1")
-            if self.n_max is not None and self.n_max < 0:
-                raise DomainError("n_max must be non-negative")
-            if self.command == "trajectories" and self.samples < 1:
-                raise DomainError("samples must be >= 1")
+        if not self.twice_j or min(self.twice_j) < 1:
+            raise DomainError("twice_j values must be integers >= 1")
+        if self.n_max is not None and self.n_max < 0:
+            raise DomainError("n_max must be non-negative")
+        if self.command == "trajectories" and self.samples < 1:
+            raise DomainError("samples must be >= 1")
+        if self.out is None:
+            self.out = Path(f"{self.command}.csv")
 
 
 # -- per-command row builders (pure functions of the config) -----------------
@@ -402,7 +404,7 @@ def _check_schema(path: Path, header):
 
 def _output_paths(config: RunConfig) -> dict[int, Path]:
     """One CSV per swept 2j; a single value writes exactly to --out."""
-    out = config.out or Path(f"{config.command}.csv")
+    out = config.out
     if config.command == "scaling" or len(config.twice_j) == 1:
         return {config.twice_j[0]: out}
     return {
@@ -412,10 +414,11 @@ def _output_paths(config: RunConfig) -> dict[int, Path]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    if config.selftest:
-        _, failed = run_selftest(seed=config.seed)
-        return 0 if failed == 0 else 1
+    """Execute one command; returns the process exit status.
+
+    A library error or an unwritable output path is reported on stderr as
+    ``error: <command>: ...`` with status 1.
+    """
     started = time.perf_counter()
     try:
         paths = _output_paths(config)
@@ -426,7 +429,7 @@ def run(config: RunConfig) -> int:
             report[key] = _run_size(config, tj, paths[tj])
         _write_manifest(config, [paths[tj] for tj in sorted(paths)], report,
                         time.perf_counter() - started)
-    except DrfsimError as exc:
+    except (DrfsimError, OSError) as exc:
         print(f"error: {config.command}: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -458,7 +461,6 @@ def _write_manifest(config: RunConfig, outputs, report, wall_time):
     """JSON record of the run; ``report`` holds, per 2j (for ``scaling``,
     per list of 2j), the seconds spent building the columns and writing the
     CSV and the CSV's rows and bytes."""
-    out = config.out or Path(f"{config.command}.csv")
     payload = {
         "command": config.command,
         "config": {
@@ -468,7 +470,7 @@ def _write_manifest(config: RunConfig, outputs, report, wall_time):
             "seed": config.seed,
             "samples": config.samples,
             "n_nodes": config.n_nodes,
-            "out": str(out),
+            "out": str(config.out),
         },
         "library_version": __version__,
         "seed": config.seed,
@@ -478,7 +480,7 @@ def _write_manifest(config: RunConfig, outputs, report, wall_time):
         "columns": HEADERS[config.command],
         "report": report,
     }
-    path = _manifest_path(out)
+    path = _manifest_path(config.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -519,29 +521,37 @@ _SEED = _bounded_int(0, 2**64, "2**64")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser whose namespace holds only the options given: every default
+    is ``argparse.SUPPRESS``, so :class:`RunConfig` supplies the defaults and
+    a subcommand cannot overwrite an option given before it."""
+    shared = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    shared.add_argument("--seed", type=_SEED, metavar="U64")
+    shared.add_argument(
+        "--selftest",
+        action="store_true",
+        help="run the structural invariant suites and exit",
+    )
     parser = argparse.ArgumentParser(
         prog="drfsim",
         description="Directional-reference-frame degradation simulator.",
+        parents=[shared],
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, parents=[shared],
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument(
         "--twice-j",
         type=_parse_twice_j,
         metavar="INT[,INT...]",
         help="frame size(s) as 2j; a comma list sweeps several sizes",
     )
-    common.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, metavar="U64")
     common.add_argument("--out", type=Path, metavar="PATH", help="CSV output path")
-    common.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the structural invariant suites and exit",
-    )
     sub = parser.add_subparsers(dest="command")
 
     def add(name, help_text, *, n_max=True, alpha=False, samples=False,
             nodes=False):
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        cmd = sub.add_parser(name, parents=[common], help=help_text,
+                             argument_default=argparse.SUPPRESS)
         if n_max:
             cmd.add_argument("--n-max", type=_bounded_int(0), metavar="N",
                              help="steps to simulate (default: 5 half-lives)")
@@ -549,12 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--alpha", type=float, metavar="RAD",
                              help="walk step angle (default: fitted)")
         if samples:
-            cmd.add_argument("--samples", type=_bounded_int(1), default=1000,
-                             metavar="N")
+            cmd.add_argument("--samples", type=_bounded_int(1), metavar="N")
         if nodes:
-            cmd.add_argument("--nodes", type=_bounded_int(1), metavar="N",
-                             help="coherent grid size (default: 8(2j+1))")
-        return cmd
+            cmd.add_argument("--nodes", dest="n_nodes", type=_bounded_int(1),
+                             metavar="N", help="coherent grid size (default: 8(2j+1))")
 
     add("quantum-evolve", "iterate the measurement channel")
     add("classical-walk", "run the random walk on the sphere", alpha=True)
@@ -562,39 +570,22 @@ def build_parser() -> argparse.ArgumentParser:
     add("trajectories", "sample record-conditioned trajectories", samples=True)
     add("coherent-test", "non-negative fit residual per step", nodes=True)
     add("scaling", "half-life per frame size", n_max=False)
-    parser.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the structural invariant suites and exit",
-    )
-    parser.add_argument("--seed", type=_SEED, default=DEFAULT_SEED, metavar="U64")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        if args.selftest:
-            config = RunConfig(command="scaling", twice_j=[1], selftest=True,
-                               seed=args.seed)
-            return run(config)
+    options = vars(parser.parse_args(argv))
+    command = options.pop("command")
+    if options.pop("selftest", False):
+        _, failed = run_selftest(seed=options.get("seed", DEFAULT_SEED))
+        return 0 if failed == 0 else 1
+    if command is None:
         parser.print_usage(sys.stderr)
         return 2
-    if not args.selftest and args.twice_j is None:
-        parser.error(f"{args.command}: --twice-j is required")
-    config = RunConfig(
-        command=args.command,
-        twice_j=args.twice_j or [1],
-        n_max=getattr(args, "n_max", None),
-        alpha=getattr(args, "alpha", None),
-        seed=args.seed,
-        samples=getattr(args, "samples", 1000),
-        n_nodes=getattr(args, "nodes", None),
-        out=args.out,
-        selftest=args.selftest,
-    )
-    return run(config)
+    if "twice_j" not in options:
+        parser.error(f"{command}: --twice-j is required")
+    return run(RunConfig(command, **options))
 
 
 if __name__ == "__main__":

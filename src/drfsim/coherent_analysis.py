@@ -103,8 +103,7 @@ def _result(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> DecompositionResult:
     )
 
 
-def nnls_solve(A, b, kkt_tol: float = KKT_TOL,
-               max_iter: int | None = None) -> DecompositionResult:
+def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
     """Minimise ||A w - b||_2 subject to w >= 0 (Lawson-Hanson active set).
 
     Variables move between the bound set (pinned at zero) and the free set;
@@ -112,8 +111,8 @@ def nnls_solve(A, b, kkt_tol: float = KKT_TOL,
     dual A^T(b - Aw) (ties broken by lowest index) and re-solves the
     unconstrained least-squares problem on the free set, stepping back along
     the segment to the first zero crossing whenever a free variable would go
-    negative.  Terminates when every bound dual is <= ``kkt_tol``, i.e. all
-    bound-set reduced gradients are >= -kkt_tol.
+    negative.  Terminates when every bound dual is <= ``KKT_TOL``, i.e. all
+    bound-set reduced gradients are >= -KKT_TOL.
 
     Raises
     ------
@@ -127,7 +126,7 @@ def nnls_solve(A, b, kkt_tol: float = KKT_TOL,
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
         )
-    if abs(b.sum() - 1.0) > NNLS_TARGET_SUM_TOL:
+    if not abs(b.sum() - 1.0) <= NNLS_TARGET_SUM_TOL:
         raise DomainError(f"target must sum to 1 (got {b.sum()!r})")
     n = A.shape[1]
     if max_iter is None:
@@ -140,15 +139,14 @@ def nnls_solve(A, b, kkt_tol: float = KKT_TOL,
         dual = A.T @ (b - A @ x)
         candidates = np.where(free, -np.inf, dual)
         entering = int(np.argmax(candidates))  # argmax takes the lowest index on ties
-        if candidates[entering] <= kkt_tol:
+        if candidates[entering] <= KKT_TOL:
             return _result(A, b, x)
         admitted += 1
         if admitted > max_iter:
-            tol_name = "KKT_TOL" if kkt_tol == KKT_TOL else "kkt_tol"
             raise ConvergenceError(
                 f"coherent_analysis.nnls_solve: iteration cap {max_iter} "
                 f"exceeded with largest bound dual {candidates[entering]:.3e} "
-                f"still above {tol_name} = {kkt_tol:g}",
+                f"still above KKT_TOL = {KKT_TOL:g}",
                 result=_result(A, b, x),
             )
         free[entering] = True

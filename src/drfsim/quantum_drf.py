@@ -299,7 +299,7 @@ class FrameState:
                 raise DomainError(f"{where}: matrix must have shape ({d}, {d}), "
                                   f"got {arr.shape}")
             asymmetry = np.max(np.abs(arr - arr.conj().T))
-            if asymmetry > STRUCTURE_TOL:
+            if not asymmetry <= STRUCTURE_TOL:
                 raise DomainError(
                     f"{where}: matrix is not Hermitian: max |rho - rho^dag| = "
                     f"{asymmetry:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}"
@@ -353,7 +353,7 @@ class FrameState:
 
 
 def _require_above_floor(where: str, what: str, lowest: float):
-    if lowest < EIGENVALUE_FLOOR:
+    if not lowest >= EIGENVALUE_FLOOR:
         raise DomainError(
             f"{where}: {what} {float(lowest)!r} is below "
             f"EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:g}"
@@ -361,7 +361,7 @@ def _require_above_floor(where: str, what: str, lowest: float):
 
 
 def _require_unit(where: str, what: str, total: float):
-    if abs(total - 1.0) > STRUCTURE_TOL:
+    if not abs(total - 1.0) <= STRUCTURE_TOL:
         raise DomainError(
             f"{where}: {what} {float(total)!r}, off 1 by {abs(total - 1.0):.3e}, "
             f"beyond STRUCTURE_TOL = {STRUCTURE_TOL:g}"

@@ -68,43 +68,58 @@ class TestInitialSpectrum:
         spec = initial_spectrum(SpinLabel(20))
         spec.require_positive()
 
-    def test_l_max_too_small_rejected(self):
-        with pytest.raises(DomainError):
-            initial_spectrum(SpinLabel(2), l_max=0)
-
     def test_negative_dip_names_size_value_and_allowance(self):
         # 1 + c_1 cos(theta) bottoms out at 1 - c_1 = -1.5e-6 at theta = pi
-        spec = LegendreSpectrum(1, [1.0, 1.0 + 1.5e-6])
+        spec = LegendreSpectrum([1.0, 1.0 + 1.5e-6])
         with pytest.raises(InternalConsistencyError,
                            match=r"^LegendreSpectrum: l_max=1: reconstructed "
                                  r"distribution dips to -1\.500e-06 on 4096 grid "
                                  r"points, below -POSITIVITY_ALLOWANCE = -1e-06$"):
             spec.require_positive()
-        with pytest.raises(InternalConsistencyError,
-                           match=r"dips to -1\.500e-06 .* below -allowance = -1e-07$"):
-            spec.require_positive(allowance=1e-7, grid_points=101)
-        LegendreSpectrum(1, [1.0, 1.0 + 9e-7]).require_positive()
+        LegendreSpectrum([1.0, 1.0 + 9e-7]).require_positive()
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18,
         reason="the quadrature oracle needs extended-precision long double",
     )
     def test_product_matches_quadrature(self):
+        # the oracle runs past l = 4j, where the exact series has no terms,
+        # so its vanishing there is checked too
         for twice_j in range(1, 101):
             spec = initial_spectrum(SpinLabel(twice_j))
-            oracle = legendre_coefficients_by_quadrature(twice_j, spec.l_max)
-            worst = np.max(np.abs(spec.coeffs - oracle))
+            oracle = legendre_coefficients_by_quadrature(
+                twice_j, max(2 * twice_j + 16, 64))
+            padded = np.zeros_like(oracle)
+            padded[: spec.l_max + 1] = spec.coeffs
+            worst = np.max(np.abs(padded - oracle))
             assert worst <= 1e-12, f"2j={twice_j}: {worst:.3e}"
 
     @pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 100])
     def test_coefficients_vanish_beyond_4j(self, twice_j):
-        spec = initial_spectrum(SpinLabel(twice_j), l_max=2 * twice_j + 20)
-        assert spec.coeffs[2 * twice_j] > 0.0
-        assert np.all(spec.coeffs[2 * twice_j + 1:] == 0.0)
+        # the series holds c_0 ... c_4j and nothing after; the quadrature
+        # test above checks that the oracle's c_l vanish beyond l = 4j
+        spec = initial_spectrum(SpinLabel(twice_j))
+        assert spec.l_max == 2 * twice_j
+        assert spec.coeffs[-1] > 0.0
+
+    def test_zero_spin_rejected(self):
+        with pytest.raises(DomainError, match="at least 2 coefficients"):
+            initial_spectrum(SpinLabel(0))
 
     def test_spectrum_type_rejects_bad_c0(self):
         with pytest.raises(DomainError):
-            LegendreSpectrum(2, np.array([0.9, 0.1, 0.0]))
+            LegendreSpectrum(np.array([0.9, 0.1, 0.0]))
+
+    @pytest.mark.parametrize("coeffs", [[1.0], [[1.0, 0.5]], []])
+    def test_spectrum_type_rejects_bad_shape(self, coeffs):
+        with pytest.raises(DomainError, match="at least 2 coefficients"):
+            LegendreSpectrum(coeffs)
+
+    def test_l_max_is_read_only(self):
+        spec = initial_spectrum(SpinLabel(3))
+        assert spec.l_max == 6
+        with pytest.raises(AttributeError):
+            spec.l_max = 8
 
 
 class TestWalkEvolve:
@@ -145,13 +160,13 @@ class TestClassicalFidelity:
     def test_uniform_distribution_is_coin_toss(self):
         coeffs = np.zeros(65)
         coeffs[0] = 1.0
-        assert classical_fidelity(LegendreSpectrum(64, coeffs)) == 0.5
+        assert classical_fidelity(LegendreSpectrum(coeffs)) == 0.5
 
     def test_point_distribution_is_ideal(self):
         # truncated expansion of a delta at theta = 0: c_l = 2l + 1
         l_max = 32
         coeffs = 2.0 * np.arange(l_max + 1) + 1.0
-        assert classical_fidelity(LegendreSpectrum(l_max, coeffs)) == pytest.approx(
+        assert classical_fidelity(LegendreSpectrum(coeffs)) == pytest.approx(
             1.0, abs=1e-15
         )
 
@@ -268,9 +283,12 @@ class TestRingAverage:
         want = full_ring_average(thetas, values, 0.5, n_psi=1023)
         assert np.max(np.abs(out - want)) <= 1e-14
 
-    def test_partial_last_chunk(self):
-        # n_psi = 1023 gives 512 ring points per row and 128 rows per chunk,
-        # so 2049 rows leave a last chunk of one row
+    def test_partial_last_chunk(self, monkeypatch):
+        # with one core, n_psi = 1023 gives 512 ring points per row and 128
+        # rows per chunk, so 2049 rows leave a last chunk of one row (on 3
+        # cores a chunk would hold 42 rows and the last one 33)
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
+        assert 2049 % (classical_walk._RING_CHUNK_POINTS // 512) == 1
         thetas = np.linspace(0.0, math.pi, 2049)
         values = eval_legendre(4, np.cos(thetas))
         out = ring_average(thetas, values, 0.7, n_psi=1023)

@@ -325,6 +325,25 @@ class TestOtherCommands:
         assert len(rows) == 50
         assert all(0 <= int(r[1]) <= 10 for r in rows)
 
+    def test_seed_before_the_command_is_kept(self, tmp_path):
+        # --seed is defined once, for the top level and every command alike,
+        # and a command no longer resets a seed given before it
+        args = ["--twice-j", "20", "--n-max", "200", "--samples", "4"]
+        runs = {
+            "before": ["--seed", "5", "trajectories", *args],
+            "after": ["trajectories", *args, "--seed", "5"],
+            "default": ["trajectories", *args],
+        }
+        blobs, seeds = {}, {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            blobs[name] = out.read_bytes()
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            seeds[name] = (manifest["seed"], manifest["config"]["seed"])
+        assert blobs["before"] == blobs["after"] != blobs["default"]
+        assert seeds == {"before": (5, 5), "after": (5, 5), "default": (1234, 1234)}
+
     def test_coherent_test_rows(self, tmp_path):
         out = tmp_path / "coh.csv"
         code = main([
@@ -400,9 +419,12 @@ class TestCliSurface:
     def test_config_rejects_seed_outside_u64(self, seed):
         from drfsim.errors import DomainError
 
-        for selftest in (False, True):
-            with pytest.raises(DomainError, match="seed"):
-                RunConfig("trajectories", [2], seed=seed, selftest=selftest)
+        with pytest.raises(DomainError, match="seed"):
+            RunConfig("trajectories", [2], seed=seed)
+
+    def test_selftest_is_not_a_config_field(self):
+        assert "selftest" not in RunConfig.__dataclass_fields__
+        assert RunConfig("compare", [2]).out == Path("compare.csv")
 
     def test_option_bounds_are_inclusive(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -428,6 +450,27 @@ class TestCliSurface:
     def test_selftest_on_subcommand(self, capsys):
         assert main(["compare", "--selftest"]) == 0
         assert "selftest:" in capsys.readouterr().out
+
+    def test_selftest_before_subcommand(self, capsys, monkeypatch):
+        assert main(["--selftest", "compare"]) == 0
+        assert " 0 failed" in capsys.readouterr().out
+        seeds = []
+        monkeypatch.setattr(cli, "run_selftest",
+                            lambda seed: seeds.append(seed) or (10, 0))
+        assert main(["--selftest", "compare"]) == 0
+        assert main(["--seed", "9", "compare", "--selftest"]) == 0
+        assert main(["--selftest", "--seed", "9", "scaling", "--seed", "8"]) == 0
+        assert seeds == [1234, 9, 8]
+
+    def test_unwritable_out_is_reported(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["quantum-evolve", "--twice-j", "2", "--n-max", "3",
+                     "--out", str(blocker / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantum-evolve: ")
+        assert "Traceback" not in err
 
     def test_failure_names_command_size_and_step(self, tmp_path, monkeypatch, capsys):
         from drfsim import quantum_drf

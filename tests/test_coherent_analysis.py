@@ -144,6 +144,10 @@ class TestNnlsSolve:
         with pytest.raises(DomainError):
             nnls_solve(np.eye(3), np.array([0.5, 0.5, 0.5]))
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(DomainError, match="sum to 1"):
+            nnls_solve(np.eye(3), np.array([np.nan, 0.0, 0.0]))
+
     def test_iteration_cap_reports_best_iterate(self):
         grid = build_grid(SpinLabel(2), 12)
         target = np.full(3, 1.0 / 3.0)

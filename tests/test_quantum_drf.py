@@ -178,6 +178,22 @@ class TestFrameState:
         with pytest.raises(DomainError, match=pattern):
             build(SpinLabel(2))
 
+    @pytest.mark.parametrize("build,pattern", [
+        (lambda j: FrameState.from_populations(j, [np.nan] * 3),
+         r"population nan .*EIGENVALUE_FLOOR"),
+        (lambda j: FrameState.from_populations(j, [np.nan, 0.5, 0.5]),
+         r"population nan .*EIGENVALUE_FLOOR"),
+        (lambda j: FrameState.from_matrix(j, np.full((3, 3), np.nan)),
+         r"not Hermitian: .* = nan exceeds STRUCTURE_TOL"),
+        (lambda j: FrameState.from_matrix(j, np.diag([np.nan, 0.5, 0.5])),
+         r"not Hermitian: .* = nan exceeds STRUCTURE_TOL"),
+    ])
+    def test_nan_rejected(self, build, pattern):
+        # a NaN compares false with every bound, so each check is written to
+        # fail unless the value is within it
+        with pytest.raises(DomainError, match=pattern):
+            build(SpinLabel(2))
+
 
 class TestMultipoleSpectrum:
     @settings(max_examples=60, deadline=None)
