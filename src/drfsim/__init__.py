@@ -1,6 +1,6 @@
 """drfsim: degradation of a spin-j directional reference frame.
 
-A small numpy/scipy toolkit that iterates the exact measurement channel of a
+A small numpy toolkit that iterates the exact measurement channel of a
 spin-j frame used to measure maximally mixed qubits, evaluates the closed
 form of its fidelity decay, runs the matching semi-classical random walk on
 the sphere, and probes whether the evolved states remain mixtures of spin
@@ -13,6 +13,7 @@ from .angular_momentum import (
     SpinLabel,
     as_spin,
     cg_coefficient,
+    coherent_columns,
     coherent_populations,
     projector_element,
 )
@@ -66,6 +67,7 @@ __all__ = [
     # angular momentum
     "SpinLabel", "CouplingBranch", "CGCoefficient", "as_spin",
     "cg_coefficient", "projector_element", "coherent_populations",
+    "coherent_columns",
     # quantum frame
     "FrameState", "KrausSet", "MeasurementRecord", "FidelitySeries",
     "MultipoleSpectrum", "multipole_spectrum",

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from .errors import DomainError
 
@@ -36,6 +35,7 @@ __all__ = [
     "cg_coefficient",
     "projector_element",
     "coherent_populations",
+    "coherent_columns",
 ]
 
 
@@ -202,8 +202,8 @@ def coherent_populations(j, theta: float) -> np.ndarray:
 
         p_k = C(2j, k) [cos^2(theta/2)]^k [sin^2(theta/2)]^(2j - k),
 
-    with k = j + m.  The pmf is evaluated in log space from exact integer
-    binomials, so large 2j does not overflow.
+    with k = j + m.  This is the one column of :func:`coherent_columns` at
+    ``theta``.
 
     Parameters
     ----------
@@ -217,14 +217,34 @@ def coherent_populations(j, theta: float) -> np.ndarray:
     numpy.ndarray
         Length 2j+1 vector of non-negative populations summing to one.
     """
+    return coherent_columns(j, [theta])[:, 0]
+
+
+def coherent_columns(j, thetas) -> np.ndarray:
+    """Populations of the coherent states at each of ``thetas``, one per column.
+
+    Column i is :func:`coherent_populations` at ``thetas[i]``, shape
+    (2j+1, len(thetas)).  The pmf is evaluated in log space from exact
+    integer binomials, so large 2j does not overflow.  A pole, where
+    cos^2(theta/2) rounds to exactly 1 or 0, is one-hot at m = +j or m = -j;
+    only the other columns take logarithms, so no 0 log 0 is formed.
+    """
     j = as_spin(j)
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    thetas = np.asarray(thetas, dtype=float)
+    valid = (0.0 <= thetas) & (thetas <= math.pi)
+    if not np.all(valid):
+        raise DomainError(f"theta must lie in [0, pi], got {thetas[~valid][0]}")
     # Half-angle identity keeps the poles exact: cos^2(theta/2) = (1+cos)/2.
-    prob_up = (1.0 + math.cos(theta)) / 2.0
-    k = np.arange(j.dim)
-    log_terms = xlogy(k, prob_up) + xlog1py(j.twice_j - k, -prob_up)
-    return np.exp(_log_binomials(j.twice_j) + log_terms)
+    prob_up = (1.0 + np.cos(thetas)) / 2.0
+    interior = (prob_up > 0.0) & (prob_up < 1.0)
+    k = np.arange(j.dim)[:, None]
+    inner = prob_up[interior]
+    log_terms = k * np.log(inner) + (j.twice_j - k) * np.log1p(-inner)
+    columns = np.zeros((j.dim, len(thetas)))
+    columns[:, interior] = np.exp(_log_binomials(j.twice_j)[:, None] + log_terms)
+    columns[-1, prob_up == 1.0] = 1.0
+    columns[0, prob_up == 0.0] = 1.0
+    return columns
 
 
 @functools.lru_cache(maxsize=16)

@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .angular_momentum import SpinLabel, as_spin, coherent_populations
+from .angular_momentum import SpinLabel, as_spin, coherent_columns
 from .errors import ConvergenceError, DomainError
 from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import GRID_ORIGIN_TOL, KKT_TOL, NNLS_TARGET_SUM_TOL, STRUCTURE_TOL
@@ -43,15 +43,19 @@ class CoherentGrid:
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
         columns = np.asarray(self.columns, dtype=float)
-        if np.any(np.diff(thetas) <= 0):
-            raise DomainError("grid angles must be strictly increasing")
-        if abs(thetas[0]) > GRID_ORIGIN_TOL or abs(thetas[-1] - math.pi) > STRUCTURE_TOL:
-            raise DomainError("grid must include theta = 0 and theta = pi")
+        if not np.all(np.diff(thetas) > 0):
+            raise DomainError("grid angles thetas must be strictly increasing")
+        if not (abs(thetas[0]) <= GRID_ORIGIN_TOL
+                and abs(thetas[-1] - math.pi) <= STRUCTURE_TOL):
+            raise DomainError("grid angles thetas must include theta = 0 and theta = pi")
         if columns.shape != (self.j.dim, len(thetas)):
             raise DomainError("column block does not match grid size")
-        sums = columns.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > STRUCTURE_TOL:
-            raise DomainError("every column must sum to 1")
+        gap = np.max(np.abs(columns.sum(axis=0) - 1.0))
+        if not gap <= STRUCTURE_TOL:
+            raise DomainError(
+                f"every column of columns must sum to 1 (largest gap {gap!r}, "
+                f"STRUCTURE_TOL = {STRUCTURE_TOL:g})"
+            )
         thetas.setflags(write=False)
         columns.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
@@ -73,8 +77,7 @@ def build_grid(j, n_nodes: int) -> CoherentGrid:
             f"n_nodes={n_nodes} is too small for {j} (need at least {j.dim})"
         )
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
-    columns = np.column_stack([coherent_populations(j, t) for t in thetas])
-    return CoherentGrid(j, thetas, columns)
+    return CoherentGrid(j, thetas, coherent_columns(j, thetas))
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,10 @@ class DecompositionResult:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size and w.min() < 0:
-            raise DomainError("weights must be non-negative")
-        if self.residual < 0:
-            raise DomainError("residual must be non-negative")
+        if w.size and not w.min() >= 0:
+            raise DomainError(f"weights must be non-negative (smallest {w.min()!r})")
+        if not self.residual >= 0:
+            raise DomainError(f"residual must be non-negative, got {self.residual!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -126,6 +129,8 @@ def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
         )
+    if not np.all(np.isfinite(A)):
+        raise DomainError("matrix A must be finite (it holds nan or inf)")
     if not abs(b.sum() - 1.0) <= NNLS_TARGET_SUM_TOL:
         raise DomainError(f"target must sum to 1 (got {b.sum()!r})")
     n = A.shape[1]

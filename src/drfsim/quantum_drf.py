@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import xlog1py
+from numpy.random import default_rng  # loads numpy.random with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
 from .errors import DomainError, InternalConsistencyError
@@ -415,8 +415,8 @@ def closed_form_fidelity(j, n):
     """
     spectrum = multipole_spectrum(j)
     n_arr = np.asarray(n)
-    if np.any(n_arr < 0):
-        raise DomainError("step count must be non-negative")
+    if not np.all(n_arr >= 0):
+        raise DomainError(f"step count n must be non-negative, got {n!r}")
     decay = np.exp(n_arr * np.log1p(spectrum.averaged[1]))
     out = 0.5 + spectrum.amplitude * decay
     return out if np.ndim(n) else float(out)
@@ -692,7 +692,7 @@ def sample_trajectory(j, n_max: int, seed):
     j = as_spin(j)
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     kraus = build_kraus(j)
     state = FrameState.stretched(j)
     outcomes = np.empty(n_max, dtype=int)
@@ -715,8 +715,9 @@ def conditional_fidelity_table(j, n: int) -> np.ndarray:
 
         F_K = 1/2 + A (1 + x+_1)^K (1 + x-_1)^(n-K).
 
-    Powers go through log1p as in :func:`closed_form_fidelity`; at 2j = 1,
-    1 + x-_1 = 0 and xlog1py's 0 log 0 = 0 gives 0^0 = 1 for K = n.
+    Powers go through log1p as in :func:`closed_form_fidelity`.  At 2j = 1,
+    1 + x-_1 = 0, so F_K = 1/2 for K < n, and 0^0 = 1 leaves
+    F_n = 1/2 + A (1 + x+_1)^n.
     """
     return _count_fidelity(_record_spectrum(j, n), n, np.arange(n + 1))
 
@@ -728,9 +729,17 @@ def _record_spectrum(j, n: int) -> MultipoleSpectrum:
 
 
 def _count_fidelity(spectrum: MultipoleSpectrum, n: int, counts) -> np.ndarray:
-    """F_K of :func:`conditional_fidelity_table`, evaluated at ``counts`` only."""
-    decay = np.exp(xlog1py(counts, spectrum.plus[1])
-                   + xlog1py(n - counts, spectrum.minus[1]))
+    """F_K of :func:`conditional_fidelity_table`, evaluated at ``counts`` only.
+
+    (n - K) log(1 + x-_1) is formed only where K < n, and where
+    1 + x-_1 = 0 (2j = 1) its logarithm is set to -inf, not computed: so
+    0^0 = 1 at K = n and no floating-point warning is raised.
+    """
+    minus_rate = spectrum.minus[1]
+    minus_log = np.log1p(minus_rate) if minus_rate > -1.0 else -np.inf
+    minus_term = np.multiply(n - counts, minus_log, out=np.zeros(counts.shape),
+                             where=counts != n)
+    decay = np.exp(counts * np.log1p(spectrum.plus[1]) + minus_term)
     return 0.5 + spectrum.amplitude * decay
 
 
@@ -756,7 +765,7 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     spectrum = _record_spectrum(j, n_max)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     rows = max(1, _CHUNK_DRAWS // n_samples)
     draws = np.empty((min(rows, n_max), n_samples))
     plus_counts = np.zeros(n_samples, dtype=int)

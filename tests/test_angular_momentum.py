@@ -1,6 +1,7 @@
 """Coupling primitives against the dense J^2 eigendecomposition oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from drfsim import (
     DomainError,
     SpinLabel,
     cg_coefficient,
+    coherent_columns,
     coherent_populations,
     projector_element,
 )
@@ -174,6 +176,27 @@ class TestCoherentPopulations:
         expected[0] = 1.0
         assert np.array_equal(p, expected)
 
+    @pytest.mark.parametrize("twice_j", [1, 2, 2000])
+    def test_poles_are_exactly_one_hot_without_warnings(self, twice_j):
+        # m = +j at theta = 0 and m = -j at theta = pi; no 0 log 0 is formed
+        j = SpinLabel(twice_j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aligned = coherent_populations(j, 0.0)
+            antialigned = coherent_populations(j, math.pi)
+        assert aligned[-1] == 1.0 and not np.any(aligned[:-1])
+        assert antialigned[0] == 1.0 and not np.any(antialigned[1:])
+
+    @pytest.mark.parametrize("twice_j", [1, 6, 2000])
+    def test_columns_equal_single_angles(self, twice_j):
+        # the grid form is the single-angle form, bit for bit, poles included
+        j = SpinLabel(twice_j)
+        thetas = np.arccos(np.linspace(1.0, -1.0, 41))
+        columns = coherent_columns(j, thetas)
+        assert columns.shape == (j.dim, len(thetas))
+        for i, theta in enumerate(thetas):
+            assert np.array_equal(columns[:, i], coherent_populations(j, theta))
+
     def test_equator_half_spin(self):
         # explicit 2x2 rotation of the up state
         p = coherent_populations(SpinLabel(1), math.pi / 2.0)
@@ -200,6 +223,10 @@ class TestCoherentPopulations:
             coherent_populations(SpinLabel(2), -0.1)
         with pytest.raises(DomainError):
             coherent_populations(SpinLabel(2), math.pi + 0.1)
+        with pytest.raises(DomainError, match="theta"):
+            coherent_populations(SpinLabel(2), math.nan)
+        with pytest.raises(DomainError, match="theta"):
+            coherent_columns(SpinLabel(2), [0.0, math.nan, math.pi])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legval
 from scipy.special import eval_legendre
 
@@ -26,6 +28,7 @@ from drfsim import (
     walk_evolve,
 )
 from drfsim import classical_walk
+from drfsim.tolerances import STRUCTURE_TOL
 
 from brute_force import full_ring_average, legendre_coefficients_by_quadrature
 
@@ -146,6 +149,24 @@ class TestWalkEvolve:
         for alpha in (0.1, 0.5, 1.0, 2.5):
             walked = walk_evolve(spec, WalkParameters(alpha, 3))
             assert np.all(np.abs(walked.coeffs[1:]) <= np.abs(spec.coeffs[1:]) + 1e-15)
+
+    @pytest.mark.parametrize("twice_j", [1, 20, 1000])
+    def test_gains_equal_scipy_legendre_at_fitted_step(self, twice_j):
+        # one kick scales c_l by P_l(cos alpha), bit for bit as scipy evaluates it
+        spec = initial_spectrum(SpinLabel(twice_j))
+        alpha = fitted_step(SpinLabel(twice_j))
+        walked = walk_evolve(spec, WalkParameters(alpha, 1))
+        gains = eval_legendre(np.arange(spec.l_max + 1), math.cos(alpha))
+        assert np.array_equal(walked.coeffs[1:], spec.coeffs[1:] * gains[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=math.pi),
+           twice_j=st.integers(min_value=1, max_value=300))
+    def test_gains_match_scipy_legendre(self, alpha, twice_j):
+        spec = LegendreSpectrum(np.ones(4 * twice_j + 1))
+        walked = walk_evolve(spec, WalkParameters(alpha, 1))
+        gains = eval_legendre(np.arange(spec.l_max + 1), math.cos(alpha))
+        assert np.max(np.abs(walked.coeffs[1:] - gains[1:])) <= STRUCTURE_TOL
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

@@ -516,15 +516,22 @@ class TestCliSurface:
         assert sorted(built) == sorted(list(range(1, 21)) * 2)
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a second to import; the package needs none of it
+        # the package runs on numpy alone: no scipy module, scipy.stats and
+        # scipy.special included, is loaded by importing it or its CLI
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, drfsim.cli; print('scipy.stats' in sys.modules)"],
+             "import sys\n"
+             "def scipy_modules():\n"
+             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "import drfsim\n"
+             "print(scipy_modules())\n"
+             "import drfsim.cli\n"
+             "print(scipy_modules())\n"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"

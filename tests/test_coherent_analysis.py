@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drfsim import (
+    CoherentGrid,
     ConvergenceError,
+    DecompositionResult,
     DomainError,
     SpinLabel,
     build_grid,
@@ -42,6 +44,15 @@ class TestBuildGrid:
         grid = build_grid(SpinLabel(2), 9)
         assert grid.thetas[0] == 0.0
         assert grid.thetas[-1] == pytest.approx(math.pi, abs=1e-15)
+
+    def test_nan_columns_rejected(self):
+        with pytest.raises(DomainError, match="columns must sum to 1"):
+            CoherentGrid(SpinLabel(2), [0.0, 1.0, math.pi], np.full((3, 3), np.nan))
+
+    def test_nan_angles_rejected(self):
+        columns = build_grid(SpinLabel(2), 3).columns
+        with pytest.raises(DomainError, match="thetas"):
+            CoherentGrid(SpinLabel(2), [0.0, np.nan, math.pi], columns)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(DomainError):
@@ -147,6 +158,22 @@ class TestNnlsSolve:
     def test_nan_target_rejected(self):
         with pytest.raises(DomainError, match="sum to 1"):
             nnls_solve(np.eye(3), np.array([np.nan, 0.0, 0.0]))
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(DomainError, match="matrix A"):
+            nnls_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([0.5, 0.5]))
+
+    def test_infinite_matrix_rejected(self):
+        with pytest.raises(DomainError, match="matrix A"):
+            nnls_solve(np.array([[1.0, np.inf], [0.0, 1.0]]), np.array([0.5, 0.5]))
+
+    def test_nan_result_weights_rejected(self):
+        with pytest.raises(DomainError, match="weights"):
+            DecompositionResult(np.array([np.nan]), 0.0, 0.0)
+
+    def test_nan_result_residual_rejected(self):
+        with pytest.raises(DomainError, match="residual"):
+            DecompositionResult(np.array([1.0]), np.nan, 0.0)
 
     def test_iteration_cap_reports_best_iterate(self):
         grid = build_grid(SpinLabel(2), 12)

@@ -362,6 +362,12 @@ class TestClosedFormFidelity:
         with pytest.raises(DomainError):
             closed_form_fidelity(SpinLabel(2), -1)
 
+    def test_nan_step_rejected(self):
+        with pytest.raises(DomainError, match="step count n"):
+            closed_form_fidelity(SpinLabel(2), float("nan"))
+        with pytest.raises(DomainError, match="step count n"):
+            closed_form_fidelity(SpinLabel(2), np.array([0.0, np.nan]))
+
 
 class TestEvolve:
     def test_tracks_closed_form(self):
@@ -668,6 +674,18 @@ class TestRecordStatistics:
                     assert sum(unnorm) == prob
                     grown.append(([p / prob for p in unnorm], count + plus))
             frontier = grown
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_half_spin_minus_factor_is_exactly_zero_or_one(self, n):
+        # at 2j = 1, 1 + x-_1 = 0: (1 + x-_1)^(n - K) is 0 for K < n and
+        # 0^0 = 1 at K = n, so F_n carries the +1 factor alone
+        spectrum = multipole_spectrum(SpinLabel(1))
+        assert 1.0 + spectrum.minus[1] == 0.0
+        table = conditional_fidelity_table(SpinLabel(1), n)
+        plus_only = 0.5 + spectrum.amplitude * np.exp(n * np.log1p(spectrum.plus[1]))
+        assert table[n] == plus_only
+        assert np.all(table[:n] == 0.5)
+        assert abs(table[n] - exact_count_fidelity(1, n, n)) <= 2.2e-16
 
     def test_table_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
