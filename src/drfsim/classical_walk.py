@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .angular_momentum import as_spin
-from .errors import AccuracyError, DomainError, InternalConsistencyError
+from .errors import AccuracyError, DomainError, InternalConsistencyError, _check_count
 from .quantum_drf import FidelitySeries, multipole_spectrum
 from .tolerances import ORACLE_TOL, POSITIVITY_ALLOWANCE, STRUCTURE_TOL
 
@@ -104,8 +104,7 @@ class WalkParameters:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= math.pi:
             raise DomainError(f"alpha must lie in [0, pi], got {self.alpha}")
-        if self.n < 0:
-            raise DomainError(f"step count must be non-negative, got {self.n}")
+        _check_count("n", self.n)
 
 
 def initial_spectrum(j) -> LegendreSpectrum:
@@ -202,8 +201,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     before being returned.  Requires 2j >= 1.
     """
     j = as_spin(j)
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+    n_max = _check_count("n_max", n_max)
     WalkParameters(alpha, n_max)  # validates alpha
     c0, c1 = initial_spectrum(j).coeffs[:2]
     steps = np.arange(n_max + 1)
@@ -243,16 +241,17 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     processed in chunks by W workers, one per core the process may run on
     (``os.sched_getaffinity``) and at most one per chunk: the calling
     thread and W - 1 helper threads, since numpy releases the interpreter
-    lock inside each step.  An exception in any worker reaches the caller.  Worker w takes chunks w, w + W, ... and writes
-    only their rows of the result, in three buffers of its own (angles,
-    bracket indices, gathered values) reused for each of its chunks.  A
-    chunk holds about 2^16 / W ring points, so the W workers' buffers
-    together stay at about 2^16 points, in cache whatever the grid size.
-    Every row's arithmetic is the same whatever W is, so the result does
-    not depend on the number of cores.  Each ring's weighted
-    terms are summed pairwise (``np.add.reduce`` along the row), which
-    stays within an ulp or so of the exact mean even when the terms are
-    alike, as they are near theta = 0.
+    lock inside each step.  An exception in any worker reaches the caller.
+    Worker w takes chunks w, w + W, ... and writes only their rows of the
+    result, in three buffers of its own (angles, bracket indices, gathered
+    values) reused for each of its chunks.  A chunk holds about 2^16 / W
+    ring points, so the W workers' buffers together stay at about 2^16
+    points, in cache whatever the grid size.  Every row's arithmetic is the
+    same whatever W is, so the result does not depend on the number of
+    cores.  Each ring's weighted terms are summed pairwise
+    (``np.add.reduce`` along the row), which stays within an ulp or so of
+    the exact mean even when the terms are alike, as they are near
+    theta = 0.
 
     Parameters
     ----------
@@ -277,11 +276,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
         )
     if not (0.0 < alpha < math.pi):
         raise DomainError(f"alpha must lie strictly inside (0, pi), got {alpha}")
-    if not isinstance(n_psi, (int, np.integer)) or n_psi < 1:
-        raise DomainError(
-            f"classical_walk.ring_average: n_psi must be an integer >= 1, "
-            f"got {n_psi!r}"
-        )
+    n_psi = _check_count("classical_walk.ring_average: n_psi", n_psi, 1)
     step = math.pi / (n_grid - 1)
     offset = float(np.max(np.abs(thetas - np.arange(n_grid) * step)))
     if not offset <= STRUCTURE_TOL:

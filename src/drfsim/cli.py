@@ -1,30 +1,26 @@
 """Command-line front end: sweeps, comparison tables, and CSV/JSON artifacts.
 
-Commands
---------
-quantum-evolve   iterated channel fidelity vs the closed form
-classical-walk   random-walk fidelity vs its closed form
-compare          quantum and classical routes side by side
-trajectories     record-conditioned Monte-Carlo samples
-coherent-test    non-negative fit residual per step
-scaling          half-life of the fidelity decay per frame size
+Each command is one entry of :data:`COMMANDS`: its help line, CSV header,
+options and column builder.  ``--seed`` and ``--selftest`` may come before
+or after the command; ``--selftest`` runs the structural invariant suites
+with that seed instead.  Sweeps over several 2j values build and write one
+size after another, one CSV per 2j so every file keeps its fixed column
+schema (``scaling`` puts all its sizes in one table); a failure at a later
+size leaves the earlier CSVs written and writes no manifest.
 
-``--seed`` and ``--selftest`` may come before or after the command;
-``--selftest`` runs the structural invariant suites with that seed
-instead.  Sweeps over several 2j values build and write one size after
-another, one CSV per 2j so every file keeps its fixed column schema; a
-failure at a later size leaves the earlier CSVs written and writes no
-manifest.  Each
-command builds its table as columns of arrays; floats are written in
+Each command builds its table as columns of arrays; floats are written in
 scientific notation with 17 significant digits so they round-trip exactly,
 byte for byte as ``'%.16e'`` writes them.  The writer formats each chunk of
-rows in numpy: non-negative integers below 10**8 and floats that are +0.0
-or in [1e-99, 1e15) go through digit tables, the significand rounded from a
-double-double product with 10**k; a row with any other cell, or one whose
-rounding falls within ``CSV_TIE_MARGIN`` of a decimal tie, is formatted by
-``%`` with the row template, as are the list columns of ``scaling``.  The
-JSON manifest reports, per 2j, the seconds spent building the columns and
-writing the CSV, and the CSV's rows and bytes.
+rows in numpy as one ``(rows, width)`` byte matrix: a template row holds
+the ``.``, ``,`` and newline bytes, and each cell's digits and exponent are
+copied in from digit tables four bytes at a time.  Non-negative integers
+below 10**8 and floats that are +0.0 or in [1e-99, 1e15) take this route,
+the significand rounded from a double-double product with 10**k; a row
+with any other cell, or one whose rounding falls within ``CSV_TIE_MARGIN``
+of a decimal tie, is formatted by ``%`` with the row template, as are the
+list columns of ``scaling``.  The JSON manifest reports, per 2j, the
+seconds spent building the columns and writing the CSV, and the CSV's rows
+and bytes.
 
 ``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
 uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
@@ -34,16 +30,17 @@ uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -51,30 +48,12 @@ from . import __version__
 from .angular_momentum import SpinLabel
 from .classical_walk import classical_fidelity_series, fitted_step
 from .coherent_analysis import convexity_series
-from .errors import DomainError, DrfsimError, InternalConsistencyError
+from .errors import DomainError, DrfsimError, InternalConsistencyError, _check_count
 from .quantum_drf import evolve, multipole_spectrum, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
 from .tolerances import CSV_FAST_MIN, CSV_TIE_MARGIN
 
 __all__ = ["RunConfig", "run", "main", "half_life", "default_n_max", "HEADERS"]
-
-COMMANDS = (
-    "quantum-evolve",
-    "classical-walk",
-    "compare",
-    "trajectories",
-    "coherent-test",
-    "scaling",
-)
-
-HEADERS = {
-    "quantum-evolve": ["n", "F_Q_map", "F_Q_closed", "diff_map_closed"],
-    "classical-walk": ["n", "F_C", "F_C_closed", "diff"],
-    "compare": ["n", "F_Q_map", "F_Q_closed", "F_C", "diff_QC", "diff_map_closed"],
-    "trajectories": ["sample", "n_plus", "F_conditional"],
-    "coherent-test": ["n", "residual", "weight_sum_gap"],
-    "scaling": ["twice_j", "half_life", "ratio_to_half"],
-}
 
 
 def half_life(j) -> float:
@@ -94,7 +73,117 @@ def default_n_max(j) -> int:
     return math.ceil(5.0 * half_life(j))
 
 
-@dataclass
+# -- per-command column builders (pure functions of the config) ---------------
+
+
+def _n_max(config: RunConfig, j: SpinLabel) -> int:
+    return config.n_max if config.n_max is not None else default_n_max(j)
+
+
+def _series_columns(series):
+    diff = np.abs(series.fidelity - series.closed_form)
+    return [series.steps, series.fidelity, series.closed_form, diff]
+
+
+def _columns_quantum(config: RunConfig, j: SpinLabel):
+    return _series_columns(evolve(j, _n_max(config, j)))
+
+
+def _columns_classical(config: RunConfig, j: SpinLabel):
+    alpha = config.alpha if config.alpha is not None else fitted_step(j)
+    return _series_columns(classical_fidelity_series(j, alpha, _n_max(config, j)))
+
+
+def _columns_compare(config: RunConfig, j: SpinLabel):
+    n_max = _n_max(config, j)
+    alpha = config.alpha if config.alpha is not None else fitted_step(j)
+    quantum = evolve(j, n_max)
+    classical = classical_fidelity_series(j, alpha, n_max)
+    f_map, f_closed, f_c = quantum.fidelity, quantum.closed_form, classical.fidelity
+    return [quantum.steps, f_map, f_closed, f_c,
+            np.abs(f_c - f_map), np.abs(f_map - f_closed)]
+
+
+def _columns_trajectories(config: RunConfig, j: SpinLabel):
+    fidelities, plus_counts = sample_fidelity_batch(
+        j, _n_max(config, j), config.samples, [config.seed, j.twice_j])
+    return [np.arange(config.samples), plus_counts, fidelities]
+
+
+def _columns_coherent(config: RunConfig, j: SpinLabel):
+    n_max = config.n_max if config.n_max is not None else 8
+    n_nodes = config.n_nodes if config.n_nodes is not None else 8 * j.dim
+    results = convexity_series(j, n_max, n_nodes)
+    return [np.arange(n_max + 1),
+            np.array([r.residual for r in results]),
+            np.array([r.weight_sum_gap for r in results])]
+
+
+def _columns_scaling(config: RunConfig, *js: SpinLabel):
+    lives = {j.twice_j: half_life(j) for j in js}
+    ratios = [lives[j.twice_j] / lives[j.twice_j // 2]
+              if j.twice_j // 2 in lives and j.twice_j % 2 == 0 else None
+              for j in js]
+    return [[j.twice_j for j in js], [lives[j.twice_j] for j in js], ratios]
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """A command's help line, CSV header, :class:`RunConfig` fields besides
+    ``twice_j``, ``seed`` and ``out``, and ``build(config, *js)``, its CSV
+    columns for one 2j (for ``scaling``, for every 2j at once)."""
+
+    help: str
+    header: list[str]
+    options: tuple[str, ...]
+    build: Callable
+
+
+COMMANDS = {
+    "quantum-evolve": Command(
+        "iterate the measurement channel",
+        ["n", "F_Q_map", "F_Q_closed", "diff_map_closed"],
+        ("n_max",), _columns_quantum),
+    "classical-walk": Command(
+        "run the random walk on the sphere",
+        ["n", "F_C", "F_C_closed", "diff"],
+        ("n_max", "alpha"), _columns_classical),
+    "compare": Command(
+        "quantum vs classical fidelity table",
+        ["n", "F_Q_map", "F_Q_closed", "F_C", "diff_QC", "diff_map_closed"],
+        ("n_max", "alpha"), _columns_compare),
+    "trajectories": Command(
+        "sample record-conditioned trajectories",
+        ["sample", "n_plus", "F_conditional"],
+        ("n_max", "samples"), _columns_trajectories),
+    "coherent-test": Command(
+        "non-negative fit residual per step",
+        ["n", "residual", "weight_sum_gap"],
+        ("n_max", "n_nodes"), _columns_coherent),
+    "scaling": Command(
+        "half-life per frame size",
+        ["twice_j", "half_life", "ratio_to_half"],
+        (), _columns_scaling),
+}
+
+HEADERS = {name: command.header for name, command in COMMANDS.items()}
+
+# Integer settings: least value, and the bits of the range (--seed is a U64).
+_BOUNDS = {"twice_j": (1, None), "n_max": (0, None), "samples": (1, None),
+           "n_nodes": (1, None), "seed": (0, 64)}
+
+
+def _check_option(name: str, value) -> int:
+    """``value`` if it is an integer within the bounds of setting ``name``;
+    otherwise a :class:`DomainError` naming it (NaN included)."""
+    low, bits = _BOUNDS[name]
+    count = _check_count(name, value, low)
+    if bits is not None and not count < 2**bits:
+        raise DomainError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
+    return count
+
+
+@dataclasses.dataclass
 class RunConfig:
     """Resolved settings for one CLI invocation; the defaults of every option
     not given on the command line.  ``out`` defaults to ``<command>.csv``."""
@@ -111,89 +200,15 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not self.twice_j or min(self.twice_j) < 1:
-            raise DomainError("twice_j values must be integers >= 1")
-        if self.n_max is not None and self.n_max < 0:
-            raise DomainError("n_max must be non-negative")
-        if self.command == "trajectories" and self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        if not self.twice_j:
+            raise DomainError("twice_j must list at least one size")
+        for tj in self.twice_j:
+            _check_option("twice_j", tj)
+        for name in ("n_max", "seed", "samples", "n_nodes"):
+            if getattr(self, name) is not None:
+                _check_option(name, getattr(self, name))
         if self.out is None:
             self.out = Path(f"{self.command}.csv")
-
-
-# -- per-command row builders (pure functions of the config) -----------------
-
-
-def _resolve_n_max(config: RunConfig, j: SpinLabel) -> int:
-    if config.n_max is not None:
-        return config.n_max
-    if config.command == "coherent-test":
-        return 8
-    return default_n_max(j)
-
-
-def _series_columns(series):
-    diff = np.abs(series.fidelity - series.closed_form)
-    return [series.steps, series.fidelity, series.closed_form, diff]
-
-
-def _columns_quantum(config: RunConfig, j: SpinLabel):
-    return _series_columns(evolve(j, _resolve_n_max(config, j)))
-
-
-def _columns_classical(config: RunConfig, j: SpinLabel):
-    alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    return _series_columns(
-        classical_fidelity_series(j, alpha, _resolve_n_max(config, j))
-    )
-
-
-def _columns_compare(config: RunConfig, j: SpinLabel):
-    n_max = _resolve_n_max(config, j)
-    alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    quantum = evolve(j, n_max)
-    classical = classical_fidelity_series(j, alpha, n_max)
-    f_map, f_closed, f_c = quantum.fidelity, quantum.closed_form, classical.fidelity
-    return [quantum.steps, f_map, f_closed, f_c,
-            np.abs(f_c - f_map), np.abs(f_map - f_closed)]
-
-
-def _columns_trajectories(config: RunConfig, j: SpinLabel):
-    n_max = _resolve_n_max(config, j)
-    fidelities, plus_counts = sample_fidelity_batch(
-        j, n_max, config.samples, [config.seed, j.twice_j]
-    )
-    return [np.arange(config.samples), plus_counts, fidelities]
-
-
-def _columns_coherent(config: RunConfig, j: SpinLabel):
-    n_max = _resolve_n_max(config, j)
-    n_nodes = config.n_nodes if config.n_nodes is not None else 8 * j.dim
-    results = convexity_series(j, n_max, n_nodes)
-    return [np.arange(n_max + 1),
-            np.array([r.residual for r in results]),
-            np.array([r.weight_sum_gap for r in results])]
-
-
-COLUMN_BUILDERS = {
-    "quantum-evolve": _columns_quantum,
-    "classical-walk": _columns_classical,
-    "compare": _columns_compare,
-    "trajectories": _columns_trajectories,
-    "coherent-test": _columns_coherent,
-}
-
-
-def _scaling_columns(config: RunConfig):
-    js = sorted(config.twice_j)
-    lives = {tj: half_life(SpinLabel(tj)) for tj in js}
-    ratios = [
-        lives[tj] / lives[tj // 2] if tj // 2 in lives and tj % 2 == 0 else None
-        for tj in js
-    ]
-    return [js, [lives[tj] for tj in js], ratios]
 
 
 # -- formatting and output ----------------------------------------------------
@@ -209,11 +224,6 @@ _FLOAT_MAX = 1e15
 _INT_END = 10**8
 _SCALES = 118  # 10**k for k = 0 ... 117 covers 16 - floor(log10 x) over the domain
 _SPLIT = float(2**27 + 1)  # Veltkamp split of a double into two 26-bit halves
-_CELL_FIELDS = {  # kind -> (bytes, fields as (suffix, dtype, offset))
-    "i": (8, (("a", "<u4", 0), ("b", "<u4", 4))),
-    "f": (22, (("lead", "<u2", 0), ("a", "<u4", 2), ("b", "<u4", 6),
-               ("c", "<u4", 10), ("d", "<u4", 14), ("exp", "<u4", 18))),
-}
 
 
 def _veltkamp(a):
@@ -228,10 +238,10 @@ def _digit_tables():
 
     ``quad[v]`` is the four ASCII digits of v < 10**4 as one '<u4';
     ``tail[v]`` is the same with its leading zeros as NUL bytes (``tail[0]``
-    keeps one '0') and ``head`` is ``tail`` with ``head[0]`` all NUL.
-    ``lead[d]`` is 'd.' as '<u2'.  For k = 0 ... 117, ``expo[k]`` is 'e±dd'
-    of the decimal exponent 16 - k, and 10**k = ``hi[k]`` + ``lo[k]`` to about
-    2**-106 relative, with ``hi[k]`` split into halves for Dekker's product.
+    keeps one '0') and ``head`` is ``tail`` with ``head[0]`` all NUL.  For
+    k = 0 ... 117, ``expo[k]`` is 'e±dd' of the decimal exponent 16 - k, and
+    10**k = ``hi[k]`` + ``lo[k]`` to about 2**-106 relative, with ``hi[k]``
+    split into halves for Dekker's product.
     """
     digit = np.arange(48, 58, dtype=np.uint8)
     quad = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # quad[a, b, c, d] = "abcd"
@@ -243,25 +253,25 @@ def _digit_tables():
         tail[:end, place] = 0
     head = tail.copy()
     head[0] = 0
-    lead = np.array([[48 + d, ord(".")] for d in range(10)], dtype=np.uint8)
     expo = np.array([[ord("e"), ord("-" if e < 0 else "+"), 48 + abs(e) // 10 % 10,
                       48 + abs(e) % 10] for e in range(16, 16 - _SCALES, -1)],
                     dtype=np.uint8)
     hi = np.array([float(10**k) for k in range(_SCALES)])
     lo = np.array([float(10**k - int(h)) for k, h in enumerate(hi)])
     hi_h, hi_l = _veltkamp(hi)
-
-    def table(codes, dtype):
-        return codes.view(dtype).ravel()
-
-    return SimpleNamespace(quad=table(quad, "<u4"), tail=table(tail, "<u4"),
-                           head=table(head, "<u4"), lead=table(lead, "<u2"),
-                           expo=table(expo, "<u4"), hi=hi, hi_h=hi_h, hi_l=hi_l,
-                           lo=lo)
+    return SimpleNamespace(quad=quad.view("<u4").ravel(), tail=tail.view("<u4").ravel(),
+                           head=head.view("<u4").ravel(), expo=expo.view("<u4").ravel(),
+                           hi=hi, hi_h=hi_h, hi_l=hi_l, lo=lo)
 
 
-def _float_cells(buf, name, column):
-    """Write the 22 bytes of each float cell in the fast domain into ``buf``.
+def _put(matrix, at, codes):
+    """Copy one '<u4' of ``codes`` per row into bytes at ... at + 3 of ``matrix``."""
+    matrix[:, at:at + 4].view("<u4")[:, 0] = codes
+
+
+def _float_cells(matrix, at, column):
+    """Write the 22 bytes of each float cell in the fast domain into the
+    byte matrix, from column ``at`` on.
 
     The 17-digit significand is D = round(x 10**k), k = 16 - floor(log10 x),
     with x 10**k formed as a double-double: Dekker's exact product with
@@ -290,43 +300,29 @@ def _float_cells(buf, name, column):
     ok |= zero
     lead, body = np.divmod(digits, 10**16)
     upper, lower = np.divmod(body, 10**8)
-    buf[name + "lead"] = t.lead[lead]
-    for field, part in zip("abcd", (upper // 10**4, upper % 10**4,
-                                    lower // 10**4, lower % 10**4)):
-        buf[name + field] = t.quad[part]
-    buf[name + "exp"] = t.expo[k]
+    matrix[:, at] = 48 + lead  # the '.' after it is the template's
+    for place, part in zip(range(at + 2, at + 18, 4), (upper // 10**4, upper % 10**4,
+                                                         lower // 10**4, lower % 10**4)):
+        _put(matrix, place, t.quad[part])
+    _put(matrix, at + 18, t.expo[k])
     return ok
 
 
-def _int_cells(buf, name, column):
-    """Write each integer cell 0 <= v < 10**8 into ``buf``, right-aligned in
-    8 bytes after NUL pads; returns the mask of cells written."""
+def _int_cells(matrix, at, column):
+    """Write each integer cell 0 <= v < 10**8 into bytes ``at`` ... ``at`` + 7
+    of the byte matrix, right-aligned after NUL pads; returns the mask of
+    cells written."""
     t = _digit_tables()
     ok = (column >= 0) & (column < _INT_END)
     v = np.where(ok, column, 0)
     upper, lower = np.divmod(v, 10**4)
-    buf[name + "a"] = t.head[upper]
-    buf[name + "b"] = np.where(upper > 0, t.quad[lower], t.tail[lower])
+    _put(matrix, at, t.head[upper])
+    _put(matrix, at + 4, np.where(upper > 0, t.quad[lower], t.tail[lower]))
     return ok
 
 
-def _row_dtype(kinds):
-    """Row buffer: each cell, int (8 bytes) or float (22), then its separator."""
-    names, formats, offsets = [], [], []
-    offset = 0
-    for i, kind in enumerate(kinds):
-        size, fields = _CELL_FIELDS[kind]
-        for suffix, fmt, at in fields:
-            names.append(f"c{i}{suffix}")
-            formats.append(fmt)
-            offsets.append(offset + at)
-        offset += size
-        names.append(f"s{i}")
-        formats.append("u1")
-        offsets.append(offset)
-        offset += 1
-    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
-                     "itemsize": offset})
+# Kind of column -> template bytes of its cell, and the writer of its digits.
+_CELLS = {"i": (b"\0" * 8, _int_cells), "f": (b"0.0000000000000000e+00", _float_cells)}
 
 
 def _format_cell(value) -> str:
@@ -359,24 +355,26 @@ def _chunk_pieces(columns):
     """The bytes of one chunk of rows, in order.
 
     Rows whose cells all lie in the fast domain are formatted in numpy into
-    one row buffer and written with its NUL pads stripped.  Every other row,
-    and any chunk with a list column, goes through :func:`_template_rows`.
+    one byte matrix, a copy of the template row per row, and written with
+    its NUL pads stripped.  Every other row, and any chunk with a list
+    column, goes through :func:`_template_rows`.
     """
     if not all(isinstance(c, np.ndarray) for c in columns):
         yield _template_rows(columns)
         return
-    kinds = ["i" if c.dtype.kind in "iu" else "f" for c in columns]
+    cells = [_CELLS["i" if c.dtype.kind in "iu" else "f"] for c in columns]
+    template = np.frombuffer(b",".join(t for t, _ in cells) + b"\n", dtype=np.uint8)
     rows = len(columns[0])
-    buf = np.empty(rows, _row_dtype(kinds))
+    matrix = np.tile(template, (rows, 1))
     ok = np.ones(rows, dtype=bool)
-    for i, (kind, column) in enumerate(zip(kinds, columns)):
-        buf[f"s{i}"] = ord("\n") if i == len(columns) - 1 else ord(",")
-        cells = _int_cells if kind == "i" else _float_cells
-        ok &= cells(buf, f"c{i}", column)
+    at = 0
+    for (cell, write), column in zip(cells, columns):
+        ok &= write(matrix, at, column)
+        at += len(cell) + 1
     cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
     for start, stop in itertools.pairwise([0, *cuts.tolist(), rows]):
         if ok[start]:
-            raw = buf[start:stop].view(np.uint8)
+            raw = matrix[start:stop].ravel()
             yield raw[raw != 0].tobytes()
         else:
             yield _template_rows([c[start:stop] for c in columns])
@@ -402,15 +400,15 @@ def _check_schema(path: Path, header):
         )
 
 
-def _output_paths(config: RunConfig) -> dict[int, Path]:
-    """One CSV per swept 2j; a single value writes exactly to --out."""
-    out = config.out
-    if config.command == "scaling" or len(config.twice_j) == 1:
-        return {config.twice_j[0]: out}
-    return {
-        tj: out.with_name(f"{out.stem}-2j{tj}{out.suffix or '.csv'}")
-        for tj in config.twice_j
-    }
+def _tables(config: RunConfig) -> list[tuple[list[int], Path]]:
+    """The 2j values and CSV path of each table of the run, in the order
+    written: ``scaling`` or a single value writes one table exactly to
+    --out, a sweep one table per 2j at ``<out>-2j<K>.csv``."""
+    out, js = config.out, sorted(config.twice_j)
+    if config.command == "scaling" or len(js) == 1:
+        return [(js, out)]
+    return [([tj], out.with_name(f"{out.stem}-2j{tj}{out.suffix or '.csv'}"))
+            for tj in sorted(set(js))]
 
 
 def run(config: RunConfig) -> int:
@@ -421,13 +419,10 @@ def run(config: RunConfig) -> int:
     """
     started = time.perf_counter()
     try:
-        paths = _output_paths(config)
-        report = {}
-        for tj in sorted(paths):
-            key = (",".join(map(str, sorted(config.twice_j)))
-                   if config.command == "scaling" else str(tj))
-            report[key] = _run_size(config, tj, paths[tj])
-        _write_manifest(config, [paths[tj] for tj in sorted(paths)], report,
+        tables = _tables(config)
+        report = {",".join(map(str, js)): _run_size(config, js, path)
+                  for js, path in tables}
+        _write_manifest(config, [path for _, path in tables], report,
                         time.perf_counter() - started)
     except (DrfsimError, OSError) as exc:
         print(f"error: {config.command}: {exc}", file=sys.stderr)
@@ -435,15 +430,14 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _run_size(config: RunConfig, tj: int, path: Path) -> dict:
-    """Build one size's columns and write its CSV; returns its report entry.
+def _run_size(config: RunConfig, js: list[int], path: Path) -> dict:
+    """Build one table's columns and write its CSV; returns its report entry.
 
     The columns are dropped on return, so a sweep holds one size at a time.
     """
     header = HEADERS[config.command]
     tic = time.perf_counter()
-    columns = (_scaling_columns(config) if config.command == "scaling"
-               else COLUMN_BUILDERS[config.command](config, SpinLabel(tj)))
+    columns = COMMANDS[config.command].build(config, *map(SpinLabel, js))
     build_s = time.perf_counter() - tic
     tic = time.perf_counter()
     _write_csv(path, header, columns)
@@ -453,25 +447,13 @@ def _run_size(config: RunConfig, tj: int, path: Path) -> dict:
             "csv_bytes": path.stat().st_size}
 
 
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".manifest.json")
-
-
 def _write_manifest(config: RunConfig, outputs, report, wall_time):
     """JSON record of the run; ``report`` holds, per 2j (for ``scaling``,
     per list of 2j), the seconds spent building the columns and writing the
     CSV and the CSV's rows and bytes."""
     payload = {
         "command": config.command,
-        "config": {
-            "twice_j": config.twice_j,
-            "n_max": config.n_max,
-            "alpha": config.alpha,
-            "seed": config.seed,
-            "samples": config.samples,
-            "n_nodes": config.n_nodes,
-            "out": str(config.out),
-        },
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k != "command"},
         "library_version": __version__,
         "seed": config.seed,
         "wall_time_s": wall_time,
@@ -480,44 +462,47 @@ def _write_manifest(config: RunConfig, outputs, report, wall_time):
         "columns": HEADERS[config.command],
         "report": report,
     }
-    path = _manifest_path(config.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = config.out.with_name(config.out.stem + ".manifest.json")  # beside the CSVs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
 # -- argument parsing ----------------------------------------------------------
 
 
-def _parse_twice_j(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
-    if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError("twice-j values must be integers >= 1")
-    return values
+def _option_type(name: str):
+    """argparse type of an integer option, checked by :func:`_check_option`."""
 
-
-def _bounded_int(low, high=None, high_text=None):
-    """argparse type: an integer with low <= value (< high, shown as
-    ``high_text``)."""
-    bound = f">= {low}" if high is None else f"in [{low}, {high_text or high})"
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low or (high is not None and value >= high):
-            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {value}")
-        return value
+            return _check_option(name, int(text))
+        except ValueError as exc:  # int() or the bound: DomainError is a ValueError
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_SEED = _bounded_int(0, 2**64, "2**64")
+def _parse_twice_j(text: str) -> list[int]:
+    values = [_option_type("twice_j")(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
+    return values
+
+
+# Options of a command: RunConfig field -> (flag, argparse keywords).
+_OPTIONS = {
+    "twice_j": ("--twice-j", dict(metavar="INT[,INT...]", type=_parse_twice_j, help=(
+        "frame size(s) as 2j; a comma list sweeps several sizes"))),
+    "out": ("--out", dict(metavar="PATH", type=Path, help="CSV output path")),
+    "n_max": ("--n-max", dict(metavar="N", type=_option_type("n_max"),
+                              help="steps to simulate (default: 5 half-lives)")),
+    "alpha": ("--alpha", dict(metavar="RAD", type=float,
+                              help="walk step angle (default: fitted)")),
+    "samples": ("--samples", dict(metavar="N", type=_option_type("samples"))),
+    "n_nodes": ("--nodes", dict(metavar="N", type=_option_type("n_nodes"),
+                                help="coherent grid size (default: 8(2j+1))")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,50 +511,21 @@ def build_parser() -> argparse.ArgumentParser:
     a subcommand cannot overwrite an option given before it."""
     shared = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    shared.add_argument("--seed", type=_SEED, metavar="U64")
-    shared.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the structural invariant suites and exit",
-    )
+    shared.add_argument("--seed", type=_option_type("seed"), metavar="U64")
+    shared.add_argument("--selftest", action="store_true",
+                        help="run the structural invariant suites and exit")
     parser = argparse.ArgumentParser(
         prog="drfsim",
         description="Directional-reference-frame degradation simulator.",
         parents=[shared],
     )
-    common = argparse.ArgumentParser(add_help=False, parents=[shared],
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument(
-        "--twice-j",
-        type=_parse_twice_j,
-        metavar="INT[,INT...]",
-        help="frame size(s) as 2j; a comma list sweeps several sizes",
-    )
-    common.add_argument("--out", type=Path, metavar="PATH", help="CSV output path")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_text, *, n_max=True, alpha=False, samples=False,
-            nodes=False):
-        cmd = sub.add_parser(name, parents=[common], help=help_text,
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[shared], help=command.help,
                              argument_default=argparse.SUPPRESS)
-        if n_max:
-            cmd.add_argument("--n-max", type=_bounded_int(0), metavar="N",
-                             help="steps to simulate (default: 5 half-lives)")
-        if alpha:
-            cmd.add_argument("--alpha", type=float, metavar="RAD",
-                             help="walk step angle (default: fitted)")
-        if samples:
-            cmd.add_argument("--samples", type=_bounded_int(1), metavar="N")
-        if nodes:
-            cmd.add_argument("--nodes", dest="n_nodes", type=_bounded_int(1),
-                             metavar="N", help="coherent grid size (default: 8(2j+1))")
-
-    add("quantum-evolve", "iterate the measurement channel")
-    add("classical-walk", "run the random walk on the sphere", alpha=True)
-    add("compare", "quantum vs classical fidelity table", alpha=True)
-    add("trajectories", "sample record-conditioned trajectories", samples=True)
-    add("coherent-test", "non-negative fit residual per step", nodes=True)
-    add("scaling", "half-life per frame size", n_max=False)
+        for field in ("twice_j", "out", *command.options):
+            flag, keywords = _OPTIONS[field]
+            cmd.add_argument(flag, dest=field, **keywords)
     return parser
 
 

@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .angular_momentum import SpinLabel, as_spin, coherent_columns
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_count
 from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import GRID_ORIGIN_TOL, KKT_TOL, NNLS_TARGET_SUM_TOL, STRUCTURE_TOL
 
@@ -43,6 +43,9 @@ class CoherentGrid:
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
         columns = np.asarray(self.columns, dtype=float)
+        if thetas.ndim != 1 or thetas.size < 2:
+            raise DomainError(f"grid angles thetas must be a 1-d array of at least "
+                              f"2 angles, got shape {thetas.shape}")
         if not np.all(np.diff(thetas) > 0):
             raise DomainError("grid angles thetas must be strictly increasing")
         if not (abs(thetas[0]) <= GRID_ORIGIN_TOL
@@ -94,6 +97,9 @@ class DecompositionResult:
             raise DomainError(f"weights must be non-negative (smallest {w.min()!r})")
         if not self.residual >= 0:
             raise DomainError(f"residual must be non-negative, got {self.residual!r}")
+        if not self.weight_sum_gap >= 0:
+            raise DomainError(
+                f"weight_sum_gap must be non-negative, got {self.weight_sum_gap!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -179,8 +185,7 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     doubles signals genuine non-decomposability rather than grid error.
     """
     j = as_spin(j)
-    if n < 0:
-        raise DomainError("step count must be non-negative")
+    n = _check_count("n", n)
     state = next(islice(_evolved_populations(j), n, None))
     return _fit("convexity_test", j, n, build_grid(j, n_nodes), state)
 
@@ -192,8 +197,7 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     entry n equals ``convexity_test(j, n, n_nodes)``.
     """
     j = as_spin(j)
-    if n_max < 0:
-        raise DomainError("step count must be non-negative")
+    n_max = _check_count("n_max", n_max)
     grid = build_grid(j, n_nodes)
     return [_fit("convexity_series", j, n, grid, state)
             for n, state in enumerate(islice(_evolved_populations(j), n_max + 1))]

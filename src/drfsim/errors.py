@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its count-argument check."""
+
+import operator
 
 
 class DrfsimError(Exception):
@@ -26,3 +28,16 @@ class ConvergenceError(DrfsimError, RuntimeError):
 
 class InternalConsistencyError(DrfsimError, RuntimeError):
     """Two independent routes to the same quantity disagree beyond tolerance."""
+
+
+def _check_count(name: str, value, low: int = 0) -> int:
+    """``value`` as an int if it is an integer >= ``low``, else a
+    :class:`DomainError` naming ``name``: a float count (2.5, nan, inf) is
+    refused rather than failing later with a ``TypeError``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or not (low <= count):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count

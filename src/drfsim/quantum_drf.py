@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import default_rng  # loads numpy.random with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, _check_count
 from .tolerances import EIGENVALUE_FLOOR, ORACLE_TOL, STRUCTURE_TOL
 
 __all__ = [
@@ -551,8 +551,7 @@ def evolve(j, n_max: int) -> FidelitySeries:
     j = as_spin(j)
     if j.twice_j < 1:
         raise DomainError("evolve requires 2j >= 1")
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+    n_max = _check_count("n_max", n_max)
     rates = transfer_rates(j)
     q = j.twice_j + 1.0
     s = _block_length(n_max)
@@ -690,8 +689,7 @@ def sample_trajectory(j, n_max: int, seed):
     (MeasurementRecord, FrameState)
     """
     j = as_spin(j)
-    if n_max < 0:
-        raise DomainError("n_max must be non-negative")
+    n_max = _check_count("n_max", n_max)
     rng = default_rng(seed)
     kraus = build_kraus(j)
     state = FrameState.stretched(j)
@@ -719,13 +717,8 @@ def conditional_fidelity_table(j, n: int) -> np.ndarray:
     1 + x-_1 = 0, so F_K = 1/2 for K < n, and 0^0 = 1 leaves
     F_n = 1/2 + A (1 + x+_1)^n.
     """
-    return _count_fidelity(_record_spectrum(j, n), n, np.arange(n + 1))
-
-
-def _record_spectrum(j, n: int) -> MultipoleSpectrum:
-    if n < 0:
-        raise DomainError("step count must be non-negative")
-    return multipole_spectrum(j)
+    n = _check_count("n", n)
+    return _count_fidelity(multipole_spectrum(j), n, np.arange(n + 1))
 
 
 def _count_fidelity(spectrum: MultipoleSpectrum, n: int, counts) -> np.ndarray:
@@ -762,9 +755,9 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
         Measurement fidelity of each final conditional state, and the number
         of +1 outcomes in each record.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    spectrum = _record_spectrum(j, n_max)
+    n_samples = _check_count("n_samples", n_samples, 1)
+    n_max = _check_count("n_max", n_max)
+    spectrum = multipole_spectrum(j)
     rng = default_rng(seed)
     rows = max(1, _CHUNK_DRAWS // n_samples)
     draws = np.empty((min(rows, n_max), n_samples))

@@ -1,9 +1,12 @@
 """CSV contracts, reproducibility, exit codes, and the selftest flag."""
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +21,10 @@ from hypothesis import strategies as st
 from drfsim import SpinLabel, closed_form_fidelity
 from drfsim import cli
 from drfsim.cli import HEADERS, RunConfig, default_n_max, half_life, main
+from drfsim.errors import DomainError
 from drfsim.tolerances import CSV_FAST_MIN
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -157,14 +163,14 @@ class TestCsvWriter:
         rng = np.random.default_rng(11)
         x = np.concatenate([rng.random(4096), 10.0 ** rng.uniform(-99, 12, 4096),
                             [0.0, 1.0, CSV_FAST_MIN]])
-        buf = np.empty(len(x), cli._row_dtype("f"))
-        ok = cli._float_cells(buf, "c0", x)
+        buf = np.empty((len(x), 22), dtype=np.uint8)
+        ok = cli._float_cells(buf, 0, x)
         assert ok.mean() > 0.999
         assert ok[-3:].all()
         outside = np.array([-0.0, -1.0, math.nan, math.inf, cli._FLOAT_MAX,
                             math.nextafter(CSV_FAST_MIN, 0.0), 2.0**-25])
-        buf = np.empty(len(outside), cli._row_dtype("f"))
-        assert not cli._float_cells(buf, "c0", outside).any()
+        buf = np.empty((len(outside), 22), dtype=np.uint8)
+        assert not cli._float_cells(buf, 0, outside).any()
 
     def test_list_columns_keep_empty_cells(self, tmp_path):
         path = tmp_path / "scaling.csv"
@@ -175,7 +181,7 @@ class TestCsvWriter:
         assert path.read_text().splitlines()[1].endswith(",")
 
 
-@pytest.mark.parametrize("command", sorted(cli.COLUMN_BUILDERS))
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"scaling"}))
 @pytest.mark.parametrize("twice_j", [1, 2, 7])
 def test_command_writes_reference_csv(tmp_path, command, twice_j):
     out = tmp_path / "c.csv"
@@ -185,14 +191,16 @@ def test_command_writes_reference_csv(tmp_path, command, twice_j):
     assert main(argv) == 0
     config = RunConfig(command, [twice_j], n_max=None if command == "coherent-test"
                        else 300)
-    columns = cli.COLUMN_BUILDERS[command](config, SpinLabel(twice_j))
+    columns = cli.COMMANDS[command].build(config, SpinLabel(twice_j))
     assert out.read_bytes() == _reference_csv(HEADERS[command], columns)
 
 
 def test_scaling_writes_reference_csv(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["scaling", "--twice-j", "1,2,4,7,14", "--out", str(out)]) == 0
-    columns = cli._scaling_columns(RunConfig("scaling", [1, 2, 4, 7, 14]))
+    sizes = [1, 2, 4, 7, 14]
+    columns = cli.COMMANDS["scaling"].build(RunConfig("scaling", sizes),
+                                            *map(SpinLabel, sizes))
     assert out.read_bytes() == _reference_csv(HEADERS["scaling"], columns)
 
 
@@ -277,6 +285,14 @@ class TestCompareCommand:
             assert entry["csv_bytes"] == path.stat().st_size
             assert 0 <= entry["build_s"] <= manifest["wall_time_s"]
             assert 0 <= entry["csv_s"] <= manifest["wall_time_s"]
+
+    def test_repeated_size_is_written_once(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["quantum-evolve", "--twice-j", "4,2,4", "--n-max", "3",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "q.manifest.json").read_text())
+        assert manifest["outputs"] == [str(tmp_path / f"q-2j{tj}.csv") for tj in (2, 4)]
+        assert list(manifest["report"]) == ["2", "4"]
 
     def test_scaling_report_covers_its_sizes(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -417,10 +433,44 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_config_rejects_seed_outside_u64(self, seed):
-        from drfsim.errors import DomainError
-
         with pytest.raises(DomainError, match="seed"):
             RunConfig("trajectories", [2], seed=seed)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("field,value", [
+        ("n_max", math.nan), ("n_max", -1), ("n_max", 2.5), ("n_nodes", 0),
+        ("samples", 0), ("twice_j", []), ("twice_j", [2, 0]), ("twice_j", [2.5]),
+    ])
+    def test_config_rejects_settings_out_of_bounds(self, command, field, value):
+        # the bounds the parser applies hold for every command's RunConfig;
+        # n_max=nan used to pass and then fail in evolve with a TypeError
+        settings = {"twice_j": [2], field: value}
+        with pytest.raises(DomainError, match=rf"^{field} must"):
+            RunConfig(command, **settings)
+
+    def test_command_table_parser_and_readme_agree(self):
+        # one table states every command: its subcommand takes exactly the
+        # table's options, and README's "Commands:" line lists the same names
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        common = {"help", "twice_j", "out", "seed", "selftest"}
+        options = {name: {a.dest for a in parser._actions} - common
+                   for name, parser in subparsers.choices.items()}
+        assert options == {name: set(command.options)
+                           for name, command in cli.COMMANDS.items()}
+        assert list(HEADERS) == list(cli.COMMANDS)
+        line = re.search(r"^Commands: (.*?)\. Options", README.read_text(),
+                         re.MULTILINE | re.DOTALL).group(1)
+        assert re.findall(r"`([a-z-]+)`", line) == list(cli.COMMANDS)
+
+    def test_manifest_config_holds_every_setting(self, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["quantum-evolve", "--twice-j", "2", "--n-max", "3",
+                     "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "q.manifest.json").read_text())["config"]
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(config) == fields - {"command"}
+        assert config["out"] == str(out) and config["n_max"] == 3
 
     def test_selftest_is_not_a_config_field(self):
         assert "selftest" not in RunConfig.__dataclass_fields__

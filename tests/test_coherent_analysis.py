@@ -54,6 +54,12 @@ class TestBuildGrid:
         with pytest.raises(DomainError, match="thetas"):
             CoherentGrid(SpinLabel(2), [0.0, np.nan, math.pi], columns)
 
+    @pytest.mark.parametrize("thetas", [[], [0.0], [[0.0, math.pi]]])
+    def test_too_few_angles_rejected(self, thetas):
+        # the size is checked before thetas[0] is read
+        with pytest.raises(DomainError, match="thetas"):
+            CoherentGrid(SpinLabel(2), thetas, np.zeros((3, 0)))
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(DomainError):
             build_grid(SpinLabel(4), 4)
@@ -174,6 +180,11 @@ class TestNnlsSolve:
     def test_nan_result_residual_rejected(self):
         with pytest.raises(DomainError, match="residual"):
             DecompositionResult(np.array([1.0]), np.nan, 0.0)
+
+    @pytest.mark.parametrize("gap", [np.nan, -1e-3])
+    def test_bad_result_weight_sum_gap_rejected(self, gap):
+        with pytest.raises(DomainError, match="weight_sum_gap"):
+            DecompositionResult(np.array([1.0]), 0.0, gap)
 
     def test_iteration_cap_reports_best_iterate(self):
         grid = build_grid(SpinLabel(2), 12)

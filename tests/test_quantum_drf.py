@@ -18,8 +18,10 @@ from drfsim import (
     InternalConsistencyError,
     MeasurementRecord,
     SpinLabel,
+    WalkParameters,
     apply_map,
     build_kraus,
+    classical_fidelity_series,
     closed_form_fidelity,
     conditional_update,
     evolve,
@@ -723,3 +725,19 @@ class TestRecordAveraging:
             for _ in range(n):
                 mapped = apply_map(mapped, kraus)
             assert np.max(np.abs(averaged - mapped.populations)) < 1e-12
+
+
+@pytest.mark.parametrize("call,argument", [
+    (lambda: evolve(2, 2.5), "n_max"),
+    (lambda: evolve(2, float("nan")), "n_max"),
+    (lambda: sample_fidelity_batch(2, 3, 2.5, 1), "n_samples"),
+    (lambda: sample_trajectory(2, 2.5, 1), "n_max"),
+    (lambda: classical_fidelity_series(2, 0.1, 2.5), "n_max"),
+    (lambda: WalkParameters(0.1, float("nan")), "n"),
+], ids=["evolve-float", "evolve-nan", "batch-samples", "trajectory", "walk-series",
+        "walk-parameters"])
+def test_non_integer_count_is_a_domain_error(call, argument):
+    # a float count used to fail later with a TypeError, or (the walk series)
+    # to give a series of int(n_max) + 1 rows
+    with pytest.raises(DomainError, match=rf"^{argument} must be an integer >= \d"):
+        call()
