@@ -27,9 +27,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .angular_momentum import as_spin
-from .errors import AccuracyError, DomainError, InternalConsistencyError, _check_count
+from .errors import AccuracyError, DomainError, _check_count
 from .quantum_drf import FidelitySeries, multipole_spectrum
-from .tolerances import ORACLE_TOL, POSITIVITY_ALLOWANCE, STRUCTURE_TOL
+from .tolerances import require
 
 __all__ = [
     "LegendreSpectrum",
@@ -85,13 +85,9 @@ class LegendreSpectrum:
 
         The error names l_max, the grid size, the dip and the allowance.
         """
-        worst = self.min_reconstructed()
-        if not worst >= -POSITIVITY_ALLOWANCE:
-            raise InternalConsistencyError(
-                f"LegendreSpectrum: l_max={self.l_max}: reconstructed distribution "
-                f"dips to {worst:.3e} on {_RECONSTRUCTION_GRID} grid points, below "
-                f"-POSITIVITY_ALLOWANCE = {-POSITIVITY_ALLOWANCE:g}"
-            )
+        require(f"LegendreSpectrum: l_max={self.l_max}, {_RECONSTRUCTION_GRID} grid points",
+                "dip of the reconstructed distribution below 0",
+                -self.min_reconstructed(), "POSITIVITY_ALLOWANCE")
 
 
 @dataclass(frozen=True)
@@ -208,14 +204,11 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     gains = math.cos(alpha) ** steps
     fid = 0.5 * (c0 + c1 * gains / 3.0)
     closed = 0.5 + multipole_spectrum(j).amplitude * gains
-    series = FidelitySeries(j, steps, fid, closed)
-    if not series.max_abs_diff <= ORACLE_TOL:
-        raise InternalConsistencyError(
-            f"classical_walk.classical_fidelity_series: 2j={j.twice_j}: walk "
-            f"fidelity strays {series.max_abs_diff:.3e} from the closed form, "
-            f"beyond ORACLE_TOL = {ORACLE_TOL:g}"
-        )
-    return series
+    error = np.abs(fid - closed)
+    step = int(np.argmax(error))  # the first NaN, if there is one
+    require(f"classical_walk.classical_fidelity_series: 2j={j.twice_j}, step {step}",
+            "walk fidelity |F - F_closed|", error[step], "ORACLE_TOL")
+    return FidelitySeries(j, steps, fid, closed)
 
 
 def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
@@ -278,13 +271,10 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
         raise DomainError(f"alpha must lie strictly inside (0, pi), got {alpha}")
     n_psi = _check_count("classical_walk.ring_average: n_psi", n_psi, 1)
     step = math.pi / (n_grid - 1)
-    offset = float(np.max(np.abs(thetas - np.arange(n_grid) * step)))
-    if not offset <= STRUCTURE_TOL:
-        raise DomainError(
-            f"classical_walk.ring_average: theta grid strays {offset:.3e} from "
-            f"the uniform grid i*pi/{n_grid - 1}, beyond STRUCTURE_TOL = "
-            f"{STRUCTURE_TOL:g}"
-        )
+    require(f"classical_walk.ring_average: {n_grid} grid points",
+            "largest |theta_i - i pi/(N-1)|",
+            np.max(np.abs(thetas - np.arange(n_grid) * step)), "STRUCTURE_TOL",
+            DomainError)
 
     half = n_psi // 2
     cos_psi = np.cos(np.arange(half + 1) * (2.0 * math.pi / n_psi))

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import SpinLabel
-from .classical_walk import classical_fidelity_series, fitted_step
+from .classical_walk import WalkParameters, classical_fidelity_series, fitted_step
 from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, InternalConsistencyError, _check_count
 from .quantum_drf import evolve, multipole_spectrum, sample_fidelity_batch
@@ -173,9 +173,12 @@ _BOUNDS = {"twice_j": (1, None), "n_max": (0, None), "samples": (1, None),
            "n_nodes": (1, None), "seed": (0, 64)}
 
 
-def _check_option(name: str, value) -> int:
-    """``value`` if it is an integer within the bounds of setting ``name``;
-    otherwise a :class:`DomainError` naming it (NaN included)."""
+def _check_option(name: str, value):
+    """``value`` if it is within the bounds of setting ``name`` (an integer
+    of :data:`_BOUNDS`, or ``alpha`` in [0, pi] as :class:`WalkParameters`
+    requires); otherwise a :class:`DomainError` naming it (NaN included)."""
+    if name == "alpha":
+        return WalkParameters(value, 0).alpha
     low, bits = _BOUNDS[name]
     count = _check_count(name, value, low)
     if bits is not None and not count < 2**bits:
@@ -204,7 +207,7 @@ class RunConfig:
             raise DomainError("twice_j must list at least one size")
         for tj in self.twice_j:
             _check_option("twice_j", tj)
-        for name in ("n_max", "seed", "samples", "n_nodes"):
+        for name in ("n_max", "alpha", "seed", "samples", "n_nodes"):
             if getattr(self, name) is not None:
                 _check_option(name, getattr(self, name))
         if self.out is None:
@@ -471,13 +474,13 @@ def _write_manifest(config: RunConfig, outputs, report, wall_time):
 # -- argument parsing ----------------------------------------------------------
 
 
-def _option_type(name: str):
-    """argparse type of an integer option, checked by :func:`_check_option`."""
+def _option_type(name: str, cast: type = int):
+    """argparse type of an option, checked by :func:`_check_option`."""
 
     def parse(text: str):
         try:
-            return _check_option(name, int(text))
-        except ValueError as exc:  # int() or the bound: DomainError is a ValueError
+            return _check_option(name, cast(text))
+        except ValueError as exc:  # cast or the bound: DomainError is a ValueError
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
@@ -497,7 +500,7 @@ _OPTIONS = {
     "out": ("--out", dict(metavar="PATH", type=Path, help="CSV output path")),
     "n_max": ("--n-max", dict(metavar="N", type=_option_type("n_max"),
                               help="steps to simulate (default: 5 half-lives)")),
-    "alpha": ("--alpha", dict(metavar="RAD", type=float,
+    "alpha": ("--alpha", dict(metavar="RAD", type=_option_type("alpha", float),
                               help="walk step angle (default: fitted)")),
     "samples": ("--samples", dict(metavar="N", type=_option_type("samples"))),
     "n_nodes": ("--nodes", dict(metavar="N", type=_option_type("n_nodes"),

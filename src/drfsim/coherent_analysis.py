@@ -21,7 +21,7 @@ import numpy as np
 from .angular_momentum import SpinLabel, as_spin, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count
 from .quantum_drf import FrameState, flux_step, transfer_rates
-from .tolerances import GRID_ORIGIN_TOL, KKT_TOL, NNLS_TARGET_SUM_TOL, STRUCTURE_TOL
+from .tolerances import KKT_TOL, require
 
 __all__ = [
     "CoherentGrid",
@@ -48,17 +48,14 @@ class CoherentGrid:
                               f"2 angles, got shape {thetas.shape}")
         if not np.all(np.diff(thetas) > 0):
             raise DomainError("grid angles thetas must be strictly increasing")
-        if not (abs(thetas[0]) <= GRID_ORIGIN_TOL
-                and abs(thetas[-1] - math.pi) <= STRUCTURE_TOL):
-            raise DomainError("grid angles thetas must include theta = 0 and theta = pi")
+        where = f"CoherentGrid: 2j={self.j.twice_j}, {thetas.size} nodes"
+        require(where, "|thetas[0]|", abs(thetas[0]), "GRID_ORIGIN_TOL", DomainError)
+        require(where, "|thetas[-1] - pi|", abs(thetas[-1] - math.pi), "STRUCTURE_TOL",
+                DomainError)
         if columns.shape != (self.j.dim, len(thetas)):
             raise DomainError("column block does not match grid size")
-        gap = np.max(np.abs(columns.sum(axis=0) - 1.0))
-        if not gap <= STRUCTURE_TOL:
-            raise DomainError(
-                f"every column of columns must sum to 1 (largest gap {gap!r}, "
-                f"STRUCTURE_TOL = {STRUCTURE_TOL:g})"
-            )
+        require(where, "every column of columns must sum to 1; largest gap",
+                np.max(np.abs(columns.sum(axis=0) - 1.0)), "STRUCTURE_TOL", DomainError)
         thetas.setflags(write=False)
         columns.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
@@ -137,8 +134,9 @@ def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
         )
     if not np.all(np.isfinite(A)):
         raise DomainError("matrix A must be finite (it holds nan or inf)")
-    if not abs(b.sum() - 1.0) <= NNLS_TARGET_SUM_TOL:
-        raise DomainError(f"target must sum to 1 (got {b.sum()!r})")
+    require(f"coherent_analysis.nnls_solve: {A.shape[0]} x {A.shape[1]} matrix",
+            "target must sum to 1; its gap", abs(b.sum() - 1.0),
+            "NNLS_TARGET_SUM_TOL", DomainError)
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n

@@ -35,8 +35,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import default_rng  # loads numpy.random with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
-from .errors import DomainError, InternalConsistencyError, _check_count
-from .tolerances import EIGENVALUE_FLOOR, ORACLE_TOL, STRUCTURE_TOL
+from .errors import DomainError, _check_count
+from .tolerances import EIGENVALUE_FLOOR, ORACLE_TOL, STRUCTURE_TOL, require
 
 __all__ = [
     "Band",
@@ -175,12 +175,8 @@ def build_kraus(j) -> KrausSet:
                     ]
                 bands[(a, b, c)] = Band(offset, np.array(vals))
     kraus = KrausSet(j, bands)
-    defect = kraus.completeness_defect()
-    if defect > STRUCTURE_TOL:
-        raise InternalConsistencyError(
-            f"quantum_drf.build_kraus: 2j={j.twice_j}: trace preservation defect "
-            f"{defect:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}"
-        )
+    require(f"quantum_drf.build_kraus: 2j={j.twice_j}", "trace preservation defect",
+            kraus.completeness_defect(), "STRUCTURE_TOL")
     return kraus
 
 
@@ -291,21 +287,20 @@ class FrameState:
             if arr.shape != (d,):
                 raise DomainError(f"{where}: populations must have shape ({d},), "
                                   f"got {arr.shape}")
-            _require_above_floor(where, "population", arr.min())
-            _require_unit(where, "populations sum to", arr.sum())
+            require(where, "population", arr.min(), "EIGENVALUE_FLOOR", DomainError)
+            require(where, "|sum of populations - 1|", abs(arr.sum() - 1.0),
+                    "STRUCTURE_TOL", DomainError)
         else:
             arr = np.array(self.data, dtype=complex)
             if arr.shape != (d, d):
                 raise DomainError(f"{where}: matrix must have shape ({d}, {d}), "
                                   f"got {arr.shape}")
-            asymmetry = np.max(np.abs(arr - arr.conj().T))
-            if not asymmetry <= STRUCTURE_TOL:
-                raise DomainError(
-                    f"{where}: matrix is not Hermitian: max |rho - rho^dag| = "
-                    f"{asymmetry:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}"
-                )
-            _require_unit(where, "trace is", arr.trace().real)
-            _require_above_floor(where, "eigenvalue", np.linalg.eigvalsh(arr).min())
+            require(where, "Hermitian defect max |rho - rho^dag|",
+                    np.max(np.abs(arr - arr.conj().T)), "STRUCTURE_TOL", DomainError)
+            require(where, "|trace - 1|", abs(arr.trace().real - 1.0),
+                    "STRUCTURE_TOL", DomainError)
+            require(where, "eigenvalue", np.linalg.eigvalsh(arr).min(),
+                    "EIGENVALUE_FLOOR", DomainError)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -350,22 +345,6 @@ class FrameState:
 
     def to_dense(self) -> "FrameState":
         return FrameState(self.j, self.matrix, diagonal=False)
-
-
-def _require_above_floor(where: str, what: str, lowest: float):
-    if not lowest >= EIGENVALUE_FLOOR:
-        raise DomainError(
-            f"{where}: {what} {float(lowest)!r} is below "
-            f"EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:g}"
-        )
-
-
-def _require_unit(where: str, what: str, total: float):
-    if not abs(total - 1.0) <= STRUCTURE_TOL:
-        raise DomainError(
-            f"{where}: {what} {float(total)!r}, off 1 by {abs(total - 1.0):.3e}, "
-            f"beyond STRUCTURE_TOL = {STRUCTURE_TOL:g}"
-        )
 
 
 def _require_same_spin(state: FrameState, kraus: KrausSet):
@@ -448,23 +427,18 @@ class FidelitySeries:
         """Check range [1/2, 1] and monotone decay of the computed route.
 
         A failure names 2j, the first offending step, the value and
-        ``STRUCTURE_TOL``.
+        ``STRUCTURE_TOL``; a NaN fidelity fails.
         """
         f = self.fidelity
-        outside = (f < 0.5 - STRUCTURE_TOL) | (f > 1.0 + STRUCTURE_TOL)
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise InternalConsistencyError(
-                f"2j={self.j.twice_j}, step {self.steps[i]}: fidelity {float(f[i])!r} "
-                f"outside [1/2, 1] by more than STRUCTURE_TOL = {STRUCTURE_TOL:g}"
-            )
-        rises = np.diff(f) > STRUCTURE_TOL
-        if rises.any():
-            i = int(np.argmax(rises)) + 1
-            raise InternalConsistencyError(
-                f"2j={self.j.twice_j}, step {self.steps[i]}: fidelity rises by "
-                f"{f[i] - f[i - 1]:.3e}, more than STRUCTURE_TOL = {STRUCTURE_TOL:g}"
-            )
+        outside = np.maximum(0.5 - f, f - 1.0)  # NaN where f is NaN
+        rise = np.diff(f, prepend=f[:1])
+        for what, excess in (("distance of fidelity outside [1/2, 1]", outside),
+                             ("rise of fidelity over the step before", rise)):
+            within = excess <= STRUCTURE_TOL
+            if not within.all():
+                i = int(np.argmin(within))
+                require(f"FidelitySeries: 2j={self.j.twice_j}, step {self.steps[i]}",
+                        what, excess[i], "STRUCTURE_TOL")
 
 
 def _block_length(n_max: int) -> int:
@@ -592,22 +566,16 @@ def _check_steps(j: SpinLabel, s: int, lowest, totals, fidelity, closed) -> floa
     error = np.abs(fidelity - closed)
     ok = error <= ORACLE_TOL
     ok[::s] &= (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
-    if ok.all():
-        return float(drift.max())
-    step = int(np.argmin(ok))
-    i, offset = divmod(step, s)
-    if offset == 0 and not lowest[i] >= EIGENVALUE_FLOOR:
-        broken = (f"population {float(lowest[i])!r} is below "
-                  f"EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:g}")
-    elif offset == 0 and not drift[i] <= STRUCTURE_TOL:
-        broken = (f"populations sum to {float(totals[i])!r}; "
-                  f"|sum - 1| = {drift[i]:.3e} exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}")
-    else:
-        broken = (f"fidelity {float(fidelity[step])!r} strays {error[step]:.3e} "
-                  f"from the closed form, beyond ORACLE_TOL = {ORACLE_TOL:g}")
-    raise InternalConsistencyError(
-        f"quantum_drf.evolve: 2j={j.twice_j}, step {step}: {broken}"
-    )
+    if not ok.all():
+        step = int(np.argmin(ok))
+        i, offset = divmod(step, s)
+        where = f"quantum_drf.evolve: 2j={j.twice_j}, step {step}"
+        if offset == 0:
+            require(where, "population", lowest[i], "EIGENVALUE_FLOOR")
+            require(where, "|sum of populations - 1|", drift[i], "STRUCTURE_TOL")
+        require(where, f"fidelity {float(fidelity[step])!r}, |F - F_closed|",
+                error[step], "ORACLE_TOL")
+    return float(drift.max())
 
 
 @dataclass(frozen=True)
@@ -629,7 +597,7 @@ class MeasurementRecord:
             raise DomainError("outcomes and probabilities must have equal length")
         if out.size and not np.all(np.isin(out, OUTCOMES)):
             raise DomainError("outcomes must be +1 or -1")
-        if prob.size and (prob.min() < 0.0 or prob.max() > 1.0):
+        if not np.all((0.0 <= prob) & (prob <= 1.0)):
             raise DomainError("probabilities must lie in [0, 1]")
         out.setflags(write=False)
         prob.setflags(write=False)
@@ -656,25 +624,17 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
         unnorm[:-1] += up * p[1:]
         unnorm[1:] += down * p[:-1]
         prob = float(unnorm.sum())
-        _check_probability(state.j, outcome, prob)
-        return prob, FrameState.from_populations(state.j, unnorm / prob)
-    acc = np.zeros_like(state.data)
-    for (a, b, c), band in kraus.bands.items():
-        if c == outcome:
-            acc += band.sandwich(state.data)
-    acc /= 2.0
-    prob = float(acc.trace().real)
-    _check_probability(state.j, outcome, prob)
-    return prob, FrameState.from_matrix(state.j, acc / prob)
-
-
-def _check_probability(j: SpinLabel, outcome: int, prob: float):
-    if not -STRUCTURE_TOL <= prob <= 1.0 + STRUCTURE_TOL:
-        raise InternalConsistencyError(
-            f"quantum_drf.conditional_update: 2j={j.twice_j}: probability {prob!r} "
-            f"of outcome {outcome:+d} is outside [0, 1] by more than "
-            f"STRUCTURE_TOL = {STRUCTURE_TOL:g}"
-        )
+    else:
+        unnorm = np.zeros_like(state.data)
+        for (a, b, c), band in kraus.bands.items():
+            if c == outcome:
+                unnorm += band.sandwich(state.data)
+        unnorm /= 2.0
+        prob = float(unnorm.trace().real)
+    require(f"quantum_drf.conditional_update: 2j={state.j.twice_j}",
+            f"distance outside [0, 1] of the probability of outcome {outcome:+d}",
+            max(-prob, prob - 1.0), "STRUCTURE_TOL")
+    return prob, FrameState(state.j, unnorm / prob, state.diagonal)
 
 
 def sample_trajectory(j, n_max: int, seed):

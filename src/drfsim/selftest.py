@@ -2,7 +2,10 @@
 
 Every check uses a fixed seed so runs are reproducible; sizes cover
 2j = 1 ... 20.  The checks of one run share its Kraus sets, each built
-once.
+once.  A check fails by raising :class:`InternalConsistencyError`, through
+:func:`~drfsim.tolerances.require` wherever a tolerance is involved, so it
+fails under ``python -O`` too; its ``FAIL`` line names the 2j, the
+observed value and the tolerance.
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ from . import angular_momentum as am
 from . import classical_walk as cw
 from . import coherent_analysis as ca
 from . import quantum_drf as qd
-from .tolerances import (
-    EIGENVALUE_FLOOR,
-    NNLS_MIXTURE_TOL,
-    NNLS_RECOVERY_TOL,
-    ORACLE_TOL,
-    POSITIVITY_ALLOWANCE,
-    STRUCTURE_TOL,
-)
+from .errors import InternalConsistencyError
+from .tolerances import require
 
 DEFAULT_SEED = 1234
 _TWICE_J_RANGE = range(1, 21)
@@ -53,39 +50,37 @@ def _random_diagonal_state(rng, j):
 
 
 def _check_kraus_completeness(rng, kraus):
-    worst = max(
-        kraus[tj].completeness_defect() for tj in _TWICE_J_RANGE
-    )
-    assert worst <= STRUCTURE_TOL, f"completeness defect {worst:.3e}"
+    for tj in _TWICE_J_RANGE:
+        require(f"2j={tj}", "completeness defect", kraus[tj].completeness_defect(),
+                "STRUCTURE_TOL")
 
 
 def _check_trace_preservation(rng, kraus):
-    worst = 0.0
     for tj in _TWICE_J_RANGE:
         j = am.SpinLabel(tj)
         for state in (_random_dense_state(rng, j), _random_diagonal_state(rng, j)):
             mapped = qd.apply_map(state, kraus[tj])
-            worst = max(worst, abs(np.sum(mapped.populations) - 1.0))
-    assert worst <= STRUCTURE_TOL, f"trace drift {worst:.3e}"
+            require(f"2j={tj}", "trace drift", abs(np.sum(mapped.populations) - 1.0),
+                    "STRUCTURE_TOL")
 
 
 def _check_positivity(rng, kraus):
-    worst = 0.0
     for tj in _TWICE_J_RANGE:
         j = am.SpinLabel(tj)
         mapped = qd.apply_map(_random_dense_state(rng, j), kraus[tj])
-        worst = min(worst, float(np.linalg.eigvalsh(mapped.matrix).min()))
-    assert worst >= EIGENVALUE_FLOOR, f"negative eigenvalue {worst:.3e}"
+        require(f"2j={tj}", "smallest eigenvalue",
+                np.linalg.eigvalsh(mapped.matrix).min(), "EIGENVALUE_FLOOR")
 
 
 def _check_diagonal_closure(rng, kraus):
     for tj in (1, 5, 12, 20):
         j = am.SpinLabel(tj)
         mapped = qd.apply_map(_random_diagonal_state(rng, j), kraus[tj])
-        assert mapped.diagonal, "diagonal flag was lost"
         off = mapped.matrix.copy()
         np.fill_diagonal(off, 0.0)
-        assert np.all(off == 0.0), "off-diagonal entries appeared"
+        if not (mapped.diagonal and np.all(off == 0.0)):
+            raise InternalConsistencyError(
+                f"2j={tj}: a diagonal state mapped to a non-diagonal one")
 
 
 def _check_fixed_point(rng, kraus):
@@ -93,17 +88,19 @@ def _check_fixed_point(rng, kraus):
         j = am.SpinLabel(tj)
         mixed = qd.FrameState.maximally_mixed(j)
         mapped = qd.apply_map(mixed, kraus[tj])
-        drift = np.max(np.abs(mapped.populations - mixed.populations))
-        assert drift <= STRUCTURE_TOL, f"mixed state drifted by {drift:.3e}"
+        require(f"2j={tj}", "drift of the maximally mixed state",
+                np.max(np.abs(mapped.populations - mixed.populations)), "STRUCTURE_TOL")
 
 
 def _check_legendre_normalization(rng, kraus):
     for tj in _TWICE_J_RANGE:
         spec = cw.initial_spectrum(am.SpinLabel(tj))
-        assert spec.coeffs[0] == 1.0, "c_0 is not exactly 1"
         alpha = cw.fitted_step(am.SpinLabel(tj))
         walked = cw.walk_evolve(spec, cw.WalkParameters(alpha, int(rng.integers(1, 50))))
-        assert walked.coeffs[0] == 1.0, "walk broke normalisation"
+        if not spec.coeffs[0] == walked.coeffs[0] == 1.0:
+            raise InternalConsistencyError(
+                f"2j={tj}: c_0 is {spec.coeffs[0]!r} at the start and "
+                f"{walked.coeffs[0]!r} after the walk, not exactly 1")
 
 
 def _check_reconstruction_positivity(rng, kraus):
@@ -113,10 +110,8 @@ def _check_reconstruction_positivity(rng, kraus):
         alpha = cw.fitted_step(j)
         for n in (1, tj**2, 5 * tj**2):
             walked = cw.walk_evolve(spec, cw.WalkParameters(alpha, n))
-            worst = walked.min_reconstructed()
-            assert worst >= -POSITIVITY_ALLOWANCE, (
-                f"2j={tj}, n={n}: reconstruction dips to {worst:.3e}"
-            )
+            require(f"2j={tj}, n={n}", "dip of the reconstruction below 0",
+                    -walked.min_reconstructed(), "POSITIVITY_ALLOWANCE")
 
 
 def _check_coherent_populations(rng, kraus):
@@ -125,19 +120,17 @@ def _check_coherent_populations(rng, kraus):
         theta = float(rng.uniform(0.0, np.pi))
         j = am.SpinLabel(tj)
         p = am.coherent_populations(j, theta)
-        assert abs(p.sum() - 1.0) <= STRUCTURE_TOL, "populations do not sum to 1"
+        where = f"2j={tj}, theta={theta!r}"
+        require(where, "|sum of populations - 1|", abs(p.sum() - 1.0), "STRUCTURE_TOL")
         mirrored = am.coherent_populations(j, np.pi - theta)
-        assert np.max(np.abs(p - mirrored[::-1])) <= STRUCTURE_TOL, (
-            "theta -> pi - theta, m -> -m symmetry broken"
-        )
+        require(where, "asymmetry under theta -> pi - theta, m -> -m",
+                np.max(np.abs(p - mirrored[::-1])), "STRUCTURE_TOL")
 
 
 def _check_decay_law(rng, kraus):
     for tj in (1, 7, 20):
-        series = qd.evolve(am.SpinLabel(tj), 200)
-        assert series.max_abs_diff <= ORACLE_TOL, (
-            f"2j={tj}: map strays {series.max_abs_diff:.3e} from the closed form"
-        )
+        require(f"2j={tj}", "map's largest |F - F_closed|",
+                qd.evolve(am.SpinLabel(tj), 200).max_abs_diff, "ORACLE_TOL")
 
 
 def _check_nnls_recovery(rng, kraus):
@@ -150,10 +143,8 @@ def _check_nnls_recovery(rng, kraus):
         w_true[support] = rng.random(3) + 0.1
         b = a @ w_true
         result = ca.nnls_solve(a, b / b.sum())
-        assert result.residual <= NNLS_RECOVERY_TOL, (
-            f"recovery residual {result.residual:.3e} exceeds "
-            f"NNLS_RECOVERY_TOL = {NNLS_RECOVERY_TOL:g}"
-        )
+        require(f"{rows} x {2 * rows} random matrix", "recovery residual",
+                result.residual, "NNLS_RECOVERY_TOL")
     # collinear coherent columns: bounded by the KKT optimality gap
     for _ in range(5):
         tj = int(rng.integers(2, 11))
@@ -163,10 +154,8 @@ def _check_nnls_recovery(rng, kraus):
         w_true[support] = rng.random(3) + 0.1
         w_true /= w_true.sum()
         result = ca.nnls_solve(grid.columns, grid.columns @ w_true)
-        assert result.residual <= NNLS_MIXTURE_TOL, (
-            f"mixture residual {result.residual:.3e} exceeds "
-            f"NNLS_MIXTURE_TOL = {NNLS_MIXTURE_TOL:g}"
-        )
+        require(f"2j={tj}, {grid.n_nodes} nodes", "mixture residual",
+                result.residual, "NNLS_MIXTURE_TOL")
 
 
 CHECKS = [
@@ -192,7 +181,7 @@ def run_selftest(seed: int = DEFAULT_SEED, stream=None):
         rng = np.random.default_rng([seed, passed + failed])
         try:
             check(rng, kraus)
-        except AssertionError as exc:
+        except InternalConsistencyError as exc:
             failed += 1
             print(f"FAIL {name}: {exc}", file=stream)
         except Exception as exc:  # structural checks must not crash

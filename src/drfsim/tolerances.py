@@ -1,8 +1,12 @@
-"""Central table of numerical tolerances.
+"""Central table of numerical tolerances, and :func:`require`, the one check.
 
 Every cross-route comparison and structural check in the package pins its
-tolerance here rather than inventing one locally.
+tolerance here rather than inventing one locally, and compares against it
+through :func:`require`, so every failure reads the same way and names the
+tolerance it broke.
 """
+
+from .errors import InternalConsistencyError
 
 # Comparisons against closed forms or independent routes; sized for double
 # precision accumulated over ~1000 map steps.
@@ -53,3 +57,17 @@ CSV_TIE_MARGIN = 1e-12
 # 1e15 '%.16e' writes a two-digit exponent, so every such cell is 22 bytes;
 # below it the exponent has three digits ('e-100') and '%' writes the row.
 CSV_FAST_MIN = 1e-99
+
+
+def require(where: str, what: str, observed, name: str,
+            error: type = InternalConsistencyError):
+    """Raise ``error`` unless ``observed`` is within the tolerance ``name``:
+    at or above a ``*_FLOOR``, at or below any other, never NaN.  ``name`` is looked
+    up on every call; only a failure formats the message,
+    ``<where>: <what> <observed> exceeds|is below <NAME> = <value>``."""
+    bound = globals()[name]
+    floor = name.endswith("_FLOOR")
+    if (observed >= bound) if floor else (observed <= bound):
+        return
+    raise error(f"{where}: {what} {float(observed)!r} "
+                f"{'is below' if floor else 'exceeds'} {name} = {bound:g}")

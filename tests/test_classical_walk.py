@@ -75,9 +75,10 @@ class TestInitialSpectrum:
         # 1 + c_1 cos(theta) bottoms out at 1 - c_1 = -1.5e-6 at theta = pi
         spec = LegendreSpectrum([1.0, 1.0 + 1.5e-6])
         with pytest.raises(InternalConsistencyError,
-                           match=r"^LegendreSpectrum: l_max=1: reconstructed "
-                                 r"distribution dips to -1\.500e-06 on 4096 grid "
-                                 r"points, below -POSITIVITY_ALLOWANCE = -1e-06$"):
+                           match=r"^LegendreSpectrum: l_max=1, 4096 grid points: "
+                                 r"dip of the reconstructed distribution below 0 "
+                                 r"1\.4999999999876223e-06 exceeds "
+                                 r"POSITIVITY_ALLOWANCE = 1e-06$"):
             spec.require_positive()
         LegendreSpectrum([1.0, 1.0 + 9e-7]).require_positive()
 
@@ -319,7 +320,9 @@ class TestRingAverage:
     def test_moved_node_rejected(self):
         thetas = np.linspace(0.0, math.pi, 4096)
         thetas[1000] += 1e-9
-        with pytest.raises(DomainError, match=r"strays 1\.000e-09 .*STRUCTURE_TOL"):
+        with pytest.raises(DomainError, match=r"4096 grid points: largest \|theta_i - "
+                                              r"i pi/\(N-1\)\| 9\.999999717180685e-10 "
+                                              r"exceeds STRUCTURE_TOL"):
             ring_average(thetas, np.ones_like(thetas), 0.5)
 
     def test_non_uniform_grid_rejected(self):

@@ -431,6 +431,25 @@ class TestCliSurface:
         assert f"argument {option}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha,valid", [
+        (math.nan, False), (-0.5, False), (4.0, False), (0.0, True), (math.pi, True),
+    ])
+    def test_alpha_bounds_hold_for_parser_and_config(self, tmp_path, capsys, alpha,
+                                                     valid):
+        # --alpha nan used to pass both and exit 1 from WalkParameters
+        argv = ["compare", "--twice-j", "2", "--n-max", "3", "--alpha", repr(alpha),
+                "--out", str(tmp_path / "c.csv")]
+        if valid:
+            assert main(argv) == 0
+            assert RunConfig("compare", [2], alpha=alpha).alpha == alpha
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "argument --alpha: alpha must lie in [0, pi]" in capsys.readouterr().err
+        with pytest.raises(DomainError, match=r"^alpha must"):
+            RunConfig("compare", [2], alpha=alpha)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_config_rejects_seed_outside_u64(self, seed):
         with pytest.raises(DomainError, match="seed"):
@@ -564,6 +583,25 @@ class TestCliSurface:
         for _ in range(2):
             assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
         assert sorted(built) == sorted(list(range(1, 21)) * 2)
+
+    def test_selftest_failure_survives_optimised_mode(self):
+        # python -O strips assert statements; the checks must still fail
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from drfsim import angular_momentum as am, selftest\n"
+             "exact = am.coherent_populations\n"
+             "am.coherent_populations = lambda j, theta: 1.001 * exact(j, theta)\n"
+             "print(selftest.run_selftest())\n"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        failures = [line for line in lines if line.startswith("FAIL ")]
+        assert len(failures) == 1
+        assert failures[0].startswith("FAIL coherent population sums and symmetry: 2j=")
+        assert "STRUCTURE_TOL = 1e-12" in failures[0]
+        assert lines[-1] == "(9, 1)"
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # the package runs on numpy alone: no scipy module, scipy.stats and

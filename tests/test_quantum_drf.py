@@ -101,6 +101,15 @@ class TestBuildKraus:
                            match=r"build_kraus: 2j=5: .*STRUCTURE_TOL"):
             build_kraus(SpinLabel(5))
 
+    def test_nan_completeness_defect_rejected(self, monkeypatch):
+        # a NaN defect compares false with the tolerance, so the check must
+        # be written to fail unless the defect is within it
+        monkeypatch.setattr(quantum_drf, "projector_element", lambda *args: np.nan)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^quantum_drf\.build_kraus: 2j=5: trace preservation "
+                                 r"defect nan exceeds STRUCTURE_TOL = 1e-12$"):
+            build_kraus(SpinLabel(5))
+
 
 class TestTransferRates:
     @pytest.mark.parametrize("twice_j", range(1, 41))
@@ -165,14 +174,14 @@ class TestFrameState:
          r"^FrameState: 2j=2: population -1\.2e-09 is below "
          r"EIGENVALUE_FLOOR = -1e-10$"),
         (lambda j: FrameState.from_populations(j, [0.5, 0.5, 1e-11]),
-         r"^FrameState: 2j=2: populations sum to 1\.00000000001, off 1 by "
-         r"1\.000e-11, beyond STRUCTURE_TOL = 1e-12$"),
+         r"^FrameState: 2j=2: \|sum of populations - 1\| 1\.000000082740371e-11 "
+         r"exceeds STRUCTURE_TOL = 1e-12$"),
         (lambda j: FrameState.from_matrix(j, [[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]]),
-         r"^FrameState: 2j=2: matrix is not Hermitian: max \|rho - rho\^dag\| = "
-         r"3\.000e-01 exceeds STRUCTURE_TOL = 1e-12$"),
+         r"^FrameState: 2j=2: Hermitian defect max \|rho - rho\^dag\| 0\.3 "
+         r"exceeds STRUCTURE_TOL = 1e-12$"),
         (lambda j: FrameState.from_matrix(j, np.diag([0.7, 0.5, 0.0])),
-         r"^FrameState: 2j=2: trace is 1\.2, off 1 by 2\.000e-01, "
-         r"beyond STRUCTURE_TOL = 1e-12$"),
+         r"^FrameState: 2j=2: \|trace - 1\| 0\.19999999999999996 "
+         r"exceeds STRUCTURE_TOL = 1e-12$"),
         (lambda j: FrameState.from_matrix(j, np.diag([1.5, -0.5, 0.0])),
          r"^FrameState: 2j=2: eigenvalue -0\.5 is below EIGENVALUE_FLOOR = -1e-10$"),
     ])
@@ -186,9 +195,9 @@ class TestFrameState:
         (lambda j: FrameState.from_populations(j, [np.nan, 0.5, 0.5]),
          r"population nan .*EIGENVALUE_FLOOR"),
         (lambda j: FrameState.from_matrix(j, np.full((3, 3), np.nan)),
-         r"not Hermitian: .* = nan exceeds STRUCTURE_TOL"),
+         r"Hermitian defect max \|rho - rho\^dag\| nan exceeds STRUCTURE_TOL"),
         (lambda j: FrameState.from_matrix(j, np.diag([np.nan, 0.5, 0.5])),
-         r"not Hermitian: .* = nan exceeds STRUCTURE_TOL"),
+         r"Hermitian defect max \|rho - rho\^dag\| nan exceeds STRUCTURE_TOL"),
     ])
     def test_nan_rejected(self, build, pattern):
         # a NaN compares false with every bound, so each check is written to
@@ -461,6 +470,15 @@ class TestEvolve:
         with pytest.raises(InternalConsistencyError, match=pattern):
             series.require_valid()
 
+    def test_series_validation_rejects_nan(self):
+        fidelity = np.array([0.9, np.nan, 0.8])
+        series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(3), fidelity,
+                                            fidelity)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^FidelitySeries: 2j=4, step 1: .* nan exceeds "
+                                 r"STRUCTURE_TOL = 1e-12$"):
+            series.require_valid()
+
 
 @functools.lru_cache(maxsize=None)
 def _loop_reference(twice_j):
@@ -623,6 +641,8 @@ class TestTrajectories:
             MeasurementRecord(np.array([2]), np.array([0.5]))
         with pytest.raises(DomainError):
             MeasurementRecord(np.array([1]), np.array([1.5]))
+        with pytest.raises(DomainError):
+            MeasurementRecord(np.array([1, -1]), np.array([np.nan, 0.5]))
 
     @pytest.mark.parametrize("twice_j", [1, 2, 4, 13, 40])
     def test_batch_of_one_reproduces_single_trajectory(self, twice_j):
