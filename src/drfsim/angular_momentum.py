@@ -224,26 +224,40 @@ def coherent_columns(j, thetas) -> np.ndarray:
     """Populations of the coherent states at each of ``thetas``, one per column.
 
     Column i is :func:`coherent_populations` at ``thetas[i]``, shape
-    (2j+1, len(thetas)).  The pmf is evaluated in log space from exact
-    integer binomials, so large 2j does not overflow.  A pole, where
-    cos^2(theta/2) rounds to exactly 1 or 0, is one-hot at m = +j or m = -j;
-    only the other columns take logarithms, so no 0 log 0 is formed.
+    (2j+1, len(thetas)); ``thetas`` must be 1-d.  The pmf is evaluated in
+    log space from exact integer binomials, so large 2j does not overflow.
+    The log-pmf k log c^2 + (2j - k) log(1 - c^2) + log C(2j, k),
+    c^2 = cos^2(theta/2), is built in the returned array itself, a row at a
+    time for the second term, and exponentiated there, so no other array of
+    its size is formed.  A pole, where c^2 rounds to exactly 1 or 0, takes
+    c^2 = 1/2 inside the logarithms (so no log 0 is formed) and is then set
+    one-hot at m = +j or m = -j.
     """
     j = as_spin(j)
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise DomainError(f"thetas must be a 1-d array of angles, got shape {thetas.shape}")
     valid = (0.0 <= thetas) & (thetas <= math.pi)
     if not np.all(valid):
         raise DomainError(f"theta must lie in [0, pi], got {thetas[~valid][0]}")
     # Half-angle identity keeps the poles exact: cos^2(theta/2) = (1+cos)/2.
-    prob_up = (1.0 + np.cos(thetas)) / 2.0
-    interior = (prob_up > 0.0) & (prob_up < 1.0)
-    k = np.arange(j.dim)[:, None]
-    inner = prob_up[interior]
-    log_terms = k * np.log(inner) + (j.twice_j - k) * np.log1p(-inner)
-    columns = np.zeros((j.dim, len(thetas)))
-    columns[:, interior] = np.exp(_log_binomials(j.twice_j)[:, None] + log_terms)
-    columns[-1, prob_up == 1.0] = 1.0
-    columns[0, prob_up == 0.0] = 1.0
+    prob_up = np.cos(thetas)
+    prob_up += 1.0
+    prob_up /= 2.0
+    north, south = prob_up == 1.0, prob_up == 0.0
+    poles = north | south
+    prob_up[poles] = 0.5
+    log_down = np.log1p(-prob_up)
+    columns = np.multiply.outer(np.arange(j.dim), np.log(prob_up))
+    row = prob_up  # no longer needed: reused for (2j - k) log(1 - c^2)
+    for k in range(j.dim):
+        np.multiply(log_down, j.twice_j - k, out=row)
+        columns[k] += row
+    columns += _log_binomials(j.twice_j)[:, None]
+    np.exp(columns, out=columns)
+    columns[:, poles] = 0.0
+    columns[-1, north] = 1.0
+    columns[0, south] = 1.0
     return columns
 
 

@@ -200,15 +200,22 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     n_max = _check_count("n_max", n_max)
     WalkParameters(alpha, n_max)  # validates alpha
     c0, c1 = initial_spectrum(j).coeffs[:2]
-    steps = np.arange(n_max + 1)
-    gains = math.cos(alpha) ** steps
-    fid = 0.5 * (c0 + c1 * gains / 3.0)
-    closed = 0.5 + multipole_spectrum(j).amplitude * gains
-    error = np.abs(fid - closed)
+    gains = np.arange(n_max + 1, dtype=float)
+    np.power(math.cos(alpha), gains, out=gains)  # cos(alpha)^n
+    fid = np.multiply(gains, c1)  # 0.5 (c0 + c1 gains / 3), in place
+    fid /= 3.0
+    fid += c0
+    fid *= 0.5
+    closed = gains  # 1/2 + A gains, over the gains
+    closed *= multipole_spectrum(j).amplitude
+    closed += 0.5
+    error = np.subtract(fid, closed)
+    np.abs(error, out=error)
     step = int(np.argmax(error))  # the first NaN, if there is one
     require(f"classical_walk.classical_fidelity_series: 2j={j.twice_j}, step {step}",
             "walk fidelity |F - F_closed|", error[step], "ORACLE_TOL")
-    return FidelitySeries(j, steps, fid, closed)
+    del error  # freed before the step array is made
+    return FidelitySeries(j, np.arange(n_max + 1), fid, closed)
 
 
 def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,

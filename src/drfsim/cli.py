@@ -80,9 +80,15 @@ def _n_max(config: RunConfig, j: SpinLabel) -> int:
     return config.n_max if config.n_max is not None else default_n_max(j)
 
 
+def _abs_diff(a, b):
+    """|a - b| in one new array."""
+    diff = np.subtract(a, b)
+    return np.abs(diff, out=diff)
+
+
 def _series_columns(series):
-    diff = np.abs(series.fidelity - series.closed_form)
-    return [series.steps, series.fidelity, series.closed_form, diff]
+    return [series.steps, series.fidelity, series.closed_form,
+            _abs_diff(series.fidelity, series.closed_form)]
 
 
 def _columns_quantum(config: RunConfig, j: SpinLabel):
@@ -98,10 +104,10 @@ def _columns_compare(config: RunConfig, j: SpinLabel):
     n_max = _n_max(config, j)
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
     quantum = evolve(j, n_max)
-    classical = classical_fidelity_series(j, alpha, n_max)
-    f_map, f_closed, f_c = quantum.fidelity, quantum.closed_form, classical.fidelity
+    f_c = classical_fidelity_series(j, alpha, n_max).fidelity  # its other arrays are freed
+    f_map, f_closed = quantum.fidelity, quantum.closed_form
     return [quantum.steps, f_map, f_closed, f_c,
-            np.abs(f_c - f_map), np.abs(f_map - f_closed)]
+            _abs_diff(f_c, f_map), _abs_diff(f_map, f_closed)]
 
 
 def _columns_trajectories(config: RunConfig, j: SpinLabel):

@@ -69,13 +69,15 @@ class CoherentGrid:
 def build_grid(j, n_nodes: int) -> CoherentGrid:
     """Place nodes uniformly in cos(theta), endpoints included.
 
-    Requires at least as many candidates as population entries (2j + 1).
+    Requires an integer count of at least as many candidates as population
+    entries (2j + 1).
     """
     j = as_spin(j)
-    if n_nodes < j.dim:
+    if isinstance(n_nodes, (int, np.integer)) and n_nodes < j.dim:
         raise DomainError(
             f"n_nodes={n_nodes} is too small for {j} (need at least {j.dim})"
         )
+    n_nodes = _check_count("n_nodes", n_nodes, j.dim)  # a float count included
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
     return CoherentGrid(j, thetas, coherent_columns(j, thetas))
 

@@ -396,8 +396,10 @@ def closed_form_fidelity(j, n):
     n_arr = np.asarray(n)
     if not np.all(n_arr >= 0):
         raise DomainError(f"step count n must be non-negative, got {n!r}")
-    decay = np.exp(n_arr * np.log1p(spectrum.averaged[1]))
-    out = 0.5 + spectrum.amplitude * decay
+    out = np.multiply(n_arr, np.log1p(spectrum.averaged[1]), out=np.empty(n_arr.shape))
+    np.exp(out, out=out)
+    out *= spectrum.amplitude
+    out += 0.5
     return out if np.ndim(n) else float(out)
 
 
@@ -427,9 +429,20 @@ class FidelitySeries:
         """Check range [1/2, 1] and monotone decay of the computed route.
 
         A failure names 2j, the first offending step, the value and
-        ``STRUCTURE_TOL``; a NaN fidelity fails.
+        ``STRUCTURE_TOL``; a NaN fidelity fails.  The checks are decided
+        from extremes: of the fidelity, since 0.5 - f and f - 1 are monotone
+        in f, and of its rises, taken into odd steps and then into even
+        steps in one buffer of half the series.  Only a failure scans every
+        step to find the first that fails.
         """
         f = self.fidelity
+        outside = max(0.5 - f.min(initial=0.5), f.max(initial=1.0) - 1.0)  # NaN if any f is
+        rises = np.subtract(f[1::2], f[:-1:2])  # into odd steps
+        largest_rise = rises.max(initial=0.0)
+        into_even = np.subtract(f[2::2], f[1:-1:2], out=rises[: (len(f) - 1) // 2])
+        largest_rise = max(largest_rise, into_even.max(initial=0.0))
+        if outside <= STRUCTURE_TOL and largest_rise <= STRUCTURE_TOL:
+            return
         outside = np.maximum(0.5 - f, f - 1.0)  # NaN where f is NaN
         rise = np.diff(f, prepend=f[:1])
         for what, excess in (("distance of fidelity outside [1/2, 1]", outside),
@@ -526,8 +539,20 @@ def evolve(j, n_max: int) -> FidelitySeries:
     if j.twice_j < 1:
         raise DomainError("evolve requires 2j >= 1")
     n_max = _check_count("n_max", n_max)
+    closed = closed_form_fidelity(j, np.arange(n_max + 1))
+    fmap, drift = _map_fidelity(j, n_max, closed)
+    # the step array is made once the iteration's working arrays are freed
+    series = FidelitySeries(j, np.arange(n_max + 1), fmap, closed, trace_drift=drift)
+    series.require_valid()
+    return series
+
+
+def _map_fidelity(j: SpinLabel, n_max: int, closed: np.ndarray):
+    """The blocked iteration of :func:`evolve`: the fidelity of steps
+    0 ... n_max, checked by :func:`_check_steps` against ``closed``, and the
+    largest drift of a held total from 1.  The kernel, the adjoint rows and
+    the held-state records are freed on return."""
     rates = transfer_rates(j)
-    q = j.twice_j + 1.0
     s = _block_length(n_max)
     kernel = _jump_kernel(rates, s)
     adjoint = _adjoint_rows(j.twice_m_values / 2.0, rates, s)
@@ -535,24 +560,20 @@ def evolve(j, n_max: int) -> FidelitySeries:
     state = padded[s - 1 : s - 1 + j.dim]
     state[-1] = 1.0
     windows = sliding_window_view(padded, 2 * s)
-    moment = np.empty(n_max + 1)
+    fidelity = np.empty(n_max + 1)
     held = range(0, n_max + 1, s)
     lowest = np.empty(len(held))
     totals = np.empty(len(held))
     for i, start in enumerate(held):
         stop = min(start + s, n_max + 1)
-        np.dot(adjoint[: stop - start], state, out=moment[start:stop])
+        np.dot(adjoint[: stop - start], state, out=fidelity[start:stop])
         lowest[i] = state.min()
         totals[i] = state.sum()
         if stop <= n_max:
             _jump(kernel, windows, state)
-    steps = np.arange(n_max + 1)
-    closed = closed_form_fidelity(j, steps)
-    fmap = 0.5 + moment / q
-    drift = _check_steps(j, s, lowest, totals, fmap, closed)
-    series = FidelitySeries(j, steps, fmap, closed, trace_drift=drift)
-    series.require_valid()
-    return series
+    fidelity /= j.twice_j + 1.0  # F = 1/2 + <m> / q, in place
+    fidelity += 0.5
+    return fidelity, _check_steps(j, s, lowest, totals, fidelity, closed)
 
 
 def _check_steps(j: SpinLabel, s: int, lowest, totals, fidelity, closed) -> float:
@@ -563,10 +584,12 @@ def _check_steps(j: SpinLabel, s: int, lowest, totals, fidelity, closed) -> floa
     the held totals from 1.
     """
     drift = np.abs(totals - 1.0)
-    error = np.abs(fidelity - closed)
-    ok = error <= ORACLE_TOL
-    ok[::s] &= (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
-    if not ok.all():
+    error = np.subtract(fidelity, closed)
+    np.abs(error, out=error)
+    held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
+    if not (error.max() <= ORACLE_TOL and held_ok.all()):  # a NaN error fails
+        ok = error <= ORACLE_TOL
+        ok[::s] &= held_ok
         step = int(np.argmin(ok))
         i, offset = divmod(step, s)
         where = f"quantum_drf.evolve: 2j={j.twice_j}, step {step}"

@@ -166,6 +166,28 @@ def flux_loop(twice_j, n_max):
     return 0.5 + (states @ m) / q
 
 
+def coherent_columns_reference(twice_j, thetas):
+    """Coherent-state populations, one column per angle, by whole-array steps.
+
+    The expression ``coherent_columns`` evaluated before it was built in
+    place: the log-pmf k log c^2 + (2j - k) log(1 - c^2) + log C(2j, k),
+    c^2 = (1 + cos theta) / 2, formed for the interior columns only and
+    exponentiated into a zeroed array, with each pole set one-hot.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    prob_up = (1.0 + np.cos(thetas)) / 2.0
+    interior = (prob_up > 0.0) & (prob_up < 1.0)
+    k = np.arange(twice_j + 1)[:, None]
+    inner = prob_up[interior]
+    log_terms = k * np.log(inner) + (twice_j - k) * np.log1p(-inner)
+    log_binomials = np.array([math.log(math.comb(twice_j, i)) for i in range(twice_j + 1)])
+    columns = np.zeros((twice_j + 1, len(thetas)))
+    columns[:, interior] = np.exp(log_binomials[:, None] + log_terms)
+    columns[-1, prob_up == 1.0] = 1.0
+    columns[0, prob_up == 0.0] = 1.0
+    return columns
+
+
 def two_node_scan(columns, target, step=1e-3, w_max=1.5):
     """Best ||w_i a_i + w_k a_k - target|| over a dense non-negative weight grid."""
     gram = columns.T @ columns

@@ -22,7 +22,7 @@ from drfsim import (
 
 from drfsim.tolerances import STRUCTURE_TOL
 
-from brute_force import coupled_projectors, sector_cg
+from brute_force import coherent_columns_reference, coupled_projectors, sector_cg
 
 PLUS, MINUS = CouplingBranch.PLUS, CouplingBranch.MINUS
 
@@ -196,6 +196,26 @@ class TestCoherentPopulations:
         assert columns.shape == (j.dim, len(thetas))
         for i, theta in enumerate(thetas):
             assert np.array_equal(columns[:, i], coherent_populations(j, theta))
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 5, 160])
+    @pytest.mark.parametrize("angles", ["grid", "unsorted", "repeated", "interior poles"])
+    def test_bit_identical_to_whole_array_reference(self, twice_j, angles):
+        # built in place with placeholder poles, every entry is the same IEEE
+        # result as the whole-array expression
+        rng = np.random.default_rng(twice_j)
+        thetas = {
+            "grid": np.arccos(np.linspace(1.0, -1.0, 8 * (twice_j + 1))),
+            "unsorted": rng.uniform(0.0, math.pi, 37),
+            "repeated": np.repeat(rng.uniform(0.0, math.pi, 5), 4),
+            "interior poles": np.array([0.4, 0.0, 1.3, math.pi, 2.9, 0.0, math.pi, 1e-9]),
+        }[angles]
+        assert np.array_equal(coherent_columns(SpinLabel(twice_j), thetas),
+                              coherent_columns_reference(twice_j, thetas))
+
+    @pytest.mark.parametrize("thetas", [0.5, [[0.0, 1.0]], np.zeros((2, 3))])
+    def test_angles_must_be_one_dimensional(self, thetas):
+        with pytest.raises(DomainError, match="thetas"):
+            coherent_columns(SpinLabel(2), thetas)
 
     def test_equator_half_spin(self):
         # explicit 2x2 rotation of the up state

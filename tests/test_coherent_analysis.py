@@ -64,6 +64,19 @@ class TestBuildGrid:
         with pytest.raises(DomainError):
             build_grid(SpinLabel(4), 4)
 
+    def test_one_node_below_the_minimum_rejected(self):
+        # 2j nodes, one fewer than the 2j + 1 population entries
+        with pytest.raises(DomainError, match=r"^n_nodes=2 is too small for j=1 "):
+            build_grid(SpinLabel(2), 2)
+
+    @pytest.mark.parametrize("n_nodes", [9.5, math.nan])
+    def test_non_integer_node_count_rejected(self, n_nodes):
+        # used to fail inside np.linspace with a TypeError
+        with pytest.raises(DomainError, match=r"^n_nodes must be an integer >= 3, got"):
+            build_grid(SpinLabel(2), n_nodes)
+        with pytest.raises(DomainError, match=r"^n_nodes must be an integer"):
+            convexity_test(2, 1, n_nodes)
+
 
 class TestNnlsSolve:
     def test_exact_member_of_family(self):

@@ -470,6 +470,36 @@ class TestEvolve:
         with pytest.raises(InternalConsistencyError, match=pattern):
             series.require_valid()
 
+    @pytest.mark.parametrize("length", [2, 3, 8, 9])
+    def test_series_validation_finds_a_rise_at_every_step(self, length):
+        # rises into odd and into even steps share one buffer; both are seen
+        decay = np.linspace(0.99, 0.6, length)
+        assert quantum_drf.FidelitySeries(SpinLabel(4), np.arange(length), decay,
+                                          decay).require_valid() is None
+        for step in range(1, length):
+            fidelity = decay.copy()
+            fidelity[step] = fidelity[step - 1] + 2e-12
+            series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(length),
+                                                fidelity, fidelity)
+            with pytest.raises(InternalConsistencyError,
+                               match=rf"step {step}: rise of fidelity .* STRUCTURE_TOL"):
+                series.require_valid()
+
+    @pytest.mark.parametrize("value,step", [(0.5 - 2e-12, 3), (1.0 + 2e-12, 0)])
+    def test_series_validation_names_the_step_outside_the_range(self, value, step):
+        fidelity = np.array([0.9, 0.8, 0.7, 0.6, 0.55])
+        fidelity[step] = value
+        series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(5), fidelity, fidelity)
+        with pytest.raises(InternalConsistencyError,
+                           match=rf"step {step}: distance of fidelity outside"):
+            series.require_valid()
+
+    def test_series_validation_accepts_empty_and_single_steps(self):
+        for fidelity in (np.array([]), np.array([0.75])):
+            steps = np.arange(len(fidelity))
+            quantum_drf.FidelitySeries(SpinLabel(4), steps, fidelity,
+                                       fidelity).require_valid()
+
     def test_series_validation_rejects_nan(self):
         fidelity = np.array([0.9, np.nan, 0.8])
         series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(3), fidelity,

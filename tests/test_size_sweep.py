@@ -5,7 +5,15 @@ pyproject.toml); run with ``pytest -m slow``.  The largest sizes take tens
 of seconds each and write CSVs of ~10^6 rows.  Each CSV is compared, a
 chunk at a time, with the ``%`` route's formatting of the same columns, so
 the vectorised writer is checked on every real output.
+
+Each run's tracemalloc peak (numpy reports its buffers there) is recorded
+as the test property ``tracemalloc_peak_bytes`` (``--junitxml`` keeps it).
+At 2j = 1000, where the columns dominate, a fidelity series command may
+peak at (columns + 2) x rows x 8 bytes, and ``coherent-test`` at 1.25 times
+its coherent grid of (2j+1) x 8(2j+1) doubles.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -35,8 +43,20 @@ def sweep_cases():
                                id=f"{command}-2j{twice_j}")
 
 
+def peak_bound(command, twice_j, columns):
+    """Most bytes the run may trace at once, or None where fixed costs
+    rather than the output set the peak."""
+    if twice_j < 1000:
+        return None
+    if command in ("quantum-evolve", "classical-walk", "compare"):
+        return (len(columns) + 2) * len(columns[0]) * 8
+    if command == "coherent-test":
+        return 1.25 * (twice_j + 1) * 8 * (twice_j + 1) * 8
+    return None
+
+
 @pytest.mark.parametrize("command,twice_j", sweep_cases())
-def test_command_at_defaults(tmp_path, monkeypatch, command, twice_j):
+def test_command_at_defaults(tmp_path, monkeypatch, record_property, command, twice_j):
     written = []
     write_csv = cli._write_csv
 
@@ -46,8 +66,16 @@ def test_command_at_defaults(tmp_path, monkeypatch, command, twice_j):
 
     monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
     out = tmp_path / f"{command}.csv"
-    assert main([command, "--twice-j", str(twice_j), "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert main([command, "--twice-j", str(twice_j), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record_property("tracemalloc_peak_bytes", peak)
     (columns,) = written
+    bound = peak_bound(command, twice_j, columns)
+    assert bound is None or peak <= bound, f"traced peak {peak} bytes > {bound}"
     rows = len(columns[0])
     step = 4096
     with open(out, "rb") as fh:
