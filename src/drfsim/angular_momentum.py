@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -96,7 +97,10 @@ class CGCoefficient(NamedTuple):
 
 
 def _check_magnetic(j: SpinLabel, twice_m: int, what: str = "m") -> int:
-    twice_m = int(twice_m)
+    try:
+        twice_m = operator.index(twice_m)  # int() would truncate 2m = 1.9 to 1
+    except TypeError:
+        raise DomainError(f"2{what}={twice_m!r} must be an integer for {j}") from None
     if (twice_m - j.twice_j) % 2 != 0:
         raise DomainError(
             f"2{what}={twice_m} has wrong parity for {j} (must match 2j mod 2)"

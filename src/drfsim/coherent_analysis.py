@@ -134,7 +134,8 @@ def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
         )
-    if not np.all(np.isfinite(A)):
+    # min and max propagate NaN and reach any inf, with no A-sized mask
+    if not (np.isfinite(A.min(initial=0.0)) and np.isfinite(A.max(initial=0.0))):
         raise DomainError("matrix A must be finite (it holds nan or inf)")
     require(f"coherent_analysis.nnls_solve: {A.shape[0]} x {A.shape[1]} matrix",
             "target must sum to 1; its gap", abs(b.sum() - 1.0),

@@ -39,7 +39,6 @@ from .errors import DomainError, _check_count
 from .tolerances import EIGENVALUE_FLOOR, ORACLE_TOL, STRUCTURE_TOL, require
 
 __all__ = [
-    "Band",
     "KrausSet",
     "FrameState",
     "MeasurementRecord",
@@ -62,66 +61,51 @@ __all__ = [
 OUTCOMES = (+1, -1)  # total-J branch drawn in a measurement: J = j +- 1/2
 
 
-class Band:
-    """A matrix with a single non-zero (off-)diagonal: M = diag(values, offset)."""
-
-    __slots__ = ("offset", "values")
-
-    def __init__(self, offset: int, values: np.ndarray):
-        self.offset = int(offset)
-        self.values = np.asarray(values, dtype=float)
-        self.values.setflags(write=False)
-
-    def dense(self, dim: int) -> np.ndarray:
-        if len(self.values) != dim - abs(self.offset):
-            raise DomainError("band length does not match dimension")
-        return np.diag(self.values, k=self.offset)
-
-    def sandwich(self, rho: np.ndarray) -> np.ndarray:
-        """Return M rho M^dag for dense rho (all band values are real)."""
-        d = rho.shape[0]
-        out = np.zeros_like(rho)
-        v = self.values
-        o = self.offset
-        block = np.outer(v, v)
-        if o == 0:
-            out[:, :] = block * rho
-        elif o > 0:
-            out[:-o, :-o] = block * rho[o:, o:]
-        else:
-            out[-o:, -o:] = block * rho[:o, :o]
-        return out
-
-
 @dataclass(frozen=True)
 class KrausSet:
     """The Kraus operators E_ab^c of the frame-degradation channel.
 
-    ``bands[(a, b, c)]`` holds <a|Pi_c|b> as a :class:`Band` over the frame
-    space, for qubit indices a, b in {0, 1} and outcome c in {+1, -1}.
-    The a = b operators are diagonal; the a != b operators shift m by one.
+    ``bands[(a, b, c)]`` holds the read-only values of <a|Pi_c|b> over the
+    frame space, for qubit indices a, b in {0, 1} and outcome c in {+1, -1}.
+    Each operator has one non-zero (off-)diagonal, at offset b - a of its
+    key: E_ab^c = diag(bands[(a, b, c)], b - a).  The a = b operators are
+    diagonal; the a != b operators shift m by one.
     """
 
     j: SpinLabel
     bands: dict
 
+    def __post_init__(self):
+        bands = {}
+        for (a, b, c), values in self.bands.items():
+            values = np.asarray(values, dtype=float)
+            length = self.j.dim - abs(b - a)
+            if values.shape != (length,):
+                raise DomainError(f"KrausSet: 2j={self.j.twice_j}: band {(a, b, c)} must "
+                                  f"have shape ({length},), got {values.shape}")
+            values.setflags(write=False)
+            bands[(a, b, c)] = values
+        object.__setattr__(self, "bands", bands)
+
     def operator(self, a: int, b: int, outcome: int) -> np.ndarray:
         """Dense matrix of E_ab^c."""
-        return self.bands[(a, b, outcome)].dense(self.j.dim)
+        return np.diag(self.bands[(a, b, outcome)], k=b - a)
 
     def completeness_defect(self) -> float:
-        """max |(1/2) sum_cab E^dag E - I|; zero for a trace-preserving set."""
+        """max |(1/2) sum_cab E^dag E - I|; zero for a trace-preserving set.
+
+        Each E^dag E is diagonal: the squared band, on the band's columns.
+        """
         d = self.j.dim
-        acc = np.zeros((d, d))
-        for band in self.bands.values():
-            e = band.dense(d)
-            acc += e.T @ e
-        return float(np.max(np.abs(acc / 2.0 - np.eye(d))))
+        acc = np.zeros(d)
+        for (a, b, _), values in self.bands.items():
+            acc[_span(b - a, d)] += values ** 2
+        return float(np.max(np.abs(acc / 2.0 - 1.0)))
 
     @cached_property
     def fidelity_diagonal(self) -> np.ndarray:
         """Diagonal of (E_00^+ + E_11^-)/2, the measurement-success observable."""
-        return 0.5 * (self.bands[(0, 0, +1)].values + self.bands[(1, 1, -1)].values)
+        return 0.5 * (self.bands[(0, 0, +1)] + self.bands[(1, 1, -1)])
 
     @cached_property
     def _conditional_weights(self) -> dict:
@@ -133,22 +117,26 @@ class KrausSet:
         """
         weights = {}
         for outcome in OUTCOMES:
-            stay = 0.5 * (
-                self.bands[(0, 0, outcome)].values ** 2
-                + self.bands[(1, 1, outcome)].values ** 2
-            )
-            up = 0.5 * self.bands[(0, 1, outcome)].values ** 2
-            down = 0.5 * self.bands[(1, 0, outcome)].values ** 2
+            stay = 0.5 * (self.bands[(0, 0, outcome)] ** 2
+                          + self.bands[(1, 1, outcome)] ** 2)
+            up = 0.5 * self.bands[(0, 1, outcome)] ** 2
+            down = 0.5 * self.bands[(1, 0, outcome)] ** 2
             for arr in (stay, up, down):
                 arr.setflags(write=False)
             weights[outcome] = (stay, up, down)
         return weights
 
 
+def _span(offset: int, d: int) -> slice:
+    """Columns of a d x d matrix that diagonal ``offset`` fills (rows: -offset)."""
+    return slice(max(offset, 0), d + min(offset, 0))
+
+
 def build_kraus(j) -> KrausSet:
     """Assemble the channel's Kraus operators from projector matrix elements.
 
-    Requires 2j >= 1 (the J = j - 1/2 branch must exist).
+    Band (a, b, c) pairs row m_k with column m_{k + b - a}: its offset is
+    b - a of its key.  Requires 2j >= 1 (the J = j - 1/2 branch must exist).
     """
     j = as_spin(j)
     if j.twice_j < 1:
@@ -158,22 +146,11 @@ def build_kraus(j) -> KrausSet:
     for c, branch in ((+1, CouplingBranch.PLUS), (-1, CouplingBranch.MINUS)):
         for a in (0, 1):
             for b in (0, 1):
-                offset = (b - a)  # a=0,b=1 shifts m up by one column
-                if offset == 0:
-                    vals = [
-                        projector_element(j, branch, a, b, m, m) for m in tm
-                    ]
-                elif offset == 1:
-                    vals = [
-                        projector_element(j, branch, a, b, tm[k], tm[k + 1])
-                        for k in range(j.dim - 1)
-                    ]
-                else:
-                    vals = [
-                        projector_element(j, branch, a, b, tm[k + 1], tm[k])
-                        for k in range(j.dim - 1)
-                    ]
-                bands[(a, b, c)] = Band(offset, np.array(vals))
+                rows, cols = tm[_span(a - b, j.dim)], tm[_span(b - a, j.dim)]
+                bands[(a, b, c)] = np.array([
+                    projector_element(j, branch, a, b, row, col)
+                    for row, col in zip(rows, cols)
+                ])
     kraus = KrausSet(j, bands)
     require(f"quantum_drf.build_kraus: 2j={j.twice_j}", "trace preservation defect",
             kraus.completeness_defect(), "STRUCTURE_TOL")
@@ -366,10 +343,22 @@ def apply_map(state: FrameState, kraus: KrausSet) -> FrameState:
     if state.diagonal:
         out = flux_step(state.data, transfer_rates(state.j))
         return FrameState.from_populations(state.j, out)
-    acc = np.zeros_like(state.data)
-    for band in kraus.bands.values():
-        acc += band.sandwich(state.data)
-    return FrameState.from_matrix(state.j, acc / 2.0)
+    return FrameState.from_matrix(state.j, _sandwich(state.data, kraus, OUTCOMES))
+
+
+def _sandwich(rho: np.ndarray, kraus: KrausSet, outcomes) -> np.ndarray:
+    """(1/2) sum E rho E^dag over the Kraus operators of ``outcomes``, dense rho.
+
+    E = diag(v, b - a) moves rho's block on E's columns to its rows, times v v^T.
+    """
+    d = rho.shape[0]
+    acc = np.zeros_like(rho)
+    for (a, b, c), values in kraus.bands.items():
+        if c in outcomes:
+            rows, cols = _span(a - b, d), _span(b - a, d)
+            acc[rows, rows] += np.outer(values, values) * rho[cols, cols]
+    acc /= 2.0
+    return acc
 
 
 def quantum_fidelity(state: FrameState, kraus: KrausSet) -> float:
@@ -614,12 +603,13 @@ class MeasurementRecord:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        out = np.asarray(self.outcomes, dtype=int)
+        out = np.asarray(self.outcomes)
         prob = np.asarray(self.probabilities, dtype=float)
         if out.shape != prob.shape:
             raise DomainError("outcomes and probabilities must have equal length")
-        if out.size and not np.all(np.isin(out, OUTCOMES)):
+        if out.size and not np.all(np.isin(out, OUTCOMES)):  # before the cast to int
             raise DomainError("outcomes must be +1 or -1")
+        out = np.asarray(out, dtype=int)
         if not np.all((0.0 <= prob) & (prob <= 1.0)):
             raise DomainError("probabilities must lie in [0, 1]")
         out.setflags(write=False)
@@ -648,11 +638,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
         unnorm[1:] += down * p[:-1]
         prob = float(unnorm.sum())
     else:
-        unnorm = np.zeros_like(state.data)
-        for (a, b, c), band in kraus.bands.items():
-            if c == outcome:
-                unnorm += band.sandwich(state.data)
-        unnorm /= 2.0
+        unnorm = _sandwich(state.data, kraus, (outcome,))
         prob = float(unnorm.trace().real)
     require(f"quantum_drf.conditional_update: 2j={state.j.twice_j}",
             f"distance outside [0, 1] of the probability of outcome {outcome:+d}",

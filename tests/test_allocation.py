@@ -5,7 +5,8 @@ is a deterministic count of the bytes it held at once.  Every full-length
 array the coherent grid and the fidelity series allocate should be one they
 return: the peaks are bounded by the returned arrays plus one working array
 (for the grid, a quarter of it).  The in-place steps must also leave every
-value as the whole-array expressions gave it.
+value as the whole-array expressions gave it.  The NNLS fit checks its
+matrix without a mask of the matrix's size.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 
 from drfsim import (
     SpinLabel,
+    build_grid,
     classical_fidelity_series,
     closed_form_fidelity,
     coherent_columns,
@@ -23,6 +25,7 @@ from drfsim import (
     fitted_step,
     initial_spectrum,
     multipole_spectrum,
+    nnls_solve,
 )
 from drfsim import cli
 from drfsim.cli import COMMANDS, RunConfig, default_n_max
@@ -49,6 +52,14 @@ def test_coherent_grid_is_built_in_its_output():
     columns, peak = traced_peak(lambda: coherent_columns(J, thetas))
     assert columns.shape == (J.dim, 8 * J.dim)
     assert peak <= 1.25 * columns.nbytes
+
+
+def test_nnls_finiteness_check_holds_no_matrix_sized_mask():
+    # a one-column target keeps the free set, and so the least-squares
+    # copies, small: what is left is below a bool mask the size of A
+    grid = build_grid(J, 8 * J.dim)
+    _, peak = traced_peak(lambda: nnls_solve(grid.columns, grid.columns[:, 5]))
+    assert peak < grid.columns.size
 
 
 @pytest.mark.parametrize("build", [

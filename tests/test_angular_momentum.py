@@ -98,6 +98,25 @@ class TestCGCoefficient:
         with pytest.raises(DomainError):
             cg_coefficient(SpinLabel(2), 1, True, PLUS)  # wrong parity
 
+    @pytest.mark.parametrize("call", [
+        lambda: cg_coefficient(SpinLabel(3), 1.9, True, PLUS),
+        lambda: cg_coefficient(SpinLabel(3), 1.0, True, PLUS),
+        lambda: projector_element(SpinLabel(3), PLUS, 0, 0, 1.2, 1.7),
+        lambda: projector_element(SpinLabel(3), PLUS, 0, 0, 1, np.float64(1.0)),
+    ], ids=["cg-1.9", "cg-1.0", "projector-1.2", "projector-float64"])
+    def test_non_integer_twice_m_rejected(self, call):
+        # int() would read 2m = 1.9 as 1 and 1.2, 1.7 as 1, 1
+        with pytest.raises(DomainError, match=r"2m(_row|_col)?=.* must be an integer"):
+            call()
+
+    def test_numpy_integer_twice_m_accepted(self):
+        j = SpinLabel(3)
+        for twice_m in j.twice_m_values:
+            assert cg_coefficient(j, twice_m, True, PLUS) == \
+                cg_coefficient(j, int(twice_m), True, PLUS)
+        assert projector_element(j, PLUS, 0, 0, np.int32(1), np.int64(1)) == \
+            projector_element(j, PLUS, 0, 0, 1, 1)
+
     def test_minus_branch_at_spin_zero_rejected(self):
         with pytest.raises(DomainError):
             cg_coefficient(SpinLabel(0), 0, True, MINUS)

@@ -1,9 +1,10 @@
-"""Names that other code reaches by string: the package's ``__all__`` and
-the functions the benchmark's tracer wraps.  A rename or removal in the
-library fails here rather than in a benchmark run."""
+"""Names that other code reaches by string: the package's and each module's
+``__all__`` and the functions the benchmark's tracer wraps.  A rename or
+removal in the library fails here rather than in a benchmark run."""
 
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,19 @@ def _function(dotted):
 @pytest.mark.parametrize("name", drfsim.__all__)
 def test_every_exported_name_resolves(name):
     assert hasattr(drfsim, name)
+
+
+def _module_exports():
+    modules = (importlib.import_module(f"drfsim.{info.name}")
+               for info in pkgutil.iter_modules(drfsim.__path__))
+    return [f"{module.__name__}.{name}"
+            for module in modules for name in getattr(module, "__all__", ())]
+
+
+@pytest.mark.parametrize("dotted", _module_exports())
+def test_every_module_export_resolves(dotted):
+    module, name = dotted.rsplit(".", 1)
+    assert hasattr(importlib.import_module(module), name)
 
 
 @pytest.mark.parametrize("dotted", _traced_functions())

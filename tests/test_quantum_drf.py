@@ -3,6 +3,7 @@
 import decimal
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,33 @@ class TestBuildKraus:
         kraus = build_kraus(SpinLabel(2))
         assert kraus.completeness_defect() < 1e-14
 
+    @pytest.mark.parametrize("twice_j", [*range(1, 21), 200])
+    def test_completeness_defect_equals_the_dense_sum(self, twice_j):
+        # max |(1/2) sum E^dag E - I| over the dense operators is the reference
+        kraus = build_kraus(SpinLabel(twice_j))
+        acc = np.zeros((twice_j + 1, twice_j + 1))
+        for a, b, c in kraus.bands:
+            e = kraus.operator(a, b, c)
+            acc += e.T @ e
+        dense = float(np.max(np.abs(acc / 2.0 - np.eye(twice_j + 1))))
+        assert kraus.completeness_defect() == dense
+
+    @pytest.mark.parametrize("key, length", [((0, 0, 1), 3), ((0, 1, 1), 4),
+                                             ((1, 0, -1), 2)])
+    def test_wrong_band_length_rejected_at_construction(self, key, length):
+        # 2j = 3: the diagonal bands have 4 entries, the off-diagonal ones 3
+        j = SpinLabel(3)
+        bands = {**build_kraus(j).bands, key: np.ones(length)}
+        want = 4 - abs(key[1] - key[0])
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"KrausSet: 2j=3: band {key} must have shape ({want},), got ({length},)")):
+            quantum_drf.KrausSet(j, bands)
+
+    def test_bands_are_read_only(self):
+        kraus = build_kraus(SpinLabel(3))
+        for values in kraus.bands.values():
+            assert not values.flags.writeable
+
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 5])
     def test_operators_match_projector_oracle(self, twice_j):
         kraus = build_kraus(SpinLabel(twice_j))
@@ -118,9 +146,9 @@ class TestTransferRates:
         # summed over both outcomes from the exact-CG Kraus bands
         kraus = build_kraus(SpinLabel(twice_j))
         bands = kraus.bands
-        stay = sum(0.5 * bands[(a, a, c)].values ** 2 for a in (0, 1) for c in (1, -1))
-        from_above = sum(0.5 * bands[(0, 1, c)].values ** 2 for c in (1, -1))
-        from_below = sum(0.5 * bands[(1, 0, c)].values ** 2 for c in (1, -1))
+        stay = sum(0.5 * bands[(a, a, c)] ** 2 for a in (0, 1) for c in (1, -1))
+        from_above = sum(0.5 * bands[(0, 1, c)] ** 2 for c in (1, -1))
+        from_below = sum(0.5 * bands[(1, 0, c)] ** 2 for c in (1, -1))
         rates = transfer_rates(SpinLabel(twice_j))
         assert np.max(np.abs(rates - from_above)) <= 1e-15
         assert np.max(np.abs(rates - from_below)) <= 1e-15
@@ -624,8 +652,7 @@ class TestTrajectories:
         j = SpinLabel(3)
         kraus = build_kraus(j)
         scaled = quantum_drf.KrausSet(j, {
-            key: quantum_drf.Band(band.offset, 1.5 * band.values)
-            for key, band in kraus.bands.items()
+            key: 1.5 * values for key, values in kraus.bands.items()
         })
         state = FrameState.stretched(j)
         if dense:
@@ -640,7 +667,7 @@ class TestTrajectories:
         weights = kraus._conditional_weights
         assert kraus._conditional_weights is weights
         for c in (+1, -1):
-            values = {key: band.values for key, band in kraus.bands.items()}
+            values = kraus.bands
             want = (0.5 * (values[(0, 0, c)] ** 2 + values[(1, 1, c)] ** 2),
                     0.5 * values[(0, 1, c)] ** 2, 0.5 * values[(1, 0, c)] ** 2)
             for got, exact in zip(weights[c], want):
@@ -673,6 +700,17 @@ class TestTrajectories:
             MeasurementRecord(np.array([1]), np.array([1.5]))
         with pytest.raises(DomainError):
             MeasurementRecord(np.array([1, -1]), np.array([np.nan, 0.5]))
+
+    @pytest.mark.parametrize("outcomes", [[1.5, -1.2], [1, 0.5], [np.nan, 1]])
+    def test_fractional_outcomes_rejected_before_the_cast(self, outcomes):
+        # cast first, [1.5, -1.2] would be stored as [1, -1]
+        with pytest.raises(DomainError, match="outcomes must be"):
+            MeasurementRecord(outcomes, [0.5, 0.5])
+
+    def test_integral_float_outcomes_are_stored_as_int(self):
+        record = MeasurementRecord([1.0, -1.0], [0.5, 0.5])
+        assert record.outcomes.dtype == int
+        assert record.outcomes.tolist() == [1, -1]
 
     @pytest.mark.parametrize("twice_j", [1, 2, 4, 13, 40])
     def test_batch_of_one_reproduces_single_trajectory(self, twice_j):
