@@ -666,8 +666,8 @@ class TestTrajectories:
         kraus = build_kraus(SpinLabel(twice_j))
         weights = kraus._conditional_weights
         assert kraus._conditional_weights is weights
+        values = kraus.bands
         for c in (+1, -1):
-            values = kraus.bands
             want = (0.5 * (values[(0, 0, c)] ** 2 + values[(1, 1, c)] ** 2),
                     0.5 * values[(0, 1, c)] ** 2, 0.5 * values[(1, 0, c)] ** 2)
             for got, exact in zip(weights[c], want):
