@@ -19,8 +19,6 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,7 @@ from numpy.polynomial.legendre import leggauss, legval
 
 from .angular_momentum import as_spin
 from .errors import AccuracyError, DomainError, _check_count
-from .quantum_drf import FidelitySeries, multipole_spectrum
+from .quantum_drf import FidelitySeries, _cpu_count, _in_workers, multipole_spectrum
 from .tolerances import require
 
 __all__ = [
@@ -237,18 +235,14 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     ``STRUCTURE_TOL``, so the interpolation bracket is found by arithmetic
     rather than search: with u = theta' / h it is i = floor(u), clamped to
     N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
-    values[i]), the difference taken as 0 at the last node.  Grid rows are
-    processed in chunks by W workers, one per core the process may run on
-    (``os.sched_getaffinity``) and at most one per chunk: the calling
-    thread and W - 1 helper threads, since numpy releases the interpreter
-    lock inside each step.  An exception in any worker reaches the caller.
-    Worker w takes chunks w, w + W, ... and writes only their rows of the
-    result, in three buffers of its own (angles, bracket indices, gathered
-    values) reused for each of its chunks.  A chunk holds about 2^16 / W
-    ring points, so the W workers' buffers together stay at about 2^16
-    points, in cache whatever the grid size.  Every row's arithmetic is the
-    same whatever W is, so the result does not depend on the number of
-    cores.  Each ring's weighted terms are summed pairwise
+    values[i]), the difference taken as 0 at the last node.  Chunks of grid
+    rows go to the W workers of :func:`~drfsim.quantum_drf._in_workers`, one
+    per core and at most one per chunk, as they free up.  A worker writes its
+    chunks' rows of the result, in three buffers of its own (angles, bracket
+    indices, gathered values).  A chunk holds about 2^16 / W ring points, so
+    all buffers stay at about 2^16 points, in cache whatever the grid size.
+    A row's arithmetic does not depend on W or on the worker, so neither does
+    the result.  Each ring's weighted terms are summed pairwise
     (``np.add.reduce`` along the row), which stays within an ulp or so of
     the exact mean even when the terms are alike, as they are near
     theta = 0.
@@ -295,68 +289,33 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     rise = np.append(np.diff(values), 0.0)
     cpus = _cpu_count()
     rows = min(max(1, _RING_CHUNK_POINTS // cpus // (half + 1)), n_grid)
-    starts = range(0, n_grid, rows)
-    workers = min(cpus, len(starts))
+    chunks = -(-n_grid // rows)
     out = np.empty(n_grid)
     shape = (rows, half + 1)
-    # allocated here, not in the workers: memory a helper thread allocates
-    # stays in that thread's malloc arena, which raised the peak RSS
     buffers = [(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
-               for _ in range(workers)]
+               for _ in range(min(cpus, chunks))]
 
-    def average(first):
-        # worker `first` takes chunks first, first + workers, ... (disjoint
-        # rows of out) and works in buffers of its own
-        angle, index, gather = buffers[first]
-        for start in starts[first::workers]:
-            stop = min(start + rows, n_grid)
-            u, i, g = angle[: stop - start], index[: stop - start], gather[: stop - start]
-            np.multiply(tangential[start:stop, None], cos_psi, out=u)
-            u += radial[start:stop, None]
-            np.clip(u, -1.0, 1.0, out=u)
-            np.arccos(u, out=u)
-            u /= step
-            np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
-            u -= i
-            # mode="clip" is the clamp to N - 1, where rise is 0
-            np.take(rise, i, out=g, mode="clip")
-            u *= g
-            np.take(values, i, out=g, mode="clip")
-            u += g
-            u *= weights
-            np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
+    def average(w, chunk):
+        start = chunk * rows
+        stop = min(start + rows, n_grid)
+        u, i, g = (buffer[: stop - start] for buffer in buffers[w])
+        np.multiply(tangential[start:stop, None], cos_psi, out=u)
+        u += radial[start:stop, None]
+        np.clip(u, -1.0, 1.0, out=u)
+        np.arccos(u, out=u)
+        u /= step
+        np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
+        u -= i
+        # mode="clip" is the clamp to N - 1, where rise is 0
+        np.take(rise, i, out=g, mode="clip")
+        u *= g
+        np.take(values, i, out=g, mode="clip")
+        u += g
+        u *= weights
+        np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
 
-    # the calling thread is worker 0 and a plain thread runs each other one
-    # (a thread pool would load concurrent.futures.thread and queue, which
-    # raised the oracle's peak RSS by 0.7 MB); a worker's exception is
-    # re-raised here once every worker has stopped
-    errors = []
-
-    def helper(first):
-        try:
-            average(first)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=helper, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        average(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _in_workers(len(buffers), chunks, average)
     return out
-
-
-def _cpu_count() -> int:
-    """Number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def angular_variance(j) -> float:

@@ -24,7 +24,8 @@ and bytes.
 
 ``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
 uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
-``F_conditional`` is the closed form F_K at the count K = ``n_plus``.
+``F_conditional`` is the closed form F_K at the count K = ``n_plus``.  Every
+core draws step rows; the CSV does not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -514,6 +515,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Parser whose namespace holds only the options given: every default
     is ``argparse.SUPPRESS``, so :class:`RunConfig` supplies the defaults and

@@ -27,12 +27,14 @@ half-life elsewhere in the package read their rates from it.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.random import default_rng  # loads numpy.random with the package, not mid-run
+from numpy.random import PCG64, Generator, default_rng  # loaded with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
 from .errors import DomainError, _check_count
@@ -59,6 +61,7 @@ __all__ = [
 ]
 
 OUTCOMES = (+1, -1)  # total-J branch drawn in a measurement: J = j +- 1/2
+_KEYS = {(a, b, c) for a in (0, 1) for b in (0, 1) for c in OUTCOMES}  # of KrausSet.bands
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,10 @@ class KrausSet:
     bands: dict
 
     def __post_init__(self):
+        if self.bands.keys() != _KEYS:
+            raise DomainError(f"KrausSet: 2j={self.j.twice_j}: keys missing "
+                              f"{sorted(_KEYS - self.bands.keys())}, extra "
+                              f"{sorted(self.bands.keys() - _KEYS, key=repr)}")
         bands = {}
         for (a, b, c), values in self.bands.items():
             values = np.asarray(values, dtype=float)
@@ -382,9 +389,11 @@ def closed_form_fidelity(j, n):
     the result (3e-12 at 2j = 1000, n = 1.7e6).
     """
     spectrum = multipole_spectrum(j)
-    n_arr = np.asarray(n)
-    if not np.all(n_arr >= 0):
-        raise DomainError(f"step count n must be non-negative, got {n!r}")
+    n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
+    with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
+        gap = 0 if n_arr.dtype.kind in "iu" else np.abs(n_arr - np.rint(n_arr)).max(initial=0)
+    if not (gap <= 0 and n_arr.min(initial=0) >= 0):
+        raise DomainError(f"step count n must be a non-negative integer, got {n!r}")
     out = np.multiply(n_arr, np.log1p(spectrum.averaged[1]), out=np.empty(n_arr.shape))
     np.exp(out, out=out)
     out *= spectrum.amplitude
@@ -651,7 +660,7 @@ def sample_trajectory(j, n_max: int, seed):
 
     Starts from the aligned state; at each step the outcome is drawn with its
     true probability and the state is updated conditionally.  Deterministic
-    for a fixed ``seed`` (anything acceptable to ``numpy.random.default_rng``).
+    for a fixed ``seed``, which ``numpy.random.default_rng`` must accept.
 
     Returns
     -------
@@ -659,7 +668,7 @@ def sample_trajectory(j, n_max: int, seed):
     """
     j = as_spin(j)
     n_max = _check_count("n_max", n_max)
-    rng = default_rng(seed)
+    rng = _generator(seed)
     kraus = build_kraus(j)
     state = FrameState.stretched(j)
     outcomes = np.empty(n_max, dtype=int)
@@ -705,7 +714,7 @@ def _count_fidelity(spectrum: MultipoleSpectrum, n: int, counts) -> np.ndarray:
     return 0.5 + spectrum.amplitude * decay
 
 
-_CHUNK_DRAWS = 1 << 16  # uniforms held at once by sample_fidelity_batch
+_CHUNK_DRAWS = (1 << 16) - 1  # batch uniforms held at once; < 2^16 for the uint16 counts
 
 
 def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
@@ -718,6 +727,11 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     :func:`sample_trajectory` consumes the same stream, so a batch of one
     reproduces it for the same seed.
 
+    Chunks of about 2^16 / W uniforms go to the W workers of :func:`_in_workers`:
+    a ``PCG64`` double is one output, so a worker's copy of the generator reaches
+    row a by ``advance(a n_samples)`` and the counts do not depend on W.  Another
+    bit generator gets one worker.  A ``Generator`` seed ends as if serial.
+
     Returns
     -------
     (fidelities, plus_counts)
@@ -727,12 +741,74 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     n_samples = _check_count("n_samples", n_samples, 1)
     n_max = _check_count("n_max", n_max)
     spectrum = multipole_spectrum(j)
-    rng = default_rng(seed)
-    rows = max(1, _CHUNK_DRAWS // n_samples)
-    draws = np.empty((min(rows, n_max), n_samples))
-    plus_counts = np.zeros(n_samples, dtype=int)
-    for start in range(0, n_max, rows):
-        chunk = draws[: n_max - start]
-        rng.random(out=chunk)
-        plus_counts += np.count_nonzero(chunk < spectrum.p_plus, axis=0)
+    rng = _generator(seed)
+    cpus = _cpu_count()
+    rows = max(1, _CHUNK_DRAWS // cpus // n_samples)
+    chunks = -(-n_max // rows)
+    workers = min(cpus, chunks) if type(rng.bit_generator) is PCG64 else 1
+    start_state = rng.bit_generator.state
+    generators = [rng] + [Generator(PCG64(0)) for _ in range(1, workers)]
+    at = [0] + [None] * (workers - 1)  # the step row each worker's generator stands at
+    draws = np.empty((workers, min(rows, n_max), n_samples))
+    counts = np.zeros((workers, n_samples), dtype=int)
+
+    def draw(w, chunk):
+        start = chunk * rows
+        if at[w] != start:
+            generators[w].bit_generator.state = start_state
+            generators[w].bit_generator.advance(start * n_samples)
+        block = draws[w, : n_max - start]
+        generators[w].random(out=block)
+        at[w] = start + len(block)
+        counts[w] += np.add.reduce(block < spectrum.p_plus, axis=0, dtype=np.uint16)
+
+    _in_workers(workers, chunks, draw)
+    if workers > 1:  # where the serial loop leaves it; advance would drop a buffered uint32
+        rng.bit_generator.state = start_state
+        end = rng.bit_generator.advance(n_max * n_samples).state["state"]
+        rng.bit_generator.state = {**start_state, "state": end}
+    plus_counts = counts.sum(axis=0)
     return _count_fidelity(spectrum, n_max, plus_counts), plus_counts
+
+
+def _generator(seed) -> Generator:
+    try:
+        return default_rng(seed)
+    except (TypeError, ValueError) as exc:  # -1, 2.5, nan
+        raise DomainError(f"seed {seed!r}: {exc}") from None
+
+
+def _cpu_count() -> int:
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(workers: int, chunks: int, work):
+    """Call ``work(w, chunk)`` once per chunk; worker 0 is the caller, 1 ... workers - 1
+    plain threads (a pool, or buffers a helper allocates, raised peak RSS).  Worker w
+    starts with chunk w and then claims the next untaken one, so a busy core takes
+    fewer.  The first worker exception is raised once every worker has stopped."""
+    claims = iter(range(workers, chunks))
+    lock = threading.Lock()
+    errors = []
+
+    def run(w):
+        try:
+            chunk = w
+            while chunk < chunks:
+                work(w, chunk)
+                with lock:
+                    chunk = next(claims, chunks)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]

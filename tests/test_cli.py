@@ -467,6 +467,19 @@ class TestCliSurface:
         with pytest.raises(DomainError, match=rf"^{field} must"):
             RunConfig(command, **settings)
 
+    def test_parser_is_built_once_and_parsing_leaves_it_unchanged(self, capsys):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        argv = ["--seed", "3", "trajectories", "--twice-j", "2,4", "--samples", "5"]
+        want = vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert want == {"seed": 3, "command": "trajectories", "twice_j": [2, 4], "samples": 5}
+        for bad in (["trajectories", "--samples", "0"], ["compare", "--nodes", "3"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(bad)
+        assert vars(parser.parse_args(argv)) == want
+        assert vars(parser.parse_args(["compare", "--twice-j", "2"])) == {
+            "command": "compare", "twice_j": [2]}
+
     def test_command_table_parser_and_readme_agree(self):
         # one table states every command: its subcommand takes exactly the
         # table's options, and README's "Commands:" line lists the same names

@@ -2,8 +2,12 @@
 
 import decimal
 import functools
+import hashlib
 import itertools
+import math
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +103,25 @@ class TestBuildKraus:
         with pytest.raises(DomainError, match="^" + re.escape(
                 f"KrausSet: 2j=3: band {key} must have shape ({want},), got ({length},)")):
             quantum_drf.KrausSet(j, bands)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda bands: bands.pop((1, 1, -1)), "missing [(1, 1, -1)], extra []"),
+        (lambda bands: bands.update({(0, 0, 2): np.ones(4)}), "missing [], extra [(0, 0, 2)]"),
+        (lambda bands: bands.update({(5, 0, 1): np.ones(4)}), "missing [], extra [(5, 0, 1)]"),
+    ], ids=["missing", "outcome-2", "qubit-index-5"])
+    def test_key_set_is_checked_at_construction(self, edit, named):
+        # the keys must be {0, 1}^2 x {+1, -1}: (0, 0, 2) was accepted, and
+        # (5, 0, 1) was reported as a band that must have shape (-1,)
+        j = SpinLabel(3)
+        bands = dict(build_kraus(j).bands)
+        edit(bands)
+        with pytest.raises(DomainError, match="^" + re.escape(f"KrausSet: 2j=3: keys {named}")):
+            quantum_drf.KrausSet(j, bands)
+
+    def test_one_key_set_is_rejected(self):
+        # it used to construct with a completeness defect of 0.5
+        with pytest.raises(DomainError, match=r"^KrausSet: 2j=3: keys missing \[\(0, 0, -1\), "):
+            quantum_drf.KrausSet(SpinLabel(3), {(0, 0, 1): np.ones(4)})
 
     def test_bands_are_read_only(self):
         kraus = build_kraus(SpinLabel(3))
@@ -406,6 +429,19 @@ class TestClosedFormFidelity:
             closed_form_fidelity(SpinLabel(2), float("nan"))
         with pytest.raises(DomainError, match="step count n"):
             closed_form_fidelity(SpinLabel(2), np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, 2.5, np.array([0.0, np.inf]),
+                                   np.array([1.0, 2.5]), np.array([[3.0], [0.5]])])
+    def test_infinite_or_fractional_step_rejected(self, n):
+        # (2, inf) returned 0.5 and (2, 2.5) returned 0.678
+        with pytest.raises(DomainError, match=r"^step count n must be a non-negative integer"):
+            closed_form_fidelity(SpinLabel(2), n)
+
+    def test_integral_float_steps_are_accepted(self):
+        steps = np.arange(6)
+        want = closed_form_fidelity(SpinLabel(4), steps)
+        assert np.array_equal(closed_form_fidelity(SpinLabel(4), steps.astype(float)), want)
+        assert closed_form_fidelity(SpinLabel(4), 3.0) == want[3]
 
 
 class TestEvolve:
@@ -793,6 +829,149 @@ class TestRecordStatistics:
         expected = sum(rng.random(n_samples) < p_plus for _ in range(n_max))
         assert np.array_equal(n_plus, expected)
         assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[expected])
+
+
+def same_state(a, b):
+    """Equal bit-generator state dicts, whose entries may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestBatchWorkers:
+    """sample_fidelity_batch on several cores: the counts of the serial stream."""
+
+    @pytest.mark.parametrize("twice_j, n_max, n_samples, seed, digest", [
+        (1, 40, 2000, [7, 1],
+         "a436630b60ae2420a3bd786ac0319f425efb0f715ae11b177bcd2a2500fb20af"),
+        (20, 762, 2000, [7, 20],
+         "c7ddbc0361e8f6b9267800290f21440e2e54db57f62f640a7b4a269575dad5d7"),
+        (40, 2912, 2000, [99, 40],
+         "668d54378a23f99c41772dc3c1ffea1476c70e39bc76515d233e405d2500a776"),
+        (4, 0, 5, 3, "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb"),
+        (4, 1, 1, 3, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    ])
+    def test_counts_match_the_pinned_stream(self, monkeypatch, twice_j, n_max, n_samples,
+                                            seed, digest):
+        # sha256 of the little-endian int64 plus_counts of the one-worker loop
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
+            _, counts = sample_fidelity_batch(SpinLabel(twice_j), n_max, n_samples, seed)
+            got = hashlib.sha256(np.asarray(counts, dtype="<i8").tobytes()).hexdigest()
+            assert got == digest, cpus
+
+    @pytest.mark.parametrize("twice_j, n_max, n_samples", [
+        (4, 161, 2000), (3, 7, 2000), (2, 1, 3000), (5, 100000, 1), (6, 40, 70000)])
+    def test_worker_count_does_not_change_the_result(self, monkeypatch, twice_j, n_max,
+                                                      n_samples):
+        # 161 steps of 2000 samples leave a last chunk of one row for one to
+        # four workers; 70000 samples take one row per chunk
+        if (n_max, n_samples) == (161, 2000):
+            assert all(161 % (quantum_drf._CHUNK_DRAWS // cpus // 2000) == 1
+                       for cpus in (1, 2, 3, 4))
+        results = {}
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
+            results[cpus] = sample_fidelity_batch(SpinLabel(twice_j), n_max, n_samples, 11)
+        for cpus in (2, 3, 4):
+            assert np.array_equal(results[cpus][0], results[1][0]), cpus
+            assert np.array_equal(results[cpus][1], results[1][1]), cpus
+
+    @pytest.mark.parametrize("make", [lambda: np.random.MT19937(5), lambda: np.random.PCG64(5)],
+                             ids=["MT19937", "PCG64"])
+    def test_generator_seed_ends_in_the_serial_state(self, monkeypatch, make):
+        # MT19937 is drawn by one worker, PCG64 by several; either way the
+        # caller's generator ends where the serial loop leaves it, with the
+        # 32 bits a PCG64 had buffered still buffered
+        j, n_max, n_samples = SpinLabel(4), 50, 3000
+        serial = np.random.Generator(make())
+        serial.integers(0, 2**32, dtype=np.uint32)
+        want = sum(serial.random(n_samples) < multipole_spectrum(j).p_plus
+                   for _ in range(n_max))
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
+            rng = np.random.Generator(make())
+            rng.integers(0, 2**32, dtype=np.uint32)
+            fid, counts = sample_fidelity_batch(j, n_max, n_samples, rng)
+            assert np.array_equal(counts, want), cpus
+            assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[want]), cpus
+            assert same_state(rng.bit_generator.state, serial.bit_generator.state), cpus
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda seed: sample_trajectory(SpinLabel(2), 3, seed),
+        lambda seed: sample_fidelity_batch(SpinLabel(2), 3, 4, seed),
+    ], ids=["trajectory", "batch"])
+    def test_bad_seed_is_a_domain_error(self, call, seed):
+        # numpy raised ValueError for -1 and TypeError for 2.5 and nan
+        with pytest.raises(DomainError, match=rf"^seed {re.escape(repr(seed))}: "):
+            call(seed)
+
+
+class TestInWorkers:
+    """The worker helper behind ring_average and sample_fidelity_batch."""
+
+    @staticmethod
+    def _run(workers, chunks, work):
+        # the call in a thread of its own, so the test can bound its time
+        errors = []
+
+        def call():
+            try:
+                quantum_drf._in_workers(workers, chunks, work)
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        return errors
+
+    def test_a_busy_worker_takes_fewer_chunks(self):
+        # worker 1 is held on its first chunk until worker 0 has done all the
+        # others; with a fixed split (1, 3, 5, ...) worker 1 would time out
+        done = {0: [], 1: []}
+        released = threading.Event()
+
+        def work(w, chunk):
+            done[w].append(chunk)
+            if w == 1 and not released.wait(timeout=30.0):
+                raise TimeoutError("worker 0 never reached the last chunk")
+            if chunk == 9:
+                released.set()
+
+        assert self._run(2, 10, work) == []
+        assert done == {0: [0, *range(2, 10)], 1: [1]}
+
+    def test_every_chunk_once_under_contention(self):
+        # more workers than cores and frequent thread switches: each chunk is
+        # claimed once and worker w starts with chunk w
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = self._run(8, 5000, lambda w, chunk: seen.append((w, chunk)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert sorted(chunk for _, chunk in seen) == list(range(5000))
+        first = {}
+        for w, chunk in seen:
+            first.setdefault(w, chunk)
+        assert first == {w: w for w in range(8)}
+
+    def test_first_worker_exception_is_raised_after_all_stop(self):
+        finished = []
+
+        def work(w, chunk):
+            if chunk == 1:
+                raise RuntimeError("fault in chunk 1")
+            finished.append(chunk)
+
+        (error,) = self._run(2, 6, work)
+        assert isinstance(error, RuntimeError)
+        assert sorted(finished) == [0, 2, 3, 4, 5]
 
 
 class TestRecordAveraging:
