@@ -61,6 +61,8 @@ class LegendreSpectrum:
             )
         if arr[0] != 1.0:
             raise DomainError(f"c_0 must be exactly 1, got {arr[0]!r}")
+        if not (np.abs(arr).max() < math.inf):  # NaN-safe
+            raise DomainError("coeffs must be finite (they hold nan or inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -262,6 +264,8 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     values = np.asarray(values, dtype=float)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise DomainError("thetas and values must be 1-d arrays of equal length")
+    if not (np.abs(values).max(initial=0.0) < math.inf):  # NaN-safe
+        raise DomainError("values must be finite (they hold nan or inf)")
     n_grid = len(thetas)
     if n_grid < _MIN_RING_GRID:
         raise AccuracyError(

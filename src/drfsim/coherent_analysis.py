@@ -111,7 +111,7 @@ def _result(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> DecompositionResult:
     )
 
 
-def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
+def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> DecompositionResult:
     """Minimise ||A w - b||_2 subject to w >= 0 (Lawson-Hanson active set).
 
     Variables move between the bound set (pinned at zero) and the free set;
@@ -120,7 +120,9 @@ def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
     unconstrained least-squares problem on the free set, stepping back along
     the segment to the first zero crossing whenever a free variable would go
     negative.  Terminates when every bound dual is <= ``KKT_TOL``, i.e. all
-    bound-set reduced gradients are >= -KKT_TOL.
+    bound-set reduced gradients are >= -KKT_TOL.  The loop starts from the
+    least-squares fit on the support ``start`` (a bool per column) if that
+    fit is positive, and otherwise from w = 0 with every variable bound.
 
     Raises
     ------
@@ -146,9 +148,18 @@ def nnls_solve(A, b, max_iter: int | None = None) -> DecompositionResult:
 
     x = np.zeros(n)
     free = np.zeros(n, dtype=bool)
+    if start is not None:
+        start = np.asarray(start)
+        if start.dtype != bool or start.shape != (n,):
+            raise DomainError(f"start must be a bool array of shape ({n},), "
+                              f"got {start.dtype} of shape {start.shape}")
+        solution = np.linalg.lstsq(A[:, start], b, rcond=None)[0]
+        if solution.size and solution.min() > 0.0:  # else cold: no 0/0 step below
+            free = start.copy()
+            x[free] = solution
     admitted = 0
     while True:
-        dual = A.T @ (b - A @ x)
+        dual = A.T @ (b - A[:, free] @ x[free])
         candidates = np.where(free, -np.inf, dual)
         entering = int(np.argmax(candidates))  # argmax takes the lowest index on ties
         if candidates[entering] <= KKT_TOL:
@@ -194,21 +205,26 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
 def convexity_series(j, n_max: int, n_nodes: int) -> list:
     """:func:`convexity_test` for every n = 0 ... n_max, sharing the work.
 
-    The grid is built once and the state advances one map step per n, so
-    entry n equals ``convexity_test(j, n, n_nodes)``.
+    The grid is built once, the state advances one map step per n, and fit n
+    starts from fit n - 1's support.  So entry n is ``convexity_test(j, n,
+    n_nodes)``, the cold fit, in support and residual, except where the state
+    is an exact mixture: there only the residual, at rounding level, agrees.
     """
     j = as_spin(j)
     n_max = _check_count("n_max", n_max)
     grid = build_grid(j, n_nodes)
-    return [_fit("convexity_series", j, n, grid, state)
-            for n, state in enumerate(islice(_evolved_populations(j), n_max + 1))]
+    results = []
+    for n, state in enumerate(islice(_evolved_populations(j), n_max + 1)):
+        start = results[-1].weights > 0.0 if results else None
+        results.append(_fit("convexity_series", j, n, grid, state, start))
+    return results
 
 
 def _fit(caller: str, j: SpinLabel, n: int, grid: CoherentGrid,
-         state: np.ndarray) -> DecompositionResult:
+         state: np.ndarray, start=None) -> DecompositionResult:
     """:func:`nnls_solve` whose cap error also names 2j, n and the grid size."""
     try:
-        return nnls_solve(grid.columns, state)
+        return nnls_solve(grid.columns, state, start=start)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"coherent_analysis.{caller}: 2j={j.twice_j}, n={n}, "

@@ -750,7 +750,8 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     generators = [rng] + [Generator(PCG64(0)) for _ in range(1, workers)]
     at = [0] + [None] * (workers - 1)  # the step row each worker's generator stands at
     draws = np.empty((workers, min(rows, n_max), n_samples))
-    counts = np.zeros((workers, n_samples), dtype=int)
+    plus_counts = np.zeros(n_samples, dtype=int)  # worker 0's counts, and then the sum
+    counts = [plus_counts] + [np.zeros(n_samples, dtype=int) for _ in range(1, workers)]
 
     def draw(w, chunk):
         start = chunk * rows
@@ -767,7 +768,8 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
         rng.bit_generator.state = start_state
         end = rng.bit_generator.advance(n_max * n_samples).state["state"]
         rng.bit_generator.state = {**start_state, "state": end}
-    plus_counts = counts.sum(axis=0)
+    for more in counts[1:]:
+        plus_counts += more
     return _count_fidelity(spectrum, n_max, plus_counts), plus_counts
 
 

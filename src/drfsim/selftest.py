@@ -145,7 +145,7 @@ def _check_nnls_recovery(rng, kraus):
         result = ca.nnls_solve(a, b / b.sum())
         require(f"{rows} x {2 * rows} random matrix", "recovery residual",
                 result.residual, "NNLS_RECOVERY_TOL")
-    # collinear coherent columns: bounded by the KKT optimality gap
+    # nearly collinear coherent columns: bounded by their conditioning
     for _ in range(5):
         tj = int(rng.integers(2, 11))
         grid = ca.build_grid(am.SpinLabel(tj), 4 * (tj + 1))

@@ -6,7 +6,8 @@ array the coherent grid and the fidelity series allocate should be one they
 return: the peaks are bounded by the returned arrays plus one working array
 (for the grid, a quarter of it).  The in-place steps must also leave every
 value as the whole-array expressions gave it.  The NNLS fit checks its
-matrix without a mask of the matrix's size.
+matrix without a mask of the matrix's size, and the trajectory batch sums
+its workers' counts in place.
 """
 
 import math
@@ -26,8 +27,9 @@ from drfsim import (
     initial_spectrum,
     multipole_spectrum,
     nnls_solve,
+    sample_fidelity_batch,
 )
-from drfsim import cli
+from drfsim import cli, quantum_drf
 from drfsim.cli import COMMANDS, RunConfig, default_n_max
 
 J = SpinLabel(200)
@@ -60,6 +62,21 @@ def test_nnls_finiteness_check_holds_no_matrix_sized_mask():
     grid = build_grid(J, 8 * J.dim)
     _, peak = traced_peak(lambda: nnls_solve(grid.columns, grid.columns[:, 5]))
     assert peak < grid.columns.size
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_sums_its_counts_in_place(monkeypatch, workers):
+    # criterion 5's call: one step row of S samples per chunk, so each worker
+    # holds a row of draws and a row of counts, and the fidelities take three
+    # rows more; summing the counts into a new array took a row beyond that
+    # (peaks of 6 and 8 rows on one and two workers)
+    n_samples = 100000
+    row = n_samples * 8
+    monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: workers)
+    (_, counts), peak = traced_peak(
+        lambda: sample_fidelity_batch(SpinLabel(4), 20, n_samples, seed=2024))
+    assert counts.base is None
+    assert peak < (3.5 + 2 * workers) * row
 
 
 @pytest.mark.parametrize("build", [

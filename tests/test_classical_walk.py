@@ -114,6 +114,14 @@ class TestInitialSpectrum:
         with pytest.raises(DomainError):
             LegendreSpectrum(np.array([0.9, 0.1, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spectrum_type_rejects_non_finite_coefficients(self, bad):
+        # a NaN used to construct, and classical_fidelity then returned NaN
+        with pytest.raises(DomainError, match=r"^coeffs must be finite"):
+            LegendreSpectrum([1.0, bad])
+        with pytest.raises(DomainError, match=r"^coeffs must be finite"):
+            LegendreSpectrum([1.0, 0.5, bad, 0.0])
+
     @pytest.mark.parametrize("coeffs", [[1.0], [[1.0, 0.5]], []])
     def test_spectrum_type_rejects_bad_shape(self, coeffs):
         with pytest.raises(DomainError, match="at least 2 coefficients"):
@@ -341,6 +349,15 @@ class TestRingAverage:
         for alpha in (0.0, math.pi):
             with pytest.raises(DomainError):
                 ring_average(thetas, np.ones_like(thetas), alpha)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN value used to spread into an array of NaN
+        thetas = np.linspace(0.0, math.pi, 2048)
+        values = np.ones_like(thetas)
+        values[700] = bad
+        with pytest.raises(DomainError, match=r"^values must be finite"):
+            ring_average(thetas, values, 0.5)
 
     @pytest.mark.parametrize("n_psi", [0, -3, 2.5])
     def test_bad_n_psi_rejected(self, n_psi):

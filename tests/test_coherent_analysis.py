@@ -2,6 +2,7 @@
 
 import functools
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from drfsim import (
     nnls_solve,
 )
 from drfsim import coherent_analysis
+from drfsim.tolerances import KKT_TOL, STRUCTURE_TOL
 
 from brute_force import two_node_scan
 
@@ -222,7 +224,63 @@ class TestNnlsSolve:
         message = str(excinfo.value)
         assert message.startswith("coherent_analysis.nnls_solve: iteration cap 0 ")
         assert f"largest bound dual {dual:.3e}" in message
-        assert "KKT_TOL = 1e-10" in message
+        assert "KKT_TOL = 1e-13" in message
+
+
+class TestWarmStart:
+    """nnls_solve from a given support, and the exit test it relies on."""
+
+    def test_exit_reaches_the_minimum(self):
+        # at KKT_TOL = 1e-10 the cold fit stopped at 2.589e-6 here, seven
+        # times the minimum
+        j, n_nodes = SpinLabel(44), 360
+        result = convexity_test(j, 8, n_nodes)
+        assert result.residual <= 3.8e-7
+        grid = build_grid(j, n_nodes)
+        state = list(islice(coherent_analysis._evolved_populations(j), 9))[-1]
+        dual = grid.columns.T @ (state - grid.columns @ result.weights)
+        assert dual[result.weights == 0.0].max() <= KKT_TOL
+
+    def test_start_on_the_optimal_support_gives_the_cold_fit(self):
+        grid = build_grid(SpinLabel(4), 40)
+        target = np.full(5, 0.2)
+        cold = nnls_solve(grid.columns, target)
+        warm = nnls_solve(grid.columns, target, start=cold.weights > 0.0)
+        assert np.array_equal(warm.weights > 0.0, cold.weights > 0.0)
+        assert warm.residual == cold.residual
+
+    @pytest.mark.parametrize("support", ["all", "none"])
+    def test_start_without_a_positive_solution_is_cold(self, support):
+        # 40 columns on 5 rows: the least-squares solution on every column
+        # has negative entries, so the loop starts from w = 0
+        grid = build_grid(SpinLabel(4), 40)
+        target = coherent_populations(SpinLabel(4), 0.3)
+        start = np.full(40, support == "all")
+        cold = nnls_solve(grid.columns, target)
+        warm = nnls_solve(grid.columns, target, start=start)
+        assert warm.residual == cold.residual
+        assert np.array_equal(warm.weights, cold.weights)
+
+    @pytest.mark.parametrize("start", [np.ones(12, dtype=bool), np.ones(11, dtype=int),
+                                       np.ones((11, 1), dtype=bool)])
+    def test_bad_start_rejected(self, start):
+        grid = build_grid(SpinLabel(2), 11)
+        target = np.full(3, 1.0 / 3.0)
+        with pytest.raises(DomainError, match=r"^start must be a bool array of shape \(11,\)"):
+            nnls_solve(grid.columns, target, start=start)
+
+    def test_series_makes_fewer_solves_than_cold_fits(self, monkeypatch):
+        # a count of least-squares solves, not a timing: the cold series
+        # made 49 at 2j = 200, and the cold fit at n = 8 makes 6
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: solves.append(1) or lstsq(*args, **kwargs))
+        convexity_series(SpinLabel(200), 8, 1608)
+        assert len(solves) <= 16
+        solves.clear()
+        convexity_test(SpinLabel(200), 8, 1608)
+        assert len(solves) == 6
 
 
 class TestGridRefinement:
@@ -266,6 +324,11 @@ class TestConvexityTest:
         assert len(series) == 5
         for n, result in enumerate(series):
             single = convexity_test(j, n, n_nodes)
+            if single.residual < 1e-12 and twice_j == 2:
+                # an exact mixture: its weights are not unique, so a warm
+                # start may reach another one
+                assert abs(result.residual - single.residual) <= STRUCTURE_TOL
+                continue
             assert result.residual == single.residual
             assert np.array_equal(result.weights, single.weights)
 
@@ -290,3 +353,20 @@ class TestConvexityTest:
             )
             assert "KKT_TOL" in message
             assert excinfo.value.result.weights.shape == (40,)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("twice_j", [*range(1, 61), 80, 120, 200])
+def test_warm_series_matches_cold_fits(twice_j):
+    # each warm fit against a cold nnls_solve on the same grid: the same
+    # support and residual bits, except where the state is an exact mixture
+    j = SpinLabel(twice_j)
+    grid = build_grid(j, 8 * j.dim)
+    series = convexity_series(j, 8, grid.n_nodes)
+    for n, state in enumerate(islice(coherent_analysis._evolved_populations(j), 9)):
+        cold, warm = nnls_solve(grid.columns, state), series[n]
+        if cold.residual < 1e-12:
+            assert warm.residual < 1e-12, f"2j={twice_j}, n={n}"
+            continue
+        assert np.array_equal(warm.weights > 0.0, cold.weights > 0.0), f"2j={twice_j}, n={n}"
+        assert warm.residual == cold.residual, f"2j={twice_j}, n={n}"

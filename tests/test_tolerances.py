@@ -110,7 +110,7 @@ def test_require_bounds(observed, name, passes):
 
 
 def test_require_keeps_the_error_class_and_refuses_unknown_names():
-    with pytest.raises(DomainError, match=r"^x: y 1\.0 exceeds KKT_TOL = 1e-10$"):
+    with pytest.raises(DomainError, match=r"^x: y 1\.0 exceeds KKT_TOL = 1e-13$"):
         tolerances.require("x", "y", 1.0, "KKT_TOL", DomainError)
     with pytest.raises(KeyError):
         tolerances.require("x", "y", 0.0, "STRUCTURE_TOLL")
