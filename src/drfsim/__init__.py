@@ -52,12 +52,15 @@ from .quantum_drf import (
     apply_map,
     build_kraus,
     closed_form_fidelity,
+    conditional_fidelity_table,
     conditional_update,
     evolve,
+    flux_step,
     multipole_spectrum,
     quantum_fidelity,
     sample_fidelity_batch,
     sample_trajectory,
+    transfer_rates,
 )
 
 __version__ = "0.1.0"
@@ -71,8 +74,9 @@ __all__ = [
     # quantum frame
     "FrameState", "KrausSet", "MeasurementRecord", "FidelitySeries",
     "MultipoleSpectrum", "multipole_spectrum",
-    "build_kraus", "apply_map", "quantum_fidelity", "closed_form_fidelity",
-    "evolve", "conditional_update", "sample_trajectory", "sample_fidelity_batch",
+    "build_kraus", "transfer_rates", "flux_step", "apply_map", "quantum_fidelity",
+    "closed_form_fidelity", "evolve", "conditional_update", "sample_trajectory",
+    "conditional_fidelity_table", "sample_fidelity_batch",
     # classical walk
     "LegendreSpectrum", "WalkParameters", "initial_spectrum", "walk_evolve",
     "classical_fidelity", "classical_fidelity_series", "fitted_step",

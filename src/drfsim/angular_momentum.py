@@ -110,6 +110,11 @@ def _check_magnetic(j: SpinLabel, twice_m: int, what: str = "m") -> int:
     return twice_m
 
 
+def _check_branch(branch) -> None:
+    if not isinstance(branch, CouplingBranch):  # +1, "PLUS" or None would read as MINUS
+        raise DomainError(f"branch must be a CouplingBranch member, got {branch!r}")
+
+
 def cg_coefficient(j, twice_m: int, s_up: bool, branch: CouplingBranch) -> CGCoefficient:
     """Clebsch-Gordan coefficient <J, M | j, m; 1/2, s> for j (x) 1/2 coupling.
 
@@ -147,6 +152,7 @@ def cg_coefficient(j, twice_m: int, s_up: bool, branch: CouplingBranch) -> CGCoe
     """
     j = as_spin(j)
     twice_m = _check_magnetic(j, twice_m)
+    _check_branch(branch)
     if branch is CouplingBranch.MINUS and j.twice_j == 0:
         raise DomainError("the J = j - 1/2 branch does not exist for j = 0")
 
@@ -184,6 +190,7 @@ def projector_element(
     operators are diagonal in m and the (a != b) operators shift m by one.
     """
     j = as_spin(j)
+    _check_branch(branch)
     if a not in (0, 1) or b not in (0, 1):
         raise DomainError(f"qubit indices must be 0 or 1, got a={a}, b={b}")
     twice_m_row = _check_magnetic(j, twice_m_row, "m_row")

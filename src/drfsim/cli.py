@@ -10,17 +10,19 @@ size leaves the earlier CSVs written and writes no manifest.
 
 Each command builds its table as columns of arrays; floats are written in
 scientific notation with 17 significant digits so they round-trip exactly,
-byte for byte as ``'%.16e'`` writes them.  The writer formats each chunk of
-rows in numpy as one ``(rows, width)`` byte matrix: a template row holds
-the ``.``, ``,`` and newline bytes, and each cell's digits and exponent are
-copied in from digit tables four bytes at a time.  Non-negative integers
-below 10**8 and floats that are +0.0 or in [1e-99, 1e15) take this route,
-the significand rounded from a double-double product with 10**k; a row
-with any other cell, or one whose rounding falls within ``CSV_TIE_MARGIN``
-of a decimal tie, is formatted by ``%`` with the row template, as are the
-list columns of ``scaling``.  The JSON manifest reports, per 2j, the
-seconds spent building the columns and writing the CSV, and the CSV's rows
-and bytes.
+byte for byte as ``'%.16e'`` writes them.  A chunk of rows whose cells all
+lie in the fast domain (integers in [0, 10**8); floats that are +0.0 or in
+[1e-99, 1e15), with a significand rounded from a double-double product
+with 10**k that is not within ``CSV_TIE_MARGIN`` of a decimal tie) is
+formatted in numpy as one ``(rows, width)`` byte matrix: a template row
+holds the ``.``, ``,`` and newline bytes, and each cell's digits and
+exponent are copied in from digit tables four bytes at a time.  Any other
+chunk, and the list columns of ``scaling``, is formatted cell by cell.  Of
+the 2 009 187 array rows the commands write at their defaults for 2j in
+{1, 2, 3, 7, 20, 99, 200}, and for 2j = 1000 by three of them, 3 take that
+route, one per series table at 2j = 3.  The JSON manifest reports, per 2j,
+the seconds spent building the columns and writing the CSV, and the CSV's
+rows and bytes.
 
 ``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
 uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -287,7 +288,7 @@ def _float_cells(matrix, at, column):
     with x 10**k formed as a double-double: Dekker's exact product with
     ``hi[k]`` plus x ``lo[k]``.  Returns the mask of cells written; a cell
     whose D leaves [10**16, 10**17) or whose rounding fraction is within
-    ``CSV_TIE_MARGIN`` of 1/2 is left to the ``%`` route.
+    ``CSV_TIE_MARGIN`` of 1/2 sends its chunk to :func:`_format_cell`.
     """
     t = _digit_tables()
     x = np.asarray(column, dtype=np.float64)
@@ -336,6 +337,8 @@ _CELLS = {"i": (b"\0" * 8, _int_cells), "f": (b"0.0000000000000000e+00", _float_
 
 
 def _format_cell(value) -> str:
+    """One cell of the per-cell route: an integer plainly, a float as
+    ``'%.16e'`` writes it, None as an empty cell."""
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -343,51 +346,29 @@ def _format_cell(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _column_cells(column):
-    """``%`` template and values of one column's cells: integers plainly,
-    floats in scientific notation with 17 significant digits; a list column
-    is formatted cell by cell by :func:`_format_cell` (None as an empty cell)."""
-    if isinstance(column, np.ndarray):
-        return ("%d" if column.dtype.kind in "iu" else "%.16e"), column.tolist()
-    return "%s", [_format_cell(v) for v in column]
+def _chunk_bytes(columns) -> bytes:
+    """The bytes of one chunk of rows.
 
-
-def _template_rows(columns) -> bytes:
-    """The ``%`` route: one ``%`` of the row template repeated, over the
-    cells in row order."""
-    templates, cells = zip(*(_column_cells(c) for c in columns))
-    line = ",".join(templates) + "\n"
-    text = (line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
-    return text.encode()
-
-
-def _chunk_pieces(columns):
-    """The bytes of one chunk of rows, in order.
-
-    Rows whose cells all lie in the fast domain are formatted in numpy into
-    one byte matrix, a copy of the template row per row, and written with
-    its NUL pads stripped.  Every other row, and any chunk with a list
-    column, goes through :func:`_template_rows`.
+    If every column is an array and every cell lies in the fast domain, the
+    chunk is formatted in numpy into one byte matrix, a copy of the template
+    row per row, and written with its NUL pads stripped.  Otherwise (a list
+    column, or any cell outside the fast domain or near a decimal tie) every
+    cell of the chunk is formatted by :func:`_format_cell`.
     """
-    if not all(isinstance(c, np.ndarray) for c in columns):
-        yield _template_rows(columns)
-        return
-    cells = [_CELLS["i" if c.dtype.kind in "iu" else "f"] for c in columns]
-    template = np.frombuffer(b",".join(t for t, _ in cells) + b"\n", dtype=np.uint8)
-    rows = len(columns[0])
-    matrix = np.tile(template, (rows, 1))
-    ok = np.ones(rows, dtype=bool)
-    at = 0
-    for (cell, write), column in zip(cells, columns):
-        ok &= write(matrix, at, column)
-        at += len(cell) + 1
-    cuts = np.flatnonzero(ok[1:] != ok[:-1]) + 1
-    for start, stop in itertools.pairwise([0, *cuts.tolist(), rows]):
-        if ok[start]:
-            raw = matrix[start:stop].ravel()
-            yield raw[raw != 0].tobytes()
+    if all(isinstance(c, np.ndarray) for c in columns):
+        cells = [_CELLS["i" if c.dtype.kind in "iu" else "f"] for c in columns]
+        template = np.frombuffer(b",".join(t for t, _ in cells) + b"\n", dtype=np.uint8)
+        matrix = np.tile(template, (len(columns[0]), 1))
+        at = 0
+        for (cell, write), column in zip(cells, columns):
+            if not write(matrix, at, column).all():
+                break
+            at += len(cell) + 1
         else:
-            yield _template_rows([c[start:stop] for c in columns])
+            raw = matrix.ravel()
+            return raw[raw != 0].tobytes()
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return "".join(",".join(map(_format_cell, row)) + "\n" for row in rows).encode()
 
 
 def _write_csv(path: Path, header, columns):
@@ -397,8 +378,7 @@ def _write_csv(path: Path, header, columns):
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            fh.writelines(_chunk_pieces([c[start:start + _CSV_CHUNK_ROWS]
-                                         for c in columns]))
+            fh.write(_chunk_bytes([c[start:start + _CSV_CHUNK_ROWS] for c in columns]))
 
 
 def _check_schema(path: Path, header):

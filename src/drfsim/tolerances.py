@@ -52,12 +52,13 @@ NNLS_MIXTURE_TOL = 2e-5
 # and is off by at most 11.1 2^-53 through the rounding of lo_k; the sum,
 # below 20, rounds to within 2^-49: under 4e-15 in all, far below this
 # margin.  A rounding fraction within the margin of 1/2 may be an exact tie
-# or lie on the wrong side of one; such cells are formatted by '%' instead.
+# or lie on the wrong side of one; its chunk is formatted cell by cell instead.
 CSV_TIE_MARGIN = 1e-12
 
 # Smallest positive float the CSV writer formats in numpy: from 1e-99 up to
 # 1e15 '%.16e' writes a two-digit exponent, so every such cell is 22 bytes;
-# below it the exponent has three digits ('e-100') and '%' writes the row.
+# below it the exponent has three digits ('e-100'), so a chunk holding such a
+# cell is formatted cell by cell.
 CSV_FAST_MIN = 1e-99
 
 

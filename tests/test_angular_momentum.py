@@ -182,6 +182,17 @@ class TestProjectorElement:
             projector_element(SpinLabel(2), PLUS, 2, 0, 0, 0)
 
 
+@pytest.mark.parametrize("branch", [+1, -1, "PLUS", None])
+def test_branch_must_be_a_coupling_branch(branch):
+    # each of these once read as J = j - 1/2: 0.25 where PLUS gives 0.75
+    with pytest.raises(DomainError, match="branch"):
+        cg_coefficient(SpinLabel(0), 0, True, branch)
+    with pytest.raises(DomainError, match="branch"):
+        projector_element(SpinLabel(3), branch, 0, 0, 1, 1)
+    with pytest.raises(DomainError, match="branch"):  # before the selection rule's 0
+        projector_element(SpinLabel(3), branch, 0, 1, 1, 1)
+
+
 class TestCoherentPopulations:
     def test_pole_aligned(self):
         p = coherent_populations(SpinLabel(6), 0.0)

@@ -1,5 +1,6 @@
 """Legendre pipeline against quadrature and grid ring-average oracles."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -468,6 +469,18 @@ class TestFidelitySeries:
         series = classical_fidelity_series(j, 0.0, 5)
         start = 0.5 + j.j / (2.0 * j.j + 1.0)
         assert np.max(np.abs(series.fidelity - start)) < 1e-10
+
+    def test_closed_form_check_names_size_step_and_tolerance(self, monkeypatch):
+        # an amplitude 1e-9 off breaks ORACLE_TOL most at step 0, where
+        # cos(alpha)^n = 1
+        spectrum = classical_walk.multipole_spectrum
+        monkeypatch.setattr(classical_walk, "multipole_spectrum", lambda j: dataclasses.replace(
+            spectrum(j), amplitude=spectrum(j).amplitude + 1e-9))
+        with pytest.raises(InternalConsistencyError) as caught:
+            classical_fidelity_series(SpinLabel(20), 0.3, 10)
+        assert str(caught.value).startswith(
+            "classical_walk.classical_fidelity_series: 2j=20, step 0: ")
+        assert "exceeds ORACLE_TOL = 1e-10" in str(caught.value)
 
 
 class TestAngularSpread:

@@ -55,6 +55,13 @@ def test_every_module_export_resolves(dotted):
     assert hasattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize("module", ["angular_momentum", "quantum_drf", "classical_walk",
+                                    "coherent_analysis"])
+def test_library_modules_export_through_the_package(module):
+    exported = importlib.import_module(f"drfsim.{module}").__all__
+    assert sorted(set(exported) - set(drfsim.__all__)) == []
+
+
 @pytest.mark.parametrize("dotted", _traced_functions())
 def test_every_traced_function_exists(dotted):
     assert callable(_function(dotted))

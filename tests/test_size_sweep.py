@@ -3,8 +3,9 @@
 Marked ``slow`` and left out of the default run (see ``addopts`` in
 pyproject.toml); run with ``pytest -m slow``.  The largest sizes take tens
 of seconds each and write CSVs of ~10^6 rows.  Each CSV is compared, a
-chunk at a time, with the ``%`` route's formatting of the same columns, so
-the vectorised writer is checked on every real output.
+chunk at a time, with ``%`` formatting of the same columns (``%d`` and
+``%.16e`` per cell), so the vectorised writer is checked on every real
+output.
 
 Each run's tracemalloc peak (numpy reports its buffers there) is recorded
 as the test property ``tracemalloc_peak_bytes`` (``--junitxml`` keeps it).
@@ -13,6 +14,7 @@ peak at (columns + 2) x rows x 8 bytes, and ``coherent-test`` at 1.25 times
 its coherent grid of (2j+1) x 8(2j+1) doubles.
 """
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -34,6 +36,22 @@ def expected_rows(command, twice_j):
     if command == "scaling":
         return 1
     return default_n_max(SpinLabel(twice_j)) + 1
+
+
+def percent_rows(columns) -> bytes:
+    """The rows of ``columns`` by ``%``: a row template repeated, over the
+    cells in row order; a list column's None is an empty cell."""
+    templates, cells = [], []
+    for column in columns:
+        if hasattr(column, "dtype"):
+            templates.append("%d" if column.dtype.kind in "iu" else "%.16e")
+            cells.append(column.tolist())
+        else:
+            templates.append("%s")
+            cells.append(["" if v is None else ("%d" if isinstance(v, int) else "%.16e") % v
+                          for v in column])
+    line = ",".join(templates) + "\n"
+    return ((line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))).encode()
 
 
 def sweep_cases():
@@ -81,7 +99,7 @@ def test_command_at_defaults(tmp_path, monkeypatch, record_property, command, tw
     with open(out, "rb") as fh:
         assert fh.readline() == (",".join(HEADERS[command]) + "\n").encode()
         for start in range(0, rows, step):
-            expected = cli._template_rows([c[start:start + step] for c in columns])
+            expected = percent_rows([c[start:start + step] for c in columns])
             assert fh.read(len(expected)) == expected, f"rows {start} ..."
         assert fh.read() == b""
     out.unlink()
