@@ -14,6 +14,12 @@ It also records the Python, numpy and BLAS the digests were taken with:
 ``tests/test_golden.py`` compares bytes where they match and the stored rows
 as values elsewhere.  A change that moves a digest says which cells moved
 and why.
+
+The manifest also pins the seeded stream of ``sample_fidelity_batch``: for
+each case in ``SAMPLER_CASES``, the sha256 of the ``plus_counts`` that one
+worker draws.  These are integers from ``PCG64``, the same on every machine,
+so ``tests/test_quantum_drf.py`` asserts them everywhere, for one to four
+workers.
 """
 
 from __future__ import annotations
@@ -26,10 +32,11 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from drfsim import cli
+from drfsim import SpinLabel, cli, quantum_drf, sample_fidelity_batch
 
 MANIFEST = Path(__file__).resolve().with_name("manifest.json")
 
@@ -44,6 +51,17 @@ CASES = {
                                          "--twice-j", "20"] for seed in (7, 99)},
     "compare-sweep": ["compare", "--twice-j", "1,2,20"],
     "scaling-sweep": ["scaling", "--twice-j", "1,2,20,200"],
+}
+
+# sample_fidelity_batch arguments (2j, n_max, n_samples, seed) by case name; the
+# last case has more samples than quantum_drf._CHUNK_DRAWS (criterion 5's call)
+SAMPLER_CASES = {
+    "2j1-n40-S2000": (1, 40, 2000, [7, 1]),
+    "2j20-n762-S2000": (20, 762, 2000, [7, 20]),
+    "2j40-n2912-S2000": (40, 2912, 2000, [99, 40]),
+    "2j4-n0-S5": (4, 0, 5, 3),
+    "2j4-n1-S1": (4, 1, 1, 3),
+    "2j4-n20-S100000": (4, 20, 100_000, 2024),
 }
 
 
@@ -73,6 +91,13 @@ def build_outputs() -> dict[str, bytes]:
     return outputs
 
 
+def plus_counts_digest(twice_j, n_max, n_samples, seed) -> str:
+    """sha256 of the little-endian int64 ``plus_counts`` of
+    ``sample_fidelity_batch`` for these arguments."""
+    _, counts = sample_fidelity_batch(SpinLabel(twice_j), n_max, n_samples, seed)
+    return hashlib.sha256(np.asarray(counts, dtype="<i8").tobytes()).hexdigest()
+
+
 def sampled_lines(lines: list[str]) -> list[tuple[int, str]]:
     """Line 0 (the header) and ``SAMPLED_ROWS`` evenly spaced rows from line
     1 to the last, with their line numbers."""
@@ -90,10 +115,14 @@ def record(data: bytes) -> dict:
 
 def main() -> int:
     outputs = build_outputs()
+    with mock.patch.object(quantum_drf, "_cpu_count", lambda: 1):
+        pinned = {name: {"case": list(case), "sha256": plus_counts_digest(*case)}
+                  for name, case in SAMPLER_CASES.items()}
     manifest = {"environment": environment(),
-                "outputs": {name: record(data) for name, data in outputs.items()}}
+                "outputs": {name: record(data) for name, data in outputs.items()},
+                "plus_counts": pinned}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-    print(f"{MANIFEST}: {len(outputs)} outputs")
+    print(f"{MANIFEST}: {len(outputs)} outputs, {len(pinned)} sampler streams")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 import decimal
 import functools
-import hashlib
 import itertools
+import json
 import math
 import re
 import sys
@@ -50,6 +50,9 @@ from brute_force import (
     flux_loop,
     kraus_block,
 )
+from golden import regenerate
+
+PINNED_STREAMS = json.loads(regenerate.MANIFEST.read_text(encoding="utf-8"))["plus_counts"]
 
 
 def random_dense_state(rng, j):
@@ -842,22 +845,14 @@ class TestBatchWorkers:
     """sample_fidelity_batch on several cores: the counts of the serial stream."""
 
     @pytest.mark.parametrize("twice_j, n_max, n_samples, seed, digest", [
-        (1, 40, 2000, [7, 1],
-         "a436630b60ae2420a3bd786ac0319f425efb0f715ae11b177bcd2a2500fb20af"),
-        (20, 762, 2000, [7, 20],
-         "c7ddbc0361e8f6b9267800290f21440e2e54db57f62f640a7b4a269575dad5d7"),
-        (40, 2912, 2000, [99, 40],
-         "668d54378a23f99c41772dc3c1ffea1476c70e39bc76515d233e405d2500a776"),
-        (4, 0, 5, 3, "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb"),
-        (4, 1, 1, 3, "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
-    ])
+        (*pinned["case"], pinned["sha256"]) for pinned in PINNED_STREAMS.values()])
     def test_counts_match_the_pinned_stream(self, monkeypatch, twice_j, n_max, n_samples,
                                             seed, digest):
-        # sha256 of the little-endian int64 plus_counts of the one-worker loop
+        # sha256 of the little-endian int64 plus_counts of the one-worker
+        # loop, pinned in tests/golden/manifest.json
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
-            _, counts = sample_fidelity_batch(SpinLabel(twice_j), n_max, n_samples, seed)
-            got = hashlib.sha256(np.asarray(counts, dtype="<i8").tobytes()).hexdigest()
+            got = regenerate.plus_counts_digest(twice_j, n_max, n_samples, seed)
             assert got == digest, cpus
 
     @pytest.mark.parametrize("twice_j, n_max, n_samples", [
