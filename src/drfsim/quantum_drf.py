@@ -727,10 +727,12 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     :func:`sample_trajectory` consumes the same stream, so a batch of one
     reproduces it for the same seed.
 
-    Chunks of about 2^16 / W uniforms go to the W workers of :func:`_in_workers`:
-    a ``PCG64`` double is one output, so a worker's copy of the generator reaches
-    row a by ``advance(a n_samples)`` and the counts do not depend on W.  Another
-    bit generator gets one worker.  A ``Generator`` seed ends as if serial.
+    A chunk of at most 2^16 / W uniforms goes to one of the W workers of
+    :func:`_in_workers`: whole rows while a row fits in one, else a run of
+    columns of one row.  A ``PCG64`` double is one output, so a worker's copy
+    of the generator reaches row a, column b by ``advance(a n_samples + b)``
+    and the counts do not depend on W.  Another bit generator gets one worker.
+    A ``Generator`` seed ends as if serial.
 
     Returns
     -------
@@ -743,25 +745,30 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     spectrum = multipole_spectrum(j)
     rng = _generator(seed)
     cpus = _cpu_count()
-    rows = max(1, _CHUNK_DRAWS // cpus // n_samples)
-    chunks = -(-n_max // rows)
+    per_chunk = _CHUNK_DRAWS // cpus
+    rows = max(1, per_chunk // n_samples)
+    width = min(n_samples, per_chunk)  # columns per chunk
+    runs = -(-n_samples // width)  # chunks per row block
+    chunks = -(-n_max // rows) * runs
     workers = min(cpus, chunks) if type(rng.bit_generator) is PCG64 else 1
     start_state = rng.bit_generator.state
     generators = [rng] + [Generator(PCG64(0)) for _ in range(1, workers)]
-    at = [0] + [None] * (workers - 1)  # the step row each worker's generator stands at
-    draws = np.empty((workers, min(rows, n_max), n_samples))
+    at = [0] + [None] * (workers - 1)  # the stream position of each worker's generator
+    draws = np.empty((workers, min(rows, n_max), width))
     plus_counts = np.zeros(n_samples, dtype=int)  # worker 0's counts, and then the sum
     counts = [plus_counts] + [np.zeros(n_samples, dtype=int) for _ in range(1, workers)]
 
     def draw(w, chunk):
-        start = chunk * rows
+        row, column = chunk // runs * rows, chunk % runs * width
+        start = row * n_samples + column
         if at[w] != start:
             generators[w].bit_generator.state = start_state
-            generators[w].bit_generator.advance(start * n_samples)
-        block = draws[w, : n_max - start]
+            generators[w].bit_generator.advance(start)
+        block = draws[w, : n_max - row, : n_samples - column]
         generators[w].random(out=block)
-        at[w] = start + len(block)
-        counts[w] += np.add.reduce(block < spectrum.p_plus, axis=0, dtype=np.uint16)
+        at[w] = start + block.size
+        counts[w][column : column + width] += np.add.reduce(
+            block < spectrum.p_plus, axis=0, dtype=np.uint16)
 
     _in_workers(workers, chunks, draw)
     if workers > 1:  # where the serial loop leaves it; advance would drop a buffered uint32

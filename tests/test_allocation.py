@@ -7,7 +7,7 @@ return: the peaks are bounded by the returned arrays plus one working array
 (for the grid, a quarter of it).  The in-place steps must also leave every
 value as the whole-array expressions gave it.  The NNLS fit checks its
 matrix without a mask of the matrix's size, and the trajectory batch sums
-its workers' counts in place.
+its workers' counts in place and draws a long row in fixed-size chunks.
 """
 
 import math
@@ -66,10 +66,10 @@ def test_nnls_finiteness_check_holds_no_matrix_sized_mask():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_sums_its_counts_in_place(monkeypatch, workers):
-    # criterion 5's call: one step row of S samples per chunk, so each worker
-    # holds a row of draws and a row of counts, and the fidelities take three
-    # rows more; summing the counts into a new array took a row beyond that
-    # (peaks of 6 and 8 rows on one and two workers)
+    # criterion 5's call: each worker holds a row of counts, and the
+    # fidelities take three rows more; summing the counts into a new array
+    # took a row beyond that (peaks of 6 and 8 rows on one and two workers,
+    # when each worker also held a whole row of draws)
     n_samples = 100000
     row = n_samples * 8
     monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: workers)
@@ -77,6 +77,24 @@ def test_batch_sums_its_counts_in_place(monkeypatch, workers):
         lambda: sample_fidelity_batch(SpinLabel(4), 20, n_samples, seed=2024))
     assert counts.base is None
     assert peak < (3.5 + 2 * workers) * row
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_draws_a_long_row_in_chunks(monkeypatch, workers):
+    # 10^6 samples: each chunk is a run of at most _CHUNK_DRAWS / workers
+    # uniforms inside one row, so the peak is the counts and the fidelities;
+    # whole-row chunks held a row of draws per worker (5 and 7 rows)
+    j, n_max, n_samples = SpinLabel(4), 20, 10**6
+    row = n_samples * 8
+    monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: workers)
+    (_, counts), peak = traced_peak(
+        lambda: sample_fidelity_batch(j, n_max, n_samples, seed=2024))
+    assert peak < (3.5 + workers) * row
+    rng, p_plus = np.random.default_rng(2024), multipole_spectrum(j).p_plus
+    serial = np.zeros(n_samples, dtype=int)
+    for _ in range(n_max):
+        serial += rng.random(n_samples) < p_plus
+    assert np.array_equal(counts, serial)
 
 
 @pytest.mark.parametrize("build", [
