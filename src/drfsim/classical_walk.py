@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legval
+from numpy.polynomial.legendre import legval
 
 from .angular_momentum import as_spin
 from .errors import AccuracyError, DomainError, _check_count
@@ -331,15 +331,16 @@ def angular_variance(j) -> float:
 
         Var = int theta^2 f(theta) dtheta / int f(theta) dtheta
 
-    over [0, pi], evaluated by Gauss-Legendre quadrature on max(256, 8j + 64)
-    nodes.  For large j this converges to 1/(2j), the squared angular
-    uncertainty of the aligned spin-j coherent state.
+    over [0, pi].  With phi = theta/2 the profile is cos^(2N) phi, N = 4j,
+    whose moment has the exact finite sum
+
+        Var = pi^2/3 - 2 sum_{k=1..N} 1/k^2 = 2 psi_1(N + 1),
+
+    added up with ``math.fsum``.  For large j it tends to 1/(2j), the squared
+    angular uncertainty of the aligned spin-j coherent state.
     """
     j = as_spin(j)
     if j.twice_j < 1:
         raise DomainError("angular_variance requires 2j >= 1")
-    x, w = leggauss(max(256, 4 * j.twice_j + 64))
-    theta = (x + 1.0) * (math.pi / 2.0)
-    weights = w * (math.pi / 2.0)
-    profile = np.cos(theta / 2.0) ** (4 * j.twice_j)
-    return float((weights * theta**2 * profile).sum() / (weights * profile).sum())
+    terms = (-2.0 / (k * k) for k in range(1, 2 * j.twice_j + 1))
+    return math.fsum([math.pi**2 / 3.0, *terms])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legval
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, polygamma
 
 from drfsim import (
     AccuracyError,
@@ -496,6 +496,12 @@ class TestAngularSpread:
     def test_small_spin_variance_is_finite_positive(self):
         var = angular_variance(SpinLabel(1))
         assert 0.0 < var < math.pi**2
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 40, 200, 1000])
+    def test_variance_is_twice_the_trigamma(self, twice_j):
+        # profile cos^(2N)(theta/2) with N = 2 (2j): Var = 2 psi_1(N + 1)
+        want = 2.0 * polygamma(1, 2 * twice_j + 1)
+        assert abs(angular_variance(SpinLabel(twice_j)) - want) <= 1e-12 * want
 
     def test_gaussian_profile_approximation(self):
         twice_j = 200
