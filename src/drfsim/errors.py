@@ -2,6 +2,9 @@
 
 import operator
 
+__all__ = ["DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
+           "InternalConsistencyError"]
+
 
 class DrfsimError(Exception):
     """Base class for all package-specific errors."""
