@@ -12,11 +12,11 @@ k = j + m whose rates are integers over (2j+1)^2 (:func:`transfer_rates`);
 :func:`flux_step` applies it in conservative flux form, so the total
 population cannot drift systematically over long runs.  :func:`evolve`
 takes up to 64 steps per kernel call, still in flux form: a banded bond
-operator built from :func:`flux_step` moves population across each bond,
-and precomputed adjoint rows give the fidelity of every step in between.
-The Kraus operators
-from :func:`build_kraus` remain the exact Clebsch-Gordan route: they serve
-dense states, record-conditioned updates and the tests.
+operator built by :func:`flux_step`'s arithmetic moves population across
+each bond, and precomputed adjoint rows give the fidelity of every step in
+between.  The Kraus operators from :func:`build_kraus` remain the exact
+Clebsch-Gordan route: they serve dense states, record-conditioned updates
+and the tests.
 
 The averaged map and the two per-outcome maps are rotation invariant, so
 they share one multipole eigenbasis, k = 0 ... 2j.  :func:`multipole_spectrum`
@@ -471,23 +471,31 @@ def _jump_kernel(rates: np.ndarray, s: int) -> np.ndarray:
     With M = I - Delta W grad, G = W grad sum_{r<s} M^r.  Row b holds
     G[b, b-s+1 ... b+s], the only columns it can reach.  Sum_r M^r is
     symmetric, so row b of grad sum_r M^r is sum_r M^r applied to the
-    column e_b - e_{b+1}; all 2j columns are stepped at once by
-    :func:`flux_step`, each in its own window, with zero rate on the bonds
-    that leave the frame.
+    column e_b - e_{b+1}; all 2j columns are stepped at once by the
+    arithmetic of :func:`flux_step`, each in its own window (a column here,
+    so slices are contiguous), with zero rate on the bonds that leave the
+    frame.  Step r reaches only entries s-2-r ... s+1+r.  The result is
+    C-contiguous: the einsum of :func:`_jump` rounds by operand layout.
     """
     bonds = len(rates)
     padded = np.zeros(bonds + 2 * s - 2)
     padded[s - 1 : s - 1 + bonds] = rates
-    window_rates = sliding_window_view(padded, 2 * s - 1)
-    column = np.zeros((bonds, 2 * s))
-    column[:, s - 1] = 1.0
-    column[:, s] = -1.0
+    window_rates = sliding_window_view(padded, 2 * s - 1).T  # row c: bond c of each window
+    column = np.zeros((2 * s, bonds))
+    column[s - 1] = 1.0
+    column[s] = -1.0
     total = column.copy()
-    for _ in range(s - 1):
-        flux_step(column, window_rates, out=column)
-        total += column
-    total *= rates[:, None]
-    return total
+    flux = np.empty((2 * s - 1, bonds))
+    for r in range(s - 1):
+        lo, hi = s - 2 - r, s + 1 + r  # bonds lo ... hi-1 join entries lo ... hi
+        step = np.subtract(column[lo:hi], column[lo + 1 : hi + 1], out=flux[: hi - lo])
+        step *= window_rates[lo:hi]
+        column[lo:hi] -= step
+        column[lo + 1 : hi + 1] += step
+        total[lo : hi + 1] += column[lo : hi + 1]
+    total *= rates
+    del column, flux  # so that the copy does not raise the peak
+    return np.ascontiguousarray(total.T)
 
 
 def _jump(kernel: np.ndarray, windows: np.ndarray, populations: np.ndarray) -> np.ndarray:
@@ -548,8 +556,9 @@ def evolve(j, n_max: int) -> FidelitySeries:
 def _map_fidelity(j: SpinLabel, n_max: int, closed: np.ndarray):
     """The blocked iteration of :func:`evolve`: the fidelity of steps
     0 ... n_max, checked by :func:`_check_steps` against ``closed``, and the
-    largest drift of a held total from 1.  The kernel, the adjoint rows and
-    the held-state records are freed on return."""
+    largest drift of a held total from 1.  Held states are checked s at a
+    time from a copy the size of the adjoint rows.  The kernel, the adjoint
+    rows and the held-state records are freed on return."""
     rates = transfer_rates(j)
     s = _block_length(n_max)
     kernel = _jump_kernel(rates, s)
@@ -562,11 +571,15 @@ def _map_fidelity(j: SpinLabel, n_max: int, closed: np.ndarray):
     held = range(0, n_max + 1, s)
     lowest = np.empty(len(held))
     totals = np.empty(len(held))
+    states = np.empty((min(s, len(held)), j.dim))  # the held states since the last check
     for i, start in enumerate(held):
         stop = min(start + s, n_max + 1)
         np.dot(adjoint[: stop - start], state, out=fidelity[start:stop])
-        lowest[i] = state.min()
-        totals[i] = state.sum()
+        row = i % s
+        states[row] = state
+        if row == s - 1 or stop > n_max:
+            np.min(states[: row + 1], axis=1, out=lowest[i - row : i + 1])
+            np.sum(states[: row + 1], axis=1, out=totals[i - row : i + 1])
         if stop <= n_max:
             _jump(kernel, windows, state)
     fidelity /= j.twice_j + 1.0  # F = 1/2 + <m> / q, in place

@@ -166,6 +166,31 @@ def flux_loop(twice_j, n_max):
     return 0.5 + (states @ m) / q
 
 
+def jump_kernel_reference(rates, s):
+    """Window storage of the bond operator G of s averaged map steps, by
+    stepping every entry of every window.
+
+    Row b starts as the column e_b - e_{b+1} in a window of 2s entries
+    around bond b (entries b-s+1 ... b+s of the frame, with zero rate on
+    bonds outside it); s - 1 plain flux steps over the whole window are
+    summed with it and the sum is scaled by w_b.
+    """
+    bonds = len(rates)
+    padded = np.zeros(bonds + 2 * s - 2)
+    padded[s - 1 : s - 1 + bonds] = rates
+    window_rates = np.lib.stride_tricks.sliding_window_view(padded, 2 * s - 1)
+    column = np.zeros((bonds, 2 * s))
+    column[:, s - 1] = 1.0
+    column[:, s] = -1.0
+    total = column.copy()
+    for _ in range(s - 1):
+        flux = (column[:, :-1] - column[:, 1:]) * window_rates
+        column[:, :-1] -= flux
+        column[:, 1:] += flux
+        total += column
+    return total * rates[:, None]
+
+
 def coherent_columns_reference(twice_j, thetas):
     """Coherent-state populations, one column per angle, by whole-array steps.
 

@@ -48,6 +48,7 @@ from brute_force import (
     exact_averaged_step,
     exact_outcome_step,
     flux_loop,
+    jump_kernel_reference,
     kraus_block,
 )
 from golden import regenerate
@@ -483,13 +484,19 @@ class TestEvolve:
             )
             state = apply_map(state, kraus)
 
-    @pytest.mark.parametrize("fault,tolerance", [
-        (lambda out: out.__setitem__(0, -1e-9), "EIGENVALUE_FLOOR"),
-        (lambda out: out.__setitem__(0, out[0] + 1e-11), "STRUCTURE_TOL"),
-        (lambda out: out.__setitem__(slice(None), out[::-1]), "ORACLE_TOL"),
+    @pytest.mark.parametrize("k,fault,tolerance", [
+        *[(k, lambda out: out.__setitem__(0, -1e-9), "EIGENVALUE_FLOOR")
+          for k in (16, 69, 125)],
+        *[(k, lambda out: out.__setitem__(0, out[0] + 1e-11), "STRUCTURE_TOL")
+          for k in (16, 69, 125)],
+        (69, lambda out: out.__setitem__(slice(None), out[::-1]), "ORACLE_TOL"),
     ])
-    def test_failing_step_is_named(self, monkeypatch, fault, tolerance):
-        # corrupt only the state the 69th jump lands on: step 69 * 16 = 1104
+    def test_failing_step_is_named(self, monkeypatch, k, fault, tolerance):
+        # corrupt only the state the k-th jump lands on, step 16 k.  The 126
+        # held states are checked 16 at a time: k = 16 opens a group and
+        # k = 125 (step 2000) closes the last, partial one.  A reversal at
+        # step 2000 stays within ORACLE_TOL, the state being uniform there
+        # to about 1e-15
         assert quantum_drf._block_length(2000) == 16
         exact_jump = quantum_drf._jump
         calls = []
@@ -497,7 +504,7 @@ class TestEvolve:
         def faulty_jump(kernel, windows, populations):
             out = exact_jump(kernel, windows, populations)
             calls.append(None)
-            if len(calls) == 69:
+            if len(calls) == k:
                 fault(out)
             return out
 
@@ -505,7 +512,7 @@ class TestEvolve:
         with pytest.raises(InternalConsistencyError) as excinfo:
             evolve(SpinLabel(10), 2000)
         message = str(excinfo.value)
-        assert message.startswith("quantum_drf.evolve: 2j=10, step 1104: ")
+        assert message.startswith(f"quantum_drf.evolve: 2j=10, step {16 * k}: ")
         assert tolerance in message
 
     def test_failing_adjoint_row_is_named(self, monkeypatch):
@@ -642,6 +649,20 @@ class TestBlockedEvolve:
         assert len(held) == n_max // s
         for i, state in enumerate(held, 1):
             assert np.max(np.abs(state - exact[i * s])) <= 1e-15
+
+    @pytest.mark.parametrize("sizes,s", [
+        *[(range(1, 61), s) for s in (1, 2, 3, 4, 8, 13, 16, 32, 64)],
+        ([1000], 64),
+    ])
+    def test_kernel_equals_the_full_window_loop(self, sizes, s):
+        # entries outside the band a step can reach stay exactly zero, so
+        # stepping only the band gives the same bits; the einsum of _jump
+        # rounds differently on a transposed view, so the layout is pinned
+        for twice_j in sizes:
+            rates = transfer_rates(SpinLabel(twice_j))
+            kernel = quantum_drf._jump_kernel(rates, s)
+            assert kernel.flags.c_contiguous
+            assert np.array_equal(kernel, jump_kernel_reference(rates, s))
 
     @settings(max_examples=40, deadline=None)
     @given(twice_j=st.integers(1, 8), s=st.integers(1, 16))
