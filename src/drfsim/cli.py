@@ -16,13 +16,15 @@ lie in the fast domain (integers in [0, 10**8); floats that are +0.0 or in
 with 10**k that is not within ``CSV_TIE_MARGIN`` of a decimal tie) is
 formatted in numpy as one ``(rows, width)`` byte matrix: a template row
 holds the ``.``, ``,`` and newline bytes, and each cell's digits and
-exponent are copied in from digit tables four bytes at a time.  Any other
-chunk, and the list columns of ``scaling``, is formatted cell by cell.  Of
-the 2 009 187 array rows the commands write at their defaults for 2j in
-{1, 2, 3, 7, 20, 99, 200}, and for 2j = 1000 by three of them, 3 take that
-route, one per series table at 2j = 3.  The JSON manifest reports, per 2j,
-the seconds spent building the columns and writing the CSV, and the CSV's
-rows and bytes.
+exponent are copied in from digit tables four bytes at a time; the NUL
+pads in front of short integers are left out, in runs of rows when the
+first column is the only integer column.  Any other chunk, and the list
+columns of ``scaling``, is formatted cell by cell.  Of the 2 009 187 array
+rows the commands write at their defaults for 2j in {1, 2, 3, 7, 20, 99,
+200}, and for 2j = 1000 by three of them, 3 take that route, one per
+series table at 2j = 3.  The JSON manifest reports, per 2j, the seconds
+spent building the columns and writing the CSV, and the CSV's rows and
+bytes.
 
 ``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
 uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
@@ -230,7 +232,7 @@ _CSV_CHUNK_ROWS = 4096  # rows formatted at a time, bounding the memory alive
 # Fast domain of the vectorised formatter.  A float cell there is +0.0 or
 # CSV_FAST_MIN <= x < 10**15, whose '%.16e' is always 22 bytes,
 # d.(16 digits)e±dd; an integer cell is 0 <= v < 10**8, right-aligned in
-# 8 bytes after NUL pads that are stripped before the row is written.
+# 8 bytes after NUL pads that are left out when the row is written.
 _FLOAT_MAX = 1e15
 _INT_END = 10**8
 _SCALES = 118  # 10**k for k = 0 ... 117 covers 16 - floor(log10 x) over the domain
@@ -275,6 +277,12 @@ def _digit_tables():
                            hi=hi, hi_h=hi_h, hi_l=hi_l, lo=lo)
 
 
+def _split(a, c):
+    """``a // c`` and ``a % c`` by one floor division, faster than ``np.divmod``."""
+    q = a // c
+    return q, a - q * c
+
+
 def _put(matrix, at, codes):
     """Copy one '<u4' of ``codes`` per row into bytes at ... at + 3 of ``matrix``."""
     matrix[:, at:at + 4].view("<u4")[:, 0] = codes
@@ -309,11 +317,11 @@ def _float_cells(matrix, at, column):
     ok &= digits < 10**17
     digits = np.where(ok, digits, 0)
     ok |= zero
-    lead, body = np.divmod(digits, 10**16)
-    upper, lower = np.divmod(body, 10**8)
+    lead, body = _split(digits, 10**16)
+    upper, lower = _split(body, 10**8)
     matrix[:, at] = 48 + lead  # the '.' after it is the template's
-    for place, part in zip(range(at + 2, at + 18, 4), (upper // 10**4, upper % 10**4,
-                                                         lower // 10**4, lower % 10**4)):
+    for place, part in zip(range(at + 2, at + 18, 4), (*_split(upper, 10**4),
+                                                         *_split(lower, 10**4))):
         _put(matrix, place, t.quad[part])
     _put(matrix, at + 18, t.expo[k])
     return ok
@@ -326,7 +334,7 @@ def _int_cells(matrix, at, column):
     t = _digit_tables()
     ok = (column >= 0) & (column < _INT_END)
     v = np.where(ok, column, 0)
-    upper, lower = np.divmod(v, 10**4)
+    upper, lower = _split(v, 10**4)
     _put(matrix, at, t.head[upper])
     _put(matrix, at + 4, np.where(upper > 0, t.quad[lower], t.tail[lower]))
     return ok
@@ -351,12 +359,16 @@ def _chunk_bytes(columns) -> bytes:
 
     If every column is an array and every cell lies in the fast domain, the
     chunk is formatted in numpy into one byte matrix, a copy of the template
-    row per row, and written with its NUL pads stripped.  Otherwise (a list
-    column, or any cell outside the fast domain or near a decimal tie) every
-    cell of the chunk is formatted by :func:`_format_cell`.
+    row per row, and written without its NUL pads: from the first byte after
+    them, in runs of rows with equal pads, when the first column is the only
+    integer column (so every pad leads its row), and otherwise by stripping
+    every NUL byte.  Any other chunk (a list column, or a cell outside the
+    fast domain or near a decimal tie) is formatted cell by cell by
+    :func:`_format_cell`.
     """
     if all(isinstance(c, np.ndarray) for c in columns):
-        cells = [_CELLS["i" if c.dtype.kind in "iu" else "f"] for c in columns]
+        kinds = ["i" if c.dtype.kind in "iu" else "f" for c in columns]
+        cells = [_CELLS[kind] for kind in kinds]
         template = np.frombuffer(b",".join(t for t, _ in cells) + b"\n", dtype=np.uint8)
         matrix = np.tile(template, (len(columns[0]), 1))
         at = 0
@@ -365,8 +377,14 @@ def _chunk_bytes(columns) -> bytes:
                 break
             at += len(cell) + 1
         else:
-            raw = matrix.ravel()
-            return raw[raw != 0].tobytes()
+            if kinds[0] != "i" or "i" in kinds[1:]:
+                raw = matrix.ravel()
+                return raw[raw != 0].tobytes()
+            width = len(cells[0][0])
+            pads = width - 1 - np.searchsorted(10 ** np.arange(1, width), columns[0], "right")
+            starts = np.flatnonzero(np.diff(pads, prepend=-1))
+            return b"".join(matrix[a:b, pad:].tobytes() for a, b, pad
+                            in zip(starts, [*starts[1:], len(matrix)], pads[starts]))
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     return "".join(",".join(map(_format_cell, row)) + "\n" for row in rows).encode()
 

@@ -139,9 +139,14 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("chunk", [1, 5, 64, 4096])
     @pytest.mark.parametrize("order", ["sorted", "shuffled"])
-    def test_middle_integer_column_of_mixed_widths(self, tmp_path, order, chunk):
+    @pytest.mark.parametrize("first_only", [False, True], ids=["middle", "first-only"])
+    def test_middle_integer_column_of_mixed_widths(self, tmp_path, first_only, order,
+                                                   chunk):
         # sorted: a few runs of equal width per chunk; shuffled: the width
-        # changes from row to row; either way the pads must all be stripped
+        # changes from row to row; either way the pads must all be stripped.
+        # With the integers only in the first column the rows are written in
+        # runs of equal width; a cell outside [0, 10**8) sends its chunk to
+        # the per-cell route on either layout
         edges = [0, 9, 10, 99, 100, 9999, 10**4, 10**7 - 1, 10**7,
                  10**8 - 1, 10**8, 10**9, 2**62, -1, -10**8]
         rng = np.random.default_rng(5)
@@ -152,8 +157,11 @@ class TestCsvWriter:
         else:
             rng.shuffle(ints)
         x = rng.random(len(ints))
-        columns = [np.arange(len(ints)), x, ints, 1.0 - x, ints[::-1]]
-        header = ["n", "x", "k", "y", "m"]
+        if first_only:
+            columns, header = [ints, x, 1.0 - x], ["k", "x", "y"]
+        else:
+            columns = [np.arange(len(ints)), x, ints, 1.0 - x, ints[::-1]]
+            header = ["n", "x", "k", "y", "m"]
         assert (_write_with_chunks(tmp_path / "t.csv", header, columns, chunk)
                 == _reference_csv(header, columns))
 
