@@ -192,9 +192,9 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     Only c_1 enters the fidelity and it scales by P_1(cos alpha) = cos(alpha)
     per kick, so F_C(n) = [c_0 + c_1 cos(alpha)^n / 3] / 2 is what
     :func:`walk_evolve` followed by :func:`classical_fidelity` gives at each
-    n.  The result is verified against the closed form 1/2 + A cos(alpha)^n,
+    n.  The series' ``error`` against the closed form 1/2 + A cos(alpha)^n,
     A = j/(2j+1) the amplitude of :func:`~drfsim.quantum_drf.multipole_spectrum`,
-    before being returned.  Requires 2j >= 1.
+    is checked against ``ORACLE_TOL`` before the series is returned.  Requires 2j >= 1.
     """
     j = as_spin(j)
     n_max = _check_count("n_max", n_max)
@@ -209,13 +209,11 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     closed = gains  # 1/2 + A gains, over the gains
     closed *= multipole_spectrum(j).amplitude
     closed += 0.5
-    error = np.subtract(fid, closed)
-    np.abs(error, out=error)
-    step = int(np.argmax(error))  # the first NaN, if there is one
+    series = FidelitySeries(j, fid, closed)
+    step = int(np.argmax(series.error))  # the first NaN, if there is one
     require(f"classical_walk.classical_fidelity_series: 2j={j.twice_j}, step {step}",
-            "walk fidelity |F - F_closed|", error[step], "ORACLE_TOL")
-    del error  # freed before the step array is made
-    return FidelitySeries(j, np.arange(n_max + 1), fid, closed)
+            "walk fidelity |F - F_closed|", series.error[step], "ORACLE_TOL")
+    return series
 
 
 def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,

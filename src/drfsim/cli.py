@@ -91,8 +91,7 @@ def _abs_diff(a, b):
 
 
 def _series_columns(series):
-    return [series.steps, series.fidelity, series.closed_form,
-            _abs_diff(series.fidelity, series.closed_form)]
+    return [series.steps, series.fidelity, series.closed_form, series.error]
 
 
 def _columns_quantum(config: RunConfig, j: SpinLabel):
@@ -109,9 +108,8 @@ def _columns_compare(config: RunConfig, j: SpinLabel):
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
     quantum = evolve(j, n_max)
     f_c = classical_fidelity_series(j, alpha, n_max).fidelity  # its other arrays are freed
-    f_map, f_closed = quantum.fidelity, quantum.closed_form
-    return [quantum.steps, f_map, f_closed, f_c,
-            _abs_diff(f_c, f_map), _abs_diff(f_map, f_closed)]
+    return [quantum.steps, quantum.fidelity, quantum.closed_form, f_c,
+            _abs_diff(f_c, quantum.fidelity), quantum.error]
 
 
 def _columns_trajectories(config: RunConfig, j: SpinLabel):
@@ -410,13 +408,14 @@ def _check_schema(path: Path, header):
 
 def _tables(config: RunConfig) -> list[tuple[list[int], Path]]:
     """The 2j values and CSV path of each table of the run, in the order
-    written: ``scaling`` or a single value writes one table exactly to
-    --out, a sweep one table per 2j at ``<out>-2j<K>.csv``."""
-    out, js = config.out, sorted(config.twice_j)
+    written.  The run's sizes are the distinct values of ``twice_j`` in
+    ascending order: ``scaling`` or a single size writes one table exactly
+    to --out, a sweep one table per 2j at ``<out>-2j<K>.csv``."""
+    out, js = config.out, sorted(set(config.twice_j))
     if config.command == "scaling" or len(js) == 1:
         return [(js, out)]
     return [([tj], out.with_name(f"{out.stem}-2j{tj}{out.suffix or '.csv'}"))
-            for tj in sorted(set(js))]
+            for tj in js]
 
 
 def run(config: RunConfig) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -405,23 +405,31 @@ def closed_form_fidelity(j, n):
 class FidelitySeries:
     """Per-step fidelities of one computed route next to the closed form.
 
+    The series owns its derived columns: ``error`` = |fidelity -
+    closed_form|, formed once on construction, and ``steps`` = 0 ... n_max.
     ``trace_drift`` is the largest |sum p - 1| over the iterated population
     vectors, for routes that carry them; None otherwise.
     """
 
     j: SpinLabel
-    steps: np.ndarray
     fidelity: np.ndarray
     closed_form: np.ndarray
     trace_drift: float | None = None
+    error: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (len(self.steps) == len(self.fidelity) == len(self.closed_form)):
+        if len(self.fidelity) != len(self.closed_form):
             raise DomainError("series columns must have equal length")
+        error = np.subtract(self.fidelity, self.closed_form)
+        object.__setattr__(self, "error", np.abs(error, out=error))
+
+    @property
+    def steps(self) -> np.ndarray:
+        return np.arange(len(self.fidelity))
 
     @property
     def max_abs_diff(self) -> float:
-        return float(np.max(np.abs(self.fidelity - self.closed_form)))
+        return float(self.error.max())
 
     def require_valid(self):
         """Check range [1/2, 1] and monotone decay of the computed route.
@@ -448,7 +456,7 @@ class FidelitySeries:
             within = excess <= STRUCTURE_TOL
             if not within.all():
                 i = int(np.argmin(within))
-                require(f"FidelitySeries: 2j={self.j.twice_j}, step {self.steps[i]}",
+                require(f"FidelitySeries: 2j={self.j.twice_j}, step {i}",
                         what, excess[i], "STRUCTURE_TOL")
 
 
@@ -532,10 +540,10 @@ def evolve(j, n_max: int) -> FidelitySeries:
     The block length s grows with ``n_max`` (:func:`_block_length`), so a
     short run does not pay for a long kernel.
 
-    Every step's fidelity is checked against the closed form within
-    ``ORACLE_TOL``.  Every state held in memory (steps 0, s, 2s, ...) has
-    its smallest population checked against ``EIGENVALUE_FLOOR`` and its
-    total against ``STRUCTURE_TOL``.  The states in between need no check:
+    Every step's ``error`` in the series is checked against ``ORACLE_TOL``.
+    Every state held in memory (steps 0, s, 2s, ...) has its smallest
+    population checked against ``EIGENVALUE_FLOOR`` and its drift from a
+    total of 1 against ``STRUCTURE_TOL``.  The states in between need no check:
     M is entrywise non-negative and doubly stochastic, so
     min(M^r p) >= min(p) and 1^T M^r p = 1^T p.  The first step that fails
     raises :class:`InternalConsistencyError` naming 2j, the step, the
@@ -545,20 +553,21 @@ def evolve(j, n_max: int) -> FidelitySeries:
     if j.twice_j < 1:
         raise DomainError("evolve requires 2j >= 1")
     n_max = _check_count("n_max", n_max)
-    closed = closed_form_fidelity(j, np.arange(n_max + 1))
-    fmap, drift = _map_fidelity(j, n_max, closed)
-    # the step array is made once the iteration's working arrays are freed
-    series = FidelitySeries(j, np.arange(n_max + 1), fmap, closed, trace_drift=drift)
+    fidelity, s, lowest, totals = _map_fidelity(j, n_max)
+    drift = np.abs(totals - 1.0)
+    series = FidelitySeries(j, fidelity, closed_form_fidelity(j, np.arange(n_max + 1)),
+                            trace_drift=float(drift.max()))
+    _check_steps(series, s, lowest, drift)
     series.require_valid()
     return series
 
 
-def _map_fidelity(j: SpinLabel, n_max: int, closed: np.ndarray):
+def _map_fidelity(j: SpinLabel, n_max: int):
     """The blocked iteration of :func:`evolve`: the fidelity of steps
-    0 ... n_max, checked by :func:`_check_steps` against ``closed``, and the
-    largest drift of a held total from 1.  Held states are checked s at a
-    time from a copy the size of the adjoint rows.  The kernel, the adjoint
-    rows and the held-state records are freed on return."""
+    0 ... n_max, the block length s, and the smallest population and the
+    total of each held state (steps 0, s, 2s, ...).  Held states are
+    reduced s at a time from a copy the size of the adjoint rows.  The
+    kernel and the adjoint rows are freed on return."""
     rates = transfer_rates(j)
     s = _block_length(n_max)
     kernel = _jump_kernel(rates, s)
@@ -584,32 +593,29 @@ def _map_fidelity(j: SpinLabel, n_max: int, closed: np.ndarray):
             _jump(kernel, windows, state)
     fidelity /= j.twice_j + 1.0  # F = 1/2 + <m> / q, in place
     fidelity += 0.5
-    return fidelity, _check_steps(j, s, lowest, totals, fidelity, closed)
+    return fidelity, s, lowest, totals
 
 
-def _check_steps(j: SpinLabel, s: int, lowest, totals, fidelity, closed) -> float:
+def _check_steps(series: FidelitySeries, s: int, lowest, drift):
     """Raise at the first step whose held state or fidelity fails its check.
 
-    ``lowest`` and ``totals`` belong to the held states, steps 0, s, 2s, ...;
-    ``fidelity`` and ``closed`` to every step.  Returns the largest drift of
-    the held totals from 1.
+    ``lowest`` and ``drift`` (|sum p - 1|) belong to the held states, steps
+    0, s, 2s, ...; ``series.error`` to every step.  At a held step the
+    held-state checks come before the fidelity check.
     """
-    drift = np.abs(totals - 1.0)
-    error = np.subtract(fidelity, closed)
-    np.abs(error, out=error)
+    error = series.error
     held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
     if not (error.max() <= ORACLE_TOL and held_ok.all()):  # a NaN error fails
         ok = error <= ORACLE_TOL
         ok[::s] &= held_ok
         step = int(np.argmin(ok))
         i, offset = divmod(step, s)
-        where = f"quantum_drf.evolve: 2j={j.twice_j}, step {step}"
+        where = f"quantum_drf.evolve: 2j={series.j.twice_j}, step {step}"
         if offset == 0:
             require(where, "population", lowest[i], "EIGENVALUE_FLOOR")
             require(where, "|sum of populations - 1|", drift[i], "STRUCTURE_TOL")
-        require(where, f"fidelity {float(fidelity[step])!r}, |F - F_closed|",
+        require(where, f"fidelity {float(series.fidelity[step])!r}, |F - F_closed|",
                 error[step], "ORACLE_TOL")
-    return float(drift.max())
 
 
 @dataclass(frozen=True)

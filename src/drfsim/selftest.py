@@ -10,6 +10,7 @@ observed value and the tolerance.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import numpy as np
@@ -23,18 +24,6 @@ from .tolerances import require
 
 DEFAULT_SEED = 1234
 _TWICE_J_RANGE = range(1, 21)
-
-
-class _KrausSets(dict):
-    """2j -> :func:`~drfsim.quantum_drf.build_kraus` set, built on first use.
-
-    One is made per :func:`run_selftest` call, so each set is built once a
-    run and nothing outlives the run.
-    """
-
-    def __missing__(self, twice_j):
-        kraus = self[twice_j] = qd.build_kraus(am.SpinLabel(twice_j))
-        return kraus
 
 
 def _random_dense_state(rng, j):
@@ -51,7 +40,7 @@ def _random_diagonal_state(rng, j):
 
 def _check_kraus_completeness(rng, kraus):
     for tj in _TWICE_J_RANGE:
-        require(f"2j={tj}", "completeness defect", kraus[tj].completeness_defect(),
+        require(f"2j={tj}", "completeness defect", kraus(tj).completeness_defect(),
                 "STRUCTURE_TOL")
 
 
@@ -59,7 +48,7 @@ def _check_trace_preservation(rng, kraus):
     for tj in _TWICE_J_RANGE:
         j = am.SpinLabel(tj)
         for state in (_random_dense_state(rng, j), _random_diagonal_state(rng, j)):
-            mapped = qd.apply_map(state, kraus[tj])
+            mapped = qd.apply_map(state, kraus(tj))
             require(f"2j={tj}", "trace drift", abs(np.sum(mapped.populations) - 1.0),
                     "STRUCTURE_TOL")
 
@@ -67,7 +56,7 @@ def _check_trace_preservation(rng, kraus):
 def _check_positivity(rng, kraus):
     for tj in _TWICE_J_RANGE:
         j = am.SpinLabel(tj)
-        mapped = qd.apply_map(_random_dense_state(rng, j), kraus[tj])
+        mapped = qd.apply_map(_random_dense_state(rng, j), kraus(tj))
         require(f"2j={tj}", "smallest eigenvalue",
                 np.linalg.eigvalsh(mapped.matrix).min(), "EIGENVALUE_FLOOR")
 
@@ -75,7 +64,7 @@ def _check_positivity(rng, kraus):
 def _check_diagonal_closure(rng, kraus):
     for tj in (1, 5, 12, 20):
         j = am.SpinLabel(tj)
-        mapped = qd.apply_map(_random_diagonal_state(rng, j), kraus[tj])
+        mapped = qd.apply_map(_random_diagonal_state(rng, j), kraus(tj))
         off = mapped.matrix.copy()
         np.fill_diagonal(off, 0.0)
         if not (mapped.diagonal and np.all(off == 0.0)):
@@ -87,7 +76,7 @@ def _check_fixed_point(rng, kraus):
     for tj in (1, 4, 9, 20):
         j = am.SpinLabel(tj)
         mixed = qd.FrameState.maximally_mixed(j)
-        mapped = qd.apply_map(mixed, kraus[tj])
+        mapped = qd.apply_map(mixed, kraus(tj))
         require(f"2j={tj}", "drift of the maximally mixed state",
                 np.max(np.abs(mapped.populations - mixed.populations)), "STRUCTURE_TOL")
 
@@ -176,7 +165,7 @@ def run_selftest(seed: int = DEFAULT_SEED, stream=None):
     """Run every structural check; returns (passed, failed) counts."""
     stream = stream if stream is not None else sys.stdout
     passed = failed = 0
-    kraus = _KrausSets()
+    kraus = functools.cache(lambda tj: qd.build_kraus(am.SpinLabel(tj)))  # 2j -> Kraus set
     for name, check in CHECKS:
         rng = np.random.default_rng([seed, passed + failed])
         try:

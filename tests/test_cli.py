@@ -302,6 +302,21 @@ class TestCompareCommand:
         assert manifest["outputs"] == [str(tmp_path / f"q-2j{tj}.csv") for tj in (2, 4)]
         assert list(manifest["report"]) == ["2", "4"]
 
+    def test_a_size_given_twice_is_one_table_at_out(self, tmp_path):
+        # the distinct sizes decide between one table and a sweep
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        for sizes, out in (("3", once), ("3,3", twice)):
+            assert main(["quantum-evolve", "--twice-j", sizes, "--n-max", "20",
+                         "--out", str(out)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["once.csv", "twice.csv"]
+
+    def test_scaling_drops_repeated_sizes(self, tmp_path):
+        outs = [tmp_path / "sorted.csv", tmp_path / "repeated.csv"]
+        for sizes, out in zip(("2,4", "4,2,2"), outs):
+            assert main(["scaling", "--twice-j", sizes, "--out", str(out)]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     def test_scaling_report_covers_its_sizes(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["scaling", "--twice-j", "20,10,40", "--out", str(out)])
@@ -604,6 +619,16 @@ class TestCliSurface:
         for _ in range(2):
             assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
         assert sorted(built) == sorted(list(range(1, 21)) * 2)
+
+    def test_one_selftest_run_builds_each_kraus_set_once(self, monkeypatch):
+        from drfsim import quantum_drf, selftest
+
+        built = []
+        exact_build = quantum_drf.build_kraus
+        monkeypatch.setattr(quantum_drf, "build_kraus",
+                            lambda j: built.append(j.twice_j) or exact_build(j))
+        assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
+        assert sorted(built) == list(range(1, 21))
 
     def test_selftest_failure_survives_optimised_mode(self):
         # python -O strips assert statements; the checks must still fail

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.stats import binom, chisquare
 
 from drfsim import quantum_drf
 from drfsim import (
@@ -537,9 +538,8 @@ class TestEvolve:
 
     def test_series_validation_names_the_step(self):
         j = SpinLabel(4)
-        steps = np.arange(4)
         fidelity = np.array([0.9, 0.8, 0.85, 0.7])
-        series = quantum_drf.FidelitySeries(j, steps, fidelity, fidelity)
+        series = quantum_drf.FidelitySeries(j, fidelity, fidelity)
         pattern = r"2j=4, step 2: .*STRUCTURE_TOL"
         with pytest.raises(InternalConsistencyError, match=pattern):
             series.require_valid()
@@ -548,13 +548,12 @@ class TestEvolve:
     def test_series_validation_finds_a_rise_at_every_step(self, length):
         # rises into odd and into even steps share one buffer; both are seen
         decay = np.linspace(0.99, 0.6, length)
-        assert quantum_drf.FidelitySeries(SpinLabel(4), np.arange(length), decay,
+        assert quantum_drf.FidelitySeries(SpinLabel(4), decay,
                                           decay).require_valid() is None
         for step in range(1, length):
             fidelity = decay.copy()
             fidelity[step] = fidelity[step - 1] + 2e-12
-            series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(length),
-                                                fidelity, fidelity)
+            series = quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity)
             with pytest.raises(InternalConsistencyError,
                                match=rf"step {step}: rise of fidelity .* STRUCTURE_TOL"):
                 series.require_valid()
@@ -563,21 +562,18 @@ class TestEvolve:
     def test_series_validation_names_the_step_outside_the_range(self, value, step):
         fidelity = np.array([0.9, 0.8, 0.7, 0.6, 0.55])
         fidelity[step] = value
-        series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(5), fidelity, fidelity)
+        series = quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity)
         with pytest.raises(InternalConsistencyError,
                            match=rf"step {step}: distance of fidelity outside"):
             series.require_valid()
 
     def test_series_validation_accepts_empty_and_single_steps(self):
         for fidelity in (np.array([]), np.array([0.75])):
-            steps = np.arange(len(fidelity))
-            quantum_drf.FidelitySeries(SpinLabel(4), steps, fidelity,
-                                       fidelity).require_valid()
+            quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity).require_valid()
 
     def test_series_validation_rejects_nan(self):
         fidelity = np.array([0.9, np.nan, 0.8])
-        series = quantum_drf.FidelitySeries(SpinLabel(4), np.arange(3), fidelity,
-                                            fidelity)
+        series = quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity)
         with pytest.raises(InternalConsistencyError,
                            match=r"^FidelitySeries: 2j=4, step 1: .* nan exceeds "
                                  r"STRUCTURE_TOL = 1e-12$"):
@@ -786,6 +782,34 @@ class TestTrajectories:
         closed = closed_form_fidelity(SpinLabel(4), 10)
         stderr = fid.std(ddof=1) / np.sqrt(len(fid))
         assert abs(fid.mean() - closed) < 4.0 * stderr
+
+    @pytest.mark.parametrize("twice_j, n, n_samples, seed", [
+        (4, 20, 100000, 2024),  # criterion 5's call: chunks are runs of columns
+        (20, 762, 2000, [7, 20]),  # chunks are whole rows
+    ])
+    def test_counts_follow_the_binomial_law(self, twice_j, n, n_samples, seed):
+        # chi-squared goodness of fit of the + counts against Binomial(n, p+),
+        # bins pooled from the tails until each expects at least 5; the same
+        # counts against p+ + 0.01 must fail, so the test can see a wrong law
+        _, counts = sample_fidelity_batch(SpinLabel(twice_j), n, n_samples, seed)
+        observed = np.bincount(counts, minlength=n + 1)
+
+        def p_value(p):
+            expected = n_samples * binom.pmf(np.arange(n + 1), n, p)
+            obs_bins, exp_bins, o, e = [], [], 0, 0.0
+            for ob, ex in zip(observed, expected):
+                o, e = o + ob, e + ex
+                if e >= 5.0:
+                    obs_bins.append(o)
+                    exp_bins.append(e)
+                    o, e = 0, 0.0
+            obs_bins[-1] += o  # the right tail joins the last full bin
+            exp_bins[-1] += e
+            return chisquare(obs_bins, exp_bins).pvalue
+
+        p_plus = multipole_spectrum(SpinLabel(twice_j)).p_plus
+        assert p_value(p_plus) > 1e-3
+        assert p_value(p_plus + 0.01) < 1e-9
 
 
 def exact_count_fidelity(twice_j, n, count):
