@@ -19,14 +19,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_member, _index
 
 __all__ = [
     "SpinLabel",
@@ -47,11 +46,7 @@ class SpinLabel:
     twice_j: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_j, (int, np.integer)):
-            raise DomainError(f"twice_j must be an integer, got {self.twice_j!r}")
-        if self.twice_j < 0:
-            raise DomainError(f"twice_j must be non-negative, got {self.twice_j}")
-        object.__setattr__(self, "twice_j", int(self.twice_j))
+        object.__setattr__(self, "twice_j", _check_count("twice_j", self.twice_j))
 
     @property
     def j(self) -> float:
@@ -78,6 +73,14 @@ def as_spin(j) -> SpinLabel:
     return SpinLabel(j)
 
 
+def _check_frame(j) -> SpinLabel:
+    """:func:`as_spin` of a frame that has the J = j - 1/2 branch, 2j >= 1."""
+    j = as_spin(j)
+    if j.twice_j < 1:
+        raise DomainError(f"j must have 2j >= 1, got 2j={j.twice_j}")
+    return j
+
+
 class CouplingBranch(enum.Enum):
     """Total-spin branch of j (x) 1/2: J = j + 1/2 (PLUS) or J = j - 1/2 (MINUS)."""
 
@@ -97,17 +100,16 @@ class CGCoefficient(NamedTuple):
 
 
 def _check_magnetic(j: SpinLabel, twice_m: int, what: str = "m") -> int:
-    try:
-        twice_m = operator.index(twice_m)  # int() would truncate 2m = 1.9 to 1
-    except TypeError:
-        raise DomainError(f"2{what}={twice_m!r} must be an integer for {j}") from None
-    if (twice_m - j.twice_j) % 2 != 0:
+    index = _index(twice_m)  # int() would truncate 2m = 1.9 to 1
+    if index is None:
+        raise DomainError(f"2{what}={twice_m!r} must be an integer for {j}")
+    if (index - j.twice_j) % 2 != 0:
         raise DomainError(
-            f"2{what}={twice_m} has wrong parity for {j} (must match 2j mod 2)"
+            f"2{what}={index} has wrong parity for {j} (must match 2j mod 2)"
         )
-    if abs(twice_m) > j.twice_j:
-        raise DomainError(f"|{what}| exceeds j: 2{what}={twice_m}, {j}")
-    return twice_m
+    if abs(index) > j.twice_j:
+        raise DomainError(f"|{what}| exceeds j: 2{what}={index}, {j}")
+    return index
 
 
 def _check_branch(branch) -> None:
@@ -191,8 +193,7 @@ def projector_element(
     """
     j = as_spin(j)
     _check_branch(branch)
-    if a not in (0, 1) or b not in (0, 1):
-        raise DomainError(f"qubit indices must be 0 or 1, got a={a}, b={b}")
+    a, b = _check_member("a", a, (0, 1)), _check_member("b", b, (0, 1))
     twice_m_row = _check_magnetic(j, twice_m_row, "m_row")
     twice_m_col = _check_magnetic(j, twice_m_col, "m_col")
     twice_s_a = 1 if a == 0 else -1

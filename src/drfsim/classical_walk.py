@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import legval
 
-from .angular_momentum import as_spin
-from .errors import AccuracyError, DomainError, _check_count
+from .angular_momentum import _check_frame
+from .errors import AccuracyError, DomainError, _check_count, _check_finite
 from .quantum_drf import FidelitySeries, _cpu_count, _in_workers, multipole_spectrum
 from .tolerances import require
 
@@ -56,13 +56,11 @@ class LegendreSpectrum:
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or len(arr) < 2:
-            raise DomainError(
-                f"expected a 1-d array of at least 2 coefficients, got shape {arr.shape}"
-            )
+            raise DomainError(f"coeffs must be a 1-d array of at least 2 coefficients, "
+                              f"got shape {arr.shape}")
         if arr[0] != 1.0:
-            raise DomainError(f"c_0 must be exactly 1, got {arr[0]!r}")
-        if not (np.abs(arr).max() < math.inf):  # NaN-safe
-            raise DomainError("coeffs must be finite (they hold nan or inf)")
+            raise DomainError(f"coeffs must start with c_0 = 1 exactly, got {arr[0]}")
+        _check_finite("coeffs", arr)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -117,7 +115,7 @@ def initial_spectrum(j) -> LegendreSpectrum:
     returned series is exact and holds the N + 1 coefficients c_0 ... c_N.
     Requires 2j >= 1.
     """
-    big_n = 2 * as_spin(j).twice_j
+    big_n = 2 * _check_frame(j).twice_j
     i = np.arange(1, big_n + 1)
     ratios = (big_n + 1 - i) / (big_n + 1.0 + i)
     return LegendreSpectrum(
@@ -196,7 +194,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     A = j/(2j+1) the amplitude of :func:`~drfsim.quantum_drf.multipole_spectrum`,
     is checked against ``ORACLE_TOL`` before the series is returned.  Requires 2j >= 1.
     """
-    j = as_spin(j)
+    j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     WalkParameters(alpha, n_max)  # validates alpha
     c0, c1 = initial_spectrum(j).coeffs[:2]
@@ -262,8 +260,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     values = np.asarray(values, dtype=float)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise DomainError("thetas and values must be 1-d arrays of equal length")
-    if not (np.abs(values).max(initial=0.0) < math.inf):  # NaN-safe
-        raise DomainError("values must be finite (they hold nan or inf)")
+    _check_finite("values", values)
     n_grid = len(thetas)
     if n_grid < _MIN_RING_GRID:
         raise AccuracyError(
@@ -337,8 +334,5 @@ def angular_variance(j) -> float:
     added up with ``math.fsum``.  For large j it tends to 1/(2j), the squared
     angular uncertainty of the aligned spin-j coherent state.
     """
-    j = as_spin(j)
-    if j.twice_j < 1:
-        raise DomainError("angular_variance requires 2j >= 1")
-    terms = (-2.0 / (k * k) for k in range(1, 2 * j.twice_j + 1))
+    terms = (-2.0 / (k * k) for k in range(1, 2 * _check_frame(j).twice_j + 1))
     return math.fsum([math.pi**2 / 3.0, *terms])

@@ -197,7 +197,8 @@ def _check_option(name: str, value):
 @dataclasses.dataclass
 class RunConfig:
     """Resolved settings for one CLI invocation; the defaults of every option
-    not given on the command line.  ``out`` defaults to ``<command>.csv``."""
+    not given on the command line.  ``twice_j`` holds the distinct sizes in
+    ascending order; ``out`` defaults to ``<command>.csv``."""
 
     command: str
     twice_j: list[int]
@@ -213,8 +214,7 @@ class RunConfig:
             raise DomainError(f"unknown command {self.command!r}")
         if not self.twice_j:
             raise DomainError("twice_j must list at least one size")
-        for tj in self.twice_j:
-            _check_option("twice_j", tj)
+        self.twice_j = sorted({_check_option("twice_j", tj) for tj in self.twice_j})
         for name in ("n_max", "alpha", "seed", "samples", "n_nodes"):
             if getattr(self, name) is not None:
                 _check_option(name, getattr(self, name))
@@ -408,10 +408,9 @@ def _check_schema(path: Path, header):
 
 def _tables(config: RunConfig) -> list[tuple[list[int], Path]]:
     """The 2j values and CSV path of each table of the run, in the order
-    written.  The run's sizes are the distinct values of ``twice_j`` in
-    ascending order: ``scaling`` or a single size writes one table exactly
-    to --out, a sweep one table per 2j at ``<out>-2j<K>.csv``."""
-    out, js = config.out, sorted(set(config.twice_j))
+    written: ``scaling`` or a single size writes one table exactly to --out,
+    a sweep one table per 2j at ``<out>-2j<K>.csv``."""
+    out, js = config.out, config.twice_j
     if config.command == "scaling" or len(js) == 1:
         return [(js, out)]
     return [([tj], out.with_name(f"{out.stem}-2j{tj}{out.suffix or '.csv'}"))

@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .angular_momentum import SpinLabel, as_spin, coherent_columns
-from .errors import ConvergenceError, DomainError, _check_count
+from .errors import ConvergenceError, DomainError, _check_count, _check_finite
 from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import KKT_TOL, require
 
@@ -41,6 +41,7 @@ class CoherentGrid:
     columns: np.ndarray  # shape (2j+1, n_nodes)
 
     def __post_init__(self):
+        object.__setattr__(self, "j", as_spin(self.j))
         thetas = np.asarray(self.thetas, dtype=float)
         columns = np.asarray(self.columns, dtype=float)
         if thetas.ndim != 1 or thetas.size < 2:
@@ -53,7 +54,8 @@ class CoherentGrid:
         require(where, "|thetas[-1] - pi|", abs(thetas[-1] - math.pi), "STRUCTURE_TOL",
                 DomainError)
         if columns.shape != (self.j.dim, len(thetas)):
-            raise DomainError("column block does not match grid size")
+            raise DomainError(f"columns must have shape {(self.j.dim, thetas.size)}, "
+                              f"got {columns.shape}")
         require(where, "every column of columns must sum to 1; largest gap",
                 np.max(np.abs(columns.sum(axis=0) - 1.0)), "STRUCTURE_TOL", DomainError)
         thetas.setflags(write=False)
@@ -73,11 +75,7 @@ def build_grid(j, n_nodes: int) -> CoherentGrid:
     entries (2j + 1).
     """
     j = as_spin(j)
-    if isinstance(n_nodes, (int, np.integer)) and n_nodes < j.dim:
-        raise DomainError(
-            f"n_nodes={n_nodes} is too small for {j} (need at least {j.dim})"
-        )
-    n_nodes = _check_count("n_nodes", n_nodes, j.dim)  # a float count included
+    n_nodes = _check_count(f"{j}: n_nodes", n_nodes, j.dim)
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
     return CoherentGrid(j, thetas, coherent_columns(j, thetas))
 
@@ -92,13 +90,10 @@ class DecompositionResult:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size and not w.min() >= 0:
-            raise DomainError(f"weights must be non-negative (smallest {w.min()!r})")
-        if not self.residual >= 0:
-            raise DomainError(f"residual must be non-negative, got {self.residual!r}")
-        if not self.weight_sum_gap >= 0:
-            raise DomainError(
-                f"weight_sum_gap must be non-negative, got {self.weight_sum_gap!r}")
+        for name, lowest in (("weights", w.min(initial=0.0)), ("residual", self.residual),
+                             ("weight_sum_gap", self.weight_sum_gap)):
+            if not lowest >= 0:  # NaN-safe
+                raise DomainError(f"{name} must be non-negative, got {lowest}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -127,8 +122,8 @@ def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> Decompositio
     Raises
     ------
     ConvergenceError
-        If more than ``max_iter`` (default 10 x n_columns) variables are
-        admitted; the error carries the best iterate as ``result``.
+        If more than ``max_iter`` >= 0 (default 10 x n_columns) variables
+        are admitted; the error carries the best iterate as ``result``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -136,15 +131,12 @@ def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> Decompositio
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
         )
-    # min and max propagate NaN and reach any inf, with no A-sized mask
-    if not (np.isfinite(A.min(initial=0.0)) and np.isfinite(A.max(initial=0.0))):
-        raise DomainError("matrix A must be finite (it holds nan or inf)")
+    _check_finite("matrix A", A)
     require(f"coherent_analysis.nnls_solve: {A.shape[0]} x {A.shape[1]} matrix",
-            "target must sum to 1; its gap", abs(b.sum() - 1.0),
+            "target b must sum to 1; its gap", abs(b.sum() - 1.0),
             "NNLS_TARGET_SUM_TOL", DomainError)
     n = A.shape[1]
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n if max_iter is None else _check_count("max_iter", max_iter)
 
     x = np.zeros(n)
     free = np.zeros(n, dtype=bool)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its count-argument check."""
+"""Exception types shared across the package, and its argument checks."""
 
+import math
 import operator
 
 __all__ = ["DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
@@ -33,14 +34,37 @@ class InternalConsistencyError(DrfsimError, RuntimeError):
     """Two independent routes to the same quantity disagree beyond tolerance."""
 
 
+def _index(value) -> int | None:
+    """``value`` as an int if it is an integer (a Python or numpy int), else None."""
+    try:
+        return operator.index(value)  # int() would truncate 2.5, and fail on nan
+    except TypeError:
+        return None
+
+
 def _check_count(name: str, value, low: int = 0) -> int:
     """``value`` as an int if it is an integer >= ``low``, else a
     :class:`DomainError` naming ``name``: a float count (2.5, nan, inf) is
     refused rather than failing later with a ``TypeError``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
+    count = _index(value)
     if count is None or not (low <= count):
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
     return count
+
+
+def _check_member(name: str, value, allowed: tuple) -> int:
+    """``value`` as an int if it is an integer in ``allowed``, else a
+    :class:`DomainError` naming ``name``: 1.0 is refused as 2.5 is, since a
+    float is not an index."""
+    member = _index(value)
+    if member not in allowed:
+        raise DomainError(f"{name} must be one of {allowed}, got {value!r}")
+    return member
+
+
+def _check_finite(name: str, values) -> None:
+    """A :class:`DomainError` naming ``name`` unless every entry of the array
+    ``values`` is finite.  min and max propagate NaN and reach any inf, so no
+    mask the size of ``values`` is formed."""
+    if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
+        raise DomainError(f"{name} must be finite (it holds nan or inf)")

@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import PCG64, Generator, default_rng  # loaded with the package, not mid-run
 
-from .angular_momentum import CouplingBranch, SpinLabel, as_spin, projector_element
-from .errors import DomainError, _check_count
+from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, projector_element
+from .errors import DomainError, _check_count, _check_finite, _check_member
 from .tolerances import EIGENVALUE_FLOOR, ORACLE_TOL, STRUCTURE_TOL, require
 
 __all__ = [
@@ -79,6 +79,7 @@ class KrausSet:
     bands: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "j", as_spin(self.j))
         if self.bands.keys() != _KEYS:
             raise DomainError(f"KrausSet: 2j={self.j.twice_j}: keys missing "
                               f"{sorted(_KEYS - self.bands.keys())}, extra "
@@ -86,10 +87,11 @@ class KrausSet:
         bands = {}
         for (a, b, c), values in self.bands.items():
             values = np.asarray(values, dtype=float)
+            band = f"KrausSet: 2j={self.j.twice_j}: band {(a, b, c)}"
             length = self.j.dim - abs(b - a)
             if values.shape != (length,):
-                raise DomainError(f"KrausSet: 2j={self.j.twice_j}: band {(a, b, c)} must "
-                                  f"have shape ({length},), got {values.shape}")
+                raise DomainError(f"{band} must have shape ({length},), got {values.shape}")
+            _check_finite(band, values)
             values.setflags(write=False)
             bands[(a, b, c)] = values
         object.__setattr__(self, "bands", bands)
@@ -145,9 +147,7 @@ def build_kraus(j) -> KrausSet:
     Band (a, b, c) pairs row m_k with column m_{k + b - a}: its offset is
     b - a of its key.  Requires 2j >= 1 (the J = j - 1/2 branch must exist).
     """
-    j = as_spin(j)
-    if j.twice_j < 1:
-        raise DomainError("build_kraus requires 2j >= 1; j = 0 has no lower branch")
+    j = _check_frame(j)
     tm = j.twice_m_values
     bands = {}
     for c, branch in ((+1, CouplingBranch.PLUS), (-1, CouplingBranch.MINUS)):
@@ -234,11 +234,7 @@ def multipole_spectrum(j) -> MultipoleSpectrum:
     power taken as exp(n log1p(x)) keeps full relative accuracy.
     Requires 2j >= 1 (the J = j - 1/2 branch must exist).
     """
-    tj = as_spin(j).twice_j
-    if tj < 1:
-        raise DomainError(
-            "multipole_spectrum requires 2j >= 1; j = 0 has no lower branch"
-        )
+    tj = _check_frame(j).twice_j
     q = tj + 1
     k = np.arange(q)
     numerator = -k * (k + 1)
@@ -264,6 +260,7 @@ class FrameState:
     diagonal: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "j", as_spin(self.j))
         d = self.j.dim
         where = f"FrameState: 2j={self.j.twice_j}"
         if self.diagonal:
@@ -305,11 +302,11 @@ class FrameState:
 
     @classmethod
     def from_populations(cls, j, populations) -> "FrameState":
-        return cls(as_spin(j), populations, diagonal=True)
+        return cls(j, populations, diagonal=True)
 
     @classmethod
     def from_matrix(cls, j, matrix) -> "FrameState":
-        return cls(as_spin(j), matrix, diagonal=False)
+        return cls(j, matrix, diagonal=False)
 
     # -- views ---------------------------------------------------------------
 
@@ -334,7 +331,7 @@ class FrameState:
 def _require_same_spin(state: FrameState, kraus: KrausSet):
     if state.j != kraus.j:
         raise DomainError(
-            f"spin mismatch: state has {state.j}, Kraus set has {kraus.j}"
+            f"spin mismatch: state has {state.j}, kraus has {kraus.j}"
         )
 
 
@@ -418,8 +415,10 @@ class FidelitySeries:
     error: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "j", as_spin(self.j))
         if len(self.fidelity) != len(self.closed_form):
-            raise DomainError("series columns must have equal length")
+            raise DomainError(f"fidelity and closed_form must have equal length, got "
+                              f"{len(self.fidelity)} and {len(self.closed_form)}")
         error = np.subtract(self.fidelity, self.closed_form)
         object.__setattr__(self, "error", np.abs(error, out=error))
 
@@ -549,9 +548,7 @@ def evolve(j, n_max: int) -> FidelitySeries:
     raises :class:`InternalConsistencyError` naming 2j, the step, the
     observed value and the tolerance.
     """
-    j = as_spin(j)
-    if j.twice_j < 1:
-        raise DomainError("evolve requires 2j >= 1")
+    j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     fidelity, s, lowest, totals = _map_fidelity(j, n_max)
     drift = np.abs(totals - 1.0)
@@ -656,8 +653,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     (1/2) sum_ab E_ab^c rho E_ab^c{dag} / p_c with p_c its trace.
     """
     _require_same_spin(state, kraus)
-    if outcome not in OUTCOMES:
-        raise DomainError(f"outcome must be +1 or -1, got {outcome}")
+    outcome = _check_member("outcome", outcome, OUTCOMES)
     if state.diagonal:
         stay, up, down = kraus._conditional_weights[outcome]
         p = state.data

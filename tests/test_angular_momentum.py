@@ -50,12 +50,6 @@ class TestSpinLabel:
         assert j.j == 1.5
         assert list(j.twice_m_values) == [-3, -1, 1, 3]
 
-    def test_rejects_negative_and_fractional(self):
-        with pytest.raises(DomainError):
-            SpinLabel(-1)
-        with pytest.raises(DomainError):
-            SpinLabel(1.5)
-
 
 class TestCGCoefficient:
     def test_stretched_state_is_exactly_one(self):
@@ -92,30 +86,16 @@ class TestCGCoefficient:
                         f"2m={twice_m}, s_up={s_up}, branch={branch}"
                     )
 
-    def test_out_of_range_m_rejected(self):
-        with pytest.raises(DomainError):
-            cg_coefficient(SpinLabel(2), 4, True, PLUS)
-        with pytest.raises(DomainError):
-            cg_coefficient(SpinLabel(2), 1, True, PLUS)  # wrong parity
-
-    @pytest.mark.parametrize("call", [
-        lambda: cg_coefficient(SpinLabel(3), 1.9, True, PLUS),
-        lambda: cg_coefficient(SpinLabel(3), 1.0, True, PLUS),
-        lambda: projector_element(SpinLabel(3), PLUS, 0, 0, 1.2, 1.7),
-        lambda: projector_element(SpinLabel(3), PLUS, 0, 0, 1, np.float64(1.0)),
-    ], ids=["cg-1.9", "cg-1.0", "projector-1.2", "projector-float64"])
-    def test_non_integer_twice_m_rejected(self, call):
-        # int() would read 2m = 1.9 as 1 and 1.2, 1.7 as 1, 1
-        with pytest.raises(DomainError, match=r"2m(_row|_col)?=.* must be an integer"):
-            call()
-
-    def test_numpy_integer_twice_m_accepted(self):
+    def test_numpy_integers_accepted(self):
+        # as 2m, and as the qubit indices a and b
         j = SpinLabel(3)
         for twice_m in j.twice_m_values:
             assert cg_coefficient(j, twice_m, True, PLUS) == \
                 cg_coefficient(j, int(twice_m), True, PLUS)
         assert projector_element(j, PLUS, 0, 0, np.int32(1), np.int64(1)) == \
             projector_element(j, PLUS, 0, 0, 1, 1)
+        assert projector_element(j, PLUS, np.int64(0), np.int8(1), 1, 3) == \
+            projector_element(j, PLUS, 0, 1, 1, 3) != 0.0
 
     def test_minus_branch_at_spin_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -176,10 +156,6 @@ class TestProjectorElement:
         oracle_plus, oracle_minus = coupled_projectors(twice_j)
         assert np.max(np.abs(pi_plus - oracle_plus)) < 1e-12
         assert np.max(np.abs(pi_minus - oracle_minus)) < 1e-12
-
-    def test_bad_qubit_index_rejected(self):
-        with pytest.raises(DomainError):
-            projector_element(SpinLabel(2), PLUS, 2, 0, 0, 0)
 
 
 @pytest.mark.parametrize("branch", [+1, -1, "PLUS", None])
@@ -242,11 +218,6 @@ class TestCoherentPopulations:
         assert np.array_equal(coherent_columns(SpinLabel(twice_j), thetas),
                               coherent_columns_reference(twice_j, thetas))
 
-    @pytest.mark.parametrize("thetas", [0.5, [[0.0, 1.0]], np.zeros((2, 3))])
-    def test_angles_must_be_one_dimensional(self, thetas):
-        with pytest.raises(DomainError, match="thetas"):
-            coherent_columns(SpinLabel(2), thetas)
-
     def test_equator_half_spin(self):
         # explicit 2x2 rotation of the up state
         p = coherent_populations(SpinLabel(1), math.pi / 2.0)
@@ -267,16 +238,6 @@ class TestCoherentPopulations:
             expected = binom.pmf(np.arange(j.dim), twice_j, (1.0 + math.cos(theta)) / 2.0)
             assert np.max(np.abs(p - expected)) <= 2e-14
             assert abs(p.sum() - 1.0) <= STRUCTURE_TOL
-
-    def test_theta_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            coherent_populations(SpinLabel(2), -0.1)
-        with pytest.raises(DomainError):
-            coherent_populations(SpinLabel(2), math.pi + 0.1)
-        with pytest.raises(DomainError, match="theta"):
-            coherent_populations(SpinLabel(2), math.nan)
-        with pytest.raises(DomainError, match="theta"):
-            coherent_columns(SpinLabel(2), [0.0, math.nan, math.pi])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -317,6 +317,18 @@ class TestCompareCommand:
             assert main(["scaling", "--twice-j", sizes, "--out", str(out)]) == 0
         assert outs[1].read_bytes() == outs[0].read_bytes()
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_manifest_sizes_are_its_tables(self, tmp_path, command):
+        # the manifest's sizes are those of its tables: distinct, ascending
+        for sizes, want in (("3,3", [3]), ("4,2,2", [2, 4])):
+            out = tmp_path / f"{sizes}.csv"
+            steps = ["--n-max", "2"] if "n_max" in cli.COMMANDS[command].options else []
+            assert main([command, "--twice-j", sizes, *steps, "--out", str(out)]) == 0
+            manifest = json.loads(out.with_name(f"{sizes}.manifest.json").read_text())
+            assert manifest["config"]["twice_j"] == want
+            tables = [want] if command == "scaling" else [[tj] for tj in want]
+            assert list(manifest["report"]) == [",".join(map(str, js)) for js in tables]
+
     def test_scaling_report_covers_its_sizes(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["scaling", "--twice-j", "20,10,40", "--out", str(out)])
@@ -539,7 +551,7 @@ class TestCliSurface:
         # --nodes 1 passes the parser; the grid then names its own minimum
         assert main(["coherent-test", "--twice-j", "2", "--nodes", "1",
                      "--out", str(out)]) == 1
-        assert "n_nodes=1 is too small" in capsys.readouterr().err
+        assert "j=1: n_nodes must be an integer >= 3, got 1" in capsys.readouterr().err
 
     def test_missing_twice_j_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

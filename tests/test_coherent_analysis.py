@@ -10,10 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drfsim import (
-    CoherentGrid,
     ConvergenceError,
-    DecompositionResult,
-    DomainError,
     SpinLabel,
     build_grid,
     coherent_populations,
@@ -46,38 +43,6 @@ class TestBuildGrid:
         grid = build_grid(SpinLabel(2), 9)
         assert grid.thetas[0] == 0.0
         assert grid.thetas[-1] == pytest.approx(math.pi, abs=1e-15)
-
-    def test_nan_columns_rejected(self):
-        with pytest.raises(DomainError, match="columns must sum to 1"):
-            CoherentGrid(SpinLabel(2), [0.0, 1.0, math.pi], np.full((3, 3), np.nan))
-
-    def test_nan_angles_rejected(self):
-        columns = build_grid(SpinLabel(2), 3).columns
-        with pytest.raises(DomainError, match="thetas"):
-            CoherentGrid(SpinLabel(2), [0.0, np.nan, math.pi], columns)
-
-    @pytest.mark.parametrize("thetas", [[], [0.0], [[0.0, math.pi]]])
-    def test_too_few_angles_rejected(self, thetas):
-        # the size is checked before thetas[0] is read
-        with pytest.raises(DomainError, match="thetas"):
-            CoherentGrid(SpinLabel(2), thetas, np.zeros((3, 0)))
-
-    def test_too_few_nodes_rejected(self):
-        with pytest.raises(DomainError):
-            build_grid(SpinLabel(4), 4)
-
-    def test_one_node_below_the_minimum_rejected(self):
-        # 2j nodes, one fewer than the 2j + 1 population entries
-        with pytest.raises(DomainError, match=r"^n_nodes=2 is too small for j=1 "):
-            build_grid(SpinLabel(2), 2)
-
-    @pytest.mark.parametrize("n_nodes", [9.5, math.nan])
-    def test_non_integer_node_count_rejected(self, n_nodes):
-        # used to fail inside np.linspace with a TypeError
-        with pytest.raises(DomainError, match=r"^n_nodes must be an integer >= 3, got"):
-            build_grid(SpinLabel(2), n_nodes)
-        with pytest.raises(DomainError, match=r"^n_nodes must be an integer"):
-            convexity_test(2, 1, n_nodes)
 
 
 class TestNnlsSolve:
@@ -170,43 +135,6 @@ class TestNnlsSolve:
         assert dual.max() <= KKT_TOL
         assert result.weights.min() >= 0.0
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            nnls_solve(np.eye(3), np.array([0.5, 0.5]))
-
-    def test_target_sum_enforced(self):
-        with pytest.raises(DomainError):
-            nnls_solve(np.eye(3), np.array([0.5, 0.5, 0.5]))
-
-    def test_nan_target_rejected(self):
-        with pytest.raises(DomainError, match="sum to 1"):
-            nnls_solve(np.eye(3), np.array([np.nan, 0.0, 0.0]))
-
-    def test_nan_matrix_rejected(self):
-        with pytest.raises(DomainError, match="matrix A"):
-            nnls_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([0.5, 0.5]))
-
-    def test_infinite_matrix_rejected(self):
-        with pytest.raises(DomainError, match="matrix A"):
-            nnls_solve(np.array([[1.0, np.inf], [0.0, 1.0]]), np.array([0.5, 0.5]))
-
-    def test_negative_infinite_matrix_rejected(self):
-        with pytest.raises(DomainError, match="matrix A"):
-            nnls_solve(np.array([[1.0, 0.0], [-np.inf, 1.0]]), np.array([0.5, 0.5]))
-
-    def test_nan_result_weights_rejected(self):
-        with pytest.raises(DomainError, match="weights"):
-            DecompositionResult(np.array([np.nan]), 0.0, 0.0)
-
-    def test_nan_result_residual_rejected(self):
-        with pytest.raises(DomainError, match="residual"):
-            DecompositionResult(np.array([1.0]), np.nan, 0.0)
-
-    @pytest.mark.parametrize("gap", [np.nan, -1e-3])
-    def test_bad_result_weight_sum_gap_rejected(self, gap):
-        with pytest.raises(DomainError, match="weight_sum_gap"):
-            DecompositionResult(np.array([1.0]), 0.0, gap)
-
     def test_iteration_cap_reports_best_iterate(self):
         grid = build_grid(SpinLabel(2), 12)
         target = np.full(3, 1.0 / 3.0)
@@ -263,14 +191,6 @@ class TestWarmStart:
         assert warm.residual == cold.residual
         assert np.array_equal(warm.weights, cold.weights)
 
-    @pytest.mark.parametrize("start", [np.ones(12, dtype=bool), np.ones(11, dtype=int),
-                                       np.ones((11, 1), dtype=bool)])
-    def test_bad_start_rejected(self, start):
-        grid = build_grid(SpinLabel(2), 11)
-        target = np.full(3, 1.0 / 3.0)
-        with pytest.raises(DomainError, match=r"^start must be a bool array of shape \(11,\)"):
-            nnls_solve(grid.columns, target, start=start)
-
     def test_series_makes_fewer_solves_than_cold_fits(self, monkeypatch):
         # a count of least-squares solves, not a timing: the cold series
         # made 49 at 2j = 200, and the cold fit at n = 8 makes 6
@@ -315,10 +235,6 @@ class TestConvexityTest:
         assert result.weights.min() >= 0.0
         assert result.residual >= 0.0
 
-    def test_negative_step_rejected(self):
-        with pytest.raises(DomainError):
-            convexity_test(SpinLabel(2), -1, 24)
-
     @pytest.mark.parametrize("twice_j,n_nodes", [(2, 24), (5, 48)])
     def test_series_equals_separate_tests(self, twice_j, n_nodes):
         j = SpinLabel(twice_j)
@@ -333,10 +249,6 @@ class TestConvexityTest:
                 continue
             assert result.residual == single.residual
             assert np.array_equal(result.weights, single.weights)
-
-    def test_series_negative_length_rejected(self):
-        with pytest.raises(DomainError):
-            convexity_series(SpinLabel(2), -1, 24)
 
     def test_cap_errors_name_frame_step_and_grid(self, monkeypatch):
         capped = functools.partial(nnls_solve, max_iter=0)

@@ -62,6 +62,13 @@ def test_library_modules_export_through_the_package(module):
     assert sorted(set(exported) - set(drfsim.__all__)) == []
 
 
+def test_every_public_name_has_a_contract_row_or_a_stated_exception():
+    from test_contract import EXCEPTIONS, ROWS
+    rows = {row.split(":")[0] for row, _, _ in ROWS}
+    assert rows.isdisjoint(EXCEPTIONS)
+    assert sorted(rows | set(EXCEPTIONS)) == sorted(drfsim.__all__)
+
+
 @pytest.mark.parametrize("dotted", _traced_functions())
 def test_every_traced_function_exists(dotted):
     assert callable(_function(dotted))

@@ -4,8 +4,6 @@ import decimal
 import functools
 import itertools
 import json
-import math
-import re
 import sys
 import threading
 from fractions import Fraction
@@ -24,10 +22,8 @@ from drfsim import (
     InternalConsistencyError,
     MeasurementRecord,
     SpinLabel,
-    WalkParameters,
     apply_map,
     build_kraus,
-    classical_fidelity_series,
     closed_form_fidelity,
     conditional_update,
     evolve,
@@ -98,36 +94,6 @@ class TestBuildKraus:
         dense = float(np.max(np.abs(acc / 2.0 - np.eye(twice_j + 1))))
         assert kraus.completeness_defect() == dense
 
-    @pytest.mark.parametrize("key, length", [((0, 0, 1), 3), ((0, 1, 1), 4),
-                                             ((1, 0, -1), 2)])
-    def test_wrong_band_length_rejected_at_construction(self, key, length):
-        # 2j = 3: the diagonal bands have 4 entries, the off-diagonal ones 3
-        j = SpinLabel(3)
-        bands = {**build_kraus(j).bands, key: np.ones(length)}
-        want = 4 - abs(key[1] - key[0])
-        with pytest.raises(DomainError, match="^" + re.escape(
-                f"KrausSet: 2j=3: band {key} must have shape ({want},), got ({length},)")):
-            quantum_drf.KrausSet(j, bands)
-
-    @pytest.mark.parametrize("edit, named", [
-        (lambda bands: bands.pop((1, 1, -1)), "missing [(1, 1, -1)], extra []"),
-        (lambda bands: bands.update({(0, 0, 2): np.ones(4)}), "missing [], extra [(0, 0, 2)]"),
-        (lambda bands: bands.update({(5, 0, 1): np.ones(4)}), "missing [], extra [(5, 0, 1)]"),
-    ], ids=["missing", "outcome-2", "qubit-index-5"])
-    def test_key_set_is_checked_at_construction(self, edit, named):
-        # the keys must be {0, 1}^2 x {+1, -1}: (0, 0, 2) was accepted, and
-        # (5, 0, 1) was reported as a band that must have shape (-1,)
-        j = SpinLabel(3)
-        bands = dict(build_kraus(j).bands)
-        edit(bands)
-        with pytest.raises(DomainError, match="^" + re.escape(f"KrausSet: 2j=3: keys {named}")):
-            quantum_drf.KrausSet(j, bands)
-
-    def test_one_key_set_is_rejected(self):
-        # it used to construct with a completeness defect of 0.5
-        with pytest.raises(DomainError, match=r"^KrausSet: 2j=3: keys missing \[\(0, 0, -1\), "):
-            quantum_drf.KrausSet(SpinLabel(3), {(0, 0, 1): np.ones(4)})
-
     def test_bands_are_read_only(self):
         kraus = build_kraus(SpinLabel(3))
         for values in kraus.bands.values():
@@ -145,10 +111,6 @@ class TestBuildKraus:
                     want = kraus_block(oracle[c], a, b)
                     assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_spin_zero_rejected(self):
-        with pytest.raises(DomainError):
-            build_kraus(SpinLabel(0))
-
     def test_completeness_failure_names_size_and_tolerance(self, monkeypatch):
         exact_element = quantum_drf.projector_element
         monkeypatch.setattr(quantum_drf, "projector_element",
@@ -157,13 +119,11 @@ class TestBuildKraus:
                            match=r"build_kraus: 2j=5: .*STRUCTURE_TOL"):
             build_kraus(SpinLabel(5))
 
-    def test_nan_completeness_defect_rejected(self, monkeypatch):
-        # a NaN defect compares false with the tolerance, so the check must
-        # be written to fail unless the defect is within it
+    def test_nan_element_is_rejected_with_its_band(self, monkeypatch):
+        # refused with its band, before a NaN completeness defect is formed
         monkeypatch.setattr(quantum_drf, "projector_element", lambda *args: np.nan)
-        with pytest.raises(InternalConsistencyError,
-                           match=r"^quantum_drf\.build_kraus: 2j=5: trace preservation "
-                                 r"defect nan exceeds STRUCTURE_TOL = 1e-12$"):
+        with pytest.raises(DomainError, match=r"^KrausSet: 2j=5: band \(0, 0, 1\) must be "
+                                              r"finite \(it holds nan or inf\)$"):
             build_kraus(SpinLabel(5))
 
 
@@ -210,56 +170,6 @@ class TestFrameState:
         m = state.matrix.copy()
         np.fill_diagonal(m, 0.0)
         assert np.all(m == 0.0)
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(DomainError):
-            FrameState.from_matrix(SpinLabel(1), bad)
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(DomainError):
-            FrameState.from_populations(SpinLabel(1), [0.6, 0.6])
-
-    def test_rejects_negative_eigenvalue(self):
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(DomainError):
-            FrameState.from_matrix(SpinLabel(1), bad)
-
-    @pytest.mark.parametrize("build,pattern", [
-        (lambda j: FrameState.from_populations(j, [1.0 + 1.2e-9, 0.0, -1.2e-9]),
-         r"^FrameState: 2j=2: population -1\.2e-09 is below "
-         r"EIGENVALUE_FLOOR = -1e-10$"),
-        (lambda j: FrameState.from_populations(j, [0.5, 0.5, 1e-11]),
-         r"^FrameState: 2j=2: \|sum of populations - 1\| 1\.000000082740371e-11 "
-         r"exceeds STRUCTURE_TOL = 1e-12$"),
-        (lambda j: FrameState.from_matrix(j, [[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]]),
-         r"^FrameState: 2j=2: Hermitian defect max \|rho - rho\^dag\| 0\.3 "
-         r"exceeds STRUCTURE_TOL = 1e-12$"),
-        (lambda j: FrameState.from_matrix(j, np.diag([0.7, 0.5, 0.0])),
-         r"^FrameState: 2j=2: \|trace - 1\| 0\.19999999999999996 "
-         r"exceeds STRUCTURE_TOL = 1e-12$"),
-        (lambda j: FrameState.from_matrix(j, np.diag([1.5, -0.5, 0.0])),
-         r"^FrameState: 2j=2: eigenvalue -0\.5 is below EIGENVALUE_FLOOR = -1e-10$"),
-    ])
-    def test_rejection_names_size_value_and_tolerance(self, build, pattern):
-        with pytest.raises(DomainError, match=pattern):
-            build(SpinLabel(2))
-
-    @pytest.mark.parametrize("build,pattern", [
-        (lambda j: FrameState.from_populations(j, [np.nan] * 3),
-         r"population nan .*EIGENVALUE_FLOOR"),
-        (lambda j: FrameState.from_populations(j, [np.nan, 0.5, 0.5]),
-         r"population nan .*EIGENVALUE_FLOOR"),
-        (lambda j: FrameState.from_matrix(j, np.full((3, 3), np.nan)),
-         r"Hermitian defect max \|rho - rho\^dag\| nan exceeds STRUCTURE_TOL"),
-        (lambda j: FrameState.from_matrix(j, np.diag([np.nan, 0.5, 0.5])),
-         r"Hermitian defect max \|rho - rho\^dag\| nan exceeds STRUCTURE_TOL"),
-    ])
-    def test_nan_rejected(self, build, pattern):
-        # a NaN compares false with every bound, so each check is written to
-        # fail unless the value is within it
-        with pytest.raises(DomainError, match=pattern):
-            build(SpinLabel(2))
 
 
 class TestMultipoleSpectrum:
@@ -323,13 +233,11 @@ class TestMultipoleSpectrum:
             assert s.p_plus == (tj + 2) / (2.0 * (tj + 1))
             assert s.amplitude == tj / (2.0 * q)
 
-    def test_tables_are_read_only_and_spin_zero_rejected(self):
+    def test_tables_are_read_only(self):
         s = multipole_spectrum(SpinLabel(4))
         for table in (s.averaged, s.plus, s.minus):
             with pytest.raises(ValueError):
                 table[0] = 1.0
-        with pytest.raises(DomainError, match="2j >= 1"):
-            multipole_spectrum(SpinLabel(0))
 
 
 class TestApplyMap:
@@ -379,10 +287,6 @@ class TestApplyMap:
             closed_form_fidelity(j, 1), abs=1e-14
         )
 
-    def test_spin_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            apply_map(FrameState.stretched(SpinLabel(2)), build_kraus(SpinLabel(3)))
-
 
 class TestQuantumFidelity:
     def test_aligned_spin_one(self):
@@ -424,23 +328,6 @@ class TestClosedFormFidelity:
         values = closed_form_fidelity(SpinLabel(4), steps)
         assert values.shape == (5,)
         assert np.all(np.diff(values) < 0)
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(DomainError):
-            closed_form_fidelity(SpinLabel(2), -1)
-
-    def test_nan_step_rejected(self):
-        with pytest.raises(DomainError, match="step count n"):
-            closed_form_fidelity(SpinLabel(2), float("nan"))
-        with pytest.raises(DomainError, match="step count n"):
-            closed_form_fidelity(SpinLabel(2), np.array([0.0, np.nan]))
-
-    @pytest.mark.parametrize("n", [math.inf, -math.inf, 2.5, np.array([0.0, np.inf]),
-                                   np.array([1.0, 2.5]), np.array([[3.0], [0.5]])])
-    def test_infinite_or_fractional_step_rejected(self, n):
-        # (2, inf) returned 0.5 and (2, 2.5) returned 0.678
-        with pytest.raises(DomainError, match=r"^step count n must be a non-negative integer"):
-            closed_form_fidelity(SpinLabel(2), n)
 
     def test_integral_float_steps_are_accepted(self):
         steps = np.arange(6)
@@ -531,10 +418,6 @@ class TestEvolve:
         message = str(excinfo.value)
         assert message.startswith("quantum_drf.evolve: 2j=10, step 5: fidelity ")
         assert "ORACLE_TOL" in message
-
-    def test_spin_zero_rejected(self):
-        with pytest.raises(DomainError):
-            evolve(SpinLabel(0), 5)
 
     def test_series_validation_names_the_step(self):
         j = SpinLabel(4)
@@ -736,7 +619,7 @@ class TestTrajectories:
         state = FrameState.stretched(j)
         for _ in range(5):
             p_plus, state_plus = conditional_update(state, kraus, +1)
-            p_minus, _ = conditional_update(state, kraus, -1)
+            p_minus, _ = conditional_update(state, kraus, np.int64(-1))  # an index
             assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
             state = state_plus
 
@@ -746,16 +629,6 @@ class TestTrajectories:
         assert set(np.unique(record.outcomes)) <= {-1, 1}
         assert record.probabilities.min() >= 0.0
         assert record.probabilities.max() <= 1.0
-
-    def test_record_validation(self):
-        with pytest.raises(DomainError):
-            MeasurementRecord(np.array([1, -1]), np.array([0.5]))
-        with pytest.raises(DomainError):
-            MeasurementRecord(np.array([2]), np.array([0.5]))
-        with pytest.raises(DomainError):
-            MeasurementRecord(np.array([1]), np.array([1.5]))
-        with pytest.raises(DomainError):
-            MeasurementRecord(np.array([1, -1]), np.array([np.nan, 0.5]))
 
     @pytest.mark.parametrize("outcomes", [[1.5, -1.2], [1, 0.5], [np.nan, 1]])
     def test_fractional_outcomes_rejected_before_the_cast(self, outcomes):
@@ -861,12 +734,6 @@ class TestRecordStatistics:
         assert np.all(table[:n] == 0.5)
         assert abs(table[n] - exact_count_fidelity(1, n, n)) <= 2.2e-16
 
-    def test_table_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            conditional_fidelity_table(SpinLabel(0), 3)
-        with pytest.raises(DomainError):
-            conditional_fidelity_table(SpinLabel(2), -1)
-
     def test_batch_draws_are_chunked_without_changing_the_stream(self):
         # more steps than one chunk of draws holds, so the count spans chunks
         j = SpinLabel(6)
@@ -936,16 +803,6 @@ class TestBatchWorkers:
             assert np.array_equal(counts, want), cpus
             assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[want]), cpus
             assert same_state(rng.bit_generator.state, serial.bit_generator.state), cpus
-
-    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan])
-    @pytest.mark.parametrize("call", [
-        lambda seed: sample_trajectory(SpinLabel(2), 3, seed),
-        lambda seed: sample_fidelity_batch(SpinLabel(2), 3, 4, seed),
-    ], ids=["trajectory", "batch"])
-    def test_bad_seed_is_a_domain_error(self, call, seed):
-        # numpy raised ValueError for -1 and TypeError for 2.5 and nan
-        with pytest.raises(DomainError, match=rf"^seed {re.escape(repr(seed))}: "):
-            call(seed)
 
 
 class TestInWorkers:
@@ -1033,18 +890,3 @@ class TestRecordAveraging:
                 mapped = apply_map(mapped, kraus)
             assert np.max(np.abs(averaged - mapped.populations)) < 1e-12
 
-
-@pytest.mark.parametrize("call,argument", [
-    (lambda: evolve(2, 2.5), "n_max"),
-    (lambda: evolve(2, float("nan")), "n_max"),
-    (lambda: sample_fidelity_batch(2, 3, 2.5, 1), "n_samples"),
-    (lambda: sample_trajectory(2, 2.5, 1), "n_max"),
-    (lambda: classical_fidelity_series(2, 0.1, 2.5), "n_max"),
-    (lambda: WalkParameters(0.1, float("nan")), "n"),
-], ids=["evolve-float", "evolve-nan", "batch-samples", "trajectory", "walk-series",
-        "walk-parameters"])
-def test_non_integer_count_is_a_domain_error(call, argument):
-    # a float count used to fail later with a TypeError, or (the walk series)
-    # to give a series of int(n_max) + 1 rows
-    with pytest.raises(DomainError, match=rf"^{argument} must be an integer >= \d"):
-        call()
