@@ -33,7 +33,7 @@ def count(low=0):
     bad = {"-1": -1, "2.5": 2.5, "nan": NAN, "inf": INF, "str": "2"}
     if low > 0:
         bad[str(low - 1)] = low - 1
-    return kind(rf"(^|: ){{name}} must be an integer >= {low}, got ", bad)
+    return kind(rf"^{{name}} must be an integer >= {low}, got ", bad)
 
 
 def entry(value):
@@ -60,7 +60,7 @@ SPIN = kind(r"^twice_j must be an integer >= 0, got ",
 FRAME = SPIN + kind(r"^j must have 2j >= 1, got 2j=0$", {"0": 0})
 ANGLE = kind(r"^{name} must lie in \[0, pi\], got ",
              {"-0.1": -0.1, "pi+0.1": PI + 0.1, "nan": NAN, "inf": INF})
-FINITE = kind(r"(^|: ){name} must be finite \(it holds nan or inf\)$",
+FINITE = kind(r"^{name} must be finite \(it holds nan or inf\)$",
               {"nan": entry(NAN), "inf": entry(INF), "-inf": entry(-INF)})
 MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for j=1$",
                  {"1.9": 1.9, "1.0": 1.0, "float64": np.float64(0.0)})
@@ -179,7 +179,7 @@ ROWS = [
       "values": (np.ones(2048), FINITE),
       "alpha": (0.5, kind(r"^alpha must lie strictly inside \(0, pi\), got ",
                           {"0": 0.0, "pi": PI, "nan": NAN})),
-      "n_psi": (2, count(1))}),
+      "n_psi": (2, count(1), "classical_walk.ring_average: n_psi")}),
     ("angular_variance", d.angular_variance, {"j": (2, FRAME)}),
     ("CoherentGrid", d.CoherentGrid,
      {"j": (2, SPIN),
