@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_member, _index
+from .errors import DomainError, _check_count, _check_member, _index, _reals
 
 __all__ = [
     "SpinLabel",
@@ -246,7 +246,7 @@ def coherent_columns(j, thetas) -> np.ndarray:
     one-hot at m = +j or m = -j.
     """
     j = as_spin(j)
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _reals("theta", thetas)
     if thetas.ndim != 1:
         raise DomainError(f"thetas must be a 1-d array of angles, got shape {thetas.shape}")
     valid = (0.0 <= thetas) & (thetas <= math.pi)

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .angular_momentum import _check_frame
-from .errors import AccuracyError, DomainError, _check_count, _check_finite
+from .errors import AccuracyError, DomainError, _check_count, _check_finite, _reals
 from .quantum_drf import FidelitySeries, _cpu_count, _in_workers, multipole_spectrum
 from .tolerances import require
 
@@ -96,7 +96,7 @@ class WalkParameters:
     n: int
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= math.pi:
+        if not 0.0 <= _reals("alpha", self.alpha) <= math.pi:
             raise DomainError(f"alpha must lie in [0, pi], got {self.alpha}")
         _check_count("n", self.n)
 
@@ -267,7 +267,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
             f"classical_walk.ring_average: grid of {n_grid} points is too "
             f"coarse (need >= {_MIN_RING_GRID})"
         )
-    if not (0.0 < alpha < math.pi):
+    if not (0.0 < _reals("alpha", alpha) < math.pi):
         raise DomainError(f"alpha must lie strictly inside (0, pi), got {alpha}")
     n_psi = _check_count("classical_walk.ring_average: n_psi", n_psi, 1)
     step = math.pi / (n_grid - 1)

@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .angular_momentum import SpinLabel, as_spin, coherent_columns
-from .errors import ConvergenceError, DomainError, _check_count, _check_finite
+from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _reals
 from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import KKT_TOL, require
 
@@ -89,11 +89,12 @@ class DecompositionResult:
     weight_sum_gap: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        for name, lowest in (("weights", w.min(initial=0.0)), ("residual", self.residual),
-                             ("weight_sum_gap", self.weight_sum_gap)):
-            if not lowest >= 0:  # NaN-safe
-                raise DomainError(f"{name} must be non-negative, got {lowest}")
+        w = _reals("weights", self.weights)
+        for name, value in (("weights", w), ("residual", self.residual),
+                            ("weight_sum_gap", self.weight_sum_gap)):
+            value = _reals(name, value)  # NaN fails both bounds
+            if not (0.0 <= value.min(initial=0.0) and value.max(initial=0.0) < math.inf):
+                raise DomainError(f"{name} must be finite and non-negative")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -3,6 +3,8 @@
 import math
 import operator
 
+import numpy as np
+
 __all__ = ["DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
            "InternalConsistencyError"]
 
@@ -40,6 +42,16 @@ def _index(value) -> int | None:
         return operator.index(value)  # int() would truncate 2.5, and fail on nan
     except TypeError:
         return None
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """``values``, a number or an array of them, as a float array (itself if
+    it is one), else a :class:`DomainError` naming ``name``: a string such
+    as "0.5" is refused, not parsed."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def _check_count(name: str, value, low: int = 0) -> int:

@@ -37,8 +37,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import PCG64, Generator, default_rng  # loaded with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, projector_element
-from .errors import DomainError, _check_count, _check_finite, _check_member
-from .tolerances import EIGENVALUE_FLOOR, ORACLE_TOL, STRUCTURE_TOL, require
+from .errors import DomainError, _check_count, _check_finite, _check_member, _reals
+from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
 __all__ = [
     "KrausSet",
@@ -387,8 +387,10 @@ def closed_form_fidelity(j, n):
     """
     spectrum = multipole_spectrum(j)
     n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
+    kind = n_arr.dtype.kind
     with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
-        gap = 0 if n_arr.dtype.kind in "iu" else np.abs(n_arr - np.rint(n_arr)).max(initial=0)
+        gap = (0 if kind in "biu" else np.nan if kind != "f"  # a string is not parsed
+               else np.abs(n_arr - np.rint(n_arr)).max(initial=0))
     if not (gap <= 0 and n_arr.min(initial=0) >= 0):
         raise DomainError(f"step count n must be a non-negative integer, got {n!r}")
     out = np.multiply(n_arr, np.log1p(spectrum.averaged[1]), out=np.empty(n_arr.shape))
@@ -402,10 +404,10 @@ def closed_form_fidelity(j, n):
 class FidelitySeries:
     """Per-step fidelities of one computed route next to the closed form.
 
-    The series owns its derived columns: ``error`` = |fidelity -
-    closed_form|, formed once on construction, and ``steps`` = 0 ... n_max.
-    ``trace_drift`` is the largest |sum p - 1| over the iterated population
-    vectors, for routes that carry them; None otherwise.
+    Both are held as float arrays, and the series owns its derived columns:
+    ``error`` = |fidelity - closed_form|, formed once on construction, and
+    ``steps`` = 0 ... n_max.  ``trace_drift`` is the largest |sum p - 1| over
+    the iterated population vectors, for routes that carry them; else None.
     """
 
     j: SpinLabel
@@ -416,6 +418,8 @@ class FidelitySeries:
 
     def __post_init__(self):
         object.__setattr__(self, "j", as_spin(self.j))
+        for name in ("fidelity", "closed_form"):
+            object.__setattr__(self, name, _reals(name, getattr(self, name)))
         if len(self.fidelity) != len(self.closed_form):
             raise DomainError(f"fidelity and closed_form must have equal length, got "
                               f"{len(self.fidelity)} and {len(self.closed_form)}")
@@ -429,34 +433,6 @@ class FidelitySeries:
     @property
     def max_abs_diff(self) -> float:
         return float(self.error.max())
-
-    def require_valid(self):
-        """Check range [1/2, 1] and monotone decay of the computed route.
-
-        A failure names 2j, the first offending step, the value and
-        ``STRUCTURE_TOL``; a NaN fidelity fails.  The checks are decided
-        from extremes: of the fidelity, since 0.5 - f and f - 1 are monotone
-        in f, and of its rises, taken into odd steps and then into even
-        steps in one buffer of half the series.  Only a failure scans every
-        step to find the first that fails.
-        """
-        f = self.fidelity
-        outside = max(0.5 - f.min(initial=0.5), f.max(initial=1.0) - 1.0)  # NaN if any f is
-        rises = np.subtract(f[1::2], f[:-1:2])  # into odd steps
-        largest_rise = rises.max(initial=0.0)
-        into_even = np.subtract(f[2::2], f[1:-1:2], out=rises[: (len(f) - 1) // 2])
-        largest_rise = max(largest_rise, into_even.max(initial=0.0))
-        if outside <= STRUCTURE_TOL and largest_rise <= STRUCTURE_TOL:
-            return
-        outside = np.maximum(0.5 - f, f - 1.0)  # NaN where f is NaN
-        rise = np.diff(f, prepend=f[:1])
-        for what, excess in (("distance of fidelity outside [1/2, 1]", outside),
-                             ("rise of fidelity over the step before", rise)):
-            within = excess <= STRUCTURE_TOL
-            if not within.all():
-                i = int(np.argmin(within))
-                require(f"FidelitySeries: 2j={self.j.twice_j}, step {i}",
-                        what, excess[i], "STRUCTURE_TOL")
 
 
 def _block_length(n_max: int) -> int:
@@ -539,7 +515,8 @@ def evolve(j, n_max: int) -> FidelitySeries:
     The block length s grows with ``n_max`` (:func:`_block_length`), so a
     short run does not pay for a long kernel.
 
-    Every step's ``error`` in the series is checked against ``ORACLE_TOL``.
+    Every step's ``error`` in the series is checked against ``MAP_TOL``,
+    which also keeps the fidelity in [1/2, 1] and decaying (see its note).
     Every state held in memory (steps 0, s, 2s, ...) has its smallest
     population checked against ``EIGENVALUE_FLOOR`` and its drift from a
     total of 1 against ``STRUCTURE_TOL``.  The states in between need no check:
@@ -555,7 +532,6 @@ def evolve(j, n_max: int) -> FidelitySeries:
     series = FidelitySeries(j, fidelity, closed_form_fidelity(j, np.arange(n_max + 1)),
                             trace_drift=float(drift.max()))
     _check_steps(series, s, lowest, drift)
-    series.require_valid()
     return series
 
 
@@ -602,8 +578,8 @@ def _check_steps(series: FidelitySeries, s: int, lowest, drift):
     """
     error = series.error
     held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
-    if not (error.max() <= ORACLE_TOL and held_ok.all()):  # a NaN error fails
-        ok = error <= ORACLE_TOL
+    if not (error.max() <= MAP_TOL and held_ok.all()):  # a NaN error fails
+        ok = error <= MAP_TOL
         ok[::s] &= held_ok
         step = int(np.argmin(ok))
         i, offset = divmod(step, s)
@@ -612,14 +588,15 @@ def _check_steps(series: FidelitySeries, s: int, lowest, drift):
             require(where, "population", lowest[i], "EIGENVALUE_FLOOR")
             require(where, "|sum of populations - 1|", drift[i], "STRUCTURE_TOL")
         require(where, f"fidelity {float(series.fidelity[step])!r}, |F - F_closed|",
-                error[step], "ORACLE_TOL")
+                error[step], "MAP_TOL")
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Outcome string of a kept measurement record.
 
-    ``outcomes[i]`` is +1 or -1 (the total-J branch observed at step i) and
+    ``outcomes[i]`` is the integer +1 or -1 (the total-J branch observed at
+    step i), as :func:`conditional_update` takes it, and
     ``probabilities[i]`` is the probability that outcome had, conditioned on
     the record before it.
     """
@@ -629,11 +606,11 @@ class MeasurementRecord:
 
     def __post_init__(self):
         out = np.asarray(self.outcomes)
-        prob = np.asarray(self.probabilities, dtype=float)
+        prob = _reals("probabilities", self.probabilities)
         if out.shape != prob.shape:
             raise DomainError("outcomes and probabilities must have equal length")
-        if out.size and not np.all(np.isin(out, OUTCOMES)):  # before the cast to int
-            raise DomainError("outcomes must be +1 or -1")
+        if out.size and not (out.dtype.kind in "iu" and np.all(np.isin(out, OUTCOMES))):
+            raise DomainError("outcomes must be the integers +1 or -1")
         out = np.asarray(out, dtype=int)
         if not np.all((0.0 <= prob) & (prob <= 1.0)):
             raise DomainError("probabilities must lie in [0, 1]")

@@ -144,6 +144,31 @@ def exact_averaged_step(twice_j, populations):
     return [a + b for a, b in zip(plus, minus)]
 
 
+def exact_map_fidelities(twice_j, n_max):
+    """F_0 ... F_n_max of the averaged map iterated exactly, as Fractions.
+
+    The rates are w_k = r_k / q^2 with integers r_k = (k+1)(2j-k), q = 2j+1,
+    so Q_n = P_n q^(2n) is an integer vector: Q_{n+1} = q^2 Q_n - t + t', with
+    the integer flows t_k = r_k (Q_k - Q_{k+1}) leaving entry k and entering
+    k+1, and F_n = 1/2 + sum_k (2k - 2j) Q_n[k] / (2 q^(2n+1)).
+    """
+    q2 = (twice_j + 1) ** 2
+    rates = [(k + 1) * (twice_j - k) for k in range(twice_j)]
+    Q = [0] * twice_j + [1]
+    scale = twice_j + 1  # q^(2n+1)
+    fidelities = []
+    for _ in range(n_max + 1):
+        twice_mean = sum((2 * k - twice_j) * v for k, v in enumerate(Q))
+        fidelities.append(Fraction(1, 2) + Fraction(twice_mean, 2 * scale))
+        flows = [r * (Q[k] - Q[k + 1]) for k, r in enumerate(rates)]
+        Q = [q2 * v for v in Q]
+        for k, t in enumerate(flows):
+            Q[k] -= t
+            Q[k + 1] += t
+        scale *= q2
+    return fidelities
+
+
 def flux_loop(twice_j, n_max):
     """Fidelity of every step, one plain flux step at a time.
 

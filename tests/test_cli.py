@@ -602,7 +602,7 @@ class TestCliSurface:
         err = capsys.readouterr().err
         assert err.startswith("error: quantum-evolve: ")
         assert "2j=6, step 1:" in err
-        assert "ORACLE_TOL" in err
+        assert "MAP_TOL" in err
 
     def test_failed_later_size_keeps_earlier_csv(self, tmp_path, monkeypatch, capsys):
         # sizes are built and written one at a time; the manifest waits for all

@@ -7,9 +7,11 @@ corruption) case calls with that one argument corrupted and expects a
 :class:`DomainError` whose message names the argument.  A kind that is a
 string is the reason that argument is not corrupted.  A corruption that is
 callable is applied to the valid value.  ``tests/test_public_names.py``
-checks that every name in ``drfsim.__all__`` has a row or is in EXCEPTIONS.
+checks that every name in ``drfsim.__all__`` has a row or is in EXCEPTIONS;
+OUTSIDE holds the rows of public callables outside ``drfsim.__all__``.
 """
 
+import io
 import math
 import re
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 import drfsim as d
-from drfsim import DomainError
+from drfsim import DomainError, cli, selftest
 
 NAN, INF, PI = math.nan, math.inf, math.pi
 PLUS = d.CouplingBranch.PLUS
@@ -58,8 +60,11 @@ def whole(message):
 SPIN = kind(r"^twice_j must be an integer >= 0, got ",
             {"-1": -1, "1.5": 1.5, "nan": NAN, "str": "2"})
 FRAME = SPIN + kind(r"^j must have 2j >= 1, got 2j=0$", {"0": 0})
-ANGLE = kind(r"^{name} must lie in \[0, pi\], got ",
-             {"-0.1": -0.1, "pi+0.1": PI + 0.1, "nan": NAN, "inf": INF})
+# A string where a number is expected is refused, not parsed.
+REAL = r"^{name} must be real, got dtype <U"
+ANGLE = (kind(r"^{name} must lie in \[0, pi\], got ",
+              {"-0.1": -0.1, "pi+0.1": PI + 0.1, "nan": NAN, "inf": INF})
+         + kind(REAL, {"str": "0.3"}))
 FINITE = kind(r"^{name} must be finite \(it holds nan or inf\)$",
               {"nan": entry(NAN), "inf": entry(INF), "-inf": entry(-INF)})
 MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for j=1$",
@@ -72,7 +77,9 @@ BRANCH = kind(r"^branch must be a CouplingBranch member",
 OUTCOME = kind(r"^outcome must be one of \(1, -1\), got ",
                {"1.0": 1.0, "float64": np.float64(-1.0), "0": 0, "2": 2, "str": "1"})
 SEED = [(repr(seed), seed, rf"^seed {re.escape(repr(seed))}: ") for seed in (-1, 2.5, NAN)]
-NONNEGATIVE = kind(r"^{name} must be non-negative", {"nan": NAN, "-1e-3": -1e-3})
+NONNEGATIVE = (kind(r"^{name} must be finite and non-negative$",
+                    {"nan": NAN, "-1e-3": -1e-3, "inf": INF})
+               + kind(REAL, {"str": "0"}))
 RECORD = "a record: checked when it was built"
 FLAG = "a flag: every object has a truth value"
 
@@ -112,7 +119,8 @@ BANDS = [
 STEPS = kind(r"^step count n must be a non-negative integer",
              {"-1": -1, "2.5": 2.5, "nan": NAN, "inf": INF, "-inf": -INF,
               "nan-entry": np.array([0.0, NAN]), "inf-entry": np.array([0.0, INF]),
-              "fraction-entry": np.array([1.0, 2.5]), "2-d": np.array([[3.0], [0.5]])})
+              "fraction-entry": np.array([1.0, 2.5]), "2-d": np.array([[3.0], [0.5]]),
+              "str": "3", "str-entry": np.array(["1", "2"])})
 # Each message names 2j, the value and the tolerance.
 STATE_2 = "FrameState: 2j=2: "
 POPULATIONS = [
@@ -178,7 +186,8 @@ ROWS = [
                          r"^thetas and values must be 1-d arrays of equal length$")]),
       "values": (np.ones(2048), FINITE),
       "alpha": (0.5, kind(r"^alpha must lie strictly inside \(0, pi\), got ",
-                          {"0": 0.0, "pi": PI, "nan": NAN})),
+                          {"0": 0.0, "pi": PI, "nan": NAN, "inf": INF})
+                + kind(REAL, {"str": "0.5"})),
       "n_psi": (2, count(1), "classical_walk.ring_average: n_psi")}),
     ("angular_variance", d.angular_variance, {"j": (2, FRAME)}),
     ("CoherentGrid", d.CoherentGrid,
@@ -194,7 +203,9 @@ ROWS = [
                   + kind(exact("columns must have shape (3, 3), got (3, 2)"),
                          {"shape": np.zeros((3, 2))}))}),
     ("DecompositionResult", d.DecompositionResult,
-     {"weights": ([1.0], kind(r"^weights must be non-negative", {"nan": [NAN], "-0.1": [-0.1]})),
+     {"weights": ([1.0], kind(r"^weights must be finite and non-negative$",
+                              {"nan": [NAN], "-0.1": [-0.1], "inf": [INF]})
+                  + kind(REAL, {"str": ["0.5"]})),
       "residual": (0.0, NONNEGATIVE), "weight_sum_gap": (0.0, NONNEGATIVE)}),
     ("build_grid", d.build_grid, {"j": (2, SPIN), "n_nodes": (5, count(3), "j=1: n_nodes")}),
     ("nnls_solve", d.nnls_solve,
@@ -218,18 +229,21 @@ ROWS = [
     ("FrameState:from_matrix", d.FrameState.from_matrix,
      {"j": (2, SPIN), "matrix": (np.diag([0.0, 0.0, 1.0]), MATRIX)}),
     ("MeasurementRecord", d.MeasurementRecord,
-     {"outcomes": ([1, -1], kind(r"^outcomes must be \+1 or -1$",
-                                 {"2": [2, -1], "1.5": [1.5, -1], "nan": [NAN, 1]})),
+     {"outcomes": ([1, -1], kind(r"^outcomes must be the integers \+1 or -1$",
+                                 {"2": [2, -1], "1.5": [1.5, -1], "nan": [NAN, 1],
+                                  "1.0": [1.0, -1.0], "str": ["1", "-1"]})),
       "probabilities": ([0.5, 0.5],
                         kind(r"^probabilities must lie in \[0, 1\]$",
                              {"1.5": [1.5, 0.5], "nan": [NAN, 0.5]})
+                        + kind(REAL, {"str-entry": [0.5, "0.5"]})
                         + kind(r"^outcomes and probabilities must have equal length$",
                                {"short": [0.5]}))}),
     ("FidelitySeries", d.FidelitySeries,
      {"j": (2, SPIN),
-      "fidelity": ([0.8, 0.7], "NaN is kept: require_valid and evolve name its step"),
+      "fidelity": ([0.8, 0.7], kind(REAL, {"str-entry": [0.8, "0.7"]})),
       "closed_form": ([0.8, 0.7], kind(exact("fidelity and closed_form must have equal "
-                                             "length, got 2 and 1"), {"short": [0.8]})),
+                                             "length, got 2 and 1"), {"short": [0.8]})
+                      + kind(REAL, {"str-entry": [0.8, "0.7"]})),
       "trace_drift": (None, "a measured drift, reported as it is")}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
     ("transfer_rates", d.transfer_rates, {"j": (2, SPIN)}),
@@ -251,6 +265,22 @@ ROWS = [
      {"j": (2, FRAME), "n_max": (3, count()), "n_samples": (4, count(1)), "seed": (1, SEED)}),
 ]
 
+# Public callables outside drfsim.__all__: the CLI's settings and the selftest.
+OUTSIDE = [
+    ("cli.RunConfig", cli.RunConfig,
+     {"command": ("compare", kind(r"^unknown command 'walk'$", {"walk": "walk"})),
+      "twice_j": ([2], kind(r"^twice_j must be an integer >= 1, got ",
+                            {"0": [2, 0], "2.5": [2.5], "nan": [NAN], "str": ["2"]})
+                  + kind(r"^twice_j must list at least one size$", {"empty": []})),
+      "n_max": (3, count()), "alpha": (0.1, ANGLE),
+      "seed": (1, count() + kind(exact("seed must be an integer in [0, 2**64), got "),
+                                 {"2**64": 2**64})),
+      "samples": (5, count(1)), "n_nodes": (5, count(1)),
+      "out": (None, "a path: opened when the run writes it")}),
+    ("selftest.run_selftest", selftest.run_selftest,
+     {"seed": (1, count()), "stream": (io.StringIO(), "a text stream: written as it is")}),
+]
+
 # Public names with no row, and why.
 EXCEPTIONS = {
     **dict.fromkeys(["DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
@@ -265,7 +295,7 @@ EXCEPTIONS = {
 
 
 def _cases():
-    for row, call, args in ROWS:
+    for row, call, args in ROWS + OUTSIDE:
         for argument, (_, argument_kind, *label) in args.items():
             if isinstance(argument_kind, str):
                 continue
@@ -280,7 +310,7 @@ def _valid(args):
 
 
 @pytest.mark.parametrize("call, args", [pytest.param(call, args, id=row)
-                                        for row, call, args in ROWS])
+                                        for row, call, args in ROWS + OUTSIDE])
 def test_valid_arguments_are_accepted(call, args):
     # so that each corruption below is the one thing wrong with its call
     call(**_valid(args))

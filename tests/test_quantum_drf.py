@@ -38,11 +38,12 @@ from drfsim.quantum_drf import (
     multipole_spectrum,
     transfer_rates,
 )
-from drfsim.tolerances import STRUCTURE_TOL
+from drfsim.tolerances import MAP_TOL, STRUCTURE_TOL
 
 from brute_force import (
     coupled_projectors,
     exact_averaged_step,
+    exact_map_fidelities,
     exact_outcome_step,
     flux_loop,
     jump_kernel_reference,
@@ -329,11 +330,45 @@ class TestClosedFormFidelity:
         assert values.shape == (5,)
         assert np.all(np.diff(values) < 0)
 
+    @pytest.mark.parametrize("twice_j", [1, 2, 20, 200, 1000])
+    def test_never_rises_at_the_slow_sweep_sizes(self, twice_j):
+        # MAP_TOL implies a monotone, in-range evolve only if the closed form
+        # it is checked against is monotone and in range
+        j = SpinLabel(twice_j)
+        closed = closed_form_fidelity(j, np.arange(default_n_max(j) + 1))
+        assert np.all(np.diff(closed) <= 0.0)
+        assert 0.5 <= closed[-1] and closed[0] < 1.0
+
     def test_integral_float_steps_are_accepted(self):
         steps = np.arange(6)
         want = closed_form_fidelity(SpinLabel(4), steps)
         assert np.array_equal(closed_form_fidelity(SpinLabel(4), steps.astype(float)), want)
         assert closed_form_fidelity(SpinLabel(4), 3.0) == want[3]
+
+
+def _fault_at_jump(monkeypatch, k, fault):
+    """Apply ``fault`` to the state the k-th of the 125 jumps of each
+    evolve(SpinLabel(10), 2000) lands on, step 16 k."""
+    assert quantum_drf._block_length(2000) == 16
+    exact_jump = quantum_drf._jump
+    calls = []
+
+    def faulty_jump(kernel, windows, populations):
+        out = exact_jump(kernel, windows, populations)
+        calls.append(None)
+        if len(calls) % 125 == k % 125:
+            fault(out)
+        return out
+
+    monkeypatch.setattr(quantum_drf, "_jump", faulty_jump)
+
+
+def _move_down(amount):
+    """A fault that moves ``amount`` of population from m = +j to m = -j."""
+    def fault(out):
+        out[-1] -= amount
+        out[0] += amount
+    return fault
 
 
 class TestEvolve:
@@ -377,26 +412,17 @@ class TestEvolve:
           for k in (16, 69, 125)],
         *[(k, lambda out: out.__setitem__(0, out[0] + 1e-11), "STRUCTURE_TOL")
           for k in (16, 69, 125)],
-        (69, lambda out: out.__setitem__(slice(None), out[::-1]), "ORACLE_TOL"),
+        (69, lambda out: out.__setitem__(slice(None), out[::-1]), "MAP_TOL"),
+        # F off by 1e-12 (2j/q) = 9.1e-13: within every tolerance but MAP_TOL
+        (125, _move_down(1e-12), "MAP_TOL"),
     ])
     def test_failing_step_is_named(self, monkeypatch, k, fault, tolerance):
         # corrupt only the state the k-th jump lands on, step 16 k.  The 126
         # held states are checked 16 at a time: k = 16 opens a group and
         # k = 125 (step 2000) closes the last, partial one.  A reversal at
-        # step 2000 stays within ORACLE_TOL, the state being uniform there
+        # step 2000 stays within MAP_TOL, the state being uniform there
         # to about 1e-15
-        assert quantum_drf._block_length(2000) == 16
-        exact_jump = quantum_drf._jump
-        calls = []
-
-        def faulty_jump(kernel, windows, populations):
-            out = exact_jump(kernel, windows, populations)
-            calls.append(None)
-            if len(calls) == k:
-                fault(out)
-            return out
-
-        monkeypatch.setattr(quantum_drf, "_jump", faulty_jump)
+        _fault_at_jump(monkeypatch, k, fault)
         with pytest.raises(InternalConsistencyError) as excinfo:
             evolve(SpinLabel(10), 2000)
         message = str(excinfo.value)
@@ -417,50 +443,43 @@ class TestEvolve:
             evolve(SpinLabel(10), 2000)
         message = str(excinfo.value)
         assert message.startswith("quantum_drf.evolve: 2j=10, step 5: fidelity ")
-        assert "ORACLE_TOL" in message
+        assert "MAP_TOL" in message
 
-    def test_series_validation_names_the_step(self):
-        j = SpinLabel(4)
-        fidelity = np.array([0.9, 0.8, 0.85, 0.7])
-        series = quantum_drf.FidelitySeries(j, fidelity, fidelity)
-        pattern = r"2j=4, step 2: .*STRUCTURE_TOL"
-        with pytest.raises(InternalConsistencyError, match=pattern):
-            series.require_valid()
+    @pytest.mark.parametrize("twice_j", range(1, 21))
+    def test_evolve_and_closed_form_round_the_exact_map(self, twice_j):
+        # the integer map is the CG route's map (first steps), and its F_n
+        # the exact decay law; evolve and closed_form_fidelity both lie
+        # within MAP_TOL of its correctly rounded F_n
+        j = SpinLabel(twice_j)
+        exact = exact_map_fidelities(twice_j, 200)
+        state = [Fraction(0)] * twice_j + [Fraction(1)]
+        for n in range(3):
+            mean = sum(Fraction(2 * k - twice_j, 2) * p for k, p in enumerate(state))
+            assert exact[n] == Fraction(1, 2) + mean / (twice_j + 1)
+            state = exact_averaged_step(twice_j, state)
+        q2 = (twice_j + 1) ** 2
+        amplitude = Fraction(twice_j, 2 * (twice_j + 1))
+        assert exact == [Fraction(1, 2) + amplitude * Fraction(q2 - 2, q2) ** n
+                         for n in range(201)]
+        rounded = np.array([float(f) for f in exact])  # float(Fraction) rounds correctly
+        assert np.abs(evolve(j, 200).fidelity - rounded).max() <= MAP_TOL
+        assert np.abs(closed_form_fidelity(j, np.arange(201)) - rounded).max() <= MAP_TOL
 
-    @pytest.mark.parametrize("length", [2, 3, 8, 9])
-    def test_series_validation_finds_a_rise_at_every_step(self, length):
-        # rises into odd and into even steps share one buffer; both are seen
-        decay = np.linspace(0.99, 0.6, length)
-        assert quantum_drf.FidelitySeries(SpinLabel(4), decay,
-                                          decay).require_valid() is None
-        for step in range(1, length):
-            fidelity = decay.copy()
-            fidelity[step] = fidelity[step - 1] + 2e-12
-            series = quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity)
-            with pytest.raises(InternalConsistencyError,
-                               match=rf"step {step}: rise of fidelity .* STRUCTURE_TOL"):
-                series.require_valid()
-
-    @pytest.mark.parametrize("value,step", [(0.5 - 2e-12, 3), (1.0 + 2e-12, 0)])
-    def test_series_validation_names_the_step_outside_the_range(self, value, step):
-        fidelity = np.array([0.9, 0.8, 0.7, 0.6, 0.55])
-        fidelity[step] = value
-        series = quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity)
+    @pytest.mark.parametrize("move", [-1.2e-12, 1.2e-12])
+    def test_rise_or_dip_past_structure_tol_is_named(self, monkeypatch, move):
+        # a fault that puts F below 1/2, or makes it rise over the step
+        # before, by more than STRUCTURE_TOL is a closed-form error past MAP_TOL
+        _fault_at_jump(monkeypatch, 125, _move_down(move))
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(quantum_drf, "_check_steps", lambda *args: None)
+            fidelity = evolve(SpinLabel(10), 2000).fidelity
+        if move > 0:
+            assert fidelity[2000] < 0.5 - STRUCTURE_TOL
+        else:
+            assert fidelity[2000] - fidelity[1999] > STRUCTURE_TOL
         with pytest.raises(InternalConsistencyError,
-                           match=rf"step {step}: distance of fidelity outside"):
-            series.require_valid()
-
-    def test_series_validation_accepts_empty_and_single_steps(self):
-        for fidelity in (np.array([]), np.array([0.75])):
-            quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity).require_valid()
-
-    def test_series_validation_rejects_nan(self):
-        fidelity = np.array([0.9, np.nan, 0.8])
-        series = quantum_drf.FidelitySeries(SpinLabel(4), fidelity, fidelity)
-        with pytest.raises(InternalConsistencyError,
-                           match=r"^FidelitySeries: 2j=4, step 1: .* nan exceeds "
-                                 r"STRUCTURE_TOL = 1e-12$"):
-            series.require_valid()
+                           match=r"^quantum_drf\.evolve: 2j=10, step 2000: .* MAP_TOL"):
+            evolve(SpinLabel(10), 2000)
 
 
 @functools.lru_cache(maxsize=None)
@@ -636,10 +655,13 @@ class TestTrajectories:
         with pytest.raises(DomainError, match="outcomes must be"):
             MeasurementRecord(outcomes, [0.5, 0.5])
 
-    def test_integral_float_outcomes_are_stored_as_int(self):
-        record = MeasurementRecord([1.0, -1.0], [0.5, 0.5])
+    def test_integer_outcomes_are_stored_as_int_and_float_ones_refused(self):
+        # as conditional_update refuses the outcome 1.0
+        record = MeasurementRecord(np.array([1, -1], dtype=np.int8), [0.5, 0.5])
         assert record.outcomes.dtype == int
         assert record.outcomes.tolist() == [1, -1]
+        with pytest.raises(DomainError, match=r"^outcomes must be the integers \+1 or -1$"):
+            MeasurementRecord([1.0, -1.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("twice_j", [1, 2, 4, 13, 40])
     def test_batch_of_one_reproduces_single_trajectory(self, twice_j):
