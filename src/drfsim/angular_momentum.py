@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_member, _index, _reals
+from .errors import DomainError, _check_count, _check_member, _index, _real, _reals
 
 __all__ = [
     "SpinLabel",
@@ -229,7 +229,7 @@ def coherent_populations(j, theta: float) -> np.ndarray:
     numpy.ndarray
         Length 2j+1 vector of non-negative populations summing to one.
     """
-    return coherent_columns(j, [theta])[:, 0]
+    return coherent_columns(j, [_real("theta", theta)])[:, 0]
 
 
 def coherent_columns(j, thetas) -> np.ndarray:

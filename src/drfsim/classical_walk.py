@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .angular_momentum import _check_frame
-from .errors import AccuracyError, DomainError, _check_count, _check_finite, _reals
+from .errors import AccuracyError, DomainError, _check_count, _check_finite, _real
 from .quantum_drf import FidelitySeries, _cpu_count, _in_workers, multipole_spectrum
 from .tolerances import require
 
@@ -78,15 +78,6 @@ class LegendreSpectrum:
         theta = np.linspace(0.0, math.pi, _RECONSTRUCTION_GRID)
         return float(np.min(self.reconstruct(theta)))
 
-    def require_positive(self):
-        """Raise unless the reconstruction stays above -``POSITIVITY_ALLOWANCE``.
-
-        The error names l_max, the grid size, the dip and the allowance.
-        """
-        require(f"LegendreSpectrum: l_max={self.l_max}, {_RECONSTRUCTION_GRID} grid points",
-                "dip of the reconstructed distribution below 0",
-                -self.min_reconstructed(), "POSITIVITY_ALLOWANCE")
-
 
 @dataclass(frozen=True)
 class WalkParameters:
@@ -96,7 +87,8 @@ class WalkParameters:
     n: int
 
     def __post_init__(self):
-        if not 0.0 <= _reals("alpha", self.alpha) <= math.pi:
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
+        if not 0.0 <= self.alpha <= math.pi:
             raise DomainError(f"alpha must lie in [0, pi], got {self.alpha}")
         _check_count("n", self.n)
 
@@ -196,7 +188,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     """
     j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
-    WalkParameters(alpha, n_max)  # validates alpha
+    alpha = WalkParameters(alpha, n_max).alpha  # checked, as a float
     c0, c1 = initial_spectrum(j).coeffs[:2]
     gains = np.arange(n_max + 1, dtype=float)
     np.power(math.cos(alpha), gains, out=gains)  # cos(alpha)^n
@@ -267,7 +259,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
             f"classical_walk.ring_average: grid of {n_grid} points is too "
             f"coarse (need >= {_MIN_RING_GRID})"
         )
-    if not (0.0 < _reals("alpha", alpha) < math.pi):
+    if not (0.0 < (alpha := _real("alpha", alpha)) < math.pi):
         raise DomainError(f"alpha must lie strictly inside (0, pi), got {alpha}")
     n_psi = _check_count("classical_walk.ring_average: n_psi", n_psi, 1)
     step = math.pi / (n_grid - 1)

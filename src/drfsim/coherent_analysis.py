@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .angular_momentum import SpinLabel, as_spin, coherent_columns
-from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _reals
+from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
 from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import KKT_TOL, require
 
@@ -31,6 +31,9 @@ __all__ = [
     "convexity_test",
     "convexity_series",
 ]
+
+_CAP_PER_COLUMN = 10  # variables nnls_solve admits, per column, before it gives up
+
 
 @dataclass(frozen=True)
 class CoherentGrid:
@@ -89,14 +92,14 @@ class DecompositionResult:
     weight_sum_gap: float
 
     def __post_init__(self):
-        w = _reals("weights", self.weights)
-        for name, value in (("weights", w), ("residual", self.residual),
-                            ("weight_sum_gap", self.weight_sum_gap)):
-            value = _reals(name, value)  # NaN fails both bounds
-            if not (0.0 <= value.min(initial=0.0) and value.max(initial=0.0) < math.inf):
+        checked = {"weights": _reals("weights", self.weights),
+                   "residual": _real("residual", self.residual),
+                   "weight_sum_gap": _real("weight_sum_gap", self.weight_sum_gap)}
+        for name, value in checked.items():  # NaN fails both bounds
+            if not (0.0 <= np.min(value, initial=0.0) and np.max(value, initial=0.0) < math.inf):
                 raise DomainError(f"{name} must be finite and non-negative")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+            object.__setattr__(self, name, value)
+        self.weights.setflags(write=False)
 
 
 def _result(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> DecompositionResult:
@@ -107,7 +110,7 @@ def _result(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> DecompositionResult:
     )
 
 
-def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> DecompositionResult:
+def nnls_solve(A, b, *, start=None) -> DecompositionResult:
     """Minimise ||A w - b||_2 subject to w >= 0 (Lawson-Hanson active set).
 
     Variables move between the bound set (pinned at zero) and the free set;
@@ -123,8 +126,8 @@ def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> Decompositio
     Raises
     ------
     ConvergenceError
-        If more than ``max_iter`` >= 0 (default 10 x n_columns) variables
-        are admitted; the error carries the best iterate as ``result``.
+        If more than 10 x n_columns variables are admitted; the error
+        carries the best iterate as ``result``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -137,7 +140,7 @@ def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> Decompositio
             "target b must sum to 1; its gap", abs(b.sum() - 1.0),
             "NNLS_TARGET_SUM_TOL", DomainError)
     n = A.shape[1]
-    max_iter = 10 * n if max_iter is None else _check_count("max_iter", max_iter)
+    cap = _CAP_PER_COLUMN * n
 
     x = np.zeros(n)
     free = np.zeros(n, dtype=bool)
@@ -158,9 +161,9 @@ def nnls_solve(A, b, max_iter: int | None = None, *, start=None) -> Decompositio
         if candidates[entering] <= KKT_TOL:
             return _result(A, b, x)
         admitted += 1
-        if admitted > max_iter:
+        if admitted > cap:
             raise ConvergenceError(
-                f"coherent_analysis.nnls_solve: iteration cap {max_iter} "
+                f"coherent_analysis.nnls_solve: iteration cap {cap} "
                 f"exceeded with largest bound dual {candidates[entering]:.3e} "
                 f"still above KKT_TOL = {KKT_TOL:g}",
                 result=_result(A, b, x),

@@ -37,7 +37,9 @@ class InternalConsistencyError(DrfsimError, RuntimeError):
 
 
 def _index(value) -> int | None:
-    """``value`` as an int if it is an integer (a Python or numpy int), else None."""
+    """``value`` as an int if it is an integer (a Python or numpy int, not a bool), else None."""
+    if isinstance(value, bool):  # operator.index(True) is 1
+        return None
     try:
         return operator.index(value)  # int() would truncate 2.5, and fail on nan
     except TypeError:
@@ -47,11 +49,19 @@ def _index(value) -> int | None:
 def _reals(name: str, values) -> np.ndarray:
     """``values``, a number or an array of them, as a float array (itself if
     it is one), else a :class:`DomainError` naming ``name``: a string such
-    as "0.5" is refused, not parsed."""
+    as "0.5" is refused, not parsed, and a bool is not a number."""
     array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real, got dtype {array.dtype}")
     return array.astype(float, copy=False)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float if it is one real number, else a :class:`DomainError` naming it."""
+    array = _reals(name, value)
+    if array.ndim:
+        raise DomainError(f"{name} must be a single number, got shape {array.shape}")
+    return float(array)
 
 
 def _check_count(name: str, value, low: int = 0) -> int:

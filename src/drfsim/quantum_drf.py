@@ -34,10 +34,10 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.random import PCG64, Generator, default_rng  # loaded with the package, not mid-run
+from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, projector_element
-from .errors import DomainError, _check_count, _check_finite, _check_member, _reals
+from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
 __all__ = [
@@ -389,7 +389,7 @@ def closed_form_fidelity(j, n):
     n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
     kind = n_arr.dtype.kind
     with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
-        gap = (0 if kind in "biu" else np.nan if kind != "f"  # a string is not parsed
+        gap = (0 if kind in "iu" else np.nan if kind != "f"  # a string is not parsed
                else np.abs(n_arr - np.rint(n_arr)).max(initial=0))
     if not (gap <= 0 and n_arr.min(initial=0) >= 0):
         raise DomainError(f"step count n must be a non-negative integer, got {n!r}")
@@ -651,8 +651,8 @@ def sample_trajectory(j, n_max: int, seed):
     """Sample one measurement record and the record-conditioned final state.
 
     Starts from the aligned state; at each step the outcome is drawn with its
-    true probability and the state is updated conditionally.  Deterministic
-    for a fixed ``seed``, which ``numpy.random.default_rng`` must accept.
+    true probability and the state is updated conditionally.  ``seed`` is an
+    integer >= 0 or a sequence of them, and fixes the record.
 
     Returns
     -------
@@ -712,19 +712,18 @@ _CHUNK_DRAWS = (1 << 16) - 1  # batch uniforms held at once; < 2^16 for the uint
 def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     """Monte-Carlo sample of record-conditioned fidelities after ``n_max`` uses.
 
-    ``numpy.random.default_rng(seed)`` gives one row of ``n_samples`` uniforms
-    per step, in step order; a draw below p+ of :func:`multipole_spectrum` is
-    a +1 outcome.  Sample i's fidelity is F_K of
-    :func:`conditional_fidelity_table` at its count K of +1 outcomes.
-    :func:`sample_trajectory` consumes the same stream, so a batch of one
-    reproduces it for the same seed.
+    ``numpy.random.default_rng(seed)``, ``seed`` an integer >= 0 or a sequence
+    of them, gives one row of ``n_samples`` uniforms per step, in step order;
+    a draw below p+ of :func:`multipole_spectrum` is a +1 outcome.  Sample
+    i's fidelity is F_K of :func:`conditional_fidelity_table` at its count K
+    of +1 outcomes.  :func:`sample_trajectory` consumes the same stream, so a
+    batch of one reproduces it for the same seed.
 
     A chunk of at most 2^16 / W uniforms goes to one of the W workers of
     :func:`_in_workers`: whole rows while a row fits in one, else a run of
-    columns of one row.  A ``PCG64`` double is one output, so a worker's copy
-    of the generator reaches row a, column b by ``advance(a n_samples + b)``
-    and the counts do not depend on W.  Another bit generator gets one worker.
-    A ``Generator`` seed ends as if serial.
+    columns of one row.  A ``PCG64`` double is one output, so a worker's own
+    generator reaches row a, column b by advancing to a n_samples + b, and
+    the counts do not depend on W.
 
     Returns
     -------
@@ -742,10 +741,9 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     width = min(n_samples, per_chunk)  # columns per chunk
     runs = -(-n_samples // width)  # chunks per row block
     chunks = -(-n_max // rows) * runs
-    workers = min(cpus, chunks) if type(rng.bit_generator) is PCG64 else 1
-    start_state = rng.bit_generator.state
-    generators = [rng] + [Generator(PCG64(0)) for _ in range(1, workers)]
-    at = [0] + [None] * (workers - 1)  # the stream position of each worker's generator
+    workers = min(cpus, chunks)
+    generators = [rng] + [_generator(seed) for _ in range(1, workers)]
+    at = [0] * workers  # the stream position of each worker's generator
     draws = np.empty((workers, min(rows, n_max), width))
     plus_counts = np.zeros(n_samples, dtype=int)  # worker 0's counts, and then the sum
     counts = [plus_counts] + [np.zeros(n_samples, dtype=int) for _ in range(1, workers)]
@@ -753,9 +751,7 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     def draw(w, chunk):
         row, column = chunk // runs * rows, chunk % runs * width
         start = row * n_samples + column
-        if at[w] != start:
-            generators[w].bit_generator.state = start_state
-            generators[w].bit_generator.advance(start)
+        generators[w].bit_generator.advance(start - at[w])  # a worker's chunks ascend
         block = draws[w, : n_max - row, : n_samples - column]
         generators[w].random(out=block)
         at[w] = start + block.size
@@ -763,19 +759,19 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
             block < spectrum.p_plus, axis=0, dtype=np.uint16)
 
     _in_workers(workers, chunks, draw)
-    if workers > 1:  # where the serial loop leaves it; advance would drop a buffered uint32
-        rng.bit_generator.state = start_state
-        end = rng.bit_generator.advance(n_max * n_samples).state["state"]
-        rng.bit_generator.state = {**start_state, "state": end}
     for more in counts[1:]:
         plus_counts += more
     return _count_fidelity(spectrum, n_max, plus_counts), plus_counts
 
 
 def _generator(seed) -> Generator:
+    """A PCG64 generator of the sampler's own, from an integer >= 0 or a sequence of them."""
     try:
+        entries = seed if np.ndim(seed) == 1 else (seed,)
+        if any(_index(entry) is None for entry in entries):
+            raise TypeError("must be an integer >= 0 or a sequence of them")
         return default_rng(seed)
-    except (TypeError, ValueError) as exc:  # -1, 2.5, nan
+    except (TypeError, ValueError) as exc:  # -1, 2.5, nan, None, True, a Generator
         raise DomainError(f"seed {seed!r}: {exc}") from None
 
 

@@ -68,21 +68,6 @@ class TestInitialSpectrum:
         exact = (2.0 * twice_j + 1.0) * np.cos(theta / 2.0) ** (4 * twice_j)
         assert np.max(np.abs(spec.reconstruct(theta) - exact)) < 1e-9
 
-    def test_initial_distribution_is_positive(self):
-        spec = initial_spectrum(SpinLabel(20))
-        spec.require_positive()
-
-    def test_negative_dip_names_size_value_and_allowance(self):
-        # 1 + c_1 cos(theta) bottoms out at 1 - c_1 = -1.5e-6 at theta = pi
-        spec = LegendreSpectrum([1.0, 1.0 + 1.5e-6])
-        with pytest.raises(InternalConsistencyError,
-                           match=r"^LegendreSpectrum: l_max=1, 4096 grid points: "
-                                 r"dip of the reconstructed distribution below 0 "
-                                 r"1\.4999999999876223e-06 exceeds "
-                                 r"POSITIVITY_ALLOWANCE = 1e-06$"):
-            spec.require_positive()
-        LegendreSpectrum([1.0, 1.0 + 9e-7]).require_positive()
-
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18,
         reason="the quadrature oracle needs extended-precision long double",

@@ -1,6 +1,5 @@
 """Grid construction and the active-set solver against brute-force oracles."""
 
-import functools
 import math
 from itertools import islice
 
@@ -135,22 +134,24 @@ class TestNnlsSolve:
         assert dual.max() <= KKT_TOL
         assert result.weights.min() >= 0.0
 
-    def test_iteration_cap_reports_best_iterate(self):
+    def test_iteration_cap_reports_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(coherent_analysis, "_CAP_PER_COLUMN", 0)
         grid = build_grid(SpinLabel(2), 12)
         target = np.full(3, 1.0 / 3.0)
         with pytest.raises(ConvergenceError) as excinfo:
-            nnls_solve(grid.columns, target, max_iter=0)
+            nnls_solve(grid.columns, target)
         best = excinfo.value.result
         assert best is not None
         assert best.weights.shape == (12,)
         assert best.residual >= 0.0
 
-    def test_iteration_cap_message_names_cap_dual_and_tolerance(self):
+    def test_iteration_cap_message_names_cap_dual_and_tolerance(self, monkeypatch):
+        monkeypatch.setattr(coherent_analysis, "_CAP_PER_COLUMN", 0)
         grid = build_grid(SpinLabel(2), 12)
         target = np.full(3, 1.0 / 3.0)
         dual = float((grid.columns.T @ target).max())  # at w = 0
         with pytest.raises(ConvergenceError) as excinfo:
-            nnls_solve(grid.columns, target, max_iter=0)
+            nnls_solve(grid.columns, target)
         message = str(excinfo.value)
         assert message.startswith("coherent_analysis.nnls_solve: iteration cap 0 ")
         assert f"largest bound dual {dual:.3e}" in message
@@ -251,8 +252,7 @@ class TestConvexityTest:
             assert np.array_equal(result.weights, single.weights)
 
     def test_cap_errors_name_frame_step_and_grid(self, monkeypatch):
-        capped = functools.partial(nnls_solve, max_iter=0)
-        monkeypatch.setattr(coherent_analysis, "nnls_solve", capped)
+        monkeypatch.setattr(coherent_analysis, "_CAP_PER_COLUMN", 0)
         calls = [
             ("convexity_test", lambda: convexity_test(SpinLabel(4), 3, 40), "n=3"),
             ("convexity_series", lambda: convexity_series(SpinLabel(4), 2, 40), "n=0"),

@@ -31,8 +31,8 @@ def kind(pattern, bad):
 
 
 def count(low=0):
-    """An integer >= ``low``: below it, a fraction, nan, inf and a string."""
-    bad = {"-1": -1, "2.5": 2.5, "nan": NAN, "inf": INF, "str": "2"}
+    """An integer >= ``low``: below it, a fraction, nan, inf, a string and a bool."""
+    bad = {"-1": -1, "2.5": 2.5, "nan": NAN, "inf": INF, "str": "2", "True": True}
     if low > 0:
         bad[str(low - 1)] = low - 1
     return kind(rf"^{{name}} must be an integer >= {low}, got ", bad)
@@ -60,26 +60,35 @@ def whole(message):
 SPIN = kind(r"^twice_j must be an integer >= 0, got ",
             {"-1": -1, "1.5": 1.5, "nan": NAN, "str": "2"})
 FRAME = SPIN + kind(r"^j must have 2j >= 1, got 2j=0$", {"0": 0})
-# A string where a number is expected is refused, not parsed.
+# A string where a number is expected is refused, not parsed; a bool is not a
+# number, and a list of one is not a single one.
 REAL = r"^{name} must be real, got dtype <U"
+SCALAR = (kind(r"^{name} must be real, got dtype bool$", {"True": True})
+          + kind(r"^{name} must be a single number, got shape \(1,\)$", {"[0.5]": [0.5]}))
 ANGLE = (kind(r"^{name} must lie in \[0, pi\], got ",
               {"-0.1": -0.1, "pi+0.1": PI + 0.1, "nan": NAN, "inf": INF})
-         + kind(REAL, {"str": "0.3"}))
+         + kind(REAL, {"str": "0.3"}) + SCALAR)
 FINITE = kind(r"^{name} must be finite \(it holds nan or inf\)$",
               {"nan": entry(NAN), "inf": entry(INF), "-inf": entry(-INF)})
 MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for j=1$",
                  {"1.9": 1.9, "1.0": 1.0, "float64": np.float64(0.0)})
             + kind(r"^2{name}=1 has wrong parity for j=1", {"parity": 1})
             + kind(r"^\|{name}\| exceeds j: 2{name}=4, j=1$", {"range": 4}))
-QUBIT = kind(r"^{name} must be one of \(0, 1\), got ", {"0.0": 0.0, "2": 2, "-1": -1})
+QUBIT = kind(r"^{name} must be one of \(0, 1\), got ",
+             {"0.0": 0.0, "2": 2, "-1": -1, "True": True})
 BRANCH = kind(r"^branch must be a CouplingBranch member",
               {"+1": 1, "-1": -1, "str": "PLUS", "None": None})
 OUTCOME = kind(r"^outcome must be one of \(1, -1\), got ",
-               {"1.0": 1.0, "float64": np.float64(-1.0), "0": 0, "2": 2, "str": "1"})
-SEED = [(repr(seed), seed, rf"^seed {re.escape(repr(seed))}: ") for seed in (-1, 2.5, NAN)]
+               {"1.0": 1.0, "float64": np.float64(-1.0), "0": 0, "2": 2, "str": "1",
+                "True": True})
+# An integer >= 0 or a sequence of them: never a caller's generator.
+SEED = [(id_, seed, rf"^seed {re.escape(repr(seed))}: ")
+        for id_, seed in {"-1": -1, "2.5": 2.5, "nan": NAN, "None": None, "True": True,
+                          "entry-True": [1, True], "Generator": np.random.default_rng(0),
+                          "PCG64": np.random.PCG64(0)}.items()]
 NONNEGATIVE = (kind(r"^{name} must be finite and non-negative$",
                     {"nan": NAN, "-1e-3": -1e-3, "inf": INF})
-               + kind(REAL, {"str": "0"}))
+               + kind(REAL, {"str": "0"}) + SCALAR)
 RECORD = "a record: checked when it was built"
 FLAG = "a flag: every object has a truth value"
 
@@ -187,7 +196,7 @@ ROWS = [
       "values": (np.ones(2048), FINITE),
       "alpha": (0.5, kind(r"^alpha must lie strictly inside \(0, pi\), got ",
                           {"0": 0.0, "pi": PI, "nan": NAN, "inf": INF})
-                + kind(REAL, {"str": "0.5"})),
+                + kind(REAL, {"str": "0.5"}) + SCALAR),
       "n_psi": (2, count(1), "classical_walk.ring_average: n_psi")}),
     ("angular_variance", d.angular_variance, {"j": (2, FRAME)}),
     ("CoherentGrid", d.CoherentGrid,
@@ -215,7 +224,6 @@ ROWS = [
                          {"sum": np.full(3, 0.5), "nan": entry(NAN)})
             + kind(exact("incompatible shapes: A is (3, 11), b is (2,)"),
                    {"shape": [0.5, 0.5]})),
-      "max_iter": (100, count()),
       "start": (None, kind(r"^start must be a bool array of shape \(11,\)",
                            {"long": np.ones(12, dtype=bool), "int": np.ones(11, dtype=int),
                             "2-d": np.ones((11, 1), dtype=bool)}))}),

@@ -768,13 +768,6 @@ class TestRecordStatistics:
         assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[expected])
 
 
-def same_state(a, b):
-    """Equal bit-generator state dicts, whose entries may be arrays."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
 class TestBatchWorkers:
     """sample_fidelity_batch on several cores: the counts of the serial stream."""
 
@@ -805,26 +798,6 @@ class TestBatchWorkers:
         for cpus in (2, 3, 4):
             assert np.array_equal(results[cpus][0], results[1][0]), cpus
             assert np.array_equal(results[cpus][1], results[1][1]), cpus
-
-    @pytest.mark.parametrize("make", [lambda: np.random.MT19937(5), lambda: np.random.PCG64(5)],
-                             ids=["MT19937", "PCG64"])
-    def test_generator_seed_ends_in_the_serial_state(self, monkeypatch, make):
-        # MT19937 is drawn by one worker, PCG64 by several; either way the
-        # caller's generator ends where the serial loop leaves it, with the
-        # 32 bits a PCG64 had buffered still buffered
-        j, n_max, n_samples = SpinLabel(4), 50, 3000
-        serial = np.random.Generator(make())
-        serial.integers(0, 2**32, dtype=np.uint32)
-        want = sum(serial.random(n_samples) < multipole_spectrum(j).p_plus
-                   for _ in range(n_max))
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
-            rng = np.random.Generator(make())
-            rng.integers(0, 2**32, dtype=np.uint32)
-            fid, counts = sample_fidelity_batch(j, n_max, n_samples, rng)
-            assert np.array_equal(counts, want), cpus
-            assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[want]), cpus
-            assert same_state(rng.bit_generator.state, serial.bit_generator.state), cpus
 
 
 class TestInWorkers:

@@ -1,6 +1,7 @@
 """The package imports numpy and the standard library only at run time."""
 
 import ast
+import sys
 from pathlib import Path
 
 import drfsim
@@ -20,13 +21,15 @@ def imported_roots(path):
     return sorted(found)
 
 
-def test_no_source_file_imports_scipy():
+def test_source_files_import_numpy_and_the_standard_library_only():
     sources = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "classical_walk.py" in sources
+    allowed = sys.stdlib_module_names | {"numpy"}
     stray = {
-        path.name: lines
+        path.name: found
         for path in sources
-        if (lines := [line for line, root in imported_roots(path) if root == "scipy"])
+        if (found := [(line, root) for line, root in imported_roots(path)
+                      if root not in allowed])
     }
     assert stray == {}
 
