@@ -19,6 +19,8 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ from numpy.polynomial.legendre import legval
 
 from .angular_momentum import _check_frame
 from .errors import AccuracyError, DomainError, _check_count, _check_finite, _real
-from .quantum_drf import FidelitySeries, _cpu_count, _in_workers, multipole_spectrum
+from .quantum_drf import FidelitySeries, multipole_spectrum
 from .tolerances import require
 
 __all__ = [
@@ -226,8 +228,8 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     rather than search: with u = theta' / h it is i = floor(u), clamped to
     N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
     values[i]), the difference taken as 0 at the last node.  Chunks of grid
-    rows go to the W workers of :func:`~drfsim.quantum_drf._in_workers`, one
-    per core and at most one per chunk, as they free up.  A worker writes its
+    rows go to the W workers of :func:`_in_workers`, one per core and at most
+    one per chunk, as they free up.  A worker writes its
     chunks' rows of the result, in three buffers of its own (angles, bracket
     indices, gathered values).  A chunk holds about 2^16 / W ring points, so
     all buffers stay at about 2^16 points, in cache whatever the grid size.
@@ -307,6 +309,42 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
 
     _in_workers(len(buffers), chunks, average)
     return out
+
+
+def _cpu_count() -> int:
+    """Number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_workers(workers: int, chunks: int, work):
+    """Call ``work(w, chunk)`` once per chunk; worker 0 is the caller, 1 ... workers - 1
+    plain threads (a pool, or buffers a helper allocates, raised peak RSS).  Worker w
+    starts with chunk w and then claims the next untaken one, so a busy core takes
+    fewer.  The first worker exception is raised once every worker has stopped."""
+    claims = iter(range(workers, chunks))
+    lock = threading.Lock()
+    errors = []
+
+    def run(w):
+        try:
+            chunk = w
+            while chunk < chunks:
+                work(w, chunk)
+                with lock:
+                    chunk = next(claims, chunks)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def angular_variance(j) -> float:

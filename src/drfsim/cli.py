@@ -27,9 +27,9 @@ spent building the columns and writing the CSV, and the CSV's rows and
 bytes.
 
 ``trajectories`` seeds its generator with ``[seed, 2j]`` and draws one
-uniform per sample per step; a draw below p+ = (j+1)/(2j+1) is a +1 outcome.
-``F_conditional`` is the closed form F_K at the count K = ``n_plus``.  Every
-core draws step rows; the CSV does not depend on the number of cores.
+uniform per sample: ``n_plus`` inverts the exact Binomial(n_max, p+) law of
+the count of +1 outcomes, p+ = (j+1)/(2j+1), at it.  ``F_conditional`` is the
+closed form F_K at the count K = ``n_plus``.
 """
 
 from __future__ import annotations
@@ -420,8 +420,8 @@ def _tables(config: RunConfig) -> list[tuple[list[int], Path]]:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status.
 
-    A library error or an unwritable output path is reported on stderr as
-    ``error: <command>: ...`` with status 1.
+    A library error, an unwritable output path or a failed allocation is
+    reported on stderr as ``error: <command>: ...`` with status 1.
     """
     started = time.perf_counter()
     try:
@@ -430,8 +430,8 @@ def run(config: RunConfig) -> int:
                   for js, path in tables}
         _write_manifest(config, [path for _, path in tables], report,
                         time.perf_counter() - started)
-    except (DrfsimError, OSError) as exc:
-        print(f"error: {config.command}: {exc}", file=sys.stderr)
+    except (DrfsimError, OSError, MemoryError) as exc:
+        print(f"error: {config.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

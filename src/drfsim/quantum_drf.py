@@ -27,8 +27,7 @@ half-life elsewhere in the package read their rates from it.
 
 from __future__ import annotations
 
-import os
-import threading
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -508,7 +507,7 @@ def evolve(j, n_max: int) -> FidelitySeries:
 
     The averaged map is M = I - Delta W grad on populations (grad: bond
     differences, W: :func:`transfer_rates`, Delta: flux divergence).  The
-    populations advance s steps per kernel call, p <- p - Delta (G p) with
+    populations take s steps per kernel call, p <- p - Delta (G p) with
     G = W grad sum_{r<s} M^r (:func:`_jump_kernel`), so total population
     moves only between neighbours, as in :func:`flux_step`.  The fidelity of
     every step is F_{n+r} = 1/2 + (m^T M^r p_n) / q, from s adjoint rows.
@@ -706,24 +705,44 @@ def _count_fidelity(spectrum: MultipoleSpectrum, n: int, counts) -> np.ndarray:
     return 0.5 + spectrum.amplitude * decay
 
 
-_CHUNK_DRAWS = (1 << 16) - 1  # batch uniforms held at once; < 2^16 for the uint16 counts
+_CDF_SIGMAS = 40  # half-width of the count CDF's window, in standard deviations
+
+
+def _count_cdf(n: int, p: float):
+    """``(lo, cdf)``: the Binomial(n, p) CDF at K = lo, lo + 1, ... on the window
+    [mode - r, mode + r] of [0, n], r = ceil(40 sigma) + 1.  The mass outside
+    is below 2 exp(-3200 p (1 - p)) (Hoeffding), under 1e-260 for p+.
+
+    The pmf is built out from pmf(mode) = 1 by the ratio pmf(k+1)/pmf(k) =
+    (n - k) p / ((k + 1)(1 - p)), summed in order and divided by its total:
+    only + - * / and one sqrt, correctly rounded, so the same bits on every CPU.
+    """
+    q = 1.0 - p
+    mode = min(int((n + 1) * p), n)
+    r = math.ceil(_CDF_SIGMAS * math.sqrt(n * p * q)) + 1
+    lo, hi = max(0, mode - r), min(n, mode + r)
+    k = np.arange(lo, hi, dtype=float)
+    ratio = (n - k) * p / ((k + 1.0) * q)  # pmf(k+1)/pmf(k) for k = lo ... hi - 1
+    del k
+    m = mode - lo
+    pmf = np.ones(hi - lo + 1)
+    np.multiply.accumulate(ratio[m:], out=pmf[m + 1:])
+    np.multiply.accumulate(1.0 / ratio[:m][::-1], out=pmf[:m][::-1])  # underflows, never overflows
+    np.cumsum(pmf, out=pmf)
+    return lo, np.divide(pmf, pmf[-1], out=pmf)
 
 
 def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     """Monte-Carlo sample of record-conditioned fidelities after ``n_max`` uses.
 
-    ``numpy.random.default_rng(seed)``, ``seed`` an integer >= 0 or a sequence
-    of them, gives one row of ``n_samples`` uniforms per step, in step order;
-    a draw below p+ of :func:`multipole_spectrum` is a +1 outcome.  Sample
-    i's fidelity is F_K of :func:`conditional_fidelity_table` at its count K
-    of +1 outcomes.  :func:`sample_trajectory` consumes the same stream, so a
-    batch of one reproduces it for the same seed.
-
-    A chunk of at most 2^16 / W uniforms goes to one of the W workers of
-    :func:`_in_workers`: whole rows while a row fits in one, else a run of
-    columns of one row.  A ``PCG64`` double is one output, so a worker's own
-    generator reaches row a, column b by advancing to a n_samples + b, and
-    the counts do not depend on W.
+    Each use gives +1 with probability p+ of :func:`multipole_spectrum` in
+    every state, so the count K of +1 outcomes in a record is exactly
+    Binomial(n_max, p+).  ``numpy.random.default_rng(seed)``, ``seed`` an
+    integer >= 0 or a sequence of them, gives one uniform u per sample, and
+    K is the least count whose CDF exceeds u (inversion on the table of
+    :func:`_count_cdf`).  Sample i's fidelity is F_K of
+    :func:`conditional_fidelity_table`.  :func:`sample_trajectory` draws the
+    outcomes one by one instead, as an independent check of the law.
 
     Returns
     -------
@@ -734,33 +753,11 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     n_samples = _check_count("n_samples", n_samples, 1)
     n_max = _check_count("n_max", n_max)
     spectrum = multipole_spectrum(j)
-    rng = _generator(seed)
-    cpus = _cpu_count()
-    per_chunk = _CHUNK_DRAWS // cpus
-    rows = max(1, per_chunk // n_samples)
-    width = min(n_samples, per_chunk)  # columns per chunk
-    runs = -(-n_samples // width)  # chunks per row block
-    chunks = -(-n_max // rows) * runs
-    workers = min(cpus, chunks)
-    generators = [rng] + [_generator(seed) for _ in range(1, workers)]
-    at = [0] * workers  # the stream position of each worker's generator
-    draws = np.empty((workers, min(rows, n_max), width))
-    plus_counts = np.zeros(n_samples, dtype=int)  # worker 0's counts, and then the sum
-    counts = [plus_counts] + [np.zeros(n_samples, dtype=int) for _ in range(1, workers)]
-
-    def draw(w, chunk):
-        row, column = chunk // runs * rows, chunk % runs * width
-        start = row * n_samples + column
-        generators[w].bit_generator.advance(start - at[w])  # a worker's chunks ascend
-        block = draws[w, : n_max - row, : n_samples - column]
-        generators[w].random(out=block)
-        at[w] = start + block.size
-        counts[w][column : column + width] += np.add.reduce(
-            block < spectrum.p_plus, axis=0, dtype=np.uint16)
-
-    _in_workers(workers, chunks, draw)
-    for more in counts[1:]:
-        plus_counts += more
+    uniforms = _generator(seed).random(n_samples)
+    lo, cdf = _count_cdf(n_max, spectrum.p_plus)
+    plus_counts = np.searchsorted(cdf, uniforms, side="right")
+    del uniforms  # freed before the fidelities are formed: a peak of four rows
+    plus_counts += lo
     return _count_fidelity(spectrum, n_max, plus_counts), plus_counts
 
 
@@ -773,39 +770,3 @@ def _generator(seed) -> Generator:
         return default_rng(seed)
     except (TypeError, ValueError) as exc:  # -1, 2.5, nan, None, True, a Generator
         raise DomainError(f"seed {seed!r}: {exc}") from None
-
-
-def _cpu_count() -> int:
-    """Number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_workers(workers: int, chunks: int, work):
-    """Call ``work(w, chunk)`` once per chunk; worker 0 is the caller, 1 ... workers - 1
-    plain threads (a pool, or buffers a helper allocates, raised peak RSS).  Worker w
-    starts with chunk w and then claims the next untaken one, so a busy core takes
-    fewer.  The first worker exception is raised once every worker has stopped."""
-    claims = iter(range(workers, chunks))
-    lock = threading.Lock()
-    errors = []
-
-    def run(w):
-        try:
-            chunk = w
-            while chunk < chunks:
-                work(w, chunk)
-                with lock:
-                    chunk = next(claims, chunks)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]

@@ -10,16 +10,17 @@ output.  2j = 3 is in it because its three series tables hold cells that the
 writer's numpy route leaves to per-cell formatting.  For each output the
 manifest keeps the sha256 of its bytes, its line count and, as text, its
 header line with the first, the last and 8 evenly spaced rows between them.
-It also records the Python, numpy and BLAS the digests were taken with:
-``tests/test_golden.py`` compares bytes where they match and the stored rows
-as values elsewhere.  A change that moves a digest says which cells moved
-and why.
+It also records the Python, numpy, BLAS, machine architecture and the SIMD
+extensions numpy dispatches to that the digests were taken with (``np.exp``
+and ``np.log1p`` move by an ulp between SIMD sets): ``tests/test_golden.py``
+compares bytes where they match and the stored rows as values elsewhere.  A
+change that moves a digest says which cells moved and why.
 
 The manifest also pins the seeded stream of ``sample_fidelity_batch``: for
-each case in ``SAMPLER_CASES``, the sha256 of the ``plus_counts`` that one
-worker draws.  These are integers from ``PCG64``, the same on every machine,
-so ``tests/test_quantum_drf.py`` asserts them everywhere, for one to four
-workers.
+each case in ``SAMPLER_CASES``, the sha256 of its ``plus_counts``.  Each
+count inverts the exact binomial CDF at one ``PCG64`` uniform, and the CDF
+table uses only correctly rounded arithmetic, so the counts are the same on
+every machine and ``tests/test_quantum_drf.py`` asserts them everywhere.
 """
 
 from __future__ import annotations
@@ -32,11 +33,15 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
-from drfsim import SpinLabel, cli, quantum_drf, sample_fidelity_batch
+try:
+    from numpy._core import _multiarray_umath as umath  # numpy >= 2
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+
+from drfsim import SpinLabel, cli, sample_fidelity_batch
 
 MANIFEST = Path(__file__).resolve().with_name("manifest.json")
 
@@ -53,8 +58,9 @@ CASES = {
     "scaling-sweep": ["scaling", "--twice-j", "1,2,20,200"],
 }
 
-# sample_fidelity_batch arguments (2j, n_max, n_samples, seed) by case name; the
-# last case has more samples than quantum_drf._CHUNK_DRAWS (criterion 5's call)
+# sample_fidelity_batch arguments (2j, n_max, n_samples, seed) by case name:
+# 2000 records at 2j = 1, 20 and 40 with CLI-style seeds, no steps, one sample,
+# and criterion 5's call
 SAMPLER_CASES = {
     "2j1-n40-S2000": (1, 40, 2000, [7, 1]),
     "2j20-n762-S2000": (20, 762, 2000, [7, 20]),
@@ -67,11 +73,15 @@ SAMPLER_CASES = {
 
 def environment() -> dict:
     """What the bytes may depend on besides the source: Python, numpy, the
-    BLAS numpy was built with and the machine architecture."""
+    BLAS numpy was built with, the machine architecture and the SIMD
+    extensions numpy dispatches to at run time (the "found" list of
+    ``np.show_runtime()``, which ``NPY_DISABLE_CPU_FEATURES`` shortens)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "machine": platform.machine()}
+            "machine": platform.machine(),
+            "simd": [name for name in umath.__cpu_dispatch__
+                     if umath.__cpu_features__.get(name)]}
 
 
 def build_outputs() -> dict[str, bytes]:
@@ -115,9 +125,8 @@ def record(data: bytes) -> dict:
 
 def main() -> int:
     outputs = build_outputs()
-    with mock.patch.object(quantum_drf, "_cpu_count", lambda: 1):
-        pinned = {name: {"case": list(case), "sha256": plus_counts_digest(*case)}
-                  for name, case in SAMPLER_CASES.items()}
+    pinned = {name: {"case": list(case), "sha256": plus_counts_digest(*case)}
+              for name, case in SAMPLER_CASES.items()}
     manifest = {"environment": environment(),
                 "outputs": {name: record(data) for name, data in outputs.items()},
                 "plus_counts": pinned}

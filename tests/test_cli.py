@@ -376,6 +376,17 @@ class TestOtherCommands:
         assert len(rows) == 50
         assert all(0 <= int(r[1]) <= 10 for r in rows)
 
+    def test_trajectories_far_past_the_working_range(self, tmp_path):
+        # 2j = 100000 at its default n_max of about 1.7e10 uses: one uniform
+        # per sample, so 200 records take well under a second
+        out = tmp_path / "t.csv"
+        assert main(["trajectories", "--twice-j", "100000", "--samples", "200",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        n_max = default_n_max(SpinLabel(100000))
+        assert header == HEADERS["trajectories"] and len(rows) == 200
+        assert all(0 <= int(r[1]) <= n_max for r in rows)
+
     def test_seed_before_the_command_is_kept(self, tmp_path):
         # --seed is defined once, for the top level and every command alike,
         # and a command no longer resets a seed given before it
@@ -587,6 +598,25 @@ class TestCliSurface:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: quantum-evolve: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 129. GiB for an array", "Unable to allocate 129. GiB"),
+        ("", "MemoryError"),
+    ])
+    def test_memory_error_is_reported(self, tmp_path, monkeypatch, capsys, message, shown):
+        # numpy raises a MemoryError before it allocates a buffer it cannot
+        # have; the run reports it as an error, not a traceback
+        def build(config, j):
+            raise MemoryError(message)
+
+        command = cli.COMMANDS["quantum-evolve"]
+        monkeypatch.setitem(cli.COMMANDS, "quantum-evolve",
+                            dataclasses.replace(command, build=build))
+        code = main(["quantum-evolve", "--twice-j", "2", "--out", str(tmp_path / "q.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantum-evolve: ") and shown in err
         assert "Traceback" not in err
 
     def test_failure_names_command_size_and_step(self, tmp_path, monkeypatch, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.stats import binom, chisquare
 
-from drfsim import quantum_drf
+from drfsim import classical_walk, quantum_drf
 from drfsim import (
     DomainError,
     FrameState,
@@ -664,13 +664,14 @@ class TestTrajectories:
             MeasurementRecord([1.0, -1.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("twice_j", [1, 2, 4, 13, 40])
-    def test_batch_of_one_reproduces_single_trajectory(self, twice_j):
+    def test_trajectory_ends_at_the_count_fidelity(self, twice_j):
+        # the outcome-by-outcome sampler, the independent check of the batch:
+        # its final state's fidelity is F_K at its own count K
         j = SpinLabel(twice_j)
-        fid, n_plus = sample_fidelity_batch(j, 20, 1, seed=123)
         record, state = sample_trajectory(j, 20, seed=123)
-        kraus = build_kraus(j)
-        assert fid[0] == pytest.approx(quantum_fidelity(state, kraus), abs=1e-14)
-        assert n_plus[0] == int(np.sum(record.outcomes == 1))
+        count = int(np.sum(record.outcomes == 1))
+        table = conditional_fidelity_table(j, 20)
+        assert quantum_fidelity(state, build_kraus(j)) == pytest.approx(table[count], abs=1e-14)
 
     def test_batch_mean_near_closed_form(self):
         fid, _ = sample_fidelity_batch(SpinLabel(4), 10, 4000, seed=2)
@@ -705,6 +706,26 @@ class TestTrajectories:
         p_plus = multipole_spectrum(SpinLabel(twice_j)).p_plus
         assert p_value(p_plus) > 1e-3
         assert p_value(p_plus + 0.01) < 1e-9
+
+    @pytest.mark.parametrize("twice_j, n, n_samples, seed", [
+        *(pinned["case"] for pinned in PINNED_STREAMS.values()),
+        *((tj, default_n_max(SpinLabel(tj)), 2000, [5, tj]) for tj in (200, 1000)),
+    ])
+    def test_counts_invert_the_exact_cdf(self, twice_j, n, n_samples, seed):
+        # each count is the least K with binom.cdf(K) > u for the sample's
+        # uniform u, the seed's stream drawn once per sample; only a uniform
+        # within 1e-12 of a CDF value may land on the other side of it; each
+        # fidelity is F_K at the sample's count
+        fid, counts = sample_fidelity_batch(SpinLabel(twice_j), n, n_samples, seed)
+        assert np.array_equal(fid, conditional_fidelity_table(SpinLabel(twice_j), n)[counts])
+        uniforms = np.random.default_rng(seed).random(n_samples)
+        cdf = binom.cdf(np.arange(n + 1), n, multipole_spectrum(SpinLabel(twice_j)).p_plus)
+        exact = np.searchsorted(cdf, uniforms, side="right")
+        near = np.abs(cdf[np.minimum(exact, n)] - uniforms) < 1e-12
+        near |= np.abs(cdf[np.maximum(exact - 1, 0)] - uniforms) < 1e-12
+        assert np.array_equal(counts[~near], exact[~near])
+        assert np.all(np.abs(counts[near] - exact[near]) <= 1)
+        assert near.sum() < 3
 
 
 def exact_count_fidelity(twice_j, n, count):
@@ -756,52 +777,20 @@ class TestRecordStatistics:
         assert np.all(table[:n] == 0.5)
         assert abs(table[n] - exact_count_fidelity(1, n, n)) <= 2.2e-16
 
-    def test_batch_draws_are_chunked_without_changing_the_stream(self):
-        # more steps than one chunk of draws holds, so the count spans chunks
-        j = SpinLabel(6)
-        n_max, n_samples = 40, 3000
-        fid, n_plus = sample_fidelity_batch(j, n_max, n_samples, seed=8)
-        rng = np.random.default_rng(8)
-        p_plus = 8 / 14
-        expected = sum(rng.random(n_samples) < p_plus for _ in range(n_max))
-        assert np.array_equal(n_plus, expected)
-        assert np.array_equal(fid, conditional_fidelity_table(j, n_max)[expected])
-
 
 class TestBatchWorkers:
-    """sample_fidelity_batch on several cores: the counts of the serial stream."""
+    """sample_fidelity_batch's seeded stream: the same counts on every machine."""
 
     @pytest.mark.parametrize("twice_j, n_max, n_samples, seed, digest", [
         (*pinned["case"], pinned["sha256"]) for pinned in PINNED_STREAMS.values()])
-    def test_counts_match_the_pinned_stream(self, monkeypatch, twice_j, n_max, n_samples,
-                                            seed, digest):
-        # sha256 of the little-endian int64 plus_counts of the one-worker
-        # loop, pinned in tests/golden/manifest.json
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
-            got = regenerate.plus_counts_digest(twice_j, n_max, n_samples, seed)
-            assert got == digest, cpus
-
-    @pytest.mark.parametrize("twice_j, n_max, n_samples", [
-        (4, 161, 2000), (3, 7, 2000), (2, 1, 3000), (5, 100000, 1), (6, 40, 70000)])
-    def test_worker_count_does_not_change_the_result(self, monkeypatch, twice_j, n_max,
-                                                      n_samples):
-        # 161 steps of 2000 samples leave a last chunk of one row for one to
-        # four workers; 70000 samples take one row per chunk
-        if (n_max, n_samples) == (161, 2000):
-            assert all(161 % (quantum_drf._CHUNK_DRAWS // cpus // 2000) == 1
-                       for cpus in (1, 2, 3, 4))
-        results = {}
-        for cpus in (1, 2, 3, 4):
-            monkeypatch.setattr(quantum_drf, "_cpu_count", lambda: cpus)
-            results[cpus] = sample_fidelity_batch(SpinLabel(twice_j), n_max, n_samples, 11)
-        for cpus in (2, 3, 4):
-            assert np.array_equal(results[cpus][0], results[1][0]), cpus
-            assert np.array_equal(results[cpus][1], results[1][1]), cpus
+    def test_counts_match_the_pinned_stream(self, twice_j, n_max, n_samples, seed, digest):
+        # sha256 of the little-endian int64 plus_counts, pinned in
+        # tests/golden/manifest.json
+        assert regenerate.plus_counts_digest(twice_j, n_max, n_samples, seed) == digest
 
 
 class TestInWorkers:
-    """The worker helper behind ring_average and sample_fidelity_batch."""
+    """The worker helper behind ring_average."""
 
     @staticmethod
     def _run(workers, chunks, work):
@@ -810,7 +799,7 @@ class TestInWorkers:
 
         def call():
             try:
-                quantum_drf._in_workers(workers, chunks, work)
+                classical_walk._in_workers(workers, chunks, work)
             except BaseException as exc:
                 errors.append(exc)
 
