@@ -9,11 +9,13 @@ normalised so that the l = 0 coefficient is exactly one under the measure
 sin(theta) d(theta) / 2.  Each measurement kicks the direction by a fixed
 angle alpha toward a uniformly random azimuth; the induced averaging
 operator is diagonal in this basis with eigenvalue P_l(cos alpha), so the
-walk is evolved in coefficient space.  The starting coefficients have an
-exact product form, and the fidelity needs only c_1, so a whole fidelity
-series is one vectorised power of P_1(cos alpha) = cos(alpha).  A direct
-grid implementation of the ring average is provided purely as an
-independent cross-check.
+walk is evolved in coefficient space.  One recurrence evaluates the
+Legendre polynomials, both for the kick eigenvalues P_l(cos alpha) and for
+the reconstruction of p(theta).  The starting coefficients have an exact
+product form, and the fidelity needs only c_1, so a whole fidelity series is
+one vectorised power of P_1(cos alpha) = cos(alpha).  A direct grid
+implementation of the ring average is provided purely as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from .angular_momentum import _check_frame
 from .errors import AccuracyError, DomainError, _check_count, _check_finite, _real
@@ -72,8 +73,9 @@ class LegendreSpectrum:
         return len(self.coeffs) - 1
 
     def reconstruct(self, theta) -> np.ndarray:
-        """Evaluate p(theta) = sum_l c_l P_l(cos theta)."""
-        return legval(np.cos(theta), self.coeffs)
+        """Evaluate p(theta) = sum_l c_l P_l(cos theta), one term at a time."""
+        terms = _legendre_values(self.l_max, np.cos(theta))
+        return sum(c * p for c, p in zip(self.coeffs, terms))
 
     def min_reconstructed(self) -> float:
         """Minimum of the reconstruction on a uniform grid of 4096 theta points."""
@@ -127,15 +129,18 @@ def walk_evolve(spec: LegendreSpectrum, params: WalkParameters) -> LegendreSpect
 
     c_0 is untouched (P_0 = 1), preserving normalisation exactly.
     """
-    gains = _legendre_values(spec.l_max, math.cos(params.alpha)) ** params.n
+    gains = np.fromiter(_legendre_values(spec.l_max, math.cos(params.alpha)), float) ** params.n
     coeffs = spec.coeffs * gains
     coeffs[0] = 1.0
     return LegendreSpectrum(coeffs)
 
 
-def _legendre_values(l_max: int, x: float) -> np.ndarray:
-    """P_0(x) ... P_l_max(x), l_max >= 1, by the recurrence in x - 1.
+def _legendre_values(l_max: int, x):
+    """Yield P_0(x) ... P_l_max(x), l_max >= 1, for a number or an array x,
+    by the recurrence in x - 1.
 
+    This one evaluator gives both the kick eigenvalues P_l(cos alpha) of
+    :func:`walk_evolve` and the terms of :meth:`LegendreSpectrum.reconstruct`.
     Each step adds d_k = P_(k+1) - P_k,
 
         d_k = ((2k + 1) / (k + 1)) (x - 1) P_k + (k / (k + 1)) d_(k-1),
@@ -145,13 +150,13 @@ def _legendre_values(l_max: int, x: float) -> np.ndarray:
     scipy's ``eval_legendre``, in the same order, so the two agree bit for
     bit except at |x| < 1e-5, where scipy sums a series instead.
     """
-    values = [1.0, x]
+    yield 1.0
+    yield x
     d, p = x - 1.0, x
     for k in range(1, l_max):
         d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
-        p += d
-        values.append(p)
-    return np.array(values)
+        p = p + d
+        yield p
 
 
 def classical_fidelity(spec: LegendreSpectrum) -> float:

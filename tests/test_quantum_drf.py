@@ -1,8 +1,7 @@
-"""Channel construction, exact decay, trajectories, and record averaging."""
+"""Channel construction, exact decay, trajectories and record statistics."""
 
 import decimal
 import functools
-import itertools
 import json
 import sys
 import threading
@@ -680,8 +679,8 @@ class TestTrajectories:
         assert abs(fid.mean() - closed) < 4.0 * stderr
 
     @pytest.mark.parametrize("twice_j, n, n_samples, seed", [
-        (4, 20, 100000, 2024),  # criterion 5's call: chunks are runs of columns
-        (20, 762, 2000, [7, 20]),  # chunks are whole rows
+        (4, 20, 100000, 2024),  # criterion 5's call
+        (20, 762, 2000, [7, 20]),  # 2j = 20 at its default n_max, seeded [seed, 2j] as the CLI does
     ])
     def test_counts_follow_the_binomial_law(self, twice_j, n, n_samples, seed):
         # chi-squared goodness of fit of the + counts against Binomial(n, p+),
@@ -853,24 +852,3 @@ class TestInWorkers:
         (error,) = self._run(2, 6, work)
         assert isinstance(error, RuntimeError)
         assert sorted(finished) == [0, 2, 3, 4, 5]
-
-
-class TestRecordAveraging:
-    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4])
-    def test_exhaustive_records_reproduce_the_map(self, twice_j):
-        j = SpinLabel(twice_j)
-        kraus = build_kraus(j)
-        for n in (1, 2, 4):
-            averaged = np.zeros(j.dim)
-            for outcomes in itertools.product((+1, -1), repeat=n):
-                state = FrameState.stretched(j)
-                weight = 1.0
-                for c in outcomes:
-                    prob, state = conditional_update(state, kraus, c)
-                    weight *= prob
-                averaged += weight * state.populations
-            mapped = FrameState.stretched(j)
-            for _ in range(n):
-                mapped = apply_map(mapped, kraus)
-            assert np.max(np.abs(averaged - mapped.populations)) < 1e-12
-

@@ -1,6 +1,7 @@
 """The package imports numpy and the standard library only at run time."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +49,18 @@ def test_scan_sees_every_import_form(tmp_path):
     assert imported_roots(sample) == [
         (1, "scipy"), (2, "os"), (2, "scipy"), (3, "scipy"), (6, "scipy"),
     ]
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # classical_walk evaluates Legendre polynomials by its own recurrence,
+    # so importing the CLI loads no part of numpy.polynomial
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import drfsim.cli\n"
+         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -80,7 +80,7 @@ def test_command_at_defaults(tmp_path, monkeypatch, record_property, command, tw
 
     def recording_write_csv(path, header, columns):
         written.append(columns)
-        write_csv(path, header, columns)
+        return write_csv(path, header, columns)
 
     monkeypatch.setattr(cli, "_write_csv", recording_write_csv)
     out = tmp_path / f"{command}.csv"
