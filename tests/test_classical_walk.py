@@ -202,6 +202,15 @@ class TestRingAverage:
         out = ring_average(thetas, values, alpha)
         assert np.max(np.abs(out - math.cos(alpha) * values)) < 1e-8
 
+    @pytest.mark.parametrize("ell", [2, 5, 8])
+    def test_eigenoperator_property(self, ell):
+        thetas = np.linspace(0.0, math.pi, 32768)
+        alpha = 0.5
+        values = eval_legendre(ell, np.cos(thetas))
+        out = ring_average(thetas, values, alpha)
+        want = eval_legendre(ell, math.cos(alpha)) * values
+        assert np.max(np.abs(out - want)) < 1e-7
+
     def test_point_mass_spreads_to_ring(self):
         n = 8192
         thetas = np.linspace(0.0, math.pi, n)

@@ -1,7 +1,8 @@
-"""Channel construction, exact decay, trajectories and record statistics."""
+"""Channel construction, exact decay, trajectories, and record averaging."""
 
 import decimal
 import functools
+import itertools
 import json
 import sys
 import threading
@@ -852,3 +853,23 @@ class TestInWorkers:
         (error,) = self._run(2, 6, work)
         assert isinstance(error, RuntimeError)
         assert sorted(finished) == [0, 2, 3, 4, 5]
+
+
+class TestRecordAveraging:
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 4])
+    def test_exhaustive_records_reproduce_the_map(self, twice_j):
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        for n in (1, 2, 4):
+            averaged = np.zeros(j.dim)
+            for outcomes in itertools.product((+1, -1), repeat=n):
+                state = FrameState.stretched(j)
+                weight = 1.0
+                for c in outcomes:
+                    prob, state = conditional_update(state, kraus, c)
+                    weight *= prob
+                averaged += weight * state.populations
+            mapped = FrameState.stretched(j)
+            for _ in range(n):
+                mapped = apply_map(mapped, kraus)
+            assert np.max(np.abs(averaged - mapped.populations)) < 1e-12
