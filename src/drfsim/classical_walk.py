@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 _MIN_RING_GRID = 2048
-_RING_CHUNK_POINTS = 1 << 16  # ring points per pass of ring_average's buffers
+_RING_CHUNK_POINTS = 1 << 16  # ring points per chunk of ring_average's rows
 _RECONSTRUCTION_GRID = 4096  # theta points on which positivity is checked
 
 
@@ -152,9 +151,10 @@ def _legendre_values(l_max: int, x):
     """
     yield 1.0
     yield x
-    d, p = x - 1.0, x
+    x_minus_1 = x - 1.0
+    d, p = x_minus_1, x
     for k in range(1, l_max):
-        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        d = ((2 * k + 1) / (k + 1)) * x_minus_1 * p + (k / (k + 1)) * d
         p = p + d
         yield p
 
@@ -232,14 +232,16 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     ``STRUCTURE_TOL``, so the interpolation bracket is found by arithmetic
     rather than search: with u = theta' / h it is i = floor(u), clamped to
     N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
-    values[i]), the difference taken as 0 at the last node.  Chunks of grid
-    rows go to the W workers of :func:`_in_workers`, one per core and at most
-    one per chunk, as they free up.  A worker writes its
-    chunks' rows of the result, in three buffers of its own (angles, bracket
-    indices, gathered values).  A chunk holds about 2^16 / W ring points, so
-    all buffers stay at about 2^16 points, in cache whatever the grid size.
-    A row's arithmetic does not depend on W or on the worker, so neither does
-    the result.  Each ring's weighted terms are summed pairwise
+    values[i]), the difference taken as 0 at the last node.  The grid rows
+    are cut into chunks of 2^16 ring points, the same on every host, which
+    run on a standard thread pool of W workers, one per core and at most one
+    per chunk (numpy releases the interpreter lock inside each step).  A
+    chunk takes one of W buffer sets (angles, bracket indices, gathered
+    values; 1.5 MB, within a core's L2) and writes its rows of the result.
+    A row's arithmetic does not depend on W or on the thread, so neither does
+    the result.  A fault in a chunk is raised once the running chunks have
+    finished; chunks not yet started are dropped.  Each ring's weighted
+    terms are summed pairwise
     (``np.add.reduce`` along the row), which stays within an ulp or so of
     the exact mean even when the terms are alike, as they are near
     theta = 0.
@@ -285,34 +287,45 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     radial = np.cos(thetas) * cos_a
     tangential = np.sin(thetas) * sin_a
     rise = np.append(np.diff(values), 0.0)
-    cpus = _cpu_count()
-    rows = min(max(1, _RING_CHUNK_POINTS // cpus // (half + 1)), n_grid)
+    rows = min(max(1, _RING_CHUNK_POINTS // (half + 1)), n_grid)
     chunks = -(-n_grid // rows)
+    workers = min(_cpu_count(), chunks)
     out = np.empty(n_grid)
     shape = (rows, half + 1)
-    buffers = [(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
-               for _ in range(min(cpus, chunks))]
+    # imported here: at module level they load logging into every CLI run
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
-    def average(w, chunk):
+    buffers = SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape)))
+
+    def average(chunk):
         start = chunk * rows
         stop = min(start + rows, n_grid)
-        u, i, g = (buffer[: stop - start] for buffer in buffers[w])
-        np.multiply(tangential[start:stop, None], cos_psi, out=u)
-        u += radial[start:stop, None]
-        np.clip(u, -1.0, 1.0, out=u)
-        np.arccos(u, out=u)
-        u /= step
-        np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
-        u -= i
-        # mode="clip" is the clamp to N - 1, where rise is 0
-        np.take(rise, i, out=g, mode="clip")
-        u *= g
-        np.take(values, i, out=g, mode="clip")
-        u += g
-        u *= weights
-        np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
+        buffer = buffers.get()
+        try:  # a set that never went back would stall every later chunk
+            u, i, g = (part[: stop - start] for part in buffer)
+            np.multiply(tangential[start:stop, None], cos_psi, out=u)
+            u += radial[start:stop, None]
+            np.clip(u, -1.0, 1.0, out=u)
+            np.arccos(u, out=u)
+            u /= step
+            np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
+            u -= i
+            # mode="clip" is the clamp to N - 1, where rise is 0
+            np.take(rise, i, out=g, mode="clip")
+            u *= g
+            np.take(values, i, out=g, mode="clip")
+            u += g
+            u *= weights
+            np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
+        finally:
+            buffers.put(buffer)
 
-    _in_workers(len(buffers), chunks, average)
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(average, range(chunks)):
+            pass
     return out
 
 
@@ -321,35 +334,6 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _in_workers(workers: int, chunks: int, work):
-    """Call ``work(w, chunk)`` once per chunk; worker 0 is the caller, 1 ... workers - 1
-    plain threads (a pool, or buffers a helper allocates, raised peak RSS).  Worker w
-    starts with chunk w and then claims the next untaken one, so a busy core takes
-    fewer.  The first worker exception is raised once every worker has stopped."""
-    claims = iter(range(workers, chunks))
-    lock = threading.Lock()
-    errors = []
-
-    def run(w):
-        try:
-            chunk = w
-            while chunk < chunks:
-                work(w, chunk)
-                with lock:
-                    chunk = next(claims, chunks)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def angular_variance(j) -> float:

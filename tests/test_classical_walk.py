@@ -1,9 +1,11 @@
 """Legendre pipeline against quadrature and grid ring-average oracles."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -143,6 +145,19 @@ class TestWalkEvolve:
         assert np.max(np.abs(walked.coeffs[1:] - gains[1:])) <= STRUCTURE_TOL
 
 
+class TestLegendreValues:
+    @pytest.mark.parametrize("l_max", [1, 2, 40])
+    def test_array_and_scalar_routes_give_the_same_bits(self, l_max):
+        # reconstruct passes an array of cos(theta), walk_evolve one float
+        # cos(alpha): both go through the same steps, element by element
+        xs = np.array([-1.0, -0.6, 1e-3, 0.3, math.cos(0.01), 1.0])
+        by_array = [np.broadcast_to(p, xs.shape)
+                    for p in classical_walk._legendre_values(l_max, xs)]
+        by_scalar = np.transpose(
+            [list(classical_walk._legendre_values(l_max, float(x))) for x in xs])
+        assert np.array_equal(by_array, by_scalar)
+
+
 class TestClassicalFidelity:
     def test_uniform_distribution_is_coin_toss(self):
         coeffs = np.zeros(65)
@@ -271,9 +286,8 @@ class TestRingAverage:
         assert np.max(np.abs(out - want)) <= 1e-14
 
     def test_partial_last_chunk(self, monkeypatch):
-        # with one core, n_psi = 1023 gives 512 ring points per row and 128
-        # rows per chunk, so 2049 rows leave a last chunk of one row (on 3
-        # cores a chunk would hold 42 rows and the last one 33)
+        # n_psi = 1023 gives 512 ring points per row and 128 rows per chunk
+        # on any number of cores, so 2049 rows leave a last chunk of one row
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
         assert 2049 % (classical_walk._RING_CHUNK_POINTS // 512) == 1
         thetas = np.linspace(0.0, math.pi, 2049)
@@ -346,23 +360,124 @@ class TestRingWorkers:
             assert len(got[k]) == 5
             assert all(np.array_equal(out, want[k]) for out in got[k])
 
+    @staticmethod
+    def _in_thread(call):
+        # the call in a thread of its own, so that a hang fails the test
+        result = {}
+
+        def run():
+            try:
+                result["value"] = call()
+            except BaseException as exc:
+                result["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        return result
+
+    def test_every_chunk_once_under_contention(self, monkeypatch):
+        # more workers than cores and frequent thread switches: each of the
+        # 64 chunks (128 rows of 512 ring points) is computed once, and the
+        # result is the one-worker result bit for bit
+        thetas, values = self._profile(8192)
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
+        want = ring_average(thetas, values, 0.5, n_psi=1023)
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 8)
+        arccos = np.arccos
+        chunks = []
+
+        def counting_arccos(*args, **kwargs):
+            chunks.append(len(args[0]))  # called once per chunk
+            return arccos(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arccos", counting_arccos)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = self._in_thread(lambda: ring_average(thetas, values, 0.5, n_psi=1023))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(result["value"], want)
+        assert chunks == [128] * 64
+
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        # the calling thread is worker 0; the fault is raised in the other
+        # the first chunk to reach np.take faults in a pool thread; the caller
+        # raises that fault, and no other chunk faults
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 2)
         take = np.take
-        helper_calls = []
+        faults = []
 
         def failing_take(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                helper_calls.append(1)
-                raise RuntimeError("fault in a helper thread")
+            if not faults:
+                faults.append(threading.current_thread())
+                raise RuntimeError("fault in a pool thread")
             return take(*args, **kwargs)
 
         thetas, values = self._profile(4096)
         monkeypatch.setattr(np, "take", failing_take)
-        with pytest.raises(RuntimeError, match="fault in a helper thread"):
+        with pytest.raises(RuntimeError, match="fault in a pool thread"):
             ring_average(thetas, values, 0.5)
-        assert helper_calls == [1]
+        assert len(faults) == 1 and faults[0] is not threading.current_thread()
+
+    def test_fault_is_raised_once_the_other_chunks_finish(self, monkeypatch):
+        # the first chunk to reach np.arccos faults once a second chunk has
+        # started, and that chunk sleeps before it goes on: the caller sees
+        # the fault only after the second chunk has finished and every pool
+        # thread has stopped
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 2)
+        arccos = np.arccos
+        tickets = itertools.count()
+        second_started = threading.Event()
+        finished = []
+
+        def slow_arccos(*args, **kwargs):
+            ticket = next(tickets)
+            if ticket == 0:
+                if not second_started.wait(timeout=30.0):
+                    raise TimeoutError("no second chunk started")
+                raise RuntimeError("fault in the first chunk")
+            if ticket == 1:
+                second_started.set()
+                time.sleep(0.2)
+                finished.append(ticket)
+            return arccos(*args, **kwargs)
+
+        thetas, values = self._profile(4096)
+        before = set(threading.enumerate())
+        monkeypatch.setattr(np, "arccos", slow_arccos)
+        result = self._in_thread(lambda: ring_average(thetas, values, 0.5, n_psi=1023))
+        assert isinstance(result["error"], RuntimeError)
+        assert str(result["error"]) == "fault in the first chunk"
+        assert finished == [1]
+        assert set(threading.enumerate()) <= before
+
+    def test_buffers_go_back_after_a_fault(self, monkeypatch):
+        # one worker, one buffer set, 32 chunks: the first chunk faults, and
+        # the chunk the worker takes next would wait for ever on a set that
+        # never went back; a second call on the same inputs then succeeds
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
+        thetas, values = self._profile(4096)
+        want = ring_average(thetas, values, 0.5, n_psi=1023)
+        clip = np.clip
+        faults = []
+
+        def failing_clip(*args, **kwargs):
+            if not faults:
+                faults.append(1)
+                raise RuntimeError("fault in one chunk")
+            return clip(*args, **kwargs)
+
+        def call():
+            return ring_average(thetas, values, 0.5, n_psi=1023)
+
+        monkeypatch.setattr(np, "clip", failing_clip)
+        first = self._in_thread(call)
+        assert str(first["error"]) == "fault in one chunk"
+        second = self._in_thread(call)
+        assert faults == [1]
+        assert np.array_equal(second["value"], want)
 
 
 class TestFidelitySeries:

@@ -4,8 +4,6 @@ import decimal
 import functools
 import itertools
 import json
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.stats import binom, chisquare
 
-from drfsim import classical_walk, quantum_drf
+from drfsim import quantum_drf
 from drfsim import (
     DomainError,
     FrameState,
@@ -787,72 +785,6 @@ class TestBatchWorkers:
         # sha256 of the little-endian int64 plus_counts, pinned in
         # tests/golden/manifest.json
         assert regenerate.plus_counts_digest(twice_j, n_max, n_samples, seed) == digest
-
-
-class TestInWorkers:
-    """The worker helper behind ring_average."""
-
-    @staticmethod
-    def _run(workers, chunks, work):
-        # the call in a thread of its own, so the test can bound its time
-        errors = []
-
-        def call():
-            try:
-                classical_walk._in_workers(workers, chunks, work)
-            except BaseException as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=call)
-        thread.start()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
-        return errors
-
-    def test_a_busy_worker_takes_fewer_chunks(self):
-        # worker 1 is held on its first chunk until worker 0 has done all the
-        # others; with a fixed split (1, 3, 5, ...) worker 1 would time out
-        done = {0: [], 1: []}
-        released = threading.Event()
-
-        def work(w, chunk):
-            done[w].append(chunk)
-            if w == 1 and not released.wait(timeout=30.0):
-                raise TimeoutError("worker 0 never reached the last chunk")
-            if chunk == 9:
-                released.set()
-
-        assert self._run(2, 10, work) == []
-        assert done == {0: [0, *range(2, 10)], 1: [1]}
-
-    def test_every_chunk_once_under_contention(self):
-        # more workers than cores and frequent thread switches: each chunk is
-        # claimed once and worker w starts with chunk w
-        seen = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            errors = self._run(8, 5000, lambda w, chunk: seen.append((w, chunk)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == []
-        assert sorted(chunk for _, chunk in seen) == list(range(5000))
-        first = {}
-        for w, chunk in seen:
-            first.setdefault(w, chunk)
-        assert first == {w: w for w in range(8)}
-
-    def test_first_worker_exception_is_raised_after_all_stop(self):
-        finished = []
-
-        def work(w, chunk):
-            if chunk == 1:
-                raise RuntimeError("fault in chunk 1")
-            finished.append(chunk)
-
-        (error,) = self._run(2, 6, work)
-        assert isinstance(error, RuntimeError)
-        assert sorted(finished) == [0, 2, 3, 4, 5]
 
 
 class TestRecordAveraging:

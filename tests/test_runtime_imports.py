@@ -64,3 +64,18 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # ring_average imports concurrent.futures (which loads logging) only
+    # when it runs, so a CLI run does not pay for them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import drfsim.cli\n"
+         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
