@@ -233,15 +233,16 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     rather than search: with u = theta' / h it is i = floor(u), clamped to
     N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
     values[i]), the difference taken as 0 at the last node.  The grid rows
-    are cut into chunks of 2^16 ring points, the same on every host, which
-    run on a standard thread pool of W workers, one per core and at most one
-    per chunk (numpy releases the interpreter lock inside each step).  A
-    chunk takes one of W buffer sets (angles, bracket indices, gathered
-    values; 1.5 MB, within a core's L2) and writes its rows of the result.
-    A row's arithmetic does not depend on W or on the thread, so neither does
-    the result.  A fault in a chunk is raised once the running chunks have
-    finished; chunks not yet started are dropped.  Each ring's weighted
-    terms are summed pairwise
+    are cut into chunks of 2^16 ring points, the same on every host.  A
+    standard thread pool runs W workers, one per core and at most one per
+    chunk (numpy releases the interpreter lock inside each step).  Worker w
+    allocates its own buffer set (angles, bracket indices, gathered values;
+    1.5 MB, within a core's L2) and computes chunks w, w + W, w + 2W, ...,
+    writing their rows of the result.  A row's arithmetic does not depend on
+    W or on the thread, so neither does the result.  A worker that faults
+    skips its later chunks, and the caller sees the fault of the
+    lowest-numbered faulting worker once every worker has stopped.  Each
+    ring's weighted terms are summed pairwise
     (``np.add.reduce`` along the row), which stays within an ulp or so of
     the exact mean even when the terms are alike, as they are near
     theta = 0.
@@ -288,23 +289,16 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     tangential = np.sin(thetas) * sin_a
     rise = np.append(np.diff(values), 0.0)
     rows = min(max(1, _RING_CHUNK_POINTS // (half + 1)), n_grid)
-    chunks = -(-n_grid // rows)
-    workers = min(_cpu_count(), chunks)
+    workers = min(_cpu_count(), -(-n_grid // rows))
     out = np.empty(n_grid)
-    shape = (rows, half + 1)
-    # imported here: at module level they load logging into every CLI run
+    # imported here: at module level it loads logging into every CLI run
     from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
 
-    buffers = SimpleQueue()
-    for _ in range(workers):
-        buffers.put((np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape)))
-
-    def average(chunk):
-        start = chunk * rows
-        stop = min(start + rows, n_grid)
-        buffer = buffers.get()
-        try:  # a set that never went back would stall every later chunk
+    def average(worker):
+        shape = (rows, half + 1)
+        buffer = (np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
+        for start in range(worker * rows, n_grid, workers * rows):
+            stop = min(start + rows, n_grid)
             u, i, g = (part[: stop - start] for part in buffer)
             np.multiply(tangential[start:stop, None], cos_psi, out=u)
             u += radial[start:stop, None]
@@ -320,11 +314,9 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
             u += g
             u *= weights
             np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
-        finally:
-            buffers.put(buffer)
 
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(average, range(chunks)):
+        for _ in pool.map(average, range(workers)):
             pass
     return out
 

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -453,10 +454,10 @@ class TestRingWorkers:
         assert finished == [1]
         assert set(threading.enumerate()) <= before
 
-    def test_buffers_go_back_after_a_fault(self, monkeypatch):
-        # one worker, one buffer set, 32 chunks: the first chunk faults, and
-        # the chunk the worker takes next would wait for ever on a set that
-        # never went back; a second call on the same inputs then succeeds
+    def test_call_after_a_fault_matches_one_worker(self, monkeypatch):
+        # one worker, 32 chunks: the first chunk faults, the worker skips the
+        # other 31 and the caller sees the fault; a second call on the same
+        # inputs, with buffers of its own, returns the one-worker result
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
         thetas, values = self._profile(4096)
         want = ring_average(thetas, values, 0.5, n_psi=1023)
@@ -478,6 +479,28 @@ class TestRingWorkers:
         second = self._in_thread(call)
         assert faults == [1]
         assert np.array_equal(second["value"], want)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_one_buffer_set_per_worker(self, monkeypatch, cpus):
+        # 32768 rows of 513 ring points make 259 chunks of 127 rows; each of
+        # the W workers allocates one set (angles, bracket indices, gathered
+        # values) of the chunk shape, whatever the number of chunks
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: cpus)
+        thetas, values = self._profile(32768)
+        empty = np.empty
+        allocated = []
+
+        def counting_empty(shape, dtype=float, *args, **kwargs):
+            allocated.append((shape, np.dtype(dtype)))
+            return empty(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        ring_average(thetas, values, 0.5)
+        chunk = (classical_walk._RING_CHUNK_POINTS // 513, 513)
+        assert chunk == (127, 513)
+        sets = Counter(entry for entry in allocated if entry[0] == chunk)
+        assert sets == Counter({(chunk, np.dtype(float)): 2 * cpus,
+                                (chunk, np.dtype(np.intp)): cpus})
 
 
 class TestFidelitySeries:
