@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 _MIN_RING_GRID = 2048
-_RING_CHUNK_POINTS = 1 << 16  # ring points per chunk of ring_average's rows
+_RING_CHUNK_POINTS = 1 << 15  # ring points per chunk of ring_average's rows
 _RECONSTRUCTION_GRID = 4096  # theta points on which positivity is checked
 
 
@@ -214,7 +214,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
 
 
 def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
-                 n_psi: int = 1024) -> np.ndarray:
+                 n_psi: int = 256) -> np.ndarray:
     """Grid implementation of one averaging kick (test oracle, not production).
 
     For each grid angle theta the operand is averaged over the ring of
@@ -222,30 +222,53 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
 
         cos theta' = cos theta cos alpha + sin theta sin alpha cos psi,
 
-    a uniform trapezoid rule over the ring azimuth psi (periodic, so
-    spectrally accurate) and linear interpolation of ``values`` on the theta
-    grid.  The integrand depends on psi only through cos(psi), so nodes psi
-    and 2 pi - psi coincide: only psi in [0, pi] is evaluated, interior
-    nodes counted twice.  Deliberately independent of the Legendre route.
+    a uniform trapezoid rule over the ring azimuth psi and four-point
+    (cubic Lagrange) interpolation of ``values`` on the theta grid.  The
+    integrand depends on psi only through cos(psi), so nodes psi and
+    2 pi - psi coincide: only psi in [0, pi] is evaluated, interior nodes
+    counted twice.  Deliberately independent of the Legendre route.
 
     The grid must be theta_i = i h with h = pi / (N - 1), each node within
-    ``STRUCTURE_TOL``, so the interpolation bracket is found by arithmetic
-    rather than search: with u = theta' / h it is i = floor(u), clamped to
-    N - 1, and the interpolant is values[i] + (u - i) (values[i+1] -
-    values[i]), the difference taken as 0 at the last node.  The grid rows
-    are cut into chunks of 2^16 ring points, the same on every host.  A
-    standard thread pool runs W workers, one per core and at most one per
-    chunk (numpy releases the interpreter lock inside each step).  Worker w
-    allocates its own buffer set (angles, bracket indices, gathered values;
-    1.5 MB, within a core's L2) and computes chunks w, w + W, w + 2W, ...,
-    writing their rows of the result.  A row's arithmetic does not depend on
-    W or on the thread, so neither does the result.  A worker that faults
-    skips its later chunks, and the caller sees the fault of the
-    lowest-numbered faulting worker once every worker has stopped.  Each
-    ring's weighted terms are summed pairwise
-    (``np.add.reduce`` along the row), which stays within an ulp or so of
-    the exact mean even when the terms are alike, as they are near
-    theta = 0.
+    ``STRUCTURE_TOL``, so the cell is found by arithmetic rather than
+    search: i = floor(theta' / h), and the fraction is taken from the grid
+    node, t = (theta' - theta_i) / h (t = u - floor(u) with u = theta' / h
+    would carry the rounding of u, 3.6e-12 at N = 32768).  The cubic
+    through nodes i - 1 ... i + 2 is evaluated by Horner's rule,
+    v_i + t (b_1 + t (b_2 + t b_3)), from a (3, N) table of its Newton
+    coefficients (``_cubic_table``) and ``values`` itself.  Beyond the ends the
+    values are reflected evenly, v_{-1} = v_1, v_N = v_{N-2} and v_{N+1} =
+    v_{N-3}, which is exact for any azimuthally symmetric distribution (it
+    is even in theta about both poles).  theta' = pi gives i = N - 1 and
+    t = 0, the last node's value.
+
+    Error model: the interpolation error is O(h^4) times the fourth
+    derivative; the psi sum is exact for a Legendre mode of degree below
+    ``n_psi``, whose ring integrand is a trigonometric polynomial of that
+    degree.  At 32768 nodes the eigenvalue law P_l(cos alpha)
+    P_l(cos theta) holds to about 1e-14 for l <= 8 and below 1e-9 for
+    l <= 255.  From degree ``n_psi`` on the psi sum aliases: at l = 256,
+    alpha = pi/2 and 256 nodes the result is 7e-2 off (the former linear
+    interpolant with 1024 nodes was 4e-6 off; both are past 1e-7).  The
+    cubic kernel is not positive: a point mass at the pole gives side lobes
+    down to -2.5e-4 against a 2.4e-3 peak (8192 nodes, alpha = 0.9); no
+    caller needs a positive result.
+
+    The grid rows are cut into chunks of 2^15 ring points, the same on
+    every host.  A standard thread pool runs W workers, one per core and at
+    most one per chunk (numpy releases the interpreter lock inside each
+    step).  Worker w has a buffer set of its own, allocated by the caller:
+    fractions, cell indices, gathered coefficients and the Horner
+    accumulator, four arrays of the chunk shape, 32 bytes per ring point:
+    1 048 512 bytes (1 MiB) at the default n_psi, within a core's L2.  It
+    computes chunks w, w + W, w + 2W, ..., writing their rows of the result.
+    A row's arithmetic does not depend on W or on the thread, so neither
+    does the result.  A worker that faults skips its later chunks, and the
+    caller sees the fault of the lowest-numbered faulting worker once every
+    worker has stopped.  Besides the buffers a call holds five arrays of N
+    floats (the two geometry factors, the three-row table) and the result.
+    Each ring's weighted terms are summed pairwise (``np.add.reduce`` along
+    the row), which stays within an ulp or so of the exact mean even when
+    the terms are alike, as they are near theta = 0.
 
     Parameters
     ----------
@@ -287,38 +310,79 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     radial = np.cos(thetas) * cos_a
     tangential = np.sin(thetas) * sin_a
-    rise = np.append(np.diff(values), 0.0)
+    cubic, square, linear = _cubic_table(values)
     rows = min(max(1, _RING_CHUNK_POINTS // (half + 1)), n_grid)
     workers = min(_cpu_count(), -(-n_grid // rows))
     out = np.empty(n_grid)
     # imported here: at module level it loads logging into every CLI run
     from concurrent.futures import ThreadPoolExecutor
 
+    # made by the caller: what a worker thread frees stays in that thread's
+    # glibc arena, about 1 MB per worker still resident after the call
+    shape = (rows, half + 1)
+    buffers = [(np.empty(shape), np.empty(shape, dtype=np.intp),
+                np.empty(shape), np.empty(shape)) for _ in range(workers)]
+
     def average(worker):
-        shape = (rows, half + 1)
-        buffer = (np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
+        buffer = buffers[worker]
         for start in range(worker * rows, n_grid, workers * rows):
             stop = min(start + rows, n_grid)
-            u, i, g = (part[: stop - start] for part in buffer)
-            np.multiply(tangential[start:stop, None], cos_psi, out=u)
-            u += radial[start:stop, None]
-            np.clip(u, -1.0, 1.0, out=u)
-            np.arccos(u, out=u)
-            u /= step
-            np.copyto(i, u, casting="unsafe")  # u >= 0, so truncation is floor
-            u -= i
-            # mode="clip" is the clamp to N - 1, where rise is 0
-            np.take(rise, i, out=g, mode="clip")
-            u *= g
+            t, i, g, acc = (part[: stop - start] for part in buffer)
+            np.multiply(tangential[start:stop, None], cos_psi, out=t)
+            t += radial[start:stop, None]
+            np.clip(t, -1.0, 1.0, out=t)
+            np.arccos(t, out=t)
+            np.divide(t, step, out=acc)
+            np.copyto(i, acc, casting="unsafe")  # theta' >= 0, so truncation is floor
+            # i <= N - 1 since theta' <= pi; mode="clip" keeps take from
+            # buffering its output
+            np.take(thetas, i, out=g, mode="clip")
+            t -= g
+            t /= step
+            np.take(cubic, i, out=acc, mode="clip")
+            acc *= t
+            np.take(square, i, out=g, mode="clip")
+            acc += g
+            acc *= t
+            np.take(linear, i, out=g, mode="clip")
+            acc += g
+            acc *= t
             np.take(values, i, out=g, mode="clip")
-            u += g
-            u *= weights
-            np.add.reduce(u, axis=1, out=out[start:stop])  # pairwise per ring
+            acc += g
+            acc *= weights
+            np.add.reduce(acc, axis=1, out=out[start:stop])  # pairwise per ring
 
     with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(average, range(workers)):
             pass
     return out
+
+
+def _cubic_table(values: np.ndarray) -> np.ndarray:
+    """Rows b_3, b_2, b_1 of the cubic through v_{i-1} ... v_{i+2}, per node i.
+
+    The cubic in t = (theta - theta_i) / h is v_i + b_1 t + b_2 t^2 + b_3 t^3
+    with b_3 = d_3 / 6, b_2 = d_2 / 2 and b_1 = (v_{i+1} - v_{i-1}) / 2 - b_3,
+    where d_2 = v_{i+1} - 2 v_i + v_{i-1} and d_3 = d_2(i + 1) - d_2(i).
+    Values beyond the ends are the even reflections v_{-1} = v_1,
+    v_N = v_{N-2} and v_{N+1} = v_{N-3}.  The rows are filled in place, with
+    no padded copy of ``values``.
+    """
+    table = np.empty((3, len(values)))
+    cubic, square, linear = table
+    np.subtract(values[1:], values[:-1], out=cubic[:-1])  # first differences
+    np.subtract(cubic[1:-1], cubic[:-2], out=square[1:-1])
+    square[0] = 2.0 * cubic[0]  # v_{-1} = v_1
+    square[-1] = -2.0 * cubic[-2]  # v_N = v_{N-2}
+    np.subtract(square[1:], square[:-1], out=cubic[:-1])
+    cubic[-1] = square[-2] - square[-1]  # d_2(N) = d_2(N - 2)
+    cubic /= 6.0
+    square *= 0.5
+    np.subtract(values[2:], values[:-2], out=linear[1:-1])
+    linear[0] = linear[-1] = 0.0  # v_{i+1} = v_{i-1} at both ends
+    linear *= 0.5
+    linear -= cubic
+    return table
 
 
 def _cpu_count() -> int:

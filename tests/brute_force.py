@@ -297,24 +297,43 @@ def legendre_coefficients_by_quadrature(twice_j, l_max):
     return coeffs.astype(float)
 
 
-def full_ring_average(thetas, values, alpha, n_psi=1024):
-    """Ring average over all n_psi azimuth nodes by np.interp on ``thetas``.
+def full_ring_average(thetas, values, alpha, n_psi=256):
+    """Ring average over all n_psi azimuth nodes by cubic interpolation on ``thetas``.
 
     Every node psi_k = 2 pi k / n_psi is evaluated on its own (no mirror
-    symmetry), the bracket comes from np.interp's search of the actual grid
-    and each ring is a plain mean, so none of ring_average's shortcuts is
-    shared.  Rows go a block at a time to bound memory.
+    symmetry).  Each ring point's cell i comes from np.searchsorted on the
+    actual grid, its fraction is t = (theta' - thetas[i]) / h at the grid's
+    uniform spacing h = pi / (N - 1), and the value is the four-point
+    Lagrange sum over nodes i - 1 ... i + 2, a node beyond either end read
+    at its even reflection (-1 -> 1, N -> N - 2, N + 1 -> N - 3).  Each ring
+    is a plain mean.  So none of ring_average's shortcuts (the cell by
+    arithmetic, the table of polynomial coefficients, Horner's rule, the
+    half ring) is shared.  Rows go a block at a time to bound memory.
     """
+    n = len(thetas)
+    h = math.pi / (n - 1)
     cos_psi = np.cos(np.arange(n_psi) * (2.0 * math.pi / n_psi))
-    out = np.empty(len(thetas))
-    rows = max(1, (1 << 18) // n_psi)
-    for start in range(0, len(thetas), rows):
+    out = np.empty(n)
+    rows = max(1, (1 << 16) // n_psi)
+    for start in range(0, n, rows):
         block = thetas[start:start + rows, None]
-        cos_ring = np.clip(
+        ring = np.arccos(np.clip(
             np.cos(block) * math.cos(alpha)
             + np.sin(block) * math.sin(alpha) * cos_psi[None, :],
             -1.0, 1.0,
-        )
-        out[start:start + rows] = np.interp(
-            np.arccos(cos_ring), thetas, values).mean(axis=1)
+        ))
+        cell = np.searchsorted(thetas, ring, side="right") - 1
+        t = (ring - thetas[cell]) / h
+        lagrange = {
+            -1: -t * (t - 1.0) * (t - 2.0) / 6.0,
+            0: (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+            1: -(t + 1.0) * t * (t - 2.0) / 2.0,
+            2: (t + 1.0) * t * (t - 1.0) / 6.0,
+        }
+        total = np.zeros_like(t)
+        for offset, weight in lagrange.items():
+            node = np.abs(cell + offset)  # -1 -> 1
+            node = np.where(node > n - 1, 2 * (n - 1) - node, node)
+            total += weight * values[node]
+        out[start:start + rows] = total.mean(axis=1)
     return out

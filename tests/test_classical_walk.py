@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -240,21 +241,32 @@ class TestRingAverage:
         band = np.abs(thetas - alpha) < 0.02
         assert out[~band].max() <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, math.pi / 2.0, 3.0])
+    def test_eigenvalue_law_across_degrees(self, alpha):
+        # the psi sum is exact below degree n_psi = 256 and the cubic's
+        # error is O(h^4), so the law holds near rounding for l <= 8 and
+        # within criterion 4's 1e-7 up to l = 255
+        thetas = np.linspace(0.0, math.pi, 32768)
+        cos_thetas = np.cos(thetas)
+        bounds = [(ell, 1e-13) for ell in range(1, 9)]
+        bounds += [(ell, 1e-7) for ell in (16, 32, 64, 128, 255)]
+        failures = []
+        for ell, bound in bounds:
+            values = eval_legendre(ell, cos_thetas)
+            out = ring_average(thetas, values, alpha)
+            worst = np.max(np.abs(out - eval_legendre(ell, math.cos(alpha)) * values))
+            if not worst <= bound:
+                failures.append(f"l={ell}, alpha={alpha}: {worst:.3e} > {bound:g}")
+        assert not failures, failures
+
     @pytest.mark.parametrize("n_psi", [1, 2, 7, 64, 65])
     def test_half_ring_equals_full_ring(self, n_psi):
         # the ring integrand depends on psi only via cos(psi); the full
-        # n_psi-node trapezoid average is the reference
+        # n_psi-node average is the reference
         thetas = np.linspace(0.0, math.pi, 2048)
         values = np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
-        alpha = 0.7
-        psi = np.arange(n_psi) * (2.0 * math.pi / n_psi)
-        cos_ring = np.clip(
-            np.cos(thetas)[:, None] * math.cos(alpha)
-            + np.sin(thetas)[:, None] * math.sin(alpha) * np.cos(psi)[None, :],
-            -1.0, 1.0,
-        )
-        full = np.interp(np.arccos(cos_ring), thetas, values).mean(axis=1)
-        out = ring_average(thetas, values, alpha, n_psi=n_psi)
+        full = full_ring_average(thetas, values, 0.7, n_psi=n_psi)
+        out = ring_average(thetas, values, 0.7, n_psi=n_psi)
         assert np.max(np.abs(out - full)) <= 1e-14
 
     @pytest.mark.parametrize("ell", [1, 4, 8])
@@ -266,7 +278,7 @@ class TestRingAverage:
 
     @pytest.mark.parametrize("n_grid,alpha", [
         (2048, 3.0), (2049, 3.0), (32768, 3.0),
-        # theta = pi/2 is node 1024, so its ring reaches theta' = pi and u = N - 1
+        # theta = pi/2 is node 1024, so its ring reaches theta' = pi and i = N - 1
         (2049, math.pi / 2.0),
     ])
     def test_point_mass_at_last_node(self, n_grid, alpha):
@@ -287,7 +299,7 @@ class TestRingAverage:
         assert np.max(np.abs(out - want)) <= 1e-14
 
     def test_partial_last_chunk(self, monkeypatch):
-        # n_psi = 1023 gives 512 ring points per row and 128 rows per chunk
+        # n_psi = 1023 gives 512 ring points per row and 64 rows per chunk
         # on any number of cores, so 2049 rows leave a last chunk of one row
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
         assert 2049 % (classical_walk._RING_CHUNK_POINTS // 512) == 1
@@ -380,7 +392,7 @@ class TestRingWorkers:
 
     def test_every_chunk_once_under_contention(self, monkeypatch):
         # more workers than cores and frequent thread switches: each of the
-        # 64 chunks (128 rows of 512 ring points) is computed once, and the
+        # 128 chunks (64 rows of 512 ring points) is computed once, and the
         # result is the one-worker result bit for bit
         thetas, values = self._profile(8192)
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
@@ -401,7 +413,7 @@ class TestRingWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(result["value"], want)
-        assert chunks == [128] * 64
+        assert chunks == [64] * 128
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # the first chunk to reach np.take faults in a pool thread; the caller
@@ -455,8 +467,8 @@ class TestRingWorkers:
         assert set(threading.enumerate()) <= before
 
     def test_call_after_a_fault_matches_one_worker(self, monkeypatch):
-        # one worker, 32 chunks: the first chunk faults, the worker skips the
-        # other 31 and the caller sees the fault; a second call on the same
+        # one worker, 64 chunks: the first chunk faults, the worker skips the
+        # other 63 and the caller sees the fault; a second call on the same
         # inputs, with buffers of its own, returns the one-worker result
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
         thetas, values = self._profile(4096)
@@ -482,9 +494,10 @@ class TestRingWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_one_buffer_set_per_worker(self, monkeypatch, cpus):
-        # 32768 rows of 513 ring points make 259 chunks of 127 rows; each of
-        # the W workers allocates one set (angles, bracket indices, gathered
-        # values) of the chunk shape, whatever the number of chunks
+        # 32768 rows of 129 ring points make 130 chunks of 254 rows; the call
+        # allocates one set (fractions, cell indices, gathered coefficients,
+        # Horner accumulator) of the chunk shape for each of the W workers,
+        # whatever the number of chunks
         monkeypatch.setattr(classical_walk, "_cpu_count", lambda: cpus)
         thetas, values = self._profile(32768)
         empty = np.empty
@@ -496,11 +509,28 @@ class TestRingWorkers:
 
         monkeypatch.setattr(np, "empty", counting_empty)
         ring_average(thetas, values, 0.5)
-        chunk = (classical_walk._RING_CHUNK_POINTS // 513, 513)
-        assert chunk == (127, 513)
+        chunk = (classical_walk._RING_CHUNK_POINTS // 129, 129)
+        assert chunk == (254, 129)
         sets = Counter(entry for entry in allocated if entry[0] == chunk)
-        assert sets == Counter({(chunk, np.dtype(float)): 2 * cpus,
+        assert sets == Counter({(chunk, np.dtype(float)): 3 * cpus,
                                 (chunk, np.dtype(np.intp)): cpus})
+
+    @pytest.mark.parametrize("cpus,bound_mib", [(1, 2.73), (2, 4.24), (4, 7.36)])
+    def test_traced_peak_per_worker(self, monkeypatch, cpus, bound_mib):
+        # one 32768-row call after a warm-up call: the grid-sized arrays
+        # (geometry, coefficient table, result) and 1 MB of buffers per
+        # worker; the bounds are the peaks of the 2^16-point plan with three
+        # buffers per worker (2.63 MiB, plus 0.1 MiB, at one worker)
+        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: cpus)
+        thetas, values = self._profile(32768)
+        ring_average(thetas, values, 0.5)
+        tracemalloc.start()
+        try:
+            ring_average(thetas, values, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, f"{cpus} workers: {peak / 2**20:.2f} MiB"
 
 
 class TestFidelitySeries:
