@@ -239,11 +239,12 @@ def coherent_columns(j, thetas) -> np.ndarray:
     (2j+1, len(thetas)); ``thetas`` must be 1-d.  The pmf is evaluated in
     log space from exact integer binomials, so large 2j does not overflow.
     The log-pmf k log c^2 + (2j - k) log(1 - c^2) + log C(2j, k),
-    c^2 = cos^2(theta/2), is built in the returned array itself, a row at a
-    time for the second term, and exponentiated there, so no other array of
-    its size is formed.  A pole, where c^2 rounds to exactly 1 or 0, takes
-    c^2 = 1/2 inside the logarithms (so no log 0 is formed) and is then set
-    one-hot at m = +j or m = -j.
+    c^2 = cos^2(theta/2), is built in the returned array itself, the second
+    term a block of rows (at most 2^15 doubles, or one row) at a time, and
+    exponentiated there, so no other array of its size is formed.  A pole,
+    where c^2 rounds to exactly 1 or 0, takes c^2 = 1/2 inside the
+    logarithms (so no log 0 is formed) and is then set one-hot at m = +j or
+    m = -j.
     """
     j = as_spin(j)
     thetas = _reals("theta", thetas)
@@ -261,10 +262,10 @@ def coherent_columns(j, thetas) -> np.ndarray:
     prob_up[poles] = 0.5
     log_down = np.log1p(-prob_up)
     columns = np.multiply.outer(np.arange(j.dim), np.log(prob_up))
-    row = prob_up  # no longer needed: reused for (2j - k) log(1 - c^2)
-    for k in range(j.dim):
-        np.multiply(log_down, j.twice_j - k, out=row)
-        columns[k] += row
+    block = max(1, (1 << 15) // max(1, len(thetas)))  # rows of <= 2^15 doubles
+    for start in range(0, j.dim, block):
+        down = j.twice_j - np.arange(start, min(start + block, j.dim))
+        columns[start:start + block] += np.multiply.outer(down, log_down)
     columns += _log_binomials(j.twice_j)[:, None]
     np.exp(columns, out=columns)
     columns[:, poles] = 0.0

@@ -247,8 +247,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     degree.  At 32768 nodes the eigenvalue law P_l(cos alpha)
     P_l(cos theta) holds to about 1e-14 for l <= 8 and below 1e-9 for
     l <= 255.  From degree ``n_psi`` on the psi sum aliases: at l = 256,
-    alpha = pi/2 and 256 nodes the result is 7e-2 off (the former linear
-    interpolant with 1024 nodes was 4e-6 off; both are past 1e-7).  The
+    alpha = pi/2 and 256 nodes the result is 7e-2 off, past 1e-7.  The
     cubic kernel is not positive: a point mass at the pole gives side lobes
     down to -2.5e-4 against a 2.4e-3 peak (8192 nodes, alpha = 0.9); no
     caller needs a positive result.
@@ -310,7 +309,7 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     radial = np.cos(thetas) * cos_a
     tangential = np.sin(thetas) * sin_a
-    cubic, square, linear = _cubic_table(values)
+    horner = (*_cubic_table(values), values)  # b_3, b_2, b_1, v_i
     rows = min(max(1, _RING_CHUNK_POINTS // (half + 1)), n_grid)
     workers = min(_cpu_count(), -(-n_grid // rows))
     out = np.empty(n_grid)
@@ -339,16 +338,11 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
             np.take(thetas, i, out=g, mode="clip")
             t -= g
             t /= step
-            np.take(cubic, i, out=acc, mode="clip")
-            acc *= t
-            np.take(square, i, out=g, mode="clip")
-            acc += g
-            acc *= t
-            np.take(linear, i, out=g, mode="clip")
-            acc += g
-            acc *= t
-            np.take(values, i, out=g, mode="clip")
-            acc += g
+            np.take(horner[0], i, out=acc, mode="clip")
+            for row in horner[1:]:
+                acc *= t
+                np.take(row, i, out=g, mode="clip")
+                acc += g
             acc *= weights
             np.add.reduce(acc, axis=1, out=out[start:stop])  # pairwise per ring
 

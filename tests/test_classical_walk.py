@@ -206,27 +206,43 @@ class TestFittedStep:
         assert alpha * (twice_j + 1.0) / 2.0 == pytest.approx(1.0, rel=1e-2)
 
 
+def _smooth_profile(thetas):
+    return np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
+
+
+def _last_node_spike(thetas):
+    spike = np.zeros(len(thetas))
+    spike[-1] = 1.0
+    return spike
+
+
+# the psi sum is exact below degree n_psi = 256 and the cubic's error is
+# O(h^4), so the law holds near rounding for l <= 8 and within criterion 4's
+# 1e-7 up to l = 255
+_LOW_DEGREES = [(ell, 1e-13) for ell in range(1, 9)]
+_SWEEP = _LOW_DEGREES + [(ell, 1e-7) for ell in (16, 32, 64, 128, 255)]
+
+
 class TestRingAverage:
-    def test_uniform_distribution_is_invariant(self):
-        thetas = np.linspace(0.0, math.pi, 4096)
-        out = ring_average(thetas, np.ones_like(thetas), 0.8)
-        assert np.max(np.abs(out - 1.0)) < 1e-14
-
-    def test_first_legendre_mode_scales_by_cosine(self):
-        thetas = np.linspace(0.0, math.pi, 16384)
-        alpha = 0.6
-        values = np.cos(thetas)
-        out = ring_average(thetas, values, alpha)
-        assert np.max(np.abs(out - math.cos(alpha) * values)) < 1e-8
-
-    @pytest.mark.parametrize("ell", [2, 5, 8])
-    def test_eigenoperator_property(self, ell):
-        thetas = np.linspace(0.0, math.pi, 32768)
-        alpha = 0.5
-        values = eval_legendre(ell, np.cos(thetas))
-        out = ring_average(thetas, values, alpha)
-        want = eval_legendre(ell, math.cos(alpha)) * values
-        assert np.max(np.abs(out - want)) < 1e-7
+    @pytest.mark.parametrize("n_grid,alpha,bounds", [
+        *[pytest.param(32768, alpha, _SWEEP, id=f"32768-{round(alpha, 3)}")
+          for alpha in (0.1, 0.5, 1.0, math.pi / 2.0, 3.0)],
+        pytest.param(4096, 0.8, [(0, 1e-14)], id="uniform-4096-0.8"),
+        pytest.param(16384, 0.6, _LOW_DEGREES, id="16384-0.6"),
+    ])
+    def test_eigenvalue_law(self, n_grid, alpha, bounds):
+        # each P_l(cos theta) is an eigenfunction with eigenvalue P_l(cos alpha)
+        thetas = np.linspace(0.0, math.pi, n_grid)
+        cos_thetas = np.cos(thetas)
+        failures = []
+        for ell, bound in bounds:
+            values = eval_legendre(ell, cos_thetas)
+            out = ring_average(thetas, values, alpha)
+            worst = np.max(np.abs(out - eval_legendre(ell, math.cos(alpha)) * values))
+            if not worst < bound:
+                failures.append(f"{n_grid} nodes, l={ell}, alpha={alpha}: "
+                                f"{worst:.3e} >= {bound:g}")
+        assert not failures, failures
 
     def test_point_mass_spreads_to_ring(self):
         n = 8192
@@ -241,72 +257,35 @@ class TestRingAverage:
         band = np.abs(thetas - alpha) < 0.02
         assert out[~band].max() <= 1e-12
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, math.pi / 2.0, 3.0])
-    def test_eigenvalue_law_across_degrees(self, alpha):
-        # the psi sum is exact below degree n_psi = 256 and the cubic's
-        # error is O(h^4), so the law holds near rounding for l <= 8 and
-        # within criterion 4's 1e-7 up to l = 255
-        thetas = np.linspace(0.0, math.pi, 32768)
-        cos_thetas = np.cos(thetas)
-        bounds = [(ell, 1e-13) for ell in range(1, 9)]
-        bounds += [(ell, 1e-7) for ell in (16, 32, 64, 128, 255)]
-        failures = []
-        for ell, bound in bounds:
-            values = eval_legendre(ell, cos_thetas)
-            out = ring_average(thetas, values, alpha)
-            worst = np.max(np.abs(out - eval_legendre(ell, math.cos(alpha)) * values))
-            if not worst <= bound:
-                failures.append(f"l={ell}, alpha={alpha}: {worst:.3e} > {bound:g}")
-        assert not failures, failures
-
-    @pytest.mark.parametrize("n_psi", [1, 2, 7, 64, 65])
-    def test_half_ring_equals_full_ring(self, n_psi):
-        # the ring integrand depends on psi only via cos(psi); the full
-        # n_psi-node average is the reference
-        thetas = np.linspace(0.0, math.pi, 2048)
-        values = np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
-        full = full_ring_average(thetas, values, 0.7, n_psi=n_psi)
-        out = ring_average(thetas, values, 0.7, n_psi=n_psi)
-        assert np.max(np.abs(out - full)) <= 1e-14
-
-    @pytest.mark.parametrize("ell", [1, 4, 8])
-    def test_matches_full_ring_interp_reference(self, ell):
-        thetas = np.linspace(0.0, math.pi, 32768)
-        values = eval_legendre(ell, np.cos(thetas))
-        out = ring_average(thetas, values, 0.5)
-        assert np.max(np.abs(out - full_ring_average(thetas, values, 0.5))) <= 1e-14
-
-    @pytest.mark.parametrize("n_grid,alpha", [
-        (2048, 3.0), (2049, 3.0), (32768, 3.0),
+    @pytest.mark.parametrize("profile,n_grid,alpha,n_psi,one_worker", [
+        # the ring integrand depends on psi only via cos(psi), so the half
+        # ring must equal the full one
+        *[pytest.param(_smooth_profile, 2048, 0.7, n_psi, False,
+                       id=f"half-ring-{n_psi}") for n_psi in (1, 2, 7, 64, 65)],
+        *[pytest.param(_last_node_spike, n_grid, 3.0, 256, False,
+                       id=f"last-node-{n_grid}-3.0") for n_grid in (2048, 2049, 32768)],
         # theta = pi/2 is node 1024, so its ring reaches theta' = pi and i = N - 1
-        (2049, math.pi / 2.0),
-    ])
-    def test_point_mass_at_last_node(self, n_grid, alpha):
-        thetas = np.linspace(0.0, math.pi, n_grid)
-        spike = np.zeros(n_grid)
-        spike[-1] = 1.0
-        out = ring_average(thetas, spike, alpha)
-        assert out.max() > 0.0
-        assert np.max(np.abs(out - full_ring_average(thetas, spike, alpha))) <= 1e-14
-
-    def test_smooth_profile_matches_full_ring_reference(self):
+        pytest.param(_last_node_spike, 2049, math.pi / 2.0, 256, False,
+                     id="last-node-2049-1.571"),
         # near theta = 0 every ring point sits near theta' = alpha, so a
         # ring's terms are alike; a BLAS dot product summed them 13 ulp off
-        thetas = np.linspace(0.0, math.pi, 2049)
-        values = np.exp(np.cos(thetas)) * (1.0 + np.sin(3.0 * thetas))
-        out = ring_average(thetas, values, 0.5, n_psi=1023)
-        want = full_ring_average(thetas, values, 0.5, n_psi=1023)
-        assert np.max(np.abs(out - want)) <= 1e-14
-
-    def test_partial_last_chunk(self, monkeypatch):
-        # n_psi = 1023 gives 512 ring points per row and 64 rows per chunk
-        # on any number of cores, so 2049 rows leave a last chunk of one row
-        monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
-        assert 2049 % (classical_walk._RING_CHUNK_POINTS // 512) == 1
-        thetas = np.linspace(0.0, math.pi, 2049)
-        values = eval_legendre(4, np.cos(thetas))
-        out = ring_average(thetas, values, 0.7, n_psi=1023)
-        want = full_ring_average(thetas, values, 0.7, n_psi=1023)
+        pytest.param(_smooth_profile, 2049, 0.5, 1023, False, id="smooth-profile"),
+        pytest.param(lambda thetas: eval_legendre(4, np.cos(thetas)), 2049, 0.7, 1023,
+                     True, id="partial-last-chunk"),
+    ])
+    def test_matches_full_ring_reference(self, monkeypatch, profile, n_grid, alpha,
+                                         n_psi, one_worker):
+        if one_worker:
+            # n_psi = 1023 gives 512 ring points per row and 64 rows per
+            # chunk on any number of cores, so 2049 rows leave a last chunk
+            # of one row
+            monkeypatch.setattr(classical_walk, "_cpu_count", lambda: 1)
+            assert n_grid % (classical_walk._RING_CHUNK_POINTS // 512) == 1
+        thetas = np.linspace(0.0, math.pi, n_grid)
+        values = profile(thetas)
+        out = ring_average(thetas, values, alpha, n_psi=n_psi)
+        assert out.max() > 0.0  # a spike no ring reaches would compare 0 with 0
+        want = full_ring_average(thetas, values, alpha, n_psi=n_psi)
         assert np.max(np.abs(out - want)) <= 1e-14
 
     def test_moved_node_rejected(self):

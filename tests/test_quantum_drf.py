@@ -263,8 +263,8 @@ class TestApplyMap:
     def test_diagonal_closure_is_exact(self):
         rng = np.random.default_rng(7)
         j = SpinLabel(6)
-        state = apply_map(random_diagonal_state(rng, j), build_kraus(j))
-        assert state.diagonal
+        # dense, so the Kraus sandwich runs rather than the diagonal flux step
+        state = apply_map(random_diagonal_state(rng, j).to_dense(), build_kraus(j))
         off = state.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0)
@@ -776,7 +776,7 @@ class TestRecordStatistics:
         assert abs(table[n] - exact_count_fidelity(1, n, n)) <= 2.2e-16
 
 
-class TestBatchWorkers:
+class TestPinnedStream:
     """sample_fidelity_batch's seeded stream: the same counts on every machine."""
 
     @pytest.mark.parametrize("twice_j, n_max, n_samples, seed, digest", [
