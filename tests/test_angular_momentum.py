@@ -218,6 +218,24 @@ class TestCoherentPopulations:
         assert np.array_equal(coherent_columns(SpinLabel(twice_j), thetas),
                               coherent_columns_reference(twice_j, thetas))
 
+    @pytest.mark.parametrize("twice_j, n_angles", [
+        (2000, 1),      # one block holds every row
+        (1000, 8),      # one block, 4096 rows allowed
+        (63, 1024),     # blocks of 32 rows, two full ones
+        (64, 1024),     # blocks of 32 rows, the last holds one row
+        (3, 1 << 15),   # blocks of exactly one row
+        (3, 40000),     # more angles than 2^15, still one row per block
+        (2, 0),         # no angles: an empty (2j + 1, 0) array
+    ])
+    def test_bit_identical_across_row_blocks(self, twice_j, n_angles):
+        # the (2j - k) log(1 - c^2) term is added a block of rows at a time;
+        # every block edge gives the whole-array expression's bits
+        thetas = (np.array([1.0]) if n_angles == 1
+                  else np.arccos(np.linspace(1.0, -1.0, n_angles)))
+        columns = coherent_columns(SpinLabel(twice_j), thetas)
+        assert columns.shape == (twice_j + 1, n_angles)
+        assert np.array_equal(columns, coherent_columns_reference(twice_j, thetas))
+
     def test_equator_half_spin(self):
         # explicit 2x2 rotation of the up state
         p = coherent_populations(SpinLabel(1), math.pi / 2.0)
