@@ -129,9 +129,7 @@ def walk_evolve(spec: LegendreSpectrum, params: WalkParameters) -> LegendreSpect
     c_0 is untouched (P_0 = 1), preserving normalisation exactly.
     """
     gains = np.fromiter(_legendre_values(spec.l_max, math.cos(params.alpha)), float) ** params.n
-    coeffs = spec.coeffs * gains
-    coeffs[0] = 1.0
-    return LegendreSpectrum(coeffs)
+    return LegendreSpectrum(spec.coeffs * gains)
 
 
 def _legendre_values(l_max: int, x):

@@ -83,14 +83,18 @@ def _check_fixed_point(rng, kraus):
 
 
 def _check_legendre_normalization(rng, kraus):
+    # c_0 = 1 is held by LegendreSpectrum; c_1 and c_2 after n kicks against
+    # c_l(0) P_l(cos alpha)^n by the closed forms of P_1 and P_2
     for tj in _TWICE_J_RANGE:
         spec = cw.initial_spectrum(am.SpinLabel(tj))
         alpha = cw.fitted_step(am.SpinLabel(tj))
-        walked = cw.walk_evolve(spec, cw.WalkParameters(alpha, int(rng.integers(1, 50))))
-        if not spec.coeffs[0] == walked.coeffs[0] == 1.0:
-            raise InternalConsistencyError(
-                f"2j={tj}: c_0 is {spec.coeffs[0]!r} at the start and "
-                f"{walked.coeffs[0]!r} after the walk, not exactly 1")
+        n = int(rng.integers(1, 50))
+        walked = cw.walk_evolve(spec, cw.WalkParameters(alpha, n))
+        x = np.cos(alpha)
+        for ell, p in ((1, x), (2, (3.0 * x * x - 1.0) / 2.0)):
+            want = spec.coeffs[ell] * p**n
+            require(f"2j={tj}, n={n}, l={ell}", "relative gap from c_l(0) P_l(cos alpha)^n",
+                    abs(walked.coeffs[ell] - want) / abs(want), "STRUCTURE_TOL")
 
 
 def _check_reconstruction_positivity(rng, kraus):

@@ -6,6 +6,7 @@ sector-by-sector diagonalisation, so agreement with the production code is a
 genuine cross-check.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -337,3 +338,22 @@ def full_ring_average(thetas, values, alpha, n_psi=256):
             total += weight * values[node]
         out[start:start + rows] = total.mean(axis=1)
     return out
+
+
+def csv_reference(header, columns):
+    """The CSV bytes of ``columns`` by ``%``: a row template repeated, over
+    the cells in row order, ``%d`` for an integer and ``%.16e`` for a float;
+    a list column's None is an empty cell.  The header line comes first
+    unless ``header`` is None."""
+    templates, cells = [], []
+    for column in columns:
+        if hasattr(column, "dtype"):
+            templates.append("%d" if column.dtype.kind in "iu" else "%.16e")
+            cells.append(column.tolist())
+        else:
+            templates.append("%s")
+            cells.append(["" if v is None else ("%d" if isinstance(v, int) else "%.16e") % v
+                          for v in column])
+    line = ",".join(templates) + "\n"
+    rows = (line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
+    return ("" if header is None else ",".join(header) + "\n").encode() + rows.encode()

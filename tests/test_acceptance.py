@@ -9,7 +9,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import eval_legendre
 from scipy.stats import binom
 
 import acceptance_report
@@ -26,7 +25,6 @@ from drfsim import (
     evolve,
     fitted_step,
     initial_spectrum,
-    ring_average,
     sample_fidelity_batch,
     walk_evolve,
     WalkParameters,
@@ -89,17 +87,12 @@ def test_criterion_3_initial_coefficients():
             assert abs(spec.coeffs[1] - expected) <= 1e-10, f"2j={twice_j}"
 
 
-def test_criterion_4_ring_average_eigenvalues():
+def test_criterion_4_ring_average_eigenvalues(ring_law_error):
     with criterion("4. ring average of P_l(cos theta) matches "
                    "P_l(cos alpha) P_l(cos theta) to 1e-7 (l <= 8)"):
-        thetas = np.linspace(0.0, math.pi, 32768)
-        cos_thetas = np.cos(thetas)
         for alpha in (0.1, 0.5, 1.0):
             for ell in range(1, 9):
-                values = eval_legendre(ell, cos_thetas)
-                averaged = ring_average(thetas, values, alpha)
-                expected = eval_legendre(ell, math.cos(alpha)) * values
-                worst = np.max(np.abs(averaged - expected))
+                worst = ring_law_error(32768, alpha, ell)
                 assert worst <= 1e-7, f"l={ell}, alpha={alpha}: {worst:.3e}"
 
 

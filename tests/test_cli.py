@@ -24,6 +24,8 @@ from drfsim.cli import HEADERS, RunConfig, default_n_max, half_life, main
 from drfsim.errors import DomainError
 from drfsim.tolerances import CSV_FAST_MIN
 
+from brute_force import csv_reference
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -38,20 +40,6 @@ def read_csv(path):
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
                   -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.nan,
                   math.inf, -math.inf, 0.1, 1 / 3]
-
-
-def _reference_csv(header, columns):
-    """The same table, one cell at a time by str.format and str(int)."""
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return "{:.16e}".format(float(value))
-
-    lines = [",".join(header)]
-    lines += [",".join(map(cell, row)) for row in zip(*columns)]
-    return "".join(line + "\n" for line in lines).encode()
 
 
 def _write_with_chunks(path, header, columns, chunk):
@@ -102,7 +90,7 @@ class TestCsvWriter:
         header = ["n", "x", "y"]
         with tempfile.TemporaryDirectory() as tmp:
             got = _write_with_chunks(Path(tmp) / "t.csv", header, columns, chunk)
-            assert got == _reference_csv(header, columns)
+            assert got == csv_reference(header, columns)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
     @pytest.mark.parametrize("name,values", [
@@ -117,7 +105,7 @@ class TestCsvWriter:
         columns = [np.arange(len(x)), x, x[::-1], np.zeros(len(x))]
         header = ["n", "x", "y", "z"]
         assert (_write_with_chunks(tmp_path / "t.csv", header, columns, chunk)
-                == _reference_csv(header, columns))
+                == csv_reference(header, columns))
 
     @pytest.mark.parametrize("shift", [-1e-13, 1e-13])
     def test_range_checks_catch_an_exponent_one_off(self, tmp_path, monkeypatch, shift):
@@ -129,7 +117,7 @@ class TestCsvWriter:
         x = np.array(BOUNDARY_FLOATS)
         columns = [np.arange(len(x)), x]
         assert (_write_with_chunks(tmp_path / "t.csv", ["n", "x"], columns, 4096)
-                == _reference_csv(["n", "x"], columns))
+                == csv_reference(["n", "x"], columns))
 
     def test_carry_and_ties_read_exactly(self, tmp_path):
         x = np.array([math.nextafter(1.0, 0.0), 2.0**-25, 0.0])
@@ -163,7 +151,7 @@ class TestCsvWriter:
             columns = [np.arange(len(ints)), x, ints, 1.0 - x, ints[::-1]]
             header = ["n", "x", "k", "y", "m"]
         assert (_write_with_chunks(tmp_path / "t.csv", header, columns, chunk)
-                == _reference_csv(header, columns))
+                == csv_reference(header, columns))
 
     def test_fast_domain_takes_the_vectorised_route(self):
         # above ~1e12 a double has few fractional bits and its 17-digit
@@ -184,7 +172,7 @@ class TestCsvWriter:
         path = tmp_path / "scaling.csv"
         columns = [[20, 40], [1.5, 2.25], [None, 1.5]]
         cli._write_csv(path, ["twice_j", "half_life", "ratio"], columns)
-        assert path.read_bytes() == _reference_csv(
+        assert path.read_bytes() == csv_reference(
             ["twice_j", "half_life", "ratio"], columns)
         assert path.read_text().splitlines()[1].endswith(",")
 
@@ -200,7 +188,7 @@ def test_command_writes_reference_csv(tmp_path, command, twice_j):
     config = RunConfig(command, [twice_j], n_max=None if command == "coherent-test"
                        else 300)
     columns = cli.COMMANDS[command].build(config, SpinLabel(twice_j))
-    assert out.read_bytes() == _reference_csv(HEADERS[command], columns)
+    assert out.read_bytes() == csv_reference(HEADERS[command], columns)
 
 
 def test_scaling_writes_reference_csv(tmp_path):
@@ -209,7 +197,7 @@ def test_scaling_writes_reference_csv(tmp_path):
     sizes = [1, 2, 4, 7, 14]
     columns = cli.COMMANDS["scaling"].build(RunConfig("scaling", sizes),
                                             *map(SpinLabel, sizes))
-    assert out.read_bytes() == _reference_csv(HEADERS["scaling"], columns)
+    assert out.read_bytes() == csv_reference(HEADERS["scaling"], columns)
 
 
 class TestHalfLife:
@@ -658,19 +646,32 @@ class TestCliSurface:
         exact_build = quantum_drf.build_kraus
         monkeypatch.setattr(quantum_drf, "build_kraus",
                             lambda j: built.append(j.twice_j) or exact_build(j))
-        for _ in range(2):
+        for runs in (1, 2):
             assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
-        assert sorted(built) == sorted(list(range(1, 21)) * 2)
+            assert sorted(built) == sorted(list(range(1, 21)) * runs)
 
-    def test_one_selftest_run_builds_each_kraus_set_once(self, monkeypatch):
-        from drfsim import quantum_drf, selftest
+    def test_selftest_catches_a_wrong_legendre_recurrence(self, monkeypatch):
+        # the recurrence factor (2k + 1)/(k + 2) in place of (2k + 1)/(k + 1)
+        # keeps P_0 and P_1 but moves P_2, so c_2 leaves c_2(0) P_2(cos alpha)^n
+        from drfsim import classical_walk, selftest
 
-        built = []
-        exact_build = quantum_drf.build_kraus
-        monkeypatch.setattr(quantum_drf, "build_kraus",
-                            lambda j: built.append(j.twice_j) or exact_build(j))
-        assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
-        assert sorted(built) == list(range(1, 21))
+        def wrong_legendre_values(l_max, x):
+            yield 1.0
+            yield x
+            d, p = x - 1.0, x
+            for k in range(1, l_max):
+                d = ((2 * k + 1) / (k + 2)) * (x - 1.0) * p + (k / (k + 1)) * d
+                p = p + d
+                yield p
+
+        monkeypatch.setattr(classical_walk, "_legendre_values", wrong_legendre_values)
+        stream = io.StringIO()
+        selftest.run_selftest(stream=stream)
+        failures = [line for line in stream.getvalue().splitlines()
+                    if line.startswith("FAIL legendre normalization: ")]
+        assert len(failures) == 1
+        assert failures[0].startswith("FAIL legendre normalization: 2j=1, n=")
+        assert "exceeds STRUCTURE_TOL = 1e-12" in failures[0]
 
     def test_selftest_failure_survives_optimised_mode(self):
         # python -O strips assert statements; the checks must still fail
@@ -690,24 +691,6 @@ class TestCliSurface:
         assert failures[0].startswith("FAIL coherent population sums and symmetry: 2j=")
         assert "STRUCTURE_TOL = 1e-12" in failures[0]
         assert lines[-1] == "(9, 1)"
-
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # the package runs on numpy alone: no scipy module, scipy.stats and
-        # scipy.special included, is loaded by importing it or its CLI
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys\n"
-             "def scipy_modules():\n"
-             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-             "import drfsim\n"
-             "print(scipy_modules())\n"
-             "import drfsim.cli\n"
-             "print(scipy_modules())\n"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"

@@ -36,6 +36,7 @@ from drfsim.quantum_drf import (
     multipole_spectrum,
     transfer_rates,
 )
+from drfsim.selftest import _random_dense_state, _random_diagonal_state
 from drfsim.tolerances import MAP_TOL, STRUCTURE_TOL
 
 from brute_force import (
@@ -50,17 +51,6 @@ from brute_force import (
 from golden import regenerate
 
 PINNED_STREAMS = json.loads(regenerate.MANIFEST.read_text(encoding="utf-8"))["plus_counts"]
-
-
-def random_dense_state(rng, j):
-    g = rng.normal(size=(j.dim, j.dim)) + 1j * rng.normal(size=(j.dim, j.dim))
-    rho = g @ g.conj().T
-    return FrameState.from_matrix(j, rho / rho.trace().real)
-
-
-def random_diagonal_state(rng, j):
-    p = rng.random(j.dim) + 1e-3
-    return FrameState.from_populations(j, p / p.sum())
 
 
 class TestBuildKraus:
@@ -147,7 +137,7 @@ class TestTransferRates:
     def test_flux_step_writes_in_place(self):
         rng = np.random.default_rng(3)
         j = SpinLabel(7)
-        p = random_diagonal_state(rng, j).populations
+        p = _random_diagonal_state(rng, j).populations
         rates = transfer_rates(j)
         expected = flux_step(p, rates)
         buf = p.copy()
@@ -254,17 +244,17 @@ class TestApplyMap:
         rng = np.random.default_rng(seed)
         j = SpinLabel(twice_j)
         kraus = build_kraus(j)
-        dense = apply_map(random_dense_state(rng, j), kraus)
+        dense = apply_map(_random_dense_state(rng, j), kraus)
         assert abs(dense.matrix.trace().real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(dense.matrix).min() > -1e-10
-        diag = apply_map(random_diagonal_state(rng, j), kraus)
+        diag = apply_map(_random_diagonal_state(rng, j), kraus)
         assert abs(diag.populations.sum() - 1.0) < 1e-12
 
     def test_diagonal_closure_is_exact(self):
         rng = np.random.default_rng(7)
         j = SpinLabel(6)
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        state = apply_map(random_diagonal_state(rng, j).to_dense(), build_kraus(j))
+        state = apply_map(_random_diagonal_state(rng, j).to_dense(), build_kraus(j))
         off = state.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0)
@@ -273,7 +263,7 @@ class TestApplyMap:
         rng = np.random.default_rng(11)
         j = SpinLabel(9)
         kraus = build_kraus(j)
-        diag = random_diagonal_state(rng, j)
+        diag = _random_diagonal_state(rng, j)
         via_diag = apply_map(diag, kraus).populations
         via_dense = apply_map(diag.to_dense(), kraus).populations
         assert np.max(np.abs(via_diag - via_dense)) < 1e-14
@@ -370,10 +360,6 @@ def _move_down(amount):
 
 
 class TestEvolve:
-    def test_tracks_closed_form(self):
-        series = evolve(SpinLabel(10), 100)
-        assert series.max_abs_diff <= 1e-10
-
     def test_zero_steps(self):
         j = SpinLabel(7)
         series = evolve(j, 0)

@@ -51,31 +51,28 @@ def test_scan_sees_every_import_form(tmp_path):
     ]
 
 
-def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # classical_walk evaluates Legendre polynomials by its own recurrence,
-    # so importing the CLI loads no part of numpy.polynomial
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "import drfsim.cli\n"
-         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
-
-
-def test_cli_import_leaves_the_thread_pool_unloaded():
+# (import, module prefix that stays unloaded after it), one subprocess for all
+UNLOADED = [
+    # the package runs on numpy alone: no scipy module, scipy.stats and
+    # scipy.special included, is loaded by importing it or its CLI
+    ("drfsim", "scipy"),
+    ("drfsim.cli", "scipy"),
+    # classical_walk evaluates Legendre polynomials by its own recurrence
+    ("drfsim.cli", "numpy.polynomial"),
     # ring_average imports concurrent.futures (which loads logging) only
     # when it runs, so a CLI run does not pay for them
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "import drfsim.cli\n"
-         "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"],
-        capture_output=True,
-        text=True,
-    )
+    ("drfsim.cli", "concurrent.futures"),
+    ("drfsim.cli", "logging"),
+]
+
+
+def test_imports_leave_the_table_unloaded():
+    script = ["import sys"]
+    for module, prefix in UNLOADED:
+        script += [f"import {module}",
+                   f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"]
+    proc = subprocess.run([sys.executable, "-c", "\n".join(script)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert list(zip(UNLOADED, proc.stdout.splitlines())) == [
+        (row, "[]") for row in UNLOADED]

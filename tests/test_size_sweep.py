@@ -14,7 +14,6 @@ peak at (columns + 2) x rows x 8 bytes, and ``coherent-test`` at 1.25 times
 its coherent grid of (2j+1) x 8(2j+1) doubles.
 """
 
-import itertools
 import tracemalloc
 
 import pytest
@@ -22,6 +21,8 @@ import pytest
 from drfsim import SpinLabel
 from drfsim import cli
 from drfsim.cli import HEADERS, default_n_max, main
+
+from brute_force import csv_reference
 
 SIZES = (1, 2, 20, 200, 1000)
 COMMANDS = ("quantum-evolve", "classical-walk", "compare", "trajectories",
@@ -36,22 +37,6 @@ def expected_rows(command, twice_j):
     if command == "scaling":
         return 1
     return default_n_max(SpinLabel(twice_j)) + 1
-
-
-def percent_rows(columns) -> bytes:
-    """The rows of ``columns`` by ``%``: a row template repeated, over the
-    cells in row order; a list column's None is an empty cell."""
-    templates, cells = [], []
-    for column in columns:
-        if hasattr(column, "dtype"):
-            templates.append("%d" if column.dtype.kind in "iu" else "%.16e")
-            cells.append(column.tolist())
-        else:
-            templates.append("%s")
-            cells.append(["" if v is None else ("%d" if isinstance(v, int) else "%.16e") % v
-                          for v in column])
-    line = ",".join(templates) + "\n"
-    return ((line * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))).encode()
 
 
 def sweep_cases():
@@ -99,7 +84,7 @@ def test_command_at_defaults(tmp_path, monkeypatch, record_property, command, tw
     with open(out, "rb") as fh:
         assert fh.readline() == (",".join(HEADERS[command]) + "\n").encode()
         for start in range(0, rows, step):
-            expected = percent_rows([c[start:start + step] for c in columns])
+            expected = csv_reference(None, [c[start:start + step] for c in columns])
             assert fh.read(len(expected)) == expected, f"rows {start} ..."
         assert fh.read() == b""
     out.unlink()
