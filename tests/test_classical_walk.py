@@ -46,6 +46,25 @@ def fidelity_by_quadrature(spec):
 
 
 class TestInitialSpectrum:
+    def test_c0_is_exactly_one(self):
+        spec = initial_spectrum(SpinLabel(5))
+        assert spec.coeffs[0] == 1.0
+
+    def test_c1_spin_one(self):
+        spec = initial_spectrum(SpinLabel(2))
+        assert spec.coeffs[1] == pytest.approx(2.0, abs=1e-10)
+
+    def test_c1_spin_half(self):
+        spec = initial_spectrum(SpinLabel(1))
+        assert spec.coeffs[1] == pytest.approx(1.5, abs=1e-10)
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 16, 40])
+    def test_c1_closed_form(self, twice_j):
+        spec = initial_spectrum(SpinLabel(twice_j))
+        assert spec.coeffs[1] == pytest.approx(
+            3.0 * twice_j / (twice_j + 1.0), abs=1e-10
+        )
+
     def test_reconstruction_matches_profile(self):
         twice_j = 12
         spec = initial_spectrum(SpinLabel(twice_j))
@@ -89,6 +108,11 @@ class TestWalkEvolve:
         spec = initial_spectrum(SpinLabel(4))
         walked = walk_evolve(spec, WalkParameters(0.0, 17))
         assert np.array_equal(walked.coeffs, spec.coeffs)
+
+    def test_normalisation_preserved(self):
+        spec = initial_spectrum(SpinLabel(4))
+        walked = walk_evolve(spec, WalkParameters(0.7, 300))
+        assert walked.coeffs[0] == 1.0
 
     def test_c1_decays_as_cosine_power(self):
         spec = initial_spectrum(SpinLabel(6))
@@ -532,6 +556,10 @@ class TestFidelitySeries:
 
 
 class TestAngularSpread:
+    def test_variance_matches_coherent_state_at_large_spin(self):
+        var = angular_variance(SpinLabel(200))
+        assert 0.95 <= var * 200 <= 1.05
+
     def test_variance_within_five_percent_from_forty(self):
         for twice_j in (40, 64, 120):
             var = angular_variance(SpinLabel(twice_j))
@@ -546,6 +574,14 @@ class TestAngularSpread:
         # profile cos^(2N)(theta/2) with N = 2 (2j): Var = 2 psi_1(N + 1)
         want = 2.0 * polygamma(1, 2 * twice_j + 1)
         assert abs(angular_variance(SpinLabel(twice_j)) - want) <= 1e-12 * want
+
+    def test_gaussian_profile_approximation(self):
+        twice_j = 200
+        j = twice_j / 2.0
+        theta = np.linspace(0.0, j ** (-0.25), 2001)
+        profile = np.cos(theta / 2.0) ** (4 * twice_j)
+        gaussian = np.exp(-j * theta**2)
+        assert np.max(np.abs(profile - gaussian)) < 0.02
 
 
 class TestWalkPositivity:

@@ -220,11 +220,16 @@ class TestGridRefinement:
 
 
 class TestConvexityTest:
-    # criterion 7 checks 2j = 2 and 4 on the same grids, at n = 0 and n = 1
-    @pytest.mark.parametrize("twice_j", [1])
+    @pytest.mark.parametrize("twice_j", [1, 2, 4])
     def test_unevolved_state_is_coherent(self, twice_j):
         result = convexity_test(SpinLabel(twice_j), 0, 8 * (twice_j + 1))
         assert result.residual <= 1e-10
+
+    def test_one_step_state_is_not_a_mixture(self):
+        result = convexity_test(SpinLabel(2), 1, 24)
+        assert result.residual > 1e-6
+        doubled = convexity_test(SpinLabel(2), 1, 48)
+        assert abs(doubled.residual - result.residual) < 0.1 * result.residual
 
     def test_weights_are_feasible(self):
         result = convexity_test(SpinLabel(4), 3, 40)

@@ -360,6 +360,10 @@ def _move_down(amount):
 
 
 class TestEvolve:
+    def test_tracks_closed_form(self):
+        series = evolve(SpinLabel(10), 100)
+        assert series.max_abs_diff <= 1e-10
+
     def test_zero_steps(self):
         j = SpinLabel(7)
         series = evolve(j, 0)
