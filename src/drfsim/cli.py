@@ -413,8 +413,8 @@ def _tables(config: RunConfig) -> list[tuple[list[int], Path]]:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status.
 
-    A library error, an unwritable output path or a failed allocation is
-    reported on stderr as ``error: <command>: ...`` with status 1.
+    A library error, an unwritable output path, a failed allocation or a size
+    past numpy's array limit is reported on stderr as ``error: <command>: ...``, status 1.
     """
     started = time.perf_counter()
     try:
@@ -423,7 +423,7 @@ def run(config: RunConfig) -> int:
                   for js, path in tables}
         _write_manifest(config, [path for _, path in tables], report,
                         time.perf_counter() - started)
-    except (DrfsimError, OSError, MemoryError) as exc:
+    except (DrfsimError, OSError, MemoryError, ValueError) as exc:
         print(f"error: {config.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
-from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, projector_element
+from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, cg_coefficient
 from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
@@ -141,22 +141,20 @@ def _span(offset: int, d: int) -> slice:
 
 
 def build_kraus(j) -> KrausSet:
-    """Assemble the channel's Kraus operators from projector matrix elements.
+    """Assemble the channel's Kraus operators from two coupling columns per branch.
 
-    Band (a, b, c) pairs row m_k with column m_{k + b - a}: its offset is
-    b - a of its key.  Requires 2j >= 1 (the J = j - 1/2 branch must exist).
+    Column a holds <J, m + s_a | j, m; 1/2, s_a> over m (s_0 = +1/2).  Band (a, b, c)
+    pairs row m_k with column m_{k + b - a}, at offset b - a, and is column a on its
+    rows times column b on its columns.  Requires 2j >= 1 (J = j - 1/2 must exist).
     """
     j = _check_frame(j)
-    tm = j.twice_m_values
     bands = {}
     for c, branch in ((+1, CouplingBranch.PLUS), (-1, CouplingBranch.MINUS)):
+        cg = [np.array([cg_coefficient(j, tm, a == 0, branch).value
+                        for tm in j.twice_m_values]) for a in (0, 1)]
         for a in (0, 1):
             for b in (0, 1):
-                rows, cols = tm[_span(a - b, j.dim)], tm[_span(b - a, j.dim)]
-                bands[(a, b, c)] = np.array([
-                    projector_element(j, branch, a, b, row, col)
-                    for row, col in zip(rows, cols)
-                ])
+                bands[(a, b, c)] = cg[a][_span(a - b, j.dim)] * cg[b][_span(b - a, j.dim)]
     kraus = KrausSet(j, bands)
     require(f"quantum_drf.build_kraus: 2j={j.twice_j}", "trace preservation defect",
             kraus.completeness_defect(), "STRUCTURE_TOL")

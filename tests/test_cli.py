@@ -607,6 +607,22 @@ class TestCliSurface:
         assert err.startswith("error: quantum-evolve: ") and shown in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["quantum-evolve", "--twice-j", "2", "--n-max", str(10**20)],
+        ["classical-walk", "--twice-j", "2", "--n-max", str(10**20)],
+        ["trajectories", "--twice-j", "2", "--samples", str(10**20)],
+        ["coherent-test", "--twice-j", "2", "--nodes", str(10**20)],
+        ["quantum-evolve", "--twice-j", str(10**20)],
+        ["coherent-test", "--twice-j", "2", "--n-max", str(10**20)],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_size_past_the_array_limit_is_reported(self, tmp_path, capsys, argv):
+        # numpy and islice refuse such sizes with a ValueError before any work
+        code = main([*argv, "--out", str(tmp_path / "big.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]}: ")
+        assert "Traceback" not in err
+
     def test_failure_names_command_size_and_step(self, tmp_path, monkeypatch, capsys):
         from drfsim import quantum_drf
 
@@ -672,6 +688,31 @@ class TestCliSurface:
         assert len(failures) == 1
         assert failures[0].startswith("FAIL legendre normalization: 2j=1, n=")
         assert "exceeds STRUCTURE_TOL = 1e-12" in failures[0]
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda rho: rho * (1.0 + 1e-9), r"\|trace - 1\| .* exceeds STRUCTURE_TOL = 1e-12"),
+        (lambda rho: rho + np.diag(np.r_[-0.5, np.zeros(len(rho) - 2), 0.5]),
+         r"eigenvalue .* is below EIGENVALUE_FLOOR"),
+    ], ids=["trace", "eigenvalue"])
+    def test_selftest_reports_a_broken_sandwich_as_a_failure(self, monkeypatch,
+                                                             mutate, message):
+        # the mapped state's own constructor refuses it; the suite fails with
+        # that message, not as an unexpected error
+        from drfsim import quantum_drf, selftest
+
+        exact_sandwich = quantum_drf._sandwich
+        monkeypatch.setattr(quantum_drf, "_sandwich",
+                            lambda *args: mutate(exact_sandwich(*args)))
+        stream = io.StringIO()
+        assert selftest.run_selftest(stream=stream) == (7, 3)
+        failures = [line for line in stream.getvalue().splitlines()
+                    if line.startswith("FAIL ")]
+        suites = ["trace preservation", "positivity of mapped states", "diagonal closure"]
+        assert [line.split(":")[0] for line in failures] == [f"FAIL {s}" for s in suites]
+        for line in failures:
+            assert re.match(r"FAIL [a-z ]+: FrameState: 2j=\d+: ", line), line
+            assert re.search(message, line), line
+            assert "unexpected" not in line
 
     def test_selftest_failure_survives_optimised_mode(self):
         # python -O strips assert statements; the checks must still fail

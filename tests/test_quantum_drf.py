@@ -4,7 +4,9 @@ import decimal
 import functools
 import itertools
 import json
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from drfsim import (
     sample_fidelity_batch,
     sample_trajectory,
 )
+from drfsim.angular_momentum import CouplingBranch, projector_element
 from drfsim.cli import default_n_max
 from drfsim.quantum_drf import (
+    _span,
     conditional_fidelity_table,
     flux_step,
     multipole_spectrum,
@@ -100,17 +104,30 @@ class TestBuildKraus:
                     want = kraus_block(oracle[c], a, b)
                     assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("twice_j", [*range(1, 21), 200])
+    def test_bands_equal_projector_elements_bit_for_bit(self, twice_j):
+        # the int64 views tell the sign of a zero apart
+        j = SpinLabel(twice_j)
+        tm = j.twice_m_values
+        kraus = build_kraus(j)
+        for (a, b, c), values in kraus.bands.items():
+            rows, cols = tm[_span(a - b, j.dim)], tm[_span(b - a, j.dim)]
+            want = np.array([projector_element(j, CouplingBranch(c), a, b, row, col)
+                             for row, col in zip(rows, cols)])
+            assert np.array_equal(values.view(np.int64), want.view(np.int64)), (a, b, c)
+
     def test_completeness_failure_names_size_and_tolerance(self, monkeypatch):
-        exact_element = quantum_drf.projector_element
-        monkeypatch.setattr(quantum_drf, "projector_element",
-                            lambda *args: 1.001 * exact_element(*args))
+        exact_coefficient = quantum_drf.cg_coefficient
+        monkeypatch.setattr(quantum_drf, "cg_coefficient", lambda *args: SimpleNamespace(
+            value=math.sqrt(1.001) * exact_coefficient(*args).value))
         with pytest.raises(InternalConsistencyError,
                            match=r"build_kraus: 2j=5: .*STRUCTURE_TOL"):
             build_kraus(SpinLabel(5))
 
     def test_nan_element_is_rejected_with_its_band(self, monkeypatch):
         # refused with its band, before a NaN completeness defect is formed
-        monkeypatch.setattr(quantum_drf, "projector_element", lambda *args: np.nan)
+        monkeypatch.setattr(quantum_drf, "cg_coefficient",
+                            lambda *args: SimpleNamespace(value=np.nan))
         with pytest.raises(DomainError, match=r"^KrausSet: 2j=5: band \(0, 0, 1\) must be "
                                               r"finite \(it holds nan or inf\)$"):
             build_kraus(SpinLabel(5))
