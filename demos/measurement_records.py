@@ -25,10 +25,10 @@ def main():
     n_steps = 20
     n_samples = 20000
 
-    record, final = sample_trajectory(j, n_steps, seed=7)
+    outcomes, _, final = sample_trajectory(j, n_steps, seed=7)
     kraus = build_kraus(j)
     print(f"one trajectory at 2j = {j.twice_j}, n = {n_steps} (seed 7):")
-    print("  outcomes:", "".join("+" if c > 0 else "-" for c in record.outcomes))
+    print("  outcomes:", "".join("+" if c > 0 else "-" for c in outcomes))
     print(f"  conditional fidelity: {quantum_fidelity(final, kraus):.6f}")
 
     fid, n_plus = sample_fidelity_batch(j, n_steps, n_samples, seed=7)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_member, _index, _real, _reals
+from .errors import DomainError, _check_count, _check_member, _check_polar, _index, _real, _reals
 
 __all__ = [
     "SpinLabel",
@@ -250,9 +250,7 @@ def coherent_columns(j, thetas) -> np.ndarray:
     thetas = _reals("theta", thetas)
     if thetas.ndim != 1:
         raise DomainError(f"thetas must be a 1-d array of angles, got shape {thetas.shape}")
-    valid = (0.0 <= thetas) & (thetas <= math.pi)
-    if not np.all(valid):
-        raise DomainError(f"theta must lie in [0, pi], got {thetas[~valid][0]}")
+    _check_polar("theta", thetas)
     # Half-angle identity keeps the poles exact: cos^2(theta/2) = (1+cos)/2.
     prob_up = np.cos(thetas)
     prob_up += 1.0

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular_momentum import _check_frame
-from .errors import AccuracyError, DomainError, _check_count, _check_finite, _real
+from .errors import AccuracyError, DomainError, _check_count, _check_finite, _check_polar, _real
 from .quantum_drf import FidelitySeries, multipole_spectrum
 from .tolerances import require
 
 __all__ = [
     "LegendreSpectrum",
-    "WalkParameters",
     "initial_spectrum",
     "walk_evolve",
     "classical_fidelity",
@@ -82,20 +81,6 @@ class LegendreSpectrum:
         return float(np.min(self.reconstruct(theta)))
 
 
-@dataclass(frozen=True)
-class WalkParameters:
-    """Fixed-step walk settings: kick angle alpha (radians) and step count n."""
-
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
-        if not 0.0 <= self.alpha <= math.pi:
-            raise DomainError(f"alpha must lie in [0, pi], got {self.alpha}")
-        _check_count("n", self.n)
-
-
 def initial_spectrum(j) -> LegendreSpectrum:
     """Expand the starting distribution matched to the aligned quantum frame.
 
@@ -118,8 +103,8 @@ def initial_spectrum(j) -> LegendreSpectrum:
     )
 
 
-def walk_evolve(spec: LegendreSpectrum, params: WalkParameters) -> LegendreSpectrum:
-    """Advance a spectrum by n fixed-angle kicks.
+def walk_evolve(spec: LegendreSpectrum, alpha: float, n: int) -> LegendreSpectrum:
+    """Advance a spectrum by n kicks of angle alpha, 0 <= alpha <= pi.
 
     The ring-averaging operator of a single kick has the Legendre
     polynomials as eigenfunctions, so each coefficient just scales:
@@ -128,7 +113,9 @@ def walk_evolve(spec: LegendreSpectrum, params: WalkParameters) -> LegendreSpect
 
     c_0 is untouched (P_0 = 1), preserving normalisation exactly.
     """
-    gains = np.fromiter(_legendre_values(spec.l_max, math.cos(params.alpha)), float) ** params.n
+    alpha = _check_polar("alpha", _real("alpha", alpha))
+    n = _check_count("n", n)
+    gains = np.fromiter(_legendre_values(spec.l_max, math.cos(alpha)), float) ** n
     return LegendreSpectrum(spec.coeffs * gains)
 
 
@@ -193,7 +180,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     """
     j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
-    alpha = WalkParameters(alpha, n_max).alpha  # checked, as a float
+    alpha = _check_polar("alpha", _real("alpha", alpha))
     c0, c1 = initial_spectrum(j).coeffs[:2]
     gains = np.arange(n_max + 1, dtype=float)
     np.power(math.cos(alpha), gains, out=gains)  # cos(alpha)^n

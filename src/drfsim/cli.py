@@ -5,8 +5,9 @@ options and column builder.  ``--seed`` and ``--selftest`` may come before
 or after the command; ``--selftest`` runs the structural invariant suites
 with that seed instead.  Sweeps over several 2j values build and write one
 size after another, one CSV per 2j so every file keeps its fixed column
-schema (``scaling`` puts all its sizes in one table); a failure at a later
-size leaves the earlier CSVs written and writes no manifest.
+schema (``scaling`` puts all its sizes in one table).  A CSV is opened
+before its columns are built and removed if they fail to build or write, so
+a failure at a later size leaves the earlier CSVs and writes no manifest.
 
 Each command builds its table as columns of arrays; floats are written in
 scientific notation with 17 significant digits so they round-trip exactly,
@@ -51,9 +52,9 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import SpinLabel
-from .classical_walk import WalkParameters, classical_fidelity_series, fitted_step
+from .classical_walk import classical_fidelity_series, fitted_step
 from .coherent_analysis import convexity_series
-from .errors import DomainError, DrfsimError, _check_count
+from .errors import DomainError, DrfsimError, _check_count, _check_polar, _real
 from .quantum_drf import evolve, multipole_spectrum, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
 from .tolerances import CSV_FAST_MIN, CSV_TIE_MARGIN
@@ -184,10 +185,10 @@ _BOUNDS = {"twice_j": (1, None), "n_max": (0, None), "samples": (1, None),
 
 def _check_option(name: str, value):
     """``value`` if it is within the bounds of setting ``name`` (an integer
-    of :data:`_BOUNDS`, or ``alpha`` in [0, pi] as :class:`WalkParameters`
-    requires); otherwise a :class:`DomainError` naming it (NaN included)."""
+    of :data:`_BOUNDS`, or ``alpha`` in [0, pi] as the walk requires);
+    otherwise a :class:`DomainError` naming it (NaN included)."""
     if name == "alpha":
-        return WalkParameters(value, 0).alpha
+        return _check_polar(name, _real(name, value))
     low, bits = _BOUNDS[name]
     count = _check_count(name, value, low)
     if bits is not None and not count < 2**bits:
@@ -388,14 +389,13 @@ def _chunk_bytes(columns) -> bytes:
     return "".join(",".join(map(_format_cell, row)) + "\n" for row in rows).encode()
 
 
-def _write_csv(path: Path, header, columns) -> int:
-    """Write equal-length ``columns`` under ``header``, one line per row, in
-    chunks of ``_CSV_CHUNK_ROWS`` rows; returns the bytes written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        size = fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            size += fh.write(_chunk_bytes([c[start:start + _CSV_CHUNK_ROWS] for c in columns]))
+def _write_csv(fh, header, columns) -> int:
+    """Write equal-length ``columns`` under ``header`` to the binary file
+    ``fh``, one line per row, in chunks of ``_CSV_CHUNK_ROWS`` rows; returns
+    the bytes written."""
+    size = fh.write((",".join(header) + "\n").encode())
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        size += fh.write(_chunk_bytes([c[start:start + _CSV_CHUNK_ROWS] for c in columns]))
     return size
 
 
@@ -430,16 +430,22 @@ def run(config: RunConfig) -> int:
 
 
 def _run_size(config: RunConfig, js: list[int], path: Path) -> dict:
-    """Build one table's columns and write its CSV; returns its report entry.
-
-    The columns are dropped on return, so a sweep holds one size at a time.
-    """
-    tic = time.perf_counter()
-    columns = COMMANDS[config.command].build(config, *map(SpinLabel, js))
-    build_s = time.perf_counter() - tic
-    tic = time.perf_counter()
-    csv_bytes = _write_csv(path, HEADERS[config.command], columns)
-    csv_s = time.perf_counter() - tic
+    """Open one table's CSV, then build and write its columns; returns its
+    report entry.  A failed build or write removes the CSV.  The columns are
+    dropped on return, so a sweep holds one size at a time."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            tic = time.perf_counter()
+            columns = COMMANDS[config.command].build(config, *map(SpinLabel, js))
+            build_s = time.perf_counter() - tic
+            tic = time.perf_counter()
+            csv_bytes = _write_csv(fh, HEADERS[config.command], columns)
+            csv_s = time.perf_counter() - tic
+    except BaseException:
+        path.unlink()
+        raise
     return {"build_s": build_s, "csv_s": csv_s, "csv_rows": len(columns[0]),
             "csv_bytes": csv_bytes}
 

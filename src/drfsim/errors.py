@@ -64,6 +64,16 @@ def _real(name: str, value) -> float:
     return float(array)
 
 
+def _check_polar(name: str, angles):
+    """``angles``, a float or a float array, if every angle lies in [0, pi];
+    else a :class:`DomainError` naming ``name`` and the first angle outside
+    (NaN is outside)."""
+    inside = np.logical_and(0.0 <= angles, angles <= math.pi)
+    if not inside.all():
+        raise DomainError(f"{name} must lie in [0, pi], got {np.extract(~inside, angles)[0]}")
+    return angles
+
+
 def _check_count(name: str, value, low: int = 0) -> int:
     """``value`` as an int if it is an integer >= ``low``, else a
     :class:`DomainError` naming ``name``: a float count (2.5, nan, inf) is

@@ -42,7 +42,6 @@ from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 __all__ = [
     "KrausSet",
     "FrameState",
-    "MeasurementRecord",
     "FidelitySeries",
     "MultipoleSpectrum",
     "build_kraus",
@@ -94,10 +93,6 @@ class KrausSet:
             values.setflags(write=False)
             bands[(a, b, c)] = values
         object.__setattr__(self, "bands", bands)
-
-    def operator(self, a: int, b: int, outcome: int) -> np.ndarray:
-        """Dense matrix of E_ab^c."""
-        return np.diag(self.bands[(a, b, outcome)], k=b - a)
 
     def completeness_defect(self) -> float:
         """max |(1/2) sum_cab E^dag E - I|; zero for a trace-preserving set.
@@ -588,38 +583,6 @@ def _check_steps(series: FidelitySeries, s: int, lowest, drift):
                 error[step], "MAP_TOL")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome string of a kept measurement record.
-
-    ``outcomes[i]`` is the integer +1 or -1 (the total-J branch observed at
-    step i), as :func:`conditional_update` takes it, and
-    ``probabilities[i]`` is the probability that outcome had, conditioned on
-    the record before it.
-    """
-
-    outcomes: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        out = np.asarray(self.outcomes)
-        prob = _reals("probabilities", self.probabilities)
-        if out.shape != prob.shape:
-            raise DomainError("outcomes and probabilities must have equal length")
-        if out.size and not (out.dtype.kind in "iu" and np.all(np.isin(out, OUTCOMES))):
-            raise DomainError("outcomes must be the integers +1 or -1")
-        out = np.asarray(out, dtype=int)
-        if not np.all((0.0 <= prob) & (prob <= 1.0)):
-            raise DomainError("probabilities must lie in [0, 1]")
-        out.setflags(write=False)
-        prob.setflags(write=False)
-        object.__setattr__(self, "outcomes", out)
-        object.__setattr__(self, "probabilities", prob)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-
 def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     """Probability of ``outcome`` and the post-measurement frame state.
 
@@ -653,7 +616,10 @@ def sample_trajectory(j, n_max: int, seed):
 
     Returns
     -------
-    (MeasurementRecord, FrameState)
+    (outcomes, probabilities, state)
+        The int array of outcomes +1 or -1 (the total-J branch observed at
+        each step), the probability each had conditioned on the record
+        before it, and the record-conditioned final :class:`FrameState`.
     """
     j = as_spin(j)
     n_max = _check_count("n_max", n_max)
@@ -669,7 +635,7 @@ def sample_trajectory(j, n_max: int, seed):
         else:
             _, state_minus = conditional_update(state, kraus, -1)
             outcomes[step], probs[step], state = -1, 1.0 - p_plus, state_minus
-    return MeasurementRecord(outcomes, probs), state
+    return outcomes, probs, state
 
 
 def conditional_fidelity_table(j, n: int) -> np.ndarray:

@@ -85,7 +85,7 @@ def _check_legendre_normalization(rng, kraus):
         spec = cw.initial_spectrum(am.SpinLabel(tj))
         alpha = cw.fitted_step(am.SpinLabel(tj))
         n = int(rng.integers(1, 50))
-        walked = cw.walk_evolve(spec, cw.WalkParameters(alpha, n))
+        walked = cw.walk_evolve(spec, alpha, n)
         x = np.cos(alpha)
         for ell, p in ((1, x), (2, (3.0 * x * x - 1.0) / 2.0)):
             want = spec.coeffs[ell] * p**n
@@ -99,7 +99,7 @@ def _check_reconstruction_positivity(rng, kraus):
         spec = cw.initial_spectrum(j)
         alpha = cw.fitted_step(j)
         for n in (1, tj**2, 5 * tj**2):
-            walked = cw.walk_evolve(spec, cw.WalkParameters(alpha, n))
+            walked = cw.walk_evolve(spec, alpha, n)
             require(f"2j={tj}, n={n}", "dip of the reconstruction below 0",
                     -walked.min_reconstructed(), "POSITIVITY_ALLOWANCE")
 

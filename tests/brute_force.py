@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 # qubit basis ordered (|0> = up, |1> = down)
 QUBIT_SX = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -30,6 +31,11 @@ def spin_operators(twice_j):
     jy = (raised - raised.T) / 2.0j
     jz = np.diag(m)
     return jx, jy, jz
+
+
+def rotation(twice_j, beta):
+    """exp(-i beta Jy), the rotation by ``beta`` about y on the spin-j space."""
+    return expm(-1j * beta * spin_operators(twice_j)[1])
 
 
 def total_j_squared(twice_j):
@@ -67,6 +73,12 @@ def coupled_projectors(twice_j):
 def kraus_block(projector, a, b):
     """<a| Pi |b> as an operator on the frame space."""
     return projector[a::2, b::2]
+
+
+def kraus_operator(kraus, a, b, outcome):
+    """Dense matrix of the Kraus operator E_ab^c of ``kraus``: its band on
+    diagonal b - a."""
+    return np.diag(kraus.bands[(a, b, outcome)], k=b - a)
 
 
 def sector_cg(twice_j, twice_m, s_up, plus):

@@ -27,7 +27,6 @@ from drfsim import (
     initial_spectrum,
     sample_fidelity_batch,
     walk_evolve,
-    WalkParameters,
     angular_variance,
 )
 from drfsim.cli import half_life
@@ -69,7 +68,7 @@ def test_criterion_2_classical_quantum_fit():
             alpha = fitted_step(j)
             steps = np.arange(1001)
             f_c = np.array([
-                classical_fidelity(walk_evolve(spec0, WalkParameters(alpha, int(n))))
+                classical_fidelity(walk_evolve(spec0, alpha, int(n)))
                 for n in steps
             ])
             f_q = closed_form_fidelity(j, steps)

@@ -22,7 +22,6 @@ from drfsim import (
     InternalConsistencyError,
     LegendreSpectrum,
     SpinLabel,
-    WalkParameters,
     angular_variance,
     classical_fidelity,
     classical_fidelity_series,
@@ -106,18 +105,18 @@ class TestInitialSpectrum:
 class TestWalkEvolve:
     def test_zero_angle_is_identity(self):
         spec = initial_spectrum(SpinLabel(4))
-        walked = walk_evolve(spec, WalkParameters(0.0, 17))
+        walked = walk_evolve(spec, 0.0, 17)
         assert np.array_equal(walked.coeffs, spec.coeffs)
 
     def test_normalisation_preserved(self):
         spec = initial_spectrum(SpinLabel(4))
-        walked = walk_evolve(spec, WalkParameters(0.7, 300))
+        walked = walk_evolve(spec, 0.7, 300)
         assert walked.coeffs[0] == 1.0
 
     def test_c1_decays_as_cosine_power(self):
         spec = initial_spectrum(SpinLabel(6))
         alpha, n = 0.3, 25
-        walked = walk_evolve(spec, WalkParameters(alpha, n))
+        walked = walk_evolve(spec, alpha, n)
         assert walked.coeffs[1] == pytest.approx(
             spec.coeffs[1] * math.cos(alpha) ** n, rel=1e-13
         )
@@ -125,7 +124,7 @@ class TestWalkEvolve:
     def test_spectral_decay(self):
         spec = initial_spectrum(SpinLabel(8))
         for alpha in (0.1, 0.5, 1.0, 2.5):
-            walked = walk_evolve(spec, WalkParameters(alpha, 3))
+            walked = walk_evolve(spec, alpha, 3)
             assert np.all(np.abs(walked.coeffs[1:]) <= np.abs(spec.coeffs[1:]) + 1e-15)
 
     @pytest.mark.parametrize("twice_j", [1, 20, 1000])
@@ -133,7 +132,7 @@ class TestWalkEvolve:
         # one kick scales c_l by P_l(cos alpha), bit for bit as scipy evaluates it
         spec = initial_spectrum(SpinLabel(twice_j))
         alpha = fitted_step(SpinLabel(twice_j))
-        walked = walk_evolve(spec, WalkParameters(alpha, 1))
+        walked = walk_evolve(spec, alpha, 1)
         gains = eval_legendre(np.arange(spec.l_max + 1), math.cos(alpha))
         assert np.array_equal(walked.coeffs[1:], spec.coeffs[1:] * gains[1:])
 
@@ -142,7 +141,7 @@ class TestWalkEvolve:
            twice_j=st.integers(min_value=1, max_value=300))
     def test_gains_match_scipy_legendre(self, alpha, twice_j):
         spec = LegendreSpectrum(np.ones(4 * twice_j + 1))
-        walked = walk_evolve(spec, WalkParameters(alpha, 1))
+        walked = walk_evolve(spec, alpha, 1)
         gains = eval_legendre(np.arange(spec.l_max + 1), math.cos(alpha))
         assert np.max(np.abs(walked.coeffs[1:] - gains[1:])) <= STRUCTURE_TOL
 
@@ -185,7 +184,7 @@ class TestClassicalFidelity:
 
     @pytest.mark.parametrize("alpha,n", [(0.0, 0), (0.4, 7), (1.2, 40)])
     def test_coefficient_route_equals_quadrature_route(self, alpha, n):
-        spec = walk_evolve(initial_spectrum(SpinLabel(9)), WalkParameters(alpha, n))
+        spec = walk_evolve(initial_spectrum(SpinLabel(9)), alpha, n)
         assert classical_fidelity(spec) == pytest.approx(
             fidelity_by_quadrature(spec), abs=1e-10
         )
@@ -525,7 +524,7 @@ class TestFidelitySeries:
         series = classical_fidelity_series(j, alpha, 60)
         spec = initial_spectrum(j)
         for n in series.steps:
-            walked = walk_evolve(spec, WalkParameters(alpha, int(n)))
+            walked = walk_evolve(spec, alpha, int(n))
             assert series.fidelity[n] == pytest.approx(
                 classical_fidelity(walked), abs=1e-15
             )

@@ -46,7 +46,8 @@ def _write_with_chunks(path, header, columns, chunk):
     original = cli._CSV_CHUNK_ROWS
     cli._CSV_CHUNK_ROWS = chunk
     try:
-        cli._write_csv(path, header, columns)
+        with open(path, "wb") as fh:
+            cli._write_csv(fh, header, columns)
     finally:
         cli._CSV_CHUNK_ROWS = original
     return path.read_bytes()
@@ -171,7 +172,8 @@ class TestCsvWriter:
     def test_list_columns_keep_empty_cells(self, tmp_path):
         path = tmp_path / "scaling.csv"
         columns = [[20, 40], [1.5, 2.25], [None, 1.5]]
-        cli._write_csv(path, ["twice_j", "half_life", "ratio"], columns)
+        with open(path, "wb") as fh:
+            cli._write_csv(fh, ["twice_j", "half_life", "ratio"], columns)
         assert path.read_bytes() == csv_reference(
             ["twice_j", "half_life", "ratio"], columns)
         assert path.read_text().splitlines()[1].endswith(",")
@@ -470,7 +472,7 @@ class TestCliSurface:
     ])
     def test_alpha_bounds_hold_for_parser_and_config(self, tmp_path, capsys, alpha,
                                                      valid):
-        # --alpha nan used to pass both and exit 1 from WalkParameters
+        # --alpha nan used to pass both and exit 1 from the walk's own check
         argv = ["compare", "--twice-j", "2", "--n-max", "3", "--alpha", repr(alpha),
                 "--out", str(tmp_path / "c.csv")]
         if valid:
@@ -654,6 +656,36 @@ class TestCliSurface:
         assert header == HEADERS["quantum-evolve"] and len(rows) == 41
         assert not (tmp_path / "q-2j6.csv").exists()
         assert not (tmp_path / "q.manifest.json").exists()
+
+    def test_unwritable_out_fails_before_the_build(self, tmp_path, monkeypatch, capsys):
+        built = []
+        command = cli.COMMANDS["quantum-evolve"]
+        monkeypatch.setitem(cli.COMMANDS, "quantum-evolve", dataclasses.replace(
+            command, build=lambda *args: built.append(args) or command.build(*args)))
+        assert main(["quantum-evolve", "--twice-j", "600", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: quantum-evolve: [Errno 21] Is a directory: '{tmp_path}'\n")
+        assert built == []
+
+    def test_write_fault_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        chunks = []
+        chunk_bytes = cli._chunk_bytes
+
+        def faulty_chunk_bytes(columns):
+            chunks.append(len(columns[0]))
+            if len(chunks) == 2:
+                raise OSError(28, "No space left on device")
+            return chunk_bytes(columns)
+
+        monkeypatch.setattr(cli, "_chunk_bytes", faulty_chunk_bytes)
+        out = tmp_path / "q.csv"
+        code = main(["quantum-evolve", "--twice-j", "2", "--n-max", str(2 * cli._CSV_CHUNK_ROWS),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: quantum-evolve: [Errno 28] No space left on device\n")
+        assert chunks == [cli._CSV_CHUNK_ROWS] * 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_selftest_builds_each_kraus_set_once_per_run(self, monkeypatch):
         from drfsim import quantum_drf, selftest

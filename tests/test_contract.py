@@ -178,10 +178,9 @@ ROWS = [
                         {"one": [1.0], "nested": [[1.0, 0.5]], "empty": []})
                  + kind(r"^coeffs must start with c_0 = 1 exactly, got 0\.9$",
                         {"c_0": [0.9, 0.1, 0.0]}))}),
-    ("WalkParameters", d.WalkParameters, {"alpha": (0.1, ANGLE), "n": (3, count())}),
     ("initial_spectrum", d.initial_spectrum, {"j": (2, FRAME)}),
     ("walk_evolve", d.walk_evolve,
-     {"spec": (d.initial_spectrum(2), RECORD), "params": (d.WalkParameters(0.1, 3), RECORD)}),
+     {"spec": (d.initial_spectrum(2), RECORD), "alpha": (0.1, ANGLE), "n": (3, count())}),
     ("classical_fidelity", d.classical_fidelity, {"spec": (d.initial_spectrum(2), RECORD)}),
     ("classical_fidelity_series", d.classical_fidelity_series,
      {"j": (2, FRAME), "alpha": (0.1, ANGLE), "n_max": (3, count())}),
@@ -236,16 +235,6 @@ ROWS = [
      {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS), "diagonal": (True, FLAG)}),
     ("FrameState:from_matrix", d.FrameState.from_matrix,
      {"j": (2, SPIN), "matrix": (np.diag([0.0, 0.0, 1.0]), MATRIX)}),
-    ("MeasurementRecord", d.MeasurementRecord,
-     {"outcomes": ([1, -1], kind(r"^outcomes must be the integers \+1 or -1$",
-                                 {"2": [2, -1], "1.5": [1.5, -1], "nan": [NAN, 1],
-                                  "1.0": [1.0, -1.0], "str": ["1", "-1"]})),
-      "probabilities": ([0.5, 0.5],
-                        kind(r"^probabilities must lie in \[0, 1\]$",
-                             {"1.5": [1.5, 0.5], "nan": [NAN, 0.5]})
-                        + kind(REAL, {"str-entry": [0.5, "0.5"]})
-                        + kind(r"^outcomes and probabilities must have equal length$",
-                               {"short": [0.5]}))}),
     ("FidelitySeries", d.FidelitySeries,
      {"j": (2, SPIN),
       "fidelity": ([0.8, 0.7], kind(REAL, {"str-entry": [0.8, "0.7"]})),

@@ -20,7 +20,6 @@ from drfsim import (
     DomainError,
     FrameState,
     InternalConsistencyError,
-    MeasurementRecord,
     SpinLabel,
     apply_map,
     build_kraus,
@@ -34,6 +33,7 @@ from drfsim import (
 from drfsim.angular_momentum import CouplingBranch, projector_element
 from drfsim.cli import default_n_max
 from drfsim.quantum_drf import (
+    OUTCOMES,
     _span,
     conditional_fidelity_table,
     flux_step,
@@ -41,7 +41,7 @@ from drfsim.quantum_drf import (
     transfer_rates,
 )
 from drfsim.selftest import _random_dense_state, _random_diagonal_state
-from drfsim.tolerances import MAP_TOL, STRUCTURE_TOL
+from drfsim.tolerances import MAP_TOL, ORACLE_TOL, STRUCTURE_TOL
 
 from brute_force import (
     coupled_projectors,
@@ -51,6 +51,8 @@ from brute_force import (
     flux_loop,
     jump_kernel_reference,
     kraus_block,
+    kraus_operator,
+    rotation,
 )
 from golden import regenerate
 
@@ -62,14 +64,14 @@ class TestBuildKraus:
         # E_00^+ = diag((j+m+1)/(2j+1)) over m = (-1/2, +1/2), from the
         # 4-dim projector oracle
         kraus = build_kraus(SpinLabel(1))
-        e = kraus.operator(0, 0, +1)
+        e = kraus_operator(kraus, 0, 0, +1)
         assert np.allclose(e, np.diag([0.5, 1.0]), atol=1e-15)
 
     def test_row_completeness(self):
         # sum_c E_00^c = I, forced by Pi_+ + Pi_- = I
         for twice_j in (1, 2, 5, 11):
             kraus = build_kraus(SpinLabel(twice_j))
-            total = kraus.operator(0, 0, +1) + kraus.operator(0, 0, -1)
+            total = kraus_operator(kraus, 0, 0, +1) + kraus_operator(kraus, 0, 0, -1)
             assert np.allclose(total, np.eye(twice_j + 1), atol=1e-14)
 
     def test_trace_preservation_sum(self):
@@ -82,7 +84,7 @@ class TestBuildKraus:
         kraus = build_kraus(SpinLabel(twice_j))
         acc = np.zeros((twice_j + 1, twice_j + 1))
         for a, b, c in kraus.bands:
-            e = kraus.operator(a, b, c)
+            e = kraus_operator(kraus, a, b, c)
             acc += e.T @ e
         dense = float(np.max(np.abs(acc / 2.0 - np.eye(twice_j + 1))))
         assert kraus.completeness_defect() == dense
@@ -100,7 +102,7 @@ class TestBuildKraus:
         for c in (+1, -1):
             for a in (0, 1):
                 for b in (0, 1):
-                    got = kraus.operator(a, b, c)
+                    got = kraus_operator(kraus, a, b, c)
                     want = kraus_block(oracle[c], a, b)
                     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -292,6 +294,78 @@ class TestApplyMap:
         assert quantum_fidelity(state, kraus) == pytest.approx(
             closed_form_fidelity(j, 1), abs=1e-14
         )
+
+
+TILT_SIZES = [1, 2, 3, 6, 10, 20, 40]
+TILT_ANGLES = (0.3, math.pi / 2.0, 2.8)
+
+
+def _tilted_aligned(j, u):
+    """The aligned state |j, j><j, j| turned by the rotation ``u``, dense."""
+    aligned = FrameState.stretched(j).matrix
+    return FrameState.from_matrix(j, u @ aligned @ u.conj().T)
+
+
+def _tilted_fidelity(state, kraus, u):
+    """Fidelity read along the turned axis: Tr[U O U^dag rho], O the
+    diagonal measurement-success observable."""
+    observable = u @ np.diag(kraus.fidelity_diagonal) @ u.conj().T
+    return float(np.real(np.trace(observable @ state.matrix)))
+
+
+class TestTiltedFrames:
+    # The channel and both outcome maps commute with rotations of the frame,
+    # so a frame turned by exp(-i beta Jy) and read along its own axis decays
+    # as the aligned one.  Its dense state has coherences in every band, so
+    # these tests reach the whole Kraus sandwich, not only its diagonal.
+
+    @pytest.mark.parametrize("twice_j", TILT_SIZES)
+    def test_maps_commute_with_rotations(self, twice_j):
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        rho = _random_dense_state(np.random.default_rng(twice_j), j)
+        worst = 0.0
+        for beta in TILT_ANGLES:
+            u = rotation(twice_j, beta)
+            turned = FrameState.from_matrix(j, u @ rho.matrix @ u.conj().T)
+            pairs = [(apply_map(turned, kraus), apply_map(rho, kraus))]
+            for outcome in OUTCOMES:
+                p_turned, after_turned = conditional_update(turned, kraus, outcome)
+                p, after = conditional_update(rho, kraus, outcome)
+                worst = max(worst, abs(p_turned - p))
+                pairs.append((after_turned, after))
+            for got, mapped in pairs:
+                want = u @ mapped.matrix @ u.conj().T
+                worst = max(worst, np.max(np.abs(got.matrix - want)))
+        assert worst <= STRUCTURE_TOL
+
+    @pytest.mark.parametrize("twice_j", TILT_SIZES)
+    def test_tilted_decay_follows_the_closed_form(self, twice_j):
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        closed = closed_form_fidelity(j, np.arange(41))
+        for beta in TILT_ANGLES:
+            u = rotation(twice_j, beta)
+            state = _tilted_aligned(j, u)
+            for n in range(41):
+                error = abs(_tilted_fidelity(state, kraus, u) - closed[n])
+                assert error <= ORACLE_TOL, f"2j={twice_j}, beta={beta}, n={n}: {error}"
+                state = apply_map(state, kraus)
+
+    @pytest.mark.parametrize("twice_j", TILT_SIZES)
+    def test_tilted_record_follows_the_count_fidelity(self, twice_j):
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        outcomes = np.random.default_rng(twice_j).choice(OUTCOMES, size=20)
+        plus_counts = np.cumsum(outcomes == 1)
+        for beta in TILT_ANGLES:
+            u = rotation(twice_j, beta)
+            state = _tilted_aligned(j, u)
+            for n, outcome in enumerate(outcomes, 1):
+                _, state = conditional_update(state, kraus, outcome)
+                want = conditional_fidelity_table(j, n)[plus_counts[n - 1]]
+                error = abs(_tilted_fidelity(state, kraus, u) - want)
+                assert error <= ORACLE_TOL, f"2j={twice_j}, beta={beta}, n={n}: {error}"
 
 
 class TestQuantumFidelity:
@@ -592,10 +666,10 @@ class TestBlockedEvolve:
 
 class TestTrajectories:
     def test_deterministic_for_fixed_seed(self):
-        rec1, state1 = sample_trajectory(SpinLabel(4), 30, seed=99)
-        rec2, state2 = sample_trajectory(SpinLabel(4), 30, seed=99)
-        assert np.array_equal(rec1.outcomes, rec2.outcomes)
-        assert np.array_equal(rec1.probabilities, rec2.probabilities)
+        outcomes1, probs1, state1 = sample_trajectory(SpinLabel(4), 30, seed=99)
+        outcomes2, probs2, state2 = sample_trajectory(SpinLabel(4), 30, seed=99)
+        assert np.array_equal(outcomes1, outcomes2)
+        assert np.array_equal(probs1, probs2)
         assert np.array_equal(state1.populations, state2.populations)
 
     @pytest.mark.parametrize("twice_j", range(1, 11))
@@ -648,33 +722,20 @@ class TestTrajectories:
             state = state_plus
 
     def test_record_fields_are_consistent(self):
-        record, _ = sample_trajectory(SpinLabel(2), 25, seed=5)
-        assert len(record) == 25
-        assert set(np.unique(record.outcomes)) <= {-1, 1}
-        assert record.probabilities.min() >= 0.0
-        assert record.probabilities.max() <= 1.0
-
-    @pytest.mark.parametrize("outcomes", [[1.5, -1.2], [1, 0.5], [np.nan, 1]])
-    def test_fractional_outcomes_rejected_before_the_cast(self, outcomes):
-        # cast first, [1.5, -1.2] would be stored as [1, -1]
-        with pytest.raises(DomainError, match="outcomes must be"):
-            MeasurementRecord(outcomes, [0.5, 0.5])
-
-    def test_integer_outcomes_are_stored_as_int_and_float_ones_refused(self):
-        # as conditional_update refuses the outcome 1.0
-        record = MeasurementRecord(np.array([1, -1], dtype=np.int8), [0.5, 0.5])
-        assert record.outcomes.dtype == int
-        assert record.outcomes.tolist() == [1, -1]
-        with pytest.raises(DomainError, match=r"^outcomes must be the integers \+1 or -1$"):
-            MeasurementRecord([1.0, -1.0], [0.5, 0.5])
+        outcomes, probabilities, _ = sample_trajectory(SpinLabel(2), 25, seed=5)
+        assert outcomes.dtype == int and probabilities.dtype == float
+        assert outcomes.shape == probabilities.shape == (25,)
+        assert set(np.unique(outcomes)) <= {-1, 1}
+        assert probabilities.min() >= 0.0
+        assert probabilities.max() <= 1.0
 
     @pytest.mark.parametrize("twice_j", [1, 2, 4, 13, 40])
     def test_trajectory_ends_at_the_count_fidelity(self, twice_j):
         # the outcome-by-outcome sampler, the independent check of the batch:
         # its final state's fidelity is F_K at its own count K
         j = SpinLabel(twice_j)
-        record, state = sample_trajectory(j, 20, seed=123)
-        count = int(np.sum(record.outcomes == 1))
+        outcomes, _, state = sample_trajectory(j, 20, seed=123)
+        count = int(np.sum(outcomes == 1))
         table = conditional_fidelity_table(j, 20)
         assert quantum_fidelity(state, build_kraus(j)) == pytest.approx(table[count], abs=1e-14)
 
