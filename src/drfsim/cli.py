@@ -179,8 +179,10 @@ COMMANDS = {
 HEADERS = {name: command.header for name, command in COMMANDS.items()}
 
 # Integer settings: least value, and the bits of the range (--seed is a U64).
-_BOUNDS = {"twice_j": (1, None), "n_max": (0, None), "samples": (1, None),
-           "n_nodes": (1, None), "seed": (0, 64)}
+# A size stops below 2**60: 2**60 float64 values are 2**63 bytes, more than
+# any numpy array can hold, so no such run could allocate its first column.
+_BOUNDS = {"twice_j": (1, 60), "n_max": (0, 60), "samples": (1, 60),
+           "n_nodes": (1, 60), "seed": (0, 64)}
 
 
 def _check_option(name: str, value):
@@ -191,7 +193,7 @@ def _check_option(name: str, value):
         return _check_polar(name, _real(name, value))
     low, bits = _BOUNDS[name]
     count = _check_count(name, value, low)
-    if bits is not None and not count < 2**bits:
+    if not count < 2**bits:
         raise DomainError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
     return count
 

@@ -4,10 +4,11 @@ Azimuthally averaged mixtures of tilted coherent states are diagonal in m,
 with populations that are integrals of the single-angle population vectors.
 Since the measurement channel never creates coherences, decomposability of
 an evolved frame state over the whole coherent family reduces to a
-non-negative least-squares fit of its population vector against a discrete
-grid of those columns.  A residual that stays large as the grid is refined
-certifies that no such mixture exists; the residual threshold and the
-grid-doubling stability check are this package's operational criterion.
+non-negative least-squares fit of its population vector against those
+columns at a discrete grid of angles, which :func:`build_grid` returns as
+the pair (nodes, columns).  A residual that stays large as the grid is
+refined certifies that no such mixture exists; the residual threshold and
+the grid-doubling stability check are this package's operational criterion.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .quantum_drf import FrameState, flux_step, transfer_rates
 from .tolerances import KKT_TOL, require
 
 __all__ = [
-    "CoherentGrid",
     "DecompositionResult",
     "build_grid",
     "nnls_solve",
@@ -35,52 +35,23 @@ __all__ = [
 _CAP_PER_COLUMN = 10  # variables nnls_solve admits, per column, before it gives up
 
 
-@dataclass(frozen=True)
-class CoherentGrid:
-    """Candidate family: population columns of coherent states on a theta grid."""
-
-    j: SpinLabel
-    thetas: np.ndarray
-    columns: np.ndarray  # shape (2j+1, n_nodes)
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", as_spin(self.j))
-        thetas = np.asarray(self.thetas, dtype=float)
-        columns = np.asarray(self.columns, dtype=float)
-        if thetas.ndim != 1 or thetas.size < 2:
-            raise DomainError(f"grid angles thetas must be a 1-d array of at least "
-                              f"2 angles, got shape {thetas.shape}")
-        if not np.all(np.diff(thetas) > 0):
-            raise DomainError("grid angles thetas must be strictly increasing")
-        where = f"CoherentGrid: 2j={self.j.twice_j}, {thetas.size} nodes"
-        require(where, "|thetas[0]|", abs(thetas[0]), "GRID_ORIGIN_TOL", DomainError)
-        require(where, "|thetas[-1] - pi|", abs(thetas[-1] - math.pi), "STRUCTURE_TOL",
-                DomainError)
-        if columns.shape != (self.j.dim, len(thetas)):
-            raise DomainError(f"columns must have shape {(self.j.dim, thetas.size)}, "
-                              f"got {columns.shape}")
-        require(where, "every column of columns must sum to 1; largest gap",
-                np.max(np.abs(columns.sum(axis=0) - 1.0)), "STRUCTURE_TOL", DomainError)
-        thetas.setflags(write=False)
-        columns.setflags(write=False)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "columns", columns)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.thetas)
-
-
-def build_grid(j, n_nodes: int) -> CoherentGrid:
-    """Place nodes uniformly in cos(theta), endpoints included.
+def build_grid(j, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes uniform in cos(theta), endpoints included, and their coherent
+    population columns: the pair ``(thetas, columns)``, ``columns`` of shape
+    (2j + 1, n_nodes).
 
     Requires an integer count of at least as many candidates as population
-    entries (2j + 1).
+    entries (2j + 1).  Raises :class:`InternalConsistencyError` if a column
+    sums to more than ``STRUCTURE_TOL`` away from 1.
     """
     j = as_spin(j)
     n_nodes = _check_count(f"{j}: n_nodes", n_nodes, j.dim)
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
-    return CoherentGrid(j, thetas, coherent_columns(j, thetas))
+    columns = coherent_columns(j, thetas)
+    require(f"coherent_analysis.build_grid: 2j={j.twice_j}, {n_nodes} nodes",
+            "largest |column sum - 1|", np.max(np.abs(columns.sum(axis=0) - 1.0)),
+            "STRUCTURE_TOL")
+    return thetas, columns
 
 
 @dataclass(frozen=True)
@@ -195,7 +166,7 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     j = as_spin(j)
     n = _check_count("n", n)
     state = next(islice(_evolved_populations(j), n, None))
-    return _fit("convexity_test", j, n, build_grid(j, n_nodes), state)
+    return _fit("convexity_test", j, n, build_grid(j, n_nodes)[1], state)
 
 
 def convexity_series(j, n_max: int, n_nodes: int) -> list:
@@ -208,23 +179,23 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     """
     j = as_spin(j)
     n_max = _check_count("n_max", n_max)
-    grid = build_grid(j, n_nodes)
+    _, columns = build_grid(j, n_nodes)
     results = []
     for n, state in enumerate(islice(_evolved_populations(j), n_max + 1)):
         start = results[-1].weights > 0.0 if results else None
-        results.append(_fit("convexity_series", j, n, grid, state, start))
+        results.append(_fit("convexity_series", j, n, columns, state, start))
     return results
 
 
-def _fit(caller: str, j: SpinLabel, n: int, grid: CoherentGrid,
+def _fit(caller: str, j: SpinLabel, n: int, columns: np.ndarray,
          state: np.ndarray, start=None) -> DecompositionResult:
     """:func:`nnls_solve` whose cap error also names 2j, n and the grid size."""
     try:
-        return nnls_solve(grid.columns, state, start=start)
+        return nnls_solve(columns, state, start=start)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"coherent_analysis.{caller}: 2j={j.twice_j}, n={n}, "
-            f"n_nodes={grid.n_nodes}: {err}",
+            f"n_nodes={columns.shape[1]}: {err}",
             result=err.result,
         ) from err
 

@@ -137,13 +137,14 @@ def _check_nnls_recovery(rng, kraus):
     # nearly collinear coherent columns: bounded by their conditioning
     for _ in range(5):
         tj = int(rng.integers(2, 11))
-        grid = ca.build_grid(am.SpinLabel(tj), 4 * (tj + 1))
-        w_true = np.zeros(grid.n_nodes)
-        support = rng.choice(grid.n_nodes, size=3, replace=False)
+        n_nodes = 4 * (tj + 1)
+        _, columns = ca.build_grid(am.SpinLabel(tj), n_nodes)
+        w_true = np.zeros(n_nodes)
+        support = rng.choice(n_nodes, size=3, replace=False)
         w_true[support] = rng.random(3) + 0.1
         w_true /= w_true.sum()
-        result = ca.nnls_solve(grid.columns, grid.columns @ w_true)
-        require(f"2j={tj}, {grid.n_nodes} nodes", "mixture residual",
+        result = ca.nnls_solve(columns, columns @ w_true)
+        require(f"2j={tj}, {n_nodes} nodes", "mixture residual",
                 result.residual, "NNLS_MIXTURE_TOL")
 
 

@@ -37,11 +37,6 @@ POSITIVITY_ALLOWANCE = 1e-6
 # stopped up to 7x above the minimum (2j = 6 ... 44); at 1e-13 they reach it.
 KKT_TOL = 1e-13
 
-# A coherent-state grid must start at theta = 0 (arccos(1) is exactly 0, so
-# only a rounding of zero is allowed); its last node, theta = pi, is held to
-# STRUCTURE_TOL.
-GRID_ORIGIN_TOL = 1e-15
-
 # How far from 1 the total of a target population vector handed to the
 # non-negative least-squares solver may be.
 NNLS_TARGET_SUM_TOL = 1e-10

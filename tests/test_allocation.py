@@ -59,9 +59,9 @@ def test_coherent_grid_is_built_in_its_output():
 def test_nnls_finiteness_check_holds_no_matrix_sized_mask():
     # a one-column target keeps the free set, and so the least-squares
     # copies, small: what is left is below a bool mask the size of A
-    grid = build_grid(J, 8 * J.dim)
-    _, peak = traced_peak(lambda: nnls_solve(grid.columns, grid.columns[:, 5]))
-    assert peak < grid.columns.size
+    _, columns = build_grid(J, 8 * J.dim)
+    _, peak = traced_peak(lambda: nnls_solve(columns, columns[:, 5]))
+    assert peak < columns.size
 
 
 def test_batch_holds_its_counts_and_fidelities_only():

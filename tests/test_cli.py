@@ -616,14 +616,35 @@ class TestCliSurface:
         ["coherent-test", "--twice-j", "2", "--nodes", str(10**20)],
         ["quantum-evolve", "--twice-j", str(10**20)],
         ["coherent-test", "--twice-j", "2", "--n-max", str(10**20)],
+        # np.linspace gave an empty grid here, and an IndexError escaped run
+        pytest.param(["coherent-test", "--twice-j", "2", "--nodes", str(2**63 - 1)],
+                     id="coherent-test--nodes-int64-max"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_size_past_the_array_limit_is_reported(self, tmp_path, capsys, argv):
-        # numpy and islice refuse such sizes with a ValueError before any work
-        code = main([*argv, "--out", str(tmp_path / "big.csv")])
+        # 2**60 doubles are more than any numpy array holds: a usage error
+        # that names the flag, before any work
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(tmp_path / "big.csv")])
+        assert excinfo.value.code == 2
+        flag, value = argv[-2:]
+        err = capsys.readouterr().err
+        assert re.search(rf"error: argument {flag}: \w+ must be an integer in "
+                         rf"\[[01], 2\*\*60\), got {value}$", err, re.MULTILINE)
+        assert "Traceback" not in err
+        assert not (tmp_path / "big.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectories", "--samples"], ["coherent-test", "--nodes"],
+        ["quantum-evolve", "--n-max"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_size_just_below_the_bound_fails_to_allocate(self, tmp_path, capsys, argv):
+        # numpy refuses 2**59 doubles before it touches memory; run reports it
+        code = main([*argv, str(2**59), "--twice-j", "2", "--out", str(tmp_path / "big.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {argv[0]}: ")
+        assert err.startswith(f"error: {argv[0]}: Unable to allocate 4.00 EiB")
         assert "Traceback" not in err
+        assert not (tmp_path / "big.csv").exists()
 
     def test_failure_names_command_size_and_step(self, tmp_path, monkeypatch, capsys):
         from drfsim import quantum_drf

@@ -1,6 +1,7 @@
 """Grid construction and the active-set solver against brute-force oracles."""
 
 import math
+import re
 from itertools import islice
 
 import numpy as np
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 from drfsim import (
     ConvergenceError,
+    InternalConsistencyError,
     SpinLabel,
     build_grid,
+    coherent_columns,
     coherent_populations,
     convexity_series,
     convexity_test,
     nnls_solve,
 )
-from drfsim import coherent_analysis
+from drfsim import cli, coherent_analysis
 from drfsim.tolerances import KKT_TOL, STRUCTURE_TOL
 
 from brute_force import two_node_scan
@@ -25,40 +28,69 @@ from brute_force import two_node_scan
 
 class TestBuildGrid:
     def test_poles_only_for_half_spin(self):
-        grid = build_grid(SpinLabel(1), 2)
-        assert np.allclose(grid.columns[:, 0], [0.0, 1.0])
-        assert np.allclose(grid.columns[:, 1], [1.0, 0.0])
+        _, columns = build_grid(SpinLabel(1), 2)
+        assert np.allclose(columns[:, 0], [0.0, 1.0])
+        assert np.allclose(columns[:, 1], [1.0, 0.0])
 
     def test_columns_sum_to_one(self):
-        grid = build_grid(SpinLabel(6), 30)
-        assert np.max(np.abs(grid.columns.sum(axis=0) - 1.0)) < 1e-12
+        _, columns = build_grid(SpinLabel(6), 30)
+        assert np.max(np.abs(columns.sum(axis=0) - 1.0)) < 1e-12
 
     def test_grid_symmetric_in_cos_theta(self):
-        grid = build_grid(SpinLabel(4), 17)
-        cos = np.cos(grid.thetas)
+        thetas, _ = build_grid(SpinLabel(4), 17)
+        cos = np.cos(thetas)
         assert np.max(np.abs(cos + cos[::-1])) < 1e-14
 
     def test_endpoints_present(self):
-        grid = build_grid(SpinLabel(2), 9)
-        assert grid.thetas[0] == 0.0
-        assert grid.thetas[-1] == pytest.approx(math.pi, abs=1e-15)
+        thetas, _ = build_grid(SpinLabel(2), 9)
+        assert thetas[0] == 0.0
+        assert thetas[-1] == pytest.approx(math.pi, abs=1e-15)
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 20, 80, 160])
+    def test_pair_is_the_cos_uniform_nodes_and_their_columns(self, twice_j):
+        j = SpinLabel(twice_j)
+        thetas, columns = build_grid(j, 8 * j.dim)
+        want = np.arccos(np.linspace(1.0, -1.0, 8 * j.dim))
+        assert np.array_equal(thetas, want)
+        assert np.array_equal(columns, coherent_columns(j, want))
+
+    def test_column_sum_fault_names_grid_and_tolerance(self, monkeypatch, tmp_path, capsys):
+        # the one check a computed grid can fail: reported by build_grid,
+        # through convexity_test and the CLI alike
+        exact = coherent_analysis.coherent_columns
+
+        def scaled(j, thetas):
+            columns = exact(j, thetas)
+            columns[:, 1] *= 1.0 + 1e-9
+            return columns
+
+        monkeypatch.setattr(coherent_analysis, "coherent_columns", scaled)
+        line = (r"coherent_analysis\.build_grid: 2j=4, 40 nodes: largest \|column sum - 1\| "
+                r"\S+ exceeds STRUCTURE_TOL = 1e-12")
+        for call in (lambda: build_grid(SpinLabel(4), 40),
+                     lambda: convexity_test(SpinLabel(4), 1, 40)):
+            with pytest.raises(InternalConsistencyError, match=f"^{line}$"):
+                call()
+        assert cli.main(["coherent-test", "--twice-j", "4", "--nodes", "40",
+                         "--out", str(tmp_path / "c.csv")]) == 1
+        assert re.fullmatch(f"error: coherent-test: {line}\n", capsys.readouterr().err)
 
 
 class TestNnlsSolve:
     def test_exact_member_of_family(self):
-        grid = build_grid(SpinLabel(4), 21)
+        _, columns = build_grid(SpinLabel(4), 21)
         target_index = 7
-        result = nnls_solve(grid.columns, grid.columns[:, target_index])
+        result = nnls_solve(columns, columns[:, target_index])
         assert result.residual <= 1e-10
         assert result.weights[target_index] == pytest.approx(1.0, abs=1e-8)
         others = np.delete(result.weights, target_index)
         assert np.max(others) < 1e-8
 
     def test_two_column_convex_combination(self):
-        grid = build_grid(SpinLabel(4), 21)
+        _, columns = build_grid(SpinLabel(4), 21)
         i, k = 3, 15
-        target = 0.5 * (grid.columns[:, i] + grid.columns[:, k])
-        result = nnls_solve(grid.columns, target)
+        target = 0.5 * (columns[:, i] + columns[:, k])
+        result = nnls_solve(columns, target)
         assert result.residual <= 1e-10
         assert result.weight_sum_gap <= 1e-9
 
@@ -79,7 +111,7 @@ class TestNnlsSolve:
         # the fully mixed state is the uniform average of coherent states,
         # so with enough nodes the fit succeeds
         result = nnls_solve(
-            build_grid(SpinLabel(2), 9).columns, np.full(3, 1.0 / 3.0)
+            build_grid(SpinLabel(2), 9)[1], np.full(3, 1.0 / 3.0)
         )
         assert result.residual <= 1e-10
 
@@ -118,28 +150,29 @@ class TestNnlsSolve:
         # sqrt(2 tau ||w||_1), about 4.5e-7; the bound is the selftest's
         # NNLS_MIXTURE_TOL
         rng = np.random.default_rng(seed)
-        grid = build_grid(SpinLabel(twice_j), 4 * (twice_j + 1))
-        w_true = np.zeros(grid.n_nodes)
-        support = rng.choice(grid.n_nodes, size=3, replace=False)
+        n_nodes = 4 * (twice_j + 1)
+        _, columns = build_grid(SpinLabel(twice_j), n_nodes)
+        w_true = np.zeros(n_nodes)
+        support = rng.choice(n_nodes, size=3, replace=False)
         w_true[support] = rng.random(3) + 0.05
         w_true /= w_true.sum()
-        result = nnls_solve(grid.columns, grid.columns @ w_true)
+        result = nnls_solve(columns, columns @ w_true)
         assert result.residual <= 2e-5
 
     def test_kkt_conditions_at_exit(self):
-        grid = build_grid(SpinLabel(4), 40)
+        _, columns = build_grid(SpinLabel(4), 40)
         target = np.full(5, 0.2)
-        result = nnls_solve(grid.columns, target)
-        dual = grid.columns.T @ (target - grid.columns @ result.weights)
+        result = nnls_solve(columns, target)
+        dual = columns.T @ (target - columns @ result.weights)
         assert dual.max() <= KKT_TOL
         assert result.weights.min() >= 0.0
 
     def test_iteration_cap_reports_best_iterate(self, monkeypatch):
         monkeypatch.setattr(coherent_analysis, "_CAP_PER_COLUMN", 0)
-        grid = build_grid(SpinLabel(2), 12)
+        _, columns = build_grid(SpinLabel(2), 12)
         target = np.full(3, 1.0 / 3.0)
         with pytest.raises(ConvergenceError) as excinfo:
-            nnls_solve(grid.columns, target)
+            nnls_solve(columns, target)
         best = excinfo.value.result
         assert best is not None
         assert best.weights.shape == (12,)
@@ -147,11 +180,11 @@ class TestNnlsSolve:
 
     def test_iteration_cap_message_names_cap_dual_and_tolerance(self, monkeypatch):
         monkeypatch.setattr(coherent_analysis, "_CAP_PER_COLUMN", 0)
-        grid = build_grid(SpinLabel(2), 12)
+        _, columns = build_grid(SpinLabel(2), 12)
         target = np.full(3, 1.0 / 3.0)
-        dual = float((grid.columns.T @ target).max())  # at w = 0
+        dual = float((columns.T @ target).max())  # at w = 0
         with pytest.raises(ConvergenceError) as excinfo:
-            nnls_solve(grid.columns, target)
+            nnls_solve(columns, target)
         message = str(excinfo.value)
         assert message.startswith("coherent_analysis.nnls_solve: iteration cap 0 ")
         assert f"largest bound dual {dual:.3e}" in message
@@ -167,16 +200,16 @@ class TestWarmStart:
         j, n_nodes = SpinLabel(44), 360
         result = convexity_test(j, 8, n_nodes)
         assert result.residual <= 3.8e-7
-        grid = build_grid(j, n_nodes)
+        _, columns = build_grid(j, n_nodes)
         state = list(islice(coherent_analysis._evolved_populations(j), 9))[-1]
-        dual = grid.columns.T @ (state - grid.columns @ result.weights)
+        dual = columns.T @ (state - columns @ result.weights)
         assert dual[result.weights == 0.0].max() <= KKT_TOL
 
     def test_start_on_the_optimal_support_gives_the_cold_fit(self):
-        grid = build_grid(SpinLabel(4), 40)
+        _, columns = build_grid(SpinLabel(4), 40)
         target = np.full(5, 0.2)
-        cold = nnls_solve(grid.columns, target)
-        warm = nnls_solve(grid.columns, target, start=cold.weights > 0.0)
+        cold = nnls_solve(columns, target)
+        warm = nnls_solve(columns, target, start=cold.weights > 0.0)
         assert np.array_equal(warm.weights > 0.0, cold.weights > 0.0)
         assert warm.residual == cold.residual
 
@@ -184,11 +217,11 @@ class TestWarmStart:
     def test_start_without_a_positive_solution_is_cold(self, support):
         # 40 columns on 5 rows: the least-squares solution on every column
         # has negative entries, so the loop starts from w = 0
-        grid = build_grid(SpinLabel(4), 40)
+        _, columns = build_grid(SpinLabel(4), 40)
         target = coherent_populations(SpinLabel(4), 0.3)
         start = np.full(40, support == "all")
-        cold = nnls_solve(grid.columns, target)
-        warm = nnls_solve(grid.columns, target, start=start)
+        cold = nnls_solve(columns, target)
+        warm = nnls_solve(columns, target, start=start)
         assert warm.residual == cold.residual
         assert np.array_equal(warm.weights, cold.weights)
 
@@ -275,10 +308,11 @@ def test_warm_series_matches_cold_fits(twice_j):
     # each warm fit against a cold nnls_solve on the same grid: the same
     # support and residual bits, except where the state is an exact mixture
     j = SpinLabel(twice_j)
-    grid = build_grid(j, 8 * j.dim)
-    series = convexity_series(j, 8, grid.n_nodes)
+    n_nodes = 8 * j.dim
+    _, columns = build_grid(j, n_nodes)
+    series = convexity_series(j, 8, n_nodes)
     for n, state in enumerate(islice(coherent_analysis._evolved_populations(j), 9)):
-        cold, warm = nnls_solve(grid.columns, state), series[n]
+        cold, warm = nnls_solve(columns, state), series[n]
         if cold.residual < 1e-12:
             assert warm.residual < 1e-12, f"2j={twice_j}, n={n}"
             continue

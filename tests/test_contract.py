@@ -47,6 +47,11 @@ def entry(value):
     return corrupt
 
 
+def below_2_60(low):
+    """A CLI size: 2**60 doubles are more than any numpy array holds."""
+    return kind(rf"^{{name}} must be an integer in \[{low}, 2\*\*60\), got ", {"2**60": 2**60})
+
+
 def exact(message):
     """The message itself, from its start."""
     return "^" + re.escape(message)
@@ -93,11 +98,10 @@ RECORD = "a record: checked when it was built"
 FLAG = "a flag: every object has a truth value"
 
 # Valid records and arrays that rows share.
-GRID = d.build_grid(2, 3)
 KRAUS = d.build_kraus(3)
 STATE = d.FrameState.stretched(3)
 RING = np.linspace(0.0, PI, 2048)
-NNLS_A, NNLS_B = d.build_grid(2, 11).columns, np.full(3, 1.0 / 3.0)
+NNLS_A, NNLS_B = d.build_grid(2, 11)[1], np.full(3, 1.0 / 3.0)
 
 
 def bands(edit):
@@ -198,18 +202,6 @@ ROWS = [
                 + kind(REAL, {"str": "0.5"}) + SCALAR),
       "n_psi": (2, count(1), "classical_walk.ring_average: n_psi")}),
     ("angular_variance", d.angular_variance, {"j": (2, FRAME)}),
-    ("CoherentGrid", d.CoherentGrid,
-     {"j": (2, SPIN),
-      "thetas": (GRID.thetas,
-                 kind(r"^grid angles thetas must be strictly increasing$",
-                      {"nan": [0.0, NAN, PI]})
-                 + kind(r"^grid angles thetas must be a 1-d array of at least 2 angles",
-                        {"empty": [], "one": [0.0], "2-d": [[0.0, PI]]})),
-      "columns": (GRID.columns,
-                  kind(r"every column of columns must sum to 1",
-                       {"nan": lambda c: np.full_like(c, NAN)})
-                  + kind(exact("columns must have shape (3, 3), got (3, 2)"),
-                         {"shape": np.zeros((3, 2))}))}),
     ("DecompositionResult", d.DecompositionResult,
      {"weights": ([1.0], kind(r"^weights must be finite and non-negative$",
                               {"nan": [NAN], "-0.1": [-0.1], "inf": [INF]})
@@ -268,11 +260,13 @@ OUTSIDE = [
      {"command": ("compare", kind(r"^unknown command 'walk'$", {"walk": "walk"})),
       "twice_j": ([2], kind(r"^twice_j must be an integer >= 1, got ",
                             {"0": [2, 0], "2.5": [2.5], "nan": [NAN], "str": ["2"]})
-                  + kind(r"^twice_j must list at least one size$", {"empty": []})),
-      "n_max": (3, count()), "alpha": (0.1, ANGLE),
+                  + kind(r"^twice_j must list at least one size$", {"empty": []})
+                  + kind(exact("twice_j must be an integer in [1, 2**60), got "),
+                         {"2**60": [2, 2**60]})),
+      "n_max": (3, count() + below_2_60(0)), "alpha": (0.1, ANGLE),
       "seed": (1, count() + kind(exact("seed must be an integer in [0, 2**64), got "),
                                  {"2**64": 2**64})),
-      "samples": (5, count(1)), "n_nodes": (5, count(1)),
+      "samples": (5, count(1) + below_2_60(1)), "n_nodes": (5, count(1) + below_2_60(1)),
       "out": (None, "a path: opened when the run writes it")}),
     ("selftest.run_selftest", selftest.run_selftest,
      {"seed": (1, count()), "stream": (io.StringIO(), "a text stream: written as it is")}),
