@@ -23,14 +23,15 @@ def main():
     for twice_j in sizes:
         j = SpinLabel(twice_j)
         n_max = int(np.ceil(5 * half_life(j)))
-        s = evolve(j, n_max)
-        series[twice_j] = s
-        print(f"{twice_j:>4} {half_life(j):>10.2f} {s.max_abs_diff:>20.3e}")
+        fidelity, closed = evolve(j, n_max)
+        series[twice_j] = fidelity, closed
+        gap = np.max(np.abs(fidelity - closed))
+        print(f"{twice_j:>4} {half_life(j):>10.2f} {gap:>20.3e}")
 
     print("\nfirst steps at 2j = 10:")
-    s = series[10]
+    fidelity, closed = series[10]
     for n in range(6):
-        print(f"  n={n}: F_map={s.fidelity[n]:.12f}  F_closed={s.closed_form[n]:.12f}")
+        print(f"  n={n}: F_map={fidelity[n]:.12f}  F_closed={closed[n]:.12f}")
 
     try:
         import matplotlib
@@ -42,9 +43,10 @@ def main():
         return
 
     fig, ax = plt.subplots(figsize=(6, 4))
-    for twice_j, s in series.items():
-        ax.plot(s.steps, s.fidelity, label=f"2j = {twice_j}")
-        ax.plot(s.steps, s.closed_form, "k:", lw=0.8)
+    for twice_j, (fidelity, closed) in series.items():
+        steps = np.arange(len(fidelity))
+        ax.plot(steps, fidelity, label=f"2j = {twice_j}")
+        ax.plot(steps, closed, "k:", lw=0.8)
     ax.axhline(0.5, color="gray", lw=0.5)
     ax.set_xlabel("measurements n")
     ax.set_ylabel("average measurement fidelity")

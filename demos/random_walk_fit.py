@@ -28,16 +28,16 @@ def main():
     print(f"2j = {twice_j}: fitted step = {alpha_fit:.6f} rad "
           f"(about 2/(2j+1) = {2 / (twice_j + 1):.6f})")
 
-    quantum = evolve(j, n_max)
+    quantum, _ = evolve(j, n_max)
     walks = {
-        "fitted": classical_fidelity_series(j, alpha_fit, n_max),
-        "half step": classical_fidelity_series(j, alpha_fit / 2, n_max),
-        "double step": classical_fidelity_series(j, 2 * alpha_fit, n_max),
+        "fitted": classical_fidelity_series(j, alpha_fit, n_max)[0],
+        "half step": classical_fidelity_series(j, alpha_fit / 2, n_max)[0],
+        "double step": classical_fidelity_series(j, 2 * alpha_fit, n_max)[0],
     }
 
     print(f"\n{'step size':>12} {'max |F_C - F_Q|':>18}")
-    for name, series in walks.items():
-        gap = np.max(np.abs(series.fidelity - quantum.fidelity))
+    for name, walk in walks.items():
+        gap = np.max(np.abs(walk - quantum))
         print(f"{name:>12} {gap:>18.3e}")
 
     try:
@@ -50,10 +50,11 @@ def main():
         return
 
     fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(quantum.steps, quantum.fidelity, "k", lw=2, label="quantum map")
+    steps = np.arange(n_max + 1)
+    ax.plot(steps, quantum, "k", lw=2, label="quantum map")
     styles = {"fitted": "C2--", "half step": "C0-.", "double step": "C3:"}
-    for name, series in walks.items():
-        ax.plot(series.steps, series.fidelity, styles[name], label=f"walk, {name}")
+    for name, walk in walks.items():
+        ax.plot(steps, walk, styles[name], label=f"walk, {name}")
     ax.set_xlabel("measurements n")
     ax.set_ylabel("average measurement fidelity")
     ax.legend()

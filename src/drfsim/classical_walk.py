@@ -28,7 +28,7 @@ import numpy as np
 
 from .angular_momentum import _check_frame
 from .errors import AccuracyError, DomainError, _check_count, _check_finite, _check_polar, _real
-from .quantum_drf import FidelitySeries, multipole_spectrum
+from .quantum_drf import multipole_spectrum
 from .tolerances import require
 
 __all__ = [
@@ -168,15 +168,16 @@ def fitted_step(j) -> float:
     return math.acos(1.0 + multipole_spectrum(j).averaged[1])
 
 
-def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
+def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity after each walk step, n = 0 ... n_max, in one vectorised pass.
 
-    Only c_1 enters the fidelity and it scales by P_1(cos alpha) = cos(alpha)
-    per kick, so F_C(n) = [c_0 + c_1 cos(alpha)^n / 3] / 2 is what
-    :func:`walk_evolve` followed by :func:`classical_fidelity` gives at each
-    n.  The series' ``error`` against the closed form 1/2 + A cos(alpha)^n,
+    Returns the pair ``(fidelity, closed_form)`` of float arrays over
+    n = 0 ... n_max.  Only c_1 enters the fidelity and it scales by
+    P_1(cos alpha) = cos(alpha) per kick, so F_C(n) = [c_0 + c_1 cos(alpha)^n / 3] / 2
+    is what :func:`walk_evolve` followed by :func:`classical_fidelity` gives
+    at each n.  Its error against the closed form 1/2 + A cos(alpha)^n,
     A = j/(2j+1) the amplitude of :func:`~drfsim.quantum_drf.multipole_spectrum`,
-    is checked against ``ORACLE_TOL`` before the series is returned.  Requires 2j >= 1.
+    is checked against ``ORACLE_TOL`` before the pair is returned.  Requires 2j >= 1.
     """
     j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
@@ -191,11 +192,12 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> FidelitySeries:
     closed = gains  # 1/2 + A gains, over the gains
     closed *= multipole_spectrum(j).amplitude
     closed += 0.5
-    series = FidelitySeries(j, fid, closed)
-    step = int(np.argmax(series.error))  # the first NaN, if there is one
+    error = np.subtract(fid, closed)
+    np.abs(error, out=error)
+    step = int(np.argmax(error))  # the first NaN, if there is one
     require(f"classical_walk.classical_fidelity_series: 2j={j.twice_j}, step {step}",
-            "walk fidelity |F - F_closed|", series.error[step], "ORACLE_TOL")
-    return series
+            "walk fidelity |F - F_closed|", error[step], "ORACLE_TOL")
+    return fid, closed
 
 
 def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,

@@ -92,26 +92,26 @@ def _abs_diff(a, b):
     return np.abs(diff, out=diff)
 
 
-def _series_columns(series):
-    return [series.steps, series.fidelity, series.closed_form, series.error]
+def _series_columns(fidelity, closed):
+    return [np.arange(len(fidelity)), fidelity, closed, _abs_diff(fidelity, closed)]
 
 
 def _columns_quantum(config: RunConfig, j: SpinLabel):
-    return _series_columns(evolve(j, _n_max(config, j)))
+    return _series_columns(*evolve(j, _n_max(config, j)))
 
 
 def _columns_classical(config: RunConfig, j: SpinLabel):
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    return _series_columns(classical_fidelity_series(j, alpha, _n_max(config, j)))
+    return _series_columns(*classical_fidelity_series(j, alpha, _n_max(config, j)))
 
 
 def _columns_compare(config: RunConfig, j: SpinLabel):
     n_max = _n_max(config, j)
     alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    quantum = evolve(j, n_max)
-    f_c = classical_fidelity_series(j, alpha, n_max).fidelity  # its other arrays are freed
-    return [quantum.steps, quantum.fidelity, quantum.closed_form, f_c,
-            _abs_diff(f_c, quantum.fidelity), quantum.error]
+    f_q, closed = evolve(j, n_max)
+    f_c = classical_fidelity_series(j, alpha, n_max)[0]  # its closed form is freed
+    return [np.arange(n_max + 1), f_q, closed, f_c,
+            _abs_diff(f_c, f_q), _abs_diff(f_q, closed)]
 
 
 def _columns_trajectories(config: RunConfig, j: SpinLabel):
@@ -123,8 +123,11 @@ def _columns_trajectories(config: RunConfig, j: SpinLabel):
 def _columns_coherent(config: RunConfig, j: SpinLabel):
     n_max = config.n_max if config.n_max is not None else 8
     n_nodes = config.n_nodes if config.n_nodes is not None else 8 * j.dim
+    # the step column comes first: a size no array can hold then fails
+    # before any fit, as it does for quantum-evolve
+    steps = np.arange(n_max + 1)
     results = convexity_series(j, n_max, n_nodes)
-    return [np.arange(n_max + 1),
+    return [steps,
             np.array([r.residual for r in results]),
             np.array([r.weight_sum_gap for r in results])]
 

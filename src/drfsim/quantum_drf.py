@@ -28,7 +28,7 @@ half-life elsewhere in the package read their rates from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,13 +36,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
 from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, cg_coefficient
-from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
+from .errors import DomainError, _check_count, _check_finite, _check_member, _index
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
 __all__ = [
     "KrausSet",
     "FrameState",
-    "FidelitySeries",
     "MultipoleSpectrum",
     "build_kraus",
     "transfer_rates",
@@ -392,41 +391,6 @@ def closed_form_fidelity(j, n):
     return out if np.ndim(n) else float(out)
 
 
-@dataclass(frozen=True)
-class FidelitySeries:
-    """Per-step fidelities of one computed route next to the closed form.
-
-    Both are held as float arrays, and the series owns its derived columns:
-    ``error`` = |fidelity - closed_form|, formed once on construction, and
-    ``steps`` = 0 ... n_max.  ``trace_drift`` is the largest |sum p - 1| over
-    the iterated population vectors, for routes that carry them; else None.
-    """
-
-    j: SpinLabel
-    fidelity: np.ndarray
-    closed_form: np.ndarray
-    trace_drift: float | None = None
-    error: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", as_spin(self.j))
-        for name in ("fidelity", "closed_form"):
-            object.__setattr__(self, name, _reals(name, getattr(self, name)))
-        if len(self.fidelity) != len(self.closed_form):
-            raise DomainError(f"fidelity and closed_form must have equal length, got "
-                              f"{len(self.fidelity)} and {len(self.closed_form)}")
-        error = np.subtract(self.fidelity, self.closed_form)
-        object.__setattr__(self, "error", np.abs(error, out=error))
-
-    @property
-    def steps(self) -> np.ndarray:
-        return np.arange(len(self.fidelity))
-
-    @property
-    def max_abs_diff(self) -> float:
-        return float(self.error.max())
-
-
 def _block_length(n_max: int) -> int:
     """Map steps per kernel call in :func:`evolve`.
 
@@ -495,8 +459,11 @@ def _adjoint_rows(m: np.ndarray, rates: np.ndarray, s: int) -> np.ndarray:
     return rows
 
 
-def evolve(j, n_max: int) -> FidelitySeries:
+def evolve(j, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the channel from the aligned state, recording fidelity per step.
+
+    Returns the pair ``(fidelity, closed_form)``: float arrays over steps
+    n = 0 ... n_max of the iterated map and of :func:`closed_form_fidelity`.
 
     The averaged map is M = I - Delta W grad on populations (grad: bond
     differences, W: :func:`transfer_rates`, Delta: flux divergence).  The
@@ -507,7 +474,7 @@ def evolve(j, n_max: int) -> FidelitySeries:
     The block length s grows with ``n_max`` (:func:`_block_length`), so a
     short run does not pay for a long kernel.
 
-    Every step's ``error`` in the series is checked against ``MAP_TOL``,
+    Every step's |F - F_closed| is checked against ``MAP_TOL``,
     which also keeps the fidelity in [1/2, 1] and decaying (see its note).
     Every state held in memory (steps 0, s, 2s, ...) has its smallest
     population checked against ``EIGENVALUE_FLOOR`` and its drift from a
@@ -520,11 +487,9 @@ def evolve(j, n_max: int) -> FidelitySeries:
     j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     fidelity, s, lowest, totals = _map_fidelity(j, n_max)
-    drift = np.abs(totals - 1.0)
-    series = FidelitySeries(j, fidelity, closed_form_fidelity(j, np.arange(n_max + 1)),
-                            trace_drift=float(drift.max()))
-    _check_steps(series, s, lowest, drift)
-    return series
+    closed = closed_form_fidelity(j, np.arange(n_max + 1))
+    _check_steps(j, fidelity, closed, s, lowest, np.abs(totals - 1.0))
+    return fidelity, closed
 
 
 def _map_fidelity(j: SpinLabel, n_max: int):
@@ -561,25 +526,27 @@ def _map_fidelity(j: SpinLabel, n_max: int):
     return fidelity, s, lowest, totals
 
 
-def _check_steps(series: FidelitySeries, s: int, lowest, drift):
+def _check_steps(j: SpinLabel, fidelity, closed, s: int, lowest, drift):
     """Raise at the first step whose held state or fidelity fails its check.
 
     ``lowest`` and ``drift`` (|sum p - 1|) belong to the held states, steps
-    0, s, 2s, ...; ``series.error`` to every step.  At a held step the
-    held-state checks come before the fidelity check.
+    0, s, 2s, ...; the error |F - F_closed|, formed here in one array and
+    freed on return, to every step.  At a held step the held-state checks
+    come before the fidelity check.
     """
-    error = series.error
+    error = np.subtract(fidelity, closed)
+    np.abs(error, out=error)
     held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
     if not (error.max() <= MAP_TOL and held_ok.all()):  # a NaN error fails
         ok = error <= MAP_TOL
         ok[::s] &= held_ok
         step = int(np.argmin(ok))
         i, offset = divmod(step, s)
-        where = f"quantum_drf.evolve: 2j={series.j.twice_j}, step {step}"
+        where = f"quantum_drf.evolve: 2j={j.twice_j}, step {step}"
         if offset == 0:
             require(where, "population", lowest[i], "EIGENVALUE_FLOOR")
             require(where, "|sum of populations - 1|", drift[i], "STRUCTURE_TOL")
-        require(where, f"fidelity {float(series.fidelity[step])!r}, |F - F_closed|",
+        require(where, f"fidelity {float(fidelity[step])!r}, |F - F_closed|",
                 error[step], "MAP_TOL")
 
 

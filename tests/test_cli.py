@@ -635,7 +635,7 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("argv", [
         ["trajectories", "--samples"], ["coherent-test", "--nodes"],
-        ["quantum-evolve", "--n-max"],
+        ["quantum-evolve", "--n-max"], ["coherent-test", "--n-max"],
     ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
     def test_size_just_below_the_bound_fails_to_allocate(self, tmp_path, capsys, argv):
         # numpy refuses 2**59 doubles before it touches memory; run reports it

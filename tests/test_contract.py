@@ -227,13 +227,6 @@ ROWS = [
      {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS), "diagonal": (True, FLAG)}),
     ("FrameState:from_matrix", d.FrameState.from_matrix,
      {"j": (2, SPIN), "matrix": (np.diag([0.0, 0.0, 1.0]), MATRIX)}),
-    ("FidelitySeries", d.FidelitySeries,
-     {"j": (2, SPIN),
-      "fidelity": ([0.8, 0.7], kind(REAL, {"str-entry": [0.8, "0.7"]})),
-      "closed_form": ([0.8, 0.7], kind(exact("fidelity and closed_form must have equal "
-                                             "length, got 2 and 1"), {"short": [0.8]})
-                      + kind(REAL, {"str-entry": [0.8, "0.7"]})),
-      "trace_drift": (None, "a measured drift, reported as it is")}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
     ("transfer_rates", d.transfer_rates, {"j": (2, SPIN)}),
     ("multipole_spectrum", d.multipole_spectrum, {"j": (2, FRAME)}),
