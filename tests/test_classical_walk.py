@@ -514,6 +514,19 @@ class TestFidelitySeries:
         quantum = closed_form_fidelity(j, np.arange(len(fidelity)))
         assert np.max(np.abs(fidelity - quantum)) <= 1e-10
 
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 20, 200])
+    def test_returns_two_float_arrays_over_every_step(self, twice_j):
+        j = SpinLabel(twice_j)
+        returned = classical_fidelity_series(j, 0.4, 40)
+        assert type(returned) is tuple and len(returned) == 2
+        fidelity, closed = returned
+        for array in returned:
+            assert array.dtype == np.float64 and array.shape == (41,)
+        assert not np.shares_memory(fidelity, closed)
+        # the closed form 1/2 + A cos(alpha)^n, A = j/(2j+1)
+        expected = 0.5 + j.j / (2.0 * j.j + 1.0) * math.cos(0.4) ** np.arange(41)
+        assert np.max(np.abs(closed - expected)) <= 1e-15
+
     def test_right_angle_kick_erases_information(self):
         fidelity, _ = classical_fidelity_series(SpinLabel(6), math.pi / 2.0, 5)
         assert np.max(np.abs(fidelity[1:] - 0.5)) < 1e-12

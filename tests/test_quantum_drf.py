@@ -455,6 +455,17 @@ class TestEvolve:
         fidelity, closed = evolve(SpinLabel(10), 100)
         assert np.max(np.abs(fidelity - closed)) <= 1e-10
 
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 20, 200])
+    def test_returns_two_float_arrays_over_every_step(self, twice_j):
+        j = SpinLabel(twice_j)
+        returned = evolve(j, 40)
+        assert type(returned) is tuple and len(returned) == 2
+        fidelity, closed = returned
+        for array in returned:
+            assert array.dtype == np.float64 and array.shape == (41,)
+        assert not np.shares_memory(fidelity, closed)
+        assert np.array_equal(closed, closed_form_fidelity(j, np.arange(41)))
+
     def test_zero_steps(self):
         j = SpinLabel(7)
         fidelity, _ = evolve(j, 0)
