@@ -5,9 +5,12 @@ options and column builder.  ``--seed`` and ``--selftest`` may come before
 or after the command; ``--selftest`` runs the structural invariant suites
 with that seed instead.  Sweeps over several 2j values build and write one
 size after another, one CSV per 2j so every file keeps its fixed column
-schema (``scaling`` puts all its sizes in one table).  A CSV is opened
-before its columns are built and removed if they fail to build or write, so
-a failure at a later size leaves the earlier CSVs and writes no manifest.
+schema (``scaling`` puts all its sizes in one table).  Each CSV and the
+manifest are written under a temporary name beside the output, opened
+before the columns are built and moved onto the output name once written;
+a failed build or write, or SIGTERM during the run, removes it.  So a
+failure at a later size leaves the earlier CSVs and writes no manifest, and
+a killed run leaves no partial file.
 
 Each command builds its table as columns of arrays; floats are written in
 scientific notation with 17 significant digits so they round-trip exactly,
@@ -37,11 +40,16 @@ closed form F_K at the count K = ``n_plus``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
+import signal
 import sys
+import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -420,37 +428,58 @@ def run(config: RunConfig) -> int:
 
     A library error, an unwritable output path, a failed allocation or a size
     past numpy's array limit is reported on stderr as ``error: <command>: ...``, status 1.
+    A failed allocation, or numpy's refusal of a size, also names the 2j of its table.
     """
     started = time.perf_counter()
+    sizes = None
     try:
         tables = _tables(config)
-        report = {",".join(map(str, js)): _run_size(config, js, path)
-                  for js, path in tables}
+        report = {}
+        for js, path in tables:
+            sizes = ",".join(map(str, js))
+            report[sizes] = _run_size(config, js, path)
         _write_manifest(config, [path for _, path in tables], report,
                         time.perf_counter() - started)
     except (DrfsimError, OSError, MemoryError, ValueError) as exc:
-        print(f"error: {config.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # a package error names its 2j and an OSError its path already
+        named = sizes is None or isinstance(exc, (DrfsimError, OSError))
+        where = "" if named else f"2j={sizes}: "
+        print(f"error: {config.command}: {where}{str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, mode: str = "wb", **kwargs):
+    """A file opened under a temporary name beside ``path``, unique to the
+    process, that replaces ``path`` when the block succeeds and is removed
+    when it raises, so a failed or killed run leaves no file at ``path``.
+    A ``path`` that is a directory is refused before the block runs."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _run_size(config: RunConfig, js: list[int], path: Path) -> dict:
     """Open one table's CSV, then build and write its columns; returns its
-    report entry.  A failed build or write removes the CSV.  The columns are
-    dropped on return, so a sweep holds one size at a time."""
+    report entry.  The columns are dropped on return, so a sweep holds one
+    size at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "wb")
-    try:
-        with fh:
-            tic = time.perf_counter()
-            columns = COMMANDS[config.command].build(config, *map(SpinLabel, js))
-            build_s = time.perf_counter() - tic
-            tic = time.perf_counter()
-            csv_bytes = _write_csv(fh, HEADERS[config.command], columns)
-            csv_s = time.perf_counter() - tic
-    except BaseException:
-        path.unlink()
-        raise
+    with _replacing(path) as fh:
+        tic = time.perf_counter()
+        columns = COMMANDS[config.command].build(config, *map(SpinLabel, js))
+        build_s = time.perf_counter() - tic
+        tic = time.perf_counter()
+        csv_bytes = _write_csv(fh, HEADERS[config.command], columns)
+        csv_s = time.perf_counter() - tic
     return {"build_s": build_s, "csv_s": csv_s, "csv_rows": len(columns[0]),
             "csv_bytes": csv_bytes}
 
@@ -471,7 +500,7 @@ def _write_manifest(config: RunConfig, outputs, report, wall_time):
         "report": report,
     }
     path = config.out.with_name(config.out.stem + ".manifest.json")  # beside the CSVs
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -550,7 +579,19 @@ def main(argv=None) -> int:
         return 2
     if "twice_j" not in options:
         parser.error(f"{command}: --twice-j is required")
-    return run(RunConfig(command, **options))
+    config = RunConfig(command, **options)
+    if threading.current_thread() is not threading.main_thread():
+        return run(config)  # only the main thread may handle a signal
+    # SIGTERM raises SystemExit during the run, so the output in progress is removed
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return run(config)
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 if __name__ == "__main__":

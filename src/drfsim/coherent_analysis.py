@@ -205,5 +205,5 @@ def _evolved_populations(j: SpinLabel):
     rates = transfer_rates(j)
     populations = FrameState.stretched(j).populations
     while True:
-        yield FrameState.from_populations(j, populations).data
+        yield FrameState(j, populations).data
         populations = flux_step(populations, rates)

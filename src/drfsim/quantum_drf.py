@@ -242,19 +242,20 @@ def multipole_spectrum(j) -> MultipoleSpectrum:
 class FrameState:
     """Density operator of the frame: trace-1, Hermitian, positive.
 
-    ``data`` is a real population vector when ``diagonal`` is True, otherwise
-    the full complex matrix.  Both representations validate on construction.
+    The number of axes of ``data`` gives the representation: a vector is
+    the real populations of a diagonal state, m ascending, and a matrix is
+    the full complex density matrix.  Both validate on construction.
     """
 
     j: SpinLabel
     data: np.ndarray
-    diagonal: bool
 
     def __post_init__(self):
         object.__setattr__(self, "j", as_spin(self.j))
         d = self.j.dim
         where = f"FrameState: 2j={self.j.twice_j}"
-        if self.diagonal:
+        axes = np.ndim(self.data)
+        if axes == 1:
             arr = np.array(self.data, dtype=float)
             if arr.shape != (d,):
                 raise DomainError(f"{where}: populations must have shape ({d},), "
@@ -262,7 +263,7 @@ class FrameState:
             require(where, "population", arr.min(), "EIGENVALUE_FLOOR", DomainError)
             require(where, "|sum of populations - 1|", abs(arr.sum() - 1.0),
                     "STRUCTURE_TOL", DomainError)
-        else:
+        elif axes == 2:
             arr = np.array(self.data, dtype=complex)
             if arr.shape != (d, d):
                 raise DomainError(f"{where}: matrix must have shape ({d}, {d}), "
@@ -273,6 +274,9 @@ class FrameState:
                     "STRUCTURE_TOL", DomainError)
             require(where, "eigenvalue", np.linalg.eigvalsh(arr).min(),
                     "EIGENVALUE_FLOOR", DomainError)
+        else:
+            raise DomainError(f"{where}: data must have shape ({d},) or ({d}, {d}), "
+                              f"got {np.shape(self.data)}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -284,22 +288,19 @@ class FrameState:
         j = as_spin(j)
         p = np.zeros(j.dim)
         p[-1] = 1.0
-        return cls(j, p, diagonal=True)
+        return cls(j, p)
 
     @classmethod
     def maximally_mixed(cls, j) -> "FrameState":
         j = as_spin(j)
-        return cls(j, np.full(j.dim, 1.0 / j.dim), diagonal=True)
-
-    @classmethod
-    def from_populations(cls, j, populations) -> "FrameState":
-        return cls(j, populations, diagonal=True)
-
-    @classmethod
-    def from_matrix(cls, j, matrix) -> "FrameState":
-        return cls(j, matrix, diagonal=False)
+        return cls(j, np.full(j.dim, 1.0 / j.dim))
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def diagonal(self) -> bool:
+        """True when ``data`` holds populations, False when it holds the matrix."""
+        return self.data.ndim == 1
 
     @property
     def matrix(self) -> np.ndarray:
@@ -314,9 +315,6 @@ class FrameState:
         if self.diagonal:
             return self.data
         return np.real(np.diagonal(self.data))
-
-    def to_dense(self) -> "FrameState":
-        return FrameState(self.j, self.matrix, diagonal=False)
 
 
 def _require_same_spin(state: FrameState, kraus: KrausSet):
@@ -336,9 +334,8 @@ def apply_map(state: FrameState, kraus: KrausSet) -> FrameState:
     """
     _require_same_spin(state, kraus)
     if state.diagonal:
-        out = flux_step(state.data, transfer_rates(state.j))
-        return FrameState.from_populations(state.j, out)
-    return FrameState.from_matrix(state.j, _sandwich(state.data, kraus, OUTCOMES))
+        return FrameState(state.j, flux_step(state.data, transfer_rates(state.j)))
+    return FrameState(state.j, _sandwich(state.data, kraus, OUTCOMES))
 
 
 def _sandwich(rho: np.ndarray, kraus: KrausSet, outcomes) -> np.ndarray:
@@ -571,7 +568,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     require(f"quantum_drf.conditional_update: 2j={state.j.twice_j}",
             f"distance outside [0, 1] of the probability of outcome {outcome:+d}",
             max(-prob, prob - 1.0), "STRUCTURE_TOL")
-    return prob, FrameState(state.j, unnorm / prob, state.diagonal)
+    return prob, FrameState(state.j, unnorm / prob)
 
 
 def sample_trajectory(j, n_max: int, seed):

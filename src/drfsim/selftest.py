@@ -30,12 +30,12 @@ def _random_dense_state(rng, j):
     d = j.dim
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
-    return qd.FrameState.from_matrix(j, rho / rho.trace().real)
+    return qd.FrameState(j, rho / rho.trace().real)
 
 
 def _random_diagonal_state(rng, j):
     p = rng.random(j.dim) + 1e-3
-    return qd.FrameState.from_populations(j, p / p.sum())
+    return qd.FrameState(j, p / p.sum())
 
 
 def _check_kraus_completeness(rng, kraus):
@@ -61,7 +61,7 @@ def _check_diagonal_closure(rng, kraus):
     for tj in (1, 5, 12, 20):
         j = am.SpinLabel(tj)
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        mapped = qd.apply_map(_random_diagonal_state(rng, j).to_dense(), kraus(tj))
+        mapped = qd.apply_map(qd.FrameState(j, _random_diagonal_state(rng, j).matrix), kraus(tj))
         off = mapped.matrix.copy()
         np.fill_diagonal(off, 0.0)
         if not np.all(off == 0.0):

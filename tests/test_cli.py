@@ -7,9 +7,11 @@ import io
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -639,10 +641,11 @@ class TestCliSurface:
     ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
     def test_size_just_below_the_bound_fails_to_allocate(self, tmp_path, capsys, argv):
         # numpy refuses 2**59 doubles before it touches memory; run reports it
+        # with the 2j of the table that asked
         code = main([*argv, str(2**59), "--twice-j", "2", "--out", str(tmp_path / "big.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {argv[0]}: Unable to allocate 4.00 EiB")
+        assert err.startswith(f"error: {argv[0]}: 2j=2: Unable to allocate 4.00 EiB")
         assert "Traceback" not in err
         assert not (tmp_path / "big.csv").exists()
 
@@ -707,6 +710,37 @@ class TestCliSurface:
             "error: quantum-evolve: [Errno 28] No space left on device\n")
         assert chunks == [cli._CSV_CHUNK_ROWS] * 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="SIGTERM ends a process there at once")
+    def test_terminated_run_leaves_no_file(self, tmp_path):
+        # the CSV is written under a temporary name, and SIGTERM raises
+        # SystemExit in main, so the temporary file is removed as well
+        out = tmp_path / "killed.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "drfsim", "quantum-evolve", "--twice-j", "1000",
+             "--out", str(out)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        temporary = tmp_path / f"killed.csv.{proc.pid}.tmp"
+        try:
+            deadline = time.monotonic() + 60.0
+            while not temporary.exists():
+                assert proc.poll() is None, "the run ended before its temporary file was seen"
+                assert time.monotonic() < deadline, "no temporary file after 60 s"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once it has ended
+            proc.wait()
+        assert proc.returncode == 128 + signal.SIGTERM, err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # neither the output nor its temporary file
+
+    def test_main_restores_the_sigterm_handler(self, tmp_path):
+        previous = signal.getsignal(signal.SIGTERM)
+        assert main(["quantum-evolve", "--twice-j", "2", "--n-max", "3",
+                     "--out", str(tmp_path / "q.csv")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv", "q.manifest.json"]
 
     def test_selftest_builds_each_kraus_set_once_per_run(self, monkeypatch):
         from drfsim import quantum_drf, selftest

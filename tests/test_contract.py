@@ -224,9 +224,9 @@ ROWS = [
      {"j": (2, SPIN), "n_max": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
     ("KrausSet", d.KrausSet, {"j": (3, SPIN), "bands": (KRAUS.bands, BANDS)}),
     ("FrameState", d.FrameState,
-     {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS), "diagonal": (True, FLAG)}),
-    ("FrameState:from_matrix", d.FrameState.from_matrix,
-     {"j": (2, SPIN), "matrix": (np.diag([0.0, 0.0, 1.0]), MATRIX)}),
+     {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS)}),
+    ("FrameState:dense", d.FrameState,
+     {"j": (2, SPIN), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX)}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
     ("transfer_rates", d.transfer_rates, {"j": (2, SPIN)}),
     ("multipole_spectrum", d.multipole_spectrum, {"j": (2, FRAME)}),
@@ -238,7 +238,7 @@ ROWS = [
     ("evolve", d.evolve, {"j": (2, FRAME), "n_max": (3, count())}),
     *[(f"conditional_update{variant}", d.conditional_update,
        {"state": (state, RECORD), "kraus": (KRAUS, RECORD), "outcome": (1, OUTCOME)})
-      for variant, state in (("", STATE), (":dense", STATE.to_dense()))],
+      for variant, state in (("", STATE), (":dense", d.FrameState(3, STATE.matrix)))],
     ("sample_trajectory", d.sample_trajectory,
      {"j": (2, FRAME), "n_max": (3, count()), "seed": (1, SEED)}),
     ("conditional_fidelity_table", d.conditional_fidelity_table,

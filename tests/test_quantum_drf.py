@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -173,6 +174,51 @@ class TestFrameState:
         mixed = FrameState.maximally_mixed(j)
         assert np.allclose(mixed.populations, 0.2)
 
+    @pytest.mark.parametrize("shape, diagonal", [
+        ("(d,)", True), ("(d, d)", False),
+        ("()", None), ("(d, 1)", None), ("(1, d)", None), ("(d, d, 1)", None),
+    ])
+    def test_representation_follows_the_axes_of_the_data(self, shape, diagonal):
+        j = SpinLabel(3)
+        p = FrameState.stretched(j).populations
+        m = np.diag(p)
+        data = {"(d,)": p, "(d, d)": m, "()": 1.0, "(d, 1)": p[:, None],
+                "(1, d)": p[None], "(d, d, 1)": m[..., None]}[shape]
+        if diagonal is None:
+            with pytest.raises(DomainError, match=re.escape(f"got {np.shape(data)}")):
+                FrameState(j, data)
+        else:
+            state = FrameState(j, data)
+            assert state.diagonal is diagonal
+            assert np.array_equal(state.data, data)
+
+    @pytest.mark.parametrize("twice_j", range(1, 7))
+    def test_maps_keep_the_representation_and_its_route(self, twice_j):
+        # a vector takes the flux step and the population weights, a matrix
+        # the Kraus sandwich: each route gives its own bits, and the two
+        # agree to rounding
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        diagonal = _random_diagonal_state(np.random.default_rng(twice_j), j)
+        dense = FrameState(j, diagonal.matrix)
+        mapped = apply_map(diagonal, kraus)
+        assert mapped.diagonal
+        assert np.array_equal(mapped.data, flux_step(diagonal.data, transfer_rates(j)))
+        mapped_dense = apply_map(dense, kraus)
+        assert not mapped_dense.diagonal
+        assert np.array_equal(mapped_dense.data,
+                              quantum_drf._sandwich(dense.data, kraus, OUTCOMES))
+        gaps = [mapped.populations - mapped_dense.populations]
+        for outcome in OUTCOMES:
+            (p, after), (p_dense, after_dense) = (conditional_update(state, kraus, outcome)
+                                                  for state in (diagonal, dense))
+            assert after.diagonal and not after_dense.diagonal
+            unnorm = quantum_drf._sandwich(dense.data, kraus, (outcome,))
+            assert p_dense == float(unnorm.trace().real)
+            assert np.array_equal(after_dense.data, unnorm / p_dense)
+            gaps += [[p - p_dense], after.populations - after_dense.populations]
+        assert np.max(np.abs(np.concatenate(gaps))) <= 4 * np.finfo(float).eps
+
     def test_diagonal_matrix_has_exact_zero_offdiagonals(self):
         state = FrameState.stretched(SpinLabel(3))
         m = state.matrix.copy()
@@ -273,7 +319,7 @@ class TestApplyMap:
         rng = np.random.default_rng(7)
         j = SpinLabel(6)
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        state = apply_map(_random_diagonal_state(rng, j).to_dense(), build_kraus(j))
+        state = apply_map(FrameState(j, _random_diagonal_state(rng, j).matrix), build_kraus(j))
         off = state.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0)
@@ -284,7 +330,7 @@ class TestApplyMap:
         kraus = build_kraus(j)
         diag = _random_diagonal_state(rng, j)
         via_diag = apply_map(diag, kraus).populations
-        via_dense = apply_map(diag.to_dense(), kraus).populations
+        via_dense = apply_map(FrameState(j, diag.matrix), kraus).populations
         assert np.max(np.abs(via_diag - via_dense)) < 1e-14
 
     def test_one_step_fidelity_matches_closed_form(self):
@@ -303,7 +349,7 @@ TILT_ANGLES = (0.3, math.pi / 2.0, 2.8)
 def _tilted_aligned(j, u):
     """The aligned state |j, j><j, j| turned by the rotation ``u``, dense."""
     aligned = FrameState.stretched(j).matrix
-    return FrameState.from_matrix(j, u @ aligned @ u.conj().T)
+    return FrameState(j, u @ aligned @ u.conj().T)
 
 
 def _tilted_fidelity(state, kraus, u):
@@ -327,7 +373,7 @@ class TestTiltedFrames:
         worst = 0.0
         for beta in TILT_ANGLES:
             u = rotation(twice_j, beta)
-            turned = FrameState.from_matrix(j, u @ rho.matrix @ u.conj().T)
+            turned = FrameState(j, u @ rho.matrix @ u.conj().T)
             pairs = [(apply_map(turned, kraus), apply_map(rho, kraus))]
             for outcome in OUTCOMES:
                 p_turned, after_turned = conditional_update(turned, kraus, outcome)
@@ -705,7 +751,7 @@ class TestTrajectories:
         })
         state = FrameState.stretched(j)
         if dense:
-            state = state.to_dense()
+            state = FrameState(j, state.matrix)
         pattern = r"conditional_update: 2j=3: .*outcome \+1 .*STRUCTURE_TOL"
         with pytest.raises(InternalConsistencyError, match=pattern):
             conditional_update(state, scaled, +1)
