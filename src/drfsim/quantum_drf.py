@@ -14,9 +14,9 @@ population cannot drift systematically over long runs.  :func:`evolve`
 takes up to 64 steps per kernel call, still in flux form: a banded bond
 operator built by :func:`flux_step`'s arithmetic moves population across
 each bond, and precomputed adjoint rows give the fidelity of every step in
-between.  The Kraus operators from :func:`build_kraus` remain the exact
-Clebsch-Gordan route: they serve dense states, record-conditioned updates
-and the tests.
+between.  Recording outcome c is the same hop at w_k / (2 p_c), so diagonal states
+read no Kraus band: the operators from :func:`build_kraus`, the exact
+Clebsch-Gordan route, serve dense states, :func:`quantum_fidelity` and the tests.
 
 The averaged map and the two per-outcome maps are rotation invariant, so
 they share one multipole eigenbasis, k = 0 ... 2j.  :func:`multipole_spectrum`
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,7 +69,8 @@ class KrausSet:
     frame space, for qubit indices a, b in {0, 1} and outcome c in {+1, -1}.
     Each operator has one non-zero (off-)diagonal, at offset b - a of its
     key: E_ab^c = diag(bands[(a, b, c)], b - a).  The a = b operators are
-    diagonal; the a != b operators shift m by one.
+    diagonal; the a != b operators shift m by one.  Dense states, quantum_fidelity
+    and the tests read the bands; diagonal states step at exact flux rates instead.
     """
 
     j: SpinLabel
@@ -108,25 +109,6 @@ class KrausSet:
     def fidelity_diagonal(self) -> np.ndarray:
         """Diagonal of (E_00^+ + E_11^-)/2, the measurement-success observable."""
         return 0.5 * (self.bands[(0, 0, +1)] + self.bands[(1, 1, -1)])
-
-    @cached_property
-    def _conditional_weights(self) -> dict:
-        """outcome -> (stay, from_above, from_below) population weights.
-
-        p'[k] = stay[k] p[k] + from_above[k] p[k+1] + from_below[k] p[k-1],
-        unnormalised: the weights include the channel's global factor 1/2.
-        The arrays are read-only.
-        """
-        weights = {}
-        for outcome in OUTCOMES:
-            stay = 0.5 * (self.bands[(0, 0, outcome)] ** 2
-                          + self.bands[(1, 1, outcome)] ** 2)
-            up = 0.5 * self.bands[(0, 1, outcome)] ** 2
-            down = 0.5 * self.bands[(1, 0, outcome)] ** 2
-            for arr in (stay, up, down):
-                arr.setflags(write=False)
-            weights[outcome] = (stay, up, down)
-        return weights
 
 
 def _span(offset: int, d: int) -> slice:
@@ -223,6 +205,8 @@ def multipole_spectrum(j) -> MultipoleSpectrum:
     fidelity after n uses is 1/2 + A (1 + x_1)^n with amplitude A = 2j / (2q).
     Each entry is one correctly rounded division of two exact integers, so a
     power taken as exp(n log1p(x)) keeps full relative accuracy.
+    On diagonal states the maps (outcomes normalised) are :func:`flux_step` at w_k of
+    :func:`transfer_rates`, w_k / (2 p+) and w_k / (2 p-), with no Kraus band.
     Requires 2j >= 1 (the J = j - 1/2 branch must exist).
     """
     tj = _check_frame(j).twice_j
@@ -329,8 +313,8 @@ def apply_map(state: FrameState, kraus: KrausSet) -> FrameState:
 
     Preserves trace, positivity, and the diagonal representation (the band
     structure maps diagonal states to diagonal states).  Diagonal states take
-    :func:`flux_step`, the same step :func:`evolve` iterates; dense states
-    are sandwiched between the Kraus operators.
+    :func:`flux_step` at the rates w_k, the step :func:`evolve` iterates, and
+    read no band of ``kraus``; dense states are sandwiched between the bands.
     """
     _require_same_spin(state, kraus)
     if state.diagonal:
@@ -551,32 +535,38 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     """Probability of ``outcome`` and the post-measurement frame state.
 
     The update keeps the measurement record: the returned state is
-    (1/2) sum_ab E_ab^c rho E_ab^c{dag} / p_c with p_c its trace.
+    (1/2) sum_ab E_ab^c rho E_ab^c{dag} / p_c with p_c its trace.  A diagonal state reads
+    no band: p_c is p+ or 1 - p+, and the map :func:`flux_step` at w_k / (2 p_c).
     """
     _require_same_spin(state, kraus)
     outcome = _check_member("outcome", outcome, OUTCOMES)
     if state.diagonal:
-        stay, up, down = kraus._conditional_weights[outcome]
-        p = state.data
-        unnorm = stay * p
-        unnorm[:-1] += up * p[1:]
-        unnorm[1:] += down * p[:-1]
-        prob = float(unnorm.sum())
-    else:
-        unnorm = _sandwich(state.data, kraus, (outcome,))
-        prob = float(unnorm.trace().real)
+        prob, rates = _outcome_rates(state.j.twice_j, outcome)
+        return prob, FrameState(state.j, flux_step(state.data, rates))
+    unnorm = _sandwich(state.data, kraus, (outcome,))
+    prob = float(unnorm.trace().real)
     require(f"quantum_drf.conditional_update: 2j={state.j.twice_j}",
             f"distance outside [0, 1] of the probability of outcome {outcome:+d}",
             max(-prob, prob - 1.0), "STRUCTURE_TOL")
     return prob, FrameState(state.j, unnorm / prob)
 
 
+@lru_cache(maxsize=32)
+def _outcome_rates(twice_j: int, outcome: int):
+    """(p_c, w_k / (2 p_c)) of :func:`conditional_update`, the rates read-only."""
+    p_plus = multipole_spectrum(twice_j).p_plus
+    prob = p_plus if outcome == +1 else 1.0 - p_plus
+    rates = transfer_rates(twice_j) / (2.0 * prob)
+    rates.setflags(write=False)
+    return prob, rates
+
+
 def sample_trajectory(j, n_max: int, seed):
     """Sample one measurement record and the record-conditioned final state.
 
-    Starts from the aligned state; at each step the outcome is drawn with its
-    true probability and the state is updated conditionally.  ``seed`` is an
-    integer >= 0 or a sequence of them, and fixes the record.
+    Starts from the aligned state; each outcome is +1 with probability p+ in every
+    state, and the state takes that outcome's :func:`conditional_update`.  ``seed`` is
+    an integer >= 0 or a sequence of them, and fixes the record.
 
     Returns
     -------
@@ -589,16 +579,11 @@ def sample_trajectory(j, n_max: int, seed):
     n_max = _check_count("n_max", n_max)
     rng = _generator(seed)
     kraus = build_kraus(j)
+    outcomes = np.where(rng.random(n_max) < multipole_spectrum(j).p_plus, +1, -1)
     state = FrameState.stretched(j)
-    outcomes = np.empty(n_max, dtype=int)
     probs = np.empty(n_max)
-    for step in range(n_max):
-        p_plus, state_plus = conditional_update(state, kraus, +1)
-        if rng.random() < p_plus:
-            outcomes[step], probs[step], state = +1, p_plus, state_plus
-        else:
-            _, state_minus = conditional_update(state, kraus, -1)
-            outcomes[step], probs[step], state = -1, 1.0 - p_plus, state_minus
+    for step, outcome in enumerate(outcomes):
+        probs[step], state = conditional_update(state, kraus, outcome)
     return outcomes, probs, state
 
 
@@ -670,7 +655,7 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     K is the least count whose CDF exceeds u (inversion on the table of
     :func:`_count_cdf`).  Sample i's fidelity is F_K of
     :func:`conditional_fidelity_table`.  :func:`sample_trajectory` draws the
-    outcomes one by one instead, as an independent check of the law.
+    outcomes one by one against p+ and steps their flux maps, an independent check.
 
     Returns
     -------

@@ -109,10 +109,10 @@ def _check_coherent_populations(rng, kraus):
         tj = int(rng.integers(1, 21))
         theta = float(rng.uniform(0.0, np.pi))
         j = am.SpinLabel(tj)
-        p = am.coherent_populations(j, theta)
+        p = am.coherent_columns(j, [theta])[:, 0]
         where = f"2j={tj}, theta={theta!r}"
         require(where, "|sum of populations - 1|", abs(p.sum() - 1.0), "STRUCTURE_TOL")
-        mirrored = am.coherent_populations(j, np.pi - theta)
+        mirrored = am.coherent_columns(j, [np.pi - theta])[:, 0]
         require(where, "asymmetry under theta -> pi - theta, m -> -m",
                 np.max(np.abs(p - mirrored[::-1])), "STRUCTURE_TOL")
 

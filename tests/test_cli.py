@@ -806,8 +806,8 @@ class TestCliSurface:
         proc = subprocess.run(
             [sys.executable, "-O", "-c",
              "from drfsim import angular_momentum as am, selftest\n"
-             "exact = am.coherent_populations\n"
-             "am.coherent_populations = lambda j, theta: 1.001 * exact(j, theta)\n"
+             "exact = am.coherent_columns\n"
+             "am.coherent_columns = lambda j, thetas: 1.001 * exact(j, thetas)\n"
              "print(selftest.run_selftest())\n"],
             capture_output=True,
             text=True,

@@ -192,11 +192,11 @@ class TestFrameState:
             assert state.diagonal is diagonal
             assert np.array_equal(state.data, data)
 
-    @pytest.mark.parametrize("twice_j", range(1, 7))
+    @pytest.mark.parametrize("twice_j", [*range(1, 7), 20, 200])
     def test_maps_keep_the_representation_and_its_route(self, twice_j):
-        # a vector takes the flux step and the population weights, a matrix
-        # the Kraus sandwich: each route gives its own bits, and the two
-        # agree to rounding
+        # a vector takes the flux step at each map's rates, a matrix the
+        # Kraus sandwich: each route gives its own bits, and the two agree
+        # to rounding
         j = SpinLabel(twice_j)
         kraus = build_kraus(j)
         diagonal = _random_diagonal_state(np.random.default_rng(twice_j), j)
@@ -209,15 +209,37 @@ class TestFrameState:
         assert np.array_equal(mapped_dense.data,
                               quantum_drf._sandwich(dense.data, kraus, OUTCOMES))
         gaps = [mapped.populations - mapped_dense.populations]
+        p_plus = multipole_spectrum(j).p_plus
         for outcome in OUTCOMES:
             (p, after), (p_dense, after_dense) = (conditional_update(state, kraus, outcome)
                                                   for state in (diagonal, dense))
             assert after.diagonal and not after_dense.diagonal
+            assert p == (p_plus if outcome == +1 else 1.0 - p_plus)
+            assert np.array_equal(after.data,
+                                  flux_step(diagonal.data, transfer_rates(j) / (2 * p)))
             unnorm = quantum_drf._sandwich(dense.data, kraus, (outcome,))
             assert p_dense == float(unnorm.trace().real)
             assert np.array_equal(after_dense.data, unnorm / p_dense)
             gaps += [[p - p_dense], after.populations - after_dense.populations]
         assert np.max(np.abs(np.concatenate(gaps))) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("twice_j", range(1, 9))
+    def test_diagonal_outcome_step_matches_the_exact_table(self, twice_j):
+        # the flux step at w_k / (2 p_c) against the j (x) 1/2 coupling table
+        # in exact rationals: the probability and the normalised populations
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        rng = np.random.default_rng(twice_j)
+        for _ in range(3):
+            state = _random_diagonal_state(rng, j)
+            exact_in = [Fraction(float(v)) for v in state.data]
+            for outcome in OUTCOMES:
+                p, after = conditional_update(state, kraus, outcome)
+                unnorm = exact_outcome_step(twice_j, exact_in, outcome == +1)
+                total = sum(unnorm)
+                assert abs(p - float(total)) <= 4 * np.finfo(float).eps
+                exact_out = np.array([float(v / total) for v in unnorm])
+                assert np.max(np.abs(after.data - exact_out)) <= 4 * np.finfo(float).eps
 
     def test_diagonal_matrix_has_exact_zero_offdiagonals(self):
         state = FrameState.stretched(SpinLabel(3))
@@ -742,32 +764,16 @@ class TestTrajectories:
         joint = np.kron(rho, np.eye(2) / 2.0)
         assert p_plus == pytest.approx(float(np.trace(pi_plus @ joint)), abs=1e-12)
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_bad_probability_names_size_and_tolerance(self, dense):
+    def test_bad_probability_names_size_and_tolerance(self):
         j = SpinLabel(3)
         kraus = build_kraus(j)
         scaled = quantum_drf.KrausSet(j, {
             key: 1.5 * values for key, values in kraus.bands.items()
         })
-        state = FrameState.stretched(j)
-        if dense:
-            state = FrameState(j, state.matrix)
+        state = FrameState(j, FrameState.stretched(j).matrix)
         pattern = r"conditional_update: 2j=3: .*outcome \+1 .*STRUCTURE_TOL"
         with pytest.raises(InternalConsistencyError, match=pattern):
             conditional_update(state, scaled, +1)
-
-    @pytest.mark.parametrize("twice_j", [1, 2, 7])
-    def test_outcome_weights_are_cached_read_only(self, twice_j):
-        kraus = build_kraus(SpinLabel(twice_j))
-        weights = kraus._conditional_weights
-        assert kraus._conditional_weights is weights
-        values = kraus.bands
-        for c in (+1, -1):
-            want = (0.5 * (values[(0, 0, c)] ** 2 + values[(1, 1, c)] ** 2),
-                    0.5 * values[(0, 1, c)] ** 2, 0.5 * values[(1, 0, c)] ** 2)
-            for got, exact in zip(weights[c], want):
-                assert np.array_equal(got, exact)
-                assert not got.flags.writeable
 
     def test_outcome_probabilities_sum_to_one(self):
         j = SpinLabel(3)
@@ -931,3 +937,25 @@ class TestRecordAveraging:
             for _ in range(n):
                 mapped = apply_map(mapped, kraus)
             assert np.max(np.abs(averaged - mapped.populations)) < 1e-12
+
+    @pytest.mark.parametrize("twice_j", range(1, 7))
+    def test_exhaustive_records_give_the_spread_closed_form(self, twice_j):
+        # sum_r P(r) (F_r - 1/2)^2 = A^2 (p+ mu+^2 + p- mu-^2)^n, mu = 1 + x_1
+        # of each outcome: the spread across records that the walk misses
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        spectrum = multipole_spectrum(j)
+        p_plus = spectrum.p_plus
+        mu_plus, mu_minus = 1.0 + spectrum.plus[1], 1.0 + spectrum.minus[1]
+        for n in range(1, 7):
+            spread = 0.0
+            for outcomes in itertools.product(OUTCOMES, repeat=n):
+                state = FrameState.stretched(j)
+                weight = 1.0
+                for c in outcomes:
+                    prob, state = conditional_update(state, kraus, c)
+                    weight *= prob
+                spread += weight * (quantum_fidelity(state, kraus) - 0.5) ** 2
+            want = spectrum.amplitude ** 2 * (p_plus * mu_plus ** 2
+                                              + (1.0 - p_plus) * mu_minus ** 2) ** n
+            assert abs(spread - want) <= 1e-12, f"n={n}: {abs(spread - want):.3e}"
