@@ -9,14 +9,16 @@ Conventions
 -----------
 * Frame basis states are indexed by m ascending, m = -j ... +j.
 * The qubit basis is ``|0>`` (spin up, aligned with the reference axis) and
-  ``|1>`` (spin down); Condon-Shortley phases are used throughout.  All
+  ``|1>`` (spin down), labelled by the index a in {0, 1}: a = 0 is s = +1/2.
+* The coupled branch J = j + c/2 is labelled by the measurement outcome
+  c in {+1, -1} (:data:`OUTCOMES`), as in the Kraus keys (a, b, c).
+* Condon-Shortley phases are used throughout.  All
   physically observable quantities downstream are quadratic in the
   coefficients and therefore convention independent.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ from .errors import DomainError, _check_count, _check_member, _check_polar, _ind
 
 __all__ = [
     "SpinLabel",
-    "CouplingBranch",
     "CGCoefficient",
     "as_spin",
     "cg_coefficient",
@@ -73,19 +74,15 @@ def as_spin(j) -> SpinLabel:
     return SpinLabel(j)
 
 
+OUTCOMES = (+1, -1)  # outcome c of a measurement: the total-J branch J = j + c/2
+
+
 def _check_frame(j) -> SpinLabel:
     """:func:`as_spin` of a frame that has the J = j - 1/2 branch, 2j >= 1."""
     j = as_spin(j)
     if j.twice_j < 1:
         raise DomainError(f"j must have 2j >= 1, got 2j={j.twice_j}")
     return j
-
-
-class CouplingBranch(enum.Enum):
-    """Total-spin branch of j (x) 1/2: J = j + 1/2 (PLUS) or J = j - 1/2 (MINUS)."""
-
-    PLUS = +1
-    MINUS = -1
 
 
 class CGCoefficient(NamedTuple):
@@ -112,13 +109,8 @@ def _check_magnetic(j: SpinLabel, twice_m: int, what: str = "m") -> int:
     return index
 
 
-def _check_branch(branch) -> None:
-    if not isinstance(branch, CouplingBranch):  # +1, "PLUS" or None would read as MINUS
-        raise DomainError(f"branch must be a CouplingBranch member, got {branch!r}")
-
-
-def cg_coefficient(j, twice_m: int, s_up: bool, branch: CouplingBranch) -> CGCoefficient:
-    """Clebsch-Gordan coefficient <J, M | j, m; 1/2, s> for j (x) 1/2 coupling.
+def cg_coefficient(j, twice_m: int, a: int, c: int) -> CGCoefficient:
+    """Clebsch-Gordan coefficient <J, M | j, m; 1/2, s_a> for j (x) 1/2 coupling.
 
     Parameters
     ----------
@@ -126,10 +118,10 @@ def cg_coefficient(j, twice_m: int, s_up: bool, branch: CouplingBranch) -> CGCoe
         Frame spin (an int is read as 2j).
     twice_m : int
         Doubled magnetic number 2m of the frame state.
-    s_up : bool
-        True for the qubit component s = +1/2, False for s = -1/2.
-    branch : CouplingBranch
-        PLUS selects J = j + 1/2, MINUS selects J = j - 1/2.
+    a : int
+        Qubit index: 0 for the component s = +1/2, 1 for s = -1/2.
+    c : int
+        Outcome: +1 selects J = j + 1/2, -1 selects J = j - 1/2.
 
     Returns
     -------
@@ -143,65 +135,42 @@ def cg_coefficient(j, twice_m: int, s_up: bool, branch: CouplingBranch) -> CGCoe
     The closed table for j (x) 1/2 (Condon-Shortley phases), with
     q = 2j + 1:
 
-    ========  =========  ==================
-    branch    s          coefficient
-    ========  =========  ==================
-    PLUS      up         +sqrt((j+m+1)/q)
-    PLUS      down       +sqrt((j-m+1)/q)
-    MINUS     up         -sqrt((j-m)/q)
-    MINUS     down       +sqrt((j+m)/q)
-    ========  =========  ==================
+    ====  ====  ==================
+    c     a     coefficient
+    ====  ====  ==================
+    +1    0     +sqrt((j+m+1)/q)
+    +1    1     +sqrt((j-m+1)/q)
+    -1    0     -sqrt((j-m)/q)
+    -1    1     +sqrt((j+m)/q)
+    ====  ====  ==================
     """
     j = as_spin(j)
     twice_m = _check_magnetic(j, twice_m)
-    _check_branch(branch)
-    if branch is CouplingBranch.MINUS and j.twice_j == 0:
+    a, c = _check_member("a", a, (0, 1)), _check_member("c", c, OUTCOMES)
+    if c == -1 and j.twice_j == 0:
         raise DomainError("the J = j - 1/2 branch does not exist for j = 0")
-
-    denom = 2 * (j.twice_j + 1)  # 2q with q = 2j+1; numerators below are 2*(j+-m...)
-    if branch is CouplingBranch.PLUS:
-        if s_up:
-            num, sign = j.twice_j + twice_m + 2, +1  # 2(j+m+1)
-        else:
-            num, sign = j.twice_j - twice_m + 2, +1  # 2(j-m+1)
-    else:
-        if s_up:
-            num, sign = j.twice_j - twice_m, -1  # 2(j-m)
-        else:
-            num, sign = j.twice_j + twice_m, +1  # 2(j+m)
-    square = Fraction(num, denom)
-    if square == 0:
-        sign = 1
-    return CGCoefficient(sign, square)
+    # the table's numerators over 2q, 2(j+m+1) ... 2(j+m), are 2j + c (2 s_a) 2m + 1 + c
+    square = Fraction(j.twice_j + c * (1 - 2 * a) * twice_m + 1 + c, 2 * (j.twice_j + 1))
+    return CGCoefficient(-1 if (c, a) == (-1, 0) and square else 1, square)
 
 
-def projector_element(
-    j,
-    branch: CouplingBranch,
-    a: int,
-    b: int,
-    twice_m_row: int,
-    twice_m_col: int,
-) -> float:
+def projector_element(j, c: int, a: int, b: int, twice_m_row: int, twice_m_col: int) -> float:
     """Matrix element <j, m_row| <a| Pi_c |b> |j, m_col> of a total-J projector.
 
-    Pi_c projects H_j (x) H_{1/2} onto the total-spin-J multiplet selected by
-    ``branch``; resolving Pi_c = sum_M |J,M><J,M| through the coupling table
-    gives the element as a product of two coefficients.  It vanishes unless
+    Pi_c projects H_j (x) H_{1/2} onto the total-spin J = j + c/2 multiplet;
+    resolving Pi_c = sum_M |J,M><J,M| through the coupling table gives the
+    element as a product of two coefficients.  It vanishes unless
     m_row + s_a = m_col + s_b (conservation of total M), so the (a=b)
     operators are diagonal in m and the (a != b) operators shift m by one.
     """
     j = as_spin(j)
-    _check_branch(branch)
+    c = _check_member("c", c, OUTCOMES)
     a, b = _check_member("a", a, (0, 1)), _check_member("b", b, (0, 1))
     twice_m_row = _check_magnetic(j, twice_m_row, "m_row")
     twice_m_col = _check_magnetic(j, twice_m_col, "m_col")
-    twice_s_a = 1 if a == 0 else -1
-    twice_s_b = 1 if b == 0 else -1
-    if twice_m_row + twice_s_a != twice_m_col + twice_s_b:
+    if twice_m_row - 2 * a != twice_m_col - 2 * b:  # 2 s_a = 1 - 2a
         return 0.0
-    left = cg_coefficient(j, twice_m_row, a == 0, branch)
-    right = cg_coefficient(j, twice_m_col, b == 0, branch)
+    left, right = cg_coefficient(j, twice_m_row, a, c), cg_coefficient(j, twice_m_col, b, c)
     return left.value * right.value
 
 

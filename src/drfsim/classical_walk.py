@@ -28,7 +28,7 @@ import numpy as np
 
 from .angular_momentum import _check_frame
 from .errors import AccuracyError, DomainError, _check_count, _check_finite, _check_polar, _real
-from .quantum_drf import multipole_spectrum
+from .quantum_drf import _first_multipole, multipole_spectrum
 from .tolerances import require
 
 __all__ = [
@@ -163,9 +163,9 @@ def fitted_step(j) -> float:
     quantum map (:func:`~drfsim.quantum_drf.multipole_spectrum`), which is
     what the walk's P_1(cos alpha) must equal.  alpha is approximately 1/j
     for large j, i.e. the ratio of the measured spin's angular momentum to
-    the frame's.  Requires 2j >= 1.
+    the frame's.  Reads x_1 with no table.  Requires 2j >= 1.
     """
-    return math.acos(1.0 + multipole_spectrum(j).averaged[1])
+    return math.acos(1.0 + _first_multipole(j)[0])
 
 
 def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:

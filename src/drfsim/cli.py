@@ -63,7 +63,7 @@ from .angular_momentum import SpinLabel
 from .classical_walk import classical_fidelity_series, fitted_step
 from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, _check_count, _check_polar, _real
-from .quantum_drf import evolve, multipole_spectrum, sample_fidelity_batch
+from .quantum_drf import _first_multipole, evolve, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
 from .tolerances import CSV_FAST_MIN, CSV_TIE_MARGIN
 
@@ -75,11 +75,11 @@ def half_life(j) -> float:
 
         n_half = ln 2 / (-ln(1 + x_1)),  x_1 = -2/(2j+1)^2
 
-    with x_1 from :func:`~drfsim.quantum_drf.multipole_spectrum`.  Grows like
-    (ln 2 / 2) (2j+1)^2, i.e. quadratically in the frame size.  Requires
-    2j >= 1.
+    with x_1 of :func:`~drfsim.quantum_drf.multipole_spectrum`, read with no
+    table.  Grows like (ln 2 / 2) (2j+1)^2, i.e. quadratically in the frame
+    size.  Requires 2j >= 1.
     """
-    return math.log(2.0) / (-math.log1p(multipole_spectrum(j).averaged[1]))
+    return math.log(2.0) / (-math.log1p(_first_multipole(j)[0]))
 
 
 def default_n_max(j) -> int:

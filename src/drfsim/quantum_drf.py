@@ -22,7 +22,7 @@ The averaged map and the two per-outcome maps are rotation invariant, so
 they share one multipole eigenbasis, k = 0 ... 2j.  :func:`multipole_spectrum`
 tabulates their eigenvalues; every closed form here (fidelity decay, the
 record-conditioned fidelity, the outcome probability) and the walk step and
-half-life elsewhere in the package read their rates from it.
+half-life elsewhere in the package read its k = 1 entries, with no table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
-from .angular_momentum import CouplingBranch, SpinLabel, _check_frame, as_spin, cg_coefficient
+from .angular_momentum import OUTCOMES, SpinLabel, _check_frame, as_spin, cg_coefficient
 from .errors import DomainError, _check_count, _check_finite, _check_member, _index
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
@@ -57,7 +57,6 @@ __all__ = [
     "sample_fidelity_batch",
 ]
 
-OUTCOMES = (+1, -1)  # total-J branch drawn in a measurement: J = j +- 1/2
 _KEYS = {(a, b, c) for a in (0, 1) for b in (0, 1) for c in OUTCOMES}  # of KrausSet.bands
 
 
@@ -117,17 +116,18 @@ def _span(offset: int, d: int) -> slice:
 
 
 def build_kraus(j) -> KrausSet:
-    """Assemble the channel's Kraus operators from two coupling columns per branch.
+    """Assemble the channel's Kraus operators from two coupling columns per outcome c.
 
-    Column a holds <J, m + s_a | j, m; 1/2, s_a> over m (s_0 = +1/2).  Band (a, b, c)
-    pairs row m_k with column m_{k + b - a}, at offset b - a, and is column a on its
-    rows times column b on its columns.  Requires 2j >= 1 (J = j - 1/2 must exist).
+    Column a of outcome c holds <j + c/2, m + s_a | j, m; 1/2, s_a> over m (s_0 = +1/2).
+    Band (a, b, c) pairs row m_k with column m_{k + b - a}, at offset b - a, and is
+    column a on its rows times column b on its columns.  Requires 2j >= 1 (J = j - 1/2
+    must exist).
     """
     j = _check_frame(j)
     bands = {}
-    for c, branch in ((+1, CouplingBranch.PLUS), (-1, CouplingBranch.MINUS)):
-        cg = [np.array([cg_coefficient(j, tm, a == 0, branch).value
-                        for tm in j.twice_m_values]) for a in (0, 1)]
+    for c in OUTCOMES:
+        cg = [np.array([cg_coefficient(j, tm, a, c).value for tm in j.twice_m_values])
+              for a in (0, 1)]
         for a in (0, 1):
             for b in (0, 1):
                 bands[(a, b, c)] = cg[a][_span(a - b, j.dim)] * cg[b][_span(b - a, j.dim)]
@@ -144,7 +144,8 @@ def transfer_rates(j) -> np.ndarray:
     k -> k-1 at B_k = k(2j-k+1)/q^2, q = 2j+1.  Since A_k = B_{k+1}, one
     array w_k = (k+1)(2j-k)/q^2, k = 0 ... 2j-1, carries both: it is the
     rate across the bond between k and k+1, in either direction.  Each entry
-    is one correctly rounded division of two exact integers.
+    is one correctly rounded division of two exact integers while q^2 < 2^53
+    (2j < 94 906 265); past that q^2 is rounded to a double first.
     """
     j = as_spin(j)
     k = np.arange(j.twice_j)
@@ -203,23 +204,32 @@ def multipole_spectrum(j) -> MultipoleSpectrum:
 
     so p+ (1 + x+_k) + p- (1 + x-_k) = 1 + x_k.  From the aligned state the
     fidelity after n uses is 1/2 + A (1 + x_1)^n with amplitude A = 2j / (2q).
-    Each entry is one correctly rounded division of two exact integers, so a
-    power taken as exp(n log1p(x)) keeps full relative accuracy.
+    Each entry is one correctly rounded division of two exact integers while
+    q (2j+2) < 2^53, so a power taken as exp(n log1p(x)) keeps full relative
+    accuracy; :func:`_first_multipole` gives the k = 1 entries so at every 2j.
     On diagonal states the maps (outcomes normalised) are :func:`flux_step` at w_k of
     :func:`transfer_rates`, w_k / (2 p+) and w_k / (2 p-), with no Kraus band.
     Requires 2j >= 1 (the J = j - 1/2 branch must exist).
     """
     tj = _check_frame(j).twice_j
-    q = tj + 1
-    k = np.arange(q)
-    numerator = -k * (k + 1)
-    averaged = numerator / (q * q)
-    plus = numerator / (q * (tj + 2))
-    minus = numerator / (q * tj)
-    for table in (averaged, plus, minus):
+    denominators, p_plus, amplitude = _spectrum_constants(tj)
+    k = np.arange(tj + 1)
+    tables = [-k * (k + 1) / d for d in denominators]
+    for table in tables:
         table.setflags(write=False)
-    return MultipoleSpectrum(averaged, plus, minus,
-                             p_plus=(tj + 2) / (2 * q), amplitude=tj / (2 * q))
+    return MultipoleSpectrum(*tables, p_plus=p_plus, amplitude=amplitude)
+
+
+def _spectrum_constants(twice_j: int):
+    """((q^2, q (2j+2), q 2j), p+, A): the three tables' denominators and the weights."""
+    q = twice_j + 1
+    return (q * q, q * (twice_j + 2), q * twice_j), (twice_j + 2) / (2 * q), twice_j / (2 * q)
+
+
+def _first_multipole(j):
+    """(x_1, x+_1, x-_1, p+, A) of :func:`multipole_spectrum`, from Python ints: no table."""
+    denominators, p_plus, amplitude = _spectrum_constants(_check_frame(j).twice_j)
+    return (*(-2 / d for d in denominators), p_plus, amplitude)
 
 
 @dataclass(frozen=True)
@@ -357,7 +367,7 @@ def closed_form_fidelity(j, n):
     rounding 1 + x_1 first would put a relative error of up to n/2 ulp into
     the result (3e-12 at 2j = 1000, n = 1.7e6).
     """
-    spectrum = multipole_spectrum(j)
+    x_1, _, _, _, amplitude = _first_multipole(j)
     n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
     kind = n_arr.dtype.kind
     with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
@@ -365,9 +375,9 @@ def closed_form_fidelity(j, n):
                else np.abs(n_arr - np.rint(n_arr)).max(initial=0))
     if not (gap <= 0 and n_arr.min(initial=0) >= 0):
         raise DomainError(f"step count n must be a non-negative integer, got {n!r}")
-    out = np.multiply(n_arr, np.log1p(spectrum.averaged[1]), out=np.empty(n_arr.shape))
+    out = np.multiply(n_arr, np.log1p(x_1), out=np.empty(n_arr.shape))
     np.exp(out, out=out)
-    out *= spectrum.amplitude
+    out *= amplitude
     out += 0.5
     return out if np.ndim(n) else float(out)
 
@@ -541,8 +551,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     _require_same_spin(state, kraus)
     outcome = _check_member("outcome", outcome, OUTCOMES)
     if state.diagonal:
-        prob, rates = _outcome_rates(state.j.twice_j, outcome)
-        return prob, FrameState(state.j, flux_step(state.data, rates))
+        return _outcome_step(state, outcome)
     unnorm = _sandwich(state.data, kraus, (outcome,))
     prob = float(unnorm.trace().real)
     require(f"quantum_drf.conditional_update: 2j={state.j.twice_j}",
@@ -551,10 +560,16 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     return prob, FrameState(state.j, unnorm / prob)
 
 
+def _outcome_step(state: FrameState, outcome: int):
+    """(p_c, the state after outcome c) of a diagonal state: :func:`flux_step` at w_k / (2 p_c)."""
+    prob, rates = _outcome_rates(state.j.twice_j, outcome)
+    return prob, FrameState(state.j, flux_step(state.data, rates))
+
+
 @lru_cache(maxsize=32)
 def _outcome_rates(twice_j: int, outcome: int):
     """(p_c, w_k / (2 p_c)) of :func:`conditional_update`, the rates read-only."""
-    p_plus = multipole_spectrum(twice_j).p_plus
+    p_plus = _first_multipole(twice_j)[3]
     prob = p_plus if outcome == +1 else 1.0 - p_plus
     rates = transfer_rates(twice_j) / (2.0 * prob)
     rates.setflags(write=False)
@@ -565,8 +580,9 @@ def sample_trajectory(j, n_max: int, seed):
     """Sample one measurement record and the record-conditioned final state.
 
     Starts from the aligned state; each outcome is +1 with probability p+ in every
-    state, and the state takes that outcome's :func:`conditional_update`.  ``seed`` is
-    an integer >= 0 or a sequence of them, and fixes the record.
+    state, and the state takes that outcome's step, the one :func:`conditional_update`
+    makes on a diagonal state (no Kraus set is built).  ``seed`` is an integer >= 0
+    or a sequence of them, and fixes the record.  Requires 2j >= 1.
 
     Returns
     -------
@@ -575,15 +591,14 @@ def sample_trajectory(j, n_max: int, seed):
         each step), the probability each had conditioned on the record
         before it, and the record-conditioned final :class:`FrameState`.
     """
-    j = as_spin(j)
+    j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     rng = _generator(seed)
-    kraus = build_kraus(j)
-    outcomes = np.where(rng.random(n_max) < multipole_spectrum(j).p_plus, +1, -1)
+    outcomes = np.where(rng.random(n_max) < _first_multipole(j)[3], +1, -1)  # p+
     state = FrameState.stretched(j)
     probs = np.empty(n_max)
     for step, outcome in enumerate(outcomes):
-        probs[step], state = conditional_update(state, kraus, outcome)
+        probs[step], state = _outcome_step(state, outcome)
     return outcomes, probs, state
 
 
@@ -600,22 +615,22 @@ def conditional_fidelity_table(j, n: int) -> np.ndarray:
     F_n = 1/2 + A (1 + x+_1)^n.
     """
     n = _check_count("n", n)
-    return _count_fidelity(multipole_spectrum(j), n, np.arange(n + 1))
+    return _count_fidelity(_first_multipole(j), n, np.arange(n + 1))
 
 
-def _count_fidelity(spectrum: MultipoleSpectrum, n: int, counts) -> np.ndarray:
-    """F_K of :func:`conditional_fidelity_table`, evaluated at ``counts`` only.
+def _count_fidelity(constants, n: int, counts) -> np.ndarray:
+    """F_K of :func:`conditional_fidelity_table` at ``counts`` only, from :func:`_first_multipole`.
 
     (n - K) log(1 + x-_1) is formed only where K < n, and where
     1 + x-_1 = 0 (2j = 1) its logarithm is set to -inf, not computed: so
     0^0 = 1 at K = n and no floating-point warning is raised.
     """
-    minus_rate = spectrum.minus[1]
+    _, plus_rate, minus_rate, _, amplitude = constants
     minus_log = np.log1p(minus_rate) if minus_rate > -1.0 else -np.inf
     minus_term = np.multiply(n - counts, minus_log, out=np.zeros(counts.shape),
                              where=counts != n)
-    decay = np.exp(counts * np.log1p(spectrum.plus[1]) + minus_term)
-    return 0.5 + spectrum.amplitude * decay
+    decay = np.exp(counts * np.log1p(plus_rate) + minus_term)
+    return 0.5 + amplitude * decay
 
 
 _CDF_SIGMAS = 40  # half-width of the count CDF's window, in standard deviations
@@ -665,13 +680,13 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     """
     n_samples = _check_count("n_samples", n_samples, 1)
     n_max = _check_count("n_max", n_max)
-    spectrum = multipole_spectrum(j)
+    constants = _first_multipole(j)
     uniforms = _generator(seed).random(n_samples)
-    lo, cdf = _count_cdf(n_max, spectrum.p_plus)
+    lo, cdf = _count_cdf(n_max, constants[3])  # p+
     plus_counts = np.searchsorted(cdf, uniforms, side="right")
     del uniforms  # freed before the fidelities are formed: a peak of four rows
     plus_counts += lo
-    return _count_fidelity(spectrum, n_max, plus_counts), plus_counts
+    return _count_fidelity(constants, n_max, plus_counts), plus_counts
 
 
 def _generator(seed) -> Generator:

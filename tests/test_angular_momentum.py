@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from drfsim import (
-    CouplingBranch,
     DomainError,
     SpinLabel,
     cg_coefficient,
@@ -24,22 +23,17 @@ from drfsim.tolerances import STRUCTURE_TOL
 
 from brute_force import coherent_columns_reference, coupled_projectors, sector_cg
 
-PLUS, MINUS = CouplingBranch.PLUS, CouplingBranch.MINUS
-
-
-def assemble_projector(twice_j, branch):
+def assemble_projector(twice_j, c):
     """Full (2(2j+1))^2 projector from projector_element, qubit index fastest."""
     j = SpinLabel(twice_j)
     dim = 2 * j.dim
     full = np.zeros((dim, dim))
     tm = j.twice_m_values
     for r, m_row in enumerate(tm):
-        for c, m_col in enumerate(tm):
+        for col, m_col in enumerate(tm):
             for a in (0, 1):
                 for b in (0, 1):
-                    full[2 * r + a, 2 * c + b] = projector_element(
-                        j, branch, a, b, m_row, m_col
-                    )
+                    full[2 * r + a, 2 * col + b] = projector_element(j, c, a, b, m_row, m_col)
     return full
 
 
@@ -53,62 +47,60 @@ class TestSpinLabel:
 
 class TestCGCoefficient:
     def test_stretched_state_is_exactly_one(self):
-        coeff = cg_coefficient(SpinLabel(1), 1, True, PLUS)
+        coeff = cg_coefficient(SpinLabel(1), 1, 0, +1)
         assert coeff.sign == 1
         assert coeff.square == Fraction(1)
         assert coeff.value == 1.0
 
     def test_half_spin_value(self):
         # frozen from the 4-dim J^2 diagonalisation oracle
-        coeff = cg_coefficient(SpinLabel(1), -1, True, PLUS)
+        coeff = cg_coefficient(SpinLabel(1), -1, 0, +1)
         assert coeff.value == pytest.approx(math.sqrt(0.5), abs=1e-15)
         assert coeff.square == Fraction(1, 2)
 
     def test_spin_one_value(self):
         # frozen from the 6-dim J^2 diagonalisation oracle
-        coeff = cg_coefficient(SpinLabel(2), 0, True, PLUS)
+        coeff = cg_coefficient(SpinLabel(2), 0, 0, +1)
         assert coeff.value == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
         assert coeff.square == Fraction(2, 3)
 
     def test_minus_branch_sign(self):
-        coeff = cg_coefficient(SpinLabel(2), 0, True, MINUS)
+        coeff = cg_coefficient(SpinLabel(2), 0, 0, -1)
         assert coeff.value == pytest.approx(-math.sqrt(1.0 / 3.0), abs=1e-15)
 
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 5, 8])
     def test_matches_sector_diagonalisation(self, twice_j):
         j = SpinLabel(twice_j)
         for twice_m in j.twice_m_values:
-            for s_up in (True, False):
-                for branch, plus in ((PLUS, True), (MINUS, False)):
-                    got = cg_coefficient(j, int(twice_m), s_up, branch).value
-                    want = sector_cg(twice_j, int(twice_m), s_up, plus)
-                    assert got == pytest.approx(want, abs=1e-12), (
-                        f"2m={twice_m}, s_up={s_up}, branch={branch}"
-                    )
+            for a in (0, 1):
+                for c in (+1, -1):
+                    got = cg_coefficient(j, int(twice_m), a, c).value
+                    want = sector_cg(twice_j, int(twice_m), s_up=a == 0, plus=c == +1)
+                    assert got == pytest.approx(want, abs=1e-12), f"2m={twice_m}, a={a}, c={c}"
 
     def test_numpy_integers_accepted(self):
-        # as 2m, and as the qubit indices a and b
+        # as 2m, as the qubit indices a and b, and as the outcome c
         j = SpinLabel(3)
         for twice_m in j.twice_m_values:
-            assert cg_coefficient(j, twice_m, True, PLUS) == \
-                cg_coefficient(j, int(twice_m), True, PLUS)
-        assert projector_element(j, PLUS, 0, 0, np.int32(1), np.int64(1)) == \
-            projector_element(j, PLUS, 0, 0, 1, 1)
-        assert projector_element(j, PLUS, np.int64(0), np.int8(1), 1, 3) == \
-            projector_element(j, PLUS, 0, 1, 1, 3) != 0.0
+            assert cg_coefficient(j, twice_m, np.int8(0), np.int64(-1)) == \
+                cg_coefficient(j, int(twice_m), 0, -1)
+        assert projector_element(j, np.int32(1), 0, 0, np.int32(1), np.int64(1)) == \
+            projector_element(j, 1, 0, 0, 1, 1)
+        assert projector_element(j, 1, np.int64(0), np.int8(1), 1, 3) == \
+            projector_element(j, 1, 0, 1, 1, 3) != 0.0
 
     def test_minus_branch_at_spin_zero_rejected(self):
         with pytest.raises(DomainError):
-            cg_coefficient(SpinLabel(0), 0, True, MINUS)
+            cg_coefficient(SpinLabel(0), 0, 0, -1)
 
     def test_squares_sum_to_one_within_branches(self):
         # For fixed (m, s) the two branch squares sum to 1 exactly.
         j = SpinLabel(7)
         for twice_m in j.twice_m_values:
-            for s_up in (True, False):
+            for a in (0, 1):
                 total = (
-                    cg_coefficient(j, int(twice_m), s_up, PLUS).square
-                    + cg_coefficient(j, int(twice_m), s_up, MINUS).square
+                    cg_coefficient(j, int(twice_m), a, +1).square
+                    + cg_coefficient(j, int(twice_m), a, -1).square
                 )
                 assert total == Fraction(1)
 
@@ -116,18 +108,18 @@ class TestCGCoefficient:
 class TestProjectorElement:
     def test_diagonal_value_at_top(self):
         # j=1, m=1: <0|Pi_+|0> = (j+m+1)/(2j+1) = 1, from the 6-dim oracle
-        val = projector_element(SpinLabel(2), PLUS, 0, 0, 2, 2)
+        val = projector_element(SpinLabel(2), +1, 0, 0, 2, 2)
         assert val == pytest.approx(1.0, abs=1e-15)
 
     def test_selection_rule_zero(self):
         for twice_j in (1, 2, 5):
             j = SpinLabel(twice_j)
             m = int(j.twice_m_values[0])
-            assert projector_element(j, PLUS, 0, 1, m, m) == 0.0
+            assert projector_element(j, +1, 0, 1, m, m) == 0.0
 
     def test_lower_branch_vanishes_at_stretched_edge(self):
         # <up|Pi_-|up> at m = j is (j-m)/(2j+1) = 0, forced by Pi_+ + Pi_- = I
-        assert projector_element(SpinLabel(1), MINUS, 0, 0, 1, 1) == 0.0
+        assert projector_element(SpinLabel(1), -1, 0, 0, 1, 1) == 0.0
 
     @pytest.mark.parametrize("twice_j", range(1, 21))
     def test_completeness_exhaustive(self, twice_j):
@@ -138,16 +130,16 @@ class TestProjectorElement:
                 for a in (0, 1):
                     for b in (0, 1):
                         total = sum(
-                            projector_element(j, br, a, b, int(m_row), int(m_col))
-                            for br in (PLUS, MINUS)
+                            projector_element(j, c, a, b, int(m_row), int(m_col))
+                            for c in (+1, -1)
                         )
                         expected = 1.0 if (a == b and m_row == m_col) else 0.0
                         assert total == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 5, 8])
     def test_assembled_projectors(self, twice_j):
-        pi_plus = assemble_projector(twice_j, PLUS)
-        pi_minus = assemble_projector(twice_j, MINUS)
+        pi_plus = assemble_projector(twice_j, +1)
+        pi_minus = assemble_projector(twice_j, -1)
         for pi in (pi_plus, pi_minus):
             assert np.max(np.abs(pi @ pi - pi)) < 1e-12
             assert np.max(np.abs(pi - pi.T)) < 1e-12
@@ -158,15 +150,18 @@ class TestProjectorElement:
         assert np.max(np.abs(pi_minus - oracle_minus)) < 1e-12
 
 
-@pytest.mark.parametrize("branch", [+1, -1, "PLUS", None])
-def test_branch_must_be_a_coupling_branch(branch):
-    # each of these once read as J = j - 1/2: 0.25 where PLUS gives 0.75
-    with pytest.raises(DomainError, match="branch"):
-        cg_coefficient(SpinLabel(0), 0, True, branch)
-    with pytest.raises(DomainError, match="branch"):
-        projector_element(SpinLabel(3), branch, 0, 0, 1, 1)
-    with pytest.raises(DomainError, match="branch"):  # before the selection rule's 0
-        projector_element(SpinLabel(3), branch, 0, 1, 1, 1)
+@pytest.mark.parametrize("bad", [0.0, 2, True, "1", None])
+def test_outcome_and_qubit_index_are_checked(bad):
+    # none of these is read as a label; c is checked before the j = 0 branch
+    # error, and both before the selection rule's 0
+    with pytest.raises(DomainError, match=r"^c must be one of \(1, -1\)"):
+        cg_coefficient(SpinLabel(0), 0, 0, bad)
+    with pytest.raises(DomainError, match=r"^c must be one of \(1, -1\)"):
+        projector_element(SpinLabel(3), bad, 0, 1, 1, 1)
+    with pytest.raises(DomainError, match=r"^a must be one of \(0, 1\)"):
+        cg_coefficient(SpinLabel(3), 1, bad, +1)
+    with pytest.raises(DomainError, match=r"^a must be one of \(0, 1\)"):
+        projector_element(SpinLabel(3), +1, bad, 1, 1, 1)
 
 
 class TestCoherentPopulations:

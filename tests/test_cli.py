@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -378,6 +379,25 @@ class TestOtherCommands:
         n_max = default_n_max(SpinLabel(100000))
         assert header == HEADERS["trajectories"] and len(rows) == 200
         assert all(0 <= int(r[1]) <= n_max for r in rows)
+
+    def test_scaling_at_the_top_of_the_size_range(self, tmp_path):
+        # the half-life reads one k = 1 rate, not a table of 2j + 1 entries
+        twice_j = 10**12
+        out = tmp_path / "big.csv"
+        assert main(["scaling", "--twice-j", str(twice_j), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            q = Decimal(twice_j + 1)
+            want = float(Decimal(2).ln() / -(1 - 2 / q**2).ln())
+        assert abs(float(rows[0][1]) - want) <= 4 * math.ulp(want)
+
+    def test_trajectories_at_the_top_of_the_size_range(self, tmp_path):
+        out = tmp_path / "big.csv"
+        assert main(["trajectories", "--twice-j", str(10**12), "--n-max", "10",
+                     "--samples", "5", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == HEADERS["trajectories"] and len(rows) == 5
+        assert all(0.5 < float(r[2]) < 1.0 for r in rows)
 
     def test_seed_before_the_command_is_kept(self, tmp_path):
         # --seed is defined once, for the top level and every command alike,
@@ -776,26 +796,34 @@ class TestCliSurface:
         assert failures[0].startswith("FAIL legendre normalization: 2j=1, n=")
         assert "exceeds STRUCTURE_TOL = 1e-12" in failures[0]
 
-    @pytest.mark.parametrize("mutate, message", [
-        (lambda rho: rho * (1.0 + 1e-9), r"\|trace - 1\| .* exceeds STRUCTURE_TOL = 1e-12"),
+    @pytest.mark.parametrize("mutate, message, fixed_point", [
+        (lambda rho: rho * (1.0 + 1e-9), r"\|trace - 1\| .* exceeds STRUCTURE_TOL = 1e-12",
+         None),
         (lambda rho: rho + np.diag(np.r_[-0.5, np.zeros(len(rho) - 2), 0.5]),
-         r"eigenvalue .* is below EIGENVALUE_FLOOR"),
+         r"eigenvalue .* is below EIGENVALUE_FLOOR",
+         # at 2j = 1 the shifted state is valid, and 0.5 from the fixed point
+         "FAIL maximally mixed fixed point: 2j=1: drift of the maximally mixed state 0.5 "
+         "exceeds STRUCTURE_TOL = 1e-12"),
     ], ids=["trace", "eigenvalue"])
-    def test_selftest_reports_a_broken_sandwich_as_a_failure(self, monkeypatch,
-                                                             mutate, message):
-        # the mapped state's own constructor refuses it; the suite fails with
-        # that message, not as an unexpected error
+    def test_selftest_reports_a_broken_sandwich_as_a_failure(self, monkeypatch, mutate,
+                                                             message, fixed_point):
+        # the mapped state's own constructor refuses it (or the fixed-point
+        # suite its drift); the suite fails with that message, not as an
+        # unexpected error
         from drfsim import quantum_drf, selftest
 
         exact_sandwich = quantum_drf._sandwich
         monkeypatch.setattr(quantum_drf, "_sandwich",
                             lambda *args: mutate(exact_sandwich(*args)))
         stream = io.StringIO()
-        assert selftest.run_selftest(stream=stream) == (7, 3)
+        assert selftest.run_selftest(stream=stream) == (6, 4)
         failures = [line for line in stream.getvalue().splitlines()
                     if line.startswith("FAIL ")]
-        suites = ["trace preservation", "positivity of mapped states", "diagonal closure"]
+        suites = ["trace preservation", "positivity of mapped states", "diagonal closure",
+                  "maximally mixed fixed point"]
         assert [line.split(":")[0] for line in failures] == [f"FAIL {s}" for s in suites]
+        if fixed_point is not None:
+            assert failures.pop() == fixed_point
         for line in failures:
             assert re.match(r"FAIL [a-z ]+: FrameState: 2j=\d+: ", line), line
             assert re.search(message, line), line

@@ -22,7 +22,6 @@ import drfsim as d
 from drfsim import DomainError, cli, selftest
 
 NAN, INF, PI = math.nan, math.inf, math.pi
-PLUS = d.CouplingBranch.PLUS
 
 
 def kind(pattern, bad):
@@ -79,13 +78,13 @@ MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for j=1$",
                  {"1.9": 1.9, "1.0": 1.0, "float64": np.float64(0.0)})
             + kind(r"^2{name}=1 has wrong parity for j=1", {"parity": 1})
             + kind(r"^\|{name}\| exceeds j: 2{name}=4, j=1$", {"range": 4}))
+# Labels: a qubit index a in {0, 1} and an outcome c in {+1, -1}; no other
+# value is read as one.
 QUBIT = kind(r"^{name} must be one of \(0, 1\), got ",
-             {"0.0": 0.0, "2": 2, "-1": -1, "True": True})
-BRANCH = kind(r"^branch must be a CouplingBranch member",
-              {"+1": 1, "-1": -1, "str": "PLUS", "None": None})
-OUTCOME = kind(r"^outcome must be one of \(1, -1\), got ",
-               {"1.0": 1.0, "float64": np.float64(-1.0), "0": 0, "2": 2, "str": "1",
-                "True": True})
+             {"0.0": 0.0, "2": 2, "-1": -1, "True": True, "str": "1", "None": None})
+OUTCOME = kind(r"^{name} must be one of \(1, -1\), got ",
+               {"1.0": 1.0, "float64": np.float64(-1.0), "0": 0, "0.0": 0.0, "2": 2,
+                "str": "1", "True": True, "None": None})
 # An integer >= 0 or a sequence of them: never a caller's generator.
 SEED = [(id_, seed, rf"^seed {re.escape(repr(seed))}: ")
         for id_, seed in {"-1": -1, "2.5": 2.5, "nan": NAN, "None": None, "True": True,
@@ -95,7 +94,6 @@ NONNEGATIVE = (kind(r"^{name} must be finite and non-negative$",
                     {"nan": NAN, "-1e-3": -1e-3, "inf": INF})
                + kind(REAL, {"str": "0"}) + SCALAR)
 RECORD = "a record: checked when it was built"
-FLAG = "a flag: every object has a truth value"
 
 # Valid records and arrays that rows share.
 KRAUS = d.build_kraus(3)
@@ -164,10 +162,9 @@ ROWS = [
     ("SpinLabel", d.SpinLabel, {"twice_j": (2, SPIN)}),
     ("as_spin", d.as_spin, {"j": (2, SPIN)}),
     ("cg_coefficient", d.cg_coefficient,
-     {"j": (2, SPIN), "twice_m": (0, MAGNETIC, "m"), "s_up": (True, FLAG),
-      "branch": (PLUS, BRANCH)}),
+     {"j": (2, SPIN), "twice_m": (0, MAGNETIC, "m"), "a": (0, QUBIT), "c": (1, OUTCOME)}),
     ("projector_element", d.projector_element,
-     {"j": (2, SPIN), "branch": (PLUS, BRANCH), "a": (0, QUBIT), "b": (0, QUBIT),
+     {"j": (2, SPIN), "c": (1, OUTCOME), "a": (0, QUBIT), "b": (0, QUBIT),
       "twice_m_row": (0, MAGNETIC, "m_row"), "twice_m_col": (0, MAGNETIC, "m_col")}),
     ("coherent_populations", d.coherent_populations, {"j": (2, SPIN), "theta": (0.3, ANGLE)}),
     ("coherent_columns", d.coherent_columns,
@@ -274,7 +271,6 @@ EXCEPTIONS = {
                  "and a check would run once per step",
     "CGCoefficient": "a plain record, with no __post_init__",
     "MultipoleSpectrum": "a plain record, with no __post_init__",
-    "CouplingBranch": "an enum: its members are the only values",
 }
 
 

@@ -31,7 +31,7 @@ from drfsim import (
     sample_fidelity_batch,
     sample_trajectory,
 )
-from drfsim.angular_momentum import CouplingBranch, projector_element
+from drfsim.angular_momentum import projector_element
 from drfsim.cli import default_n_max
 from drfsim.quantum_drf import (
     OUTCOMES,
@@ -115,7 +115,7 @@ class TestBuildKraus:
         kraus = build_kraus(j)
         for (a, b, c), values in kraus.bands.items():
             rows, cols = tm[_span(a - b, j.dim)], tm[_span(b - a, j.dim)]
-            want = np.array([projector_element(j, CouplingBranch(c), a, b, row, col)
+            want = np.array([projector_element(j, c, a, b, row, col)
                              for row, col in zip(rows, cols)])
             assert np.array_equal(values.view(np.int64), want.view(np.int64)), (a, b, c)
 
@@ -308,6 +308,8 @@ class TestMultipoleSpectrum:
             assert s.minus[1] == -2.0 / ((tj + 1) * tj)
             assert s.p_plus == (tj + 2) / (2.0 * (tj + 1))
             assert s.amplitude == tj / (2.0 * q)
+            assert quantum_drf._first_multipole(tj) == (
+                s.averaged[1], s.plus[1], s.minus[1], s.p_plus, s.amplitude)
 
     def test_tables_are_read_only(self):
         s = multipole_spectrum(SpinLabel(4))
@@ -321,8 +323,9 @@ class TestApplyMap:
     def test_maximally_mixed_is_fixed_point(self, twice_j):
         j = SpinLabel(twice_j)
         mixed = FrameState.maximally_mixed(j)
-        mapped = apply_map(mixed, build_kraus(j))
-        assert np.max(np.abs(mapped.populations - mixed.populations)) < 1e-12
+        # dense, so the Kraus bands act: the uniform vector has no flux to step
+        mapped = apply_map(FrameState(j, mixed.matrix), build_kraus(j))
+        assert np.max(np.abs(mapped.matrix - mixed.matrix)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(twice_j=st.integers(min_value=1, max_value=20),
@@ -784,6 +787,20 @@ class TestTrajectories:
             p_minus, _ = conditional_update(state, kraus, np.int64(-1))  # an index
             assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
             state = state_plus
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 7, 200])
+    def test_record_steps_as_conditional_update_without_a_kraus_set(self, twice_j,
+                                                                    monkeypatch):
+        # the same bits as conditional_update's diagonal route, with no Kraus set built
+        j = SpinLabel(twice_j)
+        kraus = build_kraus(j)
+        monkeypatch.setattr(quantum_drf, "build_kraus", None)
+        outcomes, probabilities, final = sample_trajectory(j, 50, seed=twice_j)
+        state = FrameState.stretched(j)
+        for outcome, probability in zip(outcomes, probabilities):
+            want, state = conditional_update(state, kraus, outcome)
+            assert probability == want
+        assert np.array_equal(final.data, state.data)
 
     def test_record_fields_are_consistent(self):
         outcomes, probabilities, _ = sample_trajectory(SpinLabel(2), 25, seed=5)
