@@ -12,8 +12,7 @@ The two agree to ~1e-14 at every step: the law is exact, not asymptotic.
 
 import numpy as np
 
-from drfsim import SpinLabel, evolve
-from drfsim.cli import half_life
+from drfsim import SpinLabel, evolve, half_life
 
 
 def main():

@@ -11,8 +11,7 @@ steps to wander a fixed angle.
 
 import numpy as np
 
-from drfsim import SpinLabel, fitted_step
-from drfsim.cli import half_life
+from drfsim import SpinLabel, fitted_step, half_life
 
 
 def main():

@@ -15,8 +15,9 @@ from .classical_walk import *
 from .coherent_analysis import *
 from .errors import *
 from .quantum_drf import *
+from .spectrum import *
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__", *angular_momentum.__all__, *classical_walk.__all__,
-           *coherent_analysis.__all__, *errors.__all__, *quantum_drf.__all__]
+           *coherent_analysis.__all__, *errors.__all__, *quantum_drf.__all__, *spectrum.__all__]

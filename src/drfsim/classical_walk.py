@@ -28,7 +28,7 @@ import numpy as np
 
 from .angular_momentum import _check_frame
 from .errors import AccuracyError, DomainError, _check_count, _check_finite, _check_polar, _real
-from .quantum_drf import _first_multipole, multipole_spectrum
+from .spectrum import _first_multipole
 from .tolerances import require
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "walk_evolve",
     "classical_fidelity",
     "classical_fidelity_series",
-    "fitted_step",
     "ring_average",
     "angular_variance",
 ]
@@ -156,18 +155,6 @@ def classical_fidelity(spec: LegendreSpectrum) -> float:
     return 0.5 * (spec.coeffs[0] + spec.coeffs[1] / 3.0)
 
 
-def fitted_step(j) -> float:
-    """Kick angle that makes the walk reproduce the quantum fidelity decay.
-
-    cos(alpha) is the k = 1 eigenvalue 1 + x_1 = 1 - 2/(2j+1)^2 of the
-    quantum map (:func:`~drfsim.quantum_drf.multipole_spectrum`), which is
-    what the walk's P_1(cos alpha) must equal.  alpha is approximately 1/j
-    for large j, i.e. the ratio of the measured spin's angular momentum to
-    the frame's.  Reads x_1 with no table.  Requires 2j >= 1.
-    """
-    return math.acos(1.0 + _first_multipole(j)[0])
-
-
 def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Fidelity after each walk step, n = 0 ... n_max, in one vectorised pass.
 
@@ -175,14 +162,15 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, 
     n = 0 ... n_max.  Only c_1 enters the fidelity and it scales by
     P_1(cos alpha) = cos(alpha) per kick, so F_C(n) = [c_0 + c_1 cos(alpha)^n / 3] / 2
     is what :func:`walk_evolve` followed by :func:`classical_fidelity` gives
-    at each n.  Its error against the closed form 1/2 + A cos(alpha)^n,
-    A = j/(2j+1) the amplitude of :func:`~drfsim.quantum_drf.multipole_spectrum`,
-    is checked against ``ORACLE_TOL`` before the pair is returned.  Requires 2j >= 1.
+    at each n; c_0 = 1 and c_1 are the two roundings :func:`initial_spectrum`
+    makes, with no table.  Its error against the closed form 1/2 + A cos(alpha)^n
+    (:mod:`~drfsim.spectrum`) is checked against ``ORACLE_TOL`` before the pair
+    is returned.  Requires 2j >= 1.
     """
     j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     alpha = _check_polar("alpha", _real("alpha", alpha))
-    c0, c1 = initial_spectrum(j).coeffs[:2]
+    c0, c1 = 1.0, 3 * (j.twice_j / (j.twice_j + 1))  # 3 N/(N + 2) rounded once, N = 4j
     gains = np.arange(n_max + 1, dtype=float)
     np.power(math.cos(alpha), gains, out=gains)  # cos(alpha)^n
     fid = np.multiply(gains, c1)  # 0.5 (c0 + c1 gains / 3), in place
@@ -190,7 +178,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, 
     fid += c0
     fid *= 0.5
     closed = gains  # 1/2 + A gains, over the gains
-    closed *= multipole_spectrum(j).amplitude
+    closed *= _first_multipole(j)[4]
     closed += 0.5
     error = np.subtract(fid, closed)
     np.abs(error, out=error)

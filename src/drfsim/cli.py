@@ -45,7 +45,6 @@ import dataclasses
 import errno
 import functools
 import json
-import math
 import os
 import signal
 import sys
@@ -60,31 +59,15 @@ import numpy as np
 
 from . import __version__
 from .angular_momentum import SpinLabel
-from .classical_walk import classical_fidelity_series, fitted_step
+from .classical_walk import classical_fidelity_series
 from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, _check_count, _check_polar, _real
-from .quantum_drf import _first_multipole, evolve, sample_fidelity_batch
+from .quantum_drf import evolve, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
+from .spectrum import default_n_max, fitted_step, half_life
 from .tolerances import CSV_FAST_MIN, CSV_TIE_MARGIN
 
-__all__ = ["RunConfig", "run", "main", "half_life", "default_n_max", "HEADERS"]
-
-
-def half_life(j) -> float:
-    """Steps after which the decaying part of the fidelity has halved.
-
-        n_half = ln 2 / (-ln(1 + x_1)),  x_1 = -2/(2j+1)^2
-
-    with x_1 of :func:`~drfsim.quantum_drf.multipole_spectrum`, read with no
-    table.  Grows like (ln 2 / 2) (2j+1)^2, i.e. quadratically in the frame
-    size.  Requires 2j >= 1.
-    """
-    return math.log(2.0) / (-math.log1p(_first_multipole(j)[0]))
-
-
-def default_n_max(j) -> int:
-    """Sweep length reaching the decay plateau: ceil(5 * half_life)."""
-    return math.ceil(5.0 * half_life(j))
+__all__ = ["RunConfig", "run", "main", "HEADERS"]
 
 
 # -- per-command column builders (pure functions of the config) ---------------

@@ -21,7 +21,8 @@ import numpy as np
 
 from .angular_momentum import SpinLabel, as_spin, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
-from .quantum_drf import FrameState, flux_step, transfer_rates
+from .quantum_drf import FrameState, flux_step
+from .spectrum import transfer_rates
 from .tolerances import KKT_TOL, require
 
 __all__ = [

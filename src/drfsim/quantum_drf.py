@@ -2,9 +2,9 @@
 
 Each use of the frame measures the total angular momentum of the frame plus
 one maximally mixed qubit, which degrades the frame.  Averaged over outcomes
-this is a channel built from eight band-structured Kraus operators; its
-measurement fidelity obeys a closed-form geometric decay which this module
-both iterates exactly and evaluates directly.
+this is a channel built from eight band-structured Kraus operators; this
+module iterates it exactly, and checks every step against the closed-form
+decay of :mod:`~drfsim.spectrum`, the home of the channel's eigenvalues.
 
 The channel never creates coherences, so diagonal states keep only their
 2j+1 populations.  On those the averaged map is a nearest-neighbour hop in
@@ -17,12 +17,6 @@ each bond, and precomputed adjoint rows give the fidelity of every step in
 between.  Recording outcome c is the same hop at w_k / (2 p_c), so diagonal states
 read no Kraus band: the operators from :func:`build_kraus`, the exact
 Clebsch-Gordan route, serve dense states, :func:`quantum_fidelity` and the tests.
-
-The averaged map and the two per-outcome maps are rotation invariant, so
-they share one multipole eigenbasis, k = 0 ... 2j.  :func:`multipole_spectrum`
-tabulates their eigenvalues; every closed form here (fidelity decay, the
-record-conditioned fidelity, the outcome probability) and the walk step and
-half-life elsewhere in the package read its k = 1 entries, with no table.
 """
 
 from __future__ import annotations
@@ -37,23 +31,19 @@ from numpy.random import Generator, default_rng  # loaded with the package, not 
 
 from .angular_momentum import OUTCOMES, SpinLabel, _check_frame, as_spin, cg_coefficient
 from .errors import DomainError, _check_count, _check_finite, _check_member, _index
+from .spectrum import _count_fidelity, _first_multipole, closed_form_fidelity, transfer_rates
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
 __all__ = [
     "KrausSet",
     "FrameState",
-    "MultipoleSpectrum",
     "build_kraus",
-    "transfer_rates",
     "flux_step",
-    "multipole_spectrum",
     "apply_map",
     "quantum_fidelity",
-    "closed_form_fidelity",
     "evolve",
     "conditional_update",
     "sample_trajectory",
-    "conditional_fidelity_table",
     "sample_fidelity_batch",
 ]
 
@@ -137,21 +127,6 @@ def build_kraus(j) -> KrausSet:
     return kraus
 
 
-def transfer_rates(j) -> np.ndarray:
-    """Hop rates of the averaged map on populations, from integers.
-
-    With k = j + m, population moves k -> k+1 at A_k = (2j-k)(k+1)/q^2 and
-    k -> k-1 at B_k = k(2j-k+1)/q^2, q = 2j+1.  Since A_k = B_{k+1}, one
-    array w_k = (k+1)(2j-k)/q^2, k = 0 ... 2j-1, carries both: it is the
-    rate across the bond between k and k+1, in either direction.  Each entry
-    is one correctly rounded division of two exact integers while q^2 < 2^53
-    (2j < 94 906 265); past that q^2 is rounded to a double first.
-    """
-    j = as_spin(j)
-    k = np.arange(j.twice_j)
-    return ((k + 1) * (j.twice_j - k)) / float((j.twice_j + 1) ** 2)
-
-
 def flux_step(populations: np.ndarray, rates: np.ndarray, out=None) -> np.ndarray:
     """One step of the averaged map on a population vector, in flux form.
 
@@ -172,64 +147,6 @@ def flux_step(populations: np.ndarray, rates: np.ndarray, out=None) -> np.ndarra
     out[..., :-1] -= flux
     out[..., 1:] += flux
     return out
-
-
-@dataclass(frozen=True)
-class MultipoleSpectrum:
-    """Eigenvalues 1 + x_k of the frame's population maps, k = 0 ... 2j.
-
-    ``averaged`` holds x_k of the outcome-averaged map; ``plus`` and
-    ``minus`` hold those of the maps that record J = j + 1/2 and J = j - 1/2,
-    each divided by its outcome probability.  That probability is the same
-    in every state: ``p_plus`` for +1 and 1 - ``p_plus`` for -1.
-    ``amplitude`` is the weight of the k = 1 multipole in the fidelity of
-    the aligned state.
-    """
-
-    averaged: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-    p_plus: float
-    amplitude: float
-
-
-def multipole_spectrum(j) -> MultipoleSpectrum:
-    """Eigenvalues of the averaged and the per-outcome maps, as offsets from 1.
-
-    With q = 2j + 1 and k = 0 ... 2j the eigenvalues are 1 + x_k, where
-
-        averaged map:  x_k  = -k(k+1) / q^2,
-        outcome +1:    x+_k = -k(k+1) / (q (2j+2)),  probability p+ = (2j+2) / (2q),
-        outcome -1:    x-_k = -k(k+1) / (q 2j),      probability p- = 2j / (2q),
-
-    so p+ (1 + x+_k) + p- (1 + x-_k) = 1 + x_k.  From the aligned state the
-    fidelity after n uses is 1/2 + A (1 + x_1)^n with amplitude A = 2j / (2q).
-    Each entry is one correctly rounded division of two exact integers while
-    q (2j+2) < 2^53, so a power taken as exp(n log1p(x)) keeps full relative
-    accuracy; :func:`_first_multipole` gives the k = 1 entries so at every 2j.
-    On diagonal states the maps (outcomes normalised) are :func:`flux_step` at w_k of
-    :func:`transfer_rates`, w_k / (2 p+) and w_k / (2 p-), with no Kraus band.
-    Requires 2j >= 1 (the J = j - 1/2 branch must exist).
-    """
-    tj = _check_frame(j).twice_j
-    denominators, p_plus, amplitude = _spectrum_constants(tj)
-    k = np.arange(tj + 1)
-    tables = [-k * (k + 1) / d for d in denominators]
-    for table in tables:
-        table.setflags(write=False)
-    return MultipoleSpectrum(*tables, p_plus=p_plus, amplitude=amplitude)
-
-
-def _spectrum_constants(twice_j: int):
-    """((q^2, q (2j+2), q 2j), p+, A): the three tables' denominators and the weights."""
-    q = twice_j + 1
-    return (q * q, q * (twice_j + 2), q * twice_j), (twice_j + 2) / (2 * q), twice_j / (2 * q)
-
-
-def _first_multipole(j):
-    """(x_1, x+_1, x-_1, p+, A) of :func:`multipole_spectrum`, from Python ints: no table."""
-    denominators, p_plus, amplitude = _spectrum_constants(_check_frame(j).twice_j)
-    return (*(-2 / d for d in denominators), p_plus, amplitude)
 
 
 @dataclass(frozen=True)
@@ -355,31 +272,6 @@ def quantum_fidelity(state: FrameState, kraus: KrausSet) -> float:
     """
     _require_same_spin(state, kraus)
     return float(np.dot(state.populations, kraus.fidelity_diagonal))
-
-
-def closed_form_fidelity(j, n):
-    """Exact measurement fidelity after n measurements from the aligned state.
-
-        F(n) = 1/2 + A (1 + x_1)^n,  A = j / (2j+1),  x_1 = -2 / (2j+1)^2,
-
-    the k = 1 entries of :func:`multipole_spectrum`.  ``n`` may be a scalar
-    or an array of step counts.  The power is taken as exp(n log1p(x_1)):
-    rounding 1 + x_1 first would put a relative error of up to n/2 ulp into
-    the result (3e-12 at 2j = 1000, n = 1.7e6).
-    """
-    x_1, _, _, _, amplitude = _first_multipole(j)
-    n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
-    kind = n_arr.dtype.kind
-    with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
-        gap = (0 if kind in "iu" else np.nan if kind != "f"  # a string is not parsed
-               else np.abs(n_arr - np.rint(n_arr)).max(initial=0))
-    if not (gap <= 0 and n_arr.min(initial=0) >= 0):
-        raise DomainError(f"step count n must be a non-negative integer, got {n!r}")
-    out = np.multiply(n_arr, np.log1p(x_1), out=np.empty(n_arr.shape))
-    np.exp(out, out=out)
-    out *= amplitude
-    out += 0.5
-    return out if np.ndim(n) else float(out)
 
 
 def _block_length(n_max: int) -> int:
@@ -602,37 +494,6 @@ def sample_trajectory(j, n_max: int, seed):
     return outcomes, probs, state
 
 
-def conditional_fidelity_table(j, n: int) -> np.ndarray:
-    """F_K, the fidelity after n uses given K outcomes +1, for K = 0 ... n.
-
-    Each use gives +1 with probability p+ in every state and the per-outcome
-    maps commute, so with the k = 1 entries of :func:`multipole_spectrum`
-
-        F_K = 1/2 + A (1 + x+_1)^K (1 + x-_1)^(n-K).
-
-    Powers go through log1p as in :func:`closed_form_fidelity`.  At 2j = 1,
-    1 + x-_1 = 0, so F_K = 1/2 for K < n, and 0^0 = 1 leaves
-    F_n = 1/2 + A (1 + x+_1)^n.
-    """
-    n = _check_count("n", n)
-    return _count_fidelity(_first_multipole(j), n, np.arange(n + 1))
-
-
-def _count_fidelity(constants, n: int, counts) -> np.ndarray:
-    """F_K of :func:`conditional_fidelity_table` at ``counts`` only, from :func:`_first_multipole`.
-
-    (n - K) log(1 + x-_1) is formed only where K < n, and where
-    1 + x-_1 = 0 (2j = 1) its logarithm is set to -inf, not computed: so
-    0^0 = 1 at K = n and no floating-point warning is raised.
-    """
-    _, plus_rate, minus_rate, _, amplitude = constants
-    minus_log = np.log1p(minus_rate) if minus_rate > -1.0 else -np.inf
-    minus_term = np.multiply(n - counts, minus_log, out=np.zeros(counts.shape),
-                             where=counts != n)
-    decay = np.exp(counts * np.log1p(plus_rate) + minus_term)
-    return 0.5 + amplitude * decay
-
-
 _CDF_SIGMAS = 40  # half-width of the count CDF's window, in standard deviations
 
 
@@ -663,14 +524,14 @@ def _count_cdf(n: int, p: float):
 def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     """Monte-Carlo sample of record-conditioned fidelities after ``n_max`` uses.
 
-    Each use gives +1 with probability p+ of :func:`multipole_spectrum` in
-    every state, so the count K of +1 outcomes in a record is exactly
-    Binomial(n_max, p+).  ``numpy.random.default_rng(seed)``, ``seed`` an
-    integer >= 0 or a sequence of them, gives one uniform u per sample, and
-    K is the least count whose CDF exceeds u (inversion on the table of
-    :func:`_count_cdf`).  Sample i's fidelity is F_K of
-    :func:`conditional_fidelity_table`.  :func:`sample_trajectory` draws the
-    outcomes one by one against p+ and steps their flux maps, an independent check.
+    Each use gives +1 with probability p+ in every state (:mod:`~drfsim.spectrum`),
+    so the count K of +1 outcomes in a record is exactly Binomial(n_max, p+).
+    ``numpy.random.default_rng(seed)``, ``seed`` an integer >= 0 or a sequence
+    of them, gives one uniform u per sample, and K is the least count whose
+    CDF exceeds u (inversion on the table of :func:`_count_cdf`).  Sample i's
+    fidelity is F_K of :func:`~drfsim.spectrum.conditional_fidelity_table`.
+    :func:`sample_trajectory` draws the outcomes one by one against p+ and
+    steps their flux maps, an independent check.
 
     Returns
     -------

@@ -20,6 +20,7 @@ from . import classical_walk as cw
 from . import coherent_analysis as ca
 from . import quantum_drf as qd
 from .errors import DrfsimError, InternalConsistencyError, _check_count
+from .spectrum import fitted_step
 from .tolerances import require
 
 DEFAULT_SEED = 1234
@@ -84,7 +85,7 @@ def _check_legendre_normalization(rng, kraus):
     # c_l(0) P_l(cos alpha)^n by the closed forms of P_1 and P_2
     for tj in _TWICE_J_RANGE:
         spec = cw.initial_spectrum(am.SpinLabel(tj))
-        alpha = cw.fitted_step(am.SpinLabel(tj))
+        alpha = fitted_step(am.SpinLabel(tj))
         n = int(rng.integers(1, 50))
         walked = cw.walk_evolve(spec, alpha, n)
         x = np.cos(alpha)
@@ -98,7 +99,7 @@ def _check_reconstruction_positivity(rng, kraus):
     for tj in (1, 4, 10, 20):
         j = am.SpinLabel(tj)
         spec = cw.initial_spectrum(j)
-        alpha = cw.fitted_step(j)
+        alpha = fitted_step(j)
         for n in (1, tj**2, 5 * tj**2):
             walked = cw.walk_evolve(spec, alpha, n)
             require(f"2j={tj}, n={n}", "dip of the reconstruction below 0",

@@ -20,17 +20,17 @@ from drfsim import (
     build_kraus,
     classical_fidelity,
     closed_form_fidelity,
+    conditional_fidelity_table,
     conditional_update,
     convexity_test,
     evolve,
     fitted_step,
+    half_life,
     initial_spectrum,
     sample_fidelity_batch,
     walk_evolve,
     angular_variance,
 )
-from drfsim.cli import half_life
-from drfsim.quantum_drf import conditional_fidelity_table
 from drfsim.selftest import run_selftest
 
 

@@ -22,6 +22,7 @@ from drfsim import (
     classical_fidelity_series,
     closed_form_fidelity,
     coherent_columns,
+    default_n_max,
     evolve,
     fitted_step,
     initial_spectrum,
@@ -30,7 +31,7 @@ from drfsim import (
     sample_fidelity_batch,
 )
 from drfsim import cli
-from drfsim.cli import COMMANDS, RunConfig, default_n_max
+from drfsim.cli import COMMANDS, RunConfig
 
 J = SpinLabel(200)
 N_MAX = default_n_max(J)

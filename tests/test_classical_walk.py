@@ -1,6 +1,5 @@
 """Legendre pipeline against quadrature and grid ring-average oracles."""
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -557,9 +556,9 @@ class TestFidelitySeries:
     def test_closed_form_check_names_size_step_and_tolerance(self, monkeypatch):
         # an amplitude 1e-9 off breaks ORACLE_TOL most at step 0, where
         # cos(alpha)^n = 1
-        spectrum = classical_walk.multipole_spectrum
-        monkeypatch.setattr(classical_walk, "multipole_spectrum", lambda j: dataclasses.replace(
-            spectrum(j), amplitude=spectrum(j).amplitude + 1e-9))
+        first = classical_walk._first_multipole
+        monkeypatch.setattr(classical_walk, "_first_multipole",
+                            lambda j: (*first(j)[:4], first(j)[4] + 1e-9))
         with pytest.raises(InternalConsistencyError) as caught:
             classical_fidelity_series(SpinLabel(20), 0.3, 10)
         assert str(caught.value).startswith(

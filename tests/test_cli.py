@@ -21,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drfsim import SpinLabel, closed_form_fidelity
+from drfsim import SpinLabel, closed_form_fidelity, default_n_max, half_life
 from drfsim import cli
-from drfsim.cli import HEADERS, RunConfig, default_n_max, half_life, main
+from drfsim.cli import HEADERS, RunConfig, main
 from drfsim.errors import DomainError
 from drfsim.tolerances import CSV_FAST_MIN
 
@@ -398,6 +398,20 @@ class TestOtherCommands:
         header, rows = read_csv(out)
         assert header == HEADERS["trajectories"] and len(rows) == 5
         assert all(0.5 < float(r[2]) < 1.0 for r in rows)
+
+    def test_classical_walk_at_the_top_of_the_size_range(self, tmp_path):
+        # c_0, c_1 and A are scalars, not tables of 2j + 1 entries
+        twice_j = 10**12
+        out = tmp_path / "big.csv"
+        assert main(["classical-walk", "--twice-j", str(twice_j), "--n-max", "10",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == HEADERS["classical-walk"] and len(rows) == 11
+        with decimal.localcontext(decimal.Context(prec=60)):
+            q = Decimal(twice_j + 1)
+            amplitude, step = Decimal(twice_j) / (2 * q), 1 - 2 / q**2
+            want = [float(Decimal("0.5") + amplitude * step**n) for n in range(11)]
+        assert all(abs(float(row[1]) - w) <= 1e-15 for row, w in zip(rows, want))
 
     def test_seed_before_the_command_is_kept(self, tmp_path):
         # --seed is defined once, for the top level and every command alike,

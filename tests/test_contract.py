@@ -186,6 +186,8 @@ ROWS = [
     ("classical_fidelity_series", d.classical_fidelity_series,
      {"j": (2, FRAME), "alpha": (0.1, ANGLE), "n_max": (3, count())}),
     ("fitted_step", d.fitted_step, {"j": (2, FRAME)}),
+    ("half_life", d.half_life, {"j": (2, FRAME)}),
+    ("default_n_max", d.default_n_max, {"j": (2, FRAME)}),
     ("ring_average", d.ring_average,
      {"thetas": (RING, [("nan", entry(NAN), r"^classical_walk\.ring_average: 2048 grid points: "
                                            r"largest \|theta_i - i pi/\(N-1\)\| nan exceeds"),

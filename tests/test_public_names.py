@@ -56,7 +56,7 @@ def test_every_module_export_resolves(dotted):
 
 
 @pytest.mark.parametrize("module", ["angular_momentum", "quantum_drf", "classical_walk",
-                                    "coherent_analysis"])
+                                    "coherent_analysis", "spectrum"])
 def test_library_modules_export_through_the_package(module):
     exported = importlib.import_module(f"drfsim.{module}").__all__
     assert sorted(set(exported) - set(drfsim.__all__)) == []

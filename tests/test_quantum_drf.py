@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.stats import binom, chisquare
 
-from drfsim import quantum_drf
+from drfsim import quantum_drf, spectrum
 from drfsim import (
     DomainError,
     FrameState,
@@ -32,12 +32,10 @@ from drfsim import (
     sample_trajectory,
 )
 from drfsim.angular_momentum import projector_element
-from drfsim.cli import default_n_max
-from drfsim.quantum_drf import (
-    OUTCOMES,
-    _span,
+from drfsim.quantum_drf import OUTCOMES, _span, flux_step
+from drfsim.spectrum import (
     conditional_fidelity_table,
-    flux_step,
+    default_n_max,
     multipole_spectrum,
     transfer_rates,
 )
@@ -308,7 +306,7 @@ class TestMultipoleSpectrum:
             assert s.minus[1] == -2.0 / ((tj + 1) * tj)
             assert s.p_plus == (tj + 2) / (2.0 * (tj + 1))
             assert s.amplitude == tj / (2.0 * q)
-            assert quantum_drf._first_multipole(tj) == (
+            assert spectrum._first_multipole(tj) == (
                 s.averaged[1], s.plus[1], s.minus[1], s.p_plus, s.amplitude)
 
     def test_tables_are_read_only(self):

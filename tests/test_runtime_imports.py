@@ -1,4 +1,5 @@
-"""The package imports numpy and the standard library only at run time."""
+"""The package imports numpy and the standard library only at run time, and its
+modules import one another only across the stated boundaries."""
 
 import ast
 import subprocess
@@ -24,6 +25,18 @@ def imported_roots(path):
     return sorted(found)
 
 
+def package_imports(path):
+    """(line, module, name) of every relative import in a source file; the
+    name is None for a module imported whole (``from . import errors``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [(node.lineno, node.module, alias.name) if node.module
+                      else (node.lineno, alias.name, None) for alias in node.names]
+    return sorted(found, key=lambda entry: entry[:2])
+
+
 def test_source_files_import_numpy_and_the_standard_library_only():
     sources = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "classical_walk.py" in sources
@@ -47,10 +60,30 @@ def test_scan_sees_every_import_form(tmp_path):
         "from . import errors\n"
         "def f():\n"
         "    from scipy import linalg\n"
+        "    from .quantum_drf import _span, evolve\n"
     )
     assert imported_roots(sample) == [
         (1, "scipy"), (2, "os"), (2, "scipy"), (3, "scipy"), (6, "scipy"),
     ]
+    assert package_imports(sample) == [
+        (4, "errors", None), (7, "quantum_drf", "_span"), (7, "quantum_drf", "evolve"),
+    ]
+
+
+def test_spectrum_imports_only_errors_tolerances_and_angular_momentum():
+    # the channel's eigenvalues and closed forms depend on no map, walk or CLI code
+    modules = {module for _, module, _ in package_imports(PACKAGE / "spectrum.py")}
+    assert modules <= {"errors", "tolerances", "angular_momentum"}
+
+
+def test_no_module_imports_a_private_name_of_quantum_drf():
+    private = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := [(line, name) for line, module, name in package_imports(path)
+                      if module == "quantum_drf" and name and name.startswith("_")])
+    }
+    assert private == {}
 
 
 # (import, module prefix that stays unloaded after it), one subprocess for all

@@ -18,9 +18,9 @@ import tracemalloc
 
 import pytest
 
-from drfsim import SpinLabel
+from drfsim import SpinLabel, default_n_max
 from drfsim import cli
-from drfsim.cli import HEADERS, default_n_max, main
+from drfsim.cli import HEADERS, main
 
 from brute_force import csv_reference
 
