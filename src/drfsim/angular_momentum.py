@@ -32,7 +32,6 @@ from .errors import DomainError, _check_count, _check_member, _check_polar, _ind
 __all__ = [
     "SpinLabel",
     "CGCoefficient",
-    "as_spin",
     "cg_coefficient",
     "projector_element",
     "coherent_populations",
@@ -67,7 +66,7 @@ class SpinLabel:
         return f"j={Fraction(self.twice_j, 2)}"
 
 
-def as_spin(j) -> SpinLabel:
+def _as_spin(j) -> SpinLabel:
     """Coerce an int (read as 2j) or a SpinLabel to a SpinLabel."""
     if isinstance(j, SpinLabel):
         return j
@@ -78,8 +77,8 @@ OUTCOMES = (+1, -1)  # outcome c of a measurement: the total-J branch J = j + c/
 
 
 def _check_frame(j) -> SpinLabel:
-    """:func:`as_spin` of a frame that has the J = j - 1/2 branch, 2j >= 1."""
-    j = as_spin(j)
+    """:func:`_as_spin` of a frame that has the J = j - 1/2 branch, 2j >= 1."""
+    j = _as_spin(j)
     if j.twice_j < 1:
         raise DomainError(f"j must have 2j >= 1, got 2j={j.twice_j}")
     return j
@@ -144,7 +143,7 @@ def cg_coefficient(j, twice_m: int, a: int, c: int) -> CGCoefficient:
     -1    1     +sqrt((j+m)/q)
     ====  ====  ==================
     """
-    j = as_spin(j)
+    j = _as_spin(j)
     twice_m = _check_magnetic(j, twice_m)
     a, c = _check_member("a", a, (0, 1)), _check_member("c", c, OUTCOMES)
     if c == -1 and j.twice_j == 0:
@@ -163,7 +162,7 @@ def projector_element(j, c: int, a: int, b: int, twice_m_row: int, twice_m_col: 
     m_row + s_a = m_col + s_b (conservation of total M), so the (a=b)
     operators are diagonal in m and the (a != b) operators shift m by one.
     """
-    j = as_spin(j)
+    j = _as_spin(j)
     c = _check_member("c", c, OUTCOMES)
     a, b = _check_member("a", a, (0, 1)), _check_member("b", b, (0, 1))
     twice_m_row = _check_magnetic(j, twice_m_row, "m_row")
@@ -215,7 +214,7 @@ def coherent_columns(j, thetas) -> np.ndarray:
     logarithms (so no log 0 is formed) and is then set one-hot at m = +j or
     m = -j.
     """
-    j = as_spin(j)
+    j = _as_spin(j)
     thetas = _reals("theta", thetas)
     if thetas.ndim != 1:
         raise DomainError(f"thetas must be a 1-d array of angles, got shape {thetas.shape}")

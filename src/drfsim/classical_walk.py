@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular_momentum import _check_frame
-from .errors import AccuracyError, DomainError, _check_count, _check_finite, _check_polar, _real
+from .errors import DomainError, _check_count, _check_finite, _check_polar, _real, _reals
 from .spectrum import _first_multipole
 from .tolerances import require
 
@@ -54,7 +54,7 @@ class LegendreSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
+        arr = _reals("coeffs", self.coeffs).copy()
         if arr.ndim != 1 or len(arr) < 2:
             raise DomainError(f"coeffs must be a 1-d array of at least 2 coefficients, "
                               f"got shape {arr.shape}")
@@ -255,14 +255,13 @@ def ring_average(thetas: np.ndarray, values: np.ndarray, alpha: float,
     n_psi : int
         Number of azimuth nodes for the ring quadrature, at least 1.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    values = np.asarray(values, dtype=float)
+    thetas, values = _reals("thetas", thetas), _reals("values", values)
     if thetas.ndim != 1 or thetas.shape != values.shape:
         raise DomainError("thetas and values must be 1-d arrays of equal length")
     _check_finite("values", values)
     n_grid = len(thetas)
     if n_grid < _MIN_RING_GRID:
-        raise AccuracyError(
+        raise DomainError(
             f"classical_walk.ring_average: grid of {n_grid} points is too "
             f"coarse (need >= {_MIN_RING_GRID})"
         )

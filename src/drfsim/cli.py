@@ -134,13 +134,14 @@ def _columns_scaling(config: RunConfig, *js: SpinLabel):
 @dataclasses.dataclass(frozen=True)
 class Command:
     """A command's help line, CSV header, :class:`RunConfig` fields besides
-    ``twice_j``, ``seed`` and ``out``, and ``build(config, *js)``, its CSV
-    columns for one 2j (for ``scaling``, for every 2j at once)."""
+    ``twice_j``, ``seed`` and ``out``, ``build(config, *js)``, its CSV columns for
+    one 2j (for ``scaling``, every 2j at once), and the ``--n-max`` default it applies."""
 
     help: str
     header: list[str]
     options: tuple[str, ...]
     build: Callable
+    steps: str = "5 half-lives"
 
 
 COMMANDS = {
@@ -163,7 +164,7 @@ COMMANDS = {
     "coherent-test": Command(
         "non-negative fit residual per step",
         ["n", "residual", "weight_sum_gap"],
-        ("n_max", "n_nodes"), _columns_coherent),
+        ("n_max", "n_nodes"), _columns_coherent, steps="8"),
     "scaling": Command(
         "half-life per frame size",
         ["twice_j", "half_life", "ratio_to_half"],
@@ -515,8 +516,7 @@ _OPTIONS = {
     "twice_j": ("--twice-j", dict(metavar="INT[,INT...]", type=_parse_twice_j, help=(
         "frame size(s) as 2j; a comma list sweeps several sizes"))),
     "out": ("--out", dict(metavar="PATH", type=Path, help="CSV output path")),
-    "n_max": ("--n-max", dict(metavar="N", type=_option_type("n_max"),
-                              help="steps to simulate (default: 5 half-lives)")),
+    "n_max": ("--n-max", dict(metavar="N", type=_option_type("n_max"))),
     "alpha": ("--alpha", dict(metavar="RAD", type=_option_type("alpha", float),
                               help="walk step angle (default: fitted)")),
     "samples": ("--samples", dict(metavar="N", type=_option_type("samples"))),
@@ -546,6 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
                              argument_default=argparse.SUPPRESS)
         for field in ("twice_j", "out", *command.options):
             flag, keywords = _OPTIONS[field]
+            if field == "n_max":
+                keywords = dict(keywords, help=f"steps to simulate (default: {command.steps})")
             cmd.add_argument(flag, dest=field, **keywords)
     return parser
 

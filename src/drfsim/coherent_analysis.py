@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .angular_momentum import SpinLabel, as_spin, coherent_columns
+from .angular_momentum import SpinLabel, _as_spin, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
 from .quantum_drf import FrameState, flux_step
 from .spectrum import transfer_rates
@@ -45,7 +45,7 @@ def build_grid(j, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     entries (2j + 1).  Raises :class:`InternalConsistencyError` if a column
     sums to more than ``STRUCTURE_TOL`` away from 1.
     """
-    j = as_spin(j)
+    j = _as_spin(j)
     n_nodes = _check_count(f"{j}: n_nodes", n_nodes, j.dim)
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
     columns = coherent_columns(j, thetas)
@@ -101,8 +101,7 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
         If more than 10 x n_columns variables are admitted; the error
         carries the best iterate as ``result``.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _reals("matrix A", A), _reals("target b", b)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
@@ -164,7 +163,7 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     residual vanishes; a residual that stays above threshold as n_nodes
     doubles signals genuine non-decomposability rather than grid error.
     """
-    j = as_spin(j)
+    j = _as_spin(j)
     n = _check_count("n", n)
     state = next(islice(_evolved_populations(j), n, None))
     return _fit("convexity_test", j, n, build_grid(j, n_nodes)[1], state)
@@ -178,7 +177,7 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     n_nodes)``, the cold fit, in support and residual, except where the state
     is an exact mixture: there only the residual, at rounding level, agrees.
     """
-    j = as_spin(j)
+    j = _as_spin(j)
     n_max = _check_count("n_max", n_max)
     _, columns = build_grid(j, n_nodes)
     results = []

@@ -1,12 +1,12 @@
-"""Exception types shared across the package, and its argument checks."""
+"""The package's four exception classes, and the one path its arguments enter by:
+every number and array, complex density matrices included, goes through :func:`_reals`."""
 
 import math
 import operator
 
 import numpy as np
 
-__all__ = ["DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
-           "InternalConsistencyError"]
+__all__ = ["DrfsimError", "DomainError", "ConvergenceError", "InternalConsistencyError"]
 
 
 class DrfsimError(Exception):
@@ -15,10 +15,6 @@ class DrfsimError(Exception):
 
 class DomainError(DrfsimError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class AccuracyError(DrfsimError, RuntimeError):
-    """A grid is too coarse for the requested accuracy."""
 
 
 class ConvergenceError(DrfsimError, RuntimeError):
@@ -46,14 +42,16 @@ def _index(value) -> int | None:
         return None
 
 
-def _reals(name: str, values) -> np.ndarray:
-    """``values``, a number or an array of them, as a float array (itself if
-    it is one), else a :class:`DomainError` naming ``name``: a string such
-    as "0.5" is refused, not parsed, and a bool is not a number."""
+def _reals(name: str, values, dtype=float) -> np.ndarray:
+    """``values``, a number or an array of them, as an array of ``dtype``,
+    float or complex (itself if it is one), else a :class:`DomainError`
+    naming ``name``: a string such as "0.5" is refused, not parsed, and
+    neither a bool nor an object such as a Fraction is a number."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be real, got dtype {array.dtype}")
-    return array.astype(float, copy=False)
+    if array.dtype.kind not in "iuf" + np.dtype(dtype).kind:
+        what = "real" if dtype is float else "real or complex"
+        raise DomainError(f"{name} must be {what}, got dtype {array.dtype}")
+    return array.astype(dtype, copy=False)
 
 
 def _real(name: str, value) -> float:

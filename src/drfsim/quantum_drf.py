@@ -29,8 +29,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
-from .angular_momentum import OUTCOMES, SpinLabel, _check_frame, as_spin, cg_coefficient
-from .errors import DomainError, _check_count, _check_finite, _check_member, _index
+from .angular_momentum import OUTCOMES, SpinLabel, _as_spin, _check_frame, cg_coefficient
+from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
 from .spectrum import _count_fidelity, _first_multipole, closed_form_fidelity, transfer_rates
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
@@ -66,15 +66,15 @@ class KrausSet:
     bands: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "j", as_spin(self.j))
+        object.__setattr__(self, "j", _as_spin(self.j))
         if self.bands.keys() != _KEYS:
             raise DomainError(f"KrausSet: 2j={self.j.twice_j}: keys missing "
                               f"{sorted(_KEYS - self.bands.keys())}, extra "
                               f"{sorted(self.bands.keys() - _KEYS, key=repr)}")
         bands = {}
         for (a, b, c), values in self.bands.items():
-            values = np.asarray(values, dtype=float)
             band = f"KrausSet: 2j={self.j.twice_j}: band {(a, b, c)}"
+            values = _reals(band, values).copy()  # frozen below: not the caller's array
             length = self.j.dim - abs(b - a)
             if values.shape != (length,):
                 raise DomainError(f"{band} must have shape ({length},), got {values.shape}")
@@ -162,12 +162,12 @@ class FrameState:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "j", as_spin(self.j))
+        object.__setattr__(self, "j", _as_spin(self.j))
         d = self.j.dim
         where = f"FrameState: 2j={self.j.twice_j}"
         axes = np.ndim(self.data)
         if axes == 1:
-            arr = np.array(self.data, dtype=float)
+            arr = _reals(f"{where}: populations", self.data).copy()
             if arr.shape != (d,):
                 raise DomainError(f"{where}: populations must have shape ({d},), "
                                   f"got {arr.shape}")
@@ -175,7 +175,7 @@ class FrameState:
             require(where, "|sum of populations - 1|", abs(arr.sum() - 1.0),
                     "STRUCTURE_TOL", DomainError)
         elif axes == 2:
-            arr = np.array(self.data, dtype=complex)
+            arr = _reals(f"{where}: matrix", self.data, complex).copy()
             if arr.shape != (d, d):
                 raise DomainError(f"{where}: matrix must have shape ({d}, {d}), "
                                   f"got {arr.shape}")
@@ -196,14 +196,14 @@ class FrameState:
     @classmethod
     def stretched(cls, j) -> "FrameState":
         """The fully aligned state |j, j><j, j| (all weight at m = +j)."""
-        j = as_spin(j)
+        j = _as_spin(j)
         p = np.zeros(j.dim)
         p[-1] = 1.0
         return cls(j, p)
 
     @classmethod
     def maximally_mixed(cls, j) -> "FrameState":
-        j = as_spin(j)
+        j = _as_spin(j)
         return cls(j, np.full(j.dim, 1.0 / j.dim))
 
     # -- views ---------------------------------------------------------------

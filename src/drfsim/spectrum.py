@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular_momentum import _check_frame, as_spin
+from .angular_momentum import _as_spin, _check_frame
 from .errors import DomainError, _check_count
 
 __all__ = ["MultipoleSpectrum", "transfer_rates", "multipole_spectrum", "closed_form_fidelity",
@@ -56,7 +56,7 @@ def transfer_rates(j) -> np.ndarray:
     k -> k+1, (2j-k)(k+1)/q^2, is also the rate k+1 -> k.  Each entry is one
     correctly rounded division of two exact integers while q^2 < 2^53
     (2j < 94 906 265); past that q^2 is rounded to a double first."""
-    j = as_spin(j)
+    j = _as_spin(j)
     k = np.arange(j.twice_j)
     return ((k + 1) * (j.twice_j - k)) / float((j.twice_j + 1) ** 2)
 
@@ -107,6 +107,8 @@ def closed_form_fidelity(j, n):
     up to n/2 ulp into the result (3e-12 at 2j = 1000, n = 1.7e6).
     """
     x_1, _, _, _, amplitude = _first_multipole(j)
+    if type(n) is int and n >= 2**64:  # numpy would hold it as an object: read its nearest
+        n = float(min(n, 2**1024 - 2**971))  # finite double (F = 1/2 there, as at n = inf)
     n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
     kind = n_arr.dtype.kind
     with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite

@@ -16,7 +16,6 @@ from numpy.polynomial.legendre import leggauss, legval
 from scipy.special import eval_legendre, polygamma
 
 from drfsim import (
-    AccuracyError,
     DomainError,
     InternalConsistencyError,
     LegendreSpectrum,
@@ -292,7 +291,8 @@ class TestRingAverage:
 
     def test_coarse_grid_rejected(self):
         thetas = np.linspace(0.0, math.pi, 512)
-        with pytest.raises(AccuracyError):
+        with pytest.raises(DomainError, match=r"^classical_walk\.ring_average: grid of 512 "
+                                              r"points is too coarse \(need >= 2048\)$"):
             ring_average(thetas, np.ones_like(thetas), 0.5)
 
 

@@ -567,6 +567,23 @@ class TestCliSurface:
                          re.MULTILINE | re.DOTALL).group(1)
         assert re.findall(r"`([a-z-]+)`", line) == list(cli.COMMANDS)
 
+    @pytest.mark.parametrize("command", [name for name, command in cli.COMMANDS.items()
+                                         if "n_max" in command.options])
+    def test_n_max_help_names_the_commands_own_default(self, command):
+        # five half-lives are 5 steps at 2j = 1; coherent-test takes 8 steps
+        default, readme, steps = {"coherent-test": ("8", "8 for `coherent-test`", 8)}.get(
+            command, ("5 half-lives", "five half-lives;", 5))
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        (n_max,) = [a for a in subparsers.choices[command]._actions if a.dest == "n_max"]
+        assert n_max.help == f"steps to simulate (default: {default})"
+        if command != "trajectories":  # its rows are samples, not steps
+            columns = cli.COMMANDS[command].build(RunConfig(command, [1]), SpinLabel(1))
+            assert columns[0][-1] == steps
+        stated = re.search(r"Options: `--n-max` \(default: (.*?)\),", README.read_text(),
+                           re.DOTALL).group(1)
+        assert readme in stated
+
     def test_manifest_config_holds_every_setting(self, tmp_path):
         out = tmp_path / "q.csv"
         assert main(["quantum-evolve", "--twice-j", "2", "--n-max", "3",

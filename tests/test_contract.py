@@ -46,6 +46,17 @@ def entry(value):
     return corrupt
 
 
+# Casts of a valid array, with the start of the dtype each names: strings
+# ("0.5") are refused, not parsed, and neither a bool nor an object is a number.
+CASTS = (("str", str, "<U"), ("bool", bool, "bool"), ("object", object, "object"))
+
+
+def typed(what="real"):
+    """An array argument's valid value under each of CASTS."""
+    return [(id_, lambda valid, cast=cast: np.asarray(valid).astype(cast),
+             rf"^{{name}} must be {what}, got dtype {dtype}") for id_, cast, dtype in CASTS]
+
+
 def below_2_60(low):
     """A CLI size: 2**60 doubles are more than any numpy array holds."""
     return kind(rf"^{{name}} must be an integer in \[{low}, 2\*\*60\), got ", {"2**60": 2**60})
@@ -126,6 +137,9 @@ BANDS = [
      exact("KrausSet: 2j=3: keys missing [], extra [(5, 0, 1)]")),
     ("one-key", lambda b: {(0, 0, 1): np.ones(4)},
      r"^KrausSet: 2j=3: keys missing \[\(0, 0, -1\), "),
+    *[(id_, bands(lambda b, cast=cast: b.update({(0, 0, 1): b[(0, 0, 1)].astype(cast)})),
+       exact(f"KrausSet: 2j=3: band (0, 0, 1) must be real, got dtype {dtype}"))
+      for id_, cast, dtype in CASTS],
 ]
 STEPS = kind(r"^step count n must be a non-negative integer",
              {"-1": -1, "2.5": 2.5, "nan": NAN, "inf": INF, "-inf": -INF,
@@ -160,7 +174,6 @@ MATRIX = [
 # An id is a name of drfsim.__all__, then ":variant" where it has two rows.
 ROWS = [
     ("SpinLabel", d.SpinLabel, {"twice_j": (2, SPIN)}),
-    ("as_spin", d.as_spin, {"j": (2, SPIN)}),
     ("cg_coefficient", d.cg_coefficient,
      {"j": (2, SPIN), "twice_m": (0, MAGNETIC, "m"), "a": (0, QUBIT), "c": (1, OUTCOME)}),
     ("projector_element", d.projector_element,
@@ -178,7 +191,7 @@ ROWS = [
                  + kind(r"^coeffs must be a 1-d array of at least 2 coefficients",
                         {"one": [1.0], "nested": [[1.0, 0.5]], "empty": []})
                  + kind(r"^coeffs must start with c_0 = 1 exactly, got 0\.9$",
-                        {"c_0": [0.9, 0.1, 0.0]}))}),
+                        {"c_0": [0.9, 0.1, 0.0]}) + typed())}),
     ("initial_spectrum", d.initial_spectrum, {"j": (2, FRAME)}),
     ("walk_evolve", d.walk_evolve,
      {"spec": (d.initial_spectrum(2), RECORD), "alpha": (0.1, ANGLE), "n": (3, count())}),
@@ -194,8 +207,9 @@ ROWS = [
                         ("cos-uniform", lambda t: np.arccos(np.linspace(1.0, -1.0, t.size)),
                          r"largest \|theta_i - i pi/\(N-1\)\| .* exceeds STRUCTURE_TOL"),
                         ("short", lambda t: t[:-1],
-                         r"^thetas and values must be 1-d arrays of equal length$")]),
-      "values": (np.ones(2048), FINITE),
+                         r"^thetas and values must be 1-d arrays of equal length$"),
+                        *typed()]),
+      "values": (np.ones(2048), FINITE + typed()),
       "alpha": (0.5, kind(r"^alpha must lie strictly inside \(0, pi\), got ",
                           {"0": 0.0, "pi": PI, "nan": NAN, "inf": INF})
                 + kind(REAL, {"str": "0.5"}) + SCALAR),
@@ -209,11 +223,11 @@ ROWS = [
     ("build_grid", d.build_grid, {"j": (2, SPIN), "n_nodes": (5, count(3), "j=1: n_nodes")}),
     ("nnls_solve", d.nnls_solve,
      {"A": (NNLS_A, FINITE + kind(r"^incompatible shapes: A is \(3,\)",
-                                  {"1-d": lambda a: a[:, 0]}), "matrix A"),
+                                  {"1-d": lambda a: a[:, 0]}) + typed(), "matrix A"),
       "b": (NNLS_B, kind(r"target b must sum to 1; its gap .* NNLS_TARGET_SUM_TOL",
                          {"sum": np.full(3, 0.5), "nan": entry(NAN)})
             + kind(exact("incompatible shapes: A is (3, 11), b is (2,)"),
-                   {"shape": [0.5, 0.5]})),
+                   {"shape": [0.5, 0.5]}) + typed(), "target b"),
       "start": (None, kind(r"^start must be a bool array of shape \(11,\)",
                            {"long": np.ones(12, dtype=bool), "int": np.ones(11, dtype=int),
                             "2-d": np.ones((11, 1), dtype=bool)}))}),
@@ -223,9 +237,10 @@ ROWS = [
      {"j": (2, SPIN), "n_max": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
     ("KrausSet", d.KrausSet, {"j": (3, SPIN), "bands": (KRAUS.bands, BANDS)}),
     ("FrameState", d.FrameState,
-     {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS)}),
+     {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
     ("FrameState:dense", d.FrameState,
-     {"j": (2, SPIN), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX)}),
+     {"j": (2, SPIN), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"),
+                               STATE_2 + "matrix")}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
     ("transfer_rates", d.transfer_rates, {"j": (2, SPIN)}),
     ("multipole_spectrum", d.multipole_spectrum, {"j": (2, FRAME)}),
@@ -266,7 +281,7 @@ OUTSIDE = [
 
 # Public names with no row, and why.
 EXCEPTIONS = {
-    **dict.fromkeys(["DrfsimError", "DomainError", "AccuracyError", "ConvergenceError",
+    **dict.fromkeys(["DrfsimError", "DomainError", "ConvergenceError",
                      "InternalConsistencyError"], "exception classes: raised, not called"),
     "__version__": "a string",
     "flux_step": "the inner step: its callers pass arrays they have already checked, "

@@ -93,6 +93,13 @@ class TestBuildKraus:
         for values in kraus.bands.values():
             assert not values.flags.writeable
 
+    def test_callers_bands_stay_writable(self):
+        # the set freezes copies of the bands, not the caller's own arrays
+        bands = {key: values.copy() for key, values in build_kraus(SpinLabel(3)).bands.items()}
+        kraus = quantum_drf.KrausSet(SpinLabel(3), bands)
+        assert all(values.flags.writeable for values in bands.values())
+        assert all(not values.flags.writeable for values in kraus.bands.values())
+
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 5])
     def test_operators_match_projector_oracle(self, twice_j):
         kraus = build_kraus(SpinLabel(twice_j))
@@ -486,6 +493,19 @@ class TestClosedFormFidelity:
         closed = closed_form_fidelity(j, np.arange(default_n_max(j) + 1))
         assert np.all(np.diff(closed) <= 0.0)
         assert 0.5 <= closed[-1] and closed[0] < 1.0
+
+    @pytest.mark.parametrize("n", [10**20, default_n_max(SpinLabel(10**12))])
+    def test_integers_past_uint64_are_read_as_doubles(self, n):
+        # numpy holds an int >= 2**64 as an object; at 2j = 10**12 the
+        # default sweep ends at n = 1.7e24
+        twice_j = 10**12
+        with decimal.localcontext(decimal.Context(prec=60)):
+            q = decimal.Decimal(twice_j + 1)
+            exact = decimal.Decimal("0.5") + twice_j / (2 * q) * (1 - 2 / q**2) ** n
+        assert abs(closed_form_fidelity(SpinLabel(twice_j), n) - float(exact)) <= 1e-15
+
+    def test_integers_past_the_doubles_give_one_half(self):
+        assert closed_form_fidelity(SpinLabel(3), 2**1024) == 0.5
 
     def test_integral_float_steps_are_accepted(self):
         steps = np.arange(6)
