@@ -39,14 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SpinLabel:
-    """A spin quantum number j, stored exactly as the integer 2j."""
+    """The spin j of a frame, stored exactly as the integer 2j >= 1: a frame is
+    read through both branches J = j +- 1/2, and J = j - 1/2 needs 2j >= 1."""
 
     twice_j: int
 
     def __post_init__(self):
-        object.__setattr__(self, "twice_j", _check_count("twice_j", self.twice_j))
+        object.__setattr__(self, "twice_j", _check_count("twice_j", self.twice_j, 1))
 
     @property
     def j(self) -> float:
@@ -66,22 +67,12 @@ class SpinLabel:
         return f"j={Fraction(self.twice_j, 2)}"
 
 
-def _as_spin(j) -> SpinLabel:
-    """Coerce an int (read as 2j) or a SpinLabel to a SpinLabel."""
-    if isinstance(j, SpinLabel):
-        return j
-    return SpinLabel(j)
+def _check_frame(j) -> SpinLabel:
+    """A frame size, a SpinLabel or an int read as 2j, as a SpinLabel."""
+    return j if isinstance(j, SpinLabel) else SpinLabel(j)
 
 
 OUTCOMES = (+1, -1)  # outcome c of a measurement: the total-J branch J = j + c/2
-
-
-def _check_frame(j) -> SpinLabel:
-    """:func:`_as_spin` of a frame that has the J = j - 1/2 branch, 2j >= 1."""
-    j = _as_spin(j)
-    if j.twice_j < 1:
-        raise DomainError(f"j must have 2j >= 1, got 2j={j.twice_j}")
-    return j
 
 
 class CGCoefficient(NamedTuple):
@@ -143,11 +134,9 @@ def cg_coefficient(j, twice_m: int, a: int, c: int) -> CGCoefficient:
     -1    1     +sqrt((j+m)/q)
     ====  ====  ==================
     """
-    j = _as_spin(j)
+    j = _check_frame(j)
     twice_m = _check_magnetic(j, twice_m)
     a, c = _check_member("a", a, (0, 1)), _check_member("c", c, OUTCOMES)
-    if c == -1 and j.twice_j == 0:
-        raise DomainError("the J = j - 1/2 branch does not exist for j = 0")
     # the table's numerators over 2q, 2(j+m+1) ... 2(j+m), are 2j + c (2 s_a) 2m + 1 + c
     square = Fraction(j.twice_j + c * (1 - 2 * a) * twice_m + 1 + c, 2 * (j.twice_j + 1))
     return CGCoefficient(-1 if (c, a) == (-1, 0) and square else 1, square)
@@ -162,7 +151,7 @@ def projector_element(j, c: int, a: int, b: int, twice_m_row: int, twice_m_col: 
     m_row + s_a = m_col + s_b (conservation of total M), so the (a=b)
     operators are diagonal in m and the (a != b) operators shift m by one.
     """
-    j = _as_spin(j)
+    j = _check_frame(j)
     c = _check_member("c", c, OUTCOMES)
     a, b = _check_member("a", a, (0, 1)), _check_member("b", b, (0, 1))
     twice_m_row = _check_magnetic(j, twice_m_row, "m_row")
@@ -214,7 +203,7 @@ def coherent_columns(j, thetas) -> np.ndarray:
     logarithms (so no log 0 is formed) and is then set one-hot at m = +j or
     m = -j.
     """
-    j = _as_spin(j)
+    j = _check_frame(j)
     thetas = _reals("theta", thetas)
     if thetas.ndim != 1:
         raise DomainError(f"thetas must be a 1-d array of angles, got shape {thetas.shape}")

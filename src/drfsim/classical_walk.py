@@ -92,7 +92,6 @@ def initial_spectrum(j) -> LegendreSpectrum:
 
     so c_0 = 1, c_1 = 6j / (2j + 1) and c_l = 0 for every l > N: the
     returned series is exact and holds the N + 1 coefficients c_0 ... c_N.
-    Requires 2j >= 1.
     """
     big_n = 2 * _check_frame(j).twice_j
     i = np.arange(1, big_n + 1)
@@ -165,7 +164,7 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, 
     at each n; c_0 = 1 and c_1 are the two roundings :func:`initial_spectrum`
     makes, with no table.  Its error against the closed form 1/2 + A cos(alpha)^n
     (:mod:`~drfsim.spectrum`) is checked against ``ORACLE_TOL`` before the pair
-    is returned.  Requires 2j >= 1.
+    is returned.
     """
     j = _check_frame(j)
     n_max = _check_count("n_max", n_max)

@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .angular_momentum import SpinLabel, _as_spin, coherent_columns
+from .angular_momentum import SpinLabel, _check_frame, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
 from .quantum_drf import FrameState, flux_step
 from .spectrum import transfer_rates
@@ -45,7 +45,7 @@ def build_grid(j, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     entries (2j + 1).  Raises :class:`InternalConsistencyError` if a column
     sums to more than ``STRUCTURE_TOL`` away from 1.
     """
-    j = _as_spin(j)
+    j = _check_frame(j)
     n_nodes = _check_count(f"{j}: n_nodes", n_nodes, j.dim)
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
     columns = coherent_columns(j, thetas)
@@ -64,7 +64,7 @@ class DecompositionResult:
     weight_sum_gap: float
 
     def __post_init__(self):
-        checked = {"weights": _reals("weights", self.weights),
+        checked = {"weights": _reals("weights", self.weights).copy(),  # frozen below
                    "residual": _real("residual", self.residual),
                    "weight_sum_gap": _real("weight_sum_gap", self.weight_sum_gap)}
         for name, value in checked.items():  # NaN fails both bounds
@@ -163,7 +163,7 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     residual vanishes; a residual that stays above threshold as n_nodes
     doubles signals genuine non-decomposability rather than grid error.
     """
-    j = _as_spin(j)
+    j = _check_frame(j)
     n = _check_count("n", n)
     state = next(islice(_evolved_populations(j), n, None))
     return _fit("convexity_test", j, n, build_grid(j, n_nodes)[1], state)
@@ -177,7 +177,7 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     n_nodes)``, the cold fit, in support and residual, except where the state
     is an exact mixture: there only the residual, at rounding level, agrees.
     """
-    j = _as_spin(j)
+    j = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     _, columns = build_grid(j, n_nodes)
     results = []

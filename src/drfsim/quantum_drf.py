@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
-from .angular_momentum import OUTCOMES, SpinLabel, _as_spin, _check_frame, cg_coefficient
+from .angular_momentum import OUTCOMES, SpinLabel, _check_frame, cg_coefficient
 from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
 from .spectrum import _count_fidelity, _first_multipole, closed_form_fidelity, transfer_rates
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
@@ -66,7 +66,7 @@ class KrausSet:
     bands: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "j", _as_spin(self.j))
+        object.__setattr__(self, "j", _check_frame(self.j))
         if self.bands.keys() != _KEYS:
             raise DomainError(f"KrausSet: 2j={self.j.twice_j}: keys missing "
                               f"{sorted(_KEYS - self.bands.keys())}, extra "
@@ -110,8 +110,7 @@ def build_kraus(j) -> KrausSet:
 
     Column a of outcome c holds <j + c/2, m + s_a | j, m; 1/2, s_a> over m (s_0 = +1/2).
     Band (a, b, c) pairs row m_k with column m_{k + b - a}, at offset b - a, and is
-    column a on its rows times column b on its columns.  Requires 2j >= 1 (J = j - 1/2
-    must exist).
+    column a on its rows times column b on its columns.
     """
     j = _check_frame(j)
     bands = {}
@@ -162,7 +161,7 @@ class FrameState:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "j", _as_spin(self.j))
+        object.__setattr__(self, "j", _check_frame(self.j))
         d = self.j.dim
         where = f"FrameState: 2j={self.j.twice_j}"
         axes = np.ndim(self.data)
@@ -196,14 +195,14 @@ class FrameState:
     @classmethod
     def stretched(cls, j) -> "FrameState":
         """The fully aligned state |j, j><j, j| (all weight at m = +j)."""
-        j = _as_spin(j)
+        j = _check_frame(j)
         p = np.zeros(j.dim)
         p[-1] = 1.0
         return cls(j, p)
 
     @classmethod
     def maximally_mixed(cls, j) -> "FrameState":
-        j = _as_spin(j)
+        j = _check_frame(j)
         return cls(j, np.full(j.dim, 1.0 / j.dim))
 
     # -- views ---------------------------------------------------------------
@@ -474,7 +473,7 @@ def sample_trajectory(j, n_max: int, seed):
     Starts from the aligned state; each outcome is +1 with probability p+ in every
     state, and the state takes that outcome's step, the one :func:`conditional_update`
     makes on a diagonal state (no Kraus set is built).  ``seed`` is an integer >= 0
-    or a sequence of them, and fixes the record.  Requires 2j >= 1.
+    or a sequence of them, and fixes the record.
 
     Returns
     -------

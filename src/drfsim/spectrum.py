@@ -32,8 +32,7 @@ eigenvalue P_1(cos alpha) = cos alpha is 1 + x_1, so alpha is about 1/j.
 These closed forms read the k = 1 constants of :func:`_first_multipole`, each
 one correctly rounded division of exact Python integers at every 2j, with no
 table; a power is taken as exp(n log1p(x)), which keeps its full relative
-accuracy.  Every function but :func:`transfer_rates` requires 2j >= 1 (the
-J = j - 1/2 branch must exist).
+accuracy.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular_momentum import _as_spin, _check_frame
-from .errors import DomainError, _check_count
+from .angular_momentum import _check_frame
+from .errors import DomainError, _check_count, _index
 
 __all__ = ["MultipoleSpectrum", "transfer_rates", "multipole_spectrum", "closed_form_fidelity",
            "conditional_fidelity_table", "fitted_step", "half_life", "default_n_max"]
@@ -56,7 +55,7 @@ def transfer_rates(j) -> np.ndarray:
     k -> k+1, (2j-k)(k+1)/q^2, is also the rate k+1 -> k.  Each entry is one
     correctly rounded division of two exact integers while q^2 < 2^53
     (2j < 94 906 265); past that q^2 is rounded to a double first."""
-    j = _as_spin(j)
+    j = _check_frame(j)
     k = np.arange(j.twice_j)
     return ((k + 1) * (j.twice_j - k)) / float((j.twice_j + 1) ** 2)
 
@@ -107,9 +106,14 @@ def closed_form_fidelity(j, n):
     up to n/2 ulp into the result (3e-12 at 2j = 1000, n = 1.7e6).
     """
     x_1, _, _, _, amplitude = _first_multipole(j)
-    if type(n) is int and n >= 2**64:  # numpy would hold it as an object: read its nearest
-        n = float(min(n, 2**1024 - 2**971))  # finite double (F = 1/2 there, as at n = inf)
     n_arr = np.asarray(n)  # an integer array is integral: its check is the one minimum
+    if n_arr.dtype == object:  # as numpy holds an int past uint64: read each int as its
+        # nearest finite double, the largest 2**1024 - 2**971 (F = 1/2 past them, as at
+        # n = inf), and a negative int as -1
+        flat = [x if isinstance(x, float) else _index(x) for x in n_arr.flat]
+        if None not in flat:  # else a bool, a string or a Fraction: refused below
+            n_arr = np.array([x if isinstance(x, float) else min(max(x, -1), 2**1024 - 2**971)
+                              for x in flat], dtype=float).reshape(n_arr.shape)
     kind = n_arr.dtype.kind
     with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
         gap = (0 if kind in "iu" else np.nan if kind != "f"  # a string is not parsed

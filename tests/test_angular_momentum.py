@@ -89,10 +89,6 @@ class TestCGCoefficient:
         assert projector_element(j, 1, np.int64(0), np.int8(1), 1, 3) == \
             projector_element(j, 1, 0, 1, 1, 3) != 0.0
 
-    def test_minus_branch_at_spin_zero_rejected(self):
-        with pytest.raises(DomainError):
-            cg_coefficient(SpinLabel(0), 0, 0, -1)
-
     def test_squares_sum_to_one_within_branches(self):
         # For fixed (m, s) the two branch squares sum to 1 exactly.
         j = SpinLabel(7)
@@ -152,10 +148,10 @@ class TestProjectorElement:
 
 @pytest.mark.parametrize("bad", [0.0, 2, True, "1", None])
 def test_outcome_and_qubit_index_are_checked(bad):
-    # none of these is read as a label; c is checked before the j = 0 branch
-    # error, and both before the selection rule's 0
+    # none of these is read as a label, and each is checked before the
+    # selection rule's 0
     with pytest.raises(DomainError, match=r"^c must be one of \(1, -1\)"):
-        cg_coefficient(SpinLabel(0), 0, 0, bad)
+        cg_coefficient(SpinLabel(1), 1, 0, bad)
     with pytest.raises(DomainError, match=r"^c must be one of \(1, -1\)"):
         projector_element(SpinLabel(3), bad, 0, 1, 1, 1)
     with pytest.raises(DomainError, match=r"^a must be one of \(0, 1\)"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from drfsim import (
     ConvergenceError,
+    DecompositionResult,
     InternalConsistencyError,
     SpinLabel,
     build_grid,
@@ -74,6 +75,15 @@ class TestBuildGrid:
         assert cli.main(["coherent-test", "--twice-j", "4", "--nodes", "40",
                          "--out", str(tmp_path / "c.csv")]) == 1
         assert re.fullmatch(f"error: coherent-test: {line}\n", capsys.readouterr().err)
+
+
+class TestDecompositionResult:
+    def test_callers_weights_stay_writable(self):
+        # the result freezes a copy of the weights, not the caller's own array
+        weights = np.array([0.25, 0.75])
+        result = DecompositionResult(weights, 0.0, 0.0)
+        assert weights.flags.writeable and result.weights is not weights
+        assert not result.weights.flags.writeable
 
 
 class TestNnlsSolve:

@@ -11,9 +11,11 @@ checks that every name in ``drfsim.__all__`` has a row or is in EXCEPTIONS;
 OUTSIDE holds the rows of public callables outside ``drfsim.__all__``.
 """
 
+import inspect
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,9 +74,9 @@ def whole(message):
     return exact(message) + "$"
 
 
-SPIN = kind(r"^twice_j must be an integer >= 0, got ",
-            {"-1": -1, "1.5": 1.5, "nan": NAN, "str": "2"})
-FRAME = SPIN + kind(r"^j must have 2j >= 1, got 2j=0$", {"0": 0})
+# The one frame size rule: 2j >= 1, so both branches J = j +- 1/2 exist.
+FRAME = kind(r"^twice_j must be an integer >= 1, got ",
+             {"-1": -1, "1.5": 1.5, "nan": NAN, "str": "2", "0": 0})
 # A string where a number is expected is refused, not parsed; a bool is not a
 # number, and a list of one is not a single one.
 REAL = r"^{name} must be real, got dtype <U"
@@ -141,11 +143,15 @@ BANDS = [
        exact(f"KrausSet: 2j=3: band (0, 0, 1) must be real, got dtype {dtype}"))
       for id_, cast, dtype in CASTS],
 ]
+# Beside an int past uint64 (which numpy holds as an object) a bool, a string
+# or a Fraction is still no step count.
 STEPS = kind(r"^step count n must be a non-negative integer",
              {"-1": -1, "2.5": 2.5, "nan": NAN, "inf": INF, "-inf": -INF,
               "nan-entry": np.array([0.0, NAN]), "inf-entry": np.array([0.0, INF]),
               "fraction-entry": np.array([1.0, 2.5]), "2-d": np.array([[3.0], [0.5]]),
-              "str": "3", "str-entry": np.array(["1", "2"])})
+              "str": "3", "str-entry": np.array(["1", "2"]), "-2**64": -2**64,
+              **{f"2**64-{id_}": [2**64, bad] for id_, bad in
+                 {"True": True, "str": "3", "Fraction": Fraction(3), "-1": -1, "inf": INF}.items()}})
 # Each message names 2j, the value and the tolerance.
 STATE_2 = "FrameState: 2j=2: "
 POPULATIONS = [
@@ -173,15 +179,15 @@ MATRIX = [
 # (id, callable, {argument: (valid value, kind or reason, label if not the argument)}).
 # An id is a name of drfsim.__all__, then ":variant" where it has two rows.
 ROWS = [
-    ("SpinLabel", d.SpinLabel, {"twice_j": (2, SPIN)}),
+    ("SpinLabel", d.SpinLabel, {"twice_j": (2, FRAME)}),
     ("cg_coefficient", d.cg_coefficient,
-     {"j": (2, SPIN), "twice_m": (0, MAGNETIC, "m"), "a": (0, QUBIT), "c": (1, OUTCOME)}),
+     {"j": (2, FRAME), "twice_m": (0, MAGNETIC, "m"), "a": (0, QUBIT), "c": (1, OUTCOME)}),
     ("projector_element", d.projector_element,
-     {"j": (2, SPIN), "c": (1, OUTCOME), "a": (0, QUBIT), "b": (0, QUBIT),
+     {"j": (2, FRAME), "c": (1, OUTCOME), "a": (0, QUBIT), "b": (0, QUBIT),
       "twice_m_row": (0, MAGNETIC, "m_row"), "twice_m_col": (0, MAGNETIC, "m_col")}),
-    ("coherent_populations", d.coherent_populations, {"j": (2, SPIN), "theta": (0.3, ANGLE)}),
+    ("coherent_populations", d.coherent_populations, {"j": (2, FRAME), "theta": (0.3, ANGLE)}),
     ("coherent_columns", d.coherent_columns,
-     {"j": (2, SPIN),
+     {"j": (2, FRAME),
       "thetas": ([0.0, 1.0], kind(r"^theta must lie in \[0, pi\], got ",
                                   {"nan-entry": [0.0, NAN, PI], "negative": [-0.1, 1.0]})
                  + kind(r"^thetas must be a 1-d array of angles",
@@ -220,7 +226,7 @@ ROWS = [
                               {"nan": [NAN], "-0.1": [-0.1], "inf": [INF]})
                   + kind(REAL, {"str": ["0.5"]})),
       "residual": (0.0, NONNEGATIVE), "weight_sum_gap": (0.0, NONNEGATIVE)}),
-    ("build_grid", d.build_grid, {"j": (2, SPIN), "n_nodes": (5, count(3), "j=1: n_nodes")}),
+    ("build_grid", d.build_grid, {"j": (2, FRAME), "n_nodes": (5, count(3), "j=1: n_nodes")}),
     ("nnls_solve", d.nnls_solve,
      {"A": (NNLS_A, FINITE + kind(r"^incompatible shapes: A is \(3,\)",
                                   {"1-d": lambda a: a[:, 0]}) + typed(), "matrix A"),
@@ -232,17 +238,17 @@ ROWS = [
                            {"long": np.ones(12, dtype=bool), "int": np.ones(11, dtype=int),
                             "2-d": np.ones((11, 1), dtype=bool)}))}),
     ("convexity_test", d.convexity_test,
-     {"j": (2, SPIN), "n": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
+     {"j": (2, FRAME), "n": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
     ("convexity_series", d.convexity_series,
-     {"j": (2, SPIN), "n_max": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
-    ("KrausSet", d.KrausSet, {"j": (3, SPIN), "bands": (KRAUS.bands, BANDS)}),
+     {"j": (2, FRAME), "n_max": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
+    ("KrausSet", d.KrausSet, {"j": (3, FRAME), "bands": (KRAUS.bands, BANDS)}),
     ("FrameState", d.FrameState,
-     {"j": (2, SPIN), "data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
+     {"j": (2, FRAME), "data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
     ("FrameState:dense", d.FrameState,
-     {"j": (2, SPIN), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"),
+     {"j": (2, FRAME), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"),
                                STATE_2 + "matrix")}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
-    ("transfer_rates", d.transfer_rates, {"j": (2, SPIN)}),
+    ("transfer_rates", d.transfer_rates, {"j": (2, FRAME)}),
     ("multipole_spectrum", d.multipole_spectrum, {"j": (2, FRAME)}),
     *[(name, call, {"state": (STATE, RECORD),
                     "kraus": (KRAUS, kind(r"^spin mismatch: state has j=3/2, kraus has j=1$",
@@ -319,3 +325,13 @@ def test_corrupted_argument_is_a_domain_error_naming_it(call, args, argument, ba
     kwargs[argument] = bad(kwargs[argument]) if callable(bad) else bad
     with pytest.raises(DomainError, match=pattern):
         call(**kwargs)
+
+
+def test_every_frame_size_has_the_one_size_kind():
+    # a j or twice_j argument of a public callable is refused as FRAME refuses
+    # it, so no callable brings back a second size rule (cli.RunConfig's
+    # twice_j, a list of sizes, has the CLI's own row)
+    others = [f"{row}: {size}" for row, call, args in ROWS
+              for size in {"j", "twice_j"} & inspect.signature(call).parameters.keys()
+              if args[size][1] is not FRAME]
+    assert others == []

@@ -494,15 +494,21 @@ class TestClosedFormFidelity:
         assert np.all(np.diff(closed) <= 0.0)
         assert 0.5 <= closed[-1] and closed[0] < 1.0
 
-    @pytest.mark.parametrize("n", [10**20, default_n_max(SpinLabel(10**12))])
+    @pytest.mark.parametrize("n", [10**20, default_n_max(SpinLabel(10**12)),
+                                   pytest.param([2**64], id="list-2**64"),
+                                   pytest.param([10**20, 3], id="list-10**20-3")])
     def test_integers_past_uint64_are_read_as_doubles(self, n):
-        # numpy holds an int >= 2**64 as an object; at 2j = 10**12 the
-        # default sweep ends at n = 1.7e24
+        # numpy holds an int >= 2**64 as an object, alone or in a list; at
+        # 2j = 10**12 the default sweep ends at n = 1.7e24
         twice_j = 10**12
+        steps = n if isinstance(n, list) else [n]
         with decimal.localcontext(decimal.Context(prec=60)):
             q = decimal.Decimal(twice_j + 1)
-            exact = decimal.Decimal("0.5") + twice_j / (2 * q) * (1 - 2 / q**2) ** n
-        assert abs(closed_form_fidelity(SpinLabel(twice_j), n) - float(exact)) <= 1e-15
+            exact = [decimal.Decimal("0.5") + twice_j / (2 * q) * (1 - 2 / q**2) ** k
+                     for k in steps]
+        got = np.atleast_1d(closed_form_fidelity(SpinLabel(twice_j), n))
+        assert got.shape == (len(steps),)
+        assert np.max(np.abs(got - [float(e) for e in exact])) <= 1e-15
 
     def test_integers_past_the_doubles_give_one_half(self):
         assert closed_form_fidelity(SpinLabel(3), 2**1024) == 0.5
