@@ -14,7 +14,7 @@ feasible set at n = 2: three numbers carry little resolving power.  Larger
 frames stay infeasible step after step.)
 """
 
-from drfsim import SpinLabel, convexity_test
+from drfsim import convexity_test
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     for twice_j in (2, 4, 8):
         nodes = 8 * (twice_j + 1)
         for n in (0, 1, 2, 5):
-            r = convexity_test(SpinLabel(twice_j), n, nodes)
+            r = convexity_test(twice_j, n, nodes)
             print(f"{twice_j:>4} {n:>3} {nodes:>6} {r.residual:>14.6e} "
                   f"{r.weight_sum_gap:>12.3e}")
 
@@ -31,7 +31,7 @@ def main():
     for twice_j in (2, 4, 8):
         for factor in (8, 16, 32):
             nodes = factor * (twice_j + 1)
-            r = convexity_test(SpinLabel(twice_j), 1, nodes)
+            r = convexity_test(twice_j, 1, nodes)
             print(f"{twice_j:>4} {nodes:>6} {r.residual:>14.6e}")
         print()
 

@@ -12,7 +12,7 @@ The two agree to ~1e-14 at every step: the law is exact, not asymptotic.
 
 import numpy as np
 
-from drfsim import SpinLabel, evolve, half_life
+from drfsim import evolve, half_life
 
 
 def main():
@@ -20,12 +20,11 @@ def main():
     series = {}
     print(f"{'2j':>4} {'half-life':>10} {'max |map - closed|':>20}")
     for twice_j in sizes:
-        j = SpinLabel(twice_j)
-        n_max = int(np.ceil(5 * half_life(j)))
-        fidelity, closed = evolve(j, n_max)
+        n_max = int(np.ceil(5 * half_life(twice_j)))
+        fidelity, closed = evolve(twice_j, n_max)
         series[twice_j] = fidelity, closed
         gap = np.max(np.abs(fidelity - closed))
-        print(f"{twice_j:>4} {half_life(j):>10.2f} {gap:>20.3e}")
+        print(f"{twice_j:>4} {half_life(twice_j):>10.2f} {gap:>20.3e}")
 
     print("\nfirst steps at 2j = 10:")
     fidelity, closed = series[10]

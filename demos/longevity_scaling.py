@@ -11,7 +11,7 @@ steps to wander a fixed angle.
 
 import numpy as np
 
-from drfsim import SpinLabel, fitted_step, half_life
+from drfsim import fitted_step, half_life
 
 
 def main():
@@ -19,10 +19,9 @@ def main():
     print(f"{'2j':>5} {'alpha (rad)':>12} {'half-life':>12} {'ratio to half':>14}")
     previous = {}
     for twice_j in spins:
-        j = SpinLabel(twice_j)
-        life = half_life(j)
+        life = half_life(twice_j)
         ratio = f"{life / previous[twice_j // 2]:.4f}" if twice_j // 2 in previous else ""
-        print(f"{twice_j:>5} {fitted_step(j):>12.6f} {life:>12.1f} {ratio:>14}")
+        print(f"{twice_j:>5} {fitted_step(twice_j):>12.6f} {life:>12.1f} {ratio:>14}")
         previous[twice_j] = life
 
     try:
@@ -35,7 +34,7 @@ def main():
         return
 
     sizes = np.arange(2, 400)
-    lives = np.array([half_life(SpinLabel(int(t))) for t in sizes])
+    lives = np.array([half_life(int(t)) for t in sizes])
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.loglog(sizes, lives, label="half-life")
     ax.loglog(sizes, np.log(2) * (sizes + 1.0) ** 2 / 2.0, "k:",

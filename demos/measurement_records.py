@@ -11,7 +11,6 @@ outcomes end up noticeably worse.
 import numpy as np
 
 from drfsim import (
-    SpinLabel,
     build_kraus,
     closed_form_fidelity,
     quantum_fidelity,
@@ -21,18 +20,18 @@ from drfsim import (
 
 
 def main():
-    j = SpinLabel(4)
+    twice_j = 4
     n_steps = 20
     n_samples = 20000
 
-    outcomes, _, final = sample_trajectory(j, n_steps, seed=7)
-    kraus = build_kraus(j)
-    print(f"one trajectory at 2j = {j.twice_j}, n = {n_steps} (seed 7):")
+    outcomes, _, final = sample_trajectory(twice_j, n_steps, seed=7)
+    kraus = build_kraus(twice_j)
+    print(f"one trajectory at 2j = {twice_j}, n = {n_steps} (seed 7):")
     print("  outcomes:", "".join("+" if c > 0 else "-" for c in outcomes))
     print(f"  conditional fidelity: {quantum_fidelity(final, kraus):.6f}")
 
-    fid, n_plus = sample_fidelity_batch(j, n_steps, n_samples, seed=7)
-    target = closed_form_fidelity(j, n_steps)
+    fid, n_plus = sample_fidelity_batch(twice_j, n_steps, n_samples, seed=7)
+    target = closed_form_fidelity(twice_j, n_steps)
     stderr = fid.std(ddof=1) / np.sqrt(n_samples)
     print(f"\n{n_samples} trajectories:")
     print(f"  mean conditional fidelity  {fid.mean():.6f} +- {stderr:.6f}")

@@ -16,23 +16,22 @@ quantum back-action.
 
 import numpy as np
 
-from drfsim import SpinLabel, classical_fidelity_series, evolve, fitted_step
+from drfsim import classical_fidelity_series, evolve, fitted_step
 
 
 def main():
     twice_j = 10
-    j = SpinLabel(twice_j)
     n_max = 300
 
-    alpha_fit = fitted_step(j)
+    alpha_fit = fitted_step(twice_j)
     print(f"2j = {twice_j}: fitted step = {alpha_fit:.6f} rad "
           f"(about 2/(2j+1) = {2 / (twice_j + 1):.6f})")
 
-    quantum, _ = evolve(j, n_max)
+    quantum, _ = evolve(twice_j, n_max)
     walks = {
-        "fitted": classical_fidelity_series(j, alpha_fit, n_max)[0],
-        "half step": classical_fidelity_series(j, alpha_fit / 2, n_max)[0],
-        "double step": classical_fidelity_series(j, 2 * alpha_fit, n_max)[0],
+        "fitted": classical_fidelity_series(twice_j, alpha_fit, n_max)[0],
+        "half step": classical_fidelity_series(twice_j, alpha_fit / 2, n_max)[0],
+        "double step": classical_fidelity_series(twice_j, 2 * alpha_fit, n_max)[0],
     }
 
     print(f"\n{'step size':>12} {'max |F_C - F_Q|':>18}")

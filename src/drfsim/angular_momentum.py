@@ -41,8 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpinLabel:
-    """The spin j of a frame, stored exactly as the integer 2j >= 1: a frame is
-    read through both branches J = j +- 1/2, and J = j - 1/2 needs 2j >= 1."""
+    """A frame size 2j >= 1, accepted wherever a size is; inside the package a
+    size is the plain int 2j.  A frame is read through both branches
+    J = j +- 1/2, and J = j - 1/2 needs 2j >= 1."""
 
     twice_j: int
 
@@ -50,26 +51,14 @@ class SpinLabel:
         object.__setattr__(self, "twice_j", _check_count("twice_j", self.twice_j, 1))
 
     @property
-    def j(self) -> float:
-        return self.twice_j / 2.0
-
-    @property
     def dim(self) -> int:
         """Dimension 2j+1 of the spin-j space."""
         return self.twice_j + 1
 
-    @property
-    def twice_m_values(self) -> np.ndarray:
-        """All magnetic numbers 2m, ascending from -2j to +2j."""
-        return np.arange(-self.twice_j, self.twice_j + 1, 2)
 
-    def __str__(self) -> str:
-        return f"j={Fraction(self.twice_j, 2)}"
-
-
-def _check_frame(j) -> SpinLabel:
-    """A frame size, a SpinLabel or an int read as 2j, as a SpinLabel."""
-    return j if isinstance(j, SpinLabel) else SpinLabel(j)
+def _check_frame(j) -> int:
+    """A frame size, a SpinLabel or an int read as 2j, as the checked int 2j >= 1."""
+    return j.twice_j if isinstance(j, SpinLabel) else _check_count("twice_j", j, 1)
 
 
 OUTCOMES = (+1, -1)  # outcome c of a measurement: the total-J branch J = j + c/2
@@ -86,16 +75,16 @@ class CGCoefficient(NamedTuple):
         return self.sign * math.sqrt(self.square)
 
 
-def _check_magnetic(j: SpinLabel, twice_m: int, what: str = "m") -> int:
+def _check_magnetic(twice_j: int, twice_m: int, what: str = "m") -> int:
     index = _index(twice_m)  # int() would truncate 2m = 1.9 to 1
     if index is None:
-        raise DomainError(f"2{what}={twice_m!r} must be an integer for {j}")
-    if (index - j.twice_j) % 2 != 0:
+        raise DomainError(f"2{what}={twice_m!r} must be an integer for 2j={twice_j}")
+    if (index - twice_j) % 2 != 0:
         raise DomainError(
-            f"2{what}={index} has wrong parity for {j} (must match 2j mod 2)"
+            f"2{what}={index} has wrong parity for 2j={twice_j} (must match 2j mod 2)"
         )
-    if abs(index) > j.twice_j:
-        raise DomainError(f"|{what}| exceeds j: 2{what}={index}, {j}")
+    if abs(index) > twice_j:
+        raise DomainError(f"|{what}| exceeds j: 2{what}={index}, 2j={twice_j}")
     return index
 
 
@@ -134,11 +123,11 @@ def cg_coefficient(j, twice_m: int, a: int, c: int) -> CGCoefficient:
     -1    1     +sqrt((j+m)/q)
     ====  ====  ==================
     """
-    j = _check_frame(j)
-    twice_m = _check_magnetic(j, twice_m)
+    tj = _check_frame(j)
+    twice_m = _check_magnetic(tj, twice_m)
     a, c = _check_member("a", a, (0, 1)), _check_member("c", c, OUTCOMES)
     # the table's numerators over 2q, 2(j+m+1) ... 2(j+m), are 2j + c (2 s_a) 2m + 1 + c
-    square = Fraction(j.twice_j + c * (1 - 2 * a) * twice_m + 1 + c, 2 * (j.twice_j + 1))
+    square = Fraction(tj + c * (1 - 2 * a) * twice_m + 1 + c, 2 * (tj + 1))
     return CGCoefficient(-1 if (c, a) == (-1, 0) and square else 1, square)
 
 
@@ -151,14 +140,14 @@ def projector_element(j, c: int, a: int, b: int, twice_m_row: int, twice_m_col: 
     m_row + s_a = m_col + s_b (conservation of total M), so the (a=b)
     operators are diagonal in m and the (a != b) operators shift m by one.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     c = _check_member("c", c, OUTCOMES)
     a, b = _check_member("a", a, (0, 1)), _check_member("b", b, (0, 1))
-    twice_m_row = _check_magnetic(j, twice_m_row, "m_row")
-    twice_m_col = _check_magnetic(j, twice_m_col, "m_col")
+    twice_m_row = _check_magnetic(tj, twice_m_row, "m_row")
+    twice_m_col = _check_magnetic(tj, twice_m_col, "m_col")
     if twice_m_row - 2 * a != twice_m_col - 2 * b:  # 2 s_a = 1 - 2a
         return 0.0
-    left, right = cg_coefficient(j, twice_m_row, a, c), cg_coefficient(j, twice_m_col, b, c)
+    left, right = cg_coefficient(tj, twice_m_row, a, c), cg_coefficient(tj, twice_m_col, b, c)
     return left.value * right.value
 
 
@@ -203,7 +192,7 @@ def coherent_columns(j, thetas) -> np.ndarray:
     logarithms (so no log 0 is formed) and is then set one-hot at m = +j or
     m = -j.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     thetas = _reals("theta", thetas)
     if thetas.ndim != 1:
         raise DomainError(f"thetas must be a 1-d array of angles, got shape {thetas.shape}")
@@ -216,12 +205,12 @@ def coherent_columns(j, thetas) -> np.ndarray:
     poles = north | south
     prob_up[poles] = 0.5
     log_down = np.log1p(-prob_up)
-    columns = np.multiply.outer(np.arange(j.dim), np.log(prob_up))
+    columns = np.multiply.outer(np.arange(tj + 1), np.log(prob_up))
     block = max(1, (1 << 15) // max(1, len(thetas)))  # rows of <= 2^15 doubles
-    for start in range(0, j.dim, block):
-        down = j.twice_j - np.arange(start, min(start + block, j.dim))
+    for start in range(0, tj + 1, block):
+        down = tj - np.arange(start, min(start + block, tj + 1))
         columns[start:start + block] += np.multiply.outer(down, log_down)
-    columns += _log_binomials(j.twice_j)[:, None]
+    columns += _log_binomials(tj)[:, None]
     np.exp(columns, out=columns)
     columns[:, poles] = 0.0
     columns[-1, north] = 1.0

@@ -93,7 +93,7 @@ def initial_spectrum(j) -> LegendreSpectrum:
     so c_0 = 1, c_1 = 6j / (2j + 1) and c_l = 0 for every l > N: the
     returned series is exact and holds the N + 1 coefficients c_0 ... c_N.
     """
-    big_n = 2 * _check_frame(j).twice_j
+    big_n = 2 * _check_frame(j)
     i = np.arange(1, big_n + 1)
     ratios = (big_n + 1 - i) / (big_n + 1.0 + i)
     return LegendreSpectrum(
@@ -166,10 +166,10 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, 
     (:mod:`~drfsim.spectrum`) is checked against ``ORACLE_TOL`` before the pair
     is returned.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     alpha = _check_polar("alpha", _real("alpha", alpha))
-    c0, c1 = 1.0, 3 * (j.twice_j / (j.twice_j + 1))  # 3 N/(N + 2) rounded once, N = 4j
+    c0, c1 = 1.0, 3 * (tj / (tj + 1))  # 3 N/(N + 2) rounded once, N = 4j
     gains = np.arange(n_max + 1, dtype=float)
     np.power(math.cos(alpha), gains, out=gains)  # cos(alpha)^n
     fid = np.multiply(gains, c1)  # 0.5 (c0 + c1 gains / 3), in place
@@ -177,12 +177,12 @@ def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, 
     fid += c0
     fid *= 0.5
     closed = gains  # 1/2 + A gains, over the gains
-    closed *= _first_multipole(j)[4]
+    closed *= _first_multipole(tj)[4]
     closed += 0.5
     error = np.subtract(fid, closed)
     np.abs(error, out=error)
     step = int(np.argmax(error))  # the first NaN, if there is one
-    require(f"classical_walk.classical_fidelity_series: 2j={j.twice_j}, step {step}",
+    require(f"classical_walk.classical_fidelity_series: 2j={tj}, step {step}",
             "walk fidelity |F - F_closed|", error[step], "ORACLE_TOL")
     return fid, closed
 
@@ -376,5 +376,5 @@ def angular_variance(j) -> float:
     added up with ``math.fsum``.  For large j it tends to 1/(2j), the squared
     angular uncertainty of the aligned spin-j coherent state.
     """
-    terms = (-2.0 / (k * k) for k in range(1, 2 * _check_frame(j).twice_j + 1))
+    terms = (-2.0 / (k * k) for k in range(1, 2 * _check_frame(j) + 1))
     return math.fsum([math.pi**2 / 3.0, *terms])

@@ -58,7 +58,6 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .angular_momentum import SpinLabel
 from .classical_walk import classical_fidelity_series
 from .coherent_analysis import convexity_series
 from .errors import DomainError, DrfsimError, _check_count, _check_polar, _real
@@ -73,8 +72,8 @@ __all__ = ["RunConfig", "run", "main", "HEADERS"]
 # -- per-command column builders (pure functions of the config) ---------------
 
 
-def _n_max(config: RunConfig, j: SpinLabel) -> int:
-    return config.n_max if config.n_max is not None else default_n_max(j)
+def _n_max(config: RunConfig, twice_j: int) -> int:
+    return config.n_max if config.n_max is not None else default_n_max(twice_j)
 
 
 def _abs_diff(a, b):
@@ -87,48 +86,47 @@ def _series_columns(fidelity, closed):
     return [np.arange(len(fidelity)), fidelity, closed, _abs_diff(fidelity, closed)]
 
 
-def _columns_quantum(config: RunConfig, j: SpinLabel):
-    return _series_columns(*evolve(j, _n_max(config, j)))
+def _columns_quantum(config: RunConfig, twice_j: int):
+    return _series_columns(*evolve(twice_j, _n_max(config, twice_j)))
 
 
-def _columns_classical(config: RunConfig, j: SpinLabel):
-    alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    return _series_columns(*classical_fidelity_series(j, alpha, _n_max(config, j)))
+def _columns_classical(config: RunConfig, twice_j: int):
+    alpha = config.alpha if config.alpha is not None else fitted_step(twice_j)
+    return _series_columns(*classical_fidelity_series(twice_j, alpha, _n_max(config, twice_j)))
 
 
-def _columns_compare(config: RunConfig, j: SpinLabel):
-    n_max = _n_max(config, j)
-    alpha = config.alpha if config.alpha is not None else fitted_step(j)
-    f_q, closed = evolve(j, n_max)
-    f_c = classical_fidelity_series(j, alpha, n_max)[0]  # its closed form is freed
+def _columns_compare(config: RunConfig, twice_j: int):
+    n_max = _n_max(config, twice_j)
+    alpha = config.alpha if config.alpha is not None else fitted_step(twice_j)
+    f_q, closed = evolve(twice_j, n_max)
+    f_c = classical_fidelity_series(twice_j, alpha, n_max)[0]  # its closed form is freed
     return [np.arange(n_max + 1), f_q, closed, f_c,
             _abs_diff(f_c, f_q), _abs_diff(f_q, closed)]
 
 
-def _columns_trajectories(config: RunConfig, j: SpinLabel):
+def _columns_trajectories(config: RunConfig, twice_j: int):
     fidelities, plus_counts = sample_fidelity_batch(
-        j, _n_max(config, j), config.samples, [config.seed, j.twice_j])
+        twice_j, _n_max(config, twice_j), config.samples, [config.seed, twice_j])
     return [np.arange(config.samples), plus_counts, fidelities]
 
 
-def _columns_coherent(config: RunConfig, j: SpinLabel):
+def _columns_coherent(config: RunConfig, twice_j: int):
     n_max = config.n_max if config.n_max is not None else 8
-    n_nodes = config.n_nodes if config.n_nodes is not None else 8 * j.dim
+    n_nodes = config.n_nodes if config.n_nodes is not None else 8 * (twice_j + 1)
     # the step column comes first: a size no array can hold then fails
     # before any fit, as it does for quantum-evolve
     steps = np.arange(n_max + 1)
-    results = convexity_series(j, n_max, n_nodes)
+    results = convexity_series(twice_j, n_max, n_nodes)
     return [steps,
             np.array([r.residual for r in results]),
             np.array([r.weight_sum_gap for r in results])]
 
 
-def _columns_scaling(config: RunConfig, *js: SpinLabel):
-    lives = {j.twice_j: half_life(j) for j in js}
-    ratios = [lives[j.twice_j] / lives[j.twice_j // 2]
-              if j.twice_j // 2 in lives and j.twice_j % 2 == 0 else None
-              for j in js]
-    return [[j.twice_j for j in js], [lives[j.twice_j] for j in js], ratios]
+def _columns_scaling(config: RunConfig, *js: int):
+    lives = {tj: half_life(tj) for tj in js}
+    ratios = [lives[tj] / lives[tj // 2] if tj // 2 in lives and tj % 2 == 0 else None
+              for tj in js]
+    return [list(js), [lives[tj] for tj in js], ratios]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,14 +209,15 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
+        if not isinstance(self.twice_j, (list, tuple)):
+            raise DomainError(f"twice_j must be a list or tuple of sizes, got {self.twice_j!r}")
         if not self.twice_j:
             raise DomainError("twice_j must list at least one size")
         self.twice_j = sorted({_check_option("twice_j", tj) for tj in self.twice_j})
         for name in ("n_max", "alpha", "seed", "samples", "n_nodes"):
             if getattr(self, name) is not None:
                 _check_option(name, getattr(self, name))
-        if self.out is None:
-            self.out = Path(f"{self.command}.csv")
+        self.out = Path(f"{self.command}.csv" if self.out is None else self.out)
 
 
 # -- formatting and output ----------------------------------------------------
@@ -459,7 +458,7 @@ def _run_size(config: RunConfig, js: list[int], path: Path) -> dict:
     path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(path) as fh:
         tic = time.perf_counter()
-        columns = COMMANDS[config.command].build(config, *map(SpinLabel, js))
+        columns = COMMANDS[config.command].build(config, *js)
         build_s = time.perf_counter() - tic
         tic = time.perf_counter()
         csv_bytes = _write_csv(fh, HEADERS[config.command], columns)

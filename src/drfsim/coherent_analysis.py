@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .angular_momentum import SpinLabel, _check_frame, coherent_columns
+from .angular_momentum import _check_frame, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
 from .quantum_drf import FrameState, flux_step
 from .spectrum import transfer_rates
@@ -45,11 +45,11 @@ def build_grid(j, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     entries (2j + 1).  Raises :class:`InternalConsistencyError` if a column
     sums to more than ``STRUCTURE_TOL`` away from 1.
     """
-    j = _check_frame(j)
-    n_nodes = _check_count(f"{j}: n_nodes", n_nodes, j.dim)
+    tj = _check_frame(j)
+    n_nodes = _check_count(f"2j={tj}: n_nodes", n_nodes, tj + 1)
     thetas = np.arccos(np.linspace(1.0, -1.0, n_nodes))
-    columns = coherent_columns(j, thetas)
-    require(f"coherent_analysis.build_grid: 2j={j.twice_j}, {n_nodes} nodes",
+    columns = coherent_columns(tj, thetas)
+    require(f"coherent_analysis.build_grid: 2j={tj}, {n_nodes} nodes",
             "largest |column sum - 1|", np.max(np.abs(columns.sum(axis=0) - 1.0)),
             "STRUCTURE_TOL")
     return thetas, columns
@@ -64,8 +64,10 @@ class DecompositionResult:
     weight_sum_gap: float
 
     def __post_init__(self):
-        checked = {"weights": _reals("weights", self.weights).copy(),  # frozen below
-                   "residual": _real("residual", self.residual),
+        weights = _reals("weights", self.weights).copy()  # frozen below
+        if weights.ndim != 1:
+            raise DomainError(f"weights must be a 1-d array, got shape {weights.shape}")
+        checked = {"weights": weights, "residual": _real("residual", self.residual),
                    "weight_sum_gap": _real("weight_sum_gap", self.weight_sum_gap)}
         for name, value in checked.items():  # NaN fails both bounds
             if not (0.0 <= np.min(value, initial=0.0) and np.max(value, initial=0.0) < math.inf):
@@ -106,7 +108,10 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
         raise DomainError(
             f"incompatible shapes: A is {A.shape}, b is {b.shape}"
         )
+    if not A.shape[1]:
+        raise DomainError(f"matrix A must have at least one column, got shape {A.shape}")
     _check_finite("matrix A", A)
+    _check_finite("target b", b)
     require(f"coherent_analysis.nnls_solve: {A.shape[0]} x {A.shape[1]} matrix",
             "target b must sum to 1; its gap", abs(b.sum() - 1.0),
             "NNLS_TARGET_SUM_TOL", DomainError)
@@ -163,10 +168,10 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     residual vanishes; a residual that stays above threshold as n_nodes
     doubles signals genuine non-decomposability rather than grid error.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     n = _check_count("n", n)
-    state = next(islice(_evolved_populations(j), n, None))
-    return _fit("convexity_test", j, n, build_grid(j, n_nodes)[1], state)
+    state = next(islice(_evolved_populations(tj), n, None))
+    return _fit("convexity_test", tj, n, build_grid(tj, n_nodes)[1], state)
 
 
 def convexity_series(j, n_max: int, n_nodes: int) -> list:
@@ -177,33 +182,33 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     n_nodes)``, the cold fit, in support and residual, except where the state
     is an exact mixture: there only the residual, at rounding level, agrees.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     n_max = _check_count("n_max", n_max)
-    _, columns = build_grid(j, n_nodes)
+    _, columns = build_grid(tj, n_nodes)
     results = []
-    for n, state in enumerate(islice(_evolved_populations(j), n_max + 1)):
+    for n, state in enumerate(islice(_evolved_populations(tj), n_max + 1)):
         start = results[-1].weights > 0.0 if results else None
-        results.append(_fit("convexity_series", j, n, columns, state, start))
+        results.append(_fit("convexity_series", tj, n, columns, state, start))
     return results
 
 
-def _fit(caller: str, j: SpinLabel, n: int, columns: np.ndarray,
+def _fit(caller: str, twice_j: int, n: int, columns: np.ndarray,
          state: np.ndarray, start=None) -> DecompositionResult:
     """:func:`nnls_solve` whose cap error also names 2j, n and the grid size."""
     try:
         return nnls_solve(columns, state, start=start)
     except ConvergenceError as err:
         raise ConvergenceError(
-            f"coherent_analysis.{caller}: 2j={j.twice_j}, n={n}, "
+            f"coherent_analysis.{caller}: 2j={twice_j}, n={n}, "
             f"n_nodes={columns.shape[1]}: {err}",
             result=err.result,
         ) from err
 
 
-def _evolved_populations(j: SpinLabel):
+def _evolved_populations(twice_j: int):
     """Validated populations of the aligned state after 0, 1, 2, ... map steps."""
-    rates = transfer_rates(j)
-    populations = FrameState.stretched(j).populations
+    rates = transfer_rates(twice_j)
+    populations = FrameState.stretched(twice_j).populations
     while True:
-        yield FrameState(j, populations).data
+        yield FrameState(twice_j, populations).data
         populations = flux_step(populations, rates)

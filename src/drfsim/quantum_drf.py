@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
-from .angular_momentum import OUTCOMES, SpinLabel, _check_frame, cg_coefficient
+from .angular_momentum import OUTCOMES, _check_frame, cg_coefficient
 from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
 from .spectrum import _count_fidelity, _first_multipole, closed_form_fidelity, transfer_rates
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
@@ -62,20 +62,24 @@ class KrausSet:
     and the tests read the bands; diagonal states step at exact flux rates instead.
     """
 
-    j: SpinLabel
+    twice_j: int
     bands: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "j", _check_frame(self.j))
+        object.__setattr__(self, "twice_j", _check_frame(self.twice_j))
+        where = f"KrausSet: 2j={self.twice_j}"
+        if not isinstance(self.bands, dict):
+            raise DomainError(f"{where}: bands must be a dict keyed (a, b, c), "
+                              f"got {type(self.bands).__name__}")
         if self.bands.keys() != _KEYS:
-            raise DomainError(f"KrausSet: 2j={self.j.twice_j}: keys missing "
+            raise DomainError(f"{where}: keys missing "
                               f"{sorted(_KEYS - self.bands.keys())}, extra "
                               f"{sorted(self.bands.keys() - _KEYS, key=repr)}")
         bands = {}
         for (a, b, c), values in self.bands.items():
-            band = f"KrausSet: 2j={self.j.twice_j}: band {(a, b, c)}"
+            band = f"{where}: band {(a, b, c)}"
             values = _reals(band, values).copy()  # frozen below: not the caller's array
-            length = self.j.dim - abs(b - a)
+            length = self.twice_j + 1 - abs(b - a)
             if values.shape != (length,):
                 raise DomainError(f"{band} must have shape ({length},), got {values.shape}")
             _check_finite(band, values)
@@ -88,7 +92,7 @@ class KrausSet:
 
         Each E^dag E is diagonal: the squared band, on the band's columns.
         """
-        d = self.j.dim
+        d = self.twice_j + 1
         acc = np.zeros(d)
         for (a, b, _), values in self.bands.items():
             acc[_span(b - a, d)] += values ** 2
@@ -112,16 +116,17 @@ def build_kraus(j) -> KrausSet:
     Band (a, b, c) pairs row m_k with column m_{k + b - a}, at offset b - a, and is
     column a on its rows times column b on its columns.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
+    d = tj + 1
     bands = {}
     for c in OUTCOMES:
-        cg = [np.array([cg_coefficient(j, tm, a, c).value for tm in j.twice_m_values])
+        cg = [np.array([cg_coefficient(tj, tm, a, c).value for tm in range(-tj, tj + 1, 2)])
               for a in (0, 1)]
         for a in (0, 1):
             for b in (0, 1):
-                bands[(a, b, c)] = cg[a][_span(a - b, j.dim)] * cg[b][_span(b - a, j.dim)]
-    kraus = KrausSet(j, bands)
-    require(f"quantum_drf.build_kraus: 2j={j.twice_j}", "trace preservation defect",
+                bands[(a, b, c)] = cg[a][_span(a - b, d)] * cg[b][_span(b - a, d)]
+    kraus = KrausSet(tj, bands)
+    require(f"quantum_drf.build_kraus: 2j={tj}", "trace preservation defect",
             kraus.completeness_defect(), "STRUCTURE_TOL")
     return kraus
 
@@ -157,13 +162,13 @@ class FrameState:
     the full complex density matrix.  Both validate on construction.
     """
 
-    j: SpinLabel
+    twice_j: int
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "j", _check_frame(self.j))
-        d = self.j.dim
-        where = f"FrameState: 2j={self.j.twice_j}"
+        object.__setattr__(self, "twice_j", _check_frame(self.twice_j))
+        d = self.twice_j + 1
+        where = f"FrameState: 2j={self.twice_j}"
         axes = np.ndim(self.data)
         if axes == 1:
             arr = _reals(f"{where}: populations", self.data).copy()
@@ -195,15 +200,15 @@ class FrameState:
     @classmethod
     def stretched(cls, j) -> "FrameState":
         """The fully aligned state |j, j><j, j| (all weight at m = +j)."""
-        j = _check_frame(j)
-        p = np.zeros(j.dim)
+        tj = _check_frame(j)
+        p = np.zeros(tj + 1)
         p[-1] = 1.0
-        return cls(j, p)
+        return cls(tj, p)
 
     @classmethod
     def maximally_mixed(cls, j) -> "FrameState":
-        j = _check_frame(j)
-        return cls(j, np.full(j.dim, 1.0 / j.dim))
+        tj = _check_frame(j)
+        return cls(tj, np.full(tj + 1, 1.0 / (tj + 1)))
 
     # -- views ---------------------------------------------------------------
 
@@ -228,9 +233,9 @@ class FrameState:
 
 
 def _require_same_spin(state: FrameState, kraus: KrausSet):
-    if state.j != kraus.j:
+    if state.twice_j != kraus.twice_j:
         raise DomainError(
-            f"spin mismatch: state has {state.j}, kraus has {kraus.j}"
+            f"spin mismatch: state has 2j={state.twice_j}, kraus has 2j={kraus.twice_j}"
         )
 
 
@@ -244,8 +249,8 @@ def apply_map(state: FrameState, kraus: KrausSet) -> FrameState:
     """
     _require_same_spin(state, kraus)
     if state.diagonal:
-        return FrameState(state.j, flux_step(state.data, transfer_rates(state.j)))
-    return FrameState(state.j, _sandwich(state.data, kraus, OUTCOMES))
+        return FrameState(state.twice_j, flux_step(state.data, transfer_rates(state.twice_j)))
+    return FrameState(state.twice_j, _sandwich(state.data, kraus, OUTCOMES))
 
 
 def _sandwich(rho: np.ndarray, kraus: KrausSet, outcomes) -> np.ndarray:
@@ -366,33 +371,34 @@ def evolve(j, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     raises :class:`InternalConsistencyError` naming 2j, the step, the
     observed value and the tolerance.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     n_max = _check_count("n_max", n_max)
-    fidelity, s, lowest, totals = _map_fidelity(j, n_max)
-    closed = closed_form_fidelity(j, np.arange(n_max + 1))
-    _check_steps(j, fidelity, closed, s, lowest, np.abs(totals - 1.0))
+    fidelity, s, lowest, totals = _map_fidelity(tj, n_max)
+    closed = closed_form_fidelity(tj, np.arange(n_max + 1))
+    _check_steps(tj, fidelity, closed, s, lowest, np.abs(totals - 1.0))
     return fidelity, closed
 
 
-def _map_fidelity(j: SpinLabel, n_max: int):
+def _map_fidelity(twice_j: int, n_max: int):
     """The blocked iteration of :func:`evolve`: the fidelity of steps
     0 ... n_max, the block length s, and the smallest population and the
     total of each held state (steps 0, s, 2s, ...).  Held states are
     reduced s at a time from a copy the size of the adjoint rows.  The
     kernel and the adjoint rows are freed on return."""
-    rates = transfer_rates(j)
+    d = twice_j + 1
+    rates = transfer_rates(twice_j)
     s = _block_length(n_max)
     kernel = _jump_kernel(rates, s)
-    adjoint = _adjoint_rows(j.twice_m_values / 2.0, rates, s)
-    padded = np.zeros(j.dim + 2 * s - 2)
-    state = padded[s - 1 : s - 1 + j.dim]
+    adjoint = _adjoint_rows(np.arange(-twice_j, twice_j + 1, 2) / 2.0, rates, s)
+    padded = np.zeros(d + 2 * s - 2)
+    state = padded[s - 1 : s - 1 + d]
     state[-1] = 1.0
     windows = sliding_window_view(padded, 2 * s)
     fidelity = np.empty(n_max + 1)
     held = range(0, n_max + 1, s)
     lowest = np.empty(len(held))
     totals = np.empty(len(held))
-    states = np.empty((min(s, len(held)), j.dim))  # the held states since the last check
+    states = np.empty((min(s, len(held)), d))  # the held states since the last check
     for i, start in enumerate(held):
         stop = min(start + s, n_max + 1)
         np.dot(adjoint[: stop - start], state, out=fidelity[start:stop])
@@ -403,12 +409,12 @@ def _map_fidelity(j: SpinLabel, n_max: int):
             np.sum(states[: row + 1], axis=1, out=totals[i - row : i + 1])
         if stop <= n_max:
             _jump(kernel, windows, state)
-    fidelity /= j.twice_j + 1.0  # F = 1/2 + <m> / q, in place
+    fidelity /= twice_j + 1.0  # F = 1/2 + <m> / q, in place
     fidelity += 0.5
     return fidelity, s, lowest, totals
 
 
-def _check_steps(j: SpinLabel, fidelity, closed, s: int, lowest, drift):
+def _check_steps(twice_j: int, fidelity, closed, s: int, lowest, drift):
     """Raise at the first step whose held state or fidelity fails its check.
 
     ``lowest`` and ``drift`` (|sum p - 1|) belong to the held states, steps
@@ -424,7 +430,7 @@ def _check_steps(j: SpinLabel, fidelity, closed, s: int, lowest, drift):
         ok[::s] &= held_ok
         step = int(np.argmin(ok))
         i, offset = divmod(step, s)
-        where = f"quantum_drf.evolve: 2j={j.twice_j}, step {step}"
+        where = f"quantum_drf.evolve: 2j={twice_j}, step {step}"
         if offset == 0:
             require(where, "population", lowest[i], "EIGENVALUE_FLOOR")
             require(where, "|sum of populations - 1|", drift[i], "STRUCTURE_TOL")
@@ -445,16 +451,16 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
         return _outcome_step(state, outcome)
     unnorm = _sandwich(state.data, kraus, (outcome,))
     prob = float(unnorm.trace().real)
-    require(f"quantum_drf.conditional_update: 2j={state.j.twice_j}",
+    require(f"quantum_drf.conditional_update: 2j={state.twice_j}",
             f"distance outside [0, 1] of the probability of outcome {outcome:+d}",
             max(-prob, prob - 1.0), "STRUCTURE_TOL")
-    return prob, FrameState(state.j, unnorm / prob)
+    return prob, FrameState(state.twice_j, unnorm / prob)
 
 
 def _outcome_step(state: FrameState, outcome: int):
     """(p_c, the state after outcome c) of a diagonal state: :func:`flux_step` at w_k / (2 p_c)."""
-    prob, rates = _outcome_rates(state.j.twice_j, outcome)
-    return prob, FrameState(state.j, flux_step(state.data, rates))
+    prob, rates = _outcome_rates(state.twice_j, outcome)
+    return prob, FrameState(state.twice_j, flux_step(state.data, rates))
 
 
 @lru_cache(maxsize=32)
@@ -482,11 +488,11 @@ def sample_trajectory(j, n_max: int, seed):
         each step), the probability each had conditioned on the record
         before it, and the record-conditioned final :class:`FrameState`.
     """
-    j = _check_frame(j)
+    tj = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     rng = _generator(seed)
-    outcomes = np.where(rng.random(n_max) < _first_multipole(j)[3], +1, -1)  # p+
-    state = FrameState.stretched(j)
+    outcomes = np.where(rng.random(n_max) < _first_multipole(tj)[3], +1, -1)  # p+
+    state = FrameState.stretched(tj)
     probs = np.empty(n_max)
     for step, outcome in enumerate(outcomes):
         probs[step], state = _outcome_step(state, outcome)

@@ -27,16 +27,16 @@ DEFAULT_SEED = 1234
 _TWICE_J_RANGE = range(1, 21)
 
 
-def _random_dense_state(rng, j):
-    d = j.dim
+def _random_dense_state(rng, twice_j):
+    d = twice_j + 1
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
-    return qd.FrameState(j, rho / rho.trace().real)
+    return qd.FrameState(twice_j, rho / rho.trace().real)
 
 
-def _random_diagonal_state(rng, j):
-    p = rng.random(j.dim) + 1e-3
-    return qd.FrameState(j, p / p.sum())
+def _random_diagonal_state(rng, twice_j):
+    p = rng.random(twice_j + 1) + 1e-3
+    return qd.FrameState(twice_j, p / p.sum())
 
 
 def _check_kraus_completeness(rng, kraus):
@@ -46,23 +46,20 @@ def _check_kraus_completeness(rng, kraus):
 
 def _check_trace_preservation(rng, kraus):
     for tj in _TWICE_J_RANGE:
-        j = am.SpinLabel(tj)
-        for state in (_random_dense_state(rng, j), _random_diagonal_state(rng, j)):
+        for state in (_random_dense_state(rng, tj), _random_diagonal_state(rng, tj)):
             qd.apply_map(state, kraus(tj))  # FrameState requires |trace - 1| <= STRUCTURE_TOL
 
 
 def _check_positivity(rng, kraus):
     for tj in _TWICE_J_RANGE:
-        j = am.SpinLabel(tj)
         # FrameState requires every eigenvalue of the mapped state >= EIGENVALUE_FLOOR
-        qd.apply_map(_random_dense_state(rng, j), kraus(tj))
+        qd.apply_map(_random_dense_state(rng, tj), kraus(tj))
 
 
 def _check_diagonal_closure(rng, kraus):
     for tj in (1, 5, 12, 20):
-        j = am.SpinLabel(tj)
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        mapped = qd.apply_map(qd.FrameState(j, _random_diagonal_state(rng, j).matrix), kraus(tj))
+        mapped = qd.apply_map(qd.FrameState(tj, _random_diagonal_state(rng, tj).matrix), kraus(tj))
         off = mapped.matrix.copy()
         np.fill_diagonal(off, 0.0)
         if not np.all(off == 0.0):
@@ -72,10 +69,9 @@ def _check_diagonal_closure(rng, kraus):
 
 def _check_fixed_point(rng, kraus):
     for tj in (1, 4, 9, 20):
-        j = am.SpinLabel(tj)
-        mixed = qd.FrameState.maximally_mixed(j)
+        mixed = qd.FrameState.maximally_mixed(tj)
         # dense: the flux step maps the uniform vector to itself whatever the rates
-        mapped = qd.apply_map(qd.FrameState(j, mixed.matrix), kraus(tj))
+        mapped = qd.apply_map(qd.FrameState(tj, mixed.matrix), kraus(tj))
         require(f"2j={tj}", "drift of the maximally mixed state",
                 np.max(np.abs(mapped.populations - mixed.populations)), "STRUCTURE_TOL")
 
@@ -84,8 +80,8 @@ def _check_legendre_normalization(rng, kraus):
     # c_0 = 1 is held by LegendreSpectrum; c_1 and c_2 after n kicks against
     # c_l(0) P_l(cos alpha)^n by the closed forms of P_1 and P_2
     for tj in _TWICE_J_RANGE:
-        spec = cw.initial_spectrum(am.SpinLabel(tj))
-        alpha = fitted_step(am.SpinLabel(tj))
+        spec = cw.initial_spectrum(tj)
+        alpha = fitted_step(tj)
         n = int(rng.integers(1, 50))
         walked = cw.walk_evolve(spec, alpha, n)
         x = np.cos(alpha)
@@ -97,9 +93,8 @@ def _check_legendre_normalization(rng, kraus):
 
 def _check_reconstruction_positivity(rng, kraus):
     for tj in (1, 4, 10, 20):
-        j = am.SpinLabel(tj)
-        spec = cw.initial_spectrum(j)
-        alpha = fitted_step(j)
+        spec = cw.initial_spectrum(tj)
+        alpha = fitted_step(tj)
         for n in (1, tj**2, 5 * tj**2):
             walked = cw.walk_evolve(spec, alpha, n)
             require(f"2j={tj}, n={n}", "dip of the reconstruction below 0",
@@ -110,18 +105,17 @@ def _check_coherent_populations(rng, kraus):
     for _ in range(25):
         tj = int(rng.integers(1, 21))
         theta = float(rng.uniform(0.0, np.pi))
-        j = am.SpinLabel(tj)
-        p = am.coherent_columns(j, [theta])[:, 0]
+        p = am.coherent_columns(tj, [theta])[:, 0]
         where = f"2j={tj}, theta={theta!r}"
         require(where, "|sum of populations - 1|", abs(p.sum() - 1.0), "STRUCTURE_TOL")
-        mirrored = am.coherent_columns(j, [np.pi - theta])[:, 0]
+        mirrored = am.coherent_columns(tj, [np.pi - theta])[:, 0]
         require(where, "asymmetry under theta -> pi - theta, m -> -m",
                 np.max(np.abs(p - mirrored[::-1])), "STRUCTURE_TOL")
 
 
 def _check_decay_law(rng, kraus):
     for tj in (1, 7, 20):
-        qd.evolve(am.SpinLabel(tj), 200)  # checks every step against MAP_TOL
+        qd.evolve(tj, 200)  # checks every step against MAP_TOL
 
 
 def _check_nnls_recovery(rng, kraus):
@@ -140,7 +134,7 @@ def _check_nnls_recovery(rng, kraus):
     for _ in range(5):
         tj = int(rng.integers(2, 11))
         n_nodes = 4 * (tj + 1)
-        _, columns = ca.build_grid(am.SpinLabel(tj), n_nodes)
+        _, columns = ca.build_grid(tj, n_nodes)
         w_true = np.zeros(n_nodes)
         support = rng.choice(n_nodes, size=3, replace=False)
         w_true[support] = rng.random(3) + 0.1
@@ -170,7 +164,7 @@ def run_selftest(seed: int = DEFAULT_SEED, stream=None):
     seed = _check_count("seed", seed)
     stream = stream if stream is not None else sys.stdout
     passed = failed = 0
-    kraus = functools.cache(lambda tj: qd.build_kraus(am.SpinLabel(tj)))  # 2j -> Kraus set
+    kraus = functools.cache(qd.build_kraus)  # 2j -> Kraus set
     for name, check in CHECKS:
         rng = np.random.default_rng([seed, passed + failed])
         try:

@@ -55,9 +55,9 @@ def transfer_rates(j) -> np.ndarray:
     k -> k+1, (2j-k)(k+1)/q^2, is also the rate k+1 -> k.  Each entry is one
     correctly rounded division of two exact integers while q^2 < 2^53
     (2j < 94 906 265); past that q^2 is rounded to a double first."""
-    j = _check_frame(j)
-    k = np.arange(j.twice_j)
-    return ((k + 1) * (j.twice_j - k)) / float((j.twice_j + 1) ** 2)
+    tj = _check_frame(j)
+    k = np.arange(tj)
+    return ((k + 1) * (tj - k)) / float((tj + 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def multipole_spectrum(j) -> MultipoleSpectrum:
     """Read-only tables of x_k, x+_k and x-_k (module docstring).  Each entry is
     one correctly rounded division of two exact integers while q (2j+2) < 2^53;
     :func:`_first_multipole` gives the k = 1 entries so at every 2j."""
-    tj = _check_frame(j).twice_j
+    tj = _check_frame(j)
     denominators, p_plus, amplitude = _spectrum_constants(tj)
     k = np.arange(tj + 1)
     tables = [-k * (k + 1) / d for d in denominators]
@@ -94,7 +94,7 @@ def _spectrum_constants(twice_j: int):
 
 def _first_multipole(j):
     """(x_1, x+_1, x-_1, p+, A) of :func:`multipole_spectrum`, from Python ints: no table."""
-    denominators, p_plus, amplitude = _spectrum_constants(_check_frame(j).twice_j)
+    denominators, p_plus, amplitude = _spectrum_constants(_check_frame(j))
     return (*(-2 / d for d in denominators), p_plus, amplitude)
 
 

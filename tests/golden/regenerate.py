@@ -41,7 +41,7 @@ try:
 except ImportError:
     from numpy.core import _multiarray_umath as umath
 
-from drfsim import SpinLabel, cli, sample_fidelity_batch
+from drfsim import cli, sample_fidelity_batch
 
 MANIFEST = Path(__file__).resolve().with_name("manifest.json")
 
@@ -104,7 +104,7 @@ def build_outputs() -> dict[str, bytes]:
 def plus_counts_digest(twice_j, n_max, n_samples, seed) -> str:
     """sha256 of the little-endian int64 ``plus_counts`` of
     ``sample_fidelity_batch`` for these arguments."""
-    _, counts = sample_fidelity_batch(SpinLabel(twice_j), n_max, n_samples, seed)
+    _, counts = sample_fidelity_batch(twice_j, n_max, n_samples, seed)
     return hashlib.sha256(np.asarray(counts, dtype="<i8").tobytes()).hexdigest()
 
 

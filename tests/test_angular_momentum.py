@@ -23,12 +23,17 @@ from drfsim.tolerances import STRUCTURE_TOL
 
 from brute_force import coherent_columns_reference, coupled_projectors, sector_cg
 
+def twice_m_values(twice_j):
+    """Every 2m of a frame, ascending from -2j to +2j."""
+    return np.arange(-twice_j, twice_j + 1, 2)
+
+
 def assemble_projector(twice_j, c):
     """Full (2(2j+1))^2 projector from projector_element, qubit index fastest."""
     j = SpinLabel(twice_j)
     dim = 2 * j.dim
     full = np.zeros((dim, dim))
-    tm = j.twice_m_values
+    tm = twice_m_values(twice_j)
     for r, m_row in enumerate(tm):
         for col, m_col in enumerate(tm):
             for a in (0, 1):
@@ -38,11 +43,12 @@ def assemble_projector(twice_j, c):
 
 
 class TestSpinLabel:
-    def test_dimension_and_m_values(self):
+    def test_holds_twice_j_and_dimension_only(self):
+        # an accepted input: every function reads it as its int 2j
         j = SpinLabel(3)
-        assert j.dim == 4
-        assert j.j == 1.5
-        assert list(j.twice_m_values) == [-3, -1, 1, 3]
+        assert (j.twice_j, j.dim) == (3, 4)
+        assert [name for name in dir(j) if not name.startswith("_")] == ["dim", "twice_j"]
+        assert cg_coefficient(j, 1, 0, +1) == cg_coefficient(3, 1, 0, +1)
 
 
 class TestCGCoefficient:
@@ -71,7 +77,7 @@ class TestCGCoefficient:
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 5, 8])
     def test_matches_sector_diagonalisation(self, twice_j):
         j = SpinLabel(twice_j)
-        for twice_m in j.twice_m_values:
+        for twice_m in twice_m_values(twice_j):
             for a in (0, 1):
                 for c in (+1, -1):
                     got = cg_coefficient(j, int(twice_m), a, c).value
@@ -81,7 +87,7 @@ class TestCGCoefficient:
     def test_numpy_integers_accepted(self):
         # as 2m, as the qubit indices a and b, and as the outcome c
         j = SpinLabel(3)
-        for twice_m in j.twice_m_values:
+        for twice_m in twice_m_values(3):
             assert cg_coefficient(j, twice_m, np.int8(0), np.int64(-1)) == \
                 cg_coefficient(j, int(twice_m), 0, -1)
         assert projector_element(j, np.int32(1), 0, 0, np.int32(1), np.int64(1)) == \
@@ -92,7 +98,7 @@ class TestCGCoefficient:
     def test_squares_sum_to_one_within_branches(self):
         # For fixed (m, s) the two branch squares sum to 1 exactly.
         j = SpinLabel(7)
-        for twice_m in j.twice_m_values:
+        for twice_m in twice_m_values(7):
             for a in (0, 1):
                 total = (
                     cg_coefficient(j, int(twice_m), a, +1).square
@@ -110,7 +116,7 @@ class TestProjectorElement:
     def test_selection_rule_zero(self):
         for twice_j in (1, 2, 5):
             j = SpinLabel(twice_j)
-            m = int(j.twice_m_values[0])
+            m = -twice_j
             assert projector_element(j, +1, 0, 1, m, m) == 0.0
 
     def test_lower_branch_vanishes_at_stretched_edge(self):
@@ -120,7 +126,7 @@ class TestProjectorElement:
     @pytest.mark.parametrize("twice_j", range(1, 21))
     def test_completeness_exhaustive(self, twice_j):
         j = SpinLabel(twice_j)
-        tm = j.twice_m_values
+        tm = twice_m_values(twice_j)
         for m_row in tm:
             for m_col in tm:
                 for a in (0, 1):

@@ -523,7 +523,7 @@ class TestFidelitySeries:
             assert array.dtype == np.float64 and array.shape == (41,)
         assert not np.shares_memory(fidelity, closed)
         # the closed form 1/2 + A cos(alpha)^n, A = j/(2j+1)
-        expected = 0.5 + j.j / (2.0 * j.j + 1.0) * math.cos(0.4) ** np.arange(41)
+        expected = 0.5 + (twice_j / 2.0) / (twice_j + 1.0) * math.cos(0.4) ** np.arange(41)
         assert np.max(np.abs(closed - expected)) <= 1e-15
 
     def test_right_angle_kick_erases_information(self):
@@ -550,7 +550,7 @@ class TestFidelitySeries:
     def test_zero_angle_keeps_fidelity_constant(self):
         j = SpinLabel(6)
         fidelity, _ = classical_fidelity_series(j, 0.0, 5)
-        start = 0.5 + j.j / (2.0 * j.j + 1.0)
+        start = 0.5 + 3.0 / 7.0  # A = j / (2j + 1) at j = 3
         assert np.max(np.abs(fidelity - start)) < 1e-10
 
     def test_closed_form_check_names_size_step_and_tolerance(self, monkeypatch):

@@ -192,7 +192,7 @@ def test_command_writes_reference_csv(tmp_path, command, twice_j):
     assert main(argv) == 0
     config = RunConfig(command, [twice_j], n_max=None if command == "coherent-test"
                        else 300)
-    columns = cli.COMMANDS[command].build(config, SpinLabel(twice_j))
+    columns = cli.COMMANDS[command].build(config, twice_j)
     assert out.read_bytes() == csv_reference(HEADERS[command], columns)
 
 
@@ -200,8 +200,7 @@ def test_scaling_writes_reference_csv(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["scaling", "--twice-j", "1,2,4,7,14", "--out", str(out)]) == 0
     sizes = [1, 2, 4, 7, 14]
-    columns = cli.COMMANDS["scaling"].build(RunConfig("scaling", sizes),
-                                            *map(SpinLabel, sizes))
+    columns = cli.COMMANDS["scaling"].build(RunConfig("scaling", sizes), *sizes)
     assert out.read_bytes() == csv_reference(HEADERS["scaling"], columns)
 
 
@@ -578,7 +577,7 @@ class TestCliSurface:
         (n_max,) = [a for a in subparsers.choices[command]._actions if a.dest == "n_max"]
         assert n_max.help == f"steps to simulate (default: {default})"
         if command != "trajectories":  # its rows are samples, not steps
-            columns = cli.COMMANDS[command].build(RunConfig(command, [1]), SpinLabel(1))
+            columns = cli.COMMANDS[command].build(RunConfig(command, [1]), 1)
             assert columns[0][-1] == steps
         stated = re.search(r"Options: `--n-max` \(default: (.*?)\),", README.read_text(),
                            re.DOTALL).group(1)
@@ -597,6 +596,13 @@ class TestCliSurface:
         assert "selftest" not in RunConfig.__dataclass_fields__
         assert RunConfig("compare", [2]).out == Path("compare.csv")
 
+    def test_out_given_as_a_string_is_read_as_a_path(self, tmp_path):
+        out = str(tmp_path / "x.csv")
+        config = RunConfig("quantum-evolve", [2], n_max=3, out=out)
+        assert config.out == Path(out)
+        assert cli.run(config) == 0
+        assert (tmp_path / "x.manifest.json").exists()
+
     def test_option_bounds_are_inclusive(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["trajectories", "--twice-j", "2", "--n-max", "0", "--samples", "1",
@@ -605,7 +611,8 @@ class TestCliSurface:
         # --nodes 1 passes the parser; the grid then names its own minimum
         assert main(["coherent-test", "--twice-j", "2", "--nodes", "1",
                      "--out", str(out)]) == 1
-        assert "j=1: n_nodes must be an integer >= 3, got 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: coherent-test: 2j=2: n_nodes must be an integer >= 3, got 1\n")
 
     def test_missing_twice_j_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -721,7 +728,7 @@ class TestCliSurface:
 
         exact_rates = quantum_drf.transfer_rates
         monkeypatch.setattr(quantum_drf, "transfer_rates", lambda j: (
-            exact_rates(j) * (1.01 if j.twice_j == 6 else 1.0)))
+            exact_rates(j) * (1.01 if j == 6 else 1.0)))
         out = tmp_path / "q.csv"
         code = main(["quantum-evolve", "--twice-j", "6,4", "--n-max", "40",
                      "--out", str(out)])
@@ -799,7 +806,7 @@ class TestCliSurface:
         built = []
         exact_build = quantum_drf.build_kraus
         monkeypatch.setattr(quantum_drf, "build_kraus",
-                            lambda j: built.append(j.twice_j) or exact_build(j))
+                            lambda j: built.append(j) or exact_build(j))
         for runs in (1, 2):
             assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
             assert sorted(built) == sorted(list(range(1, 21)) * runs)

@@ -211,7 +211,7 @@ class TestWarmStart:
         result = convexity_test(j, 8, n_nodes)
         assert result.residual <= 3.8e-7
         _, columns = build_grid(j, n_nodes)
-        state = list(islice(coherent_analysis._evolved_populations(j), 9))[-1]
+        state = list(islice(coherent_analysis._evolved_populations(44), 9))[-1]
         dual = columns.T @ (state - columns @ result.weights)
         assert dual[result.weights == 0.0].max() <= KKT_TOL
 
@@ -321,7 +321,7 @@ def test_warm_series_matches_cold_fits(twice_j):
     n_nodes = 8 * j.dim
     _, columns = build_grid(j, n_nodes)
     series = convexity_series(j, 8, n_nodes)
-    for n, state in enumerate(islice(coherent_analysis._evolved_populations(j), 9)):
+    for n, state in enumerate(islice(coherent_analysis._evolved_populations(twice_j), 9)):
         cold, warm = nnls_solve(columns, state), series[n]
         if cold.residual < 1e-12:
             assert warm.residual < 1e-12, f"2j={twice_j}, n={n}"

@@ -85,12 +85,12 @@ SCALAR = (kind(r"^{name} must be real, got dtype bool$", {"True": True})
 ANGLE = (kind(r"^{name} must lie in \[0, pi\], got ",
               {"-0.1": -0.1, "pi+0.1": PI + 0.1, "nan": NAN, "inf": INF})
          + kind(REAL, {"str": "0.3"}) + SCALAR)
-FINITE = kind(r"^{name} must be finite \(it holds nan or inf\)$",
-              {"nan": entry(NAN), "inf": entry(INF), "-inf": entry(-INF)})
-MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for j=1$",
+NOT_FINITE = r"^{name} must be finite \(it holds nan or inf\)$"
+FINITE = kind(NOT_FINITE, {"nan": entry(NAN), "inf": entry(INF), "-inf": entry(-INF)})
+MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for 2j=2$",
                  {"1.9": 1.9, "1.0": 1.0, "float64": np.float64(0.0)})
-            + kind(r"^2{name}=1 has wrong parity for j=1", {"parity": 1})
-            + kind(r"^\|{name}\| exceeds j: 2{name}=4, j=1$", {"range": 4}))
+            + kind(r"^2{name}=1 has wrong parity for 2j=2", {"parity": 1})
+            + kind(r"^\|{name}\| exceeds j: 2{name}=4, 2j=2$", {"range": 4}))
 # Labels: a qubit index a in {0, 1} and an outcome c in {+1, -1}; no other
 # value is read as one.
 QUBIT = kind(r"^{name} must be one of \(0, 1\), got ",
@@ -125,6 +125,8 @@ def bands(edit):
 
 
 BANDS = [
+    *kind(r"^KrausSet: 2j=3: bands must be a dict keyed \(a, b, c\), got ",
+          {"list": [1, 2], "None": None}),
     ("nan", bands(lambda b: b.update({(0, 0, 1): np.array([1.0, NAN, 1.0, 1.0])})),
      exact("KrausSet: 2j=3: band (0, 0, 1) must be finite (it holds nan or inf)")),
     *[(f"length-{key}", bands(lambda b, key=key, n=n: b.update({key: np.ones(n)})),
@@ -224,34 +226,40 @@ ROWS = [
     ("DecompositionResult", d.DecompositionResult,
      {"weights": ([1.0], kind(r"^weights must be finite and non-negative$",
                               {"nan": [NAN], "-0.1": [-0.1], "inf": [INF]})
+                  + kind(r"^weights must be a 1-d array, got shape ",
+                         {"2-d": [[1.0]], "scalar": 1.0})
                   + kind(REAL, {"str": ["0.5"]})),
       "residual": (0.0, NONNEGATIVE), "weight_sum_gap": (0.0, NONNEGATIVE)}),
-    ("build_grid", d.build_grid, {"j": (2, FRAME), "n_nodes": (5, count(3), "j=1: n_nodes")}),
+    ("build_grid", d.build_grid, {"j": (2, FRAME), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
     ("nnls_solve", d.nnls_solve,
      {"A": (NNLS_A, FINITE + kind(r"^incompatible shapes: A is \(3,\)",
-                                  {"1-d": lambda a: a[:, 0]}) + typed(), "matrix A"),
+                                  {"1-d": lambda a: a[:, 0]})
+            + kind(exact("matrix A must have at least one column, got shape (3, 0)"),
+                   {"no-column": lambda a: a[:, :0]}) + typed(), "matrix A"),
       "b": (NNLS_B, kind(r"target b must sum to 1; its gap .* NNLS_TARGET_SUM_TOL",
-                         {"sum": np.full(3, 0.5), "nan": entry(NAN)})
+                         {"sum": np.full(3, 0.5)})
+            + FINITE + kind(NOT_FINITE, {"inf-and--inf": [INF, -INF, 1.0]})
             + kind(exact("incompatible shapes: A is (3, 11), b is (2,)"),
                    {"shape": [0.5, 0.5]}) + typed(), "target b"),
       "start": (None, kind(r"^start must be a bool array of shape \(11,\)",
                            {"long": np.ones(12, dtype=bool), "int": np.ones(11, dtype=int),
                             "2-d": np.ones((11, 1), dtype=bool)}))}),
     ("convexity_test", d.convexity_test,
-     {"j": (2, FRAME), "n": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
+     {"j": (2, FRAME), "n": (1, count()), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
     ("convexity_series", d.convexity_series,
-     {"j": (2, FRAME), "n_max": (1, count()), "n_nodes": (5, count(3), "j=1: n_nodes")}),
-    ("KrausSet", d.KrausSet, {"j": (3, FRAME), "bands": (KRAUS.bands, BANDS)}),
+     {"j": (2, FRAME), "n_max": (1, count()), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
+    ("KrausSet", d.KrausSet, {"twice_j": (3, FRAME), "bands": (KRAUS.bands, BANDS)}),
     ("FrameState", d.FrameState,
-     {"j": (2, FRAME), "data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
+     {"twice_j": (2, FRAME),
+      "data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
     ("FrameState:dense", d.FrameState,
-     {"j": (2, FRAME), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"),
+     {"twice_j": (2, FRAME), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"),
                                STATE_2 + "matrix")}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
     ("transfer_rates", d.transfer_rates, {"j": (2, FRAME)}),
     ("multipole_spectrum", d.multipole_spectrum, {"j": (2, FRAME)}),
     *[(name, call, {"state": (STATE, RECORD),
-                    "kraus": (KRAUS, kind(r"^spin mismatch: state has j=3/2, kraus has j=1$",
+                    "kraus": (KRAUS, kind(r"^spin mismatch: state has 2j=3, kraus has 2j=2$",
                                           {"other-spin": d.build_kraus(2)}))})
       for name, call in (("apply_map", d.apply_map), ("quantum_fidelity", d.quantum_fidelity))],
     ("closed_form_fidelity", d.closed_form_fidelity, {"j": (2, FRAME), "n": (3, STEPS)}),
@@ -274,6 +282,8 @@ OUTSIDE = [
       "twice_j": ([2], kind(r"^twice_j must be an integer >= 1, got ",
                             {"0": [2, 0], "2.5": [2.5], "nan": [NAN], "str": ["2"]})
                   + kind(r"^twice_j must list at least one size$", {"empty": []})
+                  + kind(r"^twice_j must be a list or tuple of sizes, got ",
+                         {"string": "12", "int": 5})
                   + kind(exact("twice_j must be an integer in [1, 2**60), got "),
                          {"2**60": [2, 2**60]})),
       "n_max": (3, count() + below_2_60(0)), "alpha": (0.1, ANGLE),

@@ -93,6 +93,11 @@ class TestBuildKraus:
         for values in kraus.bands.values():
             assert not values.flags.writeable
 
+    def test_holds_the_int_2j(self):
+        for j in (3, SpinLabel(3)):
+            for kraus in (build_kraus(j), quantum_drf.KrausSet(j, build_kraus(3).bands)):
+                assert type(kraus.twice_j) is int and kraus.twice_j == 3
+
     def test_callers_bands_stay_writable(self):
         # the set freezes copies of the bands, not the caller's own arrays
         bands = {key: values.copy() for key, values in build_kraus(SpinLabel(3)).bands.items()}
@@ -116,7 +121,7 @@ class TestBuildKraus:
     def test_bands_equal_projector_elements_bit_for_bit(self, twice_j):
         # the int64 views tell the sign of a zero apart
         j = SpinLabel(twice_j)
-        tm = j.twice_m_values
+        tm = np.arange(-twice_j, twice_j + 1, 2)
         kraus = build_kraus(j)
         for (a, b, c), values in kraus.bands.items():
             rows, cols = tm[_span(a - b, j.dim)], tm[_span(b - a, j.dim)]
@@ -162,7 +167,7 @@ class TestTransferRates:
     def test_flux_step_writes_in_place(self):
         rng = np.random.default_rng(3)
         j = SpinLabel(7)
-        p = _random_diagonal_state(rng, j).populations
+        p = _random_diagonal_state(rng, 7).populations
         rates = transfer_rates(j)
         expected = flux_step(p, rates)
         buf = p.copy()
@@ -171,6 +176,12 @@ class TestTransferRates:
 
 
 class TestFrameState:
+    def test_holds_the_int_2j(self):
+        p = [0.0, 0.0, 0.0, 1.0]
+        for state in (FrameState(SpinLabel(3), p), FrameState(np.int64(3), p),
+                      FrameState.stretched(SpinLabel(3)), FrameState.maximally_mixed(3)):
+            assert type(state.twice_j) is int and state.twice_j == 3
+
     def test_stretched_and_mixed(self):
         j = SpinLabel(4)
         top = FrameState.stretched(j)
@@ -204,7 +215,7 @@ class TestFrameState:
         # to rounding
         j = SpinLabel(twice_j)
         kraus = build_kraus(j)
-        diagonal = _random_diagonal_state(np.random.default_rng(twice_j), j)
+        diagonal = _random_diagonal_state(np.random.default_rng(twice_j), twice_j)
         dense = FrameState(j, diagonal.matrix)
         mapped = apply_map(diagonal, kraus)
         assert mapped.diagonal
@@ -236,7 +247,7 @@ class TestFrameState:
         kraus = build_kraus(j)
         rng = np.random.default_rng(twice_j)
         for _ in range(3):
-            state = _random_diagonal_state(rng, j)
+            state = _random_diagonal_state(rng, twice_j)
             exact_in = [Fraction(float(v)) for v in state.data]
             for outcome in OUTCOMES:
                 p, after = conditional_update(state, kraus, outcome)
@@ -339,17 +350,17 @@ class TestApplyMap:
         rng = np.random.default_rng(seed)
         j = SpinLabel(twice_j)
         kraus = build_kraus(j)
-        dense = apply_map(_random_dense_state(rng, j), kraus)
+        dense = apply_map(_random_dense_state(rng, twice_j), kraus)
         assert abs(dense.matrix.trace().real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(dense.matrix).min() > -1e-10
-        diag = apply_map(_random_diagonal_state(rng, j), kraus)
+        diag = apply_map(_random_diagonal_state(rng, twice_j), kraus)
         assert abs(diag.populations.sum() - 1.0) < 1e-12
 
     def test_diagonal_closure_is_exact(self):
         rng = np.random.default_rng(7)
         j = SpinLabel(6)
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        state = apply_map(FrameState(j, _random_diagonal_state(rng, j).matrix), build_kraus(j))
+        state = apply_map(FrameState(j, _random_diagonal_state(rng, 6).matrix), build_kraus(j))
         off = state.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0)
@@ -358,7 +369,7 @@ class TestApplyMap:
         rng = np.random.default_rng(11)
         j = SpinLabel(9)
         kraus = build_kraus(j)
-        diag = _random_diagonal_state(rng, j)
+        diag = _random_diagonal_state(rng, 9)
         via_diag = apply_map(diag, kraus).populations
         via_dense = apply_map(FrameState(j, diag.matrix), kraus).populations
         assert np.max(np.abs(via_diag - via_dense)) < 1e-14
@@ -399,7 +410,7 @@ class TestTiltedFrames:
     def test_maps_commute_with_rotations(self, twice_j):
         j = SpinLabel(twice_j)
         kraus = build_kraus(j)
-        rho = _random_dense_state(np.random.default_rng(twice_j), j)
+        rho = _random_dense_state(np.random.default_rng(twice_j), twice_j)
         worst = 0.0
         for beta in TILT_ANGLES:
             u = rotation(twice_j, beta)
@@ -566,7 +577,7 @@ class TestEvolve:
         fidelity, _ = evolve(j, 0)
         assert len(fidelity) == 1
         assert fidelity[0] == pytest.approx(
-            0.5 + j.j / (2.0 * j.j + 1.0), abs=1e-14
+            0.5 + 3.5 / 8.0, abs=1e-14  # A = j / (2j + 1) at j = 7/2
         )
 
     def test_monotone_decay(self):
@@ -579,7 +590,7 @@ class TestEvolve:
         fidelity, closed = evolve(j, default_n_max(j))
         assert len(fidelity) == 70009
         assert np.max(np.abs(fidelity - closed)) <= 1e-12
-        totals = quantum_drf._map_fidelity(j, default_n_max(j))[3]
+        totals = quantum_drf._map_fidelity(200, default_n_max(j))[3]
         assert np.max(np.abs(totals - 1.0)) <= 1e-14
 
     def test_fidelity_matches_kraus_observable(self):

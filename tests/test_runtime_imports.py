@@ -86,6 +86,36 @@ def test_no_module_imports_a_private_name_of_quantum_drf():
     assert private == {}
 
 
+def named_identifiers(path):
+    """Every identifier a source file names: a name, an attribute or an imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("line", ["from .angular_momentum import SpinLabel as S",
+                                  "x = am.SpinLabel(2)", "def f(j: SpinLabel): pass"])
+def test_scan_sees_every_way_of_naming(tmp_path, line):
+    sample = tmp_path / "sample.py"
+    sample.write_text(line + "\n")
+    assert "SpinLabel" in named_identifiers(sample)
+
+
+def test_only_angular_momentum_names_spin_label():
+    # inside the package a frame size is the int 2j; SpinLabel is only an
+    # accepted input, which angular_momentum's _check_frame unwraps
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "angular_momentum.py" and "SpinLabel" in named_identifiers(path)]
+    assert naming == []
+
+
 # (import, module prefix that stays unloaded after it), one subprocess for all
 UNLOADED = [
     # the package runs on numpy alone: no scipy module, scipy.stats and
