@@ -11,7 +11,6 @@ outcomes end up noticeably worse.
 import numpy as np
 
 from drfsim import (
-    build_kraus,
     closed_form_fidelity,
     quantum_fidelity,
     sample_fidelity_batch,
@@ -25,10 +24,9 @@ def main():
     n_samples = 20000
 
     outcomes, _, final = sample_trajectory(twice_j, n_steps, seed=7)
-    kraus = build_kraus(twice_j)
     print(f"one trajectory at 2j = {twice_j}, n = {n_steps} (seed 7):")
     print("  outcomes:", "".join("+" if c > 0 else "-" for c in outcomes))
-    print(f"  conditional fidelity: {quantum_fidelity(final, kraus):.6f}")
+    print(f"  conditional fidelity: {quantum_fidelity(final):.6f}")
 
     fid, n_plus = sample_fidelity_batch(twice_j, n_steps, n_samples, seed=7)
     target = closed_form_fidelity(twice_j, n_steps)

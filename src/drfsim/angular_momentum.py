@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,7 +221,8 @@ def coherent_columns(j, thetas) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0 ... n, each from the exact integer C(n, k)."""
-    logs = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+    """log C(n, k) for k = 0 ... n, each from the exact integer C(n, k), mirrored past n/2."""
+    half = [*itertools.accumulate(range(n // 2), lambda c, k: c * (n - k) // (k + 1), initial=1)]
+    logs = np.array([math.log(c) for c in half + half[n - len(half)::-1]])
     logs.setflags(write=False)
     return logs

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular_momentum import _check_frame
-from .errors import DomainError, _check_count, _check_finite, _check_polar, _real, _reals
+from .errors import (DomainError, _check_count, _check_finite, _check_polar, _check_record,
+                     _real, _reals)
 from .spectrum import _first_multipole
 from .tolerances import require
 
@@ -111,6 +112,7 @@ def walk_evolve(spec: LegendreSpectrum, alpha: float, n: int) -> LegendreSpectru
 
     c_0 is untouched (P_0 = 1), preserving normalisation exactly.
     """
+    _check_record("spec", spec, LegendreSpectrum)
     alpha = _check_polar("alpha", _real("alpha", alpha))
     n = _check_count("n", n)
     gains = np.fromiter(_legendre_values(spec.l_max, math.cos(alpha)), float) ** n
@@ -151,7 +153,8 @@ def classical_fidelity(spec: LegendreSpectrum) -> float:
 
         F = (c_0 + c_1 / 3) / 2.
     """
-    return 0.5 * (spec.coeffs[0] + spec.coeffs[1] / 3.0)
+    coeffs = _check_record("spec", spec, LegendreSpectrum).coeffs
+    return 0.5 * (coeffs[0] + coeffs[1] / 3.0)
 
 
 def classical_fidelity_series(j, alpha: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:

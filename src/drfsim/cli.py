@@ -216,7 +216,9 @@ class RunConfig:
         self.twice_j = sorted({_check_option("twice_j", tj) for tj in self.twice_j})
         for name in ("n_max", "alpha", "seed", "samples", "n_nodes"):
             if getattr(self, name) is not None:
-                _check_option(name, getattr(self, name))
+                setattr(self, name, _check_option(name, getattr(self, name)))
+        if not isinstance(self.out, (str, os.PathLike, type(None))):
+            raise DomainError(f"out must be a str or a path, got {self.out!r}")
         self.out = Path(f"{self.command}.csv" if self.out is None else self.out)
 
 

@@ -210,5 +210,5 @@ def _evolved_populations(twice_j: int):
     rates = transfer_rates(twice_j)
     populations = FrameState.stretched(twice_j).populations
     while True:
-        yield FrameState(twice_j, populations).data
+        yield FrameState(populations).data
         populations = flux_step(populations, rates)

@@ -92,6 +92,13 @@ def _check_member(name: str, value, allowed: tuple) -> int:
     return member
 
 
+def _check_record(name: str, value, cls: type):
+    """``value`` if it is a ``cls``, else a :class:`DomainError` naming ``name`` and ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_finite(name: str, values) -> None:
     """A :class:`DomainError` naming ``name`` unless every entry of the array
     ``values`` is finite.  min and max propagate NaN and reach any inf, so no

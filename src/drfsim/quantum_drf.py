@@ -22,7 +22,7 @@ Clebsch-Gordan route, serve dense states, :func:`quantum_fidelity` and the tests
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -30,7 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
 from .angular_momentum import OUTCOMES, _check_frame, cg_coefficient
-from .errors import DomainError, _check_count, _check_finite, _check_member, _index, _reals
+from .errors import (DomainError, _check_count, _check_finite, _check_member, _check_record,
+                     _index, _reals)
 from .spectrum import _count_fidelity, _first_multipole, closed_form_fidelity, transfer_rates
 from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
 
@@ -62,19 +63,23 @@ class KrausSet:
     and the tests read the bands; diagonal states step at exact flux rates instead.
     """
 
-    twice_j: int
+    twice_j: int = field(init=False)  # len(bands[(0, 0, 1)]) - 1
     bands: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "twice_j", _check_frame(self.twice_j))
-        where = f"KrausSet: 2j={self.twice_j}"
         if not isinstance(self.bands, dict):
-            raise DomainError(f"{where}: bands must be a dict keyed (a, b, c), "
+            raise DomainError(f"KrausSet: bands must be a dict keyed (a, b, c), "
                               f"got {type(self.bands).__name__}")
         if self.bands.keys() != _KEYS:
-            raise DomainError(f"{where}: keys missing "
+            raise DomainError(f"KrausSet: keys missing "
                               f"{sorted(_KEYS - self.bands.keys())}, extra "
                               f"{sorted(self.bands.keys() - _KEYS, key=repr)}")
+        first = _reals("KrausSet: band (0, 0, 1)", self.bands[(0, 0, 1)])
+        if first.ndim != 1 or len(first) < 2:
+            raise DomainError(f"KrausSet: band (0, 0, 1) must be a vector of at least "
+                              f"2 entries, got shape {first.shape}")
+        object.__setattr__(self, "twice_j", len(first) - 1)
+        where = f"KrausSet: 2j={self.twice_j}"
         bands = {}
         for (a, b, c), values in self.bands.items():
             band = f"{where}: band {(a, b, c)}"
@@ -125,10 +130,13 @@ def build_kraus(j) -> KrausSet:
         for a in (0, 1):
             for b in (0, 1):
                 bands[(a, b, c)] = cg[a][_span(a - b, d)] * cg[b][_span(b - a, d)]
-    kraus = KrausSet(tj, bands)
+    kraus = KrausSet(bands)
     require(f"quantum_drf.build_kraus: 2j={tj}", "trace preservation defect",
             kraus.completeness_defect(), "STRUCTURE_TOL")
     return kraus
+
+
+_kraus = lru_cache(maxsize=32)(build_kraus)  # 2j -> the bands of dense states and the fidelity
 
 
 def flux_step(populations: np.ndarray, rates: np.ndarray, out=None) -> np.ndarray:
@@ -162,36 +170,29 @@ class FrameState:
     the full complex density matrix.  Both validate on construction.
     """
 
-    twice_j: int
+    twice_j: int = field(init=False)  # len(data) - 1
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "twice_j", _check_frame(self.twice_j))
-        d = self.twice_j + 1
+        shape = np.shape(self.data)
+        if len(shape) not in (1, 2) or shape[0] < 2 or shape[1:] not in ((), shape[:1]):
+            raise DomainError(f"FrameState: data must be a vector or a square matrix of "
+                              f"at least 2 rows, got shape {shape}")
+        object.__setattr__(self, "twice_j", shape[0] - 1)
         where = f"FrameState: 2j={self.twice_j}"
-        axes = np.ndim(self.data)
-        if axes == 1:
+        if len(shape) == 1:
             arr = _reals(f"{where}: populations", self.data).copy()
-            if arr.shape != (d,):
-                raise DomainError(f"{where}: populations must have shape ({d},), "
-                                  f"got {arr.shape}")
             require(where, "population", arr.min(), "EIGENVALUE_FLOOR", DomainError)
             require(where, "|sum of populations - 1|", abs(arr.sum() - 1.0),
                     "STRUCTURE_TOL", DomainError)
-        elif axes == 2:
+        else:
             arr = _reals(f"{where}: matrix", self.data, complex).copy()
-            if arr.shape != (d, d):
-                raise DomainError(f"{where}: matrix must have shape ({d}, {d}), "
-                                  f"got {arr.shape}")
             require(where, "Hermitian defect max |rho - rho^dag|",
                     np.max(np.abs(arr - arr.conj().T)), "STRUCTURE_TOL", DomainError)
             require(where, "|trace - 1|", abs(arr.trace().real - 1.0),
                     "STRUCTURE_TOL", DomainError)
             require(where, "eigenvalue", np.linalg.eigvalsh(arr).min(),
                     "EIGENVALUE_FLOOR", DomainError)
-        else:
-            raise DomainError(f"{where}: data must have shape ({d},) or ({d}, {d}), "
-                              f"got {np.shape(self.data)}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -203,12 +204,12 @@ class FrameState:
         tj = _check_frame(j)
         p = np.zeros(tj + 1)
         p[-1] = 1.0
-        return cls(tj, p)
+        return cls(p)
 
     @classmethod
     def maximally_mixed(cls, j) -> "FrameState":
         tj = _check_frame(j)
-        return cls(tj, np.full(tj + 1, 1.0 / (tj + 1)))
+        return cls(np.full(tj + 1, 1.0 / (tj + 1)))
 
     # -- views ---------------------------------------------------------------
 
@@ -232,25 +233,18 @@ class FrameState:
         return np.real(np.diagonal(self.data))
 
 
-def _require_same_spin(state: FrameState, kraus: KrausSet):
-    if state.twice_j != kraus.twice_j:
-        raise DomainError(
-            f"spin mismatch: state has 2j={state.twice_j}, kraus has 2j={kraus.twice_j}"
-        )
-
-
-def apply_map(state: FrameState, kraus: KrausSet) -> FrameState:
+def apply_map(state: FrameState) -> FrameState:
     """One measurement's worth of averaged evolution: rho -> (1/2) sum E rho E^dag.
 
     Preserves trace, positivity, and the diagonal representation (the band
     structure maps diagonal states to diagonal states).  Diagonal states take
     :func:`flux_step` at the rates w_k, the step :func:`evolve` iterates, and
-    read no band of ``kraus``; dense states are sandwiched between the bands.
+    read no Kraus band; dense states are sandwiched between the bands.
     """
-    _require_same_spin(state, kraus)
+    _check_record("state", state, FrameState)
     if state.diagonal:
-        return FrameState(state.twice_j, flux_step(state.data, transfer_rates(state.twice_j)))
-    return FrameState(state.twice_j, _sandwich(state.data, kraus, OUTCOMES))
+        return FrameState(flux_step(state.data, transfer_rates(state.twice_j)))
+    return FrameState(_sandwich(state.data, _kraus(state.twice_j), OUTCOMES))
 
 
 def _sandwich(rho: np.ndarray, kraus: KrausSet, outcomes) -> np.ndarray:
@@ -268,14 +262,14 @@ def _sandwich(rho: np.ndarray, kraus: KrausSet, outcomes) -> np.ndarray:
     return acc
 
 
-def quantum_fidelity(state: FrameState, kraus: KrausSet) -> float:
+def quantum_fidelity(state: FrameState) -> float:
     """Average probability of correctly reading a test spin with this frame.
 
-    Equals (1/2) Tr[rho (E_00^+ + E_11^-)]; the observable is diagonal, so
-    only the populations of ``state`` enter.
+    Equals (1/2) Tr[rho (E_00^+ + E_11^-)], the operators of :func:`build_kraus`;
+    the observable is diagonal, so only the populations of ``state`` enter.
     """
-    _require_same_spin(state, kraus)
-    return float(np.dot(state.populations, kraus.fidelity_diagonal))
+    _check_record("state", state, FrameState)
+    return float(np.dot(state.populations, _kraus(state.twice_j).fidelity_diagonal))
 
 
 def _block_length(n_max: int) -> int:
@@ -445,7 +439,10 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     (1/2) sum_ab E_ab^c rho E_ab^c{dag} / p_c with p_c its trace.  A diagonal state reads
     no band: p_c is p+ or 1 - p+, and the map :func:`flux_step` at w_k / (2 p_c).
     """
-    _require_same_spin(state, kraus)
+    _check_record("state", state, FrameState)
+    if _check_record("kraus", kraus, KrausSet).twice_j != state.twice_j:
+        raise DomainError(f"spin mismatch: state has 2j={state.twice_j}, "
+                          f"kraus has 2j={kraus.twice_j}")
     outcome = _check_member("outcome", outcome, OUTCOMES)
     if state.diagonal:
         return _outcome_step(state, outcome)
@@ -454,13 +451,13 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
     require(f"quantum_drf.conditional_update: 2j={state.twice_j}",
             f"distance outside [0, 1] of the probability of outcome {outcome:+d}",
             max(-prob, prob - 1.0), "STRUCTURE_TOL")
-    return prob, FrameState(state.twice_j, unnorm / prob)
+    return prob, FrameState(unnorm / prob)
 
 
 def _outcome_step(state: FrameState, outcome: int):
     """(p_c, the state after outcome c) of a diagonal state: :func:`flux_step` at w_k / (2 p_c)."""
     prob, rates = _outcome_rates(state.twice_j, outcome)
-    return prob, FrameState(state.twice_j, flux_step(state.data, rates))
+    return prob, FrameState(flux_step(state.data, rates))
 
 
 @lru_cache(maxsize=32)

@@ -1,16 +1,14 @@
 """Randomised structural self-checks, exposed through the CLI --selftest flag.
 
 Every check uses a fixed seed so runs are reproducible; sizes cover
-2j = 1 ... 20.  The checks of one run share its Kraus sets, each built
-once.  A check fails through :func:`~drfsim.tolerances.require`, its own or
-that of the state or Kraus set it builds, so it fails under ``python -O`` too.
-Any package error prints a ``FAIL`` line with its message, which names the 2j,
-the observed value and the tolerance; other errors are labelled ``unexpected``.
+2j = 1 ... 20.  A check fails through :func:`~drfsim.tolerances.require`, its
+own or that of the state or Kraus set it builds, so it fails under ``python -O``
+too.  Any package error prints a ``FAIL`` line with its message, which names the
+2j, the observed value and the tolerance; other errors are labelled ``unexpected``.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import numpy as np
@@ -31,35 +29,35 @@ def _random_dense_state(rng, twice_j):
     d = twice_j + 1
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
-    return qd.FrameState(twice_j, rho / rho.trace().real)
+    return qd.FrameState(rho / rho.trace().real)
 
 
 def _random_diagonal_state(rng, twice_j):
     p = rng.random(twice_j + 1) + 1e-3
-    return qd.FrameState(twice_j, p / p.sum())
+    return qd.FrameState(p / p.sum())
 
 
-def _check_kraus_completeness(rng, kraus):
+def _check_kraus_completeness(rng):
     for tj in _TWICE_J_RANGE:
-        kraus(tj)  # build_kraus requires its completeness defect within STRUCTURE_TOL
+        qd.build_kraus(tj)  # requires its completeness defect within STRUCTURE_TOL
 
 
-def _check_trace_preservation(rng, kraus):
+def _check_trace_preservation(rng):
     for tj in _TWICE_J_RANGE:
         for state in (_random_dense_state(rng, tj), _random_diagonal_state(rng, tj)):
-            qd.apply_map(state, kraus(tj))  # FrameState requires |trace - 1| <= STRUCTURE_TOL
+            qd.apply_map(state)  # FrameState requires |trace - 1| <= STRUCTURE_TOL
 
 
-def _check_positivity(rng, kraus):
+def _check_positivity(rng):
     for tj in _TWICE_J_RANGE:
         # FrameState requires every eigenvalue of the mapped state >= EIGENVALUE_FLOOR
-        qd.apply_map(_random_dense_state(rng, tj), kraus(tj))
+        qd.apply_map(_random_dense_state(rng, tj))
 
 
-def _check_diagonal_closure(rng, kraus):
+def _check_diagonal_closure(rng):
     for tj in (1, 5, 12, 20):
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        mapped = qd.apply_map(qd.FrameState(tj, _random_diagonal_state(rng, tj).matrix), kraus(tj))
+        mapped = qd.apply_map(qd.FrameState(_random_diagonal_state(rng, tj).matrix))
         off = mapped.matrix.copy()
         np.fill_diagonal(off, 0.0)
         if not np.all(off == 0.0):
@@ -67,16 +65,16 @@ def _check_diagonal_closure(rng, kraus):
                 f"2j={tj}: a diagonal state mapped to a non-diagonal one")
 
 
-def _check_fixed_point(rng, kraus):
+def _check_fixed_point(rng):
     for tj in (1, 4, 9, 20):
         mixed = qd.FrameState.maximally_mixed(tj)
         # dense: the flux step maps the uniform vector to itself whatever the rates
-        mapped = qd.apply_map(qd.FrameState(tj, mixed.matrix), kraus(tj))
+        mapped = qd.apply_map(qd.FrameState(mixed.matrix))
         require(f"2j={tj}", "drift of the maximally mixed state",
                 np.max(np.abs(mapped.populations - mixed.populations)), "STRUCTURE_TOL")
 
 
-def _check_legendre_normalization(rng, kraus):
+def _check_legendre_normalization(rng):
     # c_0 = 1 is held by LegendreSpectrum; c_1 and c_2 after n kicks against
     # c_l(0) P_l(cos alpha)^n by the closed forms of P_1 and P_2
     for tj in _TWICE_J_RANGE:
@@ -91,7 +89,7 @@ def _check_legendre_normalization(rng, kraus):
                     abs(walked.coeffs[ell] - want) / abs(want), "STRUCTURE_TOL")
 
 
-def _check_reconstruction_positivity(rng, kraus):
+def _check_reconstruction_positivity(rng):
     for tj in (1, 4, 10, 20):
         spec = cw.initial_spectrum(tj)
         alpha = fitted_step(tj)
@@ -101,7 +99,7 @@ def _check_reconstruction_positivity(rng, kraus):
                     -walked.min_reconstructed(), "POSITIVITY_ALLOWANCE")
 
 
-def _check_coherent_populations(rng, kraus):
+def _check_coherent_populations(rng):
     for _ in range(25):
         tj = int(rng.integers(1, 21))
         theta = float(rng.uniform(0.0, np.pi))
@@ -113,12 +111,12 @@ def _check_coherent_populations(rng, kraus):
                 np.max(np.abs(p - mirrored[::-1])), "STRUCTURE_TOL")
 
 
-def _check_decay_law(rng, kraus):
+def _check_decay_law(rng):
     for tj in (1, 7, 20):
         qd.evolve(tj, 200)  # checks every step against MAP_TOL
 
 
-def _check_nnls_recovery(rng, kraus):
+def _check_nnls_recovery(rng):
     # well-conditioned random instances recover essentially exactly
     for _ in range(5):
         rows = int(rng.integers(6, 16))
@@ -164,11 +162,10 @@ def run_selftest(seed: int = DEFAULT_SEED, stream=None):
     seed = _check_count("seed", seed)
     stream = stream if stream is not None else sys.stdout
     passed = failed = 0
-    kraus = functools.cache(qd.build_kraus)  # 2j -> Kraus set
     for name, check in CHECKS:
         rng = np.random.default_rng([seed, passed + failed])
         try:
-            check(rng, kraus)
+            check(rng)
         except DrfsimError as exc:
             failed += 1
             print(f"FAIL {name}: {exc}", file=stream)

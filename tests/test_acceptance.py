@@ -111,7 +111,7 @@ def test_criterion_5_record_averaging():
                     averaged += weight * state.populations
                 mapped = FrameState.stretched(j)
                 for _ in range(n):
-                    mapped = apply_map(mapped, kraus)
+                    mapped = apply_map(mapped)
                 worst = np.max(np.abs(averaged - mapped.populations))
                 assert worst <= 1e-12, f"2j={twice_j}, n={n}: {worst:.3e}"
 

@@ -1,6 +1,7 @@
 """Coupling primitives against the dense J^2 eigendecomposition oracle."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from drfsim import (
     projector_element,
 )
 
+from drfsim.angular_momentum import _log_binomials
 from drfsim.tolerances import STRUCTURE_TOL
 
 from brute_force import coherent_columns_reference, coupled_projectors, sector_cg
@@ -241,6 +243,20 @@ class TestCoherentPopulations:
             expected = binom.pmf(np.arange(j.dim), twice_j, (1.0 + math.cos(theta)) / 2.0)
             assert np.max(np.abs(p - expected)) <= 2e-14
             assert abs(p.sum() - 1.0) <= STRUCTURE_TOL
+
+    def test_log_binomials_are_the_logs_of_the_exact_binomials(self):
+        # the table built by C(n, k + 1) = C(n, k) (n - k) // (k + 1) and
+        # mirrored, bit for bit against math.comb at every k
+        for n in [*range(1, 41), 999, 1000]:
+            want = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+            assert np.array_equal(_log_binomials(n), want), n
+
+    def test_log_binomials_are_quick_far_past_the_working_range(self):
+        # about 0.05 s at 2j = 16 000; one math.comb per entry took a minute
+        tic = time.perf_counter()
+        logs = _log_binomials.__wrapped__(16_000)
+        assert time.perf_counter() - tic < 10.0
+        assert logs[0] == logs[-1] == 0.0 and logs[8_000] == logs.max()
 
     @settings(max_examples=60, deadline=None)
     @given(

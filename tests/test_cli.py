@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import decimal
+import functools
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -471,6 +473,12 @@ class TestCliSurface:
             main(["compare", "--twice-j", "0"])
         assert excinfo.value.code == 2
 
+    def test_twice_j_list_without_a_size_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--twice-j", ","])
+        assert excinfo.value.code == 2
+        assert "argument --twice-j: not an integer list: ','" in capsys.readouterr().err
+
     def test_l_max_option_is_gone(self, tmp_path):
         # the walk's fidelity reads only c_0 and c_1, so a truncation order
         # never changed an output
@@ -591,6 +599,22 @@ class TestCliSurface:
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         assert set(config) == fields - {"command"}
         assert config["out"] == str(out) and config["n_max"] == 3
+
+    def test_config_keeps_the_values_it_checked(self, tmp_path):
+        # numpy scalars are stored as the int or float they were checked as,
+        # so the manifest records numbers rather than their strings
+        out = tmp_path / "w.csv"
+        config = RunConfig("classical-walk", [np.int64(2)], n_max=np.int64(3),
+                           alpha=np.float32(0.5), seed=np.uint64(7), samples=np.int32(5),
+                           n_nodes=np.int16(9), out=out)
+        settings = {"twice_j": [2], "n_max": 3, "alpha": 0.5, "seed": 7, "samples": 5,
+                    "n_nodes": 9}
+        assert {name: getattr(config, name) for name in settings} == settings
+        for name in settings.keys() - {"twice_j"}:
+            assert type(getattr(config, name)) is type(settings[name]), name
+        assert cli.run(config) == 0
+        manifest = json.loads((tmp_path / "w.manifest.json").read_text())["config"]
+        assert manifest == {**settings, "out": str(out)}
 
     def test_selftest_is_not_a_config_field(self):
         assert "selftest" not in RunConfig.__dataclass_fields__
@@ -800,16 +824,34 @@ class TestCliSurface:
         assert signal.getsignal(signal.SIGTERM) is previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv", "q.manifest.json"]
 
+    def test_main_runs_from_a_worker_thread(self, tmp_path):
+        # only the main thread may set the SIGTERM handler, so a worker thread
+        # runs without one
+        out = tmp_path / "s.csv"
+        status = []
+        worker = threading.Thread(target=lambda: status.append(
+            main(["scaling", "--twice-j", "2,4", "--out", str(out)])))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and status == [0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.manifest.json"]
+        assert [row[0] for row in read_csv(out)[1]] == ["2", "4"]
+
     def test_selftest_builds_each_kraus_set_once_per_run(self, monkeypatch):
+        # the completeness check builds each set afresh; the dense maps read
+        # quantum_drf's cached sets, built once for both runs
         from drfsim import quantum_drf, selftest
 
-        built = []
+        built, cached = [], []
         exact_build = quantum_drf.build_kraus
         monkeypatch.setattr(quantum_drf, "build_kraus",
                             lambda j: built.append(j) or exact_build(j))
+        monkeypatch.setattr(quantum_drf, "_kraus", functools.lru_cache(maxsize=32)(
+            lambda j: cached.append(j) or exact_build(j)))
         for runs in (1, 2):
             assert selftest.run_selftest(stream=io.StringIO()) == (10, 0)
             assert sorted(built) == sorted(list(range(1, 21)) * runs)
+            assert sorted(cached) == list(range(1, 21))
 
     def test_selftest_catches_a_wrong_legendre_recurrence(self, monkeypatch):
         # the recurrence factor (2k + 1)/(k + 2) in place of (2k + 1)/(k + 1)
@@ -866,6 +908,40 @@ class TestCliSurface:
             assert re.match(r"FAIL [a-z ]+: FrameState: 2j=\d+: ", line), line
             assert re.search(message, line), line
             assert "unexpected" not in line
+
+    def test_selftest_labels_an_error_outside_the_package_unexpected(self, monkeypatch):
+        from drfsim import selftest
+
+        def broken(rng):
+            return 1 / 0
+
+        monkeypatch.setattr(selftest, "CHECKS", [("broken", broken), *selftest.CHECKS[1:]])
+        stream = io.StringIO()
+        assert selftest.run_selftest(stream=stream) == (9, 1)
+        failures = [line for line in stream.getvalue().splitlines() if line.startswith("FAIL ")]
+        assert failures == ["FAIL broken: unexpected ZeroDivisionError: division by zero"]
+
+    def test_selftest_reports_a_coherence_made_from_a_diagonal_state(self, monkeypatch):
+        # a map that leaks a valid coherence into the image of a diagonal
+        # matrix fails only the diagonal-closure suite, at its first size
+        from drfsim import quantum_drf, selftest
+
+        exact_map = quantum_drf.apply_map
+
+        def leaky_map(state):
+            mapped = exact_map(state)
+            rho = mapped.matrix.copy()
+            if state.diagonal or np.any(rho - np.diag(np.diagonal(rho))):
+                return mapped
+            rho[0, 1] = rho[1, 0] = 0.5 * min(rho[0, 0].real, rho[1, 1].real)
+            return quantum_drf.FrameState(rho)
+
+        monkeypatch.setattr(quantum_drf, "apply_map", leaky_map)
+        stream = io.StringIO()
+        assert selftest.run_selftest(stream=stream) == (9, 1)
+        failures = [line for line in stream.getvalue().splitlines() if line.startswith("FAIL ")]
+        assert failures == [
+            "FAIL diagonal closure: 2j=1: a diagonal state mapped to a non-diagonal one"]
 
     def test_selftest_failure_survives_optimised_mode(self):
         # python -O strips assert statements; the checks must still fail

@@ -106,7 +106,13 @@ SEED = [(id_, seed, rf"^seed {re.escape(repr(seed))}: ")
 NONNEGATIVE = (kind(r"^{name} must be finite and non-negative$",
                     {"nan": NAN, "-1e-3": -1e-3, "inf": INF})
                + kind(REAL, {"str": "0"}) + SCALAR)
-RECORD = "a record: checked when it was built"
+
+
+def record(cls):
+    """A record argument: an array, a dict, None or a list is no ``cls``."""
+    return kind(rf"^{{name}} must be a {cls.__name__}, got ",
+                {"array": np.ones(4) / 4, "dict": {}, "None": None, "list": [1.0, 0.5]})
+
 
 # Valid records and arrays that rows share.
 KRAUS = d.build_kraus(3)
@@ -125,25 +131,32 @@ def bands(edit):
 
 
 BANDS = [
-    *kind(r"^KrausSet: 2j=3: bands must be a dict keyed \(a, b, c\), got ",
+    *kind(r"^KrausSet: bands must be a dict keyed \(a, b, c\), got ",
           {"list": [1, 2], "None": None}),
     ("nan", bands(lambda b: b.update({(0, 0, 1): np.array([1.0, NAN, 1.0, 1.0])})),
      exact("KrausSet: 2j=3: band (0, 0, 1) must be finite (it holds nan or inf)")),
     *[(f"length-{key}", bands(lambda b, key=key, n=n: b.update({key: np.ones(n)})),
        exact(f"KrausSet: 2j=3: band {key} must have shape ({4 - abs(key[1] - key[0])},), "
              f"got ({n},)"))
-      for key, n in (((0, 0, 1), 3), ((0, 1, 1), 4), ((1, 0, -1), 2))],
+      for key, n in (((0, 1, 1), 4), ((1, 0, -1), 2), ((1, 1, -1), 5))],
+    # band (0, 0, 1) fixes 2j, so it must hold 2j + 1 >= 2 entries
+    *kind(r"^KrausSet: band \(0, 0, 1\) must be a vector of at least 2 entries, got shape ",
+          {"first-short": bands(lambda b: b.update({(0, 0, 1): np.ones(1)})),
+           "first-scalar": bands(lambda b: b.update({(0, 0, 1): 1.0})),
+           "first-2-d": bands(lambda b: b.update({(0, 0, 1): np.ones((4, 1))}))}),
     ("missing", bands(lambda b: b.pop((1, 1, -1))),
-     exact("KrausSet: 2j=3: keys missing [(1, 1, -1)], extra []")),
+     exact("KrausSet: keys missing [(1, 1, -1)], extra []")),
     ("outcome-2", bands(lambda b: b.update({(0, 0, 2): np.ones(4)})),
-     exact("KrausSet: 2j=3: keys missing [], extra [(0, 0, 2)]")),
+     exact("KrausSet: keys missing [], extra [(0, 0, 2)]")),
     ("qubit-index-5", bands(lambda b: b.update({(5, 0, 1): np.ones(4)})),
-     exact("KrausSet: 2j=3: keys missing [], extra [(5, 0, 1)]")),
+     exact("KrausSet: keys missing [], extra [(5, 0, 1)]")),
     ("one-key", lambda b: {(0, 0, 1): np.ones(4)},
-     r"^KrausSet: 2j=3: keys missing \[\(0, 0, -1\), "),
-    *[(id_, bands(lambda b, cast=cast: b.update({(0, 0, 1): b[(0, 0, 1)].astype(cast)})),
-       exact(f"KrausSet: 2j=3: band (0, 0, 1) must be real, got dtype {dtype}"))
-      for id_, cast, dtype in CASTS],
+     r"^KrausSet: keys missing \[\(0, 0, -1\), "),
+    # band (0, 0, 1) is read before 2j is known, so its message names no 2j
+    *[(id_ + suffix, bands(lambda b, cast=cast, key=key: b.update({key: b[key].astype(cast)})),
+       exact(f"KrausSet: {where}band {key} must be real, got dtype {dtype}"))
+      for id_, cast, dtype in CASTS
+      for key, where, suffix in (((0, 0, 1), "", ""), ((1, 0, -1), "2j=3: ", "-(1, 0, -1)"))],
 ]
 # Beside an int past uint64 (which numpy holds as an object) a bool, a string
 # or a Fraction is still no step count.
@@ -154,8 +167,17 @@ STEPS = kind(r"^step count n must be a non-negative integer",
               "str": "3", "str-entry": np.array(["1", "2"]), "-2**64": -2**64,
               **{f"2**64-{id_}": [2**64, bad] for id_, bad in
                  {"True": True, "str": "3", "Fraction": Fraction(3), "-1": -1, "inf": INF}.items()}})
-# Each message names 2j, the value and the tolerance.
+# Each message names 2j, the value and the tolerance; a shape that fixes no 2j
+# names the data and its shape.
 STATE_2 = "FrameState: 2j=2: "
+
+
+def shapes(bad):
+    """Data that is no vector or square matrix of at least 2 rows."""
+    prefix = "FrameState: data must be a vector or a square matrix of at least 2 rows, got shape "
+    return [(id_, value, whole(prefix + str(np.shape(value)))) for id_, value in bad.items()]
+
+
 POPULATIONS = [
     *kind(whole(STATE_2 + "population nan is below EIGENVALUE_FLOOR = -1e-10"),
           {"nan": [NAN] * 3, "nan-entry": [NAN, 0.5, 0.5]}),
@@ -163,7 +185,7 @@ POPULATIONS = [
      whole(STATE_2 + "population -1.2e-09 is below EIGENVALUE_FLOOR = -1e-10")),
     ("sum", [0.5, 0.5, 1e-11], whole(STATE_2 + "|sum of populations - 1| "
                                      "1.000000082740371e-11 exceeds STRUCTURE_TOL = 1e-12")),
-    ("shape", [0.5, 0.5], exact(STATE_2 + "populations must have shape (3,), got (2,)")),
+    *shapes({"one-row": [1.0], "scalar": 1.0, "empty": []}),
 ]
 HERMITIAN = STATE_2 + "Hermitian defect max |rho - rho^dag| "
 MATRIX = [
@@ -175,7 +197,8 @@ MATRIX = [
      whole(STATE_2 + "|trace - 1| 0.19999999999999996 exceeds STRUCTURE_TOL = 1e-12")),
     ("negative", np.diag([1.5, -0.5, 0.0]),
      whole(STATE_2 + "eigenvalue -0.5 is below EIGENVALUE_FLOOR = -1e-10")),
-    ("shape", np.eye(2) / 2, exact(STATE_2 + "matrix must have shape (3, 3)")),
+    *shapes({"one-by-one": [[1.0]], "non-square": np.ones((3, 2)) / 3,
+             "3-d": np.ones((3, 3, 1)) / 3}),
 ]
 
 # (id, callable, {argument: (valid value, kind or reason, label if not the argument)}).
@@ -202,8 +225,10 @@ ROWS = [
                         {"c_0": [0.9, 0.1, 0.0]}) + typed())}),
     ("initial_spectrum", d.initial_spectrum, {"j": (2, FRAME)}),
     ("walk_evolve", d.walk_evolve,
-     {"spec": (d.initial_spectrum(2), RECORD), "alpha": (0.1, ANGLE), "n": (3, count())}),
-    ("classical_fidelity", d.classical_fidelity, {"spec": (d.initial_spectrum(2), RECORD)}),
+     {"spec": (d.initial_spectrum(2), record(d.LegendreSpectrum)), "alpha": (0.1, ANGLE),
+      "n": (3, count())}),
+    ("classical_fidelity", d.classical_fidelity,
+     {"spec": (d.initial_spectrum(2), record(d.LegendreSpectrum))}),
     ("classical_fidelity_series", d.classical_fidelity_series,
      {"j": (2, FRAME), "alpha": (0.1, ANGLE), "n_max": (3, count())}),
     ("fitted_step", d.fitted_step, {"j": (2, FRAME)}),
@@ -248,25 +273,25 @@ ROWS = [
      {"j": (2, FRAME), "n": (1, count()), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
     ("convexity_series", d.convexity_series,
      {"j": (2, FRAME), "n_max": (1, count()), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
-    ("KrausSet", d.KrausSet, {"twice_j": (3, FRAME), "bands": (KRAUS.bands, BANDS)}),
+    ("KrausSet", d.KrausSet, {"bands": (KRAUS.bands, BANDS)}),
     ("FrameState", d.FrameState,
-     {"twice_j": (2, FRAME),
-      "data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
+     {"data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
     ("FrameState:dense", d.FrameState,
-     {"twice_j": (2, FRAME), "data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"),
-                               STATE_2 + "matrix")}),
+     {"data": (np.diag([0.0, 0.0, 1.0]), MATRIX + typed("real or complex"), STATE_2 + "matrix")}),
     ("build_kraus", d.build_kraus, {"j": (2, FRAME)}),
     ("transfer_rates", d.transfer_rates, {"j": (2, FRAME)}),
     ("multipole_spectrum", d.multipole_spectrum, {"j": (2, FRAME)}),
-    *[(name, call, {"state": (STATE, RECORD),
-                    "kraus": (KRAUS, kind(r"^spin mismatch: state has 2j=3, kraus has 2j=2$",
-                                          {"other-spin": d.build_kraus(2)}))})
-      for name, call in (("apply_map", d.apply_map), ("quantum_fidelity", d.quantum_fidelity))],
+    ("apply_map", d.apply_map, {"state": (STATE, record(d.FrameState))}),
+    ("quantum_fidelity", d.quantum_fidelity, {"state": (STATE, record(d.FrameState))}),
     ("closed_form_fidelity", d.closed_form_fidelity, {"j": (2, FRAME), "n": (3, STEPS)}),
     ("evolve", d.evolve, {"j": (2, FRAME), "n_max": (3, count())}),
     *[(f"conditional_update{variant}", d.conditional_update,
-       {"state": (state, RECORD), "kraus": (KRAUS, RECORD), "outcome": (1, OUTCOME)})
-      for variant, state in (("", STATE), (":dense", d.FrameState(3, STATE.matrix)))],
+       {"state": (state, record(d.FrameState)),
+        "kraus": (KRAUS, record(d.KrausSet)
+                  + kind(r"^spin mismatch: state has 2j=3, kraus has 2j=2$",
+                         {"other-spin": d.build_kraus(2)})),
+        "outcome": (1, OUTCOME)})
+      for variant, state in (("", STATE), (":dense", d.FrameState(STATE.matrix)))],
     ("sample_trajectory", d.sample_trajectory,
      {"j": (2, FRAME), "n_max": (3, count()), "seed": (1, SEED)}),
     ("conditional_fidelity_table", d.conditional_fidelity_table,
@@ -290,7 +315,8 @@ OUTSIDE = [
       "seed": (1, count() + kind(exact("seed must be an integer in [0, 2**64), got "),
                                  {"2**64": 2**64})),
       "samples": (5, count(1) + below_2_60(1)), "n_nodes": (5, count(1) + below_2_60(1)),
-      "out": (None, "a path: opened when the run writes it")}),
+      "out": (None, kind(r"^out must be a str or a path, got ",
+                         {"5": 5, "bytes": b"x.csv", "True": True}))}),
     ("selftest.run_selftest", selftest.run_selftest,
      {"seed": (1, count()), "stream": (io.StringIO(), "a text stream: written as it is")}),
 ]

@@ -94,14 +94,14 @@ class TestBuildKraus:
             assert not values.flags.writeable
 
     def test_holds_the_int_2j(self):
-        for j in (3, SpinLabel(3)):
-            for kraus in (build_kraus(j), quantum_drf.KrausSet(j, build_kraus(3).bands)):
-                assert type(kraus.twice_j) is int and kraus.twice_j == 3
+        for kraus in (build_kraus(3), build_kraus(SpinLabel(3)),
+                      quantum_drf.KrausSet(build_kraus(3).bands)):
+            assert type(kraus.twice_j) is int and kraus.twice_j == 3
 
     def test_callers_bands_stay_writable(self):
         # the set freezes copies of the bands, not the caller's own arrays
         bands = {key: values.copy() for key, values in build_kraus(SpinLabel(3)).bands.items()}
-        kraus = quantum_drf.KrausSet(SpinLabel(3), bands)
+        kraus = quantum_drf.KrausSet(bands)
         assert all(values.flags.writeable for values in bands.values())
         assert all(not values.flags.writeable for values in kraus.bands.values())
 
@@ -178,7 +178,7 @@ class TestTransferRates:
 class TestFrameState:
     def test_holds_the_int_2j(self):
         p = [0.0, 0.0, 0.0, 1.0]
-        for state in (FrameState(SpinLabel(3), p), FrameState(np.int64(3), p),
+        for state in (FrameState(p), FrameState(np.diag(p)), FrameState(np.ones(4) / 4),
                       FrameState.stretched(SpinLabel(3)), FrameState.maximally_mixed(3)):
             assert type(state.twice_j) is int and state.twice_j == 3
 
@@ -193,18 +193,22 @@ class TestFrameState:
     @pytest.mark.parametrize("shape, diagonal", [
         ("(d,)", True), ("(d, d)", False),
         ("()", None), ("(d, 1)", None), ("(1, d)", None), ("(d, d, 1)", None),
+        ("(1,)", None), ("(1, 1)", None), ("(d, d - 1)", None),
     ])
     def test_representation_follows_the_axes_of_the_data(self, shape, diagonal):
         j = SpinLabel(3)
         p = FrameState.stretched(j).populations
         m = np.diag(p)
         data = {"(d,)": p, "(d, d)": m, "()": 1.0, "(d, 1)": p[:, None],
-                "(1, d)": p[None], "(d, d, 1)": m[..., None]}[shape]
+                "(1, d)": p[None], "(d, d, 1)": m[..., None], "(1,)": [1.0],
+                "(1, 1)": [[1.0]], "(d, d - 1)": m[:, 1:]}[shape]
         if diagonal is None:
-            with pytest.raises(DomainError, match=re.escape(f"got {np.shape(data)}")):
-                FrameState(j, data)
+            message = ("FrameState: data must be a vector or a square matrix of at least "
+                       f"2 rows, got shape {np.shape(data)}")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                FrameState(data)
         else:
-            state = FrameState(j, data)
+            state = FrameState(data)
             assert state.diagonal is diagonal
             assert np.array_equal(state.data, data)
 
@@ -216,11 +220,11 @@ class TestFrameState:
         j = SpinLabel(twice_j)
         kraus = build_kraus(j)
         diagonal = _random_diagonal_state(np.random.default_rng(twice_j), twice_j)
-        dense = FrameState(j, diagonal.matrix)
-        mapped = apply_map(diagonal, kraus)
+        dense = FrameState(diagonal.matrix)
+        mapped = apply_map(diagonal)
         assert mapped.diagonal
         assert np.array_equal(mapped.data, flux_step(diagonal.data, transfer_rates(j)))
-        mapped_dense = apply_map(dense, kraus)
+        mapped_dense = apply_map(dense)
         assert not mapped_dense.diagonal
         assert np.array_equal(mapped_dense.data,
                               quantum_drf._sandwich(dense.data, kraus, OUTCOMES))
@@ -340,7 +344,7 @@ class TestApplyMap:
         j = SpinLabel(twice_j)
         mixed = FrameState.maximally_mixed(j)
         # dense, so the Kraus bands act: the uniform vector has no flux to step
-        mapped = apply_map(FrameState(j, mixed.matrix), build_kraus(j))
+        mapped = apply_map(FrameState(mixed.matrix))
         assert np.max(np.abs(mapped.matrix - mixed.matrix)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -348,37 +352,32 @@ class TestApplyMap:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_trace_and_positivity_random_states(self, twice_j, seed):
         rng = np.random.default_rng(seed)
-        j = SpinLabel(twice_j)
-        kraus = build_kraus(j)
-        dense = apply_map(_random_dense_state(rng, twice_j), kraus)
+        dense = apply_map(_random_dense_state(rng, twice_j))
         assert abs(dense.matrix.trace().real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(dense.matrix).min() > -1e-10
-        diag = apply_map(_random_diagonal_state(rng, twice_j), kraus)
+        diag = apply_map(_random_diagonal_state(rng, twice_j))
         assert abs(diag.populations.sum() - 1.0) < 1e-12
 
     def test_diagonal_closure_is_exact(self):
         rng = np.random.default_rng(7)
         j = SpinLabel(6)
         # dense, so the Kraus sandwich runs rather than the diagonal flux step
-        state = apply_map(FrameState(j, _random_diagonal_state(rng, 6).matrix), build_kraus(j))
+        state = apply_map(FrameState(_random_diagonal_state(rng, 6).matrix))
         off = state.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0)
 
     def test_dense_route_matches_diagonal_route(self):
         rng = np.random.default_rng(11)
-        j = SpinLabel(9)
-        kraus = build_kraus(j)
         diag = _random_diagonal_state(rng, 9)
-        via_diag = apply_map(diag, kraus).populations
-        via_dense = apply_map(FrameState(j, diag.matrix), kraus).populations
+        via_diag = apply_map(diag).populations
+        via_dense = apply_map(FrameState(diag.matrix)).populations
         assert np.max(np.abs(via_diag - via_dense)) < 1e-14
 
     def test_one_step_fidelity_matches_closed_form(self):
         j = SpinLabel(5)
-        kraus = build_kraus(j)
-        state = apply_map(FrameState.stretched(j), kraus)
-        assert quantum_fidelity(state, kraus) == pytest.approx(
+        state = apply_map(FrameState.stretched(j))
+        assert quantum_fidelity(state) == pytest.approx(
             closed_form_fidelity(j, 1), abs=1e-14
         )
 
@@ -390,7 +389,7 @@ TILT_ANGLES = (0.3, math.pi / 2.0, 2.8)
 def _tilted_aligned(j, u):
     """The aligned state |j, j><j, j| turned by the rotation ``u``, dense."""
     aligned = FrameState.stretched(j).matrix
-    return FrameState(j, u @ aligned @ u.conj().T)
+    return FrameState(u @ aligned @ u.conj().T)
 
 
 def _tilted_fidelity(state, kraus, u):
@@ -414,8 +413,8 @@ class TestTiltedFrames:
         worst = 0.0
         for beta in TILT_ANGLES:
             u = rotation(twice_j, beta)
-            turned = FrameState(j, u @ rho.matrix @ u.conj().T)
-            pairs = [(apply_map(turned, kraus), apply_map(rho, kraus))]
+            turned = FrameState(u @ rho.matrix @ u.conj().T)
+            pairs = [(apply_map(turned), apply_map(rho))]
             for outcome in OUTCOMES:
                 p_turned, after_turned = conditional_update(turned, kraus, outcome)
                 p, after = conditional_update(rho, kraus, outcome)
@@ -437,7 +436,7 @@ class TestTiltedFrames:
             for n in range(41):
                 error = abs(_tilted_fidelity(state, kraus, u) - closed[n])
                 assert error <= ORACLE_TOL, f"2j={twice_j}, beta={beta}, n={n}: {error}"
-                state = apply_map(state, kraus)
+                state = apply_map(state)
 
     @pytest.mark.parametrize("twice_j", TILT_SIZES)
     def test_tilted_record_follows_the_count_fidelity(self, twice_j):
@@ -458,17 +457,17 @@ class TestTiltedFrames:
 class TestQuantumFidelity:
     def test_aligned_spin_one(self):
         j = SpinLabel(2)
-        value = quantum_fidelity(FrameState.stretched(j), build_kraus(j))
+        value = quantum_fidelity(FrameState.stretched(j))
         assert value == pytest.approx(5.0 / 6.0, abs=1e-15)
 
     def test_maximally_mixed_carries_no_information(self):
         j = SpinLabel(8)
-        value = quantum_fidelity(FrameState.maximally_mixed(j), build_kraus(j))
+        value = quantum_fidelity(FrameState.maximally_mixed(j))
         assert value == pytest.approx(0.5, abs=1e-14)
 
     def test_large_frame_is_nearly_ideal(self):
         j = SpinLabel(200)
-        value = quantum_fidelity(FrameState.stretched(j), build_kraus(j))
+        value = quantum_fidelity(FrameState.stretched(j))
         assert 1.0 - value < 1e-2
 
 
@@ -595,14 +594,13 @@ class TestEvolve:
 
     def test_fidelity_matches_kraus_observable(self):
         j = SpinLabel(6)
-        kraus = build_kraus(j)
         fidelity, _ = evolve(j, 30)
         state = FrameState.stretched(j)
         for n in range(31):
             assert fidelity[n] == pytest.approx(
-                quantum_fidelity(state, kraus), abs=1e-15
+                quantum_fidelity(state), abs=1e-15
             )
-            state = apply_map(state, kraus)
+            state = apply_map(state)
 
     @pytest.mark.parametrize("k,fault,tolerance", [
         *[(k, lambda out: out.__setitem__(0, -1e-9), "EIGENVALUE_FLOOR")
@@ -805,10 +803,10 @@ class TestTrajectories:
     def test_bad_probability_names_size_and_tolerance(self):
         j = SpinLabel(3)
         kraus = build_kraus(j)
-        scaled = quantum_drf.KrausSet(j, {
+        scaled = quantum_drf.KrausSet({
             key: 1.5 * values for key, values in kraus.bands.items()
         })
-        state = FrameState(j, FrameState.stretched(j).matrix)
+        state = FrameState(FrameState.stretched(j).matrix)
         pattern = r"conditional_update: 2j=3: .*outcome \+1 .*STRUCTURE_TOL"
         with pytest.raises(InternalConsistencyError, match=pattern):
             conditional_update(state, scaled, +1)
@@ -853,7 +851,7 @@ class TestTrajectories:
         outcomes, _, state = sample_trajectory(j, 20, seed=123)
         count = int(np.sum(outcomes == 1))
         table = conditional_fidelity_table(j, 20)
-        assert quantum_fidelity(state, build_kraus(j)) == pytest.approx(table[count], abs=1e-14)
+        assert quantum_fidelity(state) == pytest.approx(table[count], abs=1e-14)
 
     def test_batch_mean_near_closed_form(self):
         fid, _ = sample_fidelity_batch(SpinLabel(4), 10, 4000, seed=2)
@@ -987,7 +985,7 @@ class TestRecordAveraging:
                 averaged += weight * state.populations
             mapped = FrameState.stretched(j)
             for _ in range(n):
-                mapped = apply_map(mapped, kraus)
+                mapped = apply_map(mapped)
             assert np.max(np.abs(averaged - mapped.populations)) < 1e-12
 
     @pytest.mark.parametrize("twice_j", range(1, 7))
@@ -1007,7 +1005,7 @@ class TestRecordAveraging:
                 for c in outcomes:
                     prob, state = conditional_update(state, kraus, c)
                     weight *= prob
-                spread += weight * (quantum_fidelity(state, kraus) - 0.5) ** 2
+                spread += weight * (quantum_fidelity(state) - 0.5) ** 2
             want = spectrum.amplitude ** 2 * (p_plus * mu_plus ** 2
                                               + (1.0 - p_plus) * mu_minus ** 2) ** n
             assert abs(spread - want) <= 1e-12, f"n={n}: {abs(spread - want):.3e}"
