@@ -335,24 +335,13 @@ def _cubic_table(values: np.ndarray) -> np.ndarray:
     with b_3 = d_3 / 6, b_2 = d_2 / 2 and b_1 = (v_{i+1} - v_{i-1}) / 2 - b_3,
     where d_2 = v_{i+1} - 2 v_i + v_{i-1} and d_3 = d_2(i + 1) - d_2(i).
     Values beyond the ends are the even reflections v_{-1} = v_1,
-    v_N = v_{N-2} and v_{N+1} = v_{N-3}.  The rows are filled in place, with
-    no padded copy of ``values``.
+    v_N = v_{N-2} and v_{N+1} = v_{N-3}: numpy's ``reflect`` padding.
     """
-    table = np.empty((3, len(values)))
-    cubic, square, linear = table
-    np.subtract(values[1:], values[:-1], out=cubic[:-1])  # first differences
-    np.subtract(cubic[1:-1], cubic[:-2], out=square[1:-1])
-    square[0] = 2.0 * cubic[0]  # v_{-1} = v_1
-    square[-1] = -2.0 * cubic[-2]  # v_N = v_{N-2}
-    np.subtract(square[1:], square[:-1], out=cubic[:-1])
-    cubic[-1] = square[-2] - square[-1]  # d_2(N) = d_2(N - 2)
-    cubic /= 6.0
-    square *= 0.5
-    np.subtract(values[2:], values[:-2], out=linear[1:-1])
-    linear[0] = linear[-1] = 0.0  # v_{i+1} = v_{i-1} at both ends
-    linear *= 0.5
-    linear -= cubic
-    return table
+    padded = np.pad(values, (1, 2), mode="reflect")  # v_{-1} ... v_{N+1}
+    square = np.diff(padded, 2)  # d_2(i), i = 0 ... N
+    cubic = np.diff(square) / 6.0
+    linear = 0.5 * (padded[2:-1] - padded[:-3]) - cubic
+    return np.array((cubic, 0.5 * square[:-1], linear))
 
 
 def _cpu_count() -> int:
@@ -374,10 +363,20 @@ def angular_variance(j) -> float:
     over [0, pi].  With phi = theta/2 the profile is cos^(2N) phi, N = 4j,
     whose moment has the exact finite sum
 
-        Var = pi^2/3 - 2 sum_{k=1..N} 1/k^2 = 2 psi_1(N + 1),
+        Var = pi^2/3 - 2 sum_{k=1..N} 1/k^2 = 2 psi_1(N + 1).
 
-    added up with ``math.fsum``.  For large j it tends to 1/(2j), the squared
-    angular uncertainty of the aligned spin-j coherent state.
+    The trigamma is evaluated in O(1): psi_1(x) = psi_1(x + 1) + 1/x^2 moves
+    x = N + 1 up to x >= 30, where the asymptotic series psi_1(x) = 1/x +
+    1/(2x^2) + sum_{k=1..7} B_2k / x^(2k+1), Bernoulli numbers B_2 ... B_14
+    (Abramowitz & Stegun 6.4.6 and 6.4.12), is off by less than its next
+    term, |B_16| / x^17 < 1e-24; ``math.fsum`` adds the shifted terms to it.
+    For large j the variance tends to 1/(2j), the squared angular
+    uncertainty of the aligned spin-j coherent state.
     """
-    terms = (-2.0 / (k * k) for k in range(1, 2 * _check_frame(j) + 1))
-    return math.fsum([math.pi**2 / 3.0, *terms])
+    x = 2 * _check_frame(j) + 1  # N + 1
+    t = 1 / max(x, 30)
+    series = 0.0
+    for bernoulli in (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):
+        series = series * t * t + bernoulli
+    tail = t + t * t * (0.5 + t * series)
+    return 2.0 * math.fsum([tail, *(1 / (k * k) for k in range(x, 30))])

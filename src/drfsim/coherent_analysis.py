@@ -21,8 +21,7 @@ import numpy as np
 
 from .angular_momentum import _check_frame, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
-from .quantum_drf import FrameState, flux_step
-from .spectrum import transfer_rates
+from .quantum_drf import FrameState, apply_map
 from .tolerances import KKT_TOL, require
 
 __all__ = [
@@ -206,9 +205,9 @@ def _fit(caller: str, twice_j: int, n: int, columns: np.ndarray,
 
 
 def _evolved_populations(twice_j: int):
-    """Validated populations of the aligned state after 0, 1, 2, ... map steps."""
-    rates = transfer_rates(twice_j)
-    populations = FrameState.stretched(twice_j).populations
+    """Populations of the aligned state after 0, 1, 2, ... :func:`apply_map`
+    steps, each state validated once, when it is built."""
+    state = FrameState.stretched(twice_j)
     while True:
-        yield FrameState(populations).data
-        populations = flux_step(populations, rates)
+        yield state.data
+        state = apply_map(state)

@@ -496,21 +496,21 @@ def sample_trajectory(j, n_max: int, seed):
     return outcomes, probs, state
 
 
-_CDF_SIGMAS = 40  # half-width of the count CDF's window, in standard deviations
-
-
 def _count_cdf(n: int, p: float):
     """``(lo, cdf)``: the Binomial(n, p) CDF at K = lo, lo + 1, ... on the window
-    [mode - r, mode + r] of [0, n], r = ceil(40 sigma) + 1.  The mass outside
-    is below 2 exp(-3200 p (1 - p)) (Hoeffding), under 1e-260 for p+.
+    [mode - r, mode + r] of [0, n], r = ceil(sqrt(61 ln 2 n / 2)) + 1: as
+    |mode - n p| <= 1, Hoeffding's bound 2 exp(-2 t^2 / n) on P(|K - n p| >= t)
+    (JASA 58, 1963) puts under 2^-60 of the mass outside, below the 2^-53
+    spacing of the uniforms.  That is about 9.2 sigma at p near 1/2.
 
     The pmf is built out from pmf(mode) = 1 by the ratio pmf(k+1)/pmf(k) =
     (n - k) p / ((k + 1)(1 - p)), summed in order and divided by its total:
-    only + - * / and one sqrt, correctly rounded, so the same bits on every CPU.
+    past the integer r, only + - * /, correctly rounded, so the same bits on
+    every CPU.
     """
     q = 1.0 - p
     mode = min(int((n + 1) * p), n)
-    r = math.ceil(_CDF_SIGMAS * math.sqrt(n * p * q)) + 1
+    r = math.ceil(math.sqrt(30.5 * math.log(2) * n)) + 1
     lo, hi = max(0, mode - r), min(n, mode + r)
     k = np.arange(lo, hi, dtype=float)
     ratio = (n - k) * p / ((k + 1.0) * q)  # pmf(k+1)/pmf(k) for k = lo ... hi - 1

@@ -5,9 +5,11 @@ import math
 import sys
 import threading
 import time
+import timeit
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -585,6 +587,19 @@ class TestAngularSpread:
         # profile cos^(2N)(theta/2) with N = 2 (2j): Var = 2 psi_1(N + 1)
         want = 2.0 * polygamma(1, 2 * twice_j + 1)
         assert abs(angular_variance(SpinLabel(twice_j)) - want) <= 1e-12 * want
+
+    def test_variance_is_the_trigamma_to_a_few_ulps_at_every_size(self):
+        # 2 psi_1(2 (2j) + 1) to 50 digits; the shifted series rounds each of
+        # its terms once and fsum adds them, so 4 units of 2^-53 bound it
+        mpmath.mp.dps = 50
+        sizes = [*range(1, 2001), 10**4, 10**5, 10**6, 10**9, 10**12, 2**59]
+        for twice_j in sizes:
+            want = 2 * mpmath.psi(1, 2 * twice_j + 1)
+            error = abs(angular_variance(twice_j) - want) / want
+            assert error <= 4 * 2.0**-53, f"2j={twice_j}: {float(error) * 2**53:.2f} ulps"
+
+    def test_variance_takes_constant_time(self):
+        assert min(timeit.repeat(lambda: angular_variance(2**59), number=1, repeat=5)) < 1e-3
 
     def test_gaussian_profile_approximation(self):
         twice_j = 200

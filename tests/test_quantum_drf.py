@@ -907,6 +907,40 @@ class TestTrajectories:
         assert np.all(np.abs(counts[near] - exact[near]) <= 1)
         assert near.sum() < 3
 
+    @pytest.mark.parametrize("twice_j, n", [
+        *itertools.product((1, 2, 3, 20), (0, 1, 2, 7, 50, 300)),
+        (200, default_n_max(SpinLabel(200))),
+    ])
+    def test_count_cdf_is_the_binomial_law_on_its_window(self, twice_j, n):
+        # every entry of the table against the CDF F of Binomial(n, p+), p+
+        # the float the sampler uses: in Fractions up to n = 300, to 60 digits
+        # at 2j = 200's default n_max.  Entry k - lo is F(k) but for the mass
+        # the window leaves out and the recurrence's rounding.  Each of the L
+        # partial sums rounds once, and pmf(mode +- d) carries some 5d rounded
+        # ratios, which weigh only a few sigma in all, less than the L >= 9
+        # sigma entries: so an entry is within L x 2^-53 of F, and the mass
+        # below lo, which no count reaches, is too
+        p_plus = multipole_spectrum(SpinLabel(twice_j)).p_plus
+        lo, cdf = quantum_drf._count_cdf(n, p_plus)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            exact = binomial_cdf(n, Fraction(p_plus) if n <= 300 else decimal.Decimal(p_plus))
+        bound = len(cdf) * 2.0**-53
+        assert (Fraction(exact[lo - 1]) if lo else 0) <= bound
+        gaps = [abs(Fraction(c) - Fraction(f)) for c, f in zip(cdf, exact[lo:])]
+        assert max(gaps) <= bound, f"2j={twice_j}, n={n}: gap {float(max(gaps)):.2e}"
+
+
+def binomial_cdf(n, p):
+    """P(K <= k), k = 0 ... n, for K ~ Binomial(n, p), in the arithmetic of
+    p: exact for a Fraction, to the context's digits for a Decimal."""
+    q = 1 - p
+    pmf, total, cdf = q**n, 0, []
+    for k in range(n + 1):
+        total += pmf
+        cdf.append(total)
+        pmf = pmf * (n - k) * p / ((k + 1) * q)
+    return cdf
+
 
 def exact_count_fidelity(twice_j, n, count):
     """F_K = 1/2 + (j/q) mu+^K mu-^(n-K) in exact rationals."""
