@@ -9,6 +9,11 @@ columns at a discrete grid of angles, which :func:`build_grid` returns as
 the pair (nodes, columns).  A residual that stays large as the grid is
 refined certifies that no such mixture exists; the residual threshold and
 the grid-doubling stability check are this package's operational criterion.
+
+Only :func:`nnls_solve` checks its arguments.  The fits run its loop on data
+checked where it was made: a NaN or inf fails :func:`build_grid`'s column sums,
+a :class:`FrameState` is finite and sums to 1 within ``STRUCTURE_TOL`` (1% of
+``NNLS_TARGET_SUM_TOL``), and a warm start is a bool per grid column.
 """
 
 from __future__ import annotations
@@ -76,11 +81,7 @@ class DecompositionResult:
 
 
 def _result(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> DecompositionResult:
-    return DecompositionResult(
-        weights=x,
-        residual=float(np.linalg.norm(A @ x - b)),
-        weight_sum_gap=float(abs(x.sum() - 1.0)),
-    )
+    return DecompositionResult(x, float(np.linalg.norm(A @ x - b)), float(abs(x.sum() - 1.0)))
 
 
 def nnls_solve(A, b, *, start=None) -> DecompositionResult:
@@ -95,6 +96,8 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
     bound-set reduced gradients are >= -KKT_TOL.  The loop starts from the
     least-squares fit on the support ``start`` (a bool per column) if that
     fit is positive, and otherwise from w = 0 with every variable bound.
+
+    It is the one entry that checks its arguments (see the module docstring).
 
     Raises
     ------
@@ -114,16 +117,21 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
     require(f"coherent_analysis.nnls_solve: {A.shape[0]} x {A.shape[1]} matrix",
             "target b must sum to 1; its gap", abs(b.sum() - 1.0),
             "NNLS_TARGET_SUM_TOL", DomainError)
+    if start is not None:
+        start = np.asarray(start)
+        if start.dtype != bool or start.shape != (A.shape[1],):
+            raise DomainError(f"start must be a bool array of shape ({A.shape[1]},), "
+                              f"got {start.dtype} of shape {start.shape}")
+    return _lawson_hanson(A, b, start, "")
+
+
+def _lawson_hanson(A: np.ndarray, b: np.ndarray, start, where: str) -> DecompositionResult:
+    """:func:`nnls_solve`'s loop on checked arguments; ``where`` opens its cap error."""
     n = A.shape[1]
     cap = _CAP_PER_COLUMN * n
-
     x = np.zeros(n)
     free = np.zeros(n, dtype=bool)
     if start is not None:
-        start = np.asarray(start)
-        if start.dtype != bool or start.shape != (n,):
-            raise DomainError(f"start must be a bool array of shape ({n},), "
-                              f"got {start.dtype} of shape {start.shape}")
         solution = np.linalg.lstsq(A[:, start], b, rcond=None)[0]
         if solution.size and solution.min() > 0.0:  # else cold: no 0/0 step below
             free = start.copy()
@@ -138,7 +146,7 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
         admitted += 1
         if admitted > cap:
             raise ConvergenceError(
-                f"coherent_analysis.nnls_solve: iteration cap {cap} "
+                f"{where}coherent_analysis.nnls_solve: iteration cap {cap} "
                 f"exceeded with largest bound dual {candidates[entering]:.3e} "
                 f"still above KKT_TOL = {KKT_TOL:g}",
                 result=_result(A, b, x),
@@ -170,7 +178,9 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     tj = _check_frame(j)
     n = _check_count("n", n)
     state = next(islice(_evolved_populations(tj), n, None))
-    return _fit("convexity_test", tj, n, build_grid(tj, n_nodes)[1], state)
+    _, columns = build_grid(tj, n_nodes)
+    where = f"coherent_analysis.convexity_test: 2j={tj}, n={n}, n_nodes={columns.shape[1]}: "
+    return _lawson_hanson(columns, state, None, where)
 
 
 def convexity_series(j, n_max: int, n_nodes: int) -> list:
@@ -184,24 +194,12 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
     tj = _check_frame(j)
     n_max = _check_count("n_max", n_max)
     _, columns = build_grid(tj, n_nodes)
+    where = f"coherent_analysis.convexity_series: 2j={tj}, n={{}}, n_nodes={columns.shape[1]}: "
     results = []
     for n, state in enumerate(islice(_evolved_populations(tj), n_max + 1)):
         start = results[-1].weights > 0.0 if results else None
-        results.append(_fit("convexity_series", tj, n, columns, state, start))
+        results.append(_lawson_hanson(columns, state, start, where.format(n)))
     return results
-
-
-def _fit(caller: str, twice_j: int, n: int, columns: np.ndarray,
-         state: np.ndarray, start=None) -> DecompositionResult:
-    """:func:`nnls_solve` whose cap error also names 2j, n and the grid size."""
-    try:
-        return nnls_solve(columns, state, start=start)
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            f"coherent_analysis.{caller}: 2j={twice_j}, n={n}, "
-            f"n_nodes={columns.shape[1]}: {err}",
-            result=err.result,
-        ) from err
 
 
 def _evolved_populations(twice_j: int):

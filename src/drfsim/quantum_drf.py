@@ -125,8 +125,8 @@ def build_kraus(j) -> KrausSet:
     d = tj + 1
     bands = {}
     for c in OUTCOMES:
-        cg = [np.array([cg_coefficient(tj, tm, a, c).value for tm in range(-tj, tj + 1, 2)])
-              for a in (0, 1)]
+        cg = [np.fromiter((cg_coefficient(tj, tm, a, c).value for tm in range(-tj, tj + 1, 2)),
+                          float, count=d) for a in (0, 1)]  # allocated before it is filled
         for a in (0, 1):
             for b in (0, 1):
                 bands[(a, b, c)] = cg[a][_span(a - b, d)] * cg[b][_span(b - a, d)]

@@ -311,6 +311,21 @@ class TestConvexityTest:
             assert "KKT_TOL" in message
             assert excinfo.value.result.weights.shape == (40,)
 
+    def test_fits_scan_no_data_that_was_checked_when_made(self, monkeypatch):
+        # the grid and the states are checked where they are built, so the
+        # fits enter the loop past nnls_solve's checks; nnls_solve keeps them
+        scanned = []
+        check = coherent_analysis._check_finite
+        monkeypatch.setattr(coherent_analysis, "_check_finite",
+                            lambda name, values: scanned.append(name) or check(name, values))
+        convexity_series(SpinLabel(8), 4, 72)
+        convexity_test(SpinLabel(8), 3, 72)
+        assert scanned == []
+        _, columns = build_grid(SpinLabel(8), 72)
+        state = next(islice(coherent_analysis._evolved_populations(8), 3, None))
+        nnls_solve(columns, state)
+        assert scanned == ["matrix A", "target b"]
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("twice_j", [*range(1, 61), 80, 120, 200])
