@@ -19,7 +19,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -184,7 +183,8 @@ def coherent_columns(j, thetas) -> np.ndarray:
 
     Column i is :func:`coherent_populations` at ``thetas[i]``, shape
     (2j+1, len(thetas)); ``thetas`` must be 1-d.  The pmf is evaluated in
-    log space from exact integer binomials, so large 2j does not overflow.
+    log space from exact integer binomials, made and logged one at a time, so
+    large 2j neither overflows nor holds all of them at once.
     The log-pmf k log c^2 + (2j - k) log(1 - c^2) + log C(2j, k),
     c^2 = cos^2(theta/2), is built in the returned array itself, the second
     term a block of rows (at most 2^15 doubles, or one row) at a time, and
@@ -219,10 +219,9 @@ def coherent_columns(j, thetas) -> np.ndarray:
     return columns
 
 
-@functools.lru_cache(maxsize=16)
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0 ... n, each from the exact integer C(n, k), mirrored past n/2."""
-    half = [*itertools.accumulate(range(n // 2), lambda c, k: c * (n - k) // (k + 1), initial=1)]
-    logs = np.array([math.log(c) for c in half + half[n - len(half)::-1]])
-    logs.setflags(write=False)
-    return logs
+    """log C(n, k) for k = 0 ... n, each from the exact integer C(n, k), mirrored
+    past n/2; the recurrence holds one exact binomial at a time."""
+    half = itertools.accumulate(range(n // 2), lambda c, k: c * (n - k) // (k + 1), initial=1)
+    logs = np.fromiter(map(math.log, half), float, count=n // 2 + 1)
+    return np.concatenate([logs, logs[n - len(logs)::-1]])

@@ -12,8 +12,9 @@ the grid-doubling stability check are this package's operational criterion.
 
 Only :func:`nnls_solve` checks its arguments.  The fits run its loop on data
 checked where it was made: a NaN or inf fails :func:`build_grid`'s column sums,
-a :class:`FrameState` is finite and sums to 1 within ``STRUCTURE_TOL`` (1% of
-``NNLS_TARGET_SUM_TOL``), and a warm start is a bool per grid column.
+and a :class:`FrameState` is finite and sums to 1 within ``STRUCTURE_TOL`` (1%
+of ``NNLS_TARGET_SUM_TOL``).  Only :func:`convexity_series` warm-starts the
+loop, each fit from the previous fit's support.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _result(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> DecompositionResult:
     return DecompositionResult(x, float(np.linalg.norm(A @ x - b)), float(abs(x.sum() - 1.0)))
 
 
-def nnls_solve(A, b, *, start=None) -> DecompositionResult:
+def nnls_solve(A, b) -> DecompositionResult:
     """Minimise ||A w - b||_2 subject to w >= 0 (Lawson-Hanson active set).
 
     Variables move between the bound set (pinned at zero) and the free set;
@@ -93,9 +94,9 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
     unconstrained least-squares problem on the free set, stepping back along
     the segment to the first zero crossing whenever a free variable would go
     negative.  Terminates when every bound dual is <= ``KKT_TOL``, i.e. all
-    bound-set reduced gradients are >= -KKT_TOL.  The loop starts from the
-    least-squares fit on the support ``start`` (a bool per column) if that
-    fit is positive, and otherwise from w = 0 with every variable bound.
+    bound-set reduced gradients are >= -KKT_TOL.  The loop starts from w = 0
+    with every variable bound; only :func:`convexity_series` runs it from a
+    given support.
 
     It is the one entry that checks its arguments (see the module docstring).
 
@@ -117,16 +118,13 @@ def nnls_solve(A, b, *, start=None) -> DecompositionResult:
     require(f"coherent_analysis.nnls_solve: {A.shape[0]} x {A.shape[1]} matrix",
             "target b must sum to 1; its gap", abs(b.sum() - 1.0),
             "NNLS_TARGET_SUM_TOL", DomainError)
-    if start is not None:
-        start = np.asarray(start)
-        if start.dtype != bool or start.shape != (A.shape[1],):
-            raise DomainError(f"start must be a bool array of shape ({A.shape[1]},), "
-                              f"got {start.dtype} of shape {start.shape}")
-    return _lawson_hanson(A, b, start, "")
+    return _lawson_hanson(A, b, None, "")
 
 
 def _lawson_hanson(A: np.ndarray, b: np.ndarray, start, where: str) -> DecompositionResult:
-    """:func:`nnls_solve`'s loop on checked arguments; ``where`` opens its cap error."""
+    """:func:`nnls_solve`'s loop on checked arguments, from the least-squares fit
+    on the support ``start`` (a bool per column) if that fit is positive, else
+    from w = 0; ``where`` opens its cap error."""
     n = A.shape[1]
     cap = _CAP_PER_COLUMN * n
     x = np.zeros(n)

@@ -5,7 +5,8 @@ is a deterministic count of the bytes it held at once.  Every full-length
 array the coherent grid and the fidelity series allocate should be one they
 return: the peaks are bounded by the returned arrays plus one working array
 (for the grid, a quarter of it).  The in-place steps must also leave every
-value as the whole-array expressions gave it.  The NNLS fit checks its
+value as the whole-array expressions gave it.  The log-binomials hold one
+exact binomial at a time beside their table.  The NNLS fit checks its
 matrix without a mask of the matrix's size, and the trajectory batch holds
 its counts and fidelities and no row of uniforms beside them.
 """
@@ -31,6 +32,7 @@ from drfsim import (
     sample_fidelity_batch,
 )
 from drfsim import cli
+from drfsim.angular_momentum import _log_binomials
 from drfsim.cli import COMMANDS, RunConfig
 
 J = SpinLabel(200)
@@ -40,7 +42,7 @@ SERIES_BYTES = (N_MAX + 1) * 8  # one float64 array over steps 0 ... n_max
 
 def traced_peak(call):
     """Result of ``call()`` and the peak bytes traced while it ran.  A first,
-    untraced call fills the caches (spectra, log-binomials, digit tables)."""
+    untraced call fills the caches (spectra, digit tables)."""
     call()
     tracemalloc.start()
     try:
@@ -55,6 +57,21 @@ def test_coherent_grid_is_built_in_its_output():
     columns, peak = traced_peak(lambda: coherent_columns(J, thetas))
     assert columns.shape == (J.dim, 8 * J.dim)
     assert peak <= 1.25 * columns.nbytes
+
+
+def test_log_binomials_hold_one_exact_binomial_at_a_time():
+    # traced on its first call, so that no cache hides the work: the table is
+    # 2j + 1 doubles, while all the exact C(2j, k) at once, O((2j)^2) bits,
+    # take 20.4 MB, 32 times this bound
+    twice_j = 20_000
+    tracemalloc.start()
+    try:
+        logs = _log_binomials(twice_j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logs.shape == (twice_j + 1,)
+    assert peak <= 4 * 8 * (twice_j + 1)
 
 
 def test_nnls_finiteness_check_holds_no_matrix_sized_mask():

@@ -71,6 +71,39 @@ def _eighteen_digit_dyadics():
     return found
 
 
+def _exact_decimal_ties():
+    """Doubles N 2**-f, N odd, whose exact decimal expansion (the digits of
+    N 5**f) has 18 significant digits ending in 5, as 3 2**-25 has: the
+    17-digit rounding of each is an exact tie.  N 5**f in [10**17, 10**18)
+    with N < 2**53 needs 2 <= f <= 25; up to 15 N are spread over each f's
+    range."""
+    found = []
+    for f in range(2, 26):
+        low, high = -(-10**17 // 5**f), min((10**18 - 1) // 5**f, 2**53 - 1)
+        found += [math.ldexp(n | 1, -f) for n in np.linspace(low, high, 15).astype(np.int64)
+                  if n | 1 <= high]
+    return list(dict.fromkeys(found))
+
+
+def _near_decimal_ties():
+    """Doubles x = m 2**(-t-k), m in [2**52, 2**53), whose 17-digit rounding
+    fraction is 1/2 +- 2**-t for t = 44 ... 57, inside ``CSV_TIE_MARGIN``.
+
+    x 10**k = m 5**k / 2**t, so m = (2**(t-1) +- 1) 5**-k (mod 2**t) puts the
+    fraction there; each x is kept where k is the writer's own
+    16 - floor(log10 x), for k < 40 (26 doubles)."""
+    found = []
+    for t in range(44, 58):
+        for k in range(40):
+            for sign in (1, -1):
+                m = (2**(t - 1) + sign) * pow(5, -k, 2**t) % 2**t
+                m += -(-max(0, 2**52 - m) // 2**t) * 2**t  # the least one >= 2**52
+                x = math.ldexp(m, -t - k)
+                if m < 2**53 and Decimal(x).adjusted() == 16 - k:
+                    found.append(x)
+    return found
+
+
 POWERS_OF_TEN = [float(f"1e{k}") for k in range(-99, 16)]
 BOUNDARY_FLOATS = (
     [2.0**-25, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
@@ -102,11 +135,14 @@ class TestCsvWriter:
     @pytest.mark.parametrize("name,values", [
         ("ties", [2.0**-25] + _eighteen_digit_dyadics()),
         ("boundaries", BOUNDARY_FLOATS),
+        ("exact-ties", _exact_decimal_ties()),
+        ("near-ties", _near_decimal_ties()),
     ])
     def test_ties_and_boundaries(self, tmp_path, name, values, chunk):
         # 2**-25 = 2.98023223876953125e-08 rounds half to even at 17 digits;
-        # next to each power of ten and each bound of the fast domain the
-        # exponent or the carry may change
+        # a near tie is 2**-44 or less from one, below CSV_TIE_MARGIN, so
+        # its chunk is formatted cell by cell; next to each power of ten and
+        # each bound of the fast domain the exponent or the carry may change
         x = np.array(values)
         columns = [np.arange(len(x)), x, x[::-1], np.zeros(len(x))]
         header = ["n", "x", "y", "z"]

@@ -202,7 +202,8 @@ class TestNnlsSolve:
 
 
 class TestWarmStart:
-    """nnls_solve from a given support, and the exit test it relies on."""
+    """The Lawson-Hanson loop from a given support, as convexity_series runs
+    it, and the exit test it relies on."""
 
     def test_exit_reaches_the_minimum(self):
         # at KKT_TOL = 1e-10 the cold fit stopped at 2.589e-6 here, seven
@@ -219,7 +220,7 @@ class TestWarmStart:
         _, columns = build_grid(SpinLabel(4), 40)
         target = np.full(5, 0.2)
         cold = nnls_solve(columns, target)
-        warm = nnls_solve(columns, target, start=cold.weights > 0.0)
+        warm = coherent_analysis._lawson_hanson(columns, target, cold.weights > 0.0, "")
         assert np.array_equal(warm.weights > 0.0, cold.weights > 0.0)
         assert warm.residual == cold.residual
 
@@ -231,7 +232,7 @@ class TestWarmStart:
         target = coherent_populations(SpinLabel(4), 0.3)
         start = np.full(40, support == "all")
         cold = nnls_solve(columns, target)
-        warm = nnls_solve(columns, target, start=start)
+        warm = coherent_analysis._lawson_hanson(columns, target, start, "")
         assert warm.residual == cold.residual
         assert np.array_equal(warm.weights, cold.weights)
 

@@ -60,7 +60,10 @@ CALLS = {
     "FrameState.maximally_mixed": lambda tj: FrameState.maximally_mixed(tj),
 }
 
-_BINOMIALS = 10**4  # the exact C(2j, k) are O((2j)^2) bits: 1.2 s and 0.5 GB at 10^5
+# The exact C(2j, k) are held one at a time, O(2j) memory, but made in
+# O((2j)^2) big-int work: about 1 s at 10^5 on that Xeon, half of
+# LARGE_SECONDS, too near the bound to time without flaking.
+_BINOMIALS = 10**4
 _GRID = 200  # (2j + 1)^2 doubles or more: 80 GB at 10^5, a request a host may grant
 SMALLER = {
     "coherent_populations": _BINOMIALS,
