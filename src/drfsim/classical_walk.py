@@ -47,7 +47,7 @@ _RING_CHUNK_POINTS = 1 << 15  # ring points per chunk of ring_average's rows
 _RECONSTRUCTION_GRID = 4096  # theta points on which positivity is checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LegendreSpectrum:
     """Legendre coefficients c_0 ... c_lmax of an azimuthally symmetric
     distribution; c_0 is exactly 1 and l_max is at least 1."""
@@ -71,7 +71,8 @@ class LegendreSpectrum:
         return len(self.coeffs) - 1
 
     def reconstruct(self, theta) -> np.ndarray:
-        """Evaluate p(theta) = sum_l c_l P_l(cos theta), one term at a time."""
+        """Evaluate p(theta) = sum_l c_l P_l(cos theta), theta in [0, pi], one term at a time."""
+        theta = _check_polar("theta", _reals("theta", theta))
         terms = _legendre_values(self.l_max, np.cos(theta))
         return sum(c * p for c, p in zip(self.coeffs, terms))
 

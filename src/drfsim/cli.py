@@ -60,7 +60,7 @@ import numpy as np
 from . import __version__
 from .classical_walk import classical_fidelity_series
 from .coherent_analysis import convexity_series
-from .errors import DomainError, DrfsimError, _check_count, _check_polar, _real
+from .errors import DomainError, DrfsimError, _check_count, _check_polar, _check_record, _real
 from .quantum_drf import evolve, sample_fidelity_batch
 from .selftest import DEFAULT_SEED, run_selftest
 from .spectrum import default_n_max, fitted_step, half_life
@@ -414,7 +414,9 @@ def run(config: RunConfig) -> int:
     A library error, an unwritable output path, a failed allocation or a size
     past numpy's array limit is reported on stderr as ``error: <command>: ...``, status 1.
     A failed allocation, or numpy's refusal of a size, also names the 2j of its table.
+    A ``config`` that is no :class:`RunConfig` raises :class:`DomainError`.
     """
+    _check_record("config", config, RunConfig)  # before the handler reads config.command
     started = time.perf_counter()
     sizes = None
     try:

@@ -60,7 +60,7 @@ def build_grid(j, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """Outcome of a non-negative fit: weights, residual, and weight-sum gap."""
 

@@ -9,10 +9,10 @@ decay of :mod:`~drfsim.spectrum`, the home of the channel's eigenvalues.
 The channel never creates coherences, so diagonal states keep only their
 2j+1 populations.  On those the averaged map is a nearest-neighbour hop in
 k = j + m whose rates are integers over (2j+1)^2 (:func:`transfer_rates`);
-:func:`flux_step` applies it in conservative flux form, so the total
+:func:`_flux_step` applies it in conservative flux form, so the total
 population cannot drift systematically over long runs.  :func:`evolve`
 takes up to 64 steps per kernel call, still in flux form: a banded bond
-operator built by :func:`flux_step`'s arithmetic moves population across
+operator built by :func:`_flux_step`'s arithmetic moves population across
 each bond, and precomputed adjoint rows give the fidelity of every step in
 between.  Recording outcome c is the same hop at w_k / (2 p_c), so diagonal states
 read no Kraus band: the operators from :func:`build_kraus`, the exact
@@ -39,7 +39,6 @@ __all__ = [
     "KrausSet",
     "FrameState",
     "build_kraus",
-    "flux_step",
     "apply_map",
     "quantum_fidelity",
     "evolve",
@@ -51,7 +50,7 @@ __all__ = [
 _KEYS = {(a, b, c) for a in (0, 1) for b in (0, 1) for c in OUTCOMES}  # of KrausSet.bands
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """The Kraus operators E_ab^c of the frame-degradation channel.
 
@@ -139,29 +138,23 @@ def build_kraus(j) -> KrausSet:
 _kraus = lru_cache(maxsize=32)(build_kraus)  # 2j -> the bands of dense states and the fidelity
 
 
-def flux_step(populations: np.ndarray, rates: np.ndarray, out=None) -> np.ndarray:
-    """One step of the averaged map on a population vector, in flux form.
+def _flux_step(populations: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """One step of the averaged map on a population vector, in flux form, as a new vector.
 
     The net flow across bond k is t_k = w_k (p_k - p_{k+1}) and
     p'_k = p_k - t_k + t_{k-1}: every flow leaves one entry and enters its
     neighbour, so the total is conserved up to rounding that does not
-    accumulate in one direction.  Acts along the last axis, so a stack of
-    vectors steps at once with ``rates`` broadcast against its bonds.
-    Writes into ``out`` when given (which may be ``populations`` itself) and
-    returns it.
+    accumulate in one direction.
     """
-    flux = populations[..., :-1] - populations[..., 1:]
+    flux = populations[:-1] - populations[1:]
     flux *= rates
-    if out is None:
-        out = populations.copy()
-    else:
-        out[...] = populations
-    out[..., :-1] -= flux
-    out[..., 1:] += flux
+    out = populations.copy()
+    out[:-1] -= flux
+    out[1:] += flux
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameState:
     """Density operator of the frame: trace-1, Hermitian, positive.
 
@@ -238,12 +231,12 @@ def apply_map(state: FrameState) -> FrameState:
 
     Preserves trace, positivity, and the diagonal representation (the band
     structure maps diagonal states to diagonal states).  Diagonal states take
-    :func:`flux_step` at the rates w_k, the step :func:`evolve` iterates, and
+    :func:`_flux_step` at the rates w_k, the step :func:`evolve` iterates, and
     read no Kraus band; dense states are sandwiched between the bands.
     """
     _check_record("state", state, FrameState)
     if state.diagonal:
-        return FrameState(flux_step(state.data, transfer_rates(state.twice_j)))
+        return FrameState(_flux_step(state.data, transfer_rates(state.twice_j)))
     return FrameState(_sandwich(state.data, _kraus(state.twice_j), OUTCOMES))
 
 
@@ -292,7 +285,7 @@ def _jump_kernel(rates: np.ndarray, s: int) -> np.ndarray:
     G[b, b-s+1 ... b+s], the only columns it can reach.  Sum_r M^r is
     symmetric, so row b of grad sum_r M^r is sum_r M^r applied to the
     column e_b - e_{b+1}; all 2j columns are stepped at once by the
-    arithmetic of :func:`flux_step`, each in its own window (a column here,
+    arithmetic of :func:`_flux_step`, each in its own window (a column here,
     so slices are contiguous), with zero rate on the bonds that leave the
     frame.  Step r reaches only entries s-2-r ... s+1+r.  The result is
     C-contiguous: the einsum of :func:`_jump` rounds by operand layout.
@@ -323,7 +316,7 @@ def _jump(kernel: np.ndarray, windows: np.ndarray, populations: np.ndarray) -> n
 
     ``windows`` views the zero-padded buffer that holds ``populations``, one
     row per bond: t_b = sum_c G[b, c] p[b-s+1+c] is the net flow across bond
-    b over the s steps, and p <- p - Delta t, as in :func:`flux_step`.
+    b over the s steps, and p <- p - Delta t, as in :func:`_flux_step`.
     """
     flux = np.einsum("bc,bc->b", kernel, windows)
     populations[:-1] -= flux
@@ -336,7 +329,7 @@ def _adjoint_rows(m: np.ndarray, rates: np.ndarray, s: int) -> np.ndarray:
     rows = np.empty((s, len(m)))
     rows[0] = m
     for r in range(1, s):
-        flux_step(rows[r - 1], rates, out=rows[r])
+        rows[r] = _flux_step(rows[r - 1], rates)
     return rows
 
 
@@ -350,7 +343,7 @@ def evolve(j, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     differences, W: :func:`transfer_rates`, Delta: flux divergence).  The
     populations take s steps per kernel call, p <- p - Delta (G p) with
     G = W grad sum_{r<s} M^r (:func:`_jump_kernel`), so total population
-    moves only between neighbours, as in :func:`flux_step`.  The fidelity of
+    moves only between neighbours, as in :func:`_flux_step`.  The fidelity of
     every step is F_{n+r} = 1/2 + (m^T M^r p_n) / q, from s adjoint rows.
     The block length s grows with ``n_max`` (:func:`_block_length`), so a
     short run does not pay for a long kernel.
@@ -437,7 +430,7 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
 
     The update keeps the measurement record: the returned state is
     (1/2) sum_ab E_ab^c rho E_ab^c{dag} / p_c with p_c its trace.  A diagonal state reads
-    no band: p_c is p+ or 1 - p+, and the map :func:`flux_step` at w_k / (2 p_c).
+    no band: p_c is p+ or 1 - p+, and the map :func:`_flux_step` at w_k / (2 p_c).
     """
     _check_record("state", state, FrameState)
     if _check_record("kraus", kraus, KrausSet).twice_j != state.twice_j:
@@ -455,9 +448,9 @@ def conditional_update(state: FrameState, kraus: KrausSet, outcome: int):
 
 
 def _outcome_step(state: FrameState, outcome: int):
-    """(p_c, the state after outcome c) of a diagonal state: :func:`flux_step` at w_k / (2 p_c)."""
+    """(p_c, the state after outcome c) of a diagonal state: :func:`_flux_step` at w_k / (2 p_c)."""
     prob, rates = _outcome_rates(state.twice_j, outcome)
-    return prob, FrameState(flux_step(state.data, rates))
+    return prob, FrameState(_flux_step(state.data, rates))
 
 
 @lru_cache(maxsize=32)

@@ -60,7 +60,7 @@ def transfer_rates(j) -> np.ndarray:
     return ((k + 1) * (tj - k)) / float((tj + 1) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultipoleSpectrum:
     """The eigenvalue offsets x_k, x+_k and x-_k (module docstring), k = 0 ... 2j,
     of the averaged and per-outcome maps, the probability p+ of outcome +1, and

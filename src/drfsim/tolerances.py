@@ -28,8 +28,10 @@ STRUCTURE_TOL = 1e-12
 # rejected as non-positive.
 EIGENVALUE_FLOOR = -1e-10
 
-# Truncation wiggle allowed when a distribution is reconstructed from a
-# finite Legendre series.
+# Dip below zero allowed in a walked distribution's reconstruction.  Its Legendre
+# series is exact (c_l = 0 past 4j) and ring averages keep it non-negative, so only
+# rounding is left: at most 3.8e-15 (2j <= 20), 8.3e-15 (2j = 40) and 5.2e-14
+# (2j = 200) over n in {0, 1, 2, 2j, (2j)^2, 5 (2j)^2, 50 (2j)^2}.
 POSITIVITY_ALLOWANCE = 1e-6
 
 # Active-set solver exit test: bound-set reduced gradients must all be

@@ -582,6 +582,19 @@ class TestCliSurface:
         with pytest.raises(DomainError, match=rf"^{field} must"):
             RunConfig(command, **settings)
 
+    @pytest.mark.parametrize("config", [5, None, {"command": "compare", "twice_j": [2]}],
+                             ids=["int", "None", "dict"])
+    def test_run_refuses_a_config_that_is_no_run_config(self, tmp_path, monkeypatch, capsys,
+                                                        config):
+        # refused before run's handler, which reads config.command, and
+        # before any file is written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DomainError, match=rf"^config must be a RunConfig, "
+                                              rf"got {type(config).__name__}$"):
+            cli.run(config)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == ""
+
     def test_parser_is_built_once_and_parsing_leaves_it_unchanged(self, capsys):
         parser = cli.build_parser()
         assert cli.build_parser() is parser

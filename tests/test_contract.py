@@ -11,6 +11,7 @@ checks that every name in ``drfsim.__all__`` has a row or is in EXCEPTIONS;
 OUTSIDE holds the rows of public callables outside ``drfsim.__all__``.
 """
 
+import dataclasses
 import inspect
 import io
 import math
@@ -80,11 +81,14 @@ FRAME = kind(r"^twice_j must be an integer >= 1, got ",
 # A string where a number is expected is refused, not parsed; a bool is not a
 # number, and a list of one is not a single one.
 REAL = r"^{name} must be real, got dtype <U"
-SCALAR = (kind(r"^{name} must be real, got dtype bool$", {"True": True})
-          + kind(r"^{name} must be a single number, got shape \(1,\)$", {"[0.5]": [0.5]}))
-ANGLE = (kind(r"^{name} must lie in \[0, pi\], got ",
+BOOL = kind(r"^{name} must be real, got dtype bool$", {"True": True})
+ONE = kind(r"^{name} must be a single number, got shape \(1,\)$", {"[0.5]": [0.5]})
+SCALAR = BOOL + ONE
+# Angles in [0, pi]: POLAR for a number or an array, ANGLE for one number.
+POLAR = (kind(r"^{name} must lie in \[0, pi\], got ",
               {"-0.1": -0.1, "pi+0.1": PI + 0.1, "nan": NAN, "inf": INF})
-         + kind(REAL, {"str": "0.3"}) + SCALAR)
+         + kind(REAL, {"str": "0.3"}) + BOOL)
+ANGLE = POLAR + ONE
 NOT_FINITE = r"^{name} must be finite \(it holds nan or inf\)$"
 FINITE = kind(NOT_FINITE, {"nan": entry(NAN), "inf": entry(INF), "-inf": entry(-INF)})
 MAGNETIC = (kind(r"^2{name}=\S+ must be an integer for 2j=2$",
@@ -297,8 +301,10 @@ ROWS = [
      {"j": (2, FRAME), "n_max": (3, count()), "n_samples": (4, count(1)), "seed": (1, SEED)}),
 ]
 
-# Public callables outside drfsim.__all__: the CLI's settings and the selftest.
+# Public callables outside drfsim.__all__: a record's method, the CLI's
+# settings and the selftest.
 OUTSIDE = [
+    ("LegendreSpectrum.reconstruct", d.initial_spectrum(2).reconstruct, {"theta": (0.5, POLAR)}),
     ("cli.RunConfig", cli.RunConfig,
      {"command": ("compare", kind(r"^unknown command 'walk'$", {"walk": "walk"})),
       "twice_j": ([2], kind(r"^twice_j must be an integer >= 1, got ",
@@ -323,8 +329,6 @@ EXCEPTIONS = {
     **dict.fromkeys(["DrfsimError", "DomainError", "ConvergenceError",
                      "InternalConsistencyError"], "exception classes: raised, not called"),
     "__version__": "a string",
-    "flux_step": "the inner step: its callers pass arrays they have already checked, "
-                 "and a check would run once per step",
     "CGCoefficient": "a plain record, with no __post_init__",
     "MultipoleSpectrum": "a plain record, with no __post_init__",
 }
@@ -376,3 +380,22 @@ def test_every_parameter_has_an_entry():
     mismatched = [row for row, call, args in ROWS + OUTSIDE
                   if args.keys() != inspect.signature(call).parameters.keys()]
     assert mismatched == []
+
+
+def test_public_records_compare_and_hash():
+    # a record that holds arrays compares and hashes by identity, as numpy
+    # arrays allow; two builds, since a copy would share the arrays
+    built = [(call(**_valid(args)), call(**_valid(args)))
+             for _, call, args in ROWS if dataclasses.is_dataclass(call)]
+    built.append((d.multipole_spectrum(2), d.multipole_spectrum(2)))
+    for first, second in built:
+        assert first == first
+        assert isinstance(first == second, bool) and isinstance(hash(first), int)
+
+
+def test_no_public_function_is_a_contract_exception():
+    # only classes and names that are not called go without a row, so every
+    # public function checks its arguments
+    functions = [name for name in EXCEPTIONS
+                 if callable(value := getattr(d, name)) and not inspect.isclass(value)]
+    assert functions == []

@@ -32,7 +32,7 @@ from drfsim import (
     sample_trajectory,
 )
 from drfsim.angular_momentum import projector_element
-from drfsim.quantum_drf import OUTCOMES, _span, flux_step
+from drfsim.quantum_drf import OUTCOMES, _flux_step, _span
 from drfsim.spectrum import (
     conditional_fidelity_table,
     default_n_max,
@@ -164,16 +164,6 @@ class TestTransferRates:
         leave[1:] += rates
         assert np.max(np.abs(1.0 - leave - stay)) <= 1e-15
 
-    def test_flux_step_writes_in_place(self):
-        rng = np.random.default_rng(3)
-        j = SpinLabel(7)
-        p = _random_diagonal_state(rng, 7).populations
-        rates = transfer_rates(j)
-        expected = flux_step(p, rates)
-        buf = p.copy()
-        assert flux_step(buf, rates, out=buf) is buf
-        assert np.array_equal(buf, expected)
-
 
 class TestFrameState:
     def test_holds_the_int_2j(self):
@@ -223,7 +213,7 @@ class TestFrameState:
         dense = FrameState(diagonal.matrix)
         mapped = apply_map(diagonal)
         assert mapped.diagonal
-        assert np.array_equal(mapped.data, flux_step(diagonal.data, transfer_rates(j)))
+        assert np.array_equal(mapped.data, _flux_step(diagonal.data, transfer_rates(j)))
         mapped_dense = apply_map(dense)
         assert not mapped_dense.diagonal
         assert np.array_equal(mapped_dense.data,
@@ -236,7 +226,7 @@ class TestFrameState:
             assert after.diagonal and not after_dense.diagonal
             assert p == (p_plus if outcome == +1 else 1.0 - p_plus)
             assert np.array_equal(after.data,
-                                  flux_step(diagonal.data, transfer_rates(j) / (2 * p)))
+                                  _flux_step(diagonal.data, transfer_rates(j) / (2 * p)))
             unnorm = quantum_drf._sandwich(dense.data, kraus, (outcome,))
             assert p_dense == float(unnorm.trace().real)
             assert np.array_equal(after_dense.data, unnorm / p_dense)
