@@ -172,6 +172,10 @@ def convexity_test(j, n: int, n_nodes: int) -> DecompositionResult:
     :func:`build_grid`.  At n = 0 the state is itself a grid column, so the
     residual vanishes; a residual that stays above threshold as n_nodes
     doubles signals genuine non-decomposability rather than grid error.
+    It is criterion 7's cold-start check of the fit, not an independent
+    oracle: it shares the grid, the columns, the evolved states and the
+    Lawson-Hanson loop with :func:`convexity_series`.  The independent
+    column routes are in ``tests/brute_force.py``.
     """
     tj = _check_frame(j)
     n = _check_count("n", n)

@@ -42,15 +42,22 @@ def _index(value) -> int | None:
         return None
 
 
+def _holds_bool(values) -> bool:
+    """True if ``values`` is no ndarray and holds a bool: numpy reads [True, 0.5] as floats."""
+    return not isinstance(values, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat)
+
+
 def _reals(name: str, values, dtype=float) -> np.ndarray:
     """``values``, a number or an array of them, as an array of ``dtype``,
     float or complex (itself if it is one), else a :class:`DomainError`
     naming ``name``: a string such as "0.5" is refused, not parsed, and
-    neither a bool nor an object such as a Fraction is a number."""
+    neither a bool (alone or in a list) nor an object such as a Fraction is a number."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf" + np.dtype(dtype).kind:
+    got = np.dtype(bool) if _holds_bool(values) else array.dtype
+    if got.kind not in "iuf" + np.dtype(dtype).kind:
         what = "real" if dtype is float else "real or complex"
-        raise DomainError(f"{name} must be {what}, got dtype {array.dtype}")
+        raise DomainError(f"{name} must be {what}, got dtype {got}")
     return array.astype(dtype, copy=False)
 
 

@@ -13,8 +13,9 @@ k = j + m whose rates are integers over (2j+1)^2 (:func:`transfer_rates`);
 population cannot drift systematically over long runs.  :func:`evolve`
 takes up to 64 steps per kernel call, still in flux form: a banded bond
 operator built by :func:`_flux_step`'s arithmetic moves population across
-each bond, and precomputed adjoint rows give the fidelity of every step in
-between.  Recording outcome c is the same hop at w_k / (2 p_c), so diagonal states
+each bond, precomputed adjoint rows give the fidelity of every step in
+between, and each group of steps is checked as soon as it is made, so a
+faulty run stops there.  Recording outcome c is the same hop at w_k / (2 p_c), so diagonal states
 read no Kraus band: the operators from :func:`build_kraus`, the exact
 Clebsch-Gordan route, serve dense states, :func:`quantum_fidelity` and the tests.
 """
@@ -265,15 +266,19 @@ def quantum_fidelity(state: FrameState) -> float:
     return float(np.dot(state.populations, _kraus(state.twice_j).fidelity_diagonal))
 
 
+_LONGEST = 64  # map steps per kernel call at most, and held states per check at most
+
+
 def _block_length(n_max: int) -> int:
     """Map steps per kernel call in :func:`evolve`.
 
-    The largest power of two s <= 64 with (2s)^2 <= n_max, and at least 1:
-    building the kernel costs O(s^2) per bond and each call saves O(s) numpy
-    calls, so short runs take short blocks.
+    The largest power of two s <= _LONGEST with (2s)^2 <= n_max, and at
+    least 1: building the kernel costs O(s^2) per bond and each call saves
+    O(s) numpy calls, so short runs take short blocks.  _LONGEST also caps
+    the held states :func:`_map_fidelity` checks at once.
     """
     s = 1
-    while s < 64 and (4 * s) ** 2 <= n_max:
+    while s < _LONGEST and (4 * s) ** 2 <= n_max:
         s *= 2
     return s
 
@@ -354,24 +359,24 @@ def evolve(j, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     population checked against ``EIGENVALUE_FLOOR`` and its drift from a
     total of 1 against ``STRUCTURE_TOL``.  The states in between need no check:
     M is entrywise non-negative and doubly stochastic, so
-    min(M^r p) >= min(p) and 1^T M^r p = 1^T p.  The first step that fails
-    raises :class:`InternalConsistencyError` naming 2j, the step, the
-    observed value and the tolerance.
+    min(M^r p) >= min(p) and 1^T M^r p = 1^T p.  Each group of held states
+    is checked with its steps as soon as it is made (:func:`_check_block`): the
+    first step that fails stops the run at the end of its group, and raises
+    :class:`InternalConsistencyError` naming 2j, the step, the value and the tolerance.
     """
     tj = _check_frame(j)
     n_max = _check_count("n_max", n_max)
-    fidelity, s, lowest, totals = _map_fidelity(tj, n_max)
     closed = closed_form_fidelity(tj, np.arange(n_max + 1))
-    _check_steps(tj, fidelity, closed, s, lowest, np.abs(totals - 1.0))
-    return fidelity, closed
+    return _map_fidelity(tj, closed), closed
 
 
-def _map_fidelity(twice_j: int, n_max: int):
-    """The blocked iteration of :func:`evolve`: the fidelity of steps
-    0 ... n_max, the block length s, and the smallest population and the
-    total of each held state (steps 0, s, 2s, ...).  Held states are
-    reduced s at a time from a copy the size of the adjoint rows.  The
-    kernel and the adjoint rows are freed on return."""
+def _map_fidelity(twice_j: int, closed: np.ndarray) -> np.ndarray:
+    """The blocked iteration of :func:`evolve`: the fidelity of steps 0 ...
+    len(closed) - 1.  The held states (steps 0, s, 2s, ...) go to :func:`_check_block`
+    ``rows`` at a time: as many as 2^15 doubles hold (the row blocks of
+    :func:`~drfsim.angular_momentum.coherent_columns`), within s ... _LONGEST.
+    The kernel and the adjoint rows are freed on return."""
+    n_max = len(closed) - 1
     d = twice_j + 1
     rates = transfer_rates(twice_j)
     s = _block_length(n_max)
@@ -383,44 +388,40 @@ def _map_fidelity(twice_j: int, n_max: int):
     windows = sliding_window_view(padded, 2 * s)
     fidelity = np.empty(n_max + 1)
     held = range(0, n_max + 1, s)
-    lowest = np.empty(len(held))
-    totals = np.empty(len(held))
-    states = np.empty((min(s, len(held)), d))  # the held states since the last check
+    rows = max(s, min(_LONGEST, (1 << 15) // d))
+    states = np.empty((min(rows, len(held)), d))  # the held states since the last check
     for i, start in enumerate(held):
         stop = min(start + s, n_max + 1)
-        np.dot(adjoint[: stop - start], state, out=fidelity[start:stop])
-        row = i % s
+        np.dot(adjoint[: stop - start], state, out=fidelity[start:stop])  # <m> at each step
+        row = i % rows
         states[row] = state
-        if row == s - 1 or stop > n_max:
-            np.min(states[: row + 1], axis=1, out=lowest[i - row : i + 1])
-            np.sum(states[: row + 1], axis=1, out=totals[i - row : i + 1])
+        if row == rows - 1 or stop > n_max:
+            _check_block(twice_j, fidelity, closed, s, states[: row + 1], start - row * s)
         if stop <= n_max:
             _jump(kernel, windows, state)
-    fidelity /= twice_j + 1.0  # F = 1/2 + <m> / q, in place
+    return fidelity
+
+
+def _check_block(twice_j: int, fidelity, closed, s: int, states, first: int):
+    """Turn a group's steps, from ``first`` on, from <m> into F in place, and
+    raise at the first of them whose held state or fidelity fails its check:
+    ``states`` holds steps first, first + s, ..., and at a held step its
+    floor and trace checks come before the fidelity check."""
+    fidelity = fidelity[first : first + s * len(states)]
+    fidelity /= twice_j + 1.0  # F = 1/2 + <m> / q
     fidelity += 0.5
-    return fidelity, s, lowest, totals
-
-
-def _check_steps(twice_j: int, fidelity, closed, s: int, lowest, drift):
-    """Raise at the first step whose held state or fidelity fails its check.
-
-    ``lowest`` and ``drift`` (|sum p - 1|) belong to the held states, steps
-    0, s, 2s, ...; the error |F - F_closed|, formed here in one array and
-    freed on return, to every step.  At a held step the held-state checks
-    come before the fidelity check.
-    """
-    error = np.subtract(fidelity, closed)
-    np.abs(error, out=error)
+    error = np.abs(fidelity - closed[first : first + len(fidelity)])
+    lowest = np.min(states, axis=1)
+    drift = np.abs(np.sum(states, axis=1) - 1.0)
     held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
     if not (error.max() <= MAP_TOL and held_ok.all()):  # a NaN error fails
         ok = error <= MAP_TOL
         ok[::s] &= held_ok
         step = int(np.argmin(ok))
-        i, offset = divmod(step, s)
-        where = f"quantum_drf.evolve: 2j={twice_j}, step {step}"
-        if offset == 0:
-            require(where, "population", lowest[i], "EIGENVALUE_FLOOR")
-            require(where, "|sum of populations - 1|", drift[i], "STRUCTURE_TOL")
+        where = f"quantum_drf.evolve: 2j={twice_j}, step {first + step}"
+        if step % s == 0:
+            require(where, "population", lowest[step // s], "EIGENVALUE_FLOOR")
+            require(where, "|sum of populations - 1|", drift[step // s], "STRUCTURE_TOL")
         require(where, f"fidelity {float(fidelity[step])!r}, |F - F_closed|",
                 error[step], "MAP_TOL")
 

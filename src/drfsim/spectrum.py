@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular_momentum import _check_frame
-from .errors import DomainError, _check_count, _index
+from .errors import DomainError, _check_count, _holds_bool, _index
 
 __all__ = ["MultipoleSpectrum", "transfer_rates", "multipole_spectrum", "closed_form_fidelity",
            "conditional_fidelity_table", "fitted_step", "half_life", "default_n_max"]
@@ -114,7 +114,7 @@ def closed_form_fidelity(j, n):
         if None not in flat:  # else a bool, a string or a Fraction: refused below
             n_arr = np.array([x if isinstance(x, float) else min(max(x, -1), 2**1024 - 2**971)
                               for x in flat], dtype=float).reshape(n_arr.shape)
-    kind = n_arr.dtype.kind
+    kind = "b" if _holds_bool(n) else n_arr.dtype.kind  # [True, 5] reads as ints
     with np.errstate(invalid="ignore"):  # the gap is NaN where n is NaN or infinite
         gap = (0 if kind in "iu" else np.nan if kind != "f"  # a string is not parsed
                else np.abs(n_arr - np.rint(n_arr)).max(initial=0))

@@ -4,11 +4,13 @@ numpy reports its data buffers to tracemalloc, so the traced peak of a call
 is a deterministic count of the bytes it held at once.  Every full-length
 array the coherent grid and the fidelity series allocate should be one they
 return: the peaks are bounded by the returned arrays plus one working array
-(for the grid, a quarter of it).  The in-place steps must also leave every
-value as the whole-array expressions gave it.  The log-binomials hold one
-exact binomial at a time beside their table.  The NNLS fit checks its
-matrix without a mask of the matrix's size, and the trajectory batch holds
-its counts and fidelities and no row of uniforms beside them.
+(for the grid, a quarter of it), and ``evolve``, which checks its steps a
+group at a time, holds no full-length array but the pair it returns.  The
+in-place steps must also leave every value as the whole-array expressions
+gave it.  The log-binomials hold one exact binomial at a time beside their
+table.  The NNLS fit checks its matrix without a mask of the matrix's size,
+and the trajectory batch holds its counts and fidelities and no row of
+uniforms beside them.
 """
 
 import math
@@ -99,10 +101,23 @@ def test_batch_holds_its_counts_and_fidelities_only():
     lambda: classical_fidelity_series(J, fitted_step(J), N_MAX),
 ], ids=["evolve", "classical_fidelity_series"])
 def test_series_hold_one_working_array(build):
-    # the returned pair, the error it is checked by, and one working array
+    # the returned pair, the error the walk series is checked by, and one
+    # working array (evolve needs less: the test below)
     (fidelity, closed), peak = traced_peak(build)
     assert len(fidelity) == len(closed) == N_MAX + 1
     assert peak <= 4 * SERIES_BYTES
+
+
+def test_evolve_holds_two_run_length_arrays():
+    # the closed form is made first (its int step counts and its output),
+    # then the fidelity beside it: two arrays over the steps at any time.
+    # Besides them: at 2j = 2, s = 64, the kernel (2j x 2s doubles), the
+    # adjoint rows (s x (2j + 1)), 64 held states (64 x (2j + 1)) and one
+    # group's temporaries (|F - F_closed| and the difference it is taken
+    # from, 2 x 64 s doubles) come to 0.05 of an array of 200 001 doubles
+    n_max = 200_000
+    (fidelity, _), peak = traced_peak(lambda: evolve(SpinLabel(2), n_max))
+    assert peak <= 2.25 * fidelity.nbytes
 
 
 @pytest.mark.parametrize("command", ["quantum-evolve", "classical-walk", "compare"])

@@ -49,15 +49,28 @@ def entry(value):
     return corrupt
 
 
-# Casts of a valid array, with the start of the dtype each names: strings
-# ("0.5") are refused, not parsed, and neither a bool nor an object is a number.
-CASTS = (("str", str, "<U"), ("bool", bool, "bool"), ("object", object, "object"))
+def listed(value):
+    """The valid array as (nested) lists, its middle entry replaced by ``value``."""
+    def corrupt(valid):
+        bad = np.array(valid, dtype=object)
+        bad.flat[bad.size // 2] = value
+        return bad.tolist()
+    return corrupt
+
+
+# Corruptions of a valid array, with the start of the dtype each names: strings
+# ("0.5") are refused, not parsed, and neither a bool (alone or inside a list,
+# which numpy would read as a number array) nor an object is a number.
+CASTS = (*[(id_, lambda valid, cast=cast: np.asarray(valid).astype(cast), dtype)
+           for id_, cast, dtype in (("str", str, "<U"), ("bool", bool, "bool"),
+                                    ("object", object, "object"))],
+         ("entry-True", listed(True), "bool"))
 
 
 def typed(what="real"):
     """An array argument's valid value under each of CASTS."""
-    return [(id_, lambda valid, cast=cast: np.asarray(valid).astype(cast),
-             rf"^{{name}} must be {what}, got dtype {dtype}") for id_, cast, dtype in CASTS]
+    return [(id_, corrupt, rf"^{{name}} must be {what}, got dtype {dtype}")
+            for id_, corrupt, dtype in CASTS]
 
 
 def below_2_60(low):
@@ -157,9 +170,9 @@ BANDS = [
     ("one-key", lambda b: {(0, 0, 1): np.ones(4)},
      r"^KrausSet: keys missing \[\(0, 0, -1\), "),
     # band (0, 0, 1) is read before 2j is known, so its message names no 2j
-    *[(id_ + suffix, bands(lambda b, cast=cast, key=key: b.update({key: b[key].astype(cast)})),
+    *[(id_ + suffix, bands(lambda b, corrupt=corrupt, key=key: b.update({key: corrupt(b[key])})),
        exact(f"KrausSet: {where}band {key} must be real, got dtype {dtype}"))
-      for id_, cast, dtype in CASTS
+      for id_, corrupt, dtype in CASTS
       for key, where, suffix in (((0, 0, 1), "", ""), ((1, 0, -1), "2j=3: ", "-(1, 0, -1)"))],
 ]
 # Beside an int past uint64 (which numpy holds as an object) a bool, a string
@@ -169,6 +182,7 @@ STEPS = kind(r"^step count n must be a non-negative integer",
               "nan-entry": np.array([0.0, NAN]), "inf-entry": np.array([0.0, INF]),
               "fraction-entry": np.array([1.0, 2.5]), "2-d": np.array([[3.0], [0.5]]),
               "str": "3", "str-entry": np.array(["1", "2"]), "-2**64": -2**64,
+              "entry-True": [True, 5],
               **{f"2**64-{id_}": [2**64, bad] for id_, bad in
                  {"True": True, "str": "3", "Fraction": Fraction(3), "-1": -1, "inf": INF}.items()}})
 # Each message names 2j, the value and the tolerance; a shape that fixes no 2j
@@ -220,7 +234,8 @@ ROWS = [
       "thetas": ([0.0, 1.0], kind(r"^theta must lie in \[0, pi\], got ",
                                   {"nan-entry": [0.0, NAN, PI], "negative": [-0.1, 1.0]})
                  + kind(r"^thetas must be a 1-d array of angles",
-                        {"scalar": 0.5, "nested": [[0.0, 1.0]], "2-d": np.zeros((2, 3))}))}),
+                        {"scalar": 0.5, "nested": [[0.0, 1.0]], "2-d": np.zeros((2, 3))})
+                 + kind(r"^theta must be real, got dtype bool$", {"entry-True": listed(True)}))}),
     ("LegendreSpectrum", d.LegendreSpectrum,
      {"coeffs": ([1.0, 0.5, 0.2, 0.0], FINITE
                  + kind(r"^coeffs must be a 1-d array of at least 2 coefficients",
@@ -257,7 +272,8 @@ ROWS = [
                               {"nan": [NAN], "-0.1": [-0.1], "inf": [INF]})
                   + kind(r"^weights must be a 1-d array, got shape ",
                          {"2-d": [[1.0]], "scalar": 1.0})
-                  + kind(REAL, {"str": ["0.5"]})),
+                  + kind(REAL, {"str": ["0.5"]})
+                  + kind(r"^weights must be real, got dtype bool$", {"entry-True": [0.5, True]})),
       "residual": (0.0, NONNEGATIVE), "weight_sum_gap": (0.0, NONNEGATIVE)}),
     ("build_grid", d.build_grid, {"j": (2, FRAME), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
     ("nnls_solve", d.nnls_solve,
@@ -304,7 +320,9 @@ ROWS = [
 # Public callables outside drfsim.__all__: a record's method, the CLI's
 # settings and the selftest.
 OUTSIDE = [
-    ("LegendreSpectrum.reconstruct", d.initial_spectrum(2).reconstruct, {"theta": (0.5, POLAR)}),
+    ("LegendreSpectrum.reconstruct", d.initial_spectrum(2).reconstruct,
+     {"theta": (0.5, POLAR + kind(r"^theta must be real, got dtype bool$",
+                                  {"entry-True": [0.5, True]}))}),
     ("cli.RunConfig", cli.RunConfig,
      {"command": ("compare", kind(r"^unknown command 'walk'$", {"walk": "walk"})),
       "twice_j": ([2], kind(r"^twice_j must be an integer >= 1, got ",
@@ -312,6 +330,8 @@ OUTSIDE = [
                   + kind(r"^twice_j must list at least one size$", {"empty": []})
                   + kind(r"^twice_j must be a list or tuple of sizes, got ",
                          {"string": "12", "int": 5})
+                  + kind(exact("twice_j must be an integer >= 1, got True"),
+                         {"entry-True": [2, True]})
                   + kind(exact("twice_j must be an integer in [1, 2**60), got "),
                          {"2**60": [2, 2**60]})),
       "n_max": (3, count() + below_2_60(0)), "alpha": (0.1, ANGLE),

@@ -1,5 +1,6 @@
 """Channel construction, exact decay, trajectories, and record averaging."""
 
+import contextlib
 import decimal
 import functools
 import itertools
@@ -522,7 +523,8 @@ class TestClosedFormFidelity:
 
 def _fault_at_jump(monkeypatch, k, fault):
     """Apply ``fault`` to the state the k-th of the 125 jumps of each
-    evolve(SpinLabel(10), 2000) lands on, step 16 k."""
+    evolve(SpinLabel(10), 2000) lands on, step 16 k; the list that gets one
+    entry per jump is returned."""
     assert quantum_drf._block_length(2000) == 16
     exact_jump = quantum_drf._jump
     calls = []
@@ -535,6 +537,7 @@ def _fault_at_jump(monkeypatch, k, fault):
         return out
 
     monkeypatch.setattr(quantum_drf, "_jump", faulty_jump)
+    return calls
 
 
 def _move_down(amount):
@@ -573,14 +576,22 @@ class TestEvolve:
         fidelity, _ = evolve(SpinLabel(3), 400)
         assert np.all(np.diff(fidelity) <= 1e-15)
 
-    def test_default_length_at_2j_200(self):
+    def test_default_length_at_2j_200(self, monkeypatch):
         # once failed at step 54127: float trace drift crossed 1e-12
+        exact_check = quantum_drf._check_block
+        totals = []
+
+        def recording_check(twice_j, fidelity, closed, s, states, first):
+            totals.extend(np.sum(states, axis=1))
+            exact_check(twice_j, fidelity, closed, s, states, first)
+
+        monkeypatch.setattr(quantum_drf, "_check_block", recording_check)
         j = SpinLabel(200)
         fidelity, closed = evolve(j, default_n_max(j))
         assert len(fidelity) == 70009
         assert np.max(np.abs(fidelity - closed)) <= 1e-12
-        totals = quantum_drf._map_fidelity(200, default_n_max(j))[3]
-        assert np.max(np.abs(totals - 1.0)) <= 1e-14
+        assert len(totals) == 70008 // 64 + 1  # every held state, once
+        assert np.max(np.abs(np.array(totals) - 1.0)) <= 1e-14
 
     def test_fidelity_matches_kraus_observable(self):
         j = SpinLabel(6)
@@ -603,9 +614,10 @@ class TestEvolve:
     ])
     def test_failing_step_is_named(self, monkeypatch, k, fault, tolerance):
         # corrupt only the state the k-th jump lands on, step 16 k.  The 126
-        # held states are checked 16 at a time: k = 16 opens a group and
-        # k = 125 (step 2000) closes the last, partial one.  A reversal at
-        # step 2000 stays within MAP_TOL, the state being uniform there
+        # held states are checked 64 at a time, each group as soon as it is
+        # made: k = 16 lies inside the first group, k = 69 inside the second,
+        # and k = 125 (step 2000) closes the second, partial one.  A reversal
+        # at step 2000 stays within MAP_TOL, the state being uniform there
         # to about 1e-15
         _fault_at_jump(monkeypatch, k, fault)
         with pytest.raises(InternalConsistencyError) as excinfo:
@@ -613,6 +625,16 @@ class TestEvolve:
         message = str(excinfo.value)
         assert message.startswith(f"quantum_drf.evolve: 2j=10, step {16 * k}: ")
         assert tolerance in message
+
+    def test_failing_run_stops_at_its_first_bad_group(self, monkeypatch):
+        # the fault at step 256 lies in the first group of 64 held states,
+        # steps 0 ... 1023, which is checked before the 64th jump is made
+        calls = _fault_at_jump(monkeypatch, 16, lambda out: out.__setitem__(0, -1e-9))
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            evolve(SpinLabel(10), 2000)
+        assert str(excinfo.value) == ("quantum_drf.evolve: 2j=10, step 256: population -1e-09 "
+                                      "is below EIGENVALUE_FLOOR = -1e-10")
+        assert len(calls) < 125
 
     def test_failing_adjoint_row_is_named(self, monkeypatch):
         # a wrong row m^T M^5 breaks the fidelity of steps 5, 21, 37, ...
@@ -655,8 +677,14 @@ class TestEvolve:
         # a fault that puts F below 1/2, or makes it rise over the step
         # before, by more than STRUCTURE_TOL is a closed-form error past MAP_TOL
         _fault_at_jump(monkeypatch, 125, _move_down(move))
+        exact_check = quantum_drf._check_block
+
+        def unchecked_block(*args):  # still turns each group's steps into F
+            with contextlib.suppress(InternalConsistencyError):
+                exact_check(*args)
+
         with monkeypatch.context() as unchecked:
-            unchecked.setattr(quantum_drf, "_check_steps", lambda *args: None)
+            unchecked.setattr(quantum_drf, "_check_block", unchecked_block)
             fidelity, _ = evolve(SpinLabel(10), 2000)
         if move > 0:
             assert fidelity[2000] < 0.5 - STRUCTURE_TOL
