@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
 from .angular_momentum import _check_frame, coherent_columns
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _real, _reals
 from .quantum_drf import FrameState, apply_map
+from .spectrum import _mode2_defect
 from .tolerances import KKT_TOL, require
 
 __all__ = [
@@ -205,9 +206,11 @@ def convexity_series(j, n_max: int, n_nodes: int) -> list:
 
 
 def _evolved_populations(twice_j: int):
-    """Populations of the aligned state after 0, 1, 2, ... :func:`apply_map`
-    steps, each state validated once, when it is built."""
+    """Populations of the aligned state after 0, 1, 2, ... :func:`apply_map` steps,
+    each state validated once, when it is built, with its k = 2 moment (``MODE2_TOL``)."""
     state = FrameState.stretched(twice_j)
-    while True:
+    for n in count():
+        require(f"coherent_analysis: 2j={twice_j}, step {n}", "k = 2 moment defect",
+                _mode2_defect(twice_j, state.data, n), "MODE2_TOL")
         yield state.data
         state = apply_map(state)

@@ -25,19 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, default_rng  # loaded with the package, not mid-run
 
 from .angular_momentum import OUTCOMES, _check_frame, cg_coefficient
-from .errors import (DomainError, _check_count, _check_finite, _check_member, _check_record,
-                     _index, _reals)
-from .spectrum import _count_fidelity, _first_multipole, closed_form_fidelity, transfer_rates
-from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, STRUCTURE_TOL, require
+from .errors import DomainError, _check_count, _check_member, _check_record, _index, _reals
+from .spectrum import (_count_fidelity, _first_multipole, _mode2_defect, closed_form_fidelity,
+                       transfer_rates)
+from .tolerances import EIGENVALUE_FLOOR, MAP_TOL, MODE2_TOL, STRUCTURE_TOL, require
 
 __all__ = [
-    "KrausSet",
     "FrameState",
     "build_kraus",
     "apply_map",
@@ -48,12 +48,9 @@ __all__ = [
     "sample_fidelity_batch",
 ]
 
-_KEYS = {(a, b, c) for a in (0, 1) for b in (0, 1) for c in OUTCOMES}  # of KrausSet.bands
-
-
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """The Kraus operators E_ab^c of the frame-degradation channel.
+    """The Kraus operators E_ab^c of the channel; only :func:`build_kraus` makes them.
 
     ``bands[(a, b, c)]`` holds the read-only values of <a|Pi_c|b> over the
     frame space, for qubit indices a, b in {0, 1} and outcome c in {+1, -1}.
@@ -64,33 +61,11 @@ class KrausSet:
     """
 
     twice_j: int = field(init=False)  # len(bands[(0, 0, 1)]) - 1
-    bands: dict
+    bands: MappingProxyType  # of the dict build_kraus passes
 
     def __post_init__(self):
-        if not isinstance(self.bands, dict):
-            raise DomainError(f"KrausSet: bands must be a dict keyed (a, b, c), "
-                              f"got {type(self.bands).__name__}")
-        if self.bands.keys() != _KEYS:
-            raise DomainError(f"KrausSet: keys missing "
-                              f"{sorted(_KEYS - self.bands.keys())}, extra "
-                              f"{sorted(self.bands.keys() - _KEYS, key=repr)}")
-        first = _reals("KrausSet: band (0, 0, 1)", self.bands[(0, 0, 1)])
-        if first.ndim != 1 or len(first) < 2:
-            raise DomainError(f"KrausSet: band (0, 0, 1) must be a vector of at least "
-                              f"2 entries, got shape {first.shape}")
-        object.__setattr__(self, "twice_j", len(first) - 1)
-        where = f"KrausSet: 2j={self.twice_j}"
-        bands = {}
-        for (a, b, c), values in self.bands.items():
-            band = f"{where}: band {(a, b, c)}"
-            values = _reals(band, values).copy()  # frozen below: not the caller's array
-            length = self.twice_j + 1 - abs(b - a)
-            if values.shape != (length,):
-                raise DomainError(f"{band} must have shape ({length},), got {values.shape}")
-            _check_finite(band, values)
-            values.setflags(write=False)
-            bands[(a, b, c)] = values
-        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "twice_j", len(self.bands[(0, 0, 1)]) - 1)
+        object.__setattr__(self, "bands", MappingProxyType(self.bands))
 
     def completeness_defect(self) -> float:
         """max |(1/2) sum_cab E^dag E - I|; zero for a trace-preserving set.
@@ -129,7 +104,8 @@ def build_kraus(j) -> KrausSet:
                           float, count=d) for a in (0, 1)]  # allocated before it is filled
         for a in (0, 1):
             for b in (0, 1):
-                bands[(a, b, c)] = cg[a][_span(a - b, d)] * cg[b][_span(b - a, d)]
+                band = bands[(a, b, c)] = cg[a][_span(a - b, d)] * cg[b][_span(b - a, d)]
+                band.setflags(write=False)
     kraus = KrausSet(bands)
     require(f"quantum_drf.build_kraus: 2j={tj}", "trace preservation defect",
             kraus.completeness_defect(), "STRUCTURE_TOL")
@@ -355,11 +331,11 @@ def evolve(j, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     Every step's |F - F_closed| is checked against ``MAP_TOL``,
     which also keeps the fidelity in [1/2, 1] and decaying (see its note).
-    Every state held in memory (steps 0, s, 2s, ...) has its smallest
-    population checked against ``EIGENVALUE_FLOOR`` and its drift from a
-    total of 1 against ``STRUCTURE_TOL``.  The states in between need no check:
-    M is entrywise non-negative and doubly stochastic, so
-    min(M^r p) >= min(p) and 1^T M^r p = 1^T p.  Each group of held states
+    Every state held in memory (steps 0, s, 2s, ...) has its smallest population
+    checked against ``EIGENVALUE_FLOOR``, its drift from a total of 1 against
+    ``STRUCTURE_TOL`` and its k = 2 moment against ``MODE2_TOL``.  The first two
+    need no check in between: M is entrywise non-negative and doubly stochastic,
+    so min(M^r p) >= min(p) and 1^T M^r p = 1^T p.  Each group of held states
     is checked with its steps as soon as it is made (:func:`_check_block`): the
     first step that fails stops the run at the end of its group, and raises
     :class:`InternalConsistencyError` naming 2j, the step, the value and the tolerance.
@@ -406,14 +382,15 @@ def _check_block(twice_j: int, fidelity, closed, s: int, states, first: int):
     """Turn a group's steps, from ``first`` on, from <m> into F in place, and
     raise at the first of them whose held state or fidelity fails its check:
     ``states`` holds steps first, first + s, ..., and at a held step its
-    floor and trace checks come before the fidelity check."""
+    floor, trace and k = 2 checks come before the fidelity check."""
     fidelity = fidelity[first : first + s * len(states)]
     fidelity /= twice_j + 1.0  # F = 1/2 + <m> / q
     fidelity += 0.5
     error = np.abs(fidelity - closed[first : first + len(fidelity)])
     lowest = np.min(states, axis=1)
     drift = np.abs(np.sum(states, axis=1) - 1.0)
-    held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL)
+    mode2 = _mode2_defect(twice_j, states, first + s * np.arange(len(states)))
+    held_ok = (lowest >= EIGENVALUE_FLOOR) & (drift <= STRUCTURE_TOL) & (mode2 <= MODE2_TOL)
     if not (error.max() <= MAP_TOL and held_ok.all()):  # a NaN error fails
         ok = error <= MAP_TOL
         ok[::s] &= held_ok
@@ -422,6 +399,7 @@ def _check_block(twice_j: int, fidelity, closed, s: int, states, first: int):
         if step % s == 0:
             require(where, "population", lowest[step // s], "EIGENVALUE_FLOOR")
             require(where, "|sum of populations - 1|", drift[step // s], "STRUCTURE_TOL")
+            require(where, "k = 2 moment defect", mode2[step // s], "MODE2_TOL")
         require(where, f"fidelity {float(fidelity[step])!r}, |F - F_closed|",
                 error[step], "MAP_TOL")
 
@@ -526,8 +504,10 @@ def sample_fidelity_batch(j, n_max: int, n_samples: int, seed):
     of them, gives one uniform u per sample, and K is the least count whose
     CDF exceeds u (inversion on the table of :func:`_count_cdf`).  Sample i's
     fidelity is F_K of :func:`~drfsim.spectrum.conditional_fidelity_table`.
-    :func:`sample_trajectory` draws the outcomes one by one against p+ and
-    steps their flux maps, an independent check.
+    :func:`sample_trajectory` draws the outcomes one by one against p+ and steps
+    their flux maps, but both read p+ from ``spectrum._spectrum_constants``.  The
+    third source that pins p+ is the J^2 projector test of ``tests/test_quantum_drf.py``,
+    ``TestTrajectories::test_first_step_probability_matches_coupled_trace``.
 
     Returns
     -------

@@ -127,6 +127,15 @@ def closed_form_fidelity(j, n):
     return out if np.ndim(n) else float(out)
 
 
+def _mode2_defect(twice_j: int, populations, steps):
+    """|<T2>_n - (1 - 6/q^2)^n j(2j - 1)| / (2j^2) of ``populations`` (one state a row)
+    at steps n: T2(m) = 3m^2 - j(j + 1) is the averaged map's k = 2 eigenvector."""
+    tm = np.arange(-twice_j, twice_j + 1, 2)
+    moment = populations @ ((3 * tm * tm - twice_j * (twice_j + 2)) / 4.0)
+    decay = np.exp(np.multiply(steps, np.log1p(-6 / (twice_j + 1) ** 2 if twice_j > 1 else 0.0)))
+    return np.abs(moment - decay * (twice_j * (twice_j - 1) / 2)) / (twice_j * twice_j / 2)
+
+
 def conditional_fidelity_table(j, n: int) -> np.ndarray:
     """F_K of the module docstring, the fidelity after n uses given K outcomes +1,
     for K = 0 ... n.

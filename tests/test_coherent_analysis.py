@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from drfsim import (
     ConvergenceError,
     DecompositionResult,
+    FrameState,
     InternalConsistencyError,
     SpinLabel,
+    apply_map,
     build_grid,
     coherent_columns,
     coherent_populations,
@@ -326,6 +328,25 @@ class TestConvexityTest:
         state = next(islice(coherent_analysis._evolved_populations(8), 3, None))
         nnls_solve(columns, state)
         assert scanned == ["matrix A", "target b"]
+
+    @pytest.mark.parametrize("fit", [convexity_series, convexity_test],
+                             ids=lambda fit: fit.__name__)
+    def test_second_mode_fault_is_named_at_its_step(self, monkeypatch, fit):
+        # moving 1e-3 of p_{j-1} to m = j and m = j - 2 after each map step keeps
+        # the trace and <m>, but not the k = 2 moment
+        def spreading_map(state):
+            out = apply_map(state).data.copy()
+            moved = 1e-3 * out[-2]
+            out[-2] -= moved
+            out[-1] += moved / 2
+            out[-3] += moved / 2
+            return FrameState(out)
+
+        monkeypatch.setattr(coherent_analysis, "apply_map", spreading_map)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^coherent_analysis: 2j=20, step 1: k = 2 moment defect \S+ "
+                                 r"exceeds MODE2_TOL = 2e-13$"):
+            fit(20, 4, 168)
 
 
 @pytest.mark.slow

@@ -138,43 +138,6 @@ RING = np.linspace(0.0, PI, 2048)
 NNLS_A, NNLS_B = d.build_grid(2, 11)[1], np.full(3, 1.0 / 3.0)
 
 
-def bands(edit):
-    """A copy of the valid bands with ``edit`` applied."""
-    def corrupt(valid):
-        changed = dict(valid)
-        edit(changed)
-        return changed
-    return corrupt
-
-
-BANDS = [
-    *kind(r"^KrausSet: bands must be a dict keyed \(a, b, c\), got ",
-          {"list": [1, 2], "None": None}),
-    ("nan", bands(lambda b: b.update({(0, 0, 1): np.array([1.0, NAN, 1.0, 1.0])})),
-     exact("KrausSet: 2j=3: band (0, 0, 1) must be finite (it holds nan or inf)")),
-    *[(f"length-{key}", bands(lambda b, key=key, n=n: b.update({key: np.ones(n)})),
-       exact(f"KrausSet: 2j=3: band {key} must have shape ({4 - abs(key[1] - key[0])},), "
-             f"got ({n},)"))
-      for key, n in (((0, 1, 1), 4), ((1, 0, -1), 2), ((1, 1, -1), 5))],
-    # band (0, 0, 1) fixes 2j, so it must hold 2j + 1 >= 2 entries
-    *kind(r"^KrausSet: band \(0, 0, 1\) must be a vector of at least 2 entries, got shape ",
-          {"first-short": bands(lambda b: b.update({(0, 0, 1): np.ones(1)})),
-           "first-scalar": bands(lambda b: b.update({(0, 0, 1): 1.0})),
-           "first-2-d": bands(lambda b: b.update({(0, 0, 1): np.ones((4, 1))}))}),
-    ("missing", bands(lambda b: b.pop((1, 1, -1))),
-     exact("KrausSet: keys missing [(1, 1, -1)], extra []")),
-    ("outcome-2", bands(lambda b: b.update({(0, 0, 2): np.ones(4)})),
-     exact("KrausSet: keys missing [], extra [(0, 0, 2)]")),
-    ("qubit-index-5", bands(lambda b: b.update({(5, 0, 1): np.ones(4)})),
-     exact("KrausSet: keys missing [], extra [(5, 0, 1)]")),
-    ("one-key", lambda b: {(0, 0, 1): np.ones(4)},
-     r"^KrausSet: keys missing \[\(0, 0, -1\), "),
-    # band (0, 0, 1) is read before 2j is known, so its message names no 2j
-    *[(id_ + suffix, bands(lambda b, corrupt=corrupt, key=key: b.update({key: corrupt(b[key])})),
-       exact(f"KrausSet: {where}band {key} must be real, got dtype {dtype}"))
-      for id_, corrupt, dtype in CASTS
-      for key, where, suffix in (((0, 0, 1), "", ""), ((1, 0, -1), "2j=3: ", "-(1, 0, -1)"))],
-]
 # Beside an int past uint64 (which numpy holds as an object) a bool, a string
 # or a Fraction is still no step count.
 STEPS = kind(r"^step count n must be a non-negative integer",
@@ -290,7 +253,6 @@ ROWS = [
      {"j": (2, FRAME), "n": (1, count()), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
     ("convexity_series", d.convexity_series,
      {"j": (2, FRAME), "n_max": (1, count()), "n_nodes": (5, count(3), "2j=2: n_nodes")}),
-    ("KrausSet", d.KrausSet, {"bands": (KRAUS.bands, BANDS)}),
     ("FrameState", d.FrameState,
      {"data": ([0.0, 0.0, 1.0], POPULATIONS + typed(), STATE_2 + "populations")}),
     ("FrameState:dense", d.FrameState,
@@ -304,7 +266,7 @@ ROWS = [
     ("evolve", d.evolve, {"j": (2, FRAME), "n_max": (3, count())}),
     *[(f"conditional_update{variant}", d.conditional_update,
        {"state": (state, record(d.FrameState)),
-        "kraus": (KRAUS, record(d.KrausSet)
+        "kraus": (KRAUS, record(d.quantum_drf.KrausSet)
                   + kind(r"^spin mismatch: state has 2j=3, kraus has 2j=2$",
                          {"other-spin": d.build_kraus(2)})),
         "outcome": (1, OUTCOME)})

@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 from fractions import Fraction
 from types import SimpleNamespace
@@ -99,12 +100,9 @@ class TestBuildKraus:
                       quantum_drf.KrausSet(build_kraus(3).bands)):
             assert type(kraus.twice_j) is int and kraus.twice_j == 3
 
-    def test_callers_bands_stay_writable(self):
-        # the set freezes copies of the bands, not the caller's own arrays
-        bands = {key: values.copy() for key, values in build_kraus(SpinLabel(3)).bands.items()}
-        kraus = quantum_drf.KrausSet(bands)
-        assert all(values.flags.writeable for values in bands.values())
-        assert all(not values.flags.writeable for values in kraus.bands.values())
+    def test_bands_cannot_be_swapped(self):
+        with pytest.raises(TypeError):
+            build_kraus(SpinLabel(3)).bands[(0, 0, 1)] = np.ones(4)
 
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 5])
     def test_operators_match_projector_oracle(self, twice_j):
@@ -139,11 +137,12 @@ class TestBuildKraus:
             build_kraus(SpinLabel(5))
 
     def test_nan_element_is_rejected_with_its_band(self, monkeypatch):
-        # refused with its band, before a NaN completeness defect is formed
+        # a NaN band makes a NaN completeness defect, which fails its check
         monkeypatch.setattr(quantum_drf, "cg_coefficient",
                             lambda *args: SimpleNamespace(value=np.nan))
-        with pytest.raises(DomainError, match=r"^KrausSet: 2j=5: band \(0, 0, 1\) must be "
-                                              r"finite \(it holds nan or inf\)$"):
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^quantum_drf\.build_kraus: 2j=5: trace preservation defect "
+                                 r"nan exceeds STRUCTURE_TOL = 1e-12$"):
             build_kraus(SpinLabel(5))
 
 
@@ -651,6 +650,42 @@ class TestEvolve:
         message = str(excinfo.value)
         assert message.startswith("quantum_drf.evolve: 2j=10, step 5: fidelity ")
         assert "MAP_TOL" in message
+
+    @pytest.mark.parametrize("twice_j", [20, 200])
+    def test_second_mode_fault_is_named_at_its_first_held_step(self, monkeypatch, twice_j):
+        # moving 1e-3 of p_{j-1} to m = j and m = j - 2 after every jump keeps
+        # the trace and <m>, so F, but not the k = 2 moment
+        exact_jump = quantum_drf._jump
+
+        def spreading_jump(kernel, windows, populations):
+            out = exact_jump(kernel, windows, populations)
+            moved = 1e-3 * out[-2]
+            out[-2] -= moved
+            out[-1] += moved / 2
+            out[-3] += moved / 2
+            return out
+
+        monkeypatch.setattr(quantum_drf, "_jump", spreading_jump)
+        n_max = default_n_max(twice_j)
+        s = quantum_drf._block_length(n_max)
+        with pytest.raises(InternalConsistencyError,
+                           match=rf"^quantum_drf\.evolve: 2j={twice_j}, step {s}: k = 2 moment "
+                                 r"defect \S+ exceeds MODE2_TOL = 2e-13$"):
+            evolve(SpinLabel(twice_j), n_max)
+
+    @pytest.mark.parametrize("twice_j", range(1, 11))
+    def test_second_mode_decays_exactly_by_its_eigenvalue(self, twice_j):
+        # the identity behind MODE2_TOL, in exact rationals:
+        # <T2>_n = (1 - 6/q^2)^n j(2j - 1), T2(m) = 3m^2 - j(j + 1)
+        t2 = [Fraction(3 * (2 * k - twice_j) ** 2 - twice_j * (twice_j + 2), 4)
+              for k in range(twice_j + 1)]
+        decay = 1 - Fraction(6, (twice_j + 1) ** 2)
+        state = [Fraction(0)] * twice_j + [Fraction(1)]
+        for n in range(20):
+            assert sum(map(operator.mul, t2, state)) == decay**n * twice_j * (twice_j - 1) / 2
+            state = exact_averaged_step(twice_j, state)
+        rounded = np.array([float(p) for p in state])
+        assert spectrum._mode2_defect(twice_j, rounded, 20) <= 1e-15
 
     @pytest.mark.parametrize("twice_j", range(1, 21))
     def test_evolve_and_closed_form_round_the_exact_map(self, twice_j):
